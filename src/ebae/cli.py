@@ -257,7 +257,12 @@ def write_report(report, stats, out_dir):
 
 
 def _build_config(args):
-    overrides = dict(pair.split("=", 1) for pair in args.set or [])
+    overrides = {}
+    for pair in args.set or []:
+        key, sep, value = pair.partition("=")
+        if not sep:
+            raise ValueError(f"bad --set argument {pair!r}: expected KEY=VALUE")
+        overrides[key] = value
     config = with_overrides(Config(), overrides)
     env_seed = os.environ.get("EBAE_SEED")
     updates = {}

@@ -281,7 +281,6 @@ def write_dataset(dataset, data_path, schema_path):
     with Path(schema_path).open("w", encoding="utf-8") as fh:
         for col in dataset.columns:
             fh.write(f"{col.name}={col.role},{col.kind},{col.size_flag}\n")
-    id_col = next((c for c in dataset.columns if c.role == "identifier"), None)
     with Path(data_path).open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([c.name for c in dataset.columns])
@@ -298,7 +297,6 @@ def write_dataset(dataset, data_path, schema_path):
                     row.append(value if col.kind == "categorical" else repr(float(value)))
                     fi += 1
             writer.writerow(row)
-    del id_col
 
 
 @dataclass(frozen=True)

@@ -163,10 +163,9 @@ def ensemble_table(spec, tables, floor):
     """Fold-level ensemble predictions: the exact per-row mean of the member
     tables computed once per variant (no refitting)."""
     member_tables = [tables[label] for label in spec.members]
-    ids = [row.project_id for row in member_tables[0].rows]
-    actuals = member_tables[0].actuals
     predictions = np.mean([t.predictions for t in member_tables], axis=0)
-    return build_table(spec.label, ids, actuals, predictions, floor)
+    return build_table(spec.label, member_tables[0].project_ids, member_tables[0].actuals,
+                       predictions, floor)
 
 
 def _joint_stage(report, alpha):

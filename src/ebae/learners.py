@@ -243,28 +243,37 @@ def ga_design(train, k):
         raise FitError(f"GA needs at least {k + 2} projects for k={k}, got {n}")
     neighbors = knn_within(train, k)
     base = train.efforts[neighbors].mean(axis=1)
-    m = len(train.cont_index) + len(train.cat_index)
-    D = np.zeros((n, m))
-    for i in range(n):
-        diffs = [
-            diff_vector(train.cont[i], train.cat[i], train.cont[j], train.cat[j])
-            for j in neighbors[i]
-        ]
-        D[i] = np.mean(diffs, axis=0)
+    # (n, k, m) difference vectors of every project to each of its k analogies,
+    # laid out as diff_vector does: continuous differences, then 0/1 mismatches
+    cont = train.cont[:, None, :] - train.cont[neighbors]
+    cat = (train.cat[:, None, :] != train.cat[neighbors]).astype(float)
+    D = np.concatenate([cont, cat], axis=2).mean(axis=1)
     return train.efforts - base, D
 
 
 def ga_fitness(residuals, D, alphas):
-    """Mean absolute error of the corrected predictions for candidate rows."""
+    """Mean absolute error of the corrected predictions for candidate rows.
+
+    Each candidate's errors are averaged along their own contiguous row, so
+    the zero vector scores exactly mean(|residuals|) in any population.
+    """
     alphas = np.atleast_2d(alphas)
-    return np.mean(np.abs(residuals[:, None] - D @ alphas.T), axis=0)
+    return np.abs(residuals - alphas @ D.T).mean(axis=1)
 
 
 def fit_ga_weights(train, k, config, seed):
     """Tournament GA with arithmetic crossover, Gaussian mutation, elitism 1.
 
     The zero vector is planted in the initial population, so the returned
-    weights never score worse than no correction at all.
+    weights never score worse than no correction at all. Each generation
+    breeds its ``ga_pop - 1`` children at once and draws, in this order:
+    the tournament contenders (3 per parent, first parents then second
+    parents) as one ``(2 * (ga_pop - 1), 3)`` integer array, where the
+    fittest contender wins and ties go to the first listed; the crossover
+    mask and the blend weights, one per child each; then the mutation mask
+    and the Gaussian noise, one per child and weight each. Children are
+    clipped to ``[-ga_range, ga_range]`` and the elite is carried over
+    unchanged.
     """
     residuals, D = ga_design(train, k)
     m = D.shape[1]
@@ -275,24 +284,18 @@ def fit_ga_weights(train, k, config, seed):
     fitness = ga_fitness(residuals, D, pop)
     history = [float(fitness.min())]
     sigma = 0.1 * r
+    n_children = config.ga_pop - 1
+    parents = np.arange(2 * n_children)
     for _ in range(config.ga_gens):
-        elite = int(np.argmin(fitness))
-        children = np.empty_like(pop)
-        children[0] = pop[elite]
-        for c in range(1, config.ga_pop):
-            contenders = rng.integers(0, config.ga_pop, size=3)
-            p1 = pop[contenders[np.argmin(fitness[contenders])]]
-            contenders = rng.integers(0, config.ga_pop, size=3)
-            p2 = pop[contenders[np.argmin(fitness[contenders])]]
-            if rng.random() < config.ga_cx:
-                u = rng.random()
-                child = u * p1 + (1.0 - u) * p2
-            else:
-                child = p1.copy()
-            mutate = rng.random(m) < config.ga_mut
-            child = np.where(mutate, child + rng.normal(0.0, sigma, size=m), child)
-            children[c] = np.clip(child, -r, r)
-        pop = children
+        contenders = rng.integers(0, config.ga_pop, size=(2 * n_children, 3))
+        winners = contenders[parents, np.argmin(fitness[contenders], axis=1)]
+        p1, p2 = pop[winners].reshape(2, n_children, m)
+        cross = rng.random(n_children) < config.ga_cx
+        u = rng.random(n_children)[:, None]
+        children = np.where(cross[:, None], u * p1 + (1.0 - u) * p2, p1)
+        mutate = rng.random((n_children, m)) < config.ga_mut
+        children = np.where(mutate, children + rng.normal(0.0, sigma, size=(n_children, m)), children)
+        pop = np.vstack([pop[np.argmin(fitness)], np.clip(children, -r, r)])
         fitness = ga_fitness(residuals, D, pop)
         history.append(float(fitness.min()))
     best = int(np.argmin(fitness))

@@ -14,47 +14,39 @@ from dataclasses import dataclass
 import numpy as np
 
 
-@dataclass(frozen=True)
-class PredictionRow:
-    project_id: str
-    actual: float
-    predicted: float
-    ae: float
-    mre: float
-    log_residual: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PredictionTable:
-    """Per-project outcomes of one leave-one-out run of a variant or ensemble."""
+    """Per-project outcomes of one leave-one-out run of a variant or ensemble.
+
+    Columnar: ``project_ids`` is a tuple and every other per-project field a
+    float array, all in the same project order. Tables compare equal when
+    every column is exactly equal.
+    """
 
     variant: str
-    rows: tuple
+    project_ids: tuple
+    actuals: np.ndarray
+    predictions: np.ndarray
+    aes: np.ndarray
+    mres: np.ndarray
+    log_residuals: np.ndarray
     floor: float
     fallback_count: int = 0
 
-    @property
-    def actuals(self):
-        return np.array([r.actual for r in self.rows])
-
-    @property
-    def predictions(self):
-        return np.array([r.predicted for r in self.rows])
-
-    @property
-    def aes(self):
-        return np.array([r.ae for r in self.rows])
-
-    @property
-    def mres(self):
-        return np.array([r.mre for r in self.rows])
-
-    @property
-    def log_residuals(self):
-        return np.array([r.log_residual for r in self.rows])
-
     def __len__(self):
-        return len(self.rows)
+        return len(self.project_ids)
+
+    def __eq__(self, other):
+        if not isinstance(other, PredictionTable):
+            return NotImplemented
+        return (
+            (self.variant, self.project_ids, self.floor, self.fallback_count)
+            == (other.variant, other.project_ids, other.floor, other.fallback_count)
+            and all(
+                np.array_equal(getattr(self, c), getattr(other, c))
+                for c in ("actuals", "predictions", "aes", "mres", "log_residuals")
+            )
+        )
 
 
 @dataclass(frozen=True)
@@ -109,11 +101,18 @@ def pointwise_errors(actual, predicted, floor):
 
 
 def build_table(variant, ids, actuals, predictions, floor, fallback_count=0):
-    rows = tuple(
-        PredictionRow(pid, float(e), float(p), *pointwise_errors(float(e), float(p), floor))
-        for pid, e, p in zip(ids, actuals, predictions)
-    )
-    return PredictionTable(variant=variant, rows=rows, floor=floor, fallback_count=fallback_count)
+    """Columnar table of per-project errors; the same values ``pointwise_errors``
+    gives project by project."""
+    actuals = np.array(actuals, dtype=float)
+    predictions = np.array(predictions, dtype=float)
+    if np.any(actuals <= 0):
+        raise ValueError(f"actual effort must be positive, got {actuals[actuals <= 0][0]}")
+    aes = np.abs(actuals - predictions)
+    columns = (actuals, predictions, aes, aes / actuals,
+               np.log(actuals) - np.log(np.maximum(predictions, floor)))
+    for column in columns:
+        column.flags.writeable = False
+    return PredictionTable(variant, tuple(ids), *columns, floor=floor, fallback_count=fallback_count)
 
 
 def mae(table):

@@ -80,6 +80,8 @@ def box_cox(values, step=0.01, lam_min=-2.0, lam_max=2.0):
     x = np.asarray(values, dtype=float)
     if x.size == 0:
         raise ValueError("empty input")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("Box-Cox input contains non-finite values")
     shift = 0.0
     if np.min(x) <= 0:
         shift = 1e-3 * float(np.max(x)) if np.max(x) > 0 else 1e-3
@@ -195,6 +197,9 @@ def scott_knott(groups, alpha=0.05):
     arrays = [np.asarray(groups[name], dtype=float) for name in names]
     if any(a.size < 2 for a in arrays):
         raise ValueError("every group needs at least 2 observations")
+    bad = [name for name, a in zip(names, arrays) if not np.all(np.isfinite(a))]
+    if bad:
+        raise ValueError(f"non-finite observations in group(s) {', '.join(map(str, bad))}")
     means = np.array([a.mean() for a in arrays])
     total = sum(a.size for a in arrays)
     nu = total - len(arrays)

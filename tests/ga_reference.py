@@ -1,0 +1,64 @@
+"""Per-row / per-child loop versions of the GA learner, kept as test oracles.
+
+``ga_design_loop`` is the row-by-row construction of the GA design that the
+array version in ``ebae.learners.ga_design`` must reproduce exactly.
+``fit_ga_weights_loop`` breeds one child at a time with the same operators as
+``ebae.learners.fit_ga_weights`` but a different random-number draw order, so
+the two agree in behaviour, not in numbers.
+"""
+
+import numpy as np
+
+from ebae.analogy import knn_within
+from ebae.learners import FitError, GaWeights, diff_vector, ga_fitness
+
+
+def ga_design_loop(train, k):
+    n = train.n
+    if n < k + 2:
+        raise FitError(f"GA needs at least {k + 2} projects for k={k}, got {n}")
+    neighbors = knn_within(train, k)
+    base = train.efforts[neighbors].mean(axis=1)
+    m = len(train.cont_index) + len(train.cat_index)
+    D = np.zeros((n, m))
+    for i in range(n):
+        diffs = [
+            diff_vector(train.cont[i], train.cat[i], train.cont[j], train.cat[j])
+            for j in neighbors[i]
+        ]
+        D[i] = np.mean(diffs, axis=0)
+    return train.efforts - base, D
+
+
+def fit_ga_weights_loop(train, k, config, seed):
+    residuals, D = ga_design_loop(train, k)
+    m = D.shape[1]
+    r = config.ga_range
+    rng = np.random.default_rng(seed)
+    pop = rng.uniform(-r, r, size=(config.ga_pop, m))
+    pop[0] = 0.0
+    fitness = ga_fitness(residuals, D, pop)
+    history = [float(fitness.min())]
+    sigma = 0.1 * r
+    for _ in range(config.ga_gens):
+        elite = int(np.argmin(fitness))
+        children = np.empty_like(pop)
+        children[0] = pop[elite]
+        for c in range(1, config.ga_pop):
+            contenders = rng.integers(0, config.ga_pop, size=3)
+            p1 = pop[contenders[np.argmin(fitness[contenders])]]
+            contenders = rng.integers(0, config.ga_pop, size=3)
+            p2 = pop[contenders[np.argmin(fitness[contenders])]]
+            if rng.random() < config.ga_cx:
+                u = rng.random()
+                child = u * p1 + (1.0 - u) * p2
+            else:
+                child = p1.copy()
+            mutate = rng.random(m) < config.ga_mut
+            child = np.where(mutate, child + rng.normal(0.0, sigma, size=m), child)
+            children[c] = np.clip(child, -r, r)
+        pop = children
+        fitness = ga_fitness(residuals, D, pop)
+        history.append(float(fitness.min()))
+    best = int(np.argmin(fitness))
+    return GaWeights(alpha=pop[best].copy(), fitness=float(fitness[best]), history=tuple(history))

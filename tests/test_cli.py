@@ -141,6 +141,12 @@ def test_unknown_set_key_fails_fast(tmp_path, capsys):
     assert "unknown config key" in capsys.readouterr().err
 
 
+def test_set_without_equals_fails_fast(tmp_path, capsys):
+    code = main(["evaluate", *TOY_ARGS, "--set", "ga.pop", "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert "bad --set argument 'ga.pop': expected KEY=VALUE" in capsys.readouterr().err
+
+
 def test_pipeline_overwrites_existing_report(tmp_path):
     out = tmp_path / "report"
     out.mkdir()

@@ -81,7 +81,7 @@ def test_select_best_cluster_separates_clear_groups():
 
 def test_select_best_cluster_identical_lists_merge():
     table = make_tables({"A": (2.0, 25)})["A"]
-    clone = build_table("B", [r.project_id for r in table.rows], table.actuals,
+    clone = build_table("B", table.project_ids, table.actuals,
                         table.predictions, table.floor)
     best, result, _ = select_best_cluster({"A": table, "B": clone}, ["A", "B"], alpha=0.05)
     assert set(best) == {"A", "B"}

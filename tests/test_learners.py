@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ebae.config import Config
+from ebae.data import ColumnSpec
 from ebae.learners import (
     DiffPair,
     FitError,
@@ -17,7 +20,8 @@ from ebae.learners import (
     predict_network,
 )
 
-from .conftest import make_dataset, size_only_schema
+from .conftest import make_dataset, random_dataset, size_only_schema
+from .ga_reference import fit_ga_weights_loop, ga_design_loop
 
 
 def pairs_from(xs, ys):
@@ -228,3 +232,85 @@ def test_ga_needs_enough_projects():
     ds = make_dataset("tiny", size_only_schema(), [(1,), (2,), (3,)], [1, 2, 3])
     with pytest.raises(FitError):
         ga_design(ds, 2)
+
+
+def mixed_dataset(seed, n=40):
+    """Maxwell-like mix: 6 continuous features, a few sizes of 0, and 10
+    categorical features with three levels each."""
+    rng = np.random.default_rng(seed)
+    schema = [ColumnSpec("size", "feature", "continuous", "primary_size")]
+    schema += [ColumnSpec(f"s{j}", "feature", "continuous", "size_related") for j in range(2)]
+    schema += [ColumnSpec(f"c{j}", "feature", "continuous", "none") for j in range(3)]
+    schema += [ColumnSpec(f"k{j}", "feature", "categorical", "none") for j in range(10)]
+    rows = []
+    for i in range(n):
+        cont = rng.lognormal(3.0, 1.0, size=6)
+        if i % 20 == 0:
+            cont[0] = 0.0
+        rows.append((*(float(v) for v in cont), *(str(c) for c in rng.choice(["a", "b", "c"], size=10))))
+    return make_dataset("mixed", schema, rows, rng.lognormal(6.0, 1.0, size=n))
+
+
+def assert_design_matches_loop(train, k):
+    residuals, D = ga_design(train, k)
+    loop_residuals, loop_D = ga_design_loop(train, k)
+    assert np.array_equal(residuals, loop_residuals)
+    assert np.array_equal(D, loop_D)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_ga_design_matches_loop_oracle_albrecht(albrecht, k):
+    for t in (0, 7, 23):
+        assert_design_matches_loop(albrecht.without(t), k)
+
+
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_ga_design_matches_loop_oracle_categorical(k):
+    ds = mixed_dataset(3)
+    for t in (0, 19):
+        assert_design_matches_loop(ds.without(t), k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans(), st.integers(1, 3))
+def test_ga_design_matches_loop_oracle_property(seed, with_categorical, k):
+    assert_design_matches_loop(random_dataset(np.random.default_rng(seed), with_categorical=with_categorical), k)
+
+
+def test_ga_fitness_no_worse_than_loop_oracle(albrecht):
+    # the array GA draws its random numbers in another order than the
+    # per-child loop, so single fits differ; on average it must not lose
+    cfg = Config()
+    keys = [(t, k, s) for t in range(0, 24, 4) for k in (1, 3, 5) for s in (0, 1)]
+    new = [fit_ga_weights(albrecht.without(t), k, cfg, 1000 * t + 10 * k + s).fitness for t, k, s in keys]
+    old = [fit_ga_weights_loop(albrecht.without(t), k, cfg, 1000 * t + 10 * k + s).fitness for t, k, s in keys]
+    assert np.mean(new) <= 1.02 * np.mean(old)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    with_categorical=st.booleans(),
+    pop=st.integers(2, 12),
+    gens=st.integers(0, 15),
+    cx=st.floats(0.0, 1.0),
+    mut=st.floats(0.0, 1.0),
+    ga_range=st.floats(0.1, 5.0),
+)
+def test_ga_invariants_property(seed, with_categorical, pop, gens, cx, mut, ga_range):
+    ds = random_dataset(np.random.default_rng(seed), with_categorical=with_categorical)
+    cfg = Config(ga_pop=pop, ga_gens=gens, ga_cx=cx, ga_mut=mut, ga_range=ga_range)
+    result = fit_ga_weights(ds, 1, cfg, seed)
+    residuals, D = ga_design(ds, 1)
+    history = result.history
+    assert len(history) == gens + 1
+    # the planted zero vector bounds the first generation
+    assert history[0] <= ga_fitness(residuals, D, np.zeros(D.shape[1]))[0]
+    # elitism: the best weights of a generation survive into the next
+    assert all(later <= earlier for earlier, later in zip(history, history[1:]))
+    assert result.fitness == history[-1]
+    assert result.fitness == pytest.approx(float(ga_fitness(residuals, D, result.alpha)[0]), rel=1e-12)
+    assert np.all(np.abs(result.alpha) <= ga_range)
+    again = fit_ga_weights(ds, 1, cfg, seed)
+    assert np.array_equal(again.alpha, result.alpha)
+    assert again.history == history

@@ -169,6 +169,29 @@ def test_metric_identities_property(pairs):
     assert (lsd(t) == 0.0) == bool(np.all(t.log_residuals == 0.0))
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(positive, st.floats(min_value=-1e3, max_value=1e5)), min_size=1, max_size=30))
+def test_build_table_matches_pointwise_errors(pairs):
+    actuals = [a for a, _ in pairs]
+    predictions = [p for _, p in pairs]
+    floor = log_floor(actuals)
+    t = build_table("cols", [str(i) for i in range(len(pairs))], actuals, predictions, floor)
+    expected = [pointwise_errors(a, p, floor) for a, p in pairs]
+    assert t.project_ids == tuple(str(i) for i in range(len(pairs)))
+    assert t.actuals.tolist() == actuals
+    assert t.predictions.tolist() == predictions
+    assert t.aes.tolist() == [ae for ae, _, _ in expected]
+    assert t.mres.tolist() == [mre for _, mre, _ in expected]
+    assert t.log_residuals.tolist() == [lam for _, _, lam in expected]
+    assert t == build_table("cols", t.project_ids, actuals, predictions, floor)
+    assert t != build_table("cols", t.project_ids, actuals, [p + 1.0 for p in predictions], floor)
+
+
+def test_build_table_rejects_nonpositive_actual():
+    with pytest.raises(ValueError, match="must be positive"):
+        build_table("bad", ["a", "b"], [1.0, 0.0], [1.0, 1.0], 1e-9)
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     st.lists(st.tuples(positive, positive), min_size=3, max_size=20),

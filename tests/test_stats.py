@@ -60,6 +60,12 @@ def test_box_cox_empty_rejected():
         box_cox(np.array([]))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_box_cox_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        box_cox(np.array([1.0, bad, 2.0]))
+
+
 def test_ks_accepts_normal_sample():
     rng = np.random.default_rng(42)
     stat, reject = ks_normality(rng.standard_normal(500), alpha=0.05)
@@ -196,6 +202,11 @@ def test_scott_knott_input_validation():
         scott_knott({"A": [1, 2, 3]})
     with pytest.raises(ValueError):
         scott_knott({"A": [1.0], "B": [1, 2]})
+
+
+def test_scott_knott_rejects_non_finite():
+    with pytest.raises(ValueError, match="non-finite observations in group.* B"):
+        scott_knott({"A": [1.0, 2.0, 3.0], "B": [1.0, math.nan, 2.0]})
 
 
 def test_two_way_null_case():

@@ -14,21 +14,21 @@ CFG = Config(runs=200)
 def test_loocv_row_count(toy):
     table = loocv(toy, VariantId("EBA", 1), CFG)
     assert len(table) == toy.n
-    assert [r.project_id for r in table.rows] == [p.id for p in toy.projects]
+    assert list(table.project_ids) == [p.id for p in toy.projects]
 
 
 def test_loocv_toy_eba1_prediction(toy):
     table = loocv(toy, VariantId("EBA", 1), CFG)
-    by_id = {r.project_id: r for r in table.rows}
+    p5 = table.project_ids.index("p5")
     # target p5 (size 10): nearest training project is p4 (size 8, effort 20)
-    assert by_id["p5"].predicted == pytest.approx(20.0)
-    assert by_id["p5"].ae == pytest.approx(10.0)
+    assert table.predictions[p5] == pytest.approx(20.0)
+    assert table.aes[p5] == pytest.approx(10.0)
 
 
 def test_loocv_toy_lse1_prediction(toy):
     table = loocv(toy, VariantId("LSE", 1), CFG)
-    by_id = {r.project_id: r for r in table.rows}
-    assert by_id["p5"].predicted == pytest.approx(25.0)     # 20/8 * 10
+    p5 = table.project_ids.index("p5")
+    assert table.predictions[p5] == pytest.approx(25.0)     # 20/8 * 10
 
 
 def test_loocv_too_small_for_k(toy):
@@ -59,7 +59,7 @@ def test_target_effort_never_leaks(toy):
         [4, 8, 12, 20, 3000.0],
     )
     tampered_table = loocv(tampered, variant, CFG)
-    assert tampered_table.rows[4].predicted == base_table.rows[4].predicted
+    assert tampered_table.predictions[4] == base_table.predictions[4]
 
 
 def test_fold_bounds_exclude_target(toy):
@@ -84,7 +84,7 @@ def test_learner_fit_failure_falls_back_to_eba(toy):
     mt = loocv(toy, VariantId("MT", 1), CFG)
     eba = loocv(toy, VariantId("EBA", 1), CFG)
     assert mt.fallback_count == toy.n
-    assert [r.predicted for r in mt.rows] == [r.predicted for r in eba.rows]
+    assert mt.predictions.tolist() == eba.predictions.tolist()
 
 
 def test_evaluate_variant_summary(toy):
@@ -139,4 +139,4 @@ def test_rtm_loocv_uses_training_correlation(albrecht):
     table = loocv(albrecht, VariantId("RTM", 3), Config(runs=200))
     assert len(table) == albrecht.n
     assert table.fallback_count == 0
-    assert all(np.isfinite(r.predicted) for r in table.rows)
+    assert all(np.isfinite(table.predictions))
