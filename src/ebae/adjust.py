@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analogy import nearest_within
-from .learners import diff_vector, predict_model_tree, predict_network, project_parts
+from .analogy import nearest_within, similarity_from_distance
+from .learners import diff_rows, predict_model_tree, predict_network
 
 METHODS = ("EBA", "LSE", "MLFE", "RTM", "AQUA", "MT", "GA", "NN")
 LEARNER_METHODS = ("MT", "GA", "NN")
@@ -169,15 +169,13 @@ def adjust_rtm(target, nbh, train, correlation, historical_mean=None):
 
 def adjust_aqua(target, nbh, train):
     """Similarity-weighted mean of the analogy efforts."""
-    sims = nbh.similarities
+    sims = similarity_from_distance(nbh.distances)
     return _weighted_mean(_analogy_efforts(nbh, train), sims / sims.max())
 
 
 def _target_diffs(target, nbh, train):
-    t_cont, t_cat = project_parts(target, train)
-    return np.array([
-        diff_vector(t_cont, t_cat, train.cont[i], train.cat[i]) for i in nbh.indices
-    ])
+    t_cont, t_cat = train.parts(target)
+    return diff_rows(t_cont, t_cat, train.cont[nbh.indices], train.cat[nbh.indices])
 
 
 def adjust_mt(target, nbh, train, tree):

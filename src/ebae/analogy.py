@@ -8,61 +8,23 @@ otherwise. Identifier and effort columns never enter the distance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .data import normalize_minmax
 
 
-@dataclass(frozen=True)
-class Analogy:
-    index: int          # row position within the pool dataset
-    project_id: str
-    distance: float
-    similarity: float
+class Neighborhood(NamedTuple):
+    """The k nearest pool rows for one target, nearest first."""
 
-
-@dataclass(frozen=True)
-class Neighborhood:
-    """The k nearest pool projects for one target, nearest first."""
-
-    target_id: str
-    analogies: tuple
-
-    @property
-    def indices(self):
-        return np.array([a.index for a in self.analogies], dtype=int)
-
-    @property
-    def distances(self):
-        return np.array([a.distance for a in self.analogies])
-
-    @property
-    def similarities(self):
-        return np.array([a.similarity for a in self.analogies])
-
-    def __len__(self):
-        return len(self.analogies)
+    indices: np.ndarray      # row positions within the pool dataset
+    distances: np.ndarray
 
 
 def similarity_from_distance(d):
     """Monotone map to (0, 1]; equals 1 exactly when the distance is 0."""
     return 1.0 / (1.0 + d)
-
-
-def distance(x, y, schema):
-    """Euclidean distance between two projects' feature tuples under ``schema``."""
-    if len(x.features) != len(schema) or len(y.features) != len(schema):
-        raise ValueError("project feature count does not match schema")
-    total = 0.0
-    for a, b, col in zip(x.features, y.features, schema):
-        if col.kind == "categorical":
-            total += 0.0 if a == b else 1.0
-        else:
-            diff = float(a) - float(b)
-            total += diff * diff
-    return float(np.sqrt(total))
 
 
 def _squared_distances(target_cont, target_cat, pool_cont, pool_cat):
@@ -82,8 +44,7 @@ def pool_distances(target, pool):
     and clamped into [0, 1], so a query outside the training range cannot
     leave the normalized cube.
     """
-    target_cont = np.array([target.features[i] for i in pool.cont_index], dtype=float)
-    target_cat = np.array([target.features[i] for i in pool.cat_index], dtype=object)
+    target_cont, target_cat = pool.parts(target)
     target01 = normalize_minmax(target_cont, pool.bounds, clamp=True)
     return np.sqrt(_squared_distances(target01, target_cat, pool.normalized(), pool.cat))
 
@@ -100,11 +61,7 @@ def retrieve(target, pool, k):
         raise ValueError(f"pool has {pool.n} projects, cannot retrieve k={k}")
     d = pool_distances(target, pool)
     order = np.lexsort((np.arange(pool.n), d))[:k]
-    analogies = tuple(
-        Analogy(int(i), pool.projects[i].id, float(d[i]), similarity_from_distance(float(d[i])))
-        for i in order
-    )
-    return Neighborhood(target_id=target.id, analogies=analogies)
+    return Neighborhood(order, d[order])
 
 
 def knn_within(dataset, k):

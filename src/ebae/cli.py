@@ -18,9 +18,9 @@ from pathlib import Path
 
 from .config import Config, with_overrides
 from .data import DatasetError, describe, load_dataset
-from .ensemble import run_pipeline
-from .metrics import summarize
-from .validation import dataset_baseline, loocv
+from .ensemble import evaluate_grid, filter_actual_predictors, run_pipeline
+from .stats import apply_transform
+from .validation import dataset_baseline
 
 VARIANT_COLUMNS = (
     "variant", "MAE", "MMRE", "Pred25", "LSD", "MBRE", "MIBRE",
@@ -53,6 +53,26 @@ def _variant_rows(summaries, verdicts, base, errors):
     for label, message in errors.items():
         rows.append([label, "", "", "", "", "", "", "", "", _fmt(base.sa5), "", f"error: {message}"])
     return rows
+
+
+def _cluster_rows(result):
+    """(cluster number, member, mean) of a Scott-Knott result, best cluster first."""
+    if result is None:
+        return
+    for ci, cluster in enumerate(result.clusters, start=1):
+        for member, mean in zip(cluster.members, cluster.means):
+            yield ci, member, mean
+
+
+def _ranking_rows(outcome, order):
+    """(rank, candidate, score, rank change) of a Borda outcome in ``order``."""
+    for c in order:
+        yield outcome.ranks[c], c, outcome.scores[c], outcome.xi.get(c, float("nan"))
+
+
+def _rank_order(outcome):
+    """Candidates by rank, ties by label."""
+    return sorted(outcome.candidates, key=lambda c: (outcome.ranks[c], str(c)))
 
 
 def _pct(x):
@@ -107,19 +127,14 @@ def _summary_markdown(report, stats):
             f"Box-Cox lambda {t.box_cox_lambda:.2f}, shift {t.shift:g}; "
             f"alpha {report.sk_singles.alpha}."
         )
-        rows = []
-        for ci, cluster in enumerate(report.sk_singles.clusters, start=1):
-            for name, mean in zip(cluster.members, cluster.means):
-                rows.append((ci, name, f"{mean:.4f}", f"{report.summaries[name].mae:.2f}"))
+        rows = [(ci, name, f"{mean:.4f}", f"{report.summaries[name].mae:.2f}")
+                for ci, name, mean in _cluster_rows(report.sk_singles)]
         out.append(_md_table(("cluster", "variant", "mean transformed AE", "MAE"), rows))
 
     if report.borda_singles is not None:
         out.append("## Borda ranking of the best cluster")
-        rows = [
-            (report.borda_singles.ranks[c], c, report.borda_singles.scores[c],
-             f"{report.borda_singles.xi.get(c, float('nan')):.2f}")
-            for c in report.best_ranking
-        ]
+        rows = [(rank, c, score, f"{xi:.2f}")
+                for rank, c, score, xi in _ranking_rows(report.borda_singles, report.best_ranking)]
         out.append(_md_table(("rank", "method", "score", "rank change"), rows))
 
     if report.ensembles:
@@ -134,13 +149,9 @@ def _summary_markdown(report, stats):
 
     if report.borda_joint is not None:
         out.append("## Joint ranking: best singles and ensembles")
-        order = sorted(report.borda_joint.candidates,
-                       key=lambda c: (report.borda_joint.ranks[c], str(c)))
-        rows = [
-            (report.borda_joint.ranks[c], c, report.borda_joint.scores[c],
-             f"{report.borda_joint.xi.get(c, float('nan')):.2f}")
-            for c in order
-        ]
+        joint = report.borda_joint
+        rows = [(rank, c, score, f"{xi:.2f}")
+                for rank, c, score, xi in _ranking_rows(joint, _rank_order(joint))]
         out.append(_md_table(("rank", "method", "score", "rank change"), rows))
 
     if report.mean_rank_ensembles is not None or report.mean_rank_singles is not None:
@@ -158,10 +169,7 @@ def _summary_markdown(report, stats):
 
     if report.two_way is not None:
         out.append("## Adjustment-type clusters (two-way decomposition over k)")
-        rows = []
-        for ci, cluster in enumerate(report.two_way.clusters, start=1):
-            for name, mean in zip(cluster.members, cluster.means):
-                rows.append((ci, name, f"{mean:.4f}"))
+        rows = [(ci, name, f"{mean:.4f}") for ci, name, mean in _cluster_rows(report.two_way)]
         out.append(_md_table(("cluster", "type", "mean transformed AE"), rows))
 
     if report.notes:
@@ -188,20 +196,14 @@ def write_report(report, stats, out_dir):
             [(v.variant, _fmt(v.sa), _fmt(v.delta), _fmt(base.sa5), v.kept, v.reason)
              for v in report.verdicts],
         )
-        sk_rows = []
-        if report.sk_singles is not None:
-            for ci, cluster in enumerate(report.sk_singles.clusters, start=1):
-                for name, mean in zip(cluster.members, cluster.means):
-                    sk_rows.append((ci, name, _fmt(mean), _fmt(report.summaries[name].mae)))
         _write_csv(staging / "scott_knott.csv",
-                   ("cluster", "variant", "mean_transformed_ae", "mae"), sk_rows)
+                   ("cluster", "variant", "mean_transformed_ae", "mae"),
+                   [(ci, name, _fmt(mean), _fmt(report.summaries[name].mae))
+                    for ci, name, mean in _cluster_rows(report.sk_singles)])
         borda_rows = []
         if report.borda_singles is not None:
-            borda_rows = [
-                (report.borda_singles.ranks[c], c, report.borda_singles.scores[c],
-                 _fmt(report.borda_singles.xi.get(c, float("nan"))))
-                for c in report.best_ranking
-            ]
+            borda_rows = [(rank, c, score, _fmt(xi)) for rank, c, score, xi
+                          in _ranking_rows(report.borda_singles, report.best_ranking)]
         _write_csv(staging / "borda.csv", ("rank", "variant", "score", "xi"), borda_rows)
         _write_csv(
             staging / "ensembles.csv",
@@ -211,15 +213,10 @@ def write_report(report, stats, out_dir):
              for e in report.ensembles
              for s in [report.ensemble_summaries[e.label]]],
         )
-        joint_rows = []
-        if report.borda_joint is not None:
-            order = sorted(report.borda_joint.candidates,
-                           key=lambda c: (report.borda_joint.ranks[c], str(c)))
-            joint_rows = [
-                (report.borda_joint.ranks[c], c, report.borda_joint.scores[c],
-                 _fmt(report.borda_joint.xi.get(c, float("nan"))))
-                for c in order
-            ]
+        joint, joint_rows = report.borda_joint, []
+        if joint is not None:
+            joint_rows = [(rank, c, score, _fmt(xi))
+                          for rank, c, score, xi in _ranking_rows(joint, _rank_order(joint))]
         _write_csv(staging / "joint_ranking.csv", ("rank", "method", "score", "xi"), joint_rows)
 
         plotdata = staging / "plotdata"
@@ -229,22 +226,12 @@ def write_report(report, stats, out_dir):
             ("transformed_ae_joint.csv", report.sk_joint,
              {**report.tables, **report.ensemble_tables}),
         ):
-            rows = []
-            if result is not None:
-                from .stats import apply_transform
-
-                for ci, cluster in enumerate(result.clusters, start=1):
-                    for member in cluster.members:
-                        values = apply_transform(tables[member].aes, result.transform)
-                        rows += [(ci, member, _fmt(float(v))) for v in values]
+            rows = [(ci, member, _fmt(float(v)))
+                    for ci, member, _ in _cluster_rows(result)
+                    for v in apply_transform(tables[member].aes, result.transform)]
             _write_csv(plotdata / name, ("cluster", "method", "transformed_ae"), rows)
-        two_rows = []
-        if report.two_way is not None:
-            for ci, cluster in enumerate(report.two_way.clusters, start=1):
-                two_rows += [
-                    (ci, name, _fmt(mean)) for name, mean in zip(cluster.members, cluster.means)
-                ]
-        _write_csv(plotdata / "two_way_types.csv", ("cluster", "type", "mean_transformed_ae"), two_rows)
+        _write_csv(plotdata / "two_way_types.csv", ("cluster", "type", "mean_transformed_ae"),
+                   [(ci, name, _fmt(mean)) for ci, name, mean in _cluster_rows(report.two_way)])
 
         (staging / "summary.md").write_text(_summary_markdown(report, stats), encoding="utf-8")
 
@@ -306,21 +293,10 @@ def cmd_describe(args):
 
 
 def cmd_evaluate(args):
-    from .adjust import enumerate_variants
-
     dataset = load_dataset(args.data, args.schema)
     config = _build_config(args)
     base = dataset_baseline(dataset, config)
-    summaries = {}
-    errors = {}
-    for variant in enumerate_variants(config.k_max):
-        try:
-            table = loocv(dataset, variant, config)
-            summaries[variant.label] = summarize(table, base)
-        except (ValueError, ArithmeticError) as exc:
-            errors[variant.label] = str(exc)
-    from .ensemble import filter_actual_predictors
-
+    _, summaries, errors = evaluate_grid(dataset, config, base)
     _, verdicts = filter_actual_predictors(summaries, base)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

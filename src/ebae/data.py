@@ -146,6 +146,12 @@ class Dataset:
             self._norm = norm
         return self._norm
 
+    def parts(self, project):
+        """(continuous values, categorical values) of a project under this schema."""
+        cont = np.array([project.features[i] for i in self.cont_index], dtype=float)
+        cat = np.array([project.features[i] for i in self.cat_index], dtype=object)
+        return cont, cat
+
     def without(self, index):
         """The dataset minus one row; the training fold of a LOOCV step."""
         projects = self.projects[:index] + self.projects[index + 1:]

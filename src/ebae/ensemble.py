@@ -20,7 +20,7 @@ from .adjust import enumerate_variants, variant_from_label
 from .metrics import build_table, summarize
 from .ranking import borda_rank, profile_from_measures, voter_ranks
 from .stats import apply_transform, box_cox, ks_normality, scott_knott, scott_knott_two_way
-from .validation import dataset_baseline, derive_seed, loocv, predict_variant
+from .validation import dataset_baseline, loocv
 
 MEASURE_VOTERS = ("MAE", "LSD", "MBRE", "MIBRE")
 EFFECT_SIZE_GATE = 0.5
@@ -82,6 +82,22 @@ class PipelineReport:
     best_k: dict = field(default_factory=dict)          # method -> (k, mean transformed AE)
     two_way: object | None = None                       # ScottKnottResult over method types
     notes: list = field(default_factory=list)
+
+
+def evaluate_grid(dataset, config, base, seed=None):
+    """LOOCV every (method, k) variant and summarize it against ``base``.
+
+    Returns (tables, summaries, errors), each keyed by variant label in grid
+    order; a variant that cannot be evaluated gets its message in ``errors``.
+    """
+    tables, summaries, errors = {}, {}, {}
+    for variant in enumerate_variants(config.k_max):
+        try:
+            tables[variant.label] = loocv(dataset, variant, config, seed)
+            summaries[variant.label] = summarize(tables[variant.label], base)
+        except (ValueError, ArithmeticError) as exc:
+            errors[variant.label] = str(exc)
+    return tables, summaries, errors
 
 
 def filter_actual_predictors(summaries, base):
@@ -147,16 +163,6 @@ def build_ensembles(ranked):
     if len(ranked) < 2:
         return []
     return [EnsembleSpec(z=z, members=tuple(ranked[:z])) for z in range(2, len(ranked) + 1)]
-
-
-def predict_ensemble(spec, target, train, config, seed):
-    """Mean of the member predictions for a single target."""
-    predictions = [
-        predict_variant(variant_from_label(label), target, train, config,
-                        derive_seed(seed, "ensemble", label))[0]
-        for label in spec.members
-    ]
-    return float(np.mean(predictions))
 
 
 def ensemble_table(spec, tables, floor):
@@ -225,14 +231,9 @@ def run_pipeline(dataset, config, seed=None):
         dataset_name=dataset.name, n=dataset.n, m=dataset.m, config=config, baseline=base
     )
 
-    for variant in enumerate_variants(config.k_max):
-        try:
-            table = loocv(dataset, variant, config, seed)
-            report.tables[variant.label] = table
-            report.summaries[variant.label] = summarize(table, base)
-        except (ValueError, ArithmeticError) as exc:
-            report.variant_errors[variant.label] = str(exc)
-            report.notes.append(f"{variant.label} not evaluated: {exc}")
+    report.tables, report.summaries, report.variant_errors = evaluate_grid(dataset, config, base, seed)
+    report.notes += [f"{label} not evaluated: {message}"
+                     for label, message in report.variant_errors.items()]
 
     report.survivors, report.verdicts = filter_actual_predictors(report.summaries, base)
 

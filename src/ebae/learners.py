@@ -19,36 +19,22 @@ class FitError(Exception):
     """A learner cannot be fitted on the given training fold."""
 
 
-@dataclass(frozen=True)
-class DiffPair:
-    feature_diff: np.ndarray
-    effort_diff: float
-
-
-def diff_vector(cont_a, cat_a, cont_b, cat_b):
-    """a-minus-b over continuous features, 0/1 mismatch over categorical ones."""
+def diff_rows(cont_a, cat_a, cont_b, cat_b):
+    """a-minus-b difference vectors on the last axis: continuous differences,
+    then 0/1 categorical mismatches. The a and b parts broadcast together."""
     cont = np.asarray(cont_a, dtype=float) - np.asarray(cont_b, dtype=float)
     cat = (np.asarray(cat_a, dtype=object) != np.asarray(cat_b, dtype=object)).astype(float)
-    return np.concatenate([cont, cat])
-
-
-def project_parts(project, dataset):
-    """(continuous values, categorical values) of a project under a dataset's schema."""
-    cont = np.array([project.features[i] for i in dataset.cont_index], dtype=float)
-    cat = np.array([project.features[i] for i in dataset.cat_index], dtype=object)
-    return cont, cat
+    return np.concatenate([cont, cat], axis=-1)
 
 
 def build_diff_pairs(train):
-    """One pair per training project against its nearest other training project."""
+    """Difference rows X and effort differences y of every training project
+    against its nearest other training project."""
     if train.n < 2:
         raise FitError("need at least 2 projects to build difference pairs")
     nearest = nearest_within(train)
-    pairs = []
-    for i, j in enumerate(nearest):
-        diff = diff_vector(train.cont[i], train.cat[i], train.cont[j], train.cat[j])
-        pairs.append(DiffPair(feature_diff=diff, effort_diff=float(train.efforts[i] - train.efforts[j])))
-    return pairs
+    X = diff_rows(train.cont, train.cat, train.cont[nearest], train.cat[nearest])
+    return X, train.efforts - train.efforts[nearest]
 
 
 # ---------------------------------------------------------------------------
@@ -124,11 +110,9 @@ def _grow(X, y, min_leaf, depth, max_depth):
     )
 
 
-def fit_model_tree(pairs, config):
-    if len(pairs) < 2 * config.mt_min_leaf:
-        raise FitError(f"model tree needs at least {2 * config.mt_min_leaf} pairs, got {len(pairs)}")
-    X = np.array([p.feature_diff for p in pairs])
-    y = np.array([p.effort_diff for p in pairs])
+def fit_model_tree(X, y, config):
+    if len(y) < 2 * config.mt_min_leaf:
+        raise FitError(f"model tree needs at least {2 * config.mt_min_leaf} pairs, got {len(y)}")
     root = _grow(X, y, config.mt_min_leaf, 0, config.mt_max_depth)
     return ModelTree(root=root, n_features=X.shape[1])
 
@@ -178,11 +162,9 @@ def network_loss_and_grads(w1, b1, w2, b2, X, y):
     return loss, (g_w1, g_b1, g_w2, g_b2)
 
 
-def fit_network(pairs, config, seed):
-    if len(pairs) < 4:
-        raise FitError(f"network needs at least 4 pairs, got {len(pairs)}")
-    X = np.array([p.feature_diff for p in pairs])
-    y = np.array([p.effort_diff for p in pairs])
+def fit_network(X, y, config, seed):
+    if len(y) < 4:
+        raise FitError(f"network needs at least 4 pairs, got {len(y)}")
     x_mean = X.mean(axis=0)
     x_std = X.std(axis=0)
     x_std = np.where(x_std > 0, x_std, 1.0)
@@ -243,11 +225,9 @@ def ga_design(train, k):
         raise FitError(f"GA needs at least {k + 2} projects for k={k}, got {n}")
     neighbors = knn_within(train, k)
     base = train.efforts[neighbors].mean(axis=1)
-    # (n, k, m) difference vectors of every project to each of its k analogies,
-    # laid out as diff_vector does: continuous differences, then 0/1 mismatches
-    cont = train.cont[:, None, :] - train.cont[neighbors]
-    cat = (train.cat[:, None, :] != train.cat[neighbors]).astype(float)
-    D = np.concatenate([cont, cat], axis=2).mean(axis=1)
+    # mean of the (n, k, m) difference vectors of every project to its k analogies
+    D = diff_rows(train.cont[:, None], train.cat[:, None], train.cont[neighbors],
+                  train.cat[neighbors]).mean(axis=1)
     return train.efforts - base, D
 
 

@@ -9,6 +9,7 @@ variant), so results are identical no matter how many workers run them.
 from __future__ import annotations
 
 import hashlib
+import math
 from concurrent.futures import ThreadPoolExecutor
 
 from . import adjust
@@ -27,33 +28,38 @@ def predict_variant(variant, target, train, config, seed):
     """One prediction: retrieve analogies, fit whatever the method needs, adjust.
 
     Returns (prediction, fell_back): when the method is inapplicable for this
-    target or its learner cannot be fitted on this fold, the prediction falls
-    back to the plain analogy mean for the same k.
+    target, its learner cannot be fitted on this fold, or its prediction is
+    not finite, the prediction falls back to the plain analogy mean for the
+    same k.
     """
     nbh = retrieve(target, train, variant.k)
+    method = variant.method
     try:
-        method = variant.method
         if method == "EBA":
-            return adjust.adjust_eba(target, nbh, train), False
-        if method == "LSE":
-            return adjust.adjust_lse(target, nbh, train), False
-        if method == "MLFE":
-            return adjust.adjust_mlfe(target, nbh, train), False
-        if method == "RTM":
+            prediction = adjust.adjust_eba(target, nbh, train)
+        elif method == "LSE":
+            prediction = adjust.adjust_lse(target, nbh, train)
+        elif method == "MLFE":
+            prediction = adjust.adjust_mlfe(target, nbh, train)
+        elif method == "RTM":
             c = adjust.productivity_correlation(train)
-            return adjust.adjust_rtm(target, nbh, train, c), False
-        if method == "AQUA":
-            return adjust.adjust_aqua(target, nbh, train), False
-        if method == "MT":
-            tree = fit_model_tree(build_diff_pairs(train), config)
-            return adjust.adjust_mt(target, nbh, train, tree), False
-        if method == "GA":
+            prediction = adjust.adjust_rtm(target, nbh, train, c)
+        elif method == "AQUA":
+            prediction = adjust.adjust_aqua(target, nbh, train)
+        elif method == "MT":
+            tree = fit_model_tree(*build_diff_pairs(train), config)
+            prediction = adjust.adjust_mt(target, nbh, train, tree)
+        elif method == "GA":
             weights = fit_ga_weights(train, variant.k, config, seed)
-            return adjust.adjust_ga(target, nbh, train, weights.alpha), False
-        if method == "NN":
-            net = fit_network(build_diff_pairs(train), config, seed)
-            return adjust.adjust_nn(target, nbh, train, net), False
-        raise ValueError(f"unknown method {method!r}")
+            prediction = adjust.adjust_ga(target, nbh, train, weights.alpha)
+        elif method == "NN":
+            net = fit_network(*build_diff_pairs(train), config, seed)
+            prediction = adjust.adjust_nn(target, nbh, train, net)
+        else:
+            raise ValueError(f"unknown method {method!r}")
+        if not math.isfinite(prediction):
+            raise adjust.Inapplicable(f"non-finite {method} prediction")
+        return prediction, False
     except (adjust.Inapplicable, FitError):
         return adjust.adjust_eba(target, nbh, train), True
 
@@ -93,10 +99,8 @@ def dataset_baseline(dataset, config, seed=None):
     return baseline(dataset.efforts, config.runs, derive_seed(seed, "baseline"))
 
 
-def evaluate_variant(dataset, variant, config, seed=None, base=None, table=None):
+def evaluate_variant(dataset, variant, config, seed=None, base=None):
     """LOOCV one variant and summarize it against the dataset baseline."""
     if base is None:
         base = dataset_baseline(dataset, config, seed)
-    if table is None:
-        table = loocv(dataset, variant, config, seed)
-    return summarize(table, base)
+    return summarize(loocv(dataset, variant, config, seed), base)

@@ -1,6 +1,7 @@
 """Per-row / per-child loop versions of the GA learner, kept as test oracles.
 
-``ga_design_loop`` is the row-by-row construction of the GA design that the
+``diff_vector`` builds one difference vector at a time, the layout that
+``ebae.learners.diff_rows`` produces for whole arrays. ``ga_design_loop`` is the row-by-row construction of the GA design that the
 array version in ``ebae.learners.ga_design`` must reproduce exactly.
 ``fit_ga_weights_loop`` breeds one child at a time with the same operators as
 ``ebae.learners.fit_ga_weights`` but a different random-number draw order, so
@@ -10,7 +11,14 @@ the two agree in behaviour, not in numbers.
 import numpy as np
 
 from ebae.analogy import knn_within
-from ebae.learners import FitError, GaWeights, diff_vector, ga_fitness
+from ebae.learners import FitError, GaWeights, ga_fitness
+
+
+def diff_vector(cont_a, cat_a, cont_b, cat_b):
+    """a-minus-b over continuous features, 0/1 mismatch over categorical ones."""
+    cont = np.asarray(cont_a, dtype=float) - np.asarray(cont_b, dtype=float)
+    cat = (np.asarray(cat_a, dtype=object) != np.asarray(cat_b, dtype=object)).astype(float)
+    return np.concatenate([cont, cat])
 
 
 def ga_design_loop(train, k):

@@ -15,13 +15,12 @@ import numpy as np
 import pytest
 
 from ebae.adjust import VariantId, adjust_eba, adjust_ga, adjust_lse, adjust_mlfe, adjust_rtm
-from ebae.analogy import Analogy, Neighborhood, retrieve
+from ebae.analogy import Neighborhood, retrieve
 from ebae.cli import main
 from ebae.config import Config
 from ebae.data import describe
 from ebae.ensemble import filter_actual_predictors, run_pipeline
 from ebae.learners import (
-    DiffPair,
     fit_ga_weights,
     fit_model_tree,
     ga_design,
@@ -219,12 +218,7 @@ def test_criterion_06_reduction_identities():
         )
         from ebae.adjust import adjust_aqua
 
-        equal = Neighborhood(
-            target_id=target.id,
-            analogies=tuple(
-                Analogy(a.index, a.project_id, 1.0, 0.5) for a in nbh.analogies
-            ),
-        )
+        equal = Neighborhood(nbh.indices, np.ones(k))
         assert adjust_aqua(target, equal, train) == adjust_eba(target, equal, train)
         checked += 1
     assert verdict(6, checked == 500, f"{checked} fixtures, all four identities exact (MLFE=LSE bitwise)")
@@ -279,8 +273,8 @@ def test_criterion_08_learner_checks():
             assert rel < 1e-4
     # model tree recovers an exact linear difference function
     xs = [[float(i)] for i in range(20)]
-    pairs = [DiffPair(np.array(x), 3.0 * x[0]) for x in xs]
-    tree = fit_model_tree(pairs, Config())
+    X = np.array(xs)
+    tree = fit_model_tree(X, 3.0 * X[:, 0], Config())
     tree_err = max(abs(predict_model_tree(tree, x) - 3.0 * x[0]) for x in xs)
     assert tree_err <= 1e-6
     # GA: nonincreasing fitness, beats the zero-weight baseline on the planted slope

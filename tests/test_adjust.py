@@ -19,7 +19,7 @@ from ebae.adjust import (
     productivity_correlation,
     variant_from_label,
 )
-from ebae.analogy import Analogy, Neighborhood, retrieve
+from ebae.analogy import Neighborhood, retrieve
 from ebae.data import ColumnSpec, Project
 
 from .conftest import make_dataset, random_dataset, size_only_schema
@@ -27,13 +27,7 @@ from .conftest import make_dataset, random_dataset, size_only_schema
 
 def neighborhood(train, indices, distances=None):
     distances = distances if distances is not None else [0.0] * len(indices)
-    return Neighborhood(
-        target_id="t",
-        analogies=tuple(
-            Analogy(i, train.projects[i].id, d, 1.0 / (1.0 + d))
-            for i, d in zip(indices, distances)
-        ),
-    )
+    return Neighborhood(np.array(indices, dtype=int), np.array(distances, dtype=float))
 
 
 def target_of(train, features):
@@ -169,10 +163,7 @@ def test_productivity_correlation_in_unit_interval(albrecht):
 
 def test_aqua_weighted_example():
     ds = make_dataset("aq", size_only_schema(), [(1,), (2,), (3,), (4,)], [20, 9, 9, 10])
-    nbh = Neighborhood(
-        target_id="t",
-        analogies=(Analogy(3, "p4", 0.25, 0.8), Analogy(0, "p1", 4.0, 0.2)),
-    )
+    nbh = Neighborhood(np.array([3, 0]), np.array([0.25, 4.0]))
     # sims {0.8, 0.2} with efforts {10, 20} -> (8 + 4) / 1.0
     assert adjust_aqua(target_of(ds, (2,)), nbh, ds) == pytest.approx(12.0)
 
@@ -229,7 +220,7 @@ def test_mt_recovers_linear_fixture(linear_dataset):
 
     # leave the largest project out, predict it from the rest
     train = linear_dataset.without(19)
-    tree = fit_model_tree(build_diff_pairs(train), Config())
+    tree = fit_model_tree(*build_diff_pairs(train), Config())
     target = linear_dataset.projects[19]
     nbh = retrieve(target, train, 1)
     prediction = adjust_mt(target, nbh, train, tree)
@@ -294,12 +285,7 @@ def test_reduction_identities_random_fixtures(seed, k):
         target.features[0] * np.mean(pr)
     )
     # equidistant analogies: similarity weighting degenerates to the plain mean
-    equal = Neighborhood(
-        target_id=target.id,
-        analogies=tuple(
-            Analogy(a.index, a.project_id, 0.5, 1.0 / 1.5) for a in nbh.analogies
-        ),
-    )
+    equal = Neighborhood(nbh.indices, np.full(k, 0.5))
     assert adjust_aqua(target, equal, train) == adjust_eba(target, equal, train)
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ebae.analogy import distance, knn_within, pool_distances, retrieve, similarity_from_distance
+from ebae.analogy import knn_within, pool_distances, retrieve, similarity_from_distance
 from ebae.data import ColumnSpec, Project, normalize_minmax
 
 from .conftest import make_dataset, random_dataset, size_only_schema
@@ -16,6 +16,20 @@ MIXED = [ColumnSpec("a", "feature", "continuous", "none"), ColumnSpec("lang", "f
 
 def project(features, pid="x"):
     return Project(pid, tuple(features), 1.0)
+
+
+def distance(x, y, schema):
+    """Per-feature loop oracle: Euclidean distance between two projects' features."""
+    if len(x.features) != len(schema) or len(y.features) != len(schema):
+        raise ValueError("project feature count does not match schema")
+    total = 0.0
+    for a, b, col in zip(x.features, y.features, schema):
+        if col.kind == "categorical":
+            total += 0.0 if a == b else 1.0
+        else:
+            diff = float(a) - float(b)
+            total += diff * diff
+    return float(np.sqrt(total))
 
 
 def test_identical_projects_distance_zero():
@@ -63,11 +77,11 @@ def test_toy_retrieval_examples(toy):
     target = toy.projects[4]          # size 10, effort 30
     pool = toy.without(4)
     one = retrieve(target, pool, 1)
-    assert one.analogies[0].project_id == "p4"      # size 8
+    assert pool.projects[one.indices[0]].id == "p4"      # size 8
     two = retrieve(target, pool, 2)
-    assert [a.project_id for a in two.analogies] == ["p4", "p3"]
+    assert [pool.projects[i].id for i in two.indices] == ["p4", "p3"]
     everything = retrieve(target, pool, pool.n)
-    assert len(everything) == pool.n
+    assert len(everything.indices) == len(everything.distances) == pool.n
 
 
 def test_retrieve_rejects_small_pool(toy):
@@ -79,15 +93,16 @@ def test_prefix_property(toy):
     target = toy.projects[0]
     pool = toy.without(0)
     for k in range(1, pool.n):
-        small = [a.project_id for a in retrieve(target, pool, k).analogies]
-        big = [a.project_id for a in retrieve(target, pool, k + 1).analogies]
+        small = [pool.projects[i].id for i in retrieve(target, pool, k).indices]
+        big = [pool.projects[i].id for i in retrieve(target, pool, k + 1).indices]
         assert big[:k] == small
 
 
 def test_tie_break_smaller_index_first():
     ds = make_dataset("ties", size_only_schema(), [(5,), (5,), (5,), (9,)], [1, 2, 3, 4])
-    nbh = retrieve(ds.projects[3], ds.without(3), 3)
-    assert [a.project_id for a in nbh.analogies] == ["p1", "p2", "p3"]
+    pool = ds.without(3)
+    nbh = retrieve(ds.projects[3], pool, 3)
+    assert [pool.projects[i].id for i in nbh.indices] == ["p1", "p2", "p3"]
 
 
 def test_retrieve_matches_bruteforce_oracle(albrecht):
@@ -96,9 +111,9 @@ def test_retrieve_matches_bruteforce_oracle(albrecht):
         pool = albrecht.without(t)
         oracle = sorted(zip(naive_all_distances(target, pool), range(pool.n)))
         got = retrieve(target, pool, 5)
-        for analogy, (d, idx) in zip(got.analogies, oracle[:5]):
-            assert analogy.index == idx
-            assert analogy.distance == pytest.approx(d, abs=1e-12)
+        for index, got_d, (d, idx) in zip(got.indices, got.distances, oracle[:5]):
+            assert index == idx
+            assert got_d == pytest.approx(d, abs=1e-12)
 
 
 @settings(max_examples=50, deadline=None)
@@ -115,13 +130,27 @@ def test_distance_symmetry_and_identity(seed):
         assert distance(x, y, schema) > 0.0
 
 
+def normalized_project(project, pool):
+    """``project`` with its continuous features scaled (and clamped) by the pool's bounds."""
+    cont, _ = pool.parts(project)
+    scaled = iter(normalize_minmax(cont, pool.bounds, clamp=True))
+    features = tuple(
+        v if col.kind == "categorical" else float(next(scaled))
+        for v, col in zip(project.features, pool.feature_schema)
+    )
+    return Project(project.id, features, project.effort)
+
+
 def test_pool_distances_match_scalar_distance(toy):
     # vectorized path and the schema-level scalar op agree on normalized values
-    target = toy.projects[2]
-    pool = toy.without(2)
-    vec = pool_distances(target, pool)
-    oracle = naive_all_distances(target, pool)
-    assert np.allclose(vec, oracle, atol=1e-12)
+    rng = np.random.default_rng(11)
+    for ds in (toy, random_dataset(rng, with_categorical=True)):
+        pool = ds.without(2)
+        target = normalized_project(ds.projects[2], pool)
+        oracle = [distance(target, normalized_project(p, pool), pool.feature_schema)
+                  for p in pool.projects]
+        assert np.allclose(pool_distances(ds.projects[2], pool), oracle, atol=1e-12)
+        assert np.allclose(oracle, naive_all_distances(ds.projects[2], pool), atol=1e-12)
 
 
 def test_knn_within_matches_per_row_retrieve(toy):

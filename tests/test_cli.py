@@ -64,6 +64,13 @@ def test_evaluate_deterministic_bytes(tmp_path):
     assert (out1 / "variants.csv").read_bytes() == (out2 / "variants.csv").read_bytes()
 
 
+def test_evaluate_and_pipeline_write_same_variants(tmp_path):
+    evaluated, piped = tmp_path / "evaluate", tmp_path / "pipeline"
+    assert main(["evaluate", *TOY_ARGS, *FAST, "--seed", "7", "--out", str(evaluated)]) == 0
+    assert main(["pipeline", *TOY_ARGS, *FAST, "--seed", "7", "--out", str(piped)]) == 0
+    assert (evaluated / "variants.csv").read_bytes() == (piped / "variants.csv").read_bytes()
+
+
 def test_pipeline_artifacts_present(tmp_path):
     out = tmp_path / "report"
     assert main(["pipeline", *TOY_ARGS, *FAST, "--out", str(out)]) == 0

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from ebae.config import Config
+from ebae.data import ColumnSpec
 from ebae.ensemble import (
     EnsembleSpec,
     build_ensembles,
     ensemble_table,
     filter_actual_predictors,
-    predict_ensemble,
     rank_candidates,
     run_pipeline,
     select_best_cluster,
@@ -120,14 +120,6 @@ def test_ensemble_table_exact_mean_and_ae_bound():
     assert np.all(combined.aes <= member_aes.max(axis=0) + 1e-12)
 
 
-def test_predict_ensemble_mean(toy):
-    spec = EnsembleSpec(z=2, members=("EBA1", "LSE1"))
-    target = toy.projects[4]
-    train = toy.without(4)
-    value = predict_ensemble(spec, target, train, Config(runs=200), seed=1)
-    assert value == pytest.approx(np.mean([20.0, 25.0]))
-
-
 def test_rank_candidates_tie_break_by_mae_then_label():
     summaries = {
         "A": summary("A", 0.6, 2.0, mae=1.0, lsd=2.0, mbre=1.0, mibre=0.9),
@@ -178,6 +170,22 @@ def test_run_pipeline_records_small_k_failures(toy):
     # k=4 and k=5 variants cannot run on a 5-project dataset
     assert all(f"{m}{k}" in report.variant_errors for m in ("EBA",) for k in (4, 5))
     assert len(report.summaries) + len(report.variant_errors) == 40
+
+
+def test_run_pipeline_non_finite_predictions_fall_back():
+    # finite inputs whose size ratios overflow: size extrapolation from the
+    # 0.5-sized project to the 1e308-sized one predicts inf without a fallback
+    schema = size_only_schema() + [ColumnSpec("x", "feature", "continuous", "none")]
+    rows = [(1e308, 3.0), (0.5, 1.0), (10.0, 2.0), (20.0, 5.0),
+            (30.0, 4.0), (40.0, 7.0), (50.0, 6.0), (60.0, 8.0)]
+    efforts = [100.0, 5.0, 20.0, 40.0, 55.0, 80.0, 90.0, 120.0]
+    ds = make_dataset("overflow", schema, rows, efforts)
+    report = run_pipeline(ds, Config(runs=200, ga_pop=10, ga_gens=10, nn_epochs=50))
+    assert len(report.summaries) == 40 and not report.variant_errors
+    for s in report.summaries.values():
+        assert np.all(np.isfinite([s.mae, s.mmre, s.lsd, s.mbre, s.mibre, s.sa, s.delta]))
+    assert report.summaries["LSE1"].fallback_count == 1
+    assert report.tables["LSE1"].predictions[0] == report.tables["EBA1"].predictions[0]
 
 
 def test_pipeline_deterministic():

@@ -6,10 +6,9 @@ from hypothesis import strategies as st
 from ebae.config import Config
 from ebae.data import ColumnSpec
 from ebae.learners import (
-    DiffPair,
     FitError,
     build_diff_pairs,
-    diff_vector,
+    diff_rows,
     fit_ga_weights,
     fit_model_tree,
     fit_network,
@@ -21,42 +20,68 @@ from ebae.learners import (
 )
 
 from .conftest import make_dataset, random_dataset, size_only_schema
-from .ga_reference import fit_ga_weights_loop, ga_design_loop
+from .ga_reference import diff_vector, fit_ga_weights_loop, ga_design_loop
 
 
 def pairs_from(xs, ys):
-    return [DiffPair(np.atleast_1d(np.asarray(x, float)), float(y)) for x, y in zip(xs, ys)]
+    """(X, y) difference arrays from feature rows and effort differences."""
+    return np.array([np.atleast_1d(np.asarray(x, float)) for x in xs]), np.asarray(ys, dtype=float)
 
 
-def test_diff_vector_mixed():
-    d = diff_vector([5.0, 2.0], ["a"], [3.0, 2.0], ["b"])
+def test_diff_rows_mixed():
+    d = diff_rows([5.0, 2.0], ["a"], [3.0, 2.0], ["b"])
     assert list(d) == [2.0, 0.0, 1.0]
+
+
+def row_parts(ds):
+    return [(ds.cont[i], ds.cat[i]) for i in range(ds.n)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans(), st.integers(1, 3))
+def test_diff_rows_matches_per_row_oracle(seed, with_categorical, k):
+    rng = np.random.default_rng(seed)
+    ds = random_dataset(rng, with_categorical=with_categorical)
+    rows = row_parts(ds)
+    neighbors = rng.integers(0, ds.n, size=(ds.n, k))
+    # target against k rows
+    t_cont, t_cat = ds.parts(ds.projects[0])
+    got = diff_rows(t_cont, t_cat, ds.cont[neighbors[0]], ds.cat[neighbors[0]])
+    assert np.array_equal(got, [diff_vector(t_cont, t_cat, *rows[j]) for j in neighbors[0]])
+    # every row against its nearest row
+    nearest = neighbors[:, 0]
+    got = diff_rows(ds.cont, ds.cat, ds.cont[nearest], ds.cat[nearest])
+    assert np.array_equal(got, [diff_vector(*rows[i], *rows[j]) for i, j in enumerate(nearest)])
+    # (n, 1, m) rows against their (n, k, m) analogies
+    got = diff_rows(ds.cont[:, None], ds.cat[:, None], ds.cont[neighbors], ds.cat[neighbors])
+    want = [[diff_vector(*rows[i], *rows[j]) for j in neighbors[i]] for i in range(ds.n)]
+    assert np.array_equal(got, want)
 
 
 def test_build_diff_pairs_two_projects():
     ds = make_dataset("two", size_only_schema(), [(2,), (4,), (6,)], [4, 8, 12])
-    pairs = build_diff_pairs(ds)
-    assert len(pairs) == 3
+    X, y = build_diff_pairs(ds)
+    assert len(X) == len(y) == 3
     # each project pairs with its nearest other project
-    assert pairs[0].feature_diff[0] == -2.0 and pairs[0].effort_diff == -4.0
-    assert pairs[2].feature_diff[0] == 2.0 and pairs[2].effort_diff == 4.0
+    assert X[0, 0] == -2.0 and y[0] == -4.0
+    assert X[2, 0] == 2.0 and y[2] == 4.0
 
 
 def test_build_diff_pairs_identical_projects_zero_diff():
     ds = make_dataset("same", size_only_schema(), [(3,), (3,), (9,)], [5, 5, 20])
-    pairs = build_diff_pairs(ds)
-    assert pairs[0].feature_diff[0] == 0.0 and pairs[0].effort_diff == 0.0
+    X, y = build_diff_pairs(ds)
+    assert X[0, 0] == 0.0 and y[0] == 0.0
 
 
 def test_build_diff_pairs_matches_bruteforce(toy):
-    pairs = build_diff_pairs(toy)
+    X, _ = build_diff_pairs(toy)
     norm = toy.normalized()
-    for i, pair in enumerate(pairs):
+    for i, row in enumerate(X):
         distances = [
             (abs(norm[i, 0] - norm[j, 0]), j) for j in range(toy.n) if j != i
         ]
         _, nearest = min(distances)
-        assert pair.feature_diff[0] == toy.cont[i, 0] - toy.cont[nearest, 0]
+        assert row[0] == toy.cont[i, 0] - toy.cont[nearest, 0]
 
 
 # --- model tree ---
@@ -64,7 +89,7 @@ def test_build_diff_pairs_matches_bruteforce(toy):
 
 def test_constant_pairs_single_leaf():
     pairs = pairs_from([[x] for x in range(10)], [7.0] * 10)
-    tree = fit_model_tree(pairs, Config())
+    tree = fit_model_tree(*pairs, Config())
     assert predict_model_tree(tree, [123.0]) == pytest.approx(7.0)
     assert predict_model_tree(tree, [-5.0]) == pytest.approx(7.0)
 
@@ -72,7 +97,7 @@ def test_constant_pairs_single_leaf():
 def test_linear_recovery_at_training_points():
     xs = [[float(i)] for i in range(20)]
     pairs = pairs_from(xs, [3.0 * x[0] for x in xs])
-    tree = fit_model_tree(pairs, Config())
+    tree = fit_model_tree(*pairs, Config())
     for x in xs:
         assert predict_model_tree(tree, x) == pytest.approx(3.0 * x[0], abs=1e-6)
     assert predict_model_tree(tree, [2.0]) == pytest.approx(6.0, abs=1e-6)
@@ -80,7 +105,7 @@ def test_linear_recovery_at_training_points():
 
 def test_too_few_pairs_fit_failure():
     with pytest.raises(FitError):
-        fit_model_tree(pairs_from([[1.0], [2.0]], [1.0, 2.0]), Config())
+        fit_model_tree(*pairs_from([[1.0], [2.0]], [1.0, 2.0]), Config())
 
 
 def test_boundary_routes_left():
@@ -103,8 +128,7 @@ def test_training_error_bounded_by_variance():
     rng = np.random.default_rng(8)
     X = rng.normal(size=(40, 3))
     y = rng.normal(size=40)
-    pairs = pairs_from(X, y)
-    tree = fit_model_tree(pairs, Config())
+    tree = fit_model_tree(X, y, Config())
     predictions = np.array([predict_model_tree(tree, x) for x in X])
     assert np.mean((y - predictions) ** 2) <= np.var(y) + 1e-12
 
@@ -115,8 +139,8 @@ def test_training_error_bounded_by_variance():
 def test_network_deterministic():
     rng = np.random.default_rng(1)
     pairs = pairs_from(rng.normal(size=(12, 2)), rng.normal(size=12))
-    a = fit_network(pairs, Config(), seed=99)
-    b = fit_network(pairs, Config(), seed=99)
+    a = fit_network(*pairs, Config(), seed=99)
+    b = fit_network(*pairs, Config(), seed=99)
     assert np.array_equal(a.w1, b.w1) and np.array_equal(a.w2, b.w2)
     assert a.b2 == b.b2
 
@@ -125,14 +149,14 @@ def test_network_zero_targets_give_near_zero_output():
     rng = np.random.default_rng(2)
     X = rng.normal(size=(20, 2))
     pairs = pairs_from(X, np.zeros(20))
-    net = fit_network(pairs, Config(), seed=3)
+    net = fit_network(*pairs, Config(), seed=3)
     outputs = [abs(predict_network(net, x)) for x in X]
     assert max(outputs) < 0.05 * X.std()
 
 
 def test_network_needs_four_pairs():
     with pytest.raises(FitError):
-        fit_network(pairs_from([[1.0]] * 3, [1.0] * 3), Config(), seed=0)
+        fit_network(*pairs_from([[1.0]] * 3, [1.0] * 3), Config(), seed=0)
 
 
 @pytest.mark.parametrize("hidden", [2, 4, 8])
