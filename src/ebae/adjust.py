@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analogy import nearest_within, similarity_from_distance
+from .analogy import similarity_from_distance
 from .learners import diff_rows, predict_model_tree, predict_network
 
 METHODS = ("EBA", "LSE", "MLFE", "RTM", "AQUA", "MT", "GA", "NN")
@@ -106,13 +106,15 @@ def adjust_mlfe(target, nbh, train):
     return _ratio_adjust(target_values, analogy_values, _analogy_efforts(nbh, train))
 
 
-def productivity_correlation(train):
+def productivity_correlation(train, nearest):
     """Correlation between nearest-analogy productivity and actual productivity.
 
-    Fitted once per training fold; clamped into [0, 1] so (1 - c) stays a
-    shrinkage factor. Projects without a positive size are left out; a
-    degenerate correlation (fewer than 2 usable pairs, or zero variance)
-    yields 0, i.e. full regression toward the local mean.
+    ``nearest[i]`` is project i's nearest other training project (column 0
+    of ``knn_within(train, k)``). Fitted once per training fold; clamped
+    into [0, 1] so (1 - c) stays a shrinkage factor. Projects without a
+    positive size are left out; a degenerate correlation (fewer than 2
+    usable pairs, or zero variance) yields 0, i.e. full regression toward
+    the local mean.
     """
     ps = train.primary_size_index
     if ps is None:
@@ -121,7 +123,6 @@ def productivity_correlation(train):
     valid = sizes > 0
     if valid.sum() < 2:
         return 0.0
-    nearest = nearest_within(train)
     pr = np.where(valid, train.efforts / np.where(valid, sizes, 1.0), np.nan)
     own = pr[valid]
     neighbor = pr[nearest][valid]

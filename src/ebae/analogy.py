@@ -67,8 +67,10 @@ def retrieve(target, pool, k):
 def knn_within(dataset, k):
     """For every row, the k nearest other rows (dataset-bounds normalization).
 
-    Returns an (n, k) index array; used to pair training projects with their
-    in-training analogies when fitting the trainable adjusters.
+    Returns an (n, k) index array, nearest first with ties broken by smaller
+    row index, so the first j columns equal ``knn_within(dataset, j)``; used
+    to pair training projects with their in-training analogies when fitting
+    the trainable adjusters and the RTM correlation.
     """
     n = dataset.n
     if n - 1 < k:
@@ -82,8 +84,3 @@ def knn_within(dataset, k):
         order = np.lexsort((np.arange(n), d2))
         neighbors[i] = order[:k]
     return neighbors
-
-
-def nearest_within(dataset):
-    """Index of each row's single nearest other row."""
-    return knn_within(dataset, 1)[:, 0]

@@ -20,7 +20,7 @@ from .adjust import enumerate_variants, variant_from_label
 from .metrics import build_table, summarize
 from .ranking import borda_rank, profile_from_measures, voter_ranks
 from .stats import apply_transform, box_cox, ks_normality, scott_knott, scott_knott_two_way
-from .validation import dataset_baseline, loocv
+from .validation import dataset_baseline, loocv_grid
 
 MEASURE_VOTERS = ("MAE", "LSD", "MBRE", "MIBRE")
 EFFECT_SIZE_GATE = 0.5
@@ -90,14 +90,15 @@ def evaluate_grid(dataset, config, base, seed=None):
     Returns (tables, summaries, errors), each keyed by variant label in grid
     order; a variant that cannot be evaluated gets its message in ``errors``.
     """
-    tables, summaries, errors = {}, {}, {}
-    for variant in enumerate_variants(config.k_max):
+    variants = enumerate_variants(config.k_max)
+    tables, errors = loocv_grid(dataset, variants, config, seed)
+    summaries = {}
+    for label, table in tables.items():
         try:
-            tables[variant.label] = loocv(dataset, variant, config, seed)
-            summaries[variant.label] = summarize(tables[variant.label], base)
+            summaries[label] = summarize(table, base)
         except (ValueError, ArithmeticError) as exc:
-            errors[variant.label] = str(exc)
-    return tables, summaries, errors
+            errors[label] = str(exc)
+    return tables, summaries, {v.label: errors[v.label] for v in variants if v.label in errors}
 
 
 def filter_actual_predictors(summaries, base):
@@ -126,7 +127,13 @@ def pooled_transform(tables, labels):
 
 
 def transformed_groups(tables, labels, spec):
-    return {label: apply_transform(tables[label].aes, spec) for label in labels}
+    """Each label's transformed absolute errors; a ValueError names the labels
+    whose values overflow to non-finite numbers under ``spec``."""
+    groups = {label: apply_transform(tables[label].aes, spec) for label in labels}
+    overflowed = [label for label, values in groups.items() if not np.all(np.isfinite(values))]
+    if overflowed:
+        raise ValueError(f"transformed absolute errors are not finite for {', '.join(overflowed)}")
+    return groups
 
 
 def select_best_cluster(tables, survivors, alpha):
@@ -202,7 +209,11 @@ def _per_method_stages(report, alpha):
     if len(labels) < 2:
         return
     spec = pooled_transform(report.tables, labels)
-    groups = transformed_groups(report.tables, labels, spec)
+    try:
+        groups = transformed_groups(report.tables, labels, spec)
+    except ValueError as exc:
+        report.notes.append(f"best-k and two-way clustering skipped: {exc}")
+        return
     means = {label: float(np.mean(values)) for label, values in groups.items()}
     for label in labels:
         variant = variant_from_label(label)

@@ -12,8 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analogy import knn_within, nearest_within
-
 
 class FitError(Exception):
     """A learner cannot be fitted on the given training fold."""
@@ -27,12 +25,12 @@ def diff_rows(cont_a, cat_a, cont_b, cat_b):
     return np.concatenate([cont, cat], axis=-1)
 
 
-def build_diff_pairs(train):
+def build_diff_pairs(train, nearest):
     """Difference rows X and effort differences y of every training project
-    against its nearest other training project."""
+    against its nearest other training project ``nearest[i]`` (column 0 of
+    ``knn_within(train, k)``)."""
     if train.n < 2:
         raise FitError("need at least 2 projects to build difference pairs")
-    nearest = nearest_within(train)
     X = diff_rows(train.cont, train.cat, train.cont[nearest], train.cat[nearest])
     return X, train.efforts - train.efforts[nearest]
 
@@ -213,17 +211,18 @@ class GaWeights:
     history: tuple        # best fitness per generation; nonincreasing
 
 
-def ga_design(train, k):
+def ga_design(train, neighbors):
     """Precompute the in-training leave-one-out design for the GA objective.
 
-    With mean aggregation the corrected prediction for project t is
+    ``neighbors`` is the (n, k) table of every training project's k nearest
+    other training projects, nearest first (``knn_within(train, k)``). With
+    mean aggregation the corrected prediction for project t is
     base(t) + mean_diff(t) . alpha, so the objective reduces to an L1 fit:
     returns (residuals e - base, mean difference matrix D).
     """
-    n = train.n
+    n, k = train.n, neighbors.shape[1]
     if n < k + 2:
         raise FitError(f"GA needs at least {k + 2} projects for k={k}, got {n}")
-    neighbors = knn_within(train, k)
     base = train.efforts[neighbors].mean(axis=1)
     # mean of the (n, k, m) difference vectors of every project to its k analogies
     D = diff_rows(train.cont[:, None], train.cat[:, None], train.cont[neighbors],
@@ -241,8 +240,9 @@ def ga_fitness(residuals, D, alphas):
     return np.abs(residuals - alphas @ D.T).mean(axis=1)
 
 
-def fit_ga_weights(train, k, config, seed):
-    """Tournament GA with arithmetic crossover, Gaussian mutation, elitism 1.
+def fit_ga_weights(train, neighbors, config, seed):
+    """Tournament GA with arithmetic crossover, Gaussian mutation, elitism 1,
+    over the design ``ga_design(train, neighbors)``.
 
     The zero vector is planted in the initial population, so the returned
     weights never score worse than no correction at all. Each generation
@@ -255,7 +255,7 @@ def fit_ga_weights(train, k, config, seed):
     clipped to ``[-ga_range, ga_range]`` and the elite is carried over
     unchanged.
     """
-    residuals, D = ga_design(train, k)
+    residuals, D = ga_design(train, neighbors)
     m = D.shape[1]
     r = config.ga_range
     rng = np.random.default_rng(seed)

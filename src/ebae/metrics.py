@@ -102,8 +102,14 @@ def pointwise_errors(actual, predicted, floor):
 
 def build_table(variant, ids, actuals, predictions, floor, fallback_count=0):
     """Columnar table of per-project errors; the same values ``pointwise_errors``
-    gives project by project."""
-    actuals = np.array(actuals, dtype=float)
+    gives project by project.
+
+    A read-only float ``actuals`` array (a dataset's effort column) and an
+    ``ids`` tuple are shared by the table rather than copied; anything else
+    is copied, so a caller's writable array is never frozen or aliased.
+    """
+    if not (isinstance(actuals, np.ndarray) and actuals.dtype == float and not actuals.flags.writeable):
+        actuals = np.array(actuals, dtype=float)
     predictions = np.array(predictions, dtype=float)
     if np.any(actuals <= 0):
         raise ValueError(f"actual effort must be positive, got {actuals[actuals <= 0][0]}")
@@ -184,10 +190,13 @@ def baseline(efforts, runs, seed):
     if mae_p0 == 0.0:
         return BaselineStats(mae_p0=0.0, sp0=0.0, sa5=float("nan"), runs=runs, seed=seed)
     rng = np.random.default_rng(seed)
-    draws = rng.integers(0, n - 1, size=(runs, n))
-    targets = np.arange(n)
-    others = draws + (draws >= targets)          # uniform over the n-1 indices != t
-    run_maes = np.mean(np.abs(e[targets] - e[others]), axis=1)
+    others = rng.integers(0, n - 1, size=(runs, n))
+    others += others >= np.arange(n)             # uniform over the n-1 indices != t
+    # in place: |e[other] - e[t]| equals |e[t] - e[other]| exactly, and the
+    # (runs, n) temporaries never outnumber two
+    errors = e[others]
+    errors -= e
+    run_maes = np.mean(np.abs(errors, out=errors), axis=1)
     sp0 = float(np.std(run_maes, ddof=1))
     sa5 = 1.0 - float(np.percentile(run_maes, 5.0)) / mae_p0
     return BaselineStats(mae_p0=mae_p0, sp0=sp0, sa5=sa5, runs=runs, seed=seed)

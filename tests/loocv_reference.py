@@ -1,0 +1,82 @@
+"""Variant-first leave-one-out, kept as the test oracle of the fold-major
+``ebae.validation.loocv_grid``.
+
+``loocv_variant`` runs one variant over every fold and ``predict_variant``
+rebuilds everything a prediction needs from scratch: the k nearest training
+projects, the in-training neighbour table, the difference pairs, the model
+tree and the RTM correlation. The fold-major engine builds those once per
+fold for all variants and must give exactly the same tables.
+"""
+
+import math
+
+from ebae import adjust
+from ebae.analogy import knn_within, retrieve
+from ebae.learners import FitError, build_diff_pairs, fit_ga_weights, fit_model_tree, fit_network
+from ebae.metrics import build_table, log_floor
+from ebae.validation import derive_seed
+
+
+def nearest(train):
+    return knn_within(train, 1)[:, 0]
+
+
+def predict_variant(variant, target, train, config, seed):
+    """(prediction, fell_back) of one variant for one held-out target."""
+    nbh = retrieve(target, train, variant.k)
+    method = variant.method
+    try:
+        if method == "EBA":
+            prediction = adjust.adjust_eba(target, nbh, train)
+        elif method == "LSE":
+            prediction = adjust.adjust_lse(target, nbh, train)
+        elif method == "MLFE":
+            prediction = adjust.adjust_mlfe(target, nbh, train)
+        elif method == "RTM":
+            c = adjust.productivity_correlation(train, nearest(train))
+            prediction = adjust.adjust_rtm(target, nbh, train, c)
+        elif method == "AQUA":
+            prediction = adjust.adjust_aqua(target, nbh, train)
+        elif method == "MT":
+            tree = fit_model_tree(*build_diff_pairs(train, nearest(train)), config)
+            prediction = adjust.adjust_mt(target, nbh, train, tree)
+        elif method == "GA":
+            weights = fit_ga_weights(train, knn_within(train, variant.k), config, seed)
+            prediction = adjust.adjust_ga(target, nbh, train, weights.alpha)
+        elif method == "NN":
+            net = fit_network(*build_diff_pairs(train, nearest(train)), config, seed)
+            prediction = adjust.adjust_nn(target, nbh, train, net)
+        else:
+            raise ValueError(f"unknown method {method!r}")
+        if not math.isfinite(prediction):
+            raise adjust.Inapplicable(f"non-finite {method} prediction")
+        return prediction, False
+    except (adjust.Inapplicable, FitError):
+        return adjust.adjust_eba(target, nbh, train), True
+
+
+def loocv_variant(dataset, variant, config, seed=None):
+    """Leave-one-out table of one variant, one fold after another."""
+    if seed is None:
+        seed = config.seed
+    k = variant.k
+    if dataset.n < k + 2:
+        raise ValueError(f"dataset too small for k={k}: need at least {k + 2} projects, have {dataset.n}")
+    outcomes = [
+        predict_variant(variant, dataset.projects[t], dataset.without(t), config,
+                        derive_seed(seed, t, variant.label))
+        for t in range(dataset.n)
+    ]
+    return build_table(variant.label, [p.id for p in dataset.projects], dataset.efforts,
+                       [p for p, _ in outcomes], log_floor(dataset.efforts), sum(fb for _, fb in outcomes))
+
+
+def loocv_variants(dataset, variants, config, seed=None):
+    """(tables, errors) of ``variants`` in the shape ``loocv_grid`` returns."""
+    tables, errors = {}, {}
+    for variant in variants:
+        try:
+            tables[variant.label] = loocv_variant(dataset, variant, config, seed)
+        except ValueError as exc:
+            errors[variant.label] = str(exc)
+    return tables, errors

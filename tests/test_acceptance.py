@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from ebae.adjust import VariantId, adjust_eba, adjust_ga, adjust_lse, adjust_mlfe, adjust_rtm
-from ebae.analogy import Neighborhood, retrieve
+from ebae.analogy import Neighborhood, knn_within, retrieve
 from ebae.cli import main
 from ebae.config import Config
 from ebae.data import describe
@@ -282,8 +282,8 @@ def test_criterion_08_learner_checks():
     planted = make_dataset(
         "planted", size_only_schema(), [(s,) for s in sizes], [10.0 + 2.0 * s for s in sizes]
     )
-    result = fit_ga_weights(planted, 1, Config(), seed=5)
-    residuals, D = ga_design(planted, 1)
+    result = fit_ga_weights(planted, knn_within(planted, 1), Config(), seed=5)
+    residuals, D = ga_design(planted, knn_within(planted, 1))
     zero = float(ga_fitness(residuals, D, np.zeros(1))[0])
     nonincreasing = all(b <= a for a, b in zip(result.history, result.history[1:]))
     assert nonincreasing and result.fitness <= zero and 1.5 <= result.alpha[0] <= 2.5

@@ -19,7 +19,7 @@ from ebae.adjust import (
     productivity_correlation,
     variant_from_label,
 )
-from ebae.analogy import Neighborhood, retrieve
+from ebae.analogy import Neighborhood, knn_within, retrieve
 from ebae.data import ColumnSpec, Project
 
 from .conftest import make_dataset, random_dataset, size_only_schema
@@ -154,7 +154,7 @@ def test_rtm_zero_size_inapplicable(toy):
 
 
 def test_productivity_correlation_in_unit_interval(albrecht):
-    c = productivity_correlation(albrecht)
+    c = productivity_correlation(albrecht, knn_within(albrecht, 1)[:, 0])
     assert 0.0 <= c <= 1.0
 
 
@@ -220,7 +220,7 @@ def test_mt_recovers_linear_fixture(linear_dataset):
 
     # leave the largest project out, predict it from the rest
     train = linear_dataset.without(19)
-    tree = fit_model_tree(*build_diff_pairs(train), Config())
+    tree = fit_model_tree(*build_diff_pairs(train, knn_within(train, 1)[:, 0]), Config())
     target = linear_dataset.projects[19]
     nbh = retrieve(target, train, 1)
     prediction = adjust_mt(target, nbh, train, tree)

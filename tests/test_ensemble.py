@@ -11,8 +11,10 @@ from ebae.ensemble import (
     rank_candidates,
     run_pipeline,
     select_best_cluster,
+    transformed_groups,
 )
 from ebae.metrics import BaselineStats, EvalSummary, build_table, summarize
+from ebae.stats import TransformSpec
 
 from .conftest import make_dataset, size_only_schema
 
@@ -92,6 +94,17 @@ def test_select_best_cluster_single_survivor():
     tables = make_tables({"A": (1.0, 20)})
     best, result, spec = select_best_cluster(tables, ["A"], alpha=0.05)
     assert best == ["A"] and result is None and spec is None
+
+
+def test_transformed_groups_names_overflowing_labels():
+    tables = {
+        "A": build_table("A", ("p1", "p2", "p3"), [1.0, 2.0, 3.0], [2.0, 3.0, 4.0], 1e-6),
+        "B": build_table("B", ("p1", "p2", "p3"), [1.0, 2.0, 3.0], [1e200, 3.0, 4.0], 1e-6),
+    }
+    spec = TransformSpec(box_cox_lambda=2.0, shift=0.0)
+    assert set(transformed_groups(tables, ["A"], spec)) == {"A"}
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="not finite for B$"):
+        transformed_groups(tables, ["A", "B"], spec)
 
 
 def test_build_ensembles_prefixes():
@@ -186,6 +199,12 @@ def test_run_pipeline_non_finite_predictions_fall_back():
         assert np.all(np.isfinite([s.mae, s.mmre, s.lsd, s.mbre, s.mibre, s.sa, s.delta]))
     assert report.summaries["LSE1"].fallback_count == 1
     assert report.tables["LSE1"].predictions[0] == report.tables["EBA1"].predictions[0]
+    # GA1's finite but huge errors overflow the pooled transform: best-k and
+    # the two-way clustering are skipped with a note instead of publishing inf
+    assert all(np.isfinite(mean) for _, mean in report.best_k.values())
+    assert report.two_way is None
+    assert ("best-k and two-way clustering skipped: transformed absolute errors are not finite for GA1"
+            in report.notes)
 
 
 def test_pipeline_deterministic():

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ebae.analogy import knn_within
 from ebae.config import Config
 from ebae.data import ColumnSpec
 from ebae.learners import (
@@ -60,7 +61,7 @@ def test_diff_rows_matches_per_row_oracle(seed, with_categorical, k):
 
 def test_build_diff_pairs_two_projects():
     ds = make_dataset("two", size_only_schema(), [(2,), (4,), (6,)], [4, 8, 12])
-    X, y = build_diff_pairs(ds)
+    X, y = build_diff_pairs(ds, knn_within(ds, 1)[:, 0])
     assert len(X) == len(y) == 3
     # each project pairs with its nearest other project
     assert X[0, 0] == -2.0 and y[0] == -4.0
@@ -69,12 +70,12 @@ def test_build_diff_pairs_two_projects():
 
 def test_build_diff_pairs_identical_projects_zero_diff():
     ds = make_dataset("same", size_only_schema(), [(3,), (3,), (9,)], [5, 5, 20])
-    X, y = build_diff_pairs(ds)
+    X, y = build_diff_pairs(ds, knn_within(ds, 1)[:, 0])
     assert X[0, 0] == 0.0 and y[0] == 0.0
 
 
 def test_build_diff_pairs_matches_bruteforce(toy):
-    X, _ = build_diff_pairs(toy)
+    X, _ = build_diff_pairs(toy, knn_within(toy, 1)[:, 0])
     norm = toy.normalized()
     for i, row in enumerate(X):
         distances = [
@@ -207,15 +208,15 @@ def planted_alpha_dataset():
 def test_ga_beats_zero_vector():
     ds = planted_alpha_dataset()
     cfg = Config()
-    result = fit_ga_weights(ds, 1, cfg, seed=5)
-    residuals, D = ga_design(ds, 1)
+    result = fit_ga_weights(ds, knn_within(ds, 1), cfg, seed=5)
+    residuals, D = ga_design(ds, knn_within(ds, 1))
     zero_fitness = float(ga_fitness(residuals, D, np.zeros(D.shape[1]))[0])
     assert result.fitness <= zero_fitness
 
 
 def test_ga_recovers_planted_slope_and_matches_grid_oracle():
     ds = planted_alpha_dataset()
-    result = fit_ga_weights(ds, 1, Config(), seed=5)
+    result = fit_ga_weights(ds, knn_within(ds, 1), Config(), seed=5)
     assert 1.5 <= result.alpha[0] <= 2.5
     # independent grid oracle over the search interval
     sizes = np.array([p.features[0] for p in ds.projects])
@@ -237,15 +238,15 @@ def test_ga_recovers_planted_slope_and_matches_grid_oracle():
 
 def test_ga_deterministic():
     ds = planted_alpha_dataset()
-    a = fit_ga_weights(ds, 2, Config(), seed=123)
-    b = fit_ga_weights(ds, 2, Config(), seed=123)
+    a = fit_ga_weights(ds, knn_within(ds, 2), Config(), seed=123)
+    b = fit_ga_weights(ds, knn_within(ds, 2), Config(), seed=123)
     assert np.array_equal(a.alpha, b.alpha)
     assert a.fitness == b.fitness
 
 
 def test_ga_history_nonincreasing():
     ds = planted_alpha_dataset()
-    result = fit_ga_weights(ds, 1, Config(ga_gens=40), seed=9)
+    result = fit_ga_weights(ds, knn_within(ds, 1), Config(ga_gens=40), seed=9)
     history = result.history
     assert len(history) == 41
     assert all(later <= earlier for earlier, later in zip(history, history[1:]))
@@ -255,7 +256,7 @@ def test_ga_history_nonincreasing():
 def test_ga_needs_enough_projects():
     ds = make_dataset("tiny", size_only_schema(), [(1,), (2,), (3,)], [1, 2, 3])
     with pytest.raises(FitError):
-        ga_design(ds, 2)
+        ga_design(ds, knn_within(ds, 2))
 
 
 def mixed_dataset(seed, n=40):
@@ -276,7 +277,7 @@ def mixed_dataset(seed, n=40):
 
 
 def assert_design_matches_loop(train, k):
-    residuals, D = ga_design(train, k)
+    residuals, D = ga_design(train, knn_within(train, k))
     loop_residuals, loop_D = ga_design_loop(train, k)
     assert np.array_equal(residuals, loop_residuals)
     assert np.array_equal(D, loop_D)
@@ -306,8 +307,9 @@ def test_ga_fitness_no_worse_than_loop_oracle(albrecht):
     # per-child loop, so single fits differ; on average it must not lose
     cfg = Config()
     keys = [(t, k, s) for t in range(0, 24, 4) for k in (1, 3, 5) for s in (0, 1)]
-    new = [fit_ga_weights(albrecht.without(t), k, cfg, 1000 * t + 10 * k + s).fitness for t, k, s in keys]
-    old = [fit_ga_weights_loop(albrecht.without(t), k, cfg, 1000 * t + 10 * k + s).fitness for t, k, s in keys]
+    folds = {t: albrecht.without(t) for t, _, _ in keys}
+    new = [fit_ga_weights(folds[t], knn_within(folds[t], k), cfg, 1000 * t + 10 * k + s).fitness for t, k, s in keys]
+    old = [fit_ga_weights_loop(folds[t], k, cfg, 1000 * t + 10 * k + s).fitness for t, k, s in keys]
     assert np.mean(new) <= 1.02 * np.mean(old)
 
 
@@ -324,8 +326,8 @@ def test_ga_fitness_no_worse_than_loop_oracle(albrecht):
 def test_ga_invariants_property(seed, with_categorical, pop, gens, cx, mut, ga_range):
     ds = random_dataset(np.random.default_rng(seed), with_categorical=with_categorical)
     cfg = Config(ga_pop=pop, ga_gens=gens, ga_cx=cx, ga_mut=mut, ga_range=ga_range)
-    result = fit_ga_weights(ds, 1, cfg, seed)
-    residuals, D = ga_design(ds, 1)
+    result = fit_ga_weights(ds, knn_within(ds, 1), cfg, seed)
+    residuals, D = ga_design(ds, knn_within(ds, 1))
     history = result.history
     assert len(history) == gens + 1
     # the planted zero vector bounds the first generation
@@ -335,6 +337,6 @@ def test_ga_invariants_property(seed, with_categorical, pop, gens, cx, mut, ga_r
     assert result.fitness == history[-1]
     assert result.fitness == pytest.approx(float(ga_fitness(residuals, D, result.alpha)[0]), rel=1e-12)
     assert np.all(np.abs(result.alpha) <= ga_range)
-    again = fit_ga_weights(ds, 1, cfg, seed)
+    again = fit_ga_weights(ds, knn_within(ds, 1), cfg, seed)
     assert np.array_equal(again.alpha, result.alpha)
     assert again.history == history

@@ -187,6 +187,21 @@ def test_build_table_matches_pointwise_errors(pairs):
     assert t != build_table("cols", t.project_ids, actuals, [p + 1.0 for p in predictions], floor)
 
 
+def test_build_table_shares_read_only_actuals_and_copies_writable_ones():
+    ids = ("a", "b", "c")
+    frozen = np.array([1.0, 2.0, 4.0])
+    frozen.flags.writeable = False
+    shared = build_table("s", ids, frozen, [1.0, 1.0, 1.0], 1e-9)
+    assert shared.actuals is frozen and shared.project_ids is ids
+    writable = np.array([1.0, 2.0, 4.0])
+    copied = build_table("s", ids, writable, [1.0, 1.0, 1.0], 1e-9)
+    assert copied.actuals is not writable and writable.flags.writeable
+    assert not copied.actuals.flags.writeable
+    assert copied == shared
+    writable[0] = 8.0
+    assert copied == shared
+
+
 def test_build_table_rejects_nonpositive_actual():
     with pytest.raises(ValueError, match="must be positive"):
         build_table("bad", ["a", "b"], [1.0, 0.0], [1.0, 1.0], 1e-9)

@@ -1,14 +1,25 @@
+from collections import Counter
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ebae.adjust import VariantId
+from ebae import adjust, analogy, validation
+from ebae.adjust import VariantId, enumerate_variants
 from ebae.config import Config
-from ebae.data import Project
-from ebae.validation import dataset_baseline, derive_seed, evaluate_variant, loocv
+from ebae.data import ColumnSpec, Dataset, Project
+from ebae.ensemble import run_pipeline
+from ebae.validation import dataset_baseline, derive_seed, evaluate_variant, loocv, loocv_grid
 
-from .conftest import make_dataset, size_only_schema
+from .conftest import make_dataset, random_dataset, size_only_schema
+from .loocv_reference import loocv_variants
 
 CFG = Config(runs=200)
+# a small learner budget keeps the 40-variant oracle runs quick
+SMALL = Config(runs=200, ga_pop=6, ga_gens=3, nn_epochs=10)
+GRID = enumerate_variants(5)
 
 
 def test_loocv_row_count(toy):
@@ -46,6 +57,7 @@ def test_loocv_parallel_identical(albrecht):
     serial = loocv(albrecht, VariantId("NN", 2), Config(runs=200, jobs=1))
     parallel = loocv(albrecht, VariantId("NN", 2), Config(runs=200, jobs=4))
     assert serial == parallel
+    assert loocv_grid(albrecht, GRID, SMALL) == loocv_grid(albrecht, GRID, replace(SMALL, jobs=2))
 
 
 def test_target_effort_never_leaks(toy):
@@ -140,3 +152,82 @@ def test_rtm_loocv_uses_training_correlation(albrecht):
     assert len(table) == albrecht.n
     assert table.fallback_count == 0
     assert all(np.isfinite(table.predictions))
+
+
+def assert_grid_matches_reference(dataset, config, variants=GRID):
+    tables, errors = loocv_grid(dataset, variants, config)
+    want_tables, want_errors = loocv_variants(dataset, variants, config)
+    assert errors == want_errors
+    assert list(tables) == list(want_tables)
+    for label, table in tables.items():
+        assert table == want_tables[label], label      # every column and fallback_count
+    return tables, errors
+
+
+def test_loocv_grid_matches_reference_albrecht(albrecht):
+    tables, errors = assert_grid_matches_reference(albrecht, SMALL)
+    assert len(tables) == 40 and not errors
+
+
+def test_loocv_grid_matches_reference_toy(toy):
+    tables, errors = assert_grid_matches_reference(toy, SMALL)
+    assert len(tables) == 24
+    assert errors["EBA4"] == "dataset too small for k=4: need at least 6 projects, have 5"
+    assert errors["NN5"] == "dataset too small for k=5: need at least 7 projects, have 5"
+    assert set(errors) == {v.label for v in GRID if v.k >= 4}
+    report = run_pipeline(toy, SMALL)
+    assert "GA4 not evaluated: dataset too small for k=4: need at least 6 projects, have 5" in report.notes
+
+
+def test_loocv_grid_matches_reference_overflow():
+    schema = size_only_schema() + [ColumnSpec("x", "feature", "continuous", "none")]
+    rows = [(1e308, 3.0), (0.5, 1.0), (10.0, 2.0), (20.0, 5.0),
+            (30.0, 4.0), (40.0, 7.0), (50.0, 6.0), (60.0, 8.0)]
+    efforts = [100.0, 5.0, 20.0, 40.0, 55.0, 80.0, 90.0, 120.0]
+    with np.errstate(all="ignore"):
+        tables, _ = assert_grid_matches_reference(make_dataset("overflow", schema, rows, efforts), SMALL)
+    assert tables["LSE1"].fallback_count == 1
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans(), st.integers(0, 2), st.integers(0, 3))
+def test_loocv_grid_matches_reference_property(seed, with_categorical, zero_sizes, duplicates):
+    # zero sizes make LSE, MLFE and RTM fall back; duplicate rows tie in
+    # every distance, so the neighbour order rests on the row-index tie-break
+    rng = np.random.default_rng(seed)
+    ds = random_dataset(rng, with_categorical=with_categorical)
+    rows = [list(p.features) for p in ds.projects]
+    efforts = list(ds.efforts)
+    for i in rng.choice(len(rows), size=zero_sizes, replace=False):
+        rows[i][0] = 0.0
+    for _ in range(duplicates):
+        source = int(rng.integers(len(rows)))
+        rows.append(list(rows[source]))
+        efforts.append(efforts[source] if rng.random() < 0.5 else float(rng.uniform(1.0, 500.0)))
+    fixture = make_dataset("fixture", ds.feature_schema, rows, efforts)
+    assert_grid_matches_reference(fixture, Config(runs=200, ga_pop=4, ga_gens=2, nn_epochs=5, mt_min_leaf=2))
+
+
+def test_loocv_grid_builds_shared_work_once_per_fold(albrecht, monkeypatch):
+    calls = Counter()
+
+    def count(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    for owner, name in ((validation, "fit_model_tree"), (validation, "build_diff_pairs"),
+                        (adjust, "productivity_correlation"), (validation, "retrieve"),
+                        (analogy, "knn_within"), (Dataset, "without"),
+                        (validation, "fit_ga_weights"), (validation, "fit_network")):
+        count(owner, name)
+    tables, _ = loocv_grid(albrecht, GRID, SMALL)
+    n = albrecht.n
+    assert len(tables) == 40
+    assert calls == {"fit_model_tree": n, "build_diff_pairs": n, "productivity_correlation": n,
+                     "retrieve": n, "knn_within": n, "without": n,
+                     "fit_ga_weights": 5 * n, "fit_network": 5 * n}
