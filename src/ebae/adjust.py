@@ -1,7 +1,7 @@
 """The eight analogy-adjustment methods and the (method, k) variant grid.
 
-Every adjuster maps (target project, retrieved neighborhood, training fold)
-to a predicted effort. Adjustment always consumes raw feature values; only
+Every adjuster maps (target Row, retrieved neighborhood, training fold) to a
+predicted effort. Adjustment always consumes raw feature values; only
 retrieval works on the normalized view. When a method cannot produce a
 prediction for a target (zero denominators, unfittable learner), it raises
 Inapplicable and the validation harness falls back to the plain analogy mean
@@ -79,31 +79,24 @@ def _ratio_adjust(target_values, analogy_values, efforts):
     return float(np.mean(predictions))
 
 
-def _size_values(dataset, rows, feature_index):
-    column = dataset.cont_index.index(feature_index)
-    return dataset.cont[rows, column]
-
-
 def adjust_lse(target, nbh, train):
     """Size extrapolation: analogy efforts scaled by target size over analogy size."""
-    ps = train.primary_size_index
-    if ps is None:
+    c = train.size_col
+    if c is None:
         raise Inapplicable("no primary size feature in schema")
-    size_t = float(target.features[ps])
-    sizes = _size_values(train, nbh.indices, ps)
-    if size_t <= 0 or np.any(sizes <= 0):
+    sizes = train.cont[nbh.indices, c]
+    if target.cont[c] <= 0 or np.any(sizes <= 0):
         raise Inapplicable("non-positive size value")
-    return _ratio_adjust(np.array([size_t]), sizes[:, None], _analogy_efforts(nbh, train))
+    return _ratio_adjust(target.cont[[c]], sizes[:, None], _analogy_efforts(nbh, train))
 
 
 def adjust_mlfe(target, nbh, train):
     """Multi-feature extrapolation over every size-flagged feature."""
-    if not train.size_feature_index:
+    cols = list(train.size_cols)
+    if not cols:
         raise Inapplicable("no size-related features in schema")
-    cols = [train.cont_index.index(i) for i in train.size_feature_index]
-    target_values = np.array([float(target.features[i]) for i in train.size_feature_index])
     analogy_values = train.cont[np.ix_(nbh.indices, cols)]
-    return _ratio_adjust(target_values, analogy_values, _analogy_efforts(nbh, train))
+    return _ratio_adjust(target.cont[cols], analogy_values, _analogy_efforts(nbh, train))
 
 
 def productivity_correlation(train, nearest):
@@ -116,10 +109,10 @@ def productivity_correlation(train, nearest):
     usable pairs, or zero variance) yields 0, i.e. full regression toward
     the local mean.
     """
-    ps = train.primary_size_index
-    if ps is None:
+    c = train.size_col
+    if c is None:
         raise Inapplicable("no primary size feature in schema")
-    sizes = _size_values(train, np.arange(train.n), ps)
+    sizes = train.cont[:, c]
     valid = sizes > 0
     if valid.sum() < 2:
         return 0.0
@@ -142,10 +135,10 @@ def mean_productivity(train):
     themselves would cancel out of the outer average exactly, so the
     regression target must be this broader historical mean.
     """
-    ps = train.primary_size_index
-    if ps is None:
+    c = train.size_col
+    if c is None:
         raise Inapplicable("no primary size feature in schema")
-    sizes = _size_values(train, np.arange(train.n), ps)
+    sizes = train.cont[:, c]
     valid = sizes > 0
     if not np.any(valid):
         raise Inapplicable("no training project has a positive size")
@@ -155,11 +148,11 @@ def mean_productivity(train):
 def adjust_rtm(target, nbh, train, correlation, historical_mean=None):
     """Regression toward the mean: analogy productivities shrunk toward the
     historical mean productivity by (1 - c), then scaled by the target size."""
-    ps = train.primary_size_index
-    if ps is None:
+    c = train.size_col
+    if c is None:
         raise Inapplicable("no primary size feature in schema")
-    size_t = float(target.features[ps])
-    sizes = _size_values(train, nbh.indices, ps)
+    size_t = float(target.cont[c])
+    sizes = train.cont[nbh.indices, c]
     if size_t <= 0 or np.any(sizes <= 0):
         raise Inapplicable("non-positive size value")
     pr = _analogy_efforts(nbh, train) / sizes
@@ -175,8 +168,7 @@ def adjust_aqua(target, nbh, train):
 
 
 def _target_diffs(target, nbh, train):
-    t_cont, t_cat = train.parts(target)
-    return diff_rows(t_cont, t_cat, train.cont[nbh.indices], train.cat[nbh.indices])
+    return diff_rows(target.cont, target.cat, train.cont[nbh.indices], train.cat[nbh.indices])
 
 
 def adjust_mt(target, nbh, train, tree):

@@ -27,30 +27,32 @@ def similarity_from_distance(d):
     return 1.0 / (1.0 + d)
 
 
-def _squared_distances(target_cont, target_cat, pool_cont, pool_cat):
-    d2 = np.zeros(len(pool_cont))
-    if pool_cont.shape[1]:
-        diff = pool_cont - target_cont
-        d2 += (diff * diff).sum(axis=1)
-    if pool_cat.shape[1]:
-        d2 += (pool_cat != target_cat).sum(axis=1).astype(float)
+def _squared_distances(a_cont, a_cat, b_cont, b_cat):
+    """Squared distances between rows of a and b, summed on the last axis;
+    the a and b parts broadcast together."""
+    diff = a_cont - b_cont
+    diff *= diff
+    d2 = diff.sum(axis=-1)
+    if a_cat.shape[-1]:
+        d2 = d2 + (a_cat != b_cat).sum(axis=-1)
     return d2
 
 
 def pool_distances(target, pool):
-    """Distances from ``target`` to every row of ``pool`` (pool-bounds normalization).
+    """Distances from the ``target`` Row to every row of ``pool`` (pool-bounds
+    normalization).
 
     The target's continuous values are scaled with the pool's min-max bounds
     and clamped into [0, 1], so a query outside the training range cannot
     leave the normalized cube.
     """
-    target_cont, target_cat = pool.parts(target)
-    target01 = normalize_minmax(target_cont, pool.bounds, clamp=True)
-    return np.sqrt(_squared_distances(target01, target_cat, pool.normalized(), pool.cat))
+    target01 = normalize_minmax(target.cont, pool.bounds, clamp=True)
+    return np.sqrt(_squared_distances(target01, target.cat, pool.normalized(), pool.cat))
 
 
 def retrieve(target, pool, k):
-    """The k nearest pool projects, ties broken by smaller row index.
+    """The k nearest pool projects to the ``target`` Row, ties broken by
+    smaller row index.
 
     ``pool`` must not contain the target itself (the caller guarantees this;
     in LOOCV the pool is the training fold).
@@ -75,12 +77,8 @@ def knn_within(dataset, k):
     n = dataset.n
     if n - 1 < k:
         raise ValueError(f"need at least {k + 1} projects, got {n}")
-    cont01 = dataset.normalized()
-    cat = dataset.cat
-    neighbors = np.empty((n, k), dtype=int)
-    for i in range(n):
-        d2 = _squared_distances(cont01[i], cat[i], cont01, cat)
-        d2[i] = np.inf
-        order = np.lexsort((np.arange(n), d2))
-        neighbors[i] = order[:k]
-    return neighbors
+    cont01, cat = dataset.normalized(), dataset.cat
+    d2 = _squared_distances(cont01[:, None], cat[:, None], cont01, cat)
+    np.fill_diagonal(d2, np.inf)
+    # a stable sort keeps tied rows in index order
+    return np.argsort(d2, axis=1, kind="stable")[:, :k]

@@ -10,14 +10,21 @@ with role in {feature, effort, identifier, ignored}, kind in
 size_related}. Rows with a missing feature or effort value are dropped (and
 counted); malformed values are errors. Raw feature values are kept untouched;
 normalization produces a separate view used only for analogy retrieval.
+
+A Dataset holds its rows as read-only column arrays. ``row(i)`` hands one
+project's values to retrieval and adjustment as a ``Row(cont, cat)``, and
+``without(i)``, the training fold of a leave-one-out step, slices those
+arrays instead of rebuilding them from the projects.
 """
 
 from __future__ import annotations
 
+import copy
 import csv
 import logging
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,67 +73,64 @@ class Project:
     effort: float
 
 
+class Row(NamedTuple):
+    """One project's feature values as they sit in a Dataset's arrays."""
+
+    cont: np.ndarray         # float64, one value per continuous feature
+    cat: np.ndarray          # object, one value per categorical feature
+
+
 class Dataset:
     """Immutable project collection with derived numeric views.
 
     ``feature_schema`` lists the role=feature columns in file order.
     Continuous feature values live in ``cont`` (float64, one column per
     continuous feature), categorical values in ``cat`` (strings). ``bounds``
-    holds the per-continuous-feature (min, max) over all rows.
+    holds the per-continuous-feature (min, max) over all rows. ``size_col``
+    is the ``cont`` column of the primary size (None without one) and
+    ``size_cols`` the ``cont`` columns of every size-flagged feature.
     """
 
-    def __init__(self, name, columns, projects, dropped_rows=0, validate=True):
+    def __init__(self, name, columns, projects, dropped_rows=0):
         self.name = name
         self.columns = tuple(columns)
-        self.projects = tuple(projects)
         self.dropped_rows = dropped_rows
         self.feature_schema = tuple(c for c in self.columns if c.role == "feature")
         if not self.feature_schema:
             raise DatasetError("schema declares no feature columns")
         self.cont_index = tuple(i for i, c in enumerate(self.feature_schema) if c.kind == "continuous")
         self.cat_index = tuple(i for i, c in enumerate(self.feature_schema) if c.kind == "categorical")
-        self.primary_size_index = None   # position within feature_schema
-        self.size_feature_index = []     # primary_size + size_related positions
-        for i, col in enumerate(self.feature_schema):
-            if col.size_flag == "primary_size":
-                self.primary_size_index = i
-            if col.size_flag in ("primary_size", "size_related"):
-                self.size_feature_index.append(i)
-        self.size_feature_index = tuple(self.size_feature_index)
+        cont_schema = [self.feature_schema[i] for i in self.cont_index]
+        self.size_col = next((c for c, col in enumerate(cont_schema) if col.size_flag == "primary_size"), None)
+        self.size_cols = tuple(c for c, col in enumerate(cont_schema) if col.size_flag != "none")
 
-        n = len(self.projects)
+        projects = tuple(projects)
+        n = len(projects)
         m = len(self.feature_schema)
-        if validate:
-            if n < 3:
-                raise DatasetError(f"dataset needs at least 3 projects, got {n}")
-            for p in self.projects:
-                if len(p.features) != m:
-                    raise DatasetError(f"project {p.id!r}: expected {m} features, got {len(p.features)}")
-                if not (np.isfinite(p.effort) and p.effort > 0):
-                    raise DatasetError(f"project {p.id!r}: non-positive effort {p.effort!r}")
-            seen = set()
-            for p in self.projects:
-                if p.id in seen:
-                    raise DatasetError(f"duplicate project id {p.id!r}")
-                seen.add(p.id)
+        if n < 3:
+            raise DatasetError(f"dataset needs at least 3 projects, got {n}")
+        seen = set()
+        for p in projects:
+            if len(p.features) != m:
+                raise DatasetError(f"project {p.id!r}: expected {m} features, got {len(p.features)}")
+            if not (np.isfinite(p.effort) and p.effort > 0):
+                raise DatasetError(f"project {p.id!r}: non-positive effort {p.effort!r}")
+            if p.id in seen:
+                raise DatasetError(f"duplicate project id {p.id!r}")
+            seen.add(p.id)
 
-        cont = np.empty((n, len(self.cont_index)))
-        for r, p in enumerate(self.projects):
-            for c, fi in enumerate(self.cont_index):
-                cont[r, c] = p.features[fi]
-        if validate and not np.all(np.isfinite(cont)):
+        cont = np.array([[p.features[i] for i in self.cont_index] for p in projects], dtype=float)
+        if not np.all(np.isfinite(cont)):
             raise DatasetError("non-finite continuous feature value")
-        cat = np.empty((n, len(self.cat_index)), dtype=object)
-        for r, p in enumerate(self.projects):
-            for c, fi in enumerate(self.cat_index):
-                cat[r, c] = p.features[fi]
-        self.cont = cont
-        self.cat = cat
-        self.efforts = np.array([p.effort for p in self.projects])
-        mins = cont.min(axis=0) if n else np.zeros(0)
-        maxs = cont.max(axis=0) if n else np.zeros(0)
-        self.bounds = (mins, maxs)
-        for arr in (self.cont, self.cat, self.efforts, mins, maxs):
+        cat = np.array([[p.features[i] for i in self.cat_index] for p in projects], dtype=object)
+        self._set_rows(projects, cont, cat, np.array([p.effort for p in projects]))
+
+    def _set_rows(self, projects, cont, cat, efforts):
+        """Install the row arrays, read-only, with their bounds."""
+        self.projects = projects
+        self.cont, self.cat, self.efforts = cont, cat, efforts
+        self.bounds = (cont.min(axis=0), cont.max(axis=0))
+        for arr in (cont, cat, efforts, *self.bounds):
             arr.flags.writeable = False
         self._norm = None
 
@@ -146,16 +150,19 @@ class Dataset:
             self._norm = norm
         return self._norm
 
-    def parts(self, project):
-        """(continuous values, categorical values) of a project under this schema."""
-        cont = np.array([project.features[i] for i in self.cont_index], dtype=float)
-        cat = np.array([project.features[i] for i in self.cat_index], dtype=object)
-        return cont, cat
+    def row(self, index):
+        """Row ``index`` as a (cont, cat) pair of read-only views."""
+        return Row(self.cont[index], self.cat[index])
 
     def without(self, index):
-        """The dataset minus one row; the training fold of a LOOCV step."""
-        projects = self.projects[:index] + self.projects[index + 1:]
-        return Dataset(self.name, self.columns, projects, validate=False)
+        """The dataset minus one row; the training fold of a LOOCV step.
+
+        The fold shares this dataset's schema and slices its arrays, so it
+        needs no revalidation."""
+        fold = copy.copy(self)
+        fold._set_rows(self.projects[:index] + self.projects[index + 1:],
+                       *(np.delete(arr, index, axis=0) for arr in (self.cont, self.cat, self.efforts)))
+        return fold
 
     def effort_unit(self):
         return next(c.name for c in self.columns if c.role == "effort")

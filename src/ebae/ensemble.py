@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .adjust import enumerate_variants, variant_from_label
-from .metrics import build_table, summarize
+from .metrics import build_table, log_floor, summarize
 from .ranking import borda_rank, profile_from_measures, voter_ranks
 from .stats import apply_transform, box_cox, ks_normality, scott_knott, scott_knott_two_way
 from .validation import dataset_baseline, loocv_grid
@@ -67,7 +67,6 @@ class PipelineReport:
     survivors: list = field(default_factory=list)
     ks_statistic: float | None = None
     ks_reject: bool | None = None
-    transform: object | None = None                     # TransformSpec for the survivor clustering
     sk_singles: object | None = None                    # ScottKnottResult
     best_cluster: list = field(default_factory=list)
     borda_singles: object | None = None                 # RankingOutcome
@@ -127,23 +126,18 @@ def pooled_transform(tables, labels):
 
 
 def transformed_groups(tables, labels, spec):
-    """Each label's transformed absolute errors; a ValueError names the labels
-    whose values overflow to non-finite numbers under ``spec``."""
-    groups = {label: apply_transform(tables[label].aes, spec) for label in labels}
-    overflowed = [label for label, values in groups.items() if not np.all(np.isfinite(values))]
-    if overflowed:
-        raise ValueError(f"transformed absolute errors are not finite for {', '.join(overflowed)}")
-    return groups
+    """Each label's absolute errors under ``spec``."""
+    return {label: apply_transform(tables[label].aes, spec) for label in labels}
 
 
 def select_best_cluster(tables, survivors, alpha):
     """Scott-Knott the survivors on transformed absolute errors and return
-    (best-cluster labels, clustering result, transform)."""
+    (best-cluster labels, clustering result carrying its transform)."""
     if len(survivors) < 2:
-        return list(survivors), None, None
+        return list(survivors), None
     spec = pooled_transform(tables, survivors)
     result = scott_knott(transformed_groups(tables, survivors, spec), alpha)
-    return list(result.clusters[0].members), replace(result, transform=spec), spec
+    return list(result.clusters[0].members), replace(result, transform=spec)
 
 
 def measure_values(summaries, labels):
@@ -209,11 +203,7 @@ def _per_method_stages(report, alpha):
     if len(labels) < 2:
         return
     spec = pooled_transform(report.tables, labels)
-    try:
-        groups = transformed_groups(report.tables, labels, spec)
-    except ValueError as exc:
-        report.notes.append(f"best-k and two-way clustering skipped: {exc}")
-        return
+    groups = transformed_groups(report.tables, labels, spec)
     means = {label: float(np.mean(values)) for label, values in groups.items()}
     for label in labels:
         variant = variant_from_label(label)
@@ -259,7 +249,7 @@ def run_pipeline(dataset, config, seed=None):
         report.best_cluster = list(report.survivors)
         report.notes.append("fewer than 2 surviving variants: no clustering, no ensembles")
     else:
-        report.best_cluster, report.sk_singles, report.transform = select_best_cluster(
+        report.best_cluster, report.sk_singles = select_best_cluster(
             report.tables, report.survivors, config.alpha
         )
 
@@ -272,10 +262,8 @@ def run_pipeline(dataset, config, seed=None):
         report.best_ranking = list(report.best_cluster)
         report.notes.append("best cluster has fewer than 2 members: no ensembles")
 
-    floor = None
+    floor = log_floor(dataset.efforts)
     for spec in report.ensembles:
-        if floor is None:
-            floor = report.tables[spec.members[0]].floor
         table = ensemble_table(spec, report.tables, floor)
         report.ensemble_tables[spec.label] = table
         report.ensemble_summaries[spec.label] = summarize(table, base)

@@ -217,6 +217,8 @@ def effect_size(mae_value, base):
     """
     if base.sp0 <= 0:
         raise ValueError("effect size undefined: zero baseline deviation")
+    if not np.isfinite(base.sp0):
+        raise ValueError("effect size undefined: baseline deviation overflows")
     return (base.mae_p0 - mae_value) / base.sp0
 
 

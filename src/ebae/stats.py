@@ -94,8 +94,10 @@ def box_cox(values, step=0.01, lam_min=-2.0, lam_max=2.0):
         return box_cox_transform(shifted, 1.0), spec
     grid = np.round(np.arange(round(lam_min / step), round(lam_max / step) + 1)) * step
     log_sum = float(np.sum(np.log(shifted)))
+    # NaN marks a lambda whose transform overflows; lambda = 0 (the log) never
+    # does, so the best likelihood is finite and so is the transform it picks
     lls = [_log_likelihood(shifted, float(lam), log_sum) for lam in grid]
-    best = float(grid[int(np.argmax(lls))])
+    best = float(grid[int(np.nanargmax(lls))])
     spec = TransformSpec(box_cox_lambda=best, shift=shift)
     return box_cox_transform(shifted, best), spec
 

@@ -1,8 +1,8 @@
 """Leave-one-out cross validation of estimator variants, fold first.
 
 Each fold trains on the other n-1 projects: normalization bounds, learner
-fits, and analogy retrieval see training rows only, and the target's effort
-is never consulted.
+fits, and analogy retrieval see training rows only. The target enters as a
+``Row`` of its feature values, so its effort is never consulted.
 
 ``loocv_grid`` runs fold first, then every (method, k) variant, and builds
 the work a fold shares across its variants once, on first use:
@@ -52,7 +52,7 @@ class _Fold:
 
     def __init__(self, dataset, t, k_top, config):
         self.train = dataset.without(t)
-        self.target = dataset.projects[t]
+        self.target = dataset.row(t)
         self.analogies = retrieve(self.target, self.train, k_top)
         self.k_top = k_top
         self.config = config

@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ebae.data import ColumnSpec, Dataset, Project
+from ebae.data import ColumnSpec, Dataset, Project, Row
 
 DATASETS = Path(__file__).resolve().parent.parent / "datasets"
 
@@ -17,6 +17,12 @@ def make_dataset(name, schema, rows, efforts, ids=None):
         Project(pid, tuple(row), float(e)) for pid, row, e in zip(ids, rows, efforts)
     ]
     return Dataset(name, columns, projects)
+
+
+def row_of(dataset, features):
+    """A target Row from a feature tuple in ``dataset``'s schema order."""
+    return Row(np.array([features[i] for i in dataset.cont_index], dtype=float),
+               np.array([features[i] for i in dataset.cat_index], dtype=object))
 
 
 def size_only_schema():

@@ -63,7 +63,7 @@ def loocv_variant(dataset, variant, config, seed=None):
     if dataset.n < k + 2:
         raise ValueError(f"dataset too small for k={k}: need at least {k + 2} projects, have {dataset.n}")
     outcomes = [
-        predict_variant(variant, dataset.projects[t], dataset.without(t), config,
+        predict_variant(variant, dataset.row(t), dataset.without(t), config,
                         derive_seed(seed, t, variant.label))
         for t in range(dataset.n)
     ]

@@ -205,7 +205,7 @@ def test_criterion_06_reduction_identities():
         ds = make_dataset("r", size_only_schema(), [(float(s),) for s in sizes], efforts)
         k = int(rng.integers(1, 6))
         t_index = int(rng.integers(0, n))
-        target = ds.projects[t_index]
+        target = ds.row(t_index)
         train = ds.without(t_index)
         nbh = retrieve(target, train, k)
         assert adjust_mlfe(target, nbh, train) == adjust_lse(target, nbh, train)
@@ -214,7 +214,7 @@ def test_criterion_06_reduction_identities():
             [train.projects[i].features[0] for i in nbh.indices]
         )
         assert adjust_rtm(target, nbh, train, correlation=1.0) == float(
-            target.features[0] * np.mean(pr)
+            target.cont[0] * np.mean(pr)
         )
         from ebae.adjust import adjust_aqua
 

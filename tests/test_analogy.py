@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from ebae.analogy import knn_within, pool_distances, retrieve, similarity_from_distance
 from ebae.data import ColumnSpec, Project, normalize_minmax
 
-from .conftest import make_dataset, random_dataset, size_only_schema
+from .conftest import make_dataset, random_dataset, row_of, size_only_schema
 
 CONT2 = [ColumnSpec("a", "feature", "continuous", "none"), ColumnSpec("b", "feature", "continuous", "none")]
 MIXED = [ColumnSpec("a", "feature", "continuous", "none"), ColumnSpec("lang", "feature", "categorical", "none")]
@@ -59,22 +59,20 @@ def naive_all_distances(target, pool):
     """Independent oracle: python-loop distance over normalized features."""
     bounds = pool.bounds
     norm = normalize_minmax(pool.cont, bounds)
-    t = normalize_minmax(
-        np.array([target.features[i] for i in pool.cont_index], dtype=float), bounds, clamp=True
-    )
+    t = normalize_minmax(target.cont, bounds, clamp=True)
     out = []
     for r in range(pool.n):
         total = 0.0
         for c in range(len(pool.cont_index)):
             total += (t[c] - norm[r, c]) ** 2
-        for c, fi in enumerate(pool.cat_index):
-            total += 0.0 if target.features[fi] == pool.cat[r, c] else 1.0
+        for c in range(len(pool.cat_index)):
+            total += 0.0 if target.cat[c] == pool.cat[r, c] else 1.0
         out.append(math.sqrt(total))
     return out
 
 
 def test_toy_retrieval_examples(toy):
-    target = toy.projects[4]          # size 10, effort 30
+    target = toy.row(4)               # size 10, effort 30
     pool = toy.without(4)
     one = retrieve(target, pool, 1)
     assert pool.projects[one.indices[0]].id == "p4"      # size 8
@@ -86,11 +84,11 @@ def test_toy_retrieval_examples(toy):
 
 def test_retrieve_rejects_small_pool(toy):
     with pytest.raises(ValueError):
-        retrieve(toy.projects[0], toy.without(0), 5)
+        retrieve(toy.row(0), toy.without(0), 5)
 
 
 def test_prefix_property(toy):
-    target = toy.projects[0]
+    target = toy.row(0)
     pool = toy.without(0)
     for k in range(1, pool.n):
         small = [pool.projects[i].id for i in retrieve(target, pool, k).indices]
@@ -101,13 +99,13 @@ def test_prefix_property(toy):
 def test_tie_break_smaller_index_first():
     ds = make_dataset("ties", size_only_schema(), [(5,), (5,), (5,), (9,)], [1, 2, 3, 4])
     pool = ds.without(3)
-    nbh = retrieve(ds.projects[3], pool, 3)
+    nbh = retrieve(ds.row(3), pool, 3)
     assert [pool.projects[i].id for i in nbh.indices] == ["p1", "p2", "p3"]
 
 
 def test_retrieve_matches_bruteforce_oracle(albrecht):
     for t in range(albrecht.n):
-        target = albrecht.projects[t]
+        target = albrecht.row(t)
         pool = albrecht.without(t)
         oracle = sorted(zip(naive_all_distances(target, pool), range(pool.n)))
         got = retrieve(target, pool, 5)
@@ -132,8 +130,7 @@ def test_distance_symmetry_and_identity(seed):
 
 def normalized_project(project, pool):
     """``project`` with its continuous features scaled (and clamped) by the pool's bounds."""
-    cont, _ = pool.parts(project)
-    scaled = iter(normalize_minmax(cont, pool.bounds, clamp=True))
+    scaled = iter(normalize_minmax(row_of(pool, project.features).cont, pool.bounds, clamp=True))
     features = tuple(
         v if col.kind == "categorical" else float(next(scaled))
         for v, col in zip(project.features, pool.feature_schema)
@@ -149,8 +146,8 @@ def test_pool_distances_match_scalar_distance(toy):
         target = normalized_project(ds.projects[2], pool)
         oracle = [distance(target, normalized_project(p, pool), pool.feature_schema)
                   for p in pool.projects]
-        assert np.allclose(pool_distances(ds.projects[2], pool), oracle, atol=1e-12)
-        assert np.allclose(oracle, naive_all_distances(ds.projects[2], pool), atol=1e-12)
+        assert np.allclose(pool_distances(ds.row(2), pool), oracle, atol=1e-12)
+        assert np.allclose(oracle, naive_all_distances(ds.row(2), pool), atol=1e-12)
 
 
 def test_knn_within_matches_per_row_retrieve(toy):
@@ -158,3 +155,46 @@ def test_knn_within_matches_per_row_retrieve(toy):
     assert neighbors.shape == (5, 2)
     for i in range(toy.n):
         assert i not in neighbors[i]
+
+
+def knn_within_loop(dataset, k):
+    """Per-row oracle of ``knn_within``: one distance row and one sort per project."""
+    n = dataset.n
+    cont01, cat = dataset.normalized(), dataset.cat
+    neighbors = np.empty((n, k), dtype=int)
+    for i in range(n):
+        d2 = np.zeros(n)
+        if cont01.shape[1]:
+            diff = cont01 - cont01[i]
+            d2 += (diff * diff).sum(axis=1)
+        if cat.shape[1]:
+            d2 += (cat != cat[i]).sum(axis=1).astype(float)
+        d2[i] = np.inf
+        neighbors[i] = np.lexsort((np.arange(n), d2))[:k]
+    return neighbors
+
+
+def test_knn_within_equals_loop_on_albrecht_folds(albrecht):
+    for t in range(albrecht.n):
+        train = albrecht.without(t)
+        for k in (1, 5, train.n - 1):
+            assert np.array_equal(knn_within(train, k), knn_within_loop(train, k))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["cont", "cat", "mixed"]))
+def test_knn_within_equals_loop_with_ties(seed, kinds):
+    # few distinct values and a duplicated first row make distance ties common
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 12))
+    schema = []
+    if kinds != "cat":
+        schema += [ColumnSpec(f"c{j}", "feature", "continuous", "none") for j in range(2)]
+    if kinds != "cont":
+        schema += [ColumnSpec(f"g{j}", "feature", "categorical", "none") for j in range(2)]
+    rows = [tuple(float(rng.integers(0, 3)) if col.kind == "continuous" else str(rng.choice(["a", "b"]))
+                  for col in schema) for _ in range(n)]
+    rows[1] = rows[0]
+    ds = make_dataset("ties", schema, rows, rng.uniform(1.0, 50.0, size=n))
+    for k in (1, n - 1):
+        assert np.array_equal(knn_within(ds, k), knn_within_loop(ds, k))

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ebae.data import (
     ColumnSpec,
+    Dataset,
     DatasetError,
     describe,
     load_dataset,
@@ -14,7 +15,7 @@ from ebae.data import (
     write_dataset,
 )
 
-from .conftest import DATASETS
+from .conftest import DATASETS, make_dataset, random_dataset
 
 
 def write_pair(tmp_path, csv_text, schema_text):
@@ -128,7 +129,7 @@ def test_albrecht_normalized_in_unit_interval(albrecht):
     norm = albrecht.normalized()
     assert norm.min() >= 0.0 and norm.max() <= 1.0
     # normalization never touches the raw values
-    assert albrecht.cont[:, albrecht.cont_index.index(albrecht.primary_size_index)].max() == 1902
+    assert albrecht.cont[:, albrecht.size_col].max() == 1902
 
 
 def test_describe_toy(toy):
@@ -162,7 +163,7 @@ def test_skewness_matches_scipy():
 
 @given(st.lists(st.floats(min_value=0.1, max_value=1e6), min_size=3, max_size=40))
 def test_describe_mean_is_sum_over_n(efforts):
-    from .conftest import make_dataset, size_only_schema
+    from .conftest import size_only_schema
 
     ds = make_dataset("h", size_only_schema(), [(float(i + 1),) for i in range(len(efforts))], efforts)
     stats = describe(ds)
@@ -172,3 +173,53 @@ def test_describe_mean_is_sum_over_n(efforts):
 def test_size_flag_requires_continuous_feature():
     with pytest.raises(DatasetError, match="size flags"):
         ColumnSpec("lang", "feature", "categorical", "size_related")
+
+
+def test_size_columns_index_cont():
+    schema = [
+        ColumnSpec("lang", "feature", "categorical", "none"),
+        ColumnSpec("s2", "feature", "continuous", "size_related"),
+        ColumnSpec("x", "feature", "continuous", "none"),
+        ColumnSpec("s1", "feature", "continuous", "primary_size"),
+    ]
+    ds = make_dataset("sizes", schema, [("a", 5, 1, 2), ("b", 9, 2, 4), ("a", 30, 3, 8)], [10, 16, 40])
+    assert ds.size_col == 2 and ds.size_cols == (0, 2)
+    assert list(ds.cont[:, ds.size_col]) == [2, 4, 8]
+    assert ds.row(1).cont.tolist() == [9, 2, 4] and ds.row(1).cat.tolist() == ["b"]
+    plain = make_dataset("plain", schema[:3], [("a", 5, 1), ("b", 9, 2), ("a", 30, 3)], [10, 16, 40])
+    assert plain.size_col is None and plain.size_cols == (0,)
+
+
+def test_dataset_needs_three_projects():
+    with pytest.raises(DatasetError, match="at least 3 projects"):
+        make_dataset("two", [ColumnSpec("s", "feature", "continuous", "none")], [(1,), (2,)], [1, 2])
+
+
+def assert_fold_equals_rebuilt(ds, t):
+    fold = ds.without(t)
+    rebuilt = Dataset(ds.name, ds.columns, ds.projects[:t] + ds.projects[t + 1:], ds.dropped_rows)
+    assert fold.projects == rebuilt.projects
+    for name in ("cont", "cat", "efforts"):
+        got, want = getattr(fold, name), getattr(rebuilt, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert not got.flags.writeable
+    for got, want in zip(fold.bounds, rebuilt.bounds):
+        assert np.array_equal(got, want) and not got.flags.writeable
+    assert np.array_equal(fold.normalized(), rebuilt.normalized())
+    assert (fold.size_col, fold.size_cols) == (rebuilt.size_col, rebuilt.size_cols)
+    assert (fold.feature_schema, fold.cont_index, fold.cat_index) == (
+        rebuilt.feature_schema, rebuilt.cont_index, rebuilt.cat_index)
+    # the parent dataset is untouched
+    assert ds.n == len(ds.cont) == len(ds.cat) == len(ds.efforts)
+
+
+def test_without_equals_rebuilt_dataset_albrecht(albrecht):
+    for t in range(albrecht.n):
+        assert_fold_equals_rebuilt(albrecht, t)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.data())
+def test_without_equals_rebuilt_dataset_mixed(seed, data):
+    ds = random_dataset(np.random.default_rng(seed), with_categorical=True)
+    assert_fold_equals_rebuilt(ds, data.draw(st.integers(0, ds.n - 1)))

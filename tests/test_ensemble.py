@@ -7,14 +7,14 @@ from ebae.ensemble import (
     EnsembleSpec,
     build_ensembles,
     ensemble_table,
+    evaluate_grid,
     filter_actual_predictors,
+    pooled_transform,
     rank_candidates,
     run_pipeline,
     select_best_cluster,
-    transformed_groups,
 )
-from ebae.metrics import BaselineStats, EvalSummary, build_table, summarize
-from ebae.stats import TransformSpec
+from ebae.metrics import BaselineStats, EvalSummary, baseline, build_table, summarize
 
 from .conftest import make_dataset, size_only_schema
 
@@ -75,36 +75,25 @@ def make_tables(spec_map, floor=1e-6):
 
 def test_select_best_cluster_separates_clear_groups():
     tables = make_tables({"A": (1.0, 30), "B": (1.05, 30), "C": (9.0, 30), "D": (9.1, 30)})
-    best, result, spec = select_best_cluster(tables, ["A", "B", "C", "D"], alpha=0.05)
+    best, result = select_best_cluster(tables, ["A", "B", "C", "D"], alpha=0.05)
     assert set(best) == {"A", "B"}
     assert len(result.clusters) >= 2
-    assert result.transform is spec
+    assert result.transform == pooled_transform(tables, ["A", "B", "C", "D"])
 
 
 def test_select_best_cluster_identical_lists_merge():
     table = make_tables({"A": (2.0, 25)})["A"]
     clone = build_table("B", table.project_ids, table.actuals,
                         table.predictions, table.floor)
-    best, result, _ = select_best_cluster({"A": table, "B": clone}, ["A", "B"], alpha=0.05)
+    best, result = select_best_cluster({"A": table, "B": clone}, ["A", "B"], alpha=0.05)
     assert set(best) == {"A", "B"}
     assert len(result.clusters) == 1
 
 
 def test_select_best_cluster_single_survivor():
     tables = make_tables({"A": (1.0, 20)})
-    best, result, spec = select_best_cluster(tables, ["A"], alpha=0.05)
-    assert best == ["A"] and result is None and spec is None
-
-
-def test_transformed_groups_names_overflowing_labels():
-    tables = {
-        "A": build_table("A", ("p1", "p2", "p3"), [1.0, 2.0, 3.0], [2.0, 3.0, 4.0], 1e-6),
-        "B": build_table("B", ("p1", "p2", "p3"), [1.0, 2.0, 3.0], [1e200, 3.0, 4.0], 1e-6),
-    }
-    spec = TransformSpec(box_cox_lambda=2.0, shift=0.0)
-    assert set(transformed_groups(tables, ["A"], spec)) == {"A"}
-    with np.errstate(over="ignore"), pytest.raises(ValueError, match="not finite for B$"):
-        transformed_groups(tables, ["A", "B"], spec)
+    best, result = select_best_cluster(tables, ["A"], alpha=0.05)
+    assert best == ["A"] and result is None
 
 
 def test_build_ensembles_prefixes():
@@ -199,12 +188,24 @@ def test_run_pipeline_non_finite_predictions_fall_back():
         assert np.all(np.isfinite([s.mae, s.mmre, s.lsd, s.mbre, s.mibre, s.sa, s.delta]))
     assert report.summaries["LSE1"].fallback_count == 1
     assert report.tables["LSE1"].predictions[0] == report.tables["EBA1"].predictions[0]
-    # GA1's finite but huge errors overflow the pooled transform: best-k and
-    # the two-way clustering are skipped with a note instead of publishing inf
+    # GA1's finite but huge errors (~1.6e308) still get a finite pooled
+    # transform, so best-k and the two-way clustering run
+    assert len(report.best_k) == 8
     assert all(np.isfinite(mean) for _, mean in report.best_k.values())
-    assert report.two_way is None
-    assert ("best-k and two-way clustering skipped: transformed absolute errors are not finite for GA1"
-            in report.notes)
+    assert report.two_way is not None
+    assert not any("skipped" in note for note in report.notes)
+
+
+def test_evaluate_grid_names_undefined_effect_size():
+    # efforts ~1e155..2e156: the baseline's run-to-run spread overflows to inf
+    efforts = 10 * np.arange(1, 21) * 1e154
+    ds = make_dataset("huge", size_only_schema(), [(float(s),) for s in range(1, 21)], efforts)
+    cfg = Config(k_max=1, runs=200, ga_pop=10, ga_gens=5, nn_epochs=20)
+    with np.errstate(over="ignore", invalid="ignore"):
+        base = baseline(efforts, 200, 1)
+        tables, summaries, errors = evaluate_grid(ds, cfg, base)
+    assert len(tables) == 8 and not summaries
+    assert set(errors.values()) == {"effect size undefined: baseline deviation overflows"}
 
 
 def test_pipeline_deterministic():

@@ -46,7 +46,7 @@ def test_diff_rows_matches_per_row_oracle(seed, with_categorical, k):
     rows = row_parts(ds)
     neighbors = rng.integers(0, ds.n, size=(ds.n, k))
     # target against k rows
-    t_cont, t_cat = ds.parts(ds.projects[0])
+    t_cont, t_cat = ds.row(0)
     got = diff_rows(t_cont, t_cat, ds.cont[neighbors[0]], ds.cat[neighbors[0]])
     assert np.array_equal(got, [diff_vector(t_cont, t_cat, *rows[j]) for j in neighbors[0]])
     # every row against its nearest row

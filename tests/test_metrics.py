@@ -142,6 +142,14 @@ def test_effect_size_examples():
     assert effect_size(10.0, b) > 0
 
 
+def test_effect_size_rejects_overflowing_baseline_spread():
+    with np.errstate(over="ignore"):
+        b = baseline(10 * np.arange(1, 21) * 1e154, 200, 1)
+    assert b.sp0 == math.inf and math.isfinite(b.mae_p0) and math.isfinite(b.sa5)
+    with pytest.raises(ValueError, match="effect size undefined: baseline deviation overflows"):
+        effect_size(b.mae_p0 / 2, b)
+
+
 def test_log_floor_scale():
     assert log_floor([10, 20, 30]) == pytest.approx(2e-5)
 

@@ -47,6 +47,22 @@ def test_box_cox_grid_matches_likelihood_oracle():
     assert spec.box_cox_lambda == pytest.approx(best, abs=1e-9)
 
 
+def test_box_cox_picks_finite_likelihood_on_huge_values():
+    # values up to 1.59e308: most positive lambdas overflow (NaN likelihood)
+    rng = np.random.default_rng(8)
+    x = np.concatenate([rng.gamma(2.0, 3.0, size=60), [1e150, 1e300, 1.59e308]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        transformed, spec = box_cox(x)
+        grid = [round(-2 + 0.01 * i, 2) for i in range(401)]
+        y = [np.log(x) if lam == 0 else (x**lam - 1) / lam for lam in grid]
+        llf = [-0.5 * x.size * np.log(np.var(v)) + (lam - 1) * np.sum(np.log(x)) for lam, v in zip(grid, y)]
+    assert any(np.isnan(llf))
+    finite = [(ll, lam) for ll, lam in zip(llf, grid) if np.isfinite(ll)]
+    assert spec.box_cox_lambda == pytest.approx(max(finite, key=lambda p: p[0])[1], abs=1e-9)
+    assert np.all(np.isfinite(transformed))
+    assert np.all(np.isfinite(apply_transform(x, spec)))
+
+
 def test_box_cox_shifts_zeros():
     values = np.array([0.0, 1.0, 4.0, 9.0])
     transformed, spec = box_cox(values)
