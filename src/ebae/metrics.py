@@ -13,6 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# Efforts whose expected random-guessing error is at most this fraction of the
+# largest effort count as constant. SA divides by MAE_p0, so below this the
+# rounding of the recorded efforts (relative 2**-53 of the largest) would be
+# amplified by max / MAE_p0 into the accuracy itself.
+CONSTANT_EFFORT_RTOL = 1e-6
+
 
 @dataclass(frozen=True, eq=False)
 class PredictionTable:
@@ -178,7 +184,8 @@ def baseline(efforts, runs, seed):
     The expectation is computed exactly; the run-to-run spread (``sp0``) and
     the 5%-quantile accuracy gate (``sa5``) are estimated by simulating
     ``runs`` guessing rounds, each predicting every project by one uniformly
-    drawn other project.
+    drawn other project. Efforts constant to within ``CONSTANT_EFFORT_RTOL``
+    give the degenerate baseline, as exactly constant ones do.
     """
     e = np.asarray(efforts, dtype=float)
     n = e.size
@@ -187,7 +194,7 @@ def baseline(efforts, runs, seed):
     if runs < 100:
         raise ValueError("baseline needs at least 100 runs")
     mae_p0 = exact_random_mae(e)
-    if mae_p0 == 0.0:
+    if mae_p0 <= CONSTANT_EFFORT_RTOL * float(np.max(np.abs(e))):
         return BaselineStats(mae_p0=0.0, sp0=0.0, sa5=float("nan"), runs=runs, seed=seed)
     rng = np.random.default_rng(seed)
     others = rng.integers(0, n - 1, size=(runs, n))

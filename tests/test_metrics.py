@@ -107,6 +107,15 @@ def test_baseline_constant_efforts_signal():
         standardized_accuracy(1.0, b)
 
 
+def test_baseline_efforts_constant_up_to_rounding_are_degenerate():
+    # 0.01 and its next float apart: MAE_p0 is rounding noise, so SA would not
+    # survive a change of units
+    for efforts in ([0.010000000000000002, 0.010000000000000002, 0.01], [1.0, 1.0, 1.0 + 1e-7]):
+        b = baseline(efforts, runs=100, seed=2)
+        assert b.degenerate and b.sp0 == 0.0
+    assert not baseline([1.0, 1.0, 1.0 + 1e-5], runs=100, seed=2).degenerate
+
+
 def test_monte_carlo_mean_close_to_exact():
     rng = np.random.default_rng(3)
     efforts = rng.lognormal(3, 1, size=30)
