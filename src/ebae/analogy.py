@@ -80,5 +80,6 @@ def knn_within(dataset, k):
     cont01, cat = dataset.normalized(), dataset.cat
     d2 = _squared_distances(cont01[:, None], cat[:, None], cont01, cat)
     np.fill_diagonal(d2, np.inf)
-    # a stable sort keeps tied rows in index order
-    return np.argsort(d2, axis=1, kind="stable")[:, :k]
+    # a stable sort keeps tied rows in index order; the copy lets the (n, n)
+    # sort go, which a fold that keeps its table would otherwise hold
+    return np.argsort(d2, axis=1, kind="stable")[:, :k].copy()

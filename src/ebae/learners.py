@@ -108,9 +108,17 @@ def _grow(X, y, min_leaf, depth, max_depth):
     )
 
 
+# The split search squares sums of up to n effort differences and of their
+# deviations from the mean, all within 2 n max|y|. Above this limit a square
+# may overflow, and the search would compare inf and NaN instead of errors.
+_SQUARE_LIMIT = np.sqrt(np.finfo(float).max)
+
+
 def fit_model_tree(X, y, config):
     if len(y) < 2 * config.mt_min_leaf:
         raise FitError(f"model tree needs at least {2 * config.mt_min_leaf} pairs, got {len(y)}")
+    if 2 * len(y) * np.max(np.abs(y)) > _SQUARE_LIMIT:
+        raise FitError("model tree split search overflows: effort differences too large to square")
     root = _grow(X, y, config.mt_min_leaf, 0, config.mt_max_depth)
     return ModelTree(root=root, n_features=X.shape[1])
 
@@ -145,24 +153,28 @@ class FeedForwardNet:
 
 
 def network_loss_and_grads(w1, b1, w2, b2, X, y):
-    """MSE loss and its analytic gradients for the 1-hidden-layer network."""
-    hidden = np.tanh(X @ w1.T + b1)
-    pred = hidden @ w2 + b2
+    """MSE loss and its analytic gradients for the 1-hidden-layer network.
+
+    Shapes are w1 (..., h, m), b1 and w2 (..., h), b2 (...), X (..., n, m)
+    and y (..., n): leading axes are a stack of networks and broadcast, and
+    each network's values are those of its own 2-D call.
+    """
+    hidden = np.tanh(X @ np.swapaxes(w1, -1, -2) + b1[..., None, :])
+    pred = (hidden @ w2[..., None])[..., 0] + np.asarray(b2)[..., None]
     err = pred - y
-    n = len(y)
-    loss = float(np.mean(err**2))
+    n = y.shape[-1]
+    loss = np.mean(err**2, axis=-1)
     d_pred = 2.0 * err / n
-    g_w2 = hidden.T @ d_pred
-    g_b2 = float(np.sum(d_pred))
-    d_hidden = np.outer(d_pred, w2) * (1.0 - hidden**2)
-    g_w1 = d_hidden.T @ X
-    g_b1 = d_hidden.sum(axis=0)
+    g_w2 = (np.swapaxes(hidden, -1, -2) @ d_pred[..., None])[..., 0]
+    g_b2 = np.sum(d_pred, axis=-1)
+    d_hidden = d_pred[..., None] * w2[..., None, :] * (1.0 - hidden**2)
+    g_w1 = np.swapaxes(d_hidden, -1, -2) @ X
+    g_b1 = d_hidden.sum(axis=-2)
     return loss, (g_w1, g_b1, g_w2, g_b2)
 
 
-def fit_network(X, y, config, seed):
-    if len(y) < 4:
-        raise FitError(f"network needs at least 4 pairs, got {len(y)}")
+def _standardize(X, y):
+    """z-standardised pairs of one training set, and the scales that undo it."""
     x_mean = X.mean(axis=0)
     x_std = X.std(axis=0)
     x_std = np.where(x_std > 0, x_std, 1.0)
@@ -170,29 +182,62 @@ def fit_network(X, y, config, seed):
     y_std = float(y.std())
     if y_std == 0:
         y_mean, y_std = 0.0, 1.0
-    Xs = (X - x_mean) / x_std
-    ys = (y - y_mean) / y_std
+    scales = dict(x_mean=x_mean, x_std=x_std, y_mean=y_mean, y_std=y_std)
+    return (X - x_mean) / x_std, (y - y_mean) / y_std, scales
 
-    rng = np.random.default_rng(seed)
-    m = X.shape[1]
-    h = config.nn_hidden
-    w1 = rng.standard_normal((h, m)) / np.sqrt(m)
-    b1 = np.zeros(h)
-    # small output init keeps the untrained net near zero output; the hidden
-    # layer already breaks symmetry
-    w2 = 0.1 * rng.standard_normal(h) / np.sqrt(h)
-    b2 = 0.0
+
+def fit_networks(X, y, config, seeds):
+    """Train a stack of networks by full-batch gradient descent, all at once.
+
+    ``X`` is (F, n, m) and ``y`` (F, n): F training sets of n difference
+    pairs, each standardised on its own. ``seeds`` holds F rows of K seeds,
+    one network per seed trained on its row's set; each draws ``w1`` then
+    ``w2`` from its own ``default_rng(seed)``. Returns F rows of K members:
+    a ``FeedForwardNet``, or a ``FitError`` for a member whose loss was ever
+    non-finite. No member depends on the others: each equals the network
+    its set and seed train alone.
+    """
+    if y.shape[-1] < 4:
+        raise FitError(f"network needs at least 4 pairs, got {y.shape[-1]}")
+    Xs, ys, scales = zip(*(_standardize(Xf, yf) for Xf, yf in zip(X, y)))
+    Xs = np.stack(Xs)[:, None]
+    ys = np.stack(ys)[:, None]
+    shape = (len(seeds), len(seeds[0]))
+    m, h = X.shape[-1], config.nn_hidden
+    w1 = np.empty(shape + (h, m))
+    w2 = np.empty(shape + (h,))
+    for f, row in enumerate(seeds):
+        for j, seed in enumerate(row):
+            rng = np.random.default_rng(seed)
+            w1[f, j] = rng.standard_normal((h, m)) / np.sqrt(m)
+            # small output init keeps the untrained net near zero output; the
+            # hidden layer already breaks symmetry
+            w2[f, j] = 0.1 * rng.standard_normal(h) / np.sqrt(h)
+    b1 = np.zeros(shape + (h,))
+    b2 = np.zeros(shape)
+    diverged = np.zeros(shape, dtype=bool)
     lr = config.nn_lr
     for _ in range(config.nn_epochs):
         loss, (g_w1, g_b1, g_w2, g_b2) = network_loss_and_grads(w1, b1, w2, b2, Xs, ys)
-        if not np.isfinite(loss):
-            raise FitError("network training diverged (non-finite loss)")
         w1 = w1 - lr * g_w1
         b1 = b1 - lr * g_b1
         w2 = w2 - lr * g_w2
         b2 = b2 - lr * g_b2
-    return FeedForwardNet(w1=w1, b1=b1, w2=w2, b2=b2,
-                          x_mean=x_mean, x_std=x_std, y_mean=y_mean, y_std=y_std)
+        bad = ~np.isfinite(loss)
+        if bad.any():
+            # a diverged member goes on from zero weights, which keep its
+            # values finite; it fails whatever follows
+            diverged |= bad
+            for weights in (w1, b1, w2, b2):
+                weights[bad] = 0.0
+    return [
+        [
+            FitError("network training diverged (non-finite loss)") if diverged[f, j]
+            else FeedForwardNet(w1=w1[f, j], b1=b1[f, j], w2=w2[f, j], b2=float(b2[f, j]), **scales[f])
+            for j in range(shape[1])
+        ]
+        for f in range(shape[0])
+    ]
 
 
 def predict_network(net, x):

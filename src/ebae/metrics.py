@@ -24,23 +24,33 @@ CONSTANT_EFFORT_RTOL = 1e-6
 class PredictionTable:
     """Per-project outcomes of one leave-one-out run of a variant or ensemble.
 
-    Columnar: ``project_ids`` is a tuple and every other per-project field a
-    float array, all in the same project order. Tables compare equal when
-    every column is exactly equal.
+    Columnar: ``project_ids`` is a tuple and ``actuals`` and ``predictions``
+    float arrays, all in the same project order. The error columns are
+    derived from them on each access, so a kept table holds no copy of them.
+    Tables compare equal when every column is exactly equal.
     """
 
     variant: str
     project_ids: tuple
     actuals: np.ndarray
     predictions: np.ndarray
-    aes: np.ndarray
-    mres: np.ndarray
-    log_residuals: np.ndarray
     floor: float
     fallback_count: int = 0
 
     def __len__(self):
         return len(self.project_ids)
+
+    @property
+    def aes(self):
+        return np.abs(self.actuals - self.predictions)
+
+    @property
+    def mres(self):
+        return self.aes / self.actuals
+
+    @property
+    def log_residuals(self):
+        return np.log(self.actuals) - np.log(np.maximum(self.predictions, self.floor))
 
     def __eq__(self, other):
         if not isinstance(other, PredictionTable):
@@ -48,10 +58,8 @@ class PredictionTable:
         return (
             (self.variant, self.project_ids, self.floor, self.fallback_count)
             == (other.variant, other.project_ids, other.floor, other.fallback_count)
-            and all(
-                np.array_equal(getattr(self, c), getattr(other, c))
-                for c in ("actuals", "predictions", "aes", "mres", "log_residuals")
-            )
+            and np.array_equal(self.actuals, other.actuals)
+            and np.array_equal(self.predictions, other.predictions)
         )
 
 
@@ -119,12 +127,9 @@ def build_table(variant, ids, actuals, predictions, floor, fallback_count=0):
     predictions = np.array(predictions, dtype=float)
     if np.any(actuals <= 0):
         raise ValueError(f"actual effort must be positive, got {actuals[actuals <= 0][0]}")
-    aes = np.abs(actuals - predictions)
-    columns = (actuals, predictions, aes, aes / actuals,
-               np.log(actuals) - np.log(np.maximum(predictions, floor)))
-    for column in columns:
-        column.flags.writeable = False
-    return PredictionTable(variant, tuple(ids), *columns, floor=floor, fallback_count=fallback_count)
+    predictions.flags.writeable = False
+    actuals.flags.writeable = False
+    return PredictionTable(variant, tuple(ids), actuals, predictions, floor, fallback_count)
 
 
 def mae(table):

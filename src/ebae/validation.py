@@ -4,8 +4,9 @@ Each fold trains on the other n-1 projects: normalization bounds, learner
 fits, and analogy retrieval see training rows only. The target enters as a
 ``Row`` of its feature values, so its effort is never consulted.
 
-``loocv_grid`` runs fold first, then every (method, k) variant, and builds
-the work a fold shares across its variants once, on first use:
+``loocv_grid`` runs chunks of consecutive folds, then every (method, k)
+variant of each fold, and builds the work a fold shares across its variants
+once, on first use:
 
 - the training fold ``dataset.without(t)``;
 - one retrieval of the ``k_top`` nearest training projects, where ``k_top``
@@ -23,8 +24,10 @@ the work a fold shares across its variants once, on first use:
 
 GA and NN are fitted per (fold, variant) with the seed derived from
 (global seed, fold index, variant label), the seed a lone variant's run
-uses, so results are identical for any set of variants and any number of
-workers.
+uses. The networks of a whole chunk, every fold times every NN variant,
+train as one stack in ``fit_networks``, in which each member equals its
+lone fit. So results are identical for any set of variants, any chunking
+and any number of workers.
 """
 
 from __future__ import annotations
@@ -33,10 +36,19 @@ import hashlib
 import math
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
+
 from . import adjust, analogy
 from .analogy import Neighborhood, retrieve
-from .learners import FitError, build_diff_pairs, fit_ga_weights, fit_model_tree, fit_network
+from .learners import FitError, build_diff_pairs, fit_ga_weights, fit_model_tree, fit_networks
 from .metrics import baseline, build_table, log_floor, summarize
+
+# Floats in the largest array of one chunk's network stack, either
+# (folds, NN variants, n - 1, nn_hidden) or (folds, n - 1, m): a chunk holds
+# as many folds as keep it near this size (256 KB), which is 3 folds at
+# n = 499, 16 at n = 100 and all of Albrecht. Larger stacks trained no
+# faster per network and held more memory for the chunk.
+STACK_FLOATS = 2**15
 
 
 def derive_seed(seed, *parts):
@@ -51,12 +63,14 @@ class _Fold:
     variant that needs the item raises again."""
 
     def __init__(self, dataset, t, k_top, config):
+        self.t = t
         self.train = dataset.without(t)
         self.target = dataset.row(t)
         self.analogies = retrieve(self.target, self.train, k_top)
         self.k_top = k_top
         self.config = config
         self._items = {}
+        self.nets = {}              # NN variant label -> network or FitError
 
     def _shared(self, name, build):
         if name not in self._items:
@@ -111,7 +125,9 @@ class _Fold:
                 weights = fit_ga_weights(train, self.neighbors()[:, :k], config, seed)
                 prediction = adjust.adjust_ga(target, nbh, train, weights.alpha)
             elif method == "NN":
-                net = fit_network(*self.pairs(), config, seed)
+                net = self.nets[variant.label]
+                if isinstance(net, FitError):
+                    raise net
                 prediction = adjust.adjust_nn(target, nbh, train, net)
             else:
                 raise ValueError(f"unknown method {method!r}")
@@ -120,6 +136,20 @@ class _Fold:
             return prediction, False
         except (adjust.Inapplicable, FitError):
             return adjust.adjust_eba(target, nbh, train), True
+
+
+def _fit_networks(folds, variants, config, seed):
+    """Train the networks of every (fold, NN variant) of a chunk as one stack
+    into each fold's ``nets``. Every fold has n - 1 pairs, so a stack too
+    small to fit gives every network the same error."""
+    seeds = [[derive_seed(seed, fold.t, variant.label) for variant in variants] for fold in folds]
+    try:
+        X, y = zip(*(fold.pairs() for fold in folds))
+        nets = fit_networks(np.stack(X), np.stack(y), config, seeds)
+    except FitError as exc:
+        nets = [[exc] * len(variants)] * len(folds)
+    for fold, row in zip(folds, nets):
+        fold.nets = {variant.label: net for variant, net in zip(variants, row)}
 
 
 def loocv_grid(dataset, variants, config, seed=None):
@@ -143,17 +173,26 @@ def loocv_grid(dataset, variants, config, seed=None):
     if not runnable:
         return {}, errors
     k_top = max(variant.k for variant in runnable)
+    networks = [variant for variant in runnable if variant.method == "NN"]
+    width = max(dataset.m, len(networks) * config.nn_hidden)
+    size = max(1, STACK_FLOATS // ((dataset.n - 1) * width))
+    # at least one chunk per worker
+    size = min(size, math.ceil(dataset.n / max(config.jobs, 1)))
 
-    def fold(t):
-        context = _Fold(dataset, t, k_top, config)
-        return [context.predict(variant, derive_seed(seed, t, variant.label)) for variant in runnable]
+    def chunk(start):
+        folds = [_Fold(dataset, t, k_top, config) for t in range(start, min(start + size, dataset.n))]
+        if networks:
+            _fit_networks(folds, networks, config, seed)
+        return [[fold.predict(variant, derive_seed(seed, fold.t, variant.label)) for variant in runnable]
+                for fold in folds]
 
-    folds = range(dataset.n)
+    starts = range(0, dataset.n, size)
     if config.jobs > 1:
         with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            outcomes = list(pool.map(fold, folds))
+            chunks = list(pool.map(chunk, starts))
     else:
-        outcomes = list(map(fold, folds))
+        chunks = list(map(chunk, starts))
+    outcomes = [row for rows in chunks for row in rows]
 
     floor = log_floor(dataset.efforts)
     ids = tuple(p.id for p in dataset.projects)

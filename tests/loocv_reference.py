@@ -12,9 +12,11 @@ import math
 
 from ebae import adjust
 from ebae.analogy import knn_within, retrieve
-from ebae.learners import FitError, build_diff_pairs, fit_ga_weights, fit_model_tree, fit_network
+from ebae.learners import FitError, build_diff_pairs, fit_ga_weights, fit_model_tree
 from ebae.metrics import build_table, log_floor
 from ebae.validation import derive_seed
+
+from .nn_reference import fit_network
 
 
 def nearest(train):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ebae.adjust import VariantId
 from ebae.analogy import knn_within
 from ebae.config import Config
 from ebae.data import ColumnSpec
@@ -12,16 +13,18 @@ from ebae.learners import (
     diff_rows,
     fit_ga_weights,
     fit_model_tree,
-    fit_network,
+    fit_networks,
     ga_design,
     ga_fitness,
     network_loss_and_grads,
     predict_model_tree,
     predict_network,
 )
+from ebae.validation import derive_seed, loocv
 
 from .conftest import make_dataset, random_dataset, size_only_schema
 from .ga_reference import diff_vector, fit_ga_weights_loop, ga_design_loop
+from .nn_reference import fit_network, network_loss_and_grads_2d
 
 
 def pairs_from(xs, ys):
@@ -134,14 +137,29 @@ def test_training_error_bounded_by_variance():
     assert np.mean((y - predictions) ** 2) <= np.var(y) + 1e-12
 
 
+def test_model_tree_overflow_fit_failure():
+    # efforts ~1e155..2e156: squared effort differences overflow the split search
+    efforts = 10 * np.arange(1, 21) * 1e154
+    ds = make_dataset("huge", size_only_schema(), [(float(s),) for s in range(1, 21)], efforts)
+    train = ds.without(0)
+    with pytest.raises(FitError, match="overflows"):
+        fit_model_tree(*build_diff_pairs(train, knn_within(train, 1)[:, 0]), Config())
+    assert loocv(ds, VariantId("MT", 1), Config(runs=200)).fallback_count == ds.n
+
+
 # --- network ---
+
+
+def fit_one(X, y, config, seed):
+    """The network of one training set and seed: a stack of one member."""
+    return fit_networks(X[None], y[None], config, [[seed]])[0][0]
 
 
 def test_network_deterministic():
     rng = np.random.default_rng(1)
     pairs = pairs_from(rng.normal(size=(12, 2)), rng.normal(size=12))
-    a = fit_network(*pairs, Config(), seed=99)
-    b = fit_network(*pairs, Config(), seed=99)
+    a = fit_one(*pairs, Config(), seed=99)
+    b = fit_one(*pairs, Config(), seed=99)
     assert np.array_equal(a.w1, b.w1) and np.array_equal(a.w2, b.w2)
     assert a.b2 == b.b2
 
@@ -150,14 +168,97 @@ def test_network_zero_targets_give_near_zero_output():
     rng = np.random.default_rng(2)
     X = rng.normal(size=(20, 2))
     pairs = pairs_from(X, np.zeros(20))
-    net = fit_network(*pairs, Config(), seed=3)
+    net = fit_one(*pairs, Config(), seed=3)
     outputs = [abs(predict_network(net, x)) for x in X]
     assert max(outputs) < 0.05 * X.std()
 
 
 def test_network_needs_four_pairs():
     with pytest.raises(FitError):
-        fit_network(*pairs_from([[1.0]] * 3, [1.0] * 3), Config(), seed=0)
+        fit_one(*pairs_from([[1.0]] * 3, [1.0] * 3), Config(), seed=0)
+
+
+NET_FIELDS = ("w1", "b1", "w2", "b2", "x_mean", "x_std", "y_mean", "y_std")
+
+
+def assert_same_network(got, want):
+    assert all(np.array_equal(getattr(got, f), getattr(want, f)) for f in NET_FIELDS)
+    assert type(got.b2) is type(want.b2) is float
+
+
+@pytest.fixture(scope="module")
+def albrecht_networks(albrecht):
+    """Difference pairs, seeds and oracle networks of every Albrecht fold and NN variant."""
+    config = Config()
+    folds = [albrecht.without(t) for t in range(albrecht.n)]
+    pairs = [build_diff_pairs(train, knn_within(train, 1)[:, 0]) for train in folds]
+    X = np.stack([p[0] for p in pairs])
+    y = np.stack([p[1] for p in pairs])
+    seeds = [[derive_seed(config.seed, t, f"NN{k}") for k in range(1, 6)] for t in range(albrecht.n)]
+    want = [[fit_network(X[t], y[t], config, s) for s in row] for t, row in enumerate(seeds)]
+    return config, X, y, seeds, want
+
+
+@pytest.mark.parametrize("stack", [1, 5, 120])
+def test_fit_networks_matches_oracle_albrecht(albrecht_networks, stack):
+    # stacks of one member, of the five k of one fold, and of all 120 fits
+    config, X, y, seeds, want = albrecht_networks
+    folds = max(1, stack // 5)
+    members = min(stack, 5)
+    for start in range(0, len(seeds), folds):
+        for first in range(0, 5, members):
+            rows = [row[first:first + members] for row in seeds[start:start + folds]]
+            got = fit_networks(X[start:start + folds], y[start:start + folds], config, rows)
+            for t, row in enumerate(got, start):
+                for j, net in enumerate(row, first):
+                    assert_same_network(net, want[t][j])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(4, 15), st.integers(1, 4), st.integers(1, 5),
+       st.integers(1, 3), st.integers(1, 3))
+def test_fit_networks_matches_oracle_property(seed, n, m, hidden, folds, members):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(folds, n, m)) * rng.uniform(0.1, 10.0, size=m)
+    y = rng.normal(size=(folds, n))
+    if seed % 4 == 0:
+        y[0] = 3.0                    # constant efforts: the y_std = 0 branch
+    config = Config(nn_hidden=hidden, nn_epochs=20, nn_lr=0.05)
+    seeds = rng.integers(0, 2**63, size=(folds, members)).tolist()
+    got = fit_networks(X, y, config, seeds)
+    for f in range(folds):
+        for j in range(members):
+            assert_same_network(got[f][j], fit_network(X[f], y[f], config, seeds[f][j]))
+    # a 2-D call of the broadcasting loss gives the one-network values
+    w1 = rng.normal(size=(hidden, m))
+    b1, w2 = rng.normal(size=hidden), rng.normal(size=hidden)
+    loss, grads = network_loss_and_grads(w1, b1, w2, 0.3, X[0], y[0])
+    want_loss, want_grads = network_loss_and_grads_2d(w1, b1, w2, 0.3, X[0], y[0])
+    assert loss == want_loss
+    assert all(np.array_equal(g, w) for g, w in zip(grads, want_grads))
+
+
+def test_fit_networks_diverged_members_fail_alone():
+    rng = np.random.default_rng(4)
+    X = rng.normal(size=(2, 12, 3))
+    y = rng.normal(size=(2, 12))
+    config = Config(nn_lr=1.5, nn_epochs=200)
+    seeds = [list(range(8)), list(range(8, 16))]
+    with np.errstate(all="ignore"):
+        got = fit_networks(X, y, config, seeds)
+        outcomes = []
+        for f in range(2):
+            for j, seed in enumerate(seeds[f]):
+                try:
+                    want = fit_network(X[f], y[f], config, seed)
+                except FitError:
+                    assert isinstance(got[f][j], FitError)
+                    outcomes.append("diverged")
+                else:
+                    assert_same_network(got[f][j], want)
+                    outcomes.append("trained")
+    # the learning rate is large enough that the stack mixes both outcomes
+    assert set(outcomes) == {"diverged", "trained"}
 
 
 @pytest.mark.parametrize("hidden", [2, 4, 8])

@@ -189,6 +189,13 @@ def test_loocv_grid_matches_reference_overflow():
     assert tables["LSE1"].fallback_count == 1
 
 
+def test_loocv_grid_matches_reference_four_projects():
+    # three difference pairs per fold: no network can be fitted
+    ds = make_dataset("four", size_only_schema(), [(2,), (4,), (6,), (9,)], [4, 8, 12, 25])
+    tables, _ = assert_grid_matches_reference(ds, SMALL)
+    assert tables["NN1"].fallback_count == tables["NN2"].fallback_count == ds.n
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.booleans(), st.integers(0, 2), st.integers(0, 3))
 def test_loocv_grid_matches_reference_property(seed, with_categorical, zero_sizes, duplicates):
@@ -223,11 +230,43 @@ def test_loocv_grid_builds_shared_work_once_per_fold(albrecht, monkeypatch):
     for owner, name in ((validation, "fit_model_tree"), (validation, "build_diff_pairs"),
                         (adjust, "productivity_correlation"), (validation, "retrieve"),
                         (analogy, "knn_within"), (Dataset, "without"),
-                        (validation, "fit_ga_weights"), (validation, "fit_network")):
+                        (validation, "fit_ga_weights")):
         count(owner, name)
+    members = []
+    fit_networks = validation.fit_networks
+
+    def stacked(X, y, config, seeds):
+        calls["fit_networks"] += 1
+        members.extend(s for row in seeds for s in row)
+        return fit_networks(X, y, config, seeds)
+
+    monkeypatch.setattr(validation, "fit_networks", stacked)
     tables, _ = loocv_grid(albrecht, GRID, SMALL)
     n = albrecht.n
     assert len(tables) == 40
+    # Albrecht's 24 folds fit in one chunk: one stack of every (fold, NN k) network
     assert calls == {"fit_model_tree": n, "build_diff_pairs": n, "productivity_correlation": n,
                      "retrieve": n, "knn_within": n, "without": n,
-                     "fit_ga_weights": 5 * n, "fit_network": 5 * n}
+                     "fit_ga_weights": 5 * n, "fit_networks": 1}
+    assert len(set(members)) == len(members) == 5 * n
+
+
+@pytest.mark.parametrize("floats", [1, 23 * 20 * 5])
+def test_loocv_grid_identical_for_any_chunking(albrecht, monkeypatch, floats):
+    # a chunk of one fold each, and chunks of five folds with one left over
+    whole = loocv_grid(albrecht, GRID, SMALL)
+    monkeypatch.setattr(validation, "STACK_FLOATS", floats)
+    assert loocv_grid(albrecht, GRID, SMALL) == whole
+
+
+def test_loocv_grid_makes_a_chunk_per_worker(albrecht, monkeypatch):
+    stacks = []
+    fit_networks = validation.fit_networks
+
+    def stacked(X, y, config, seeds):
+        stacks.append(len(seeds))
+        return fit_networks(X, y, config, seeds)
+
+    monkeypatch.setattr(validation, "fit_networks", stacked)
+    loocv_grid(albrecht, GRID, replace(SMALL, jobs=3))
+    assert sorted(stacks) == [8, 8, 8]
