@@ -32,10 +32,7 @@ def _squared_distances(a_cont, a_cat, b_cont, b_cat):
     the a and b parts broadcast together."""
     diff = a_cont - b_cont
     diff *= diff
-    d2 = diff.sum(axis=-1)
-    if a_cat.shape[-1]:
-        d2 = d2 + (a_cat != b_cat).sum(axis=-1)
-    return d2
+    return diff.sum(axis=-1) + (a_cat != b_cat).sum(axis=-1)
 
 
 def pool_distances(target, pool):

@@ -23,6 +23,12 @@ class Config:
     ga_mut: float = 0.1
     ga_range: float = 5.0     # weights are searched in [-ga_range, ga_range]
 
+    def __post_init__(self):
+        for key, low in _MINIMA.items():
+            value = getattr(self, _KEYS[key][0])
+            if not value >= low:
+                raise ValueError(f"bad value for {key}: {value!r} (must be >= {low})")
+
 
 # Flat override keys accepted by the CLI (--set key=value) and config files.
 _KEYS = {
@@ -42,6 +48,9 @@ _KEYS = {
     "ga.mut": ("ga_mut", float),
     "ga.range": ("ga_range", float),
 }
+
+# Smallest value of each key with which the estimators can run.
+_MINIMA = {"k_max": 1, "mt.min_leaf": 1, "ga.pop": 1, "nn.hidden": 0, "ga.range": 0}
 
 
 def with_overrides(config: Config, pairs: dict[str, str]) -> Config:

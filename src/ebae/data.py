@@ -11,10 +11,11 @@ size_related}. Rows with a missing feature or effort value are dropped (and
 counted); malformed values are errors. Raw feature values are kept untouched;
 normalization produces a separate view used only for analogy retrieval.
 
-A Dataset holds its rows as read-only column arrays. ``row(i)`` hands one
-project's values to retrieval and adjustment as a ``Row(cont, cat)``, and
-``without(i)``, the training fold of a leave-one-out step, slices those
-arrays instead of rebuilding them from the projects.
+A Dataset keeps one columnar copy of its ``Project`` records: an ``ids``
+tuple and read-only arrays, each categorical column coded once as integers
+into its ``levels``. ``row(i)`` hands one project's values to retrieval and
+adjustment as a ``Row(cont, cat)``; ``without(i)``, the training fold of a
+leave-one-out step, slices the columns and shares the levels.
 """
 
 from __future__ import annotations
@@ -77,15 +78,16 @@ class Row(NamedTuple):
     """One project's feature values as they sit in a Dataset's arrays."""
 
     cont: np.ndarray         # float64, one value per continuous feature
-    cat: np.ndarray          # object, one value per categorical feature
+    cat: np.ndarray          # int64, one code into ``Dataset.levels`` per categorical feature
 
 
 class Dataset:
     """Immutable project collection with derived numeric views.
 
-    ``feature_schema`` lists the role=feature columns in file order.
-    Continuous feature values live in ``cont`` (float64, one column per
-    continuous feature), categorical values in ``cat`` (strings). ``bounds``
+    ``feature_schema`` lists the role=feature columns in file order. Row r
+    is project ``ids[r]`` with effort ``efforts[r]``, continuous values in
+    ``cont`` (float64) and categorical codes in ``cat`` (int64): code c of
+    column j is ``levels[j][c]``, numbered by first appearance. ``bounds``
     holds the per-continuous-feature (min, max) over all rows. ``size_col``
     is the ``cont`` column of the primary size (None without one) and
     ``size_cols`` the ``cont`` columns of every size-flagged feature.
@@ -122,13 +124,15 @@ class Dataset:
         cont = np.array([[p.features[i] for i in self.cont_index] for p in projects], dtype=float)
         if not np.all(np.isfinite(cont)):
             raise DatasetError("non-finite continuous feature value")
-        cat = np.array([[p.features[i] for i in self.cat_index] for p in projects], dtype=object)
-        self._set_rows(projects, cont, cat, np.array([p.effort for p in projects]))
+        codes = [{} for _ in self.cat_index]      # value -> code, per column
+        cat = np.array([[code.setdefault(p.features[i], len(code)) for i, code in zip(self.cat_index, codes)]
+                        for p in projects], dtype=np.int64)
+        self.levels = tuple(tuple(code) for code in codes)
+        self._set_rows(tuple(p.id for p in projects), cont, cat, np.array([p.effort for p in projects]))
 
-    def _set_rows(self, projects, cont, cat, efforts):
-        """Install the row arrays, read-only, with their bounds."""
-        self.projects = projects
-        self.cont, self.cat, self.efforts = cont, cat, efforts
+    def _set_rows(self, ids, cont, cat, efforts):
+        """Install the row ids and arrays, read-only, with their bounds."""
+        self.ids, self.cont, self.cat, self.efforts = ids, cont, cat, efforts
         self.bounds = (cont.min(axis=0), cont.max(axis=0))
         for arr in (cont, cat, efforts, *self.bounds):
             arr.flags.writeable = False
@@ -136,7 +140,7 @@ class Dataset:
 
     @property
     def n(self):
-        return len(self.projects)
+        return len(self.ids)
 
     @property
     def m(self):
@@ -157,10 +161,10 @@ class Dataset:
     def without(self, index):
         """The dataset minus one row; the training fold of a LOOCV step.
 
-        The fold shares this dataset's schema and slices its arrays, so it
-        needs no revalidation."""
+        The fold shares this dataset's schema and levels and slices its
+        columns, so it needs no revalidation."""
         fold = copy.copy(self)
-        fold._set_rows(self.projects[:index] + self.projects[index + 1:],
+        fold._set_rows(self.ids[:index] + self.ids[index + 1:],
                        *(np.delete(arr, index, axis=0) for arr in (self.cont, self.cat, self.efforts)))
         return fold
 
@@ -294,22 +298,21 @@ def write_dataset(dataset, data_path, schema_path):
     with Path(schema_path).open("w", encoding="utf-8") as fh:
         for col in dataset.columns:
             fh.write(f"{col.name}={col.role},{col.kind},{col.size_flag}\n")
+    # one list of cells per column; repr of Python floats (numpy 2 prints np.float64 as "np.float64(x)")
+    cont = iter(dataset.cont.T.tolist())
+    cat = iter([levels[c] for c in codes] for levels, codes in zip(dataset.levels, dataset.cat.T.tolist()))
+    cells = []
+    for col in dataset.columns:
+        if col.role == "identifier":
+            cells.append(dataset.ids)
+        elif col.role == "effort":
+            cells.append(map(repr, dataset.efforts.tolist()))
+        else:
+            cells.append(next(cat) if col.kind == "categorical" else map(repr, next(cont)))
     with Path(data_path).open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([c.name for c in dataset.columns])
-        for project in dataset.projects:
-            row = []
-            fi = 0
-            for col in dataset.columns:
-                if col.role == "identifier":
-                    row.append(project.id)
-                elif col.role == "effort":
-                    row.append(repr(project.effort))
-                else:
-                    value = project.features[fi]
-                    row.append(value if col.kind == "categorical" else repr(float(value)))
-                    fi += 1
-            writer.writerow(row)
+        writer.writerows(zip(*cells))
 
 
 @dataclass(frozen=True)

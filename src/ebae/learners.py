@@ -19,10 +19,8 @@ class FitError(Exception):
 
 def diff_rows(cont_a, cat_a, cont_b, cat_b):
     """a-minus-b difference vectors on the last axis: continuous differences,
-    then 0/1 categorical mismatches. The a and b parts broadcast together."""
-    cont = np.asarray(cont_a, dtype=float) - np.asarray(cont_b, dtype=float)
-    cat = (np.asarray(cat_a, dtype=object) != np.asarray(cat_b, dtype=object)).astype(float)
-    return np.concatenate([cont, cat], axis=-1)
+    then 0/1 category-code mismatches. The a and b parts broadcast together."""
+    return np.concatenate([cont_a - cont_b, (cat_a != cat_b).astype(float)], axis=-1)
 
 
 def build_diff_pairs(train, nearest):

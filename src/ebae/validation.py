@@ -195,12 +195,12 @@ def loocv_grid(dataset, variants, config, seed=None):
     outcomes = [row for rows in chunks for row in rows]
 
     floor = log_floor(dataset.efforts)
-    ids = tuple(p.id for p in dataset.projects)
     tables = {}
     for i, variant in enumerate(runnable):
         predictions = [row[i][0] for row in outcomes]
         fallbacks = sum(row[i][1] for row in outcomes)
-        tables[variant.label] = build_table(variant.label, ids, dataset.efforts, predictions, floor, fallbacks)
+        tables[variant.label] = build_table(variant.label, dataset.ids, dataset.efforts, predictions, floor,
+                                            fallbacks)
     return tables, errors
 
 

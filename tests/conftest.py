@@ -20,9 +20,25 @@ def make_dataset(name, schema, rows, efforts, ids=None):
 
 
 def row_of(dataset, features):
-    """A target Row from a feature tuple in ``dataset``'s schema order."""
-    return Row(np.array([features[i] for i in dataset.cont_index], dtype=float),
-               np.array([features[i] for i in dataset.cat_index], dtype=object))
+    """A target Row from a feature tuple in ``dataset``'s schema order; a
+    categorical value that ``dataset`` never saw gets code -1, which matches
+    no row."""
+    codes = [levels.index(features[i]) if features[i] in levels else -1
+             for i, levels in zip(dataset.cat_index, dataset.levels)]
+    return Row(np.array([features[i] for i in dataset.cont_index], dtype=float), np.array(codes, dtype=np.int64))
+
+
+def projects_of(dataset):
+    """The rows of ``dataset`` as Project records, categories decoded through its levels."""
+    projects = []
+    for r, pid in enumerate(dataset.ids):
+        features = [None] * dataset.m
+        for c, i in enumerate(dataset.cont_index):
+            features[i] = float(dataset.cont[r, c])
+        for c, i in enumerate(dataset.cat_index):
+            features[i] = dataset.levels[c][dataset.cat[r, c]]
+        projects.append(Project(pid, tuple(features), float(dataset.efforts[r])))
+    return projects
 
 
 def size_only_schema():
@@ -55,6 +71,11 @@ def linear_dataset():
 
 def random_dataset(rng, n=None, n_features=None, with_categorical=False):
     """Random positive-effort dataset for property tests."""
+    return make_dataset("random", *random_rows(rng, n, n_features, with_categorical))
+
+
+def random_rows(rng, n=None, n_features=None, with_categorical=False):
+    """(feature schema, feature tuples, efforts) of ``random_dataset``."""
     n = n or int(rng.integers(5, 15))
     n_features = n_features or int(rng.integers(1, 4))
     schema = [ColumnSpec("size", "feature", "continuous", "primary_size")]
@@ -69,5 +90,4 @@ def random_dataset(rng, n=None, n_features=None, with_categorical=False):
         if with_categorical:
             row.append(str(rng.choice(["a", "b", "c"])))
         rows.append(tuple(row))
-    efforts = rng.uniform(1.0, 500.0, size=n)
-    return make_dataset("random", schema, rows, efforts)
+    return schema, rows, rng.uniform(1.0, 500.0, size=n)

@@ -69,7 +69,7 @@ def loocv_variant(dataset, variant, config, seed=None):
                         derive_seed(seed, t, variant.label))
         for t in range(dataset.n)
     ]
-    return build_table(variant.label, [p.id for p in dataset.projects], dataset.efforts,
+    return build_table(variant.label, dataset.ids, dataset.efforts,
                        [p for p, _ in outcomes], log_floor(dataset.efforts), sum(fb for _, fb in outcomes))
 
 

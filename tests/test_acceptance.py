@@ -210,9 +210,7 @@ def test_criterion_06_reduction_identities():
         nbh = retrieve(target, train, k)
         assert adjust_mlfe(target, nbh, train) == adjust_lse(target, nbh, train)
         assert adjust_ga(target, nbh, train, np.zeros(1)) == adjust_eba(target, nbh, train)
-        pr = train.efforts[nbh.indices] / np.array(
-            [train.projects[i].features[0] for i in nbh.indices]
-        )
+        pr = train.efforts[nbh.indices] / train.cont[nbh.indices, 0]
         assert adjust_rtm(target, nbh, train, correlation=1.0) == float(
             target.cont[0] * np.mean(pr)
         )

@@ -276,7 +276,7 @@ def test_reduction_identities_random_fixtures(seed, k):
     # zero weights: linear correction degenerates to the plain mean
     assert adjust_ga(target, nbh, train, np.zeros(1)) == adjust_eba(target, nbh, train)
     # full correlation: no regression toward the historical mean
-    sizes = np.array([train.projects[i].features[0] for i in nbh.indices])
+    sizes = train.cont[nbh.indices, 0]
     pr = train.efforts[nbh.indices] / sizes
     assert adjust_rtm(target, nbh, train, correlation=1.0) == float(
         target.cont[0] * np.mean(pr)
@@ -290,7 +290,7 @@ def test_k1_identical_analogy_exact_for_all_linear_methods(toy):
     # target feature-identical to its analogy: every linear method returns e_1
     target = row_of(toy, (8,))
     nbh = neighborhood(toy, [3], distances=[0.0])
-    e1 = toy.projects[3].effort
+    e1 = toy.efforts[3]
     assert adjust_eba(target, nbh, toy) == e1
     assert adjust_lse(target, nbh, toy) == e1
     assert adjust_mlfe(target, nbh, toy) == e1

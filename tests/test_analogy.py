@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from ebae.analogy import knn_within, pool_distances, retrieve, similarity_from_distance
 from ebae.data import ColumnSpec, Project, normalize_minmax
 
-from .conftest import make_dataset, random_dataset, row_of, size_only_schema
+from .conftest import make_dataset, random_rows, row_of, size_only_schema
 
 CONT2 = [ColumnSpec("a", "feature", "continuous", "none"), ColumnSpec("b", "feature", "continuous", "none")]
 MIXED = [ColumnSpec("a", "feature", "continuous", "none"), ColumnSpec("lang", "feature", "categorical", "none")]
@@ -75,9 +75,9 @@ def test_toy_retrieval_examples(toy):
     target = toy.row(4)               # size 10, effort 30
     pool = toy.without(4)
     one = retrieve(target, pool, 1)
-    assert pool.projects[one.indices[0]].id == "p4"      # size 8
+    assert pool.ids[one.indices[0]] == "p4"      # size 8
     two = retrieve(target, pool, 2)
-    assert [pool.projects[i].id for i in two.indices] == ["p4", "p3"]
+    assert [pool.ids[i] for i in two.indices] == ["p4", "p3"]
     everything = retrieve(target, pool, pool.n)
     assert len(everything.indices) == len(everything.distances) == pool.n
 
@@ -91,8 +91,8 @@ def test_prefix_property(toy):
     target = toy.row(0)
     pool = toy.without(0)
     for k in range(1, pool.n):
-        small = [pool.projects[i].id for i in retrieve(target, pool, k).indices]
-        big = [pool.projects[i].id for i in retrieve(target, pool, k + 1).indices]
+        small = [pool.ids[i] for i in retrieve(target, pool, k).indices]
+        big = [pool.ids[i] for i in retrieve(target, pool, k + 1).indices]
         assert big[:k] == small
 
 
@@ -100,7 +100,7 @@ def test_tie_break_smaller_index_first():
     ds = make_dataset("ties", size_only_schema(), [(5,), (5,), (5,), (9,)], [1, 2, 3, 4])
     pool = ds.without(3)
     nbh = retrieve(ds.row(3), pool, 3)
-    assert [pool.projects[i].id for i in nbh.indices] == ["p1", "p2", "p3"]
+    assert [pool.ids[i] for i in nbh.indices] == ["p1", "p2", "p3"]
 
 
 def test_retrieve_matches_bruteforce_oracle(albrecht):
@@ -118,10 +118,9 @@ def test_retrieve_matches_bruteforce_oracle(albrecht):
 @given(st.integers(0, 2**32 - 1))
 def test_distance_symmetry_and_identity(seed):
     rng = np.random.default_rng(seed)
-    ds = random_dataset(rng, with_categorical=True)
-    schema = ds.feature_schema
-    i, j = rng.integers(0, ds.n, size=2)
-    x, y = ds.projects[i], ds.projects[j]
+    schema, rows, _ = random_rows(rng, with_categorical=True)
+    i, j = rng.integers(0, len(rows), size=2)
+    x, y = project(rows[i]), project(rows[j])
     assert distance(x, y, schema) == distance(y, x, schema)
     assert distance(x, x, schema) == 0.0
     if x.features != y.features:
@@ -138,16 +137,24 @@ def normalized_project(project, pool):
     return Project(project.id, features, project.effort)
 
 
-def test_pool_distances_match_scalar_distance(toy):
-    # vectorized path and the schema-level scalar op agree on normalized values
-    rng = np.random.default_rng(11)
-    for ds in (toy, random_dataset(rng, with_categorical=True)):
+def test_pool_distances_match_scalar_distance():
+    # vectorized path and the schema-level scalar op agree on normalized
+    # values; the oracle reads the feature tuples, not the dataset's codes
+    toy = (size_only_schema(), [(2,), (4,), (6,), (8,), (10,)], [4, 8, 12, 20, 30])
+    for schema, rows, efforts in (toy, random_rows(np.random.default_rng(11), with_categorical=True)):
+        ds = make_dataset("ds", schema, rows, efforts)
         pool = ds.without(2)
-        target = normalized_project(ds.projects[2], pool)
-        oracle = [distance(target, normalized_project(p, pool), pool.feature_schema)
-                  for p in pool.projects]
+        target = normalized_project(project(rows[2]), pool)
+        oracle = [distance(target, normalized_project(project(row), pool), schema)
+                  for row in rows[:2] + rows[3:]]
         assert np.allclose(pool_distances(ds.row(2), pool), oracle, atol=1e-12)
         assert np.allclose(oracle, naive_all_distances(ds.row(2), pool), atol=1e-12)
+
+
+def test_unseen_category_mismatches_every_row():
+    ds = make_dataset("mixed", MIXED, [(1.0, "java"), (2.0, "c"), (3.0, "java")], [1.0, 2.0, 3.0])
+    assert row_of(ds, (2.0, "go")).cat.tolist() == [-1]
+    assert np.array_equal(pool_distances(row_of(ds, (2.0, "go")), ds), np.sqrt([1.25, 1.0, 1.25]))
 
 
 def test_knn_within_matches_per_row_retrieve(toy):

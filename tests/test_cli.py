@@ -154,6 +154,21 @@ def test_set_without_equals_fails_fast(tmp_path, capsys):
     assert "bad --set argument 'ga.pop': expected KEY=VALUE" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args, key", [
+    (["--set", "mt.min_leaf=0"], "mt.min_leaf"),
+    (["--set", "ga.pop=0"], "ga.pop"),
+    (["--set", "nn.hidden=-1"], "nn.hidden"),
+    (["--set", "ga.range=-1"], "ga.range"),
+    (["--set", "k_max=0"], "k_max"),
+    (["--k-max", "0"], "k_max"),
+])
+def test_out_of_range_config_value_fails_fast(tmp_path, capsys, args, key):
+    code = main(["pipeline", *TOY_ARGS, *args, "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert f"bad value for {key}:" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_pipeline_overwrites_existing_report(tmp_path):
     out = tmp_path / "report"
     out.mkdir()

@@ -15,7 +15,7 @@ from ebae.data import (
     write_dataset,
 )
 
-from .conftest import DATASETS, make_dataset, random_dataset
+from .conftest import DATASETS, make_dataset, projects_of, random_dataset
 
 
 def write_pair(tmp_path, csv_text, schema_text):
@@ -37,9 +37,9 @@ def test_load_albrecht_shape(albrecht):
 def test_load_toy_csv():
     ds = load_dataset(DATASETS / "toy.csv", DATASETS / "toy.schema")
     assert ds.n == 5 and ds.m == 1
-    assert [p.id for p in ds.projects] == ["p1", "p2", "p3", "p4", "p5"]
+    assert ds.ids == ("p1", "p2", "p3", "p4", "p5")
     assert list(ds.efforts) == [4, 8, 12, 20, 30]
-    assert [p.features[0] for p in ds.projects] == [2, 4, 6, 8, 10]
+    assert list(ds.cont[:, 0]) == [2, 4, 6, 8, 10]
 
 
 def test_zero_effort_rejected(tmp_path):
@@ -101,9 +101,25 @@ def test_roundtrip_identical(tmp_path, albrecht):
     write_dataset(albrecht, data, schema)
     again = load_dataset(data, schema)
     assert again.columns == albrecht.columns
-    assert again.projects == albrecht.projects
+    assert projects_of(again) == projects_of(albrecht)
     assert np.array_equal(again.bounds[0], albrecht.bounds[0])
     assert np.array_equal(again.bounds[1], albrecht.bounds[1])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_roundtrip_identical_categorical(tmp_path, seed):
+    ds = random_dataset(np.random.default_rng(seed), n=12, with_categorical=True)
+    ds = Dataset("random", [ColumnSpec("id", "identifier", "categorical"), *ds.columns], projects_of(ds))
+    paths = [(tmp_path / f"{i}.csv", tmp_path / f"{i}.schema") for i in range(2)]
+    write_dataset(ds, *paths[0])
+    again = load_dataset(*paths[0])
+    assert again.ids == ds.ids and again.columns == ds.columns
+    for name in ("cont", "cat", "efforts"):
+        assert np.array_equal(getattr(again, name), getattr(ds, name))
+    assert again.levels == ds.levels and projects_of(again) == projects_of(ds)
+    write_dataset(again, *paths[1])
+    for first, second in zip(*paths):
+        assert first.read_bytes() == second.read_bytes()
 
 
 def test_normalize_examples():
@@ -185,7 +201,9 @@ def test_size_columns_index_cont():
     ds = make_dataset("sizes", schema, [("a", 5, 1, 2), ("b", 9, 2, 4), ("a", 30, 3, 8)], [10, 16, 40])
     assert ds.size_col == 2 and ds.size_cols == (0, 2)
     assert list(ds.cont[:, ds.size_col]) == [2, 4, 8]
-    assert ds.row(1).cont.tolist() == [9, 2, 4] and ds.row(1).cat.tolist() == ["b"]
+    assert ds.row(1).cont.tolist() == [9, 2, 4] and [ds.levels[0][c] for c in ds.row(1).cat] == ["b"]
+    # codes number each column's values by first appearance
+    assert ds.levels == (("a", "b"),) and ds.cat.tolist() == [[0], [1], [0]]
     plain = make_dataset("plain", schema[:3], [("a", 5, 1), ("b", 9, 2), ("a", 30, 3)], [10, 16, 40])
     assert plain.size_col is None and plain.size_cols == (0,)
 
@@ -197,11 +215,16 @@ def test_dataset_needs_three_projects():
 
 def assert_fold_equals_rebuilt(ds, t):
     fold = ds.without(t)
-    rebuilt = Dataset(ds.name, ds.columns, ds.projects[:t] + ds.projects[t + 1:], ds.dropped_rows)
-    assert fold.projects == rebuilt.projects
+    projects = projects_of(ds)
+    rebuilt = Dataset(ds.name, ds.columns, projects[:t] + projects[t + 1:], ds.dropped_rows)
+    assert fold.ids == rebuilt.ids
+    # the fold keeps its parent's levels, so its codes stay comparable with
+    # the held-out row's; a rebuilt dataset drops a level only that row had
+    assert fold.levels is ds.levels
+    assert projects_of(fold) == projects_of(rebuilt)
     for name in ("cont", "cat", "efforts"):
         got, want = getattr(fold, name), getattr(rebuilt, name)
-        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert got.dtype == want.dtype and (name == "cat" or np.array_equal(got, want))
         assert not got.flags.writeable
     for got, want in zip(fold.bounds, rebuilt.bounds):
         assert np.array_equal(got, want) and not got.flags.writeable

@@ -33,8 +33,8 @@ def pairs_from(xs, ys):
 
 
 def test_diff_rows_mixed():
-    d = diff_rows([5.0, 2.0], ["a"], [3.0, 2.0], ["b"])
-    assert list(d) == [2.0, 0.0, 1.0]
+    d = diff_rows(np.array([5.0, 2.0]), np.array([0, 2]), np.array([3.0, 2.0]), np.array([1, 2]))
+    assert list(d) == [2.0, 0.0, 1.0, 0.0]
 
 
 def row_parts(ds):
@@ -320,7 +320,7 @@ def test_ga_recovers_planted_slope_and_matches_grid_oracle():
     result = fit_ga_weights(ds, knn_within(ds, 1), Config(), seed=5)
     assert 1.5 <= result.alpha[0] <= 2.5
     # independent grid oracle over the search interval
-    sizes = np.array([p.features[0] for p in ds.projects])
+    sizes = ds.cont[:, 0]
     efforts = ds.efforts
     nearest = [
         min((abs(sizes[j] - sizes[i]), j) for j in range(ds.n) if j != i)[1]

@@ -13,7 +13,7 @@ from ebae.data import ColumnSpec, Dataset, Project
 from ebae.ensemble import run_pipeline
 from ebae.validation import dataset_baseline, derive_seed, evaluate_variant, loocv, loocv_grid
 
-from .conftest import make_dataset, random_dataset, size_only_schema
+from .conftest import make_dataset, random_rows, size_only_schema
 from .loocv_reference import loocv_variants
 
 CFG = Config(runs=200)
@@ -25,7 +25,7 @@ GRID = enumerate_variants(5)
 def test_loocv_row_count(toy):
     table = loocv(toy, VariantId("EBA", 1), CFG)
     assert len(table) == toy.n
-    assert list(table.project_ids) == [p.id for p in toy.projects]
+    assert tuple(table.project_ids) == toy.ids
 
 
 def test_loocv_toy_eba1_prediction(toy):
@@ -67,7 +67,7 @@ def test_target_effort_never_leaks(toy):
     tampered = make_dataset(
         "toy2",
         size_only_schema(),
-        [tuple(p.features) for p in toy.projects],
+        [tuple(row) for row in toy.cont.tolist()],
         [4, 8, 12, 20, 3000.0],
     )
     tampered_table = loocv(tampered, variant, CFG)
@@ -202,16 +202,15 @@ def test_loocv_grid_matches_reference_property(seed, with_categorical, zero_size
     # zero sizes make LSE, MLFE and RTM fall back; duplicate rows tie in
     # every distance, so the neighbour order rests on the row-index tie-break
     rng = np.random.default_rng(seed)
-    ds = random_dataset(rng, with_categorical=with_categorical)
-    rows = [list(p.features) for p in ds.projects]
-    efforts = list(ds.efforts)
+    schema, rows, efforts = random_rows(rng, with_categorical=with_categorical)
+    rows, efforts = [list(row) for row in rows], list(efforts)
     for i in rng.choice(len(rows), size=zero_sizes, replace=False):
         rows[i][0] = 0.0
     for _ in range(duplicates):
         source = int(rng.integers(len(rows)))
         rows.append(list(rows[source]))
         efforts.append(efforts[source] if rng.random() < 0.5 else float(rng.uniform(1.0, 500.0)))
-    fixture = make_dataset("fixture", ds.feature_schema, rows, efforts)
+    fixture = make_dataset("fixture", schema, rows, efforts)
     assert_grid_matches_reference(fixture, Config(runs=200, ga_pop=4, ga_gens=2, nn_epochs=5, mt_min_leaf=2))
 
 
