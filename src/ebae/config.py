@@ -28,6 +28,10 @@ class Config:
             value = getattr(self, _KEYS[key][0])
             if not value >= low:
                 raise ValueError(f"bad value for {key}: {value!r} (must be >= {low})")
+        # Scott-Knott compares against chi2.ppf(1 - alpha): NaN outside
+        # [0, 1], inf at alpha = 0 and 0 at alpha = 1
+        if not 0 < self.alpha < 1:
+            raise ValueError(f"bad value for alpha: {self.alpha!r} (must be within (0, 1))")
 
 
 # Flat override keys accepted by the CLI (--set key=value) and config files.
@@ -50,7 +54,8 @@ _KEYS = {
 }
 
 # Smallest value of each key with which the estimators can run.
-_MINIMA = {"k_max": 1, "mt.min_leaf": 1, "ga.pop": 1, "nn.hidden": 0, "ga.range": 0}
+_MINIMA = {"k_max": 1, "mt.min_leaf": 1, "ga.pop": 1, "nn.hidden": 0, "ga.range": 0,
+           "nn.epochs": 0, "ga.gens": 0}
 
 
 def with_overrides(config: Config, pairs: dict[str, str]) -> Config:

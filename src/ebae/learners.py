@@ -65,29 +65,37 @@ def _fit_leaf(X, y):
 
 
 def _best_split(X, y, min_leaf):
-    n, m = X.shape
+    """(feature, threshold) of the cut with the least summed SSE of its two
+    sides, or None when no cut beats the parent's SSE.
+
+    Every cut of every feature is scored at once in a (cuts, features) SSE
+    array. Two rules decide which cuts may win: no cut between equal values,
+    and no SSE that is not below the parent's, which NaN never is. Among the
+    rest, the first least SSE in feature-major order wins.
+    """
+    n = len(y)
     parent_sse = float(np.sum((y - y.mean()) ** 2))
-    best = None
     best_sse = parent_sse - 1e-12 * max(parent_sse, 1.0)
-    for j in range(m):
-        order = np.argsort(X[:, j], kind="stable")
-        xs = X[order, j]
-        ys = y[order]
-        csum = np.cumsum(ys)
-        csq = np.cumsum(ys * ys)
-        total_sum = csum[-1]
-        total_sq = csq[-1]
-        for cut in range(min_leaf, n - min_leaf + 1):
-            if xs[cut - 1] == xs[cut]:
-                continue
-            left_sse = csq[cut - 1] - csum[cut - 1] ** 2 / cut
-            r_sum = total_sum - csum[cut - 1]
-            right_sse = (total_sq - csq[cut - 1]) - r_sum**2 / (n - cut)
-            sse = left_sse + right_sse
-            if sse < best_sse:
-                best_sse = sse
-                best = (j, float((xs[cut - 1] + xs[cut]) / 2.0))
-    return best
+    order = np.argsort(X, axis=0, kind="stable")
+    xs = np.take_along_axis(X, order, axis=0)
+    ys = y[order]
+    csum = np.cumsum(ys, axis=0)
+    csq = np.cumsum(ys * ys, axis=0)
+    cuts = np.arange(min_leaf, n - min_leaf + 1)
+    left_sum, left_sq = csum[cuts - 1], csq[cuts - 1]
+    # float_power squares with C pow, as a scalar's ** 2 does; an array's
+    # ** 2 multiplies instead, which differs in the last bit now and then
+    # and could move a near-tie between cuts
+    left_sse = left_sq - np.float_power(left_sum, 2) / cuts[:, None]
+    r_sum = csum[-1] - left_sum
+    right_sse = (csq[-1] - left_sq) - np.float_power(r_sum, 2) / (n - cuts)[:, None]
+    sse = left_sse + right_sse
+    allowed = (xs[cuts - 1] != xs[cuts]) & (sse < best_sse)
+    if not allowed.any():
+        return None
+    j, c = divmod(int(np.argmin(np.where(allowed, sse, np.inf).T)), len(cuts))
+    cut = cuts[c]
+    return j, float((xs[cut - 1, j] + xs[cut, j]) / 2.0)
 
 
 def _grow(X, y, min_leaf, depth, max_depth):
@@ -276,50 +284,82 @@ def ga_design(train, neighbors):
 def ga_fitness(residuals, D, alphas):
     """Mean absolute error of the corrected predictions for candidate rows.
 
-    Each candidate's errors are averaged along their own contiguous row, so
-    the zero vector scores exactly mean(|residuals|) in any population.
+    Shapes are residuals (..., n), D (..., n, m) and alphas (..., pop, m):
+    leading axes are a stack of designs and broadcast. Each candidate's
+    errors are averaged along their own contiguous row, so the zero vector
+    scores exactly mean(|residuals|) in any population.
     """
     alphas = np.atleast_2d(alphas)
-    return np.abs(residuals - alphas @ D.T).mean(axis=1)
+    return np.abs(residuals[..., None, :] - alphas @ np.swapaxes(D, -1, -2)).mean(axis=-1)
 
 
-def fit_ga_weights(train, neighbors, config, seed):
+def fit_ga_weights(train, neighbors, ks, config, seeds):
     """Tournament GA with arithmetic crossover, Gaussian mutation, elitism 1,
-    over the design ``ga_design(train, neighbors)``.
+    one member per (k, seed) of ``ks`` and ``seeds``, all at once.
 
-    The zero vector is planted in the initial population, so the returned
-    weights never score worse than no correction at all. Each generation
-    breeds its ``ga_pop - 1`` children at once and draws, in this order:
-    the tournament contenders (3 per parent, first parents then second
-    parents) as one ``(2 * (ga_pop - 1), 3)`` integer array, where the
-    fittest contender wins and ties go to the first listed; the crossover
-    mask and the blend weights, one per child each; then the mutation mask
-    and the Gaussian noise, one per child and weight each. Children are
-    clipped to ``[-ga_range, ga_range]`` and the elite is carried over
-    unchanged.
+    Member i searches the design ``ga_design(train, neighbors[:, :k])`` for
+    its k. The members whose designs can be built train as one stack:
+    residuals (K, n), designs (K, n, m) and populations (K, ga_pop, m).
+    Returns one ``GaWeights`` per member, or the ``FitError`` of a member
+    whose design cannot be built. No member depends on the others: each
+    equals its lone fit.
+
+    Each member draws from its own ``default_rng(seed)``: first its initial
+    population, into which the zero vector is planted, so its weights never
+    score worse than no correction at all. Each generation breeds its
+    ``ga_pop - 1`` children at once and draws, in this order: the
+    tournament contenders (3 per parent, first parents then second parents)
+    as one ``(2 * (ga_pop - 1), 3)`` integer array, where the fittest
+    contender wins and ties go to the first listed; the crossover mask and
+    the blend weights, one per child each; then the mutation mask and the
+    Gaussian noise, one per child and weight each. Children are clipped to
+    ``[-ga_range, ga_range]`` and the elite is carried over unchanged.
     """
-    residuals, D = ga_design(train, neighbors)
-    m = D.shape[1]
+    outcomes, designs = [], []
+    for i, (k, seed) in enumerate(zip(ks, seeds)):
+        try:
+            designs.append((i, *ga_design(train, neighbors[:, :k]), seed))
+            outcomes.append(None)
+        except FitError as exc:
+            outcomes.append(exc)
+    if not designs:
+        return outcomes
+    members, residuals, D, member_seeds = zip(*designs)
+    residuals, D = np.stack(residuals), np.stack(D)
+    size, m = len(members), D.shape[-1]
+    stack = np.arange(size)[:, None]
     r = config.ga_range
-    rng = np.random.default_rng(seed)
-    pop = rng.uniform(-r, r, size=(config.ga_pop, m))
-    pop[0] = 0.0
+    rngs = [np.random.default_rng(seed) for seed in member_seeds]
+    pop = np.stack([rng.uniform(-r, r, size=(config.ga_pop, m)) for rng in rngs])
+    pop[:, 0] = 0.0
     fitness = ga_fitness(residuals, D, pop)
-    history = [float(fitness.min())]
+    history = [fitness.min(axis=1)]
     sigma = 0.1 * r
     n_children = config.ga_pop - 1
-    parents = np.arange(2 * n_children)
+    tournaments = np.arange(2 * n_children)
+    contenders = np.empty((size, 2 * n_children, 3), dtype=np.int64)
+    cross, blend = np.empty((2, size, n_children))
+    mutate, noise = np.empty((2, size, n_children, m))
     for _ in range(config.ga_gens):
-        contenders = rng.integers(0, config.ga_pop, size=(2 * n_children, 3))
-        winners = contenders[parents, np.argmin(fitness[contenders], axis=1)]
-        p1, p2 = pop[winners].reshape(2, n_children, m)
-        cross = rng.random(n_children) < config.ga_cx
-        u = rng.random(n_children)[:, None]
-        children = np.where(cross[:, None], u * p1 + (1.0 - u) * p2, p1)
-        mutate = rng.random((n_children, m)) < config.ga_mut
-        children = np.where(mutate, children + rng.normal(0.0, sigma, size=(n_children, m)), children)
-        pop = np.vstack([pop[np.argmin(fitness)], np.clip(children, -r, r)])
+        for s, rng in enumerate(rngs):
+            contenders[s] = rng.integers(0, config.ga_pop, size=(2 * n_children, 3))
+            cross[s] = rng.random(n_children)
+            blend[s] = rng.random(n_children)
+            mutate[s] = rng.random((n_children, m))
+            noise[s] = rng.normal(0.0, sigma, size=(n_children, m))
+        fittest = np.argmin(fitness[stack[..., None], contenders], axis=2)
+        winners = contenders[stack, tournaments, fittest]
+        parents = pop[stack, winners].reshape(size, 2, n_children, m)
+        p1, p2 = parents[:, 0], parents[:, 1]
+        u = blend[..., None]
+        children = np.where(cross[..., None] < config.ga_cx, u * p1 + (1.0 - u) * p2, p1)
+        children = np.where(mutate < config.ga_mut, children + noise, children)
+        elite = pop[stack, np.argmin(fitness, axis=1)[:, None]]
+        pop = np.concatenate([elite, np.clip(children, -r, r)], axis=1)
         fitness = ga_fitness(residuals, D, pop)
-        history.append(float(fitness.min()))
-    best = int(np.argmin(fitness))
-    return GaWeights(alpha=pop[best].copy(), fitness=float(fitness[best]), history=tuple(history))
+        history.append(fitness.min(axis=1))
+    history = np.stack(history, axis=1).tolist()
+    for s, (i, best) in enumerate(zip(members, np.argmin(fitness, axis=1))):
+        outcomes[i] = GaWeights(alpha=pop[s, best].copy(), fitness=float(fitness[s, best]),
+                                history=tuple(history[s]))
+    return outcomes

@@ -22,12 +22,12 @@ once, on first use:
   whose tree cannot be fitted, or whose correlation is inapplicable, keeps
   that error and every k falls back to EBA, as each k did on its own.
 
-GA and NN are fitted per (fold, variant) with the seed derived from
-(global seed, fold index, variant label), the seed a lone variant's run
-uses. The networks of a whole chunk, every fold times every NN variant,
-train as one stack in ``fit_networks``, in which each member equals its
-lone fit. So results are identical for any set of variants, any chunking
-and any number of workers.
+GA and NN members are seeded from (global seed, fold index, variant
+label), the seed a lone variant's run uses, and train in stacks in which
+each member equals its lone fit: the GA variants of a fold in one
+``fit_ga_weights`` call, and the networks of a whole chunk, every fold
+times every NN variant, in one ``fit_networks`` call. So results are
+identical for any set of variants, any chunking and any number of workers.
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ class _Fold:
         self.k_top = k_top
         self.config = config
         self._items = {}
-        self.nets = {}              # NN variant label -> network or FitError
+        self.fits = {}              # GA and NN variant label -> fit or FitError
 
     def _shared(self, name, build):
         if name not in self._items:
@@ -97,7 +97,7 @@ class _Fold:
             "correlation", lambda: adjust.productivity_correlation(self.train, self.neighbors()[:, 0])
         )
 
-    def predict(self, variant, seed):
+    def predict(self, variant):
         """One prediction of ``variant`` for this fold's target.
 
         Returns (prediction, fell_back): when the method is inapplicable for
@@ -106,7 +106,7 @@ class _Fold:
         analogy mean for the same k.
         """
         k, method = variant.k, variant.method
-        target, train, config = self.target, self.train, self.config
+        target, train = self.target, self.train
         nbh = Neighborhood(self.analogies.indices[:k], self.analogies.distances[:k])
         try:
             if method == "EBA":
@@ -121,14 +121,14 @@ class _Fold:
                 prediction = adjust.adjust_aqua(target, nbh, train)
             elif method == "MT":
                 prediction = adjust.adjust_mt(target, nbh, train, self.tree())
-            elif method == "GA":
-                weights = fit_ga_weights(train, self.neighbors()[:, :k], config, seed)
-                prediction = adjust.adjust_ga(target, nbh, train, weights.alpha)
-            elif method == "NN":
-                net = self.nets[variant.label]
-                if isinstance(net, FitError):
-                    raise net
-                prediction = adjust.adjust_nn(target, nbh, train, net)
+            elif method in ("GA", "NN"):
+                fit = self.fits[variant.label]
+                if isinstance(fit, FitError):
+                    raise fit
+                if method == "GA":
+                    prediction = adjust.adjust_ga(target, nbh, train, fit.alpha)
+                else:
+                    prediction = adjust.adjust_nn(target, nbh, train, fit)
             else:
                 raise ValueError(f"unknown method {method!r}")
             if not math.isfinite(prediction):
@@ -138,9 +138,18 @@ class _Fold:
             return adjust.adjust_eba(target, nbh, train), True
 
 
+def _fit_ga(fold, variants, config, seed):
+    """Fit the weights of every GA variant of a fold as one stack into the
+    fold's ``fits``. The stack stays within the fold, so a generation's
+    largest array is (GA variants, ga_pop, n - 1) floats whatever the chunk."""
+    seeds = [derive_seed(seed, fold.t, variant.label) for variant in variants]
+    weights = fit_ga_weights(fold.train, fold.neighbors(), [variant.k for variant in variants], config, seeds)
+    fold.fits.update((variant.label, fit) for variant, fit in zip(variants, weights))
+
+
 def _fit_networks(folds, variants, config, seed):
     """Train the networks of every (fold, NN variant) of a chunk as one stack
-    into each fold's ``nets``. Every fold has n - 1 pairs, so a stack too
+    into each fold's ``fits``. Every fold has n - 1 pairs, so a stack too
     small to fit gives every network the same error."""
     seeds = [[derive_seed(seed, fold.t, variant.label) for variant in variants] for fold in folds]
     try:
@@ -149,7 +158,7 @@ def _fit_networks(folds, variants, config, seed):
     except FitError as exc:
         nets = [[exc] * len(variants)] * len(folds)
     for fold, row in zip(folds, nets):
-        fold.nets = {variant.label: net for variant, net in zip(variants, row)}
+        fold.fits.update((variant.label, net) for variant, net in zip(variants, row))
 
 
 def loocv_grid(dataset, variants, config, seed=None):
@@ -174,6 +183,7 @@ def loocv_grid(dataset, variants, config, seed=None):
         return {}, errors
     k_top = max(variant.k for variant in runnable)
     networks = [variant for variant in runnable if variant.method == "NN"]
+    genetic = [variant for variant in runnable if variant.method == "GA"]
     width = max(dataset.m, len(networks) * config.nn_hidden)
     size = max(1, STACK_FLOATS // ((dataset.n - 1) * width))
     # at least one chunk per worker
@@ -183,8 +193,10 @@ def loocv_grid(dataset, variants, config, seed=None):
         folds = [_Fold(dataset, t, k_top, config) for t in range(start, min(start + size, dataset.n))]
         if networks:
             _fit_networks(folds, networks, config, seed)
-        return [[fold.predict(variant, derive_seed(seed, fold.t, variant.label)) for variant in runnable]
-                for fold in folds]
+        if genetic:
+            for fold in folds:
+                _fit_ga(fold, genetic, config, seed)
+        return [[fold.predict(variant) for variant in runnable] for fold in folds]
 
     starts = range(0, dataset.n, size)
     if config.jobs > 1:

@@ -1,17 +1,21 @@
-"""Per-row / per-child loop versions of the GA learner, kept as test oracles.
+"""Per-row, per-member and per-child loop versions of the GA learner, kept
+as test oracles.
 
 ``diff_vector`` builds one difference vector at a time, the layout that
-``ebae.learners.diff_rows`` produces for whole arrays. ``ga_design_loop`` is the row-by-row construction of the GA design that the
-array version in ``ebae.learners.ga_design`` must reproduce exactly.
-``fit_ga_weights_loop`` breeds one child at a time with the same operators as
-``ebae.learners.fit_ga_weights`` but a different random-number draw order, so
-the two agree in behaviour, not in numbers.
+``ebae.learners.diff_rows`` produces for whole arrays. ``ga_design_loop`` is
+the row-by-row construction of the GA design that the array version in
+``ebae.learners.ga_design`` must reproduce exactly. ``fit_ga_one`` runs the
+generation loop of one member on 2-D arrays, with its own fitness; every
+member of a ``ebae.learners.fit_ga_weights`` stack must equal it exactly.
+``fit_ga_weights_loop`` breeds one child at a time with the same operators
+but a different random-number draw order, so it agrees in behaviour, not in
+numbers.
 """
 
 import numpy as np
 
 from ebae.analogy import knn_within
-from ebae.learners import FitError, GaWeights, ga_fitness
+from ebae.learners import FitError, GaWeights, ga_design, ga_fitness
 
 
 def diff_vector(cont_a, cat_a, cont_b, cat_b):
@@ -67,6 +71,40 @@ def fit_ga_weights_loop(train, k, config, seed):
             children[c] = np.clip(child, -r, r)
         pop = children
         fitness = ga_fitness(residuals, D, pop)
+        history.append(float(fitness.min()))
+    best = int(np.argmin(fitness))
+    return GaWeights(alpha=pop[best].copy(), fitness=float(fitness[best]), history=tuple(history))
+
+
+def ga_fitness_2d(residuals, D, alphas):
+    """Mean absolute error of the corrected predictions of each row of ``alphas``."""
+    return np.abs(residuals - np.atleast_2d(alphas) @ D.T).mean(axis=1)
+
+
+def fit_ga_one(train, neighbors, config, seed):
+    """The GA weights of one design ``ga_design(train, neighbors)`` and seed."""
+    residuals, D = ga_design(train, neighbors)
+    m = D.shape[1]
+    r = config.ga_range
+    rng = np.random.default_rng(seed)
+    pop = rng.uniform(-r, r, size=(config.ga_pop, m))
+    pop[0] = 0.0
+    fitness = ga_fitness_2d(residuals, D, pop)
+    history = [float(fitness.min())]
+    sigma = 0.1 * r
+    n_children = config.ga_pop - 1
+    parents = np.arange(2 * n_children)
+    for _ in range(config.ga_gens):
+        contenders = rng.integers(0, config.ga_pop, size=(2 * n_children, 3))
+        winners = contenders[parents, np.argmin(fitness[contenders], axis=1)]
+        p1, p2 = pop[winners].reshape(2, n_children, m)
+        cross = rng.random(n_children) < config.ga_cx
+        u = rng.random(n_children)[:, None]
+        children = np.where(cross[:, None], u * p1 + (1.0 - u) * p2, p1)
+        mutate = rng.random((n_children, m)) < config.ga_mut
+        children = np.where(mutate, children + rng.normal(0.0, sigma, size=(n_children, m)), children)
+        pop = np.vstack([pop[np.argmin(fitness)], np.clip(children, -r, r)])
+        fitness = ga_fitness_2d(residuals, D, pop)
         history.append(float(fitness.min()))
     best = int(np.argmin(fitness))
     return GaWeights(alpha=pop[best].copy(), fitness=float(fitness[best]), history=tuple(history))

@@ -4,18 +4,23 @@
 ``loocv_variant`` runs one variant over every fold and ``predict_variant``
 rebuilds everything a prediction needs from scratch: the k nearest training
 projects, the in-training neighbour table, the difference pairs, the model
-tree and the RTM correlation. The fold-major engine builds those once per
-fold for all variants and must give exactly the same tables.
+tree and the RTM correlation. Its learners are the loop oracles: the
+one-member GA, the one-network gradient descent and the tree grown by the
+loop split search. The fold-major engine builds the shared work once per
+fold for all variants, fits its learners in stacks, and must give exactly
+the same tables.
 """
 
 import math
 
 from ebae import adjust
 from ebae.analogy import knn_within, retrieve
-from ebae.learners import FitError, build_diff_pairs, fit_ga_weights, fit_model_tree
+from ebae.learners import FitError, build_diff_pairs
 from ebae.metrics import build_table, log_floor
 from ebae.validation import derive_seed
 
+from .ga_reference import fit_ga_one
+from .mt_reference import fit_model_tree_loop
 from .nn_reference import fit_network
 
 
@@ -40,10 +45,10 @@ def predict_variant(variant, target, train, config, seed):
         elif method == "AQUA":
             prediction = adjust.adjust_aqua(target, nbh, train)
         elif method == "MT":
-            tree = fit_model_tree(*build_diff_pairs(train, nearest(train)), config)
+            tree = fit_model_tree_loop(*build_diff_pairs(train, nearest(train)), config)
             prediction = adjust.adjust_mt(target, nbh, train, tree)
         elif method == "GA":
-            weights = fit_ga_weights(train, knn_within(train, variant.k), config, seed)
+            weights = fit_ga_one(train, knn_within(train, variant.k), config, seed)
             prediction = adjust.adjust_ga(target, nbh, train, weights.alpha)
         elif method == "NN":
             net = fit_network(*build_diff_pairs(train, nearest(train)), config, seed)

@@ -1,0 +1,79 @@
+"""One cut at a time, kept as the test oracle of the array split search in
+``ebae.learners._best_split``.
+
+``best_split_loop`` scores every cut of every feature in two Python loops
+and keeps the first SSE below the best so far; ``fit_model_tree_loop``
+grows a tree with it. The array search must choose the same split at every
+node, so both give equal trees.
+"""
+
+import numpy as np
+
+from ebae.learners import _SQUARE_LIMIT, FitError, ModelTree, TreeLeaf, TreeNode, _fit_leaf
+
+
+def best_split_loop(X, y, min_leaf):
+    n, m = X.shape
+    parent_sse = float(np.sum((y - y.mean()) ** 2))
+    best = None
+    best_sse = parent_sse - 1e-12 * max(parent_sse, 1.0)
+    for j in range(m):
+        order = np.argsort(X[:, j], kind="stable")
+        xs = X[order, j]
+        ys = y[order]
+        csum = np.cumsum(ys)
+        csq = np.cumsum(ys * ys)
+        total_sum = csum[-1]
+        total_sq = csq[-1]
+        for cut in range(min_leaf, n - min_leaf + 1):
+            if xs[cut - 1] == xs[cut]:
+                continue
+            left_sse = csq[cut - 1] - csum[cut - 1] ** 2 / cut
+            r_sum = total_sum - csum[cut - 1]
+            right_sse = (total_sq - csq[cut - 1]) - r_sum**2 / (n - cut)
+            sse = left_sse + right_sse
+            if sse < best_sse:
+                best_sse = sse
+                best = (j, float((xs[cut - 1] + xs[cut]) / 2.0))
+    return best
+
+
+def _grow_loop(X, y, min_leaf, depth, max_depth):
+    if depth >= max_depth or len(y) < 2 * min_leaf:
+        return _fit_leaf(X, y)
+    split = best_split_loop(X, y, min_leaf)
+    if split is None:
+        return _fit_leaf(X, y)
+    j, threshold = split
+    mask = X[:, j] <= threshold
+    return TreeNode(
+        feature=j,
+        threshold=threshold,
+        left=_grow_loop(X[mask], y[mask], min_leaf, depth + 1, max_depth),
+        right=_grow_loop(X[~mask], y[~mask], min_leaf, depth + 1, max_depth),
+    )
+
+
+def fit_model_tree_loop(X, y, config):
+    """``ebae.learners.fit_model_tree`` grown with the loop split search."""
+    if len(y) < 2 * config.mt_min_leaf:
+        raise FitError(f"model tree needs at least {2 * config.mt_min_leaf} pairs, got {len(y)}")
+    if 2 * len(y) * np.max(np.abs(y)) > _SQUARE_LIMIT:
+        raise FitError("model tree split search overflows: effort differences too large to square")
+    return ModelTree(root=_grow_loop(X, y, config.mt_min_leaf, 0, config.mt_max_depth), n_features=X.shape[1])
+
+
+def assert_same_tree(got, want):
+    """Equal structure, features and thresholds, and bitwise-equal leaves."""
+    if isinstance(want, ModelTree):
+        assert isinstance(got, ModelTree) and got.n_features == want.n_features
+        assert_same_tree(got.root, want.root)
+    elif isinstance(want, TreeNode):
+        assert isinstance(got, TreeNode)
+        assert (got.feature, got.threshold) == (want.feature, want.threshold)
+        assert_same_tree(got.left, want.left)
+        assert_same_tree(got.right, want.right)
+    else:
+        assert isinstance(got, TreeLeaf) and got.intercept == want.intercept
+        assert (got.coef is None) == (want.coef is None)
+        assert want.coef is None or np.array_equal(got.coef, want.coef)

@@ -161,6 +161,12 @@ def test_set_without_equals_fails_fast(tmp_path, capsys):
     (["--set", "ga.range=-1"], "ga.range"),
     (["--set", "k_max=0"], "k_max"),
     (["--k-max", "0"], "k_max"),
+    (["--alpha", "1.5"], "alpha"),
+    (["--alpha", "0"], "alpha"),
+    (["--set", "alpha=1"], "alpha"),
+    (["--set", "alpha=nan"], "alpha"),
+    (["--set", "nn.epochs=-1"], "nn.epochs"),
+    (["--set", "ga.gens=-1"], "ga.gens"),
 ])
 def test_out_of_range_config_value_fails_fast(tmp_path, capsys, args, key):
     code = main(["pipeline", *TOY_ARGS, *args, "--out", str(tmp_path / "o")])

@@ -9,6 +9,7 @@ from ebae.config import Config
 from ebae.data import ColumnSpec
 from ebae.learners import (
     FitError,
+    _best_split,
     build_diff_pairs,
     diff_rows,
     fit_ga_weights,
@@ -23,7 +24,8 @@ from ebae.learners import (
 from ebae.validation import derive_seed, loocv
 
 from .conftest import make_dataset, random_dataset, size_only_schema
-from .ga_reference import diff_vector, fit_ga_weights_loop, ga_design_loop
+from .ga_reference import diff_vector, fit_ga_one, fit_ga_weights_loop, ga_design_loop
+from .mt_reference import assert_same_tree, best_split_loop, fit_model_tree_loop
 from .nn_reference import fit_network, network_loss_and_grads_2d
 
 
@@ -145,6 +147,63 @@ def test_model_tree_overflow_fit_failure():
     with pytest.raises(FitError, match="overflows"):
         fit_model_tree(*build_diff_pairs(train, knn_within(train, 1)[:, 0]), Config())
     assert loocv(ds, VariantId("MT", 1), Config(runs=200)).fallback_count == ds.n
+
+
+@pytest.fixture(scope="module")
+def albrecht_pairs(albrecht):
+    """Difference pairs of every Albrecht training fold."""
+    folds = [albrecht.without(t) for t in range(albrecht.n)]
+    return [build_diff_pairs(train, knn_within(train, 1)[:, 0]) for train in folds]
+
+
+@pytest.mark.parametrize("min_leaf", [1, 2, 4])
+def test_model_tree_matches_loop_oracle_albrecht(albrecht_pairs, min_leaf):
+    config = Config(mt_min_leaf=min_leaf)
+    for X, y in albrecht_pairs:
+        assert_same_tree(fit_model_tree(X, y, config), fit_model_tree_loop(X, y, config))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(0, 15), st.integers(1, 5),
+       st.booleans(), st.booleans())
+def test_best_split_matches_loop_oracle_property(seed, min_leaf, extra, m, coarse, integer_y):
+    # extra = 0 leaves the single cut of n = 2 * min_leaf; rounded features
+    # tie within columns, a copied column ties whole features, a reversed one
+    # splits off the same rows from the other end, a constant column has no
+    # cut at all, and integer efforts tie the SSEs of different cuts
+    rng = np.random.default_rng(seed)
+    n = 2 * min_leaf + extra
+    X = rng.normal(size=(n, m)) * rng.uniform(0.1, 100.0, size=m)
+    if coarse:
+        X = np.round(X / X.std())
+    if m > 1:
+        X[:, -1] = X[:, 0] if seed % 2 else X[::-1, 0]
+    if m > 2:
+        X[:, 1] = 2.5
+    y = rng.integers(0, 4, size=n).astype(float) if integer_y else rng.normal(size=n) * 100.0
+    assert _best_split(X, y, min_leaf) == best_split_loop(X, y, min_leaf)
+    config = Config(mt_min_leaf=min_leaf)
+    assert_same_tree(fit_model_tree(X, y, config), fit_model_tree_loop(X, y, config))
+
+
+def test_best_split_rounds_as_the_loop_on_mirrored_columns():
+    # column 1 is column 0 reversed, so the first cut of column 0 and the last
+    # cut of column 1 split off the same row; their SSEs differ by rounding
+    # alone, and squaring by multiplication instead of pow picks column 0
+    X = np.array([[-2.0, 2.0], [-1.0, -1.0], [-1.0, -1.0], [2.0, -2.0]])
+    y = np.array([77.47755922459794, -350.6169172860722, -125.59425255360593, 52.74648435986627])
+    assert _best_split(X, y, 1) == best_split_loop(X, y, 1) == (1, 0.5)
+
+
+def test_best_split_skips_inf_and_nan_sse():
+    # efforts near 1e200 square to inf, so the parent SSE is inf, the bar a
+    # cut must beat is inf - inf = NaN and every cut's SSE is inf or NaN
+    X = np.arange(8.0)[:, None]
+    y = np.array([1.0, -1.0, 2.0, -2.0, 1.5, -1.5, 3.0, -3.0]) * 1e200
+    with np.errstate(all="ignore"):
+        assert np.sum((y - y.mean()) ** 2) == np.inf
+        assert _best_split(X, y, 2) is None
+        assert best_split_loop(X, y, 2) is None
 
 
 # --- network ---
@@ -298,6 +357,14 @@ def test_gradient_check_against_finite_differences(hidden):
 # --- GA ---
 
 
+def fit_ga(train, k, config, seed):
+    """The GA weights of one design and seed: a stack of one member."""
+    (weights,) = fit_ga_weights(train, knn_within(train, k), [k], config, [seed])
+    if isinstance(weights, FitError):
+        raise weights
+    return weights
+
+
 def planted_alpha_dataset():
     # effort = 10 + 2 * size exactly: effort differences are 2x feature differences
     sizes = np.arange(1.0, 13.0)
@@ -309,7 +376,7 @@ def planted_alpha_dataset():
 def test_ga_beats_zero_vector():
     ds = planted_alpha_dataset()
     cfg = Config()
-    result = fit_ga_weights(ds, knn_within(ds, 1), cfg, seed=5)
+    result = fit_ga(ds, 1, cfg, seed=5)
     residuals, D = ga_design(ds, knn_within(ds, 1))
     zero_fitness = float(ga_fitness(residuals, D, np.zeros(D.shape[1]))[0])
     assert result.fitness <= zero_fitness
@@ -317,7 +384,7 @@ def test_ga_beats_zero_vector():
 
 def test_ga_recovers_planted_slope_and_matches_grid_oracle():
     ds = planted_alpha_dataset()
-    result = fit_ga_weights(ds, knn_within(ds, 1), Config(), seed=5)
+    result = fit_ga(ds, 1, Config(), seed=5)
     assert 1.5 <= result.alpha[0] <= 2.5
     # independent grid oracle over the search interval
     sizes = ds.cont[:, 0]
@@ -339,15 +406,15 @@ def test_ga_recovers_planted_slope_and_matches_grid_oracle():
 
 def test_ga_deterministic():
     ds = planted_alpha_dataset()
-    a = fit_ga_weights(ds, knn_within(ds, 2), Config(), seed=123)
-    b = fit_ga_weights(ds, knn_within(ds, 2), Config(), seed=123)
+    a = fit_ga(ds, 2, Config(), seed=123)
+    b = fit_ga(ds, 2, Config(), seed=123)
     assert np.array_equal(a.alpha, b.alpha)
     assert a.fitness == b.fitness
 
 
 def test_ga_history_nonincreasing():
     ds = planted_alpha_dataset()
-    result = fit_ga_weights(ds, knn_within(ds, 1), Config(ga_gens=40), seed=9)
+    result = fit_ga(ds, 1, Config(ga_gens=40), seed=9)
     history = result.history
     assert len(history) == 41
     assert all(later <= earlier for earlier, later in zip(history, history[1:]))
@@ -409,7 +476,7 @@ def test_ga_fitness_no_worse_than_loop_oracle(albrecht):
     cfg = Config()
     keys = [(t, k, s) for t in range(0, 24, 4) for k in (1, 3, 5) for s in (0, 1)]
     folds = {t: albrecht.without(t) for t, _, _ in keys}
-    new = [fit_ga_weights(folds[t], knn_within(folds[t], k), cfg, 1000 * t + 10 * k + s).fitness for t, k, s in keys]
+    new = [fit_ga(folds[t], k, cfg, 1000 * t + 10 * k + s).fitness for t, k, s in keys]
     old = [fit_ga_weights_loop(folds[t], k, cfg, 1000 * t + 10 * k + s).fitness for t, k, s in keys]
     assert np.mean(new) <= 1.02 * np.mean(old)
 
@@ -427,7 +494,7 @@ def test_ga_fitness_no_worse_than_loop_oracle(albrecht):
 def test_ga_invariants_property(seed, with_categorical, pop, gens, cx, mut, ga_range):
     ds = random_dataset(np.random.default_rng(seed), with_categorical=with_categorical)
     cfg = Config(ga_pop=pop, ga_gens=gens, ga_cx=cx, ga_mut=mut, ga_range=ga_range)
-    result = fit_ga_weights(ds, knn_within(ds, 1), cfg, seed)
+    result = fit_ga(ds, 1, cfg, seed)
     residuals, D = ga_design(ds, knn_within(ds, 1))
     history = result.history
     assert len(history) == gens + 1
@@ -438,6 +505,71 @@ def test_ga_invariants_property(seed, with_categorical, pop, gens, cx, mut, ga_r
     assert result.fitness == history[-1]
     assert result.fitness == pytest.approx(float(ga_fitness(residuals, D, result.alpha)[0]), rel=1e-12)
     assert np.all(np.abs(result.alpha) <= ga_range)
-    again = fit_ga_weights(ds, knn_within(ds, 1), cfg, seed)
+    again = fit_ga(ds, 1, cfg, seed)
     assert np.array_equal(again.alpha, result.alpha)
     assert again.history == history
+
+
+def assert_same_weights(got, want):
+    assert np.array_equal(got.alpha, want.alpha)
+    assert np.array_equal(got.fitness, want.fitness) and type(got.fitness) is float
+    assert np.array_equal(got.history, want.history) and got.history == want.history
+
+
+@pytest.fixture(scope="module")
+def albrecht_ga(albrecht):
+    """Training folds, neighbour tables, seeds and oracle weights of every
+    Albrecht fold and GA variant."""
+    config = Config()
+    folds = [albrecht.without(t) for t in range(albrecht.n)]
+    neighbors = [knn_within(train, 5) for train in folds]
+    seeds = [[derive_seed(config.seed, t, f"GA{k}") for k in range(1, 6)] for t in range(albrecht.n)]
+    want = [[fit_ga_one(train, table[:, :k], config, s) for k, s in zip(range(1, 6), row)]
+            for train, table, row in zip(folds, neighbors, seeds)]
+    return config, folds, neighbors, seeds, want
+
+
+@pytest.mark.parametrize("stack", [1, 5])
+def test_fit_ga_weights_matches_oracle_albrecht(albrecht_ga, stack):
+    # stacks of one member, and of the five k of one fold
+    config, folds, neighbors, seeds, want = albrecht_ga
+    for t, (train, table) in enumerate(zip(folds, neighbors)):
+        for first in range(0, 5, stack):
+            ks = list(range(first + 1, first + stack + 1))
+            got = fit_ga_weights(train, table, ks, config, seeds[t][first:first + stack])
+            for j, weights in enumerate(got, first):
+                assert_same_weights(weights, want[t][j])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(0, 6), st.floats(0.0, 1.0),
+       st.floats(0.0, 1.0), st.integers(1, 5))
+def test_fit_ga_weights_matches_oracle_property(seed, pop, gens, cx, mut, members):
+    rng = np.random.default_rng(seed)
+    train = random_dataset(rng, with_categorical=True)
+    ks = rng.integers(1, min(5, train.n - 1) + 1, size=members).tolist()
+    seeds = rng.integers(0, 2**63, size=members).tolist()
+    config = Config(ga_pop=pop, ga_gens=gens, ga_cx=cx, ga_mut=mut)
+    table = knn_within(train, max(ks))
+    got = fit_ga_weights(train, table, ks, config, seeds)
+    for k, s, weights in zip(ks, seeds, got):
+        try:
+            want = fit_ga_one(train, table[:, :k], config, s)
+        except FitError as exc:
+            assert isinstance(weights, FitError) and str(weights) == str(exc)
+        else:
+            assert_same_weights(weights, want)
+
+
+def test_fit_ga_weights_failed_member_fails_alone():
+    # six training projects: k = 5 needs seven, every smaller k fits
+    ds = make_dataset("seven", size_only_schema(), [(s,) for s in (1, 2, 4, 7, 11, 16, 22)],
+                      [3, 5, 9, 14, 22, 30, 41])
+    train = ds.without(0)
+    config = Config(ga_gens=20)
+    seeds = [11, 12, 13, 14, 15]
+    got = fit_ga_weights(train, knn_within(train, 5), [1, 2, 3, 4, 5], config, seeds)
+    assert isinstance(got[4], FitError) and "k=5" in str(got[4])
+    for k, s, weights in zip(range(1, 5), seeds, got):
+        assert_same_weights(weights, fit_ga(train, k, config, s))
+        assert_same_weights(weights, fit_ga_one(train, knn_within(train, k), config, s))

@@ -189,6 +189,20 @@ def test_loocv_grid_matches_reference_overflow():
     assert tables["LSE1"].fallback_count == 1
 
 
+def test_loocv_grid_matches_reference_deep_trees(albrecht):
+    # two pairs per leaf let every fold's tree split over several levels
+    config = replace(SMALL, mt_min_leaf=2)
+    tables, _ = assert_grid_matches_reference(albrecht, config, [v for v in GRID if v.method == "MT"])
+    train = albrecht.without(0)
+    tree = validation.fit_model_tree(*validation.build_diff_pairs(train, analogy.knn_within(train, 1)[:, 0]),
+                                     config)
+    assert depth(tree.root) >= 3
+
+
+def depth(node):
+    return 1 + max(depth(node.left), depth(node.right)) if hasattr(node, "left") else 0
+
+
 def test_loocv_grid_matches_reference_four_projects():
     # three difference pairs per fold: no network can be fitted
     ds = make_dataset("four", size_only_schema(), [(2,), (4,), (6,), (9,)], [4, 8, 12, 25])
@@ -228,26 +242,33 @@ def test_loocv_grid_builds_shared_work_once_per_fold(albrecht, monkeypatch):
 
     for owner, name in ((validation, "fit_model_tree"), (validation, "build_diff_pairs"),
                         (adjust, "productivity_correlation"), (validation, "retrieve"),
-                        (analogy, "knn_within"), (Dataset, "without"),
-                        (validation, "fit_ga_weights")):
+                        (analogy, "knn_within"), (Dataset, "without")):
         count(owner, name)
-    members = []
-    fit_networks = validation.fit_networks
+    members = {"NN": [], "GA": []}
+    fit_networks, fit_ga_weights = validation.fit_networks, validation.fit_ga_weights
 
-    def stacked(X, y, config, seeds):
+    def stacked_networks(X, y, config, seeds):
         calls["fit_networks"] += 1
-        members.extend(s for row in seeds for s in row)
+        members["NN"].extend(s for row in seeds for s in row)
         return fit_networks(X, y, config, seeds)
 
-    monkeypatch.setattr(validation, "fit_networks", stacked)
+    def stacked_weights(train, neighbors, ks, config, seeds):
+        calls["fit_ga_weights"] += 1
+        members["GA"].extend(seeds)
+        return fit_ga_weights(train, neighbors, ks, config, seeds)
+
+    monkeypatch.setattr(validation, "fit_networks", stacked_networks)
+    monkeypatch.setattr(validation, "fit_ga_weights", stacked_weights)
     tables, _ = loocv_grid(albrecht, GRID, SMALL)
     n = albrecht.n
     assert len(tables) == 40
-    # Albrecht's 24 folds fit in one chunk: one stack of every (fold, NN k) network
+    # Albrecht's 24 folds fit in one chunk: one stack of every (fold, NN k)
+    # network, and one stack of the five GA k per fold
     assert calls == {"fit_model_tree": n, "build_diff_pairs": n, "productivity_correlation": n,
                      "retrieve": n, "knn_within": n, "without": n,
-                     "fit_ga_weights": 5 * n, "fit_networks": 1}
-    assert len(set(members)) == len(members) == 5 * n
+                     "fit_ga_weights": n, "fit_networks": 1}
+    for seeds in members.values():
+        assert len(set(seeds)) == len(seeds) == 5 * n
 
 
 @pytest.mark.parametrize("floats", [1, 23 * 20 * 5])
