@@ -28,10 +28,20 @@ class Config:
             value = getattr(self, _KEYS[key][0])
             if not value >= low:
                 raise ValueError(f"bad value for {key}: {value!r} (must be >= {low})")
-        # Scott-Knott compares against chi2.ppf(1 - alpha): NaN outside
-        # [0, 1], inf at alpha = 0 and 0 at alpha = 1
+        # Scott-Knott keeps a cut when the incomplete-gamma chi-square CDF
+        # P(g/(2(pi-2)), lambda*/2), which lies in [0, 1], exceeds 1 - alpha:
+        # at alpha <= 0 (or NaN) no cut is ever kept, at alpha >= 1 every cut with
+        # lambda* > 0 is
         if not 0 < self.alpha < 1:
             raise ValueError(f"bad value for alpha: {self.alpha!r} (must be within (0, 1))")
+        # crossover and mutation rates are probabilities; a step of nn.lr <= 0
+        # does not descend the training loss
+        for key in ("ga.cx", "ga.mut"):
+            value = getattr(self, _KEYS[key][0])
+            if not 0 <= value <= 1:
+                raise ValueError(f"bad value for {key}: {value!r} (must be within [0, 1])")
+        if not self.nn_lr > 0:
+            raise ValueError(f"bad value for nn.lr: {self.nn_lr!r} (must be > 0)")
 
 
 # Flat override keys accepted by the CLI (--set key=value) and config files.

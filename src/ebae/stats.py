@@ -8,6 +8,14 @@ maximum-likelihood variance estimate of the g current means pooled with the
 residual mean square: sigma2 = (sum((mean_i - mean)^2) + nu * mse) / (g + nu).
 The split search at each level is exhaustive over all contiguous binary
 partitions, so the recursion is exact, not heuristic.
+
+The critical value is never computed. The chi-square CDF with g/(pi-2)
+degrees of freedom at lambda* is P(g/(2(pi-2)), lambda*/2), the regularised
+lower incomplete gamma function, so a cut is kept when
+P(g/(2(pi-2)), lambda*/2) > 1 - alpha. P(a, x) is evaluated by its series
+for x < a + 1 and by its Lentz continued fraction otherwise (Press et al.,
+Numerical Recipes, 3rd ed., section 6.2, ``gammp``), so the module needs
+numpy alone.
 """
 
 from __future__ import annotations
@@ -16,10 +24,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
-from scipy.stats import chi2
 
 _PI_FACTOR = math.pi / (2.0 * (math.pi - 2.0))
+_EPS = 1e-16       # relative stopping tolerance of the incomplete-gamma series and fraction
+_FPMIN = 1e-300    # keeps the continued fraction's denominators off zero
 
 
 @dataclass(frozen=True)
@@ -111,6 +119,11 @@ def apply_transform(values, spec):
 _LILLIEFORS_TABLE = ((0.01, 1.035), (0.025, 0.955), (0.05, 0.895), (0.10, 0.819), (0.15, 0.775))
 
 
+def _normal_cdf(z):
+    """Standard normal CDF, elementwise; erfc keeps the lower tail accurate."""
+    return np.array([0.5 * math.erfc(-v / math.sqrt(2.0)) for v in np.asarray(z).tolist()])
+
+
 def _lilliefors_critical(alpha):
     levels = [a for a, _ in _LILLIEFORS_TABLE]
     crits = [c for _, c in _LILLIEFORS_TABLE]
@@ -133,7 +146,7 @@ def ks_normality(values, alpha=0.05):
     std = x.std(ddof=1)
     if std == 0:
         raise ValueError("normality test undefined for zero-variance input")
-    cdf = ndtr((x - x.mean()) / std)
+    cdf = _normal_cdf((x - x.mean()) / std)
     i = np.arange(1, n + 1)
     statistic = float(max(np.max(i / n - cdf), np.max(cdf - (i - 1) / n)))
     modified = statistic * (math.sqrt(n) - 0.01 + 0.85 / math.sqrt(n))
@@ -157,6 +170,57 @@ def _best_cut(means):
     return best_cut, best_b0
 
 
+def _gammp(a, x):
+    """Regularised lower incomplete gamma function P(a, x) for a > 0."""
+    if not x > 0:
+        return 0.0
+    if x == math.inf:
+        return 1.0
+    a_log_x = a * math.log(x)
+    if a < 170.0 and x < 700.0 and abs(a_log_x) < 700.0:
+        # the direct product is a few ulps off; the exponential of a rounded
+        # large exponent would be up to |exponent| ulps off
+        prefactor = x**a * math.exp(-x) / math.gamma(a)
+    else:
+        prefactor = math.exp(a_log_x - x - math.lgamma(a))
+    if x < a + 1.0:
+        # series: P = e^-x x^a / Gamma(a) * sum_n x^n / (a (a+1) ... (a+n))
+        term = total = 1.0 / a
+        ap = a
+        while True:
+            ap += 1.0
+            term *= x / ap
+            total += term
+            if abs(term) < abs(total) * _EPS:
+                return total * prefactor
+    # continued fraction for Q = 1 - P by the modified Lentz method
+    b = x + 1.0 - a
+    c = 1.0 / _FPMIN
+    d = 1.0 / b
+    h = d
+    i = 1
+    while True:
+        an = -i * (i - a)
+        b += 2.0
+        d = an * d + b
+        if abs(d) < _FPMIN:
+            d = _FPMIN
+        c = b + an / c
+        if abs(c) < _FPMIN:
+            c = _FPMIN
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) < _EPS:
+            return 1.0 - prefactor * h
+        i += 1
+
+
+def _significant(lam_star, g, alpha):
+    """lam_star > chi2.ppf(1 - alpha, g/(pi-2)), asked through the chi-square CDF."""
+    return _gammp(g / (2.0 * (math.pi - 2.0)), lam_star / 2.0) > 1.0 - alpha
+
+
 def _split(names, means, mse, nu, alpha, out):
     g = means.size
     if g == 1:
@@ -165,8 +229,7 @@ def _split(names, means, mse, nu, alpha, out):
     cut, b0 = _best_cut(means)
     sigma2 = (np.sum((means - means.mean()) ** 2) + nu * mse) / (g + nu)
     lam_star = _PI_FACTOR * b0 / sigma2 if sigma2 > 0 else np.inf
-    nu0 = g / (math.pi - 2.0)
-    if sigma2 > 0 and lam_star > chi2.ppf(1.0 - alpha, nu0):
+    if sigma2 > 0 and _significant(lam_star, g, alpha):
         _split(names[:cut], means[:cut], mse, nu, alpha, out)
         _split(names[cut:], means[cut:], mse, nu, alpha, out)
     else:

@@ -167,6 +167,11 @@ def test_set_without_equals_fails_fast(tmp_path, capsys):
     (["--set", "alpha=nan"], "alpha"),
     (["--set", "nn.epochs=-1"], "nn.epochs"),
     (["--set", "ga.gens=-1"], "ga.gens"),
+    (["--set", "ga.cx=1.5"], "ga.cx"),
+    (["--set", "ga.cx=-0.1"], "ga.cx"),
+    (["--set", "ga.mut=-0.5"], "ga.mut"),
+    (["--set", "nn.lr=-0.01"], "nn.lr"),
+    (["--set", "nn.lr=0"], "nn.lr"),
 ])
 def test_out_of_range_config_value_fails_fast(tmp_path, capsys, args, key):
     code = main(["pipeline", *TOY_ARGS, *args, "--out", str(tmp_path / "o")])

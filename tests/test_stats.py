@@ -1,11 +1,19 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ebae
 from ebae.stats import (
     TransformSpec,
+    _gammp,
+    _normal_cdf,
+    _significant,
     apply_transform,
     box_cox,
     box_cox_transform,
@@ -103,6 +111,54 @@ def test_ks_statistic_matches_scipy():
     stat, _ = ks_normality(x)
     expected = kstest(x, "norm", args=(x.mean(), x.std(ddof=1))).statistic
     assert stat == pytest.approx(expected, abs=1e-12)
+
+
+def test_normal_cdf_matches_scipy_ndtr():
+    ndtr = pytest.importorskip("scipy.special").ndtr
+    z = np.linspace(-40.0, 40.0, 160_001)
+    assert np.max(np.abs(_normal_cdf(z) - ndtr(z))) <= 4.5e-16
+
+
+def _sk_shape(g):
+    """Incomplete-gamma shape a = nu0 / 2 of a Scott-Knott test over g means."""
+    return g / (2.0 * (math.pi - 2.0))
+
+
+def test_incomplete_gamma_matches_scipy_gammainc():
+    gammainc = pytest.importorskip("scipy.special").gammainc
+    for g in range(2, 200):
+        a = _sk_shape(g)
+        # the body of the distribution, below a + 1 (series) and above it
+        # (continued fraction), and both sides of the point where they meet;
+        # scipy's own far left tail at large a is off by ~1e-13 relative
+        xs = [a + 1.0 + k * math.sqrt(a) for k in (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0, 4.0, 8.0)]
+        xs += [a + 1.0 - 1e-9, a + 1.0 + 1e-9]
+        for x in (x for x in xs if x > 0):
+            assert _gammp(a, x) == pytest.approx(gammainc(a, x), rel=1e-13, abs=0), (g, x)
+
+
+def test_incomplete_gamma_limits():
+    for g in (2, 7, 40):
+        assert _gammp(_sk_shape(g), 0.0) == 0.0
+        assert _gammp(_sk_shape(g), math.inf) == 1.0
+
+
+@pytest.mark.parametrize("alpha", [0.01, 0.05, 0.10, 0.5])
+def test_split_decision_matches_chi2_quantile(alpha):
+    chi2 = pytest.importorskip("scipy.stats").chi2
+    for g in range(2, 200):
+        crit = chi2.ppf(1.0 - alpha, g / (math.pi - 2.0))
+        for lam in (0.0, crit * (1.0 - 1e-9), crit * (1.0 + 1e-9), math.inf):
+            assert _significant(lam, g, alpha) == (lam > crit), (g, lam)
+
+
+@pytest.mark.parametrize("module", ["ebae", "ebae.cli"])
+def test_import_loads_no_scipy(module):
+    src = str(Path(ebae.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = f"import sys, {module}; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_ks_degenerate_input():
