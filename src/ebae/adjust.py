@@ -18,7 +18,6 @@ from .analogy import similarity_from_distance
 from .learners import diff_rows, predict_model_tree, predict_network
 
 METHODS = ("EBA", "LSE", "MLFE", "RTM", "AQUA", "MT", "GA", "NN")
-LEARNER_METHODS = ("MT", "GA", "NN")
 
 
 class Inapplicable(Exception):
@@ -107,7 +106,8 @@ def productivity_correlation(train, nearest):
     into [0, 1] so (1 - c) stays a shrinkage factor. Projects without a
     positive size are left out; a degenerate correlation (fewer than 2
     usable pairs, or zero variance) yields 0, i.e. full regression toward
-    the local mean.
+    the local mean. Productivities too large to square give no coefficient
+    and raise Inapplicable.
     """
     c = train.size_col
     if c is None:
@@ -125,7 +125,10 @@ def productivity_correlation(train, nearest):
     x, y = neighbor[pairs], own[pairs]
     if np.std(x) == 0 or np.std(y) == 0:
         return 0.0
-    return float(np.clip(np.corrcoef(x, y)[0, 1], 0.0, 1.0))
+    r = np.corrcoef(x, y)[0, 1]
+    if not np.isfinite(r):
+        raise Inapplicable("productivity correlation undefined: productivities overflow")
+    return float(np.clip(r, 0.0, 1.0))
 
 
 def mean_productivity(train):
@@ -145,7 +148,7 @@ def mean_productivity(train):
     return float(np.mean(train.efforts[valid] / sizes[valid]))
 
 
-def adjust_rtm(target, nbh, train, correlation, historical_mean=None):
+def adjust_rtm(target, nbh, train, correlation):
     """Regression toward the mean: analogy productivities shrunk toward the
     historical mean productivity by (1 - c), then scaled by the target size."""
     c = train.size_col
@@ -156,8 +159,7 @@ def adjust_rtm(target, nbh, train, correlation, historical_mean=None):
     if size_t <= 0 or np.any(sizes <= 0):
         raise Inapplicable("non-positive size value")
     pr = _analogy_efforts(nbh, train) / sizes
-    h = mean_productivity(train) if historical_mean is None else historical_mean
-    adjusted = pr + (h - pr) * (1.0 - correlation)
+    adjusted = pr + (mean_productivity(train) - pr) * (1.0 - correlation)
     return float(size_t * np.mean(adjusted))
 
 

@@ -168,9 +168,6 @@ class Dataset:
                        *(np.delete(arr, index, axis=0) for arr in (self.cont, self.cat, self.efforts)))
         return fold
 
-    def effort_unit(self):
-        return next(c.name for c in self.columns if c.role == "effort")
-
 
 def normalize_minmax(values, bounds, clamp=False):
     """Scale columns of ``values`` to [0, 1] given (mins, maxs) bounds.

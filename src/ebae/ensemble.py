@@ -18,7 +18,7 @@ import numpy as np
 
 from .adjust import enumerate_variants, variant_from_label
 from .metrics import build_table, log_floor, summarize
-from .ranking import borda_rank, profile_from_measures, voter_ranks
+from .ranking import borda_rank, profile_from_measures
 from .stats import apply_transform, box_cox, ks_normality, scott_knott, scott_knott_two_way
 from .validation import dataset_baseline, loocv_grid
 

@@ -50,12 +50,6 @@ class ScottKnottResult:
     alpha: float
     transform: TransformSpec | None = None
 
-    def cluster_of(self, name):
-        for i, cluster in enumerate(self.clusters):
-            if name in cluster.members:
-                return i
-        raise KeyError(name)
-
     @property
     def member_order(self):
         return tuple(name for c in self.clusters for name in c.members)

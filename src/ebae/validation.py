@@ -4,23 +4,25 @@ Each fold trains on the other n-1 projects: normalization bounds, learner
 fits, and analogy retrieval see training rows only. The target enters as a
 ``Row`` of its feature values, so its effort is never consulted.
 
-``loocv_grid`` runs chunks of consecutive folds, then every (method, k)
-variant of each fold, and builds the work a fold shares across its variants
-once, on first use:
+``loocv_grid`` runs chunks of consecutive folds. Each fold first builds
+everything its variants share, then predicts every (method, k) variant
+through one dispatch to ``adjust.adjust_<method>``. A fold builds:
 
 - the training fold ``dataset.without(t)``;
 - one retrieval of the ``k_top`` nearest training projects, where ``k_top``
   is the largest k of the variants; variant k takes the first k. That is
   exactly ``retrieve(target, train, k)``, because ties break on row index,
   so the k nearest are always a prefix of the ``k_top`` nearest;
-- one in-training neighbour table ``knn_within(train, k_top)``, exact for
-  every smaller k by the same prefix property: column 0 holds each
-  project's nearest other project (difference pairs, RTM correlation) and
-  the first k columns the GA design's neighbours for k;
-- one set of difference pairs, shared by MT and NN;
-- one model tree and one RTM correlation. Neither depends on k, so a fold
-  whose tree cannot be fitted, or whose correlation is inapplicable, keeps
-  that error and every k falls back to EBA, as each k did on its own.
+- when RTM, MT, GA or NN runs, one in-training neighbour table
+  ``knn_within(train, k_top)``, exact for every smaller k by the same
+  prefix property: column 0 holds each project's nearest other project
+  (difference pairs, RTM correlation) and the first k columns the GA
+  design's neighbours for k;
+- when MT or NN runs, one set of difference pairs;
+- the model table ``models``: the RTM correlation and the model tree under
+  their method, which do not depend on k, and the GA weights and networks
+  under their variant label. A model that cannot be fitted is stored as
+  its error, and the variants that need it fall back to EBA.
 
 GA and NN members are seeded from (global seed, fold index, variant
 label), the seed a lone variant's run uses, and train in stacks in which
@@ -57,108 +59,85 @@ def derive_seed(seed, *parts):
     return int.from_bytes(digest, "big")
 
 
+def _fitted(fit, *args):
+    """``fit(*args)``, or the error that says the model cannot be fitted."""
+    try:
+        return fit(*args)
+    except (adjust.Inapplicable, FitError) as exc:
+        return exc
+
+
 class _Fold:
-    """One training fold and the work its variants share, each item built on
-    first use. An item that cannot be built keeps its error, which every
-    variant that needs the item raises again."""
+    """One training fold, its target's nearest training projects, and
+    ``models``: what the learning methods fitted on the fold, keyed by method
+    (RTM, MT) or by variant label (GA and NN members). A model that cannot be
+    fitted is kept as its error, and every variant that needs it falls back.
 
-    def __init__(self, dataset, t, k_top, config):
+    ``variants`` are the runnable variants of the grid; the fold builds only
+    what their methods use. NN members are added by ``_fit_networks``."""
+
+    def __init__(self, dataset, t, variants, config, seed):
         self.t = t
-        self.train = dataset.without(t)
+        self.train = train = dataset.without(t)
         self.target = dataset.row(t)
-        self.analogies = retrieve(self.target, self.train, k_top)
-        self.k_top = k_top
-        self.config = config
-        self._items = {}
-        self.fits = {}              # GA and NN variant label -> fit or FitError
-
-    def _shared(self, name, build):
-        if name not in self._items:
-            try:
-                self._items[name] = (build(), None)
-            except (adjust.Inapplicable, FitError) as exc:
-                self._items[name] = (None, exc)
-        value, error = self._items[name]
-        if error is not None:
-            raise error
-        return value
-
-    def neighbors(self):
-        return self._shared("neighbors", lambda: analogy.knn_within(self.train, self.k_top))
-
-    def pairs(self):
-        return self._shared("pairs", lambda: build_diff_pairs(self.train, self.neighbors()[:, 0]))
-
-    def tree(self):
-        return self._shared("tree", lambda: fit_model_tree(*self.pairs(), self.config))
-
-    def correlation(self):
-        return self._shared(
-            "correlation", lambda: adjust.productivity_correlation(self.train, self.neighbors()[:, 0])
-        )
+        k_top = max(variant.k for variant in variants)
+        self.analogies = retrieve(self.target, train, k_top)
+        self.models = {}
+        methods = {variant.method for variant in variants}
+        if methods.isdisjoint(("RTM", "MT", "GA", "NN")):
+            return
+        neighbors = analogy.knn_within(train, k_top)
+        if methods & {"MT", "NN"}:
+            # cannot fail: a fold of a runnable grid has n - 1 >= k + 1 >= 2 rows
+            self.pairs = build_diff_pairs(train, neighbors[:, 0])
+        if "RTM" in methods:
+            self.models["RTM"] = _fitted(adjust.productivity_correlation, train, neighbors[:, 0])
+        if "MT" in methods:
+            self.models["MT"] = _fitted(fit_model_tree, *self.pairs, config)
+        # the GA stack stays within the fold, so a generation's largest array
+        # is (GA variants, ga_pop, n - 1) floats whatever the chunk
+        genetic = [variant for variant in variants if variant.method == "GA"]
+        if genetic:
+            seeds = [derive_seed(seed, t, variant.label) for variant in genetic]
+            fits = fit_ga_weights(train, neighbors, [variant.k for variant in genetic], config, seeds)
+            self.models.update((variant.label, fit if isinstance(fit, FitError) else fit.alpha)
+                               for variant, fit in zip(genetic, fits))
 
     def predict(self, variant):
         """One prediction of ``variant`` for this fold's target.
 
         Returns (prediction, fell_back): when the method is inapplicable for
-        this target, its learner cannot be fitted on this fold, or its
+        this target, its model could not be fitted on this fold, or its
         prediction is not finite, the prediction falls back to the plain
         analogy mean for the same k.
         """
         k, method = variant.k, variant.method
-        target, train = self.target, self.train
         nbh = Neighborhood(self.analogies.indices[:k], self.analogies.distances[:k])
+        model = self.models.get(variant.label, self.models.get(method))
         try:
-            if method == "EBA":
-                prediction = adjust.adjust_eba(target, nbh, train)
-            elif method == "LSE":
-                prediction = adjust.adjust_lse(target, nbh, train)
-            elif method == "MLFE":
-                prediction = adjust.adjust_mlfe(target, nbh, train)
-            elif method == "RTM":
-                prediction = adjust.adjust_rtm(target, nbh, train, self.correlation())
-            elif method == "AQUA":
-                prediction = adjust.adjust_aqua(target, nbh, train)
-            elif method == "MT":
-                prediction = adjust.adjust_mt(target, nbh, train, self.tree())
-            elif method in ("GA", "NN"):
-                fit = self.fits[variant.label]
-                if isinstance(fit, FitError):
-                    raise fit
-                if method == "GA":
-                    prediction = adjust.adjust_ga(target, nbh, train, fit.alpha)
-                else:
-                    prediction = adjust.adjust_nn(target, nbh, train, fit)
-            else:
-                raise ValueError(f"unknown method {method!r}")
+            if isinstance(model, Exception):
+                raise model
+            adjuster = getattr(adjust, "adjust_" + method.lower())
+            prediction = adjuster(self.target, nbh, self.train, *(() if model is None else (model,)))
             if not math.isfinite(prediction):
                 raise adjust.Inapplicable(f"non-finite {method} prediction")
             return prediction, False
         except (adjust.Inapplicable, FitError):
-            return adjust.adjust_eba(target, nbh, train), True
-
-
-def _fit_ga(fold, variants, config, seed):
-    """Fit the weights of every GA variant of a fold as one stack into the
-    fold's ``fits``. The stack stays within the fold, so a generation's
-    largest array is (GA variants, ga_pop, n - 1) floats whatever the chunk."""
-    seeds = [derive_seed(seed, fold.t, variant.label) for variant in variants]
-    weights = fit_ga_weights(fold.train, fold.neighbors(), [variant.k for variant in variants], config, seeds)
-    fold.fits.update((variant.label, fit) for variant, fit in zip(variants, weights))
+            return adjust.adjust_eba(self.target, nbh, self.train), True
 
 
 def _fit_networks(folds, variants, config, seed):
     """Train the networks of every (fold, NN variant) of a chunk as one stack
-    into each fold's ``fits``. Every fold has n - 1 pairs, so a stack too
+    into each fold's ``models``. Every fold has n - 1 pairs, so a stack too
     small to fit gives every network the same error."""
     seeds = [[derive_seed(seed, fold.t, variant.label) for variant in variants] for fold in folds]
     try:
-        X, y = zip(*(fold.pairs() for fold in folds))
+        X, y = zip(*(fold.pairs for fold in folds))
         nets = fit_networks(np.stack(X), np.stack(y), config, seeds)
     except FitError as exc:
         nets = [[exc] * len(variants)] * len(folds)
     for fold, row in zip(folds, nets):
-        fold.fits.update((variant.label, net) for variant, net in zip(variants, row))
+        fold.models.update((variant.label, net) for variant, net in zip(variants, row))
 
 
 def loocv_grid(dataset, variants, config, seed=None):
@@ -181,21 +160,16 @@ def loocv_grid(dataset, variants, config, seed=None):
             runnable.append(variant)
     if not runnable:
         return {}, errors
-    k_top = max(variant.k for variant in runnable)
     networks = [variant for variant in runnable if variant.method == "NN"]
-    genetic = [variant for variant in runnable if variant.method == "GA"]
     width = max(dataset.m, len(networks) * config.nn_hidden)
     size = max(1, STACK_FLOATS // ((dataset.n - 1) * width))
     # at least one chunk per worker
     size = min(size, math.ceil(dataset.n / max(config.jobs, 1)))
 
     def chunk(start):
-        folds = [_Fold(dataset, t, k_top, config) for t in range(start, min(start + size, dataset.n))]
+        folds = [_Fold(dataset, t, runnable, config, seed) for t in range(start, min(start + size, dataset.n))]
         if networks:
             _fit_networks(folds, networks, config, seed)
-        if genetic:
-            for fold in folds:
-                _fit_ga(fold, genetic, config, seed)
         return [[fold.predict(variant) for variant in runnable] for fold in folds]
 
     starts = range(0, dataset.n, size)

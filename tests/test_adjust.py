@@ -134,7 +134,7 @@ def test_rtm_c0_hand_example():
     schema = size_only_schema()
     ds = make_dataset("pr", schema, [(10,), (10,), (10,)], [20, 30, 25])
     nbh = neighborhood(ds, [0, 1])
-    value = adjust_rtm(row_of(ds, (10,)), nbh, ds, correlation=0.0, historical_mean=2.5)
+    value = adjust_rtm(row_of(ds, (10,)), nbh, ds, correlation=0.0)
     assert value == pytest.approx(25.0)
 
 
@@ -152,6 +152,15 @@ def test_rtm_zero_size_inapplicable(toy):
 def test_productivity_correlation_in_unit_interval(albrecht):
     c = productivity_correlation(albrecht, knn_within(albrecht, 1)[:, 0])
     assert 0.0 <= c <= 1.0
+
+
+def test_productivity_correlation_overflow_inapplicable():
+    # productivities 1e160 * i: np.std squares them past the float range,
+    # so np.corrcoef has no finite coefficient
+    sizes = np.arange(1.0, 9.0)
+    ds = make_dataset("huge", size_only_schema(), [(s,) for s in sizes], 1e160 * sizes**2)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(Inapplicable, match="overflow"):
+        productivity_correlation(ds, knn_within(ds, 1)[:, 0])
 
 
 # --- AQUA ---

@@ -210,6 +210,26 @@ def test_loocv_grid_matches_reference_four_projects():
     assert tables["NN1"].fallback_count == tables["NN2"].fallback_count == ds.n
 
 
+def test_loocv_grid_matches_reference_no_size_feature():
+    # no size flag at all: every fold's RTM correlation is Inapplicable and
+    # LSE and MLFE cannot extrapolate, so all three fall back on every fold
+    schema, rows, efforts = random_rows(np.random.default_rng(7), n=10, n_features=3, with_categorical=True)
+    schema[0] = ColumnSpec("size", "feature", "continuous", "none")
+    ds = make_dataset("unsized", schema, rows, efforts)
+    tables, errors = assert_grid_matches_reference(ds, SMALL)
+    assert len(tables) == 40 and not errors
+    for v in GRID:
+        if v.method in ("LSE", "MLFE", "RTM"):
+            assert tables[v.label].fallback_count == ds.n, v.label
+
+
+def test_loocv_grid_matches_reference_unfittable_trees(albrecht):
+    # 12 pairs per leaf need 24 pairs, one more than a fold's 23
+    config = replace(SMALL, mt_min_leaf=12)
+    tables, _ = assert_grid_matches_reference(albrecht, config, [v for v in GRID if v.method == "MT"])
+    assert [table.fallback_count for table in tables.values()] == [albrecht.n] * 5
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.booleans(), st.integers(0, 2), st.integers(0, 3))
 def test_loocv_grid_matches_reference_property(seed, with_categorical, zero_sizes, duplicates):
@@ -290,3 +310,28 @@ def test_loocv_grid_makes_a_chunk_per_worker(albrecht, monkeypatch):
     monkeypatch.setattr(validation, "fit_networks", stacked)
     loocv_grid(albrecht, GRID, replace(SMALL, jobs=3))
     assert sorted(stacks) == [8, 8, 8]
+
+
+@pytest.mark.parametrize("methods, built", [
+    (("EBA", "LSE", "MLFE", "AQUA"), ()),
+    (("RTM",), ("knn_within", "productivity_correlation")),
+])
+def test_loocv_grid_builds_only_what_its_methods_use(albrecht, monkeypatch, methods, built):
+    calls = Counter()
+
+    def count(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    for owner, name in ((analogy, "knn_within"), (validation, "build_diff_pairs"),
+                        (validation, "fit_model_tree"), (adjust, "productivity_correlation"),
+                        (validation, "fit_ga_weights"), (validation, "fit_networks")):
+        count(owner, name)
+    tables, _ = loocv_grid(albrecht, [v for v in GRID if v.method in methods], SMALL)
+    assert len(tables) == 5 * len(methods)
+    assert calls == {name: albrecht.n for name in built}
