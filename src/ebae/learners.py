@@ -57,6 +57,9 @@ class ModelTree:
 
 
 def _fit_leaf(X, y):
+    # with fewer rows than the fit's m + 1 columns the fit is rank-deficient
+    if len(y) < X.shape[1] + 1:
+        return TreeLeaf(intercept=float(np.mean(y)), coef=None)
     A = np.hstack([X, np.ones((len(y), 1))])
     solution, _, rank, _ = np.linalg.lstsq(A, y, rcond=None)
     if rank < A.shape[1]:
@@ -289,45 +292,56 @@ def ga_fitness(residuals, D, alphas):
     errors are averaged along their own contiguous row, so the zero vector
     scores exactly mean(|residuals|) in any population.
     """
-    alphas = np.atleast_2d(alphas)
-    return np.abs(residuals[..., None, :] - alphas @ np.swapaxes(D, -1, -2)).mean(axis=-1)
+    errors = np.atleast_2d(alphas) @ np.swapaxes(D, -1, -2)
+    np.subtract(residuals[..., None, :], errors, out=errors)
+    return np.abs(errors, out=errors).mean(axis=-1)
 
 
-def fit_ga_weights(train, neighbors, ks, config, seeds):
+def fit_ga_weights(trains, neighbors, ks, config, seeds):
     """Tournament GA with arithmetic crossover, Gaussian mutation, elitism 1,
-    one member per (k, seed) of ``ks`` and ``seeds``, all at once.
+    for a stack of F training sets times K members, all at once.
 
-    Member i searches the design ``ga_design(train, neighbors[:, :k])`` for
-    its k. The members whose designs can be built train as one stack:
-    residuals (K, n), designs (K, n, m) and populations (K, ga_pop, m).
-    Returns one ``GaWeights`` per member, or the ``FitError`` of a member
-    whose design cannot be built. No member depends on the others: each
-    equals its lone fit.
+    ``trains`` are F training sets of the same size and features, and
+    ``neighbors`` their in-training neighbour tables (``knn_within``).
+    ``seeds`` holds F rows of K seeds, one member per seed: member (f, j)
+    searches the design ``ga_design(trains[f], neighbors[f][:, :ks[j]])``.
+    The members whose designs can be built train as one stack of S:
+    residuals (S, n), designs (S, n, m) and populations (S, ga_pop, m).
+    Returns F rows of K outcomes: a ``GaWeights``, or the ``FitError`` of a
+    member whose design cannot be built. No member depends on the others:
+    each equals its lone fit.
 
     Each member draws from its own ``default_rng(seed)``: first its initial
     population, into which the zero vector is planted, so its weights never
     score worse than no correction at all. Each generation breeds its
-    ``ga_pop - 1`` children at once and draws, in this order: the
-    tournament contenders (3 per parent, first parents then second parents)
-    as one ``(2 * (ga_pop - 1), 3)`` integer array, where the fittest
-    contender wins and ties go to the first listed; the crossover mask and
-    the blend weights, one per child each; then the mutation mask and the
-    Gaussian noise, one per child and weight each. Children are clipped to
+    ``ga_pop - 1`` children at once from three calls, in this order:
+
+    - ``integers``: the tournament contenders, 3 per parent, first parents
+      then second parents, as one ``(2 * (ga_pop - 1), 3)`` array; the
+      fittest contender wins and ties go to the first listed;
+    - ``random``: the crossover mask and the blend weights, one per child
+      each, then the mutation mask, one per child and weight;
+    - ``standard_normal``: the Gaussian noise, one per child and weight,
+      scaled by ``0.1 * ga_range``.
+
+    These are the numbers that one ``random`` call per mask and a
+    ``normal(0, 0.1 * ga_range)`` call would draw. Children are clipped to
     ``[-ga_range, ga_range]`` and the elite is carried over unchanged.
     """
-    outcomes, designs = [], []
-    for i, (k, seed) in enumerate(zip(ks, seeds)):
-        try:
-            designs.append((i, *ga_design(train, neighbors[:, :k]), seed))
-            outcomes.append(None)
-        except FitError as exc:
-            outcomes.append(exc)
+    outcomes = [[None] * len(ks) for _ in seeds]
+    designs = []
+    for f, (train, table, row) in enumerate(zip(trains, neighbors, seeds)):
+        for j, (k, seed) in enumerate(zip(ks, row)):
+            try:
+                designs.append(((f, j), *ga_design(train, table[:, :k]), seed))
+            except FitError as exc:
+                outcomes[f][j] = exc
     if not designs:
         return outcomes
     members, residuals, D, member_seeds = zip(*designs)
     residuals, D = np.stack(residuals), np.stack(D)
     size, m = len(members), D.shape[-1]
-    stack = np.arange(size)[:, None]
+    n_children = config.ga_pop - 1
     r = config.ga_range
     rngs = [np.random.default_rng(seed) for seed in member_seeds]
     pop = np.stack([rng.uniform(-r, r, size=(config.ga_pop, m)) for rng in rngs])
@@ -335,31 +349,36 @@ def fit_ga_weights(train, neighbors, ks, config, seeds):
     fitness = ga_fitness(residuals, D, pop)
     history = [fitness.min(axis=1)]
     sigma = 0.1 * r
-    n_children = config.ga_pop - 1
-    tournaments = np.arange(2 * n_children)
     contenders = np.empty((size, 2 * n_children, 3), dtype=np.int64)
-    cross, blend = np.empty((2, size, n_children))
-    mutate, noise = np.empty((2, size, n_children, m))
+    # selection indexes flat views: each member's first row in the (size *
+    # ga_pop) fitness and population, each tournament's first contender
+    offsets = np.arange(0, size * config.ga_pop, config.ga_pop)
+    firsts = np.arange(0, contenders.size, 3).reshape(size, 2 * n_children)
+    uniforms = np.empty((size, n_children * (2 + m)))
+    cross, blend = uniforms[:, :n_children], uniforms[:, n_children:2 * n_children]
+    mutate = uniforms[:, 2 * n_children:].reshape(size, n_children, m)
+    noise = np.empty((size, n_children, m))
     for _ in range(config.ga_gens):
         for s, rng in enumerate(rngs):
             contenders[s] = rng.integers(0, config.ga_pop, size=(2 * n_children, 3))
-            cross[s] = rng.random(n_children)
-            blend[s] = rng.random(n_children)
-            mutate[s] = rng.random((n_children, m))
-            noise[s] = rng.normal(0.0, sigma, size=(n_children, m))
-        fittest = np.argmin(fitness[stack[..., None], contenders], axis=2)
-        winners = contenders[stack, tournaments, fittest]
-        parents = pop[stack, winners].reshape(size, 2, n_children, m)
-        p1, p2 = parents[:, 0], parents[:, 1]
+            rng.random(out=uniforms[s])
+            rng.standard_normal(out=noise[s])
+        noise *= sigma
+        entries = contenders + offsets[:, None, None]
+        winners = entries.ravel().take(firsts + np.argmin(fitness.ravel().take(entries), axis=2))
+        rows = pop.reshape(-1, m)
+        parents = rows.take(winners, axis=0)
+        p1, p2 = parents[:, :n_children], parents[:, n_children:]
         u = blend[..., None]
         children = np.where(cross[..., None] < config.ga_cx, u * p1 + (1.0 - u) * p2, p1)
         children = np.where(mutate < config.ga_mut, children + noise, children)
-        elite = pop[stack, np.argmin(fitness, axis=1)[:, None]]
-        pop = np.concatenate([elite, np.clip(children, -r, r)], axis=1)
+        pop = np.empty_like(pop)
+        pop[:, 0] = rows[offsets + np.argmin(fitness, axis=1)]
+        np.clip(children, -r, r, out=pop[:, 1:])
         fitness = ga_fitness(residuals, D, pop)
         history.append(fitness.min(axis=1))
     history = np.stack(history, axis=1).tolist()
-    for s, (i, best) in enumerate(zip(members, np.argmin(fitness, axis=1))):
-        outcomes[i] = GaWeights(alpha=pop[s, best].copy(), fitness=float(fitness[s, best]),
-                                history=tuple(history[s]))
+    for s, ((f, j), best) in enumerate(zip(members, np.argmin(fitness, axis=1))):
+        outcomes[f][j] = GaWeights(alpha=pop[s, best].copy(), fitness=float(fitness[s, best]),
+                                   history=tuple(history[s]))
     return outcomes

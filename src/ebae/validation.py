@@ -5,8 +5,9 @@ fits, and analogy retrieval see training rows only. The target enters as a
 ``Row`` of its feature values, so its effort is never consulted.
 
 ``loocv_grid`` runs chunks of consecutive folds. Each fold first builds
-everything its variants share, then predicts every (method, k) variant
-through one dispatch to ``adjust.adjust_<method>``. A fold builds:
+what its variants share, the chunk then trains its GA and NN members in
+stacks, and each fold predicts every (method, k) variant through one
+dispatch to ``adjust.adjust_<method>``. A fold builds:
 
 - the training fold ``dataset.without(t)``;
 - one retrieval of the ``k_top`` nearest training projects, where ``k_top``
@@ -26,10 +27,12 @@ through one dispatch to ``adjust.adjust_<method>``. A fold builds:
 
 GA and NN members are seeded from (global seed, fold index, variant
 label), the seed a lone variant's run uses, and train in stacks in which
-each member equals its lone fit: the GA variants of a fold in one
-``fit_ga_weights`` call, and the networks of a whole chunk, every fold
-times every NN variant, in one ``fit_networks`` call. So results are
-identical for any set of variants, any chunking and any number of workers.
+each member equals its lone fit. The GA members of a chunk train in
+``fit_ga_weights`` stacks of consecutive folds times every GA variant,
+as many folds as ``STACK_FLOATS`` allows; the networks of a whole chunk,
+every fold times every NN variant, train in one ``fit_networks`` call. So
+results are identical for any set of variants, any chunking and any
+number of workers.
 """
 
 from __future__ import annotations
@@ -49,7 +52,11 @@ from .metrics import baseline, build_table, log_floor, summarize
 # (folds, NN variants, n - 1, nn_hidden) or (folds, n - 1, m): a chunk holds
 # as many folds as keep it near this size (256 KB), which is 3 folds at
 # n = 499, 16 at n = 100 and all of Albrecht. Larger stacks trained no
-# faster per network and held more memory for the chunk.
+# faster per network and held more memory for the chunk. The same bound
+# splits a chunk into GA stacks, whose largest array in a generation is
+# (folds, GA variants, ga_pop, n - 1): 5 folds on Albrecht with the default
+# ga_pop of 50, and one fold, the smallest stack, from n = 67 on. One stack
+# of all 24 Albrecht folds trained no faster than stacks of 5.
 STACK_FLOATS = 2**15
 
 
@@ -74,7 +81,8 @@ class _Fold:
     fitted is kept as its error, and every variant that needs it falls back.
 
     ``variants`` are the runnable variants of the grid; the fold builds only
-    what their methods use. NN members are added by ``_fit_networks``."""
+    what their methods use. GA and NN members are added by ``_fit_ga`` and
+    ``_fit_networks``."""
 
     def __init__(self, dataset, t, variants, config, seed):
         self.t = t
@@ -94,14 +102,7 @@ class _Fold:
             self.models["RTM"] = _fitted(adjust.productivity_correlation, train, neighbors[:, 0])
         if "MT" in methods:
             self.models["MT"] = _fitted(fit_model_tree, *self.pairs, config)
-        # the GA stack stays within the fold, so a generation's largest array
-        # is (GA variants, ga_pop, n - 1) floats whatever the chunk
-        genetic = [variant for variant in variants if variant.method == "GA"]
-        if genetic:
-            seeds = [derive_seed(seed, t, variant.label) for variant in genetic]
-            fits = fit_ga_weights(train, neighbors, [variant.k for variant in genetic], config, seeds)
-            self.models.update((variant.label, fit if isinstance(fit, FitError) else fit.alpha)
-                               for variant, fit in zip(genetic, fits))
+        self.neighbors = neighbors
 
     def predict(self, variant):
         """One prediction of ``variant`` for this fold's target.
@@ -124,6 +125,23 @@ class _Fold:
             return prediction, False
         except (adjust.Inapplicable, FitError):
             return adjust.adjust_eba(self.target, nbh, self.train), True
+
+
+def _fit_ga(folds, variants, config, seed):
+    """Fit the GA members of every (fold, GA variant) of a chunk into each
+    fold's ``models``, in stacks of consecutive folds whose largest array in
+    a generation, (folds, GA variants, ga_pop, n - 1) floats, stays within
+    ``STACK_FLOATS`` (one fold when a single fold exceeds it)."""
+    size = max(1, STACK_FLOATS // (len(variants) * config.ga_pop * folds[0].train.n))
+    ks = [variant.k for variant in variants]
+    for start in range(0, len(folds), size):
+        group = folds[start:start + size]
+        seeds = [[derive_seed(seed, fold.t, variant.label) for variant in variants] for fold in group]
+        fits = fit_ga_weights([fold.train for fold in group], [fold.neighbors for fold in group], ks, config,
+                              seeds)
+        for fold, row in zip(group, fits):
+            fold.models.update((variant.label, fit if isinstance(fit, FitError) else fit.alpha)
+                               for variant, fit in zip(variants, row))
 
 
 def _fit_networks(folds, variants, config, seed):
@@ -160,6 +178,7 @@ def loocv_grid(dataset, variants, config, seed=None):
             runnable.append(variant)
     if not runnable:
         return {}, errors
+    genetic = [variant for variant in runnable if variant.method == "GA"]
     networks = [variant for variant in runnable if variant.method == "NN"]
     width = max(dataset.m, len(networks) * config.nn_hidden)
     size = max(1, STACK_FLOATS // ((dataset.n - 1) * width))
@@ -168,6 +187,8 @@ def loocv_grid(dataset, variants, config, seed=None):
 
     def chunk(start):
         folds = [_Fold(dataset, t, runnable, config, seed) for t in range(start, min(start + size, dataset.n))]
+        if genetic:
+            _fit_ga(folds, genetic, config, seed)
         if networks:
             _fit_networks(folds, networks, config, seed)
         return [[fold.predict(variant) for variant in runnable] for fold in folds]

@@ -280,7 +280,7 @@ def test_criterion_08_learner_checks():
     planted = make_dataset(
         "planted", size_only_schema(), [(s,) for s in sizes], [10.0 + 2.0 * s for s in sizes]
     )
-    (result,) = fit_ga_weights(planted, knn_within(planted, 1), [1], Config(), [5])
+    ((result,),) = fit_ga_weights([planted], [knn_within(planted, 1)], [1], Config(), [[5]])
     residuals, D = ga_design(planted, knn_within(planted, 1))
     zero = float(ga_fitness(residuals, D, np.zeros(1))[0])
     nonincreasing = all(b <= a for a, b in zip(result.history, result.history[1:]))

@@ -272,10 +272,10 @@ def test_loocv_grid_builds_shared_work_once_per_fold(albrecht, monkeypatch):
         members["NN"].extend(s for row in seeds for s in row)
         return fit_networks(X, y, config, seeds)
 
-    def stacked_weights(train, neighbors, ks, config, seeds):
+    def stacked_weights(trains, neighbors, ks, config, seeds):
         calls["fit_ga_weights"] += 1
-        members["GA"].extend(seeds)
-        return fit_ga_weights(train, neighbors, ks, config, seeds)
+        members["GA"].extend(s for row in seeds for s in row)
+        return fit_ga_weights(trains, neighbors, ks, config, seeds)
 
     monkeypatch.setattr(validation, "fit_networks", stacked_networks)
     monkeypatch.setattr(validation, "fit_ga_weights", stacked_weights)
@@ -283,20 +283,46 @@ def test_loocv_grid_builds_shared_work_once_per_fold(albrecht, monkeypatch):
     n = albrecht.n
     assert len(tables) == 40
     # Albrecht's 24 folds fit in one chunk: one stack of every (fold, NN k)
-    # network, and one stack of the five GA k per fold
+    # network, and GA stacks of the five k of up to
+    # STACK_FLOATS // (5 * ga_pop * (n - 1)) = 47 folds, so one stack too
+    assert validation.STACK_FLOATS // (5 * SMALL.ga_pop * (n - 1)) == 47
     assert calls == {"fit_model_tree": n, "build_diff_pairs": n, "productivity_correlation": n,
                      "retrieve": n, "knn_within": n, "without": n,
-                     "fit_ga_weights": n, "fit_networks": 1}
+                     "fit_ga_weights": 1, "fit_networks": 1}
     for seeds in members.values():
         assert len(set(seeds)) == len(seeds) == 5 * n
 
 
-@pytest.mark.parametrize("floats", [1, 23 * 20 * 5])
+# folds per NN stack and per GA stack on Albrecht under each STACK_FLOATS:
+# an NN chunk holds floats // (23 pairs * 5 NN k * 4 hidden) folds, a GA stack
+# within it floats // (23 pairs * 5 GA k * 6 members)
+CHUNKINGS = {
+    1: ([1] * 24, [1] * 24),
+    23 * 20 * 5: ([5, 5, 5, 5, 4], [3, 2] * 4 + [3, 1]),
+    23 * 30 * 2: ([3] * 8, [2, 1] * 8),
+}
+
+
+@pytest.mark.parametrize("floats", CHUNKINGS)
 def test_loocv_grid_identical_for_any_chunking(albrecht, monkeypatch, floats):
-    # a chunk of one fold each, and chunks of five folds with one left over
+    # the last two cases put a GA stack boundary inside every NN chunk
     whole = loocv_grid(albrecht, GRID, SMALL)
+    stacks = {"NN": [], "GA": []}
+    fit_networks, fit_ga_weights = validation.fit_networks, validation.fit_ga_weights
+
+    def stacked_networks(X, y, config, seeds):
+        stacks["NN"].append(len(seeds))
+        return fit_networks(X, y, config, seeds)
+
+    def stacked_weights(trains, neighbors, ks, config, seeds):
+        stacks["GA"].append(len(seeds))
+        return fit_ga_weights(trains, neighbors, ks, config, seeds)
+
     monkeypatch.setattr(validation, "STACK_FLOATS", floats)
+    monkeypatch.setattr(validation, "fit_networks", stacked_networks)
+    monkeypatch.setattr(validation, "fit_ga_weights", stacked_weights)
     assert loocv_grid(albrecht, GRID, SMALL) == whole
+    assert (stacks["NN"], stacks["GA"]) == CHUNKINGS[floats]
 
 
 def test_loocv_grid_makes_a_chunk_per_worker(albrecht, monkeypatch):
