@@ -4,7 +4,7 @@ ensembles of the best-performing variants."""
 
 from .adjust import METHODS, VariantId, enumerate_variants
 from .config import Config
-from .data import Dataset, Project, describe, load_dataset, write_dataset
+from .data import Dataset, describe, load_dataset, write_dataset
 from .ensemble import EnsembleSpec, run_pipeline
 from .metrics import BaselineStats, EvalSummary, PredictionTable, baseline, summarize
 from .ranking import PreferenceProfile, borda_rank, majority_margins
@@ -22,7 +22,6 @@ __all__ = [
     "METHODS",
     "PredictionTable",
     "PreferenceProfile",
-    "Project",
     "VariantId",
     "baseline",
     "borda_rank",

@@ -59,7 +59,7 @@ def retrieve(target, pool, k):
     if pool.n < k:
         raise ValueError(f"pool has {pool.n} projects, cannot retrieve k={k}")
     d = pool_distances(target, pool)
-    order = np.lexsort((np.arange(pool.n), d))[:k]
+    order = np.argsort(d, kind="stable")[:k]
     return Neighborhood(order, d[order])
 
 

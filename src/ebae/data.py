@@ -11,9 +11,9 @@ size_related}. Rows with a missing feature or effort value are dropped (and
 counted); malformed values are errors. Raw feature values are kept untouched;
 normalization produces a separate view used only for analogy retrieval.
 
-A Dataset keeps one columnar copy of its ``Project`` records: an ``ids``
-tuple and read-only arrays, each categorical column coded once as integers
-into its ``levels``. ``row(i)`` hands one project's values to retrieval and
+A Dataset holds its projects column by column: an ``ids`` tuple and
+read-only arrays, each categorical column coded once as integers into its
+``levels``. ``row(i)`` hands one project's values to retrieval and
 adjustment as a ``Row(cont, cat)``; ``without(i)``, the training fold of a
 leave-one-out step, slices the columns and shares the levels.
 """
@@ -65,15 +65,6 @@ class ColumnSpec:
             )
 
 
-@dataclass(frozen=True)
-class Project:
-    """One historical project: feature values (schema order) and its effort."""
-
-    id: str
-    features: tuple
-    effort: float
-
-
 class Row(NamedTuple):
     """One project's feature values as they sit in a Dataset's arrays."""
 
@@ -91,9 +82,12 @@ class Dataset:
     holds the per-continuous-feature (min, max) over all rows. ``size_col``
     is the ``cont`` column of the primary size (None without one) and
     ``size_cols`` the ``cont`` columns of every size-flagged feature.
+
+    The constructor takes the project ids, their feature tuples in schema
+    order and their efforts, three sequences of one length.
     """
 
-    def __init__(self, name, columns, projects, dropped_rows=0):
+    def __init__(self, name, columns, ids, rows, efforts, dropped_rows=0):
         self.name = name
         self.columns = tuple(columns)
         self.dropped_rows = dropped_rows
@@ -106,29 +100,31 @@ class Dataset:
         self.size_col = next((c for c, col in enumerate(cont_schema) if col.size_flag == "primary_size"), None)
         self.size_cols = tuple(c for c, col in enumerate(cont_schema) if col.size_flag != "none")
 
-        projects = tuple(projects)
-        n = len(projects)
+        ids, rows, efforts = tuple(ids), tuple(rows), [float(e) for e in efforts]
+        n = len(ids)
+        if not n == len(rows) == len(efforts):
+            raise DatasetError(f"got {n} ids, {len(rows)} feature rows and {len(efforts)} efforts")
         m = len(self.feature_schema)
         if n < 3:
             raise DatasetError(f"dataset needs at least 3 projects, got {n}")
         seen = set()
-        for p in projects:
-            if len(p.features) != m:
-                raise DatasetError(f"project {p.id!r}: expected {m} features, got {len(p.features)}")
-            if not (np.isfinite(p.effort) and p.effort > 0):
-                raise DatasetError(f"project {p.id!r}: non-positive effort {p.effort!r}")
-            if p.id in seen:
-                raise DatasetError(f"duplicate project id {p.id!r}")
-            seen.add(p.id)
+        for pid, row, effort in zip(ids, rows, efforts):
+            if len(row) != m:
+                raise DatasetError(f"project {pid!r}: expected {m} features, got {len(row)}")
+            if not (np.isfinite(effort) and effort > 0):
+                raise DatasetError(f"project {pid!r}: non-positive effort {effort!r}")
+            if pid in seen:
+                raise DatasetError(f"duplicate project id {pid!r}")
+            seen.add(pid)
 
-        cont = np.array([[p.features[i] for i in self.cont_index] for p in projects], dtype=float)
+        cont = np.array([[row[i] for i in self.cont_index] for row in rows], dtype=float)
         if not np.all(np.isfinite(cont)):
             raise DatasetError("non-finite continuous feature value")
         codes = [{} for _ in self.cat_index]      # value -> code, per column
-        cat = np.array([[code.setdefault(p.features[i], len(code)) for i, code in zip(self.cat_index, codes)]
-                        for p in projects], dtype=np.int64)
+        cat = np.array([[code.setdefault(row[i], len(code)) for i, code in zip(self.cat_index, codes)]
+                        for row in rows], dtype=np.int64)
         self.levels = tuple(tuple(code) for code in codes)
-        self._set_rows(tuple(p.id for p in projects), cont, cat, np.array([p.effort for p in projects]))
+        self._set_rows(ids, cont, cat, np.array(efforts))
 
     def _set_rows(self, ids, cont, cat, efforts):
         """Install the row ids and arrays, read-only, with their bounds."""
@@ -267,7 +263,7 @@ def load_dataset(data_path, schema_path, name=None):
         effort_pos = next(i for i, c in enumerate(columns) if c.role == "effort")
         feature_pos = [i for i, c in enumerate(columns) if c.role == "feature"]
 
-        projects = []
+        ids, rows, efforts = [], [], []
         dropped = 0
         for rownum, row in enumerate(reader, start=1):
             if not row or all(not cell.strip() for cell in row):
@@ -282,12 +278,14 @@ def load_dataset(data_path, schema_path, name=None):
             effort = cells[-1]
             if effort <= 0:
                 raise DatasetError(f"{data_path}: row {rownum}: non-positive effort {effort!r}")
-            projects.append(Project(pid, tuple(cells[:-1]), effort))
+            ids.append(pid)
+            rows.append(tuple(cells[:-1]))
+            efforts.append(effort)
 
     if dropped:
         log.warning("%s: dropped %d row(s) with missing values", data_path, dropped)
     retained = [c for c in columns if c.role != "ignored"]
-    return Dataset(name or data_path.stem, retained, projects, dropped_rows=dropped)
+    return Dataset(name or data_path.stem, retained, ids, rows, efforts, dropped_rows=dropped)
 
 
 def write_dataset(dataset, data_path, schema_path):

@@ -22,7 +22,8 @@ from .ranking import borda_rank, profile_from_measures
 from .stats import apply_transform, box_cox, ks_normality, scott_knott, scott_knott_two_way
 from .validation import dataset_baseline, loocv_grid
 
-MEASURE_VOTERS = ("MAE", "LSD", "MBRE", "MIBRE")
+# ranking voter -> EvalSummary attribute; the order is the profile's voter order
+MEASURE_VOTERS = {"MAE": "mae", "LSD": "lsd", "MBRE": "mbre", "MIBRE": "mibre"}
 EFFECT_SIZE_GATE = 0.5
 
 
@@ -83,14 +84,14 @@ class PipelineReport:
     notes: list = field(default_factory=list)
 
 
-def evaluate_grid(dataset, config, base, seed=None):
+def evaluate_grid(dataset, config, base):
     """LOOCV every (method, k) variant and summarize it against ``base``.
 
     Returns (tables, summaries, errors), each keyed by variant label in grid
     order; a variant that cannot be evaluated gets its message in ``errors``.
     """
     variants = enumerate_variants(config.k_max)
-    tables, errors = loocv_grid(dataset, variants, config, seed)
+    tables, errors = loocv_grid(dataset, variants, config)
     summaries = {}
     for label, table in tables.items():
         try:
@@ -142,10 +143,9 @@ def select_best_cluster(tables, survivors, alpha):
 
 def measure_values(summaries, labels):
     """Voter -> {candidate: value} for the four ranking measures (smaller is better)."""
-    picks = {"MAE": "mae", "LSD": "lsd", "MBRE": "mbre", "MIBRE": "mibre"}
     return {
         voter: {label: getattr(summaries[label], attr) for label in labels}
-        for voter, attr in picks.items()
+        for voter, attr in MEASURE_VOTERS.items()
     }
 
 
@@ -223,16 +223,14 @@ def _per_method_stages(report, alpha):
             report.notes.append(f"two-way clustering skipped: {exc}")
 
 
-def run_pipeline(dataset, config, seed=None):
+def run_pipeline(dataset, config):
     """Run the whole selection / ranking / ensembling pipeline on one dataset."""
-    if seed is None:
-        seed = config.seed
-    base = dataset_baseline(dataset, config, seed)
+    base = dataset_baseline(dataset, config)
     report = PipelineReport(
         dataset_name=dataset.name, n=dataset.n, m=dataset.m, config=config, baseline=base
     )
 
-    report.tables, report.summaries, report.variant_errors = evaluate_grid(dataset, config, base, seed)
+    report.tables, report.summaries, report.variant_errors = evaluate_grid(dataset, config, base)
     report.notes += [f"{label} not evaluated: {message}"
                      for label, message in report.variant_errors.items()]
 

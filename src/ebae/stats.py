@@ -28,6 +28,7 @@ import numpy as np
 _PI_FACTOR = math.pi / (2.0 * (math.pi - 2.0))
 _EPS = 1e-16       # relative stopping tolerance of the incomplete-gamma series and fraction
 _FPMIN = 1e-300    # keeps the continued fraction's denominators off zero
+_LAMBDA_GRID = np.arange(-200, 201) * 0.01
 
 
 @dataclass(frozen=True)
@@ -50,10 +51,6 @@ class ScottKnottResult:
     alpha: float
     transform: TransformSpec | None = None
 
-    @property
-    def member_order(self):
-        return tuple(name for c in self.clusters for name in c.members)
-
 
 def box_cox_transform(values, lam):
     x = np.asarray(values, dtype=float)
@@ -72,8 +69,9 @@ def _log_likelihood(x, lam, log_sum):
     return -0.5 * x.size * np.log(var) + (lam - 1.0) * log_sum
 
 
-def box_cox(values, step=0.01, lam_min=-2.0, lam_max=2.0):
-    """Fit lambda by maximum log-likelihood over a grid and transform.
+def box_cox(values):
+    """Fit lambda by maximum log-likelihood over a grid of -2 to 2 in steps
+    of 0.01, and transform.
 
     Non-positive inputs are shifted up by 1e-3 of the maximum value first
     (exact predictions produce zero absolute errors). Returns the transformed
@@ -94,12 +92,11 @@ def box_cox(values, step=0.01, lam_min=-2.0, lam_max=2.0):
         # Degenerate constant input: any lambda is as good; use the affine branch.
         spec = TransformSpec(box_cox_lambda=1.0, shift=shift)
         return box_cox_transform(shifted, 1.0), spec
-    grid = np.round(np.arange(round(lam_min / step), round(lam_max / step) + 1)) * step
     log_sum = float(np.sum(np.log(shifted)))
     # NaN marks a lambda whose transform overflows; lambda = 0 (the log) never
     # does, so the best likelihood is finite and so is the transform it picks
-    lls = [_log_likelihood(shifted, float(lam), log_sum) for lam in grid]
-    best = float(grid[int(np.nanargmax(lls))])
+    lls = [_log_likelihood(shifted, float(lam), log_sum) for lam in _LAMBDA_GRID]
+    best = float(_LAMBDA_GRID[int(np.nanargmax(lls))])
     spec = TransformSpec(box_cox_lambda=best, shift=shift)
     return box_cox_transform(shifted, best), spec
 

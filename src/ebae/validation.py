@@ -25,8 +25,8 @@ dispatch to ``adjust.adjust_<method>``. A fold builds:
   under their variant label. A model that cannot be fitted is stored as
   its error, and the variants that need it fall back to EBA.
 
-GA and NN members are seeded from (global seed, fold index, variant
-label), the seed a lone variant's run uses, and train in stacks in which
+GA and NN members are seeded from ``(config.seed, fold index, variant
+label)``, the seed a lone variant's run uses, and train in stacks in which
 each member equals its lone fit. The GA members of a chunk train in
 ``fit_ga_weights`` stacks of consecutive folds times every GA variant,
 as many folds as ``STACK_FLOATS`` allows; the networks of a whole chunk,
@@ -84,7 +84,7 @@ class _Fold:
     what their methods use. GA and NN members are added by ``_fit_ga`` and
     ``_fit_networks``."""
 
-    def __init__(self, dataset, t, variants, config, seed):
+    def __init__(self, dataset, t, variants, config):
         self.t = t
         self.train = train = dataset.without(t)
         self.target = dataset.row(t)
@@ -127,7 +127,7 @@ class _Fold:
             return adjust.adjust_eba(self.target, nbh, self.train), True
 
 
-def _fit_ga(folds, variants, config, seed):
+def _fit_ga(folds, variants, config):
     """Fit the GA members of every (fold, GA variant) of a chunk into each
     fold's ``models``, in stacks of consecutive folds whose largest array in
     a generation, (folds, GA variants, ga_pop, n - 1) floats, stays within
@@ -136,7 +136,7 @@ def _fit_ga(folds, variants, config, seed):
     ks = [variant.k for variant in variants]
     for start in range(0, len(folds), size):
         group = folds[start:start + size]
-        seeds = [[derive_seed(seed, fold.t, variant.label) for variant in variants] for fold in group]
+        seeds = [[derive_seed(config.seed, fold.t, variant.label) for variant in variants] for fold in group]
         fits = fit_ga_weights([fold.train for fold in group], [fold.neighbors for fold in group], ks, config,
                               seeds)
         for fold, row in zip(group, fits):
@@ -144,11 +144,11 @@ def _fit_ga(folds, variants, config, seed):
                                for variant, fit in zip(variants, row))
 
 
-def _fit_networks(folds, variants, config, seed):
+def _fit_networks(folds, variants, config):
     """Train the networks of every (fold, NN variant) of a chunk as one stack
     into each fold's ``models``. Every fold has n - 1 pairs, so a stack too
     small to fit gives every network the same error."""
-    seeds = [[derive_seed(seed, fold.t, variant.label) for variant in variants] for fold in folds]
+    seeds = [[derive_seed(config.seed, fold.t, variant.label) for variant in variants] for fold in folds]
     try:
         X, y = zip(*(fold.pairs for fold in folds))
         nets = fit_networks(np.stack(X), np.stack(y), config, seeds)
@@ -158,15 +158,13 @@ def _fit_networks(folds, variants, config, seed):
         fold.models.update((variant.label, net) for variant, net in zip(variants, row))
 
 
-def loocv_grid(dataset, variants, config, seed=None):
+def loocv_grid(dataset, variants, config):
     """Leave-one-out predictions of several variants over a dataset.
 
     Returns (tables, errors), both keyed by variant label in the order of
     ``variants``; a variant whose k leaves too few training projects gets
     its message in ``errors`` instead of a table.
     """
-    if seed is None:
-        seed = config.seed
     runnable, errors = [], {}
     for variant in variants:
         k = variant.k
@@ -186,11 +184,11 @@ def loocv_grid(dataset, variants, config, seed=None):
     size = min(size, math.ceil(dataset.n / max(config.jobs, 1)))
 
     def chunk(start):
-        folds = [_Fold(dataset, t, runnable, config, seed) for t in range(start, min(start + size, dataset.n))]
+        folds = [_Fold(dataset, t, runnable, config) for t in range(start, min(start + size, dataset.n))]
         if genetic:
-            _fit_ga(folds, genetic, config, seed)
+            _fit_ga(folds, genetic, config)
         if networks:
-            _fit_networks(folds, networks, config, seed)
+            _fit_networks(folds, networks, config)
         return [[fold.predict(variant) for variant in runnable] for fold in folds]
 
     starts = range(0, dataset.n, size)
@@ -211,23 +209,21 @@ def loocv_grid(dataset, variants, config, seed=None):
     return tables, errors
 
 
-def loocv(dataset, variant, config, seed=None):
+def loocv(dataset, variant, config):
     """Leave-one-out predictions of one variant over a dataset."""
-    tables, errors = loocv_grid(dataset, (variant,), config, seed)
+    tables, errors = loocv_grid(dataset, (variant,), config)
     if errors:
         raise ValueError(errors[variant.label])
     return tables[variant.label]
 
 
-def dataset_baseline(dataset, config, seed=None):
+def dataset_baseline(dataset, config):
     """Random-guessing baseline over the dataset's full effort column."""
-    if seed is None:
-        seed = config.seed
-    return baseline(dataset.efforts, config.runs, derive_seed(seed, "baseline"))
+    return baseline(dataset.efforts, config.runs, derive_seed(config.seed, "baseline"))
 
 
-def evaluate_variant(dataset, variant, config, seed=None, base=None):
+def evaluate_variant(dataset, variant, config, base=None):
     """LOOCV one variant and summarize it against the dataset baseline."""
     if base is None:
-        base = dataset_baseline(dataset, config, seed)
-    return summarize(loocv(dataset, variant, config, seed), base)
+        base = dataset_baseline(dataset, config)
+    return summarize(loocv(dataset, variant, config), base)

@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ebae.data import ColumnSpec, Dataset, Project, Row
+from ebae.data import ColumnSpec, Dataset, Row
 
 DATASETS = Path(__file__).resolve().parent.parent / "datasets"
 
@@ -13,10 +13,7 @@ def make_dataset(name, schema, rows, efforts, ids=None):
     the matching feature tuples."""
     ids = ids or [f"p{i + 1}" for i in range(len(rows))]
     columns = list(schema) + [ColumnSpec("effort", "effort", "continuous", "none")]
-    projects = [
-        Project(pid, tuple(row), float(e)) for pid, row, e in zip(ids, rows, efforts)
-    ]
-    return Dataset(name, columns, projects)
+    return Dataset(name, columns, ids, rows, efforts)
 
 
 def row_of(dataset, features):
@@ -29,16 +26,17 @@ def row_of(dataset, features):
 
 
 def projects_of(dataset):
-    """The rows of ``dataset`` as Project records, categories decoded through its levels."""
-    projects = []
-    for r, pid in enumerate(dataset.ids):
+    """The (ids, feature tuples, efforts) lists of ``dataset``, the inputs of
+    its constructor, with categories decoded through its levels."""
+    rows = []
+    for r in range(dataset.n):
         features = [None] * dataset.m
         for c, i in enumerate(dataset.cont_index):
             features[i] = float(dataset.cont[r, c])
         for c, i in enumerate(dataset.cat_index):
             features[i] = dataset.levels[c][dataset.cat[r, c]]
-        projects.append(Project(pid, tuple(features), float(dataset.efforts[r])))
-    return projects
+        rows.append(tuple(features))
+    return list(dataset.ids), rows, dataset.efforts.tolist()
 
 
 def size_only_schema():

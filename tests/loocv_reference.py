@@ -62,28 +62,26 @@ def predict_variant(variant, target, train, config, seed):
         return adjust.adjust_eba(target, nbh, train), True
 
 
-def loocv_variant(dataset, variant, config, seed=None):
+def loocv_variant(dataset, variant, config):
     """Leave-one-out table of one variant, one fold after another."""
-    if seed is None:
-        seed = config.seed
     k = variant.k
     if dataset.n < k + 2:
         raise ValueError(f"dataset too small for k={k}: need at least {k + 2} projects, have {dataset.n}")
     outcomes = [
         predict_variant(variant, dataset.row(t), dataset.without(t), config,
-                        derive_seed(seed, t, variant.label))
+                        derive_seed(config.seed, t, variant.label))
         for t in range(dataset.n)
     ]
     return build_table(variant.label, dataset.ids, dataset.efforts,
                        [p for p, _ in outcomes], log_floor(dataset.efforts), sum(fb for _, fb in outcomes))
 
 
-def loocv_variants(dataset, variants, config, seed=None):
+def loocv_variants(dataset, variants, config):
     """(tables, errors) of ``variants`` in the shape ``loocv_grid`` returns."""
     tables, errors = {}, {}
     for variant in variants:
         try:
-            tables[variant.label] = loocv_variant(dataset, variant, config, seed)
+            tables[variant.label] = loocv_variant(dataset, variant, config)
         except ValueError as exc:
             errors[variant.label] = str(exc)
     return tables, errors

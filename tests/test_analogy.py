@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ebae.analogy import knn_within, pool_distances, retrieve, similarity_from_distance
-from ebae.data import ColumnSpec, Project, normalize_minmax
+from ebae.data import ColumnSpec, normalize_minmax
 
 from .conftest import make_dataset, random_rows, row_of, size_only_schema
 
@@ -14,16 +14,13 @@ CONT2 = [ColumnSpec("a", "feature", "continuous", "none"), ColumnSpec("b", "feat
 MIXED = [ColumnSpec("a", "feature", "continuous", "none"), ColumnSpec("lang", "feature", "categorical", "none")]
 
 
-def project(features, pid="x"):
-    return Project(pid, tuple(features), 1.0)
-
-
 def distance(x, y, schema):
-    """Per-feature loop oracle: Euclidean distance between two projects' features."""
-    if len(x.features) != len(schema) or len(y.features) != len(schema):
+    """Per-feature loop oracle: Euclidean distance between two projects'
+    feature tuples."""
+    if len(x) != len(schema) or len(y) != len(schema):
         raise ValueError("project feature count does not match schema")
     total = 0.0
-    for a, b, col in zip(x.features, y.features, schema):
+    for a, b, col in zip(x, y, schema):
         if col.kind == "categorical":
             total += 0.0 if a == b else 1.0
         else:
@@ -33,21 +30,21 @@ def distance(x, y, schema):
 
 
 def test_identical_projects_distance_zero():
-    assert distance(project([0.3, 0.7]), project([0.3, 0.7]), CONT2) == 0.0
+    assert distance((0.3, 0.7), (0.3, 0.7), CONT2) == 0.0
 
 
 def test_single_categorical_mismatch_is_one():
-    assert distance(project([0.5, "java"]), project([0.5, "c"]), MIXED) == 1.0
-    assert distance(project([0.5, "java"]), project([0.5, "java"]), MIXED) == 0.0
+    assert distance((0.5, "java"), (0.5, "c"), MIXED) == 1.0
+    assert distance((0.5, "java"), (0.5, "java"), MIXED) == 0.0
 
 
 def test_hand_evaluated_euclidean():
-    assert distance(project([0.0, 0.0]), project([0.6, 0.8]), CONT2) == pytest.approx(1.0)
+    assert distance((0.0, 0.0), (0.6, 0.8), CONT2) == pytest.approx(1.0)
 
 
 def test_schema_mismatch_rejected():
     with pytest.raises(ValueError):
-        distance(project([0.5]), project([0.5, 0.5]), CONT2)
+        distance((0.5,), (0.5, 0.5), CONT2)
 
 
 def test_similarity_bounds():
@@ -120,21 +117,20 @@ def test_distance_symmetry_and_identity(seed):
     rng = np.random.default_rng(seed)
     schema, rows, _ = random_rows(rng, with_categorical=True)
     i, j = rng.integers(0, len(rows), size=2)
-    x, y = project(rows[i]), project(rows[j])
+    x, y = rows[i], rows[j]
     assert distance(x, y, schema) == distance(y, x, schema)
     assert distance(x, x, schema) == 0.0
-    if x.features != y.features:
+    if x != y:
         assert distance(x, y, schema) > 0.0
 
 
-def normalized_project(project, pool):
-    """``project`` with its continuous features scaled (and clamped) by the pool's bounds."""
-    scaled = iter(normalize_minmax(row_of(pool, project.features).cont, pool.bounds, clamp=True))
-    features = tuple(
+def normalized_features(features, pool):
+    """``features`` with the continuous values scaled (and clamped) by the pool's bounds."""
+    scaled = iter(normalize_minmax(row_of(pool, features).cont, pool.bounds, clamp=True))
+    return tuple(
         v if col.kind == "categorical" else float(next(scaled))
-        for v, col in zip(project.features, pool.feature_schema)
+        for v, col in zip(features, pool.feature_schema)
     )
-    return Project(project.id, features, project.effort)
 
 
 def test_pool_distances_match_scalar_distance():
@@ -144,8 +140,8 @@ def test_pool_distances_match_scalar_distance():
     for schema, rows, efforts in (toy, random_rows(np.random.default_rng(11), with_categorical=True)):
         ds = make_dataset("ds", schema, rows, efforts)
         pool = ds.without(2)
-        target = normalized_project(project(rows[2]), pool)
-        oracle = [distance(target, normalized_project(project(row), pool), schema)
+        target = normalized_features(rows[2], pool)
+        oracle = [distance(target, normalized_features(row, pool), schema)
                   for row in rows[:2] + rows[3:]]
         assert np.allclose(pool_distances(ds.row(2), pool), oracle, atol=1e-12)
         assert np.allclose(oracle, naive_all_distances(ds.row(2), pool), atol=1e-12)

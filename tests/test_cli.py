@@ -1,16 +1,27 @@
 import csv
 import hashlib
+import math
 import os
+from dataclasses import astuple
 from pathlib import Path
 
 import pytest
 
-from ebae.cli import main
+from ebae.adjust import enumerate_variants
+from ebae.cli import main, write_report
+from ebae.config import Config
+from ebae.data import ColumnSpec, describe
+from ebae.ensemble import run_pipeline
 
-from .conftest import DATASETS
+from .conftest import DATASETS, make_dataset
 
 TOY_ARGS = ["--data", str(DATASETS / "toy.csv"), "--schema", str(DATASETS / "toy.schema")]
 FAST = ["--runs", "200", "--set", "ga.pop=10", "--set", "ga.gens=5", "--set", "nn.epochs=20"]
+REPORT_FILES = (
+    "variants.csv", "filter.csv", "scott_knott.csv", "borda.csv", "ensembles.csv", "joint_ranking.csv",
+    "summary.md", "plotdata/transformed_ae_singles.csv", "plotdata/transformed_ae_joint.csv",
+    "plotdata/two_way_types.csv",
+)
 
 
 def directory_digest(root):
@@ -74,13 +85,47 @@ def test_evaluate_and_pipeline_write_same_variants(tmp_path):
 def test_pipeline_artifacts_present(tmp_path):
     out = tmp_path / "report"
     assert main(["pipeline", *TOY_ARGS, *FAST, "--out", str(out)]) == 0
-    for name in (
-        "variants.csv", "filter.csv", "scott_knott.csv", "borda.csv",
-        "ensembles.csv", "joint_ranking.csv", "summary.md",
-    ):
+    for name in REPORT_FILES:
         assert (out / name).exists(), name
-    assert (out / "plotdata").is_dir()
-    assert list((out / "plotdata").glob("*.csv"))
+
+
+SIZE = ColumnSpec("size", "feature", "continuous", "primary_size")
+X = ColumnSpec("x", "feature", "continuous", "none")
+SIZES = [float(i) for i in range(1, 11)]
+XS = [float(7 * i % 10) for i in range(10)]
+ROWS = list(zip(SIZES, XS))
+EFFORTS = [10.0 * s + 3.0 * x for s, x in ROWS]
+DEGENERATE = {
+    "constant_feature": ([SIZE, X], [(s, 5.0) for s in SIZES], EFFORTS),
+    "zero_sizes": ([SIZE, X], [(0.0, x) for x in XS], EFFORTS),
+    "duplicate_rows": ([SIZE, X], ROWS[:5] * 2, EFFORTS),
+    "n_is_k_max_plus_2": ([SIZE, X], ROWS[:7], EFFORTS[:7]),
+    "categorical_only": ([ColumnSpec("lang", "feature", "categorical", "none"),
+                          ColumnSpec("team", "feature", "categorical", "none")],
+                         [("java" if i % 2 else "c", f"t{i % 3}") for i in range(10)], EFFORTS),
+    "constant_efforts": ([SIZE, X], ROWS, [100.0] * 10),
+    "near_constant_efforts": ([SIZE, X], ROWS, [100.0 * (1 + 1e-9 * i) for i in range(10)]),
+    "identical_features": ([SIZE, X], [(4.0, 2.0)] * 10, EFFORTS),
+}
+
+
+@pytest.mark.parametrize("case", list(DEGENERATE))
+def test_degenerate_input_ends_in_report_or_notes(tmp_path, case):
+    config = Config(runs=200, ga_pop=10, ga_gens=5, nn_epochs=20)
+    dataset = make_dataset(case, *DEGENERATE[case])
+    report = run_pipeline(dataset, config)
+    write_report(report, describe(dataset), tmp_path / "report")
+    for name in REPORT_FILES:
+        assert (tmp_path / "report" / name).exists(), name
+    labels = [variant.label for variant in enumerate_variants(config.k_max)]
+    assert len(labels) == 40
+    for label in labels:
+        if label in report.variant_errors:
+            assert label not in report.summaries
+            assert f"{label} not evaluated: {report.variant_errors[label]}" in report.notes
+        else:
+            numbers = astuple(report.summaries[label])[1:-1]     # the fields between label and baseline
+            assert all(math.isfinite(v) for v in numbers), (label, numbers)
 
 
 def test_pipeline_hash_identical_across_runs_and_parallelism(tmp_path):

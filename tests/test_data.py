@@ -109,7 +109,7 @@ def test_roundtrip_identical(tmp_path, albrecht):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_roundtrip_identical_categorical(tmp_path, seed):
     ds = random_dataset(np.random.default_rng(seed), n=12, with_categorical=True)
-    ds = Dataset("random", [ColumnSpec("id", "identifier", "categorical"), *ds.columns], projects_of(ds))
+    ds = Dataset("random", [ColumnSpec("id", "identifier", "categorical"), *ds.columns], *projects_of(ds))
     paths = [(tmp_path / f"{i}.csv", tmp_path / f"{i}.schema") for i in range(2)]
     write_dataset(ds, *paths[0])
     again = load_dataset(*paths[0])
@@ -213,10 +213,20 @@ def test_dataset_needs_three_projects():
         make_dataset("two", [ColumnSpec("s", "feature", "continuous", "none")], [(1,), (2,)], [1, 2])
 
 
+@pytest.mark.parametrize("ids, rows, efforts", [
+    (["a", "b"], [(1,), (2,), (3,)], [1, 2, 3]),
+    (["a", "b", "c"], [(1,), (2,)], [1, 2, 3]),
+    (["a", "b", "c"], [(1,), (2,), (3,)], [1, 2, 3, 4]),
+])
+def test_dataset_inputs_must_have_one_length(ids, rows, efforts):
+    with pytest.raises(DatasetError, match="ids, .* feature rows and .* efforts"):
+        make_dataset("bad", [ColumnSpec("s", "feature", "continuous", "none")], rows, efforts, ids)
+
+
 def assert_fold_equals_rebuilt(ds, t):
     fold = ds.without(t)
-    projects = projects_of(ds)
-    rebuilt = Dataset(ds.name, ds.columns, projects[:t] + projects[t + 1:], ds.dropped_rows)
+    kept = (col[:t] + col[t + 1:] for col in projects_of(ds))
+    rebuilt = Dataset(ds.name, ds.columns, *kept, ds.dropped_rows)
     assert fold.ids == rebuilt.ids
     # the fold keeps its parent's levels, so its codes stay comparable with
     # the held-out row's; a rebuilt dataset drops a level only that row had

@@ -193,9 +193,10 @@ def test_two_separated_pairs_give_two_clusters():
 def test_cluster_concatenation_is_mean_sorted():
     groups = synthetic_groups([3.0, 1.0, 9.0, 5.0], 0.5, 25, seed=3)
     result = scott_knott(groups)
-    means = [np.mean(groups[name]) for name in result.member_order]
+    order = [name for cluster in result.clusters for name in cluster.members]
+    means = [np.mean(groups[name]) for name in order]
     assert means == sorted(means)
-    assert sorted(result.member_order) == sorted(groups)
+    assert sorted(order) == sorted(groups)
 
 
 def test_shift_stability():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from ebae import adjust, analogy, validation
 from ebae.adjust import VariantId, enumerate_variants
 from ebae.config import Config
-from ebae.data import ColumnSpec, Dataset, Project
+from ebae.data import ColumnSpec, Dataset
 from ebae.ensemble import run_pipeline
 from ebae.validation import dataset_baseline, derive_seed, evaluate_variant, loocv, loocv_grid
 
@@ -48,8 +48,8 @@ def test_loocv_too_small_for_k(toy):
 
 
 def test_loocv_deterministic(toy):
-    a = loocv(toy, VariantId("GA", 1), CFG, seed=11)
-    b = loocv(toy, VariantId("GA", 1), CFG, seed=11)
+    a = loocv(toy, VariantId("GA", 1), replace(CFG, seed=11))
+    b = loocv(toy, VariantId("GA", 1), replace(CFG, seed=11))
     assert a == b
 
 
