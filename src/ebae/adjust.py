@@ -1,11 +1,15 @@
 """The eight analogy-adjustment methods and the (method, k) variant grid.
 
-Every adjuster maps (target Row, retrieved neighborhood, training fold) to a
-predicted effort. Adjustment always consumes raw feature values; only
-retrieval works on the normalized view. When a method cannot produce a
-prediction for a target (zero denominators, unfittable learner), it raises
-Inapplicable and the validation harness falls back to the plain analogy mean
-for the same k, counting the fallback.
+Each method maps (target Row, its ``k_top`` nearest training projects,
+training fold) to one predicted effort for every k = 1..k_top: it computes
+its per-analogy terms once, and prediction k is the reduction over the
+first k terms that an adjuster given only the k nearest would make. The
+analogies come nearest first, as ``analogy.retrieve`` returns them.
+Adjustment always consumes raw feature values; only retrieval works on the
+normalized view. Where a method cannot predict for some k (a non-positive
+size or an all-zero extrapolation row among the first k analogies, no model
+for k), that prediction is NaN, and the validation harness falls back to the
+plain analogy mean for the same k, counting the fallback.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ METHODS = ("EBA", "LSE", "MLFE", "RTM", "AQUA", "MT", "GA", "NN")
 
 
 class Inapplicable(Exception):
-    """The method cannot predict this target; callers fall back to EBA."""
+    """A fold-level quantity cannot be computed; the method falls back to EBA."""
 
 
 @dataclass(frozen=True, order=True)
@@ -52,50 +56,59 @@ def variant_from_label(label):
     raise ValueError(f"not a variant label: {label!r}")
 
 
-def _weighted_mean(values, weights):
-    return float(np.sum(weights * values) / np.sum(weights))
+def _mean(values):
+    """``np.mean`` of a 1-D float array, bit for bit: the same sum divided by
+    the count, without its dispatch."""
+    return np.add.reduce(values) / len(values)
 
 
-def _analogy_efforts(nbh, train):
-    return train.efforts[nbh.indices]
+def _prefix_means(terms, k_top):
+    """The mean of ``terms[:k]`` for k = 1..k_top; NaN for every k past the
+    applicable terms. Each k is its own reduction: a running sum would round
+    differently from eight terms on."""
+    predictions = np.full(k_top, np.nan)
+    for k in range(1, len(terms) + 1):
+        predictions[k - 1] = _mean(terms[:k])
+    return predictions
 
 
-def adjust_eba(target, nbh, train):
+def eba(target, nbh, train):
     """Plain analogy mean: the unadjusted baseline the other methods extend."""
-    efforts = _analogy_efforts(nbh, train)
-    return _weighted_mean(efforts, np.ones_like(efforts))
+    return _prefix_means(train.efforts[nbh.indices], len(nbh.indices))
 
 
-def _ratio_adjust(target_values, analogy_values, efforts):
-    # Mean feature-extrapolation ratio per analogy; zero denominators are
-    # excluded from that analogy's average.
-    predictions = np.empty(len(efforts))
-    for i in range(len(efforts)):
-        usable = analogy_values[i] != 0
-        if not np.any(usable):
-            raise Inapplicable("all extrapolation features are zero for an analogy")
-        predictions[i] = np.mean(target_values[usable] / analogy_values[i, usable]) * efforts[i]
-    return float(np.mean(predictions))
-
-
-def adjust_lse(target, nbh, train):
-    """Size extrapolation: analogy efforts scaled by target size over analogy size."""
+def _sized_analogies(target, nbh, train):
+    """The target's size with the sizes and efforts of its leading analogies
+    of positive size, so that every k including a non-positive size is
+    inapplicable; no analogies without a positive target size."""
     c = train.size_col
-    if c is None:
-        raise Inapplicable("no primary size feature in schema")
+    if c is None or target.cont[c] <= 0:
+        return 0.0, np.empty(0), np.empty(0)
     sizes = train.cont[nbh.indices, c]
-    if target.cont[c] <= 0 or np.any(sizes <= 0):
-        raise Inapplicable("non-positive size value")
-    return _ratio_adjust(target.cont[[c]], sizes[:, None], _analogy_efforts(nbh, train))
+    j = int(np.logical_and.accumulate(sizes > 0).sum())
+    return float(target.cont[c]), sizes[:j], train.efforts[nbh.indices[:j]]
 
 
-def adjust_mlfe(target, nbh, train):
-    """Multi-feature extrapolation over every size-flagged feature."""
+def lse(target, nbh, train):
+    """Size extrapolation: analogy efforts scaled by target size over analogy size."""
+    size_t, sizes, efforts = _sized_analogies(target, nbh, train)
+    return _prefix_means(size_t / sizes * efforts, len(nbh.indices))
+
+
+def mlfe(target, nbh, train):
+    """Multi-feature extrapolation over every size-flagged feature: each
+    analogy's effort times its mean ratio of target to analogy value, zero
+    analogy values excluded. An analogy whose values are all zero is
+    inapplicable."""
     cols = list(train.size_cols)
-    if not cols:
-        raise Inapplicable("no size-related features in schema")
-    analogy_values = train.cont[np.ix_(nbh.indices, cols)]
-    return _ratio_adjust(target.cont[cols], analogy_values, _analogy_efforts(nbh, train))
+    target_values = target.cont[cols]
+    terms = []
+    for values, effort in zip(train.cont[np.ix_(nbh.indices, cols)], train.efforts[nbh.indices]):
+        usable = values != 0
+        if not np.any(usable):
+            break
+        terms.append(_mean(target_values[usable] / values[usable]) * effort)
+    return _prefix_means(np.array(terms), len(nbh.indices))
 
 
 def productivity_correlation(train, nearest):
@@ -148,44 +161,56 @@ def mean_productivity(train):
     return float(np.mean(train.efforts[valid] / sizes[valid]))
 
 
-def adjust_rtm(target, nbh, train, correlation):
+def rtm(target, nbh, train, correlation):
     """Regression toward the mean: analogy productivities shrunk toward the
     historical mean productivity by (1 - c), then scaled by the target size."""
-    c = train.size_col
-    if c is None:
-        raise Inapplicable("no primary size feature in schema")
-    size_t = float(target.cont[c])
-    sizes = train.cont[nbh.indices, c]
-    if size_t <= 0 or np.any(sizes <= 0):
-        raise Inapplicable("non-positive size value")
-    pr = _analogy_efforts(nbh, train) / sizes
+    size_t, sizes, efforts = _sized_analogies(target, nbh, train)
+    if not len(sizes):
+        # no k applies, and the fold may have no positive size to average
+        return _prefix_means(sizes, len(nbh.indices))
+    pr = efforts / sizes
     adjusted = pr + (mean_productivity(train) - pr) * (1.0 - correlation)
-    return float(size_t * np.mean(adjusted))
+    return size_t * _prefix_means(adjusted, len(nbh.indices))
 
 
-def adjust_aqua(target, nbh, train):
-    """Similarity-weighted mean of the analogy efforts."""
+def aqua(target, nbh, train):
+    """Similarity-weighted mean of the analogy efforts, weights scaled by the
+    largest similarity of the first k, which is the nearest analogy's."""
     sims = similarity_from_distance(nbh.distances)
-    return _weighted_mean(_analogy_efforts(nbh, train), sims / sims.max())
+    weights = sims / sims[0]
+    weighted = weights * train.efforts[nbh.indices]
+    return np.array([np.sum(weighted[:k]) / np.sum(weights[:k]) for k in range(1, len(weights) + 1)])
 
 
 def _target_diffs(target, nbh, train):
     return diff_rows(target.cont, target.cat, train.cont[nbh.indices], train.cat[nbh.indices])
 
 
-def adjust_mt(target, nbh, train, tree):
+def mt(target, nbh, train, tree):
     """Analogy efforts corrected by a model tree over feature differences."""
     corrections = np.array([predict_model_tree(tree, d) for d in _target_diffs(target, nbh, train)])
-    return float(np.mean(_analogy_efforts(nbh, train) + corrections))
+    return _prefix_means(train.efforts[nbh.indices] + corrections, len(nbh.indices))
 
 
-def adjust_ga(target, nbh, train, alpha):
-    """Analogy efforts corrected by a learned linear form of feature differences."""
-    corrections = _target_diffs(target, nbh, train) @ np.asarray(alpha, dtype=float)
-    return float(np.mean(_analogy_efforts(nbh, train) + corrections))
+def _corrected(target, nbh, train, models, correct):
+    """For each k of ``models``, the mean of the first k analogy efforts plus
+    ``correct(model, diffs)`` of their difference rows; NaN for any other k."""
+    diffs = _target_diffs(target, nbh, train)
+    efforts = train.efforts[nbh.indices]
+    predictions = np.full(len(efforts), np.nan)
+    for k, model in models.items():
+        predictions[k - 1] = _mean(efforts[:k] + correct(model, diffs[:k]))
+    return predictions
 
 
-def adjust_nn(target, nbh, train, net):
-    """Analogy efforts corrected by a trained network over feature differences."""
-    corrections = np.array([predict_network(net, d) for d in _target_diffs(target, nbh, train)])
-    return float(np.mean(_analogy_efforts(nbh, train) + corrections))
+def ga(target, nbh, train, alphas):
+    """Analogy efforts corrected by a learned linear form of feature
+    differences; ``alphas`` maps k to the weights learned for k."""
+    return _corrected(target, nbh, train, alphas, lambda alpha, diffs: diffs @ np.asarray(alpha, dtype=float))
+
+
+def nn(target, nbh, train, nets):
+    """Analogy efforts corrected by a trained network over feature
+    differences; ``nets`` maps k to the network trained for k."""
+    return _corrected(target, nbh, train, nets,
+                      lambda net, diffs: np.array([predict_network(net, d) for d in diffs]))

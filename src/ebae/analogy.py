@@ -80,3 +80,21 @@ def knn_within(dataset, k):
     # a stable sort keeps tied rows in index order; the copy lets the (n, n)
     # sort go, which a fold that keeps its table would otherwise hold
     return np.argsort(d2, axis=1, kind="stable")[:, :k].copy()
+
+
+def knn_without(table, t, k):
+    """``knn_within(dataset.without(t), k)`` from ``table``, the dataset's
+    ``knn_within(dataset, k + 1)``, for a fold whose normalization bounds are
+    the dataset's.
+
+    Such a fold normalizes every row to the same values, so every distance
+    keeps its bits, and removing row t from a stable order leaves the other
+    rows in order. Each fold row is then its dataset row with t dropped (t
+    appears at most once in its first k + 1 entries), cut to k entries, and
+    every index above t shifted down by one.
+    """
+    rows = np.delete(table, t, axis=0)
+    drop = rows == t
+    drop[:, -1] |= ~drop.any(axis=1)
+    kept = rows[~drop].reshape(len(rows), k)
+    return kept - (kept > t)

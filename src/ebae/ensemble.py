@@ -198,11 +198,16 @@ def _joint_stage(report, alpha):
 
 def _per_method_stages(report, alpha):
     """Best-k per method and the two-way (method type x k) clustering, both on
-    a transform fitted over every evaluated variant's absolute errors."""
+    a transform fitted over every evaluated variant's absolute errors. When
+    every evaluated variant survived, the singles' clustering fitted that
+    transform on the same pooled errors already."""
     labels = list(report.tables)
     if len(labels) < 2:
         return
-    spec = pooled_transform(report.tables, labels)
+    if report.survivors == labels:
+        spec = report.sk_singles.transform
+    else:
+        spec = pooled_transform(report.tables, labels)
     groups = transformed_groups(report.tables, labels, spec)
     means = {label: float(np.mean(values)) for label, values in groups.items()}
     for label in labels:

@@ -104,19 +104,11 @@ def log_floor(efforts):
     return 1e-6 * float(np.median(np.asarray(efforts, dtype=float)))
 
 
-def pointwise_errors(actual, predicted, floor):
-    """(AE, MRE, log residual) for one project; the floor applies to the log only."""
-    if actual <= 0:
-        raise ValueError(f"actual effort must be positive, got {actual}")
-    ae = abs(actual - predicted)
-    mre = ae / actual
-    lam = np.log(actual) - np.log(max(predicted, floor))
-    return float(ae), float(mre), float(lam)
-
-
 def build_table(variant, ids, actuals, predictions, floor, fallback_count=0):
-    """Columnar table of per-project errors; the same values ``pointwise_errors``
-    gives project by project.
+    """Columnar table of per-project errors. Each project has AE
+    |actual - prediction|, MRE AE / actual and log residual
+    log(actual) - log(max(prediction, floor)): the floor applies to the log
+    only. A non-positive actual effort is a ValueError.
 
     A read-only float ``actuals`` array (a dataset's effort column) and an
     ``ids`` tuple are shared by the table rather than copied; anything else

@@ -4,26 +4,30 @@ Each fold trains on the other n-1 projects: normalization bounds, learner
 fits, and analogy retrieval see training rows only. The target enters as a
 ``Row`` of its feature values, so its effort is never consulted.
 
-``loocv_grid`` runs chunks of consecutive folds. Each fold first builds
-what its variants share, the chunk then trains its GA and NN members in
-stacks, and each fold predicts every (method, k) variant through one
-dispatch to ``adjust.adjust_<method>``. A fold builds:
+``loocv_grid`` runs chunks of consecutive folds. When RTM, MT, GA or NN
+runs, it first ranks the whole dataset once, ``knn_within(dataset, k_top +
+1)``, where ``k_top`` is the largest k of the variants. Each fold then
+builds what its variants share, the chunk trains its GA and NN members in
+stacks, and each fold predicts every k of a method in one pass of
+``adjust.<method>`` over its ``k_top`` analogies. A fold builds:
 
 - the training fold ``dataset.without(t)``;
-- one retrieval of the ``k_top`` nearest training projects, where ``k_top``
-  is the largest k of the variants; variant k takes the first k. That is
-  exactly ``retrieve(target, train, k)``, because ties break on row index,
-  so the k nearest are always a prefix of the ``k_top`` nearest;
-- when RTM, MT, GA or NN runs, one in-training neighbour table
+- one retrieval of the ``k_top`` nearest training projects; variant k
+  takes the first k. That is exactly ``retrieve(target, train, k)``,
+  because ties break on row index, so the k nearest are always a prefix of
+  the ``k_top`` nearest;
+- when RTM, MT, GA or NN runs, one in-training neighbour table equal to
   ``knn_within(train, k_top)``, exact for every smaller k by the same
   prefix property: column 0 holds each project's nearest other project
   (difference pairs, RTM correlation) and the first k columns the GA
-  design's neighbours for k;
+  design's neighbours for k. A fold that keeps the dataset's min-max
+  bounds takes it from the dataset ranking with ``knn_without``; a fold
+  whose held-out project alone sets some feature's min or max computes it;
 - when MT or NN runs, one set of difference pairs;
-- the model table ``models``: the RTM correlation and the model tree under
-  their method, which do not depend on k, and the GA weights and networks
-  under their variant label. A model that cannot be fitted is stored as
-  its error, and the variants that need it fall back to EBA.
+- the model table ``models``: the RTM correlation and the model tree,
+  which do not depend on k, and a dict of GA weights and one of networks,
+  one member per k. A model that cannot be fitted is stored as its error,
+  and the variants that need it fall back to EBA.
 
 GA and NN members are seeded from ``(config.seed, fold index, variant
 label)``, the seed a lone variant's run uses, and train in stacks in which
@@ -44,7 +48,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import adjust, analogy
-from .analogy import Neighborhood, retrieve
+from .analogy import retrieve
 from .learners import FitError, build_diff_pairs, fit_ga_weights, fit_model_tree, fit_networks
 from .metrics import baseline, build_table, log_floor, summarize
 
@@ -76,25 +80,30 @@ def _fitted(fit, *args):
 
 class _Fold:
     """One training fold, its target's nearest training projects, and
-    ``models``: what the learning methods fitted on the fold, keyed by method
-    (RTM, MT) or by variant label (GA and NN members). A model that cannot be
-    fitted is kept as its error, and every variant that needs it falls back.
+    ``models``: what the learning methods fitted on the fold, keyed by method.
+    RTM and MT keep one model, GA and NN a dict of one member per k. A model
+    that cannot be fitted is kept as its error, and every variant that needs
+    it falls back.
 
     ``variants`` are the runnable variants of the grid; the fold builds only
-    what their methods use. GA and NN members are added by ``_fit_ga`` and
-    ``_fit_networks``."""
+    what their methods use. ``ranking`` is the dataset's
+    ``knn_within(dataset, k_top + 1)`` when the fold needs a neighbour
+    table. GA and NN members are added by ``_fit_ga`` and ``_fit_networks``."""
 
-    def __init__(self, dataset, t, variants, config):
+    def __init__(self, dataset, t, variants, config, ranking):
         self.t = t
         self.train = train = dataset.without(t)
         self.target = dataset.row(t)
         k_top = max(variant.k for variant in variants)
         self.analogies = retrieve(self.target, train, k_top)
         self.models = {}
-        methods = {variant.method for variant in variants}
-        if methods.isdisjoint(("RTM", "MT", "GA", "NN")):
+        if ranking is None:
             return
-        neighbors = analogy.knn_within(train, k_top)
+        if all(map(np.array_equal, train.bounds, dataset.bounds)):
+            neighbors = analogy.knn_without(ranking, t, k_top)
+        else:
+            neighbors = analogy.knn_within(train, k_top)
+        methods = {variant.method for variant in variants}
         if methods & {"MT", "NN"}:
             # cannot fail: a fold of a runnable grid has n - 1 >= k + 1 >= 2 rows
             self.pairs = build_diff_pairs(train, neighbors[:, 0])
@@ -104,27 +113,32 @@ class _Fold:
             self.models["MT"] = _fitted(fit_model_tree, *self.pairs, config)
         self.neighbors = neighbors
 
-    def predict(self, variant):
-        """One prediction of ``variant`` for this fold's target.
+    def predict(self, variants):
+        """(prediction, fell_back) of every variant for this fold's target, in
+        the order of ``variants``; each method predicts all its k at once.
 
-        Returns (prediction, fell_back): when the method is inapplicable for
-        this target, its model could not be fitted on this fold, or its
-        prediction is not finite, the prediction falls back to the plain
-        analogy mean for the same k.
+        Where the method is inapplicable for k, its model could not be fitted
+        on this fold, or its prediction is not finite, the prediction falls
+        back to the plain analogy mean for the same k.
         """
-        k, method = variant.k, variant.method
-        nbh = Neighborhood(self.analogies.indices[:k], self.analogies.distances[:k])
-        model = self.models.get(variant.label, self.models.get(method))
-        try:
+        target, nbh, train = self.target, self.analogies, self.train
+        eba = adjust.eba(target, nbh, train)
+        predictions = {"EBA": eba}
+        for method in {variant.method for variant in variants} - {"EBA"}:
+            model = self.models.get(method)
+            if isinstance(model, dict):
+                model = {k: member for k, member in model.items() if not isinstance(member, Exception)}
             if isinstance(model, Exception):
-                raise model
-            adjuster = getattr(adjust, "adjust_" + method.lower())
-            prediction = adjuster(self.target, nbh, self.train, *(() if model is None else (model,)))
-            if not math.isfinite(prediction):
-                raise adjust.Inapplicable(f"non-finite {method} prediction")
-            return prediction, False
-        except (adjust.Inapplicable, FitError):
-            return adjust.adjust_eba(self.target, nbh, self.train), True
+                predictions[method] = np.full(len(eba), np.nan)
+            else:
+                predictor = getattr(adjust, method.lower())
+                predictions[method] = predictor(target, nbh, train, *(() if model is None else (model,)))
+        outcomes = []
+        for variant in variants:
+            prediction = predictions[variant.method][variant.k - 1]
+            fell_back = not math.isfinite(prediction)
+            outcomes.append((float(eba[variant.k - 1] if fell_back else prediction), fell_back))
+        return outcomes
 
 
 def _fit_ga(folds, variants, config):
@@ -140,8 +154,7 @@ def _fit_ga(folds, variants, config):
         fits = fit_ga_weights([fold.train for fold in group], [fold.neighbors for fold in group], ks, config,
                               seeds)
         for fold, row in zip(group, fits):
-            fold.models.update((variant.label, fit if isinstance(fit, FitError) else fit.alpha)
-                               for variant, fit in zip(variants, row))
+            fold.models["GA"] = {k: fit if isinstance(fit, FitError) else fit.alpha for k, fit in zip(ks, row)}
 
 
 def _fit_networks(folds, variants, config):
@@ -155,7 +168,7 @@ def _fit_networks(folds, variants, config):
     except FitError as exc:
         nets = [[exc] * len(variants)] * len(folds)
     for fold, row in zip(folds, nets):
-        fold.models.update((variant.label, net) for variant, net in zip(variants, row))
+        fold.models["NN"] = {variant.k: net for variant, net in zip(variants, row)}
 
 
 def loocv_grid(dataset, variants, config):
@@ -183,13 +196,18 @@ def loocv_grid(dataset, variants, config):
     # at least one chunk per worker
     size = min(size, math.ceil(dataset.n / max(config.jobs, 1)))
 
+    k_top = max(variant.k for variant in runnable)
+    ranking = None
+    if not {variant.method for variant in runnable}.isdisjoint(("RTM", "MT", "GA", "NN")):
+        ranking = analogy.knn_within(dataset, k_top + 1)
+
     def chunk(start):
-        folds = [_Fold(dataset, t, runnable, config) for t in range(start, min(start + size, dataset.n))]
+        folds = [_Fold(dataset, t, runnable, config, ranking) for t in range(start, min(start + size, dataset.n))]
         if genetic:
             _fit_ga(folds, genetic, config)
         if networks:
             _fit_networks(folds, networks, config)
-        return [[fold.predict(variant) for variant in runnable] for fold in folds]
+        return [fold.predict(runnable) for fold in folds]
 
     starts = range(0, dataset.n, size)
     if config.jobs > 1:

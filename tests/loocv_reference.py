@@ -6,9 +6,11 @@ rebuilds everything a prediction needs from scratch: the k nearest training
 projects, the in-training neighbour table, the difference pairs, the model
 tree and the RTM correlation. Its learners are the loop oracles: the
 one-member GA, the one-network gradient descent and the tree grown by the
-loop split search. The fold-major engine builds the shared work once per
-fold for all variants, fits its learners in stacks, and must give exactly
-the same tables.
+loop split search. Its adjusters are the single-k ones of
+``adjust_reference``. The fold-major engine builds the shared work once per
+fold for all variants, derives most neighbour tables from one dataset-wide
+ranking, fits its learners in stacks, predicts every k of a method in one
+pass, and must give exactly the same tables.
 """
 
 import math
@@ -19,6 +21,7 @@ from ebae.learners import FitError, build_diff_pairs
 from ebae.metrics import build_table, log_floor
 from ebae.validation import derive_seed
 
+from . import adjust_reference as ref
 from .ga_reference import fit_ga_one
 from .mt_reference import fit_model_tree_loop
 from .nn_reference import fit_network
@@ -34,32 +37,32 @@ def predict_variant(variant, target, train, config, seed):
     method = variant.method
     try:
         if method == "EBA":
-            prediction = adjust.adjust_eba(target, nbh, train)
+            prediction = ref.adjust_eba(target, nbh, train)
         elif method == "LSE":
-            prediction = adjust.adjust_lse(target, nbh, train)
+            prediction = ref.adjust_lse(target, nbh, train)
         elif method == "MLFE":
-            prediction = adjust.adjust_mlfe(target, nbh, train)
+            prediction = ref.adjust_mlfe(target, nbh, train)
         elif method == "RTM":
             c = adjust.productivity_correlation(train, nearest(train))
-            prediction = adjust.adjust_rtm(target, nbh, train, c)
+            prediction = ref.adjust_rtm(target, nbh, train, c)
         elif method == "AQUA":
-            prediction = adjust.adjust_aqua(target, nbh, train)
+            prediction = ref.adjust_aqua(target, nbh, train)
         elif method == "MT":
             tree = fit_model_tree_loop(*build_diff_pairs(train, nearest(train)), config)
-            prediction = adjust.adjust_mt(target, nbh, train, tree)
+            prediction = ref.adjust_mt(target, nbh, train, tree)
         elif method == "GA":
             weights = fit_ga_one(train, knn_within(train, variant.k), config, seed)
-            prediction = adjust.adjust_ga(target, nbh, train, weights.alpha)
+            prediction = ref.adjust_ga(target, nbh, train, weights.alpha)
         elif method == "NN":
             net = fit_network(*build_diff_pairs(train, nearest(train)), config, seed)
-            prediction = adjust.adjust_nn(target, nbh, train, net)
+            prediction = ref.adjust_nn(target, nbh, train, net)
         else:
             raise ValueError(f"unknown method {method!r}")
         if not math.isfinite(prediction):
             raise adjust.Inapplicable(f"non-finite {method} prediction")
         return prediction, False
     except (adjust.Inapplicable, FitError):
-        return adjust.adjust_eba(target, nbh, train), True
+        return ref.adjust_eba(target, nbh, train), True
 
 
 def loocv_variant(dataset, variant, config):

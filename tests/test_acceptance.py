@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ebae.adjust import VariantId, adjust_eba, adjust_ga, adjust_lse, adjust_mlfe, adjust_rtm
+from ebae.adjust import VariantId, aqua, eba, ga, lse, mlfe, rtm
 from ebae.analogy import Neighborhood, knn_within, retrieve
 from ebae.cli import main
 from ebae.config import Config
@@ -208,16 +208,14 @@ def test_criterion_06_reduction_identities():
         target = ds.row(t_index)
         train = ds.without(t_index)
         nbh = retrieve(target, train, k)
-        assert adjust_mlfe(target, nbh, train) == adjust_lse(target, nbh, train)
-        assert adjust_ga(target, nbh, train, np.zeros(1)) == adjust_eba(target, nbh, train)
+        assert mlfe(target, nbh, train)[-1] == lse(target, nbh, train)[-1]
+        assert ga(target, nbh, train, {k: np.zeros(1)})[-1] == eba(target, nbh, train)[-1]
         pr = train.efforts[nbh.indices] / train.cont[nbh.indices, 0]
-        assert adjust_rtm(target, nbh, train, correlation=1.0) == float(
+        assert rtm(target, nbh, train, correlation=1.0)[-1] == float(
             target.cont[0] * np.mean(pr)
         )
-        from ebae.adjust import adjust_aqua
-
         equal = Neighborhood(nbh.indices, np.ones(k))
-        assert adjust_aqua(target, equal, train) == adjust_eba(target, equal, train)
+        assert aqua(target, equal, train)[-1] == eba(target, equal, train)[-1]
         checked += 1
     assert verdict(6, checked == 500, f"{checked} fixtures, all four identities exact (MLFE=LSE bitwise)")
 

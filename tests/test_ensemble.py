@@ -218,3 +218,23 @@ def test_pipeline_deterministic():
     }
     assert a.best_ranking == b.best_ranking
     assert [e.members for e in a.ensembles] == [e.members for e in b.ensembles]
+
+
+def test_per_method_stages_reuse_the_singles_transform_when_all_survive(albrecht, monkeypatch):
+    import ebae.ensemble
+
+    fits = []
+    box_cox = ebae.ensemble.box_cox
+
+    def counted(values):
+        fits.append(len(values))
+        return box_cox(values)
+
+    monkeypatch.setattr(ebae.ensemble, "box_cox", counted)
+    report = run_pipeline(albrecht, Config(runs=200, ga_pop=6, ga_gens=3, nn_epochs=10))
+    assert report.survivors == list(report.tables) and len(report.tables) == 40
+    # the singles' and the joint clustering fit; the per-method stages pool
+    # the singles' errors again and take their transform
+    assert fits == [40 * albrecht.n, len(report.best_cluster + report.ensembles) * albrecht.n]
+    assert report.two_way.transform == report.sk_singles.transform == pooled_transform(
+        report.tables, list(report.tables))

@@ -15,11 +15,21 @@ from ebae.metrics import (
     mae,
     mbre_mibre,
     mmre,
-    pointwise_errors,
     pred25,
     standardized_accuracy,
     summarize,
 )
+
+
+def pointwise_errors(actual, predicted, floor):
+    """(AE, MRE, log residual) for one project, the scalar oracle of
+    ``build_table``; the floor applies to the log only."""
+    if actual <= 0:
+        raise ValueError(f"actual effort must be positive, got {actual}")
+    ae = abs(actual - predicted)
+    mre = ae / actual
+    lam = np.log(actual) - np.log(max(predicted, floor))
+    return float(ae), float(mre), float(lam)
 
 
 def table_from(actuals, predictions, floor=1e-9):

@@ -8,11 +8,14 @@ from hypothesis import strategies as st
 
 from ebae import adjust, analogy, validation
 from ebae.adjust import VariantId, enumerate_variants
+from ebae.analogy import retrieve
 from ebae.config import Config
 from ebae.data import ColumnSpec, Dataset
 from ebae.ensemble import run_pipeline
+from ebae.learners import FitError
 from ebae.validation import dataset_baseline, derive_seed, evaluate_variant, loocv, loocv_grid
 
+from . import adjust_reference
 from .conftest import make_dataset, random_rows, size_only_schema
 from .loocv_reference import loocv_variants
 
@@ -286,8 +289,10 @@ def test_loocv_grid_builds_shared_work_once_per_fold(albrecht, monkeypatch):
     # network, and GA stacks of the five k of up to
     # STACK_FLOATS // (5 * ga_pop * (n - 1)) = 47 folds, so one stack too
     assert validation.STACK_FLOATS // (5 * SMALL.ga_pop * (n - 1)) == 47
+    # one dataset-wide ranking, and a table of its own for each of the 4
+    # folds whose held-out project alone sets a feature's min or max
     assert calls == {"fit_model_tree": n, "build_diff_pairs": n, "productivity_correlation": n,
-                     "retrieve": n, "knn_within": n, "without": n,
+                     "retrieve": n, "knn_within": 1 + 4, "without": n,
                      "fit_ga_weights": 1, "fit_networks": 1}
     for seeds in members.values():
         assert len(set(seeds)) == len(seeds) == 5 * n
@@ -339,8 +344,8 @@ def test_loocv_grid_makes_a_chunk_per_worker(albrecht, monkeypatch):
 
 
 @pytest.mark.parametrize("methods, built", [
-    (("EBA", "LSE", "MLFE", "AQUA"), ()),
-    (("RTM",), ("knn_within", "productivity_correlation")),
+    (("EBA", "LSE", "MLFE", "AQUA"), {}),
+    (("RTM",), {"knn_within": 1 + 4, "productivity_correlation": 24}),
 ])
 def test_loocv_grid_builds_only_what_its_methods_use(albrecht, monkeypatch, methods, built):
     calls = Counter()
@@ -360,4 +365,66 @@ def test_loocv_grid_builds_only_what_its_methods_use(albrecht, monkeypatch, meth
         count(owner, name)
     tables, _ = loocv_grid(albrecht, [v for v in GRID if v.method in methods], SMALL)
     assert len(tables) == 5 * len(methods)
-    assert calls == {name: albrecht.n for name in built}
+    assert calls == built
+
+
+def fold_neighbors(dataset, t, k):
+    """The in-training neighbour table a GA-only grid's fold t builds."""
+    ranking = analogy.knn_within(dataset, k + 1)
+    return validation._Fold(dataset, t, [VariantId("GA", k)], SMALL, ranking).neighbors
+
+
+def test_fold_neighbors_equal_knn_within_on_every_albrecht_fold(albrecht):
+    # a fold keeps the dataset's bounds unless its held-out project alone
+    # sets some feature's min or max
+    computed = Counter()
+    for t in range(albrecht.n):
+        train = albrecht.without(t)
+        computed[not all(map(np.array_equal, train.bounds, albrecht.bounds))] += 1
+        for k in (1, 5, albrecht.n - 2):
+            assert np.array_equal(fold_neighbors(albrecht, t, k), analogy.knn_within(train, k)), (t, k)
+    assert computed == {False: 20, True: 4}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["cont", "cat", "mixed"]), st.booleans(), st.booleans())
+def test_fold_neighbors_equal_knn_within_property(seed, kinds, all_tied, extreme):
+    # few distinct values and duplicate rows make ties common; all-tied rows
+    # put every distance at 0; an extreme row is a column's unique minimum or
+    # maximum, so its fold's bounds change
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(4, 12))
+    schema = []
+    if kinds != "cat":
+        schema += [ColumnSpec(f"c{j}", "feature", "continuous", "none") for j in range(2)]
+    if kinds != "cont":
+        schema += [ColumnSpec(f"g{j}", "feature", "categorical", "none") for j in range(2)]
+    rows = [[float(rng.integers(0, 3)) if col.kind == "continuous" else str(rng.choice(["a", "b"]))
+             for col in schema] for _ in range(n)]
+    rows[1] = list(rows[0])
+    if all_tied:
+        rows = [list(rows[0]) for _ in range(n)]
+    if extreme and kinds != "cat":
+        rows[int(rng.integers(n))][0] = float(rng.choice([-5.0, 9.0]))
+    ds = make_dataset("ties", schema, [tuple(row) for row in rows], rng.uniform(1.0, 50.0, size=n))
+    for t in range(n):
+        for k in (1, n - 2):
+            assert np.array_equal(fold_neighbors(ds, t, k), analogy.knn_within(ds.without(t), k)), (t, k)
+
+
+def test_fold_falls_back_for_each_k_whose_model_is_an_error(albrecht):
+    variants = [VariantId(method, k) for method in ("EBA", "MT", "GA") for k in range(1, 6)]
+    fold = validation._Fold(albrecht, 0, variants, SMALL, analogy.knn_within(albrecht, 6))
+    alphas = {k: np.full(albrecht.m, 0.5 * k) for k in (2, 4)}
+    fold.models["MT"] = FitError("no tree")
+    fold.models["GA"] = {1: FitError("lost"), 2: alphas[2], 3: FitError("lost"), 4: alphas[4], 5: FitError("lost")}
+    outcomes = dict(zip((variant.label for variant in variants), fold.predict(variants)))
+    for k in range(1, 6):
+        nbh = retrieve(fold.target, fold.train, k)
+        plain = adjust_reference.adjust_eba(fold.target, nbh, fold.train)
+        assert outcomes[f"EBA{k}"] == (plain, False)
+        assert outcomes[f"MT{k}"] == (plain, True)
+        if k in alphas:
+            assert outcomes[f"GA{k}"] == (adjust_reference.adjust_ga(fold.target, nbh, fold.train, alphas[k]), False)
+        else:
+            assert outcomes[f"GA{k}"] == (plain, True)
