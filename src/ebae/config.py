@@ -63,9 +63,10 @@ _KEYS = {
     "ga.range": ("ga_range", float),
 }
 
-# Smallest value of each key with which the estimators can run.
-_MINIMA = {"k_max": 1, "mt.min_leaf": 1, "ga.pop": 1, "nn.hidden": 0, "ga.range": 0,
-           "nn.epochs": 0, "ga.gens": 0}
+# Smallest value of each key with which a run can go: the baseline needs 100
+# Monte-Carlo runs, LOOCV one worker and the estimators the rest.
+_MINIMA = {"runs": 100, "k_max": 1, "jobs": 1, "mt.min_leaf": 1, "ga.pop": 1, "nn.hidden": 0,
+           "ga.range": 0, "nn.epochs": 0, "ga.gens": 0}
 
 
 def with_overrides(config: Config, pairs: dict[str, str]) -> Config:

@@ -265,23 +265,37 @@ class GaWeights:
     history: tuple        # best fitness per generation; nonincreasing
 
 
-def ga_design(train, neighbors):
+# A candidate's fitness sums n absolute errors |e_t - D_t . alpha|, each at
+# most |e_t| + ga_range * sum_j |D_tj| for weights within ga_range. Half the
+# largest float leaves room for the rounding of the sums that compute it.
+_FITNESS_LIMIT = np.finfo(float).max / 2
+
+
+def ga_design(train, neighbors, ga_range):
     """Precompute the in-training leave-one-out design for the GA objective.
 
     ``neighbors`` is the (n, k) table of every training project's k nearest
     other training projects, nearest first (``knn_within(train, k)``). With
     mean aggregation the corrected prediction for project t is
     base(t) + mean_diff(t) . alpha, so the objective reduces to an L1 fit:
-    returns (residuals e - base, mean difference matrix D).
+    returns (residuals e - base, mean difference matrix D). Raises
+    ``FitError`` when the design is not finite or when weights within
+    ``[-ga_range, ga_range]`` could overflow a candidate's fitness.
     """
     n, k = train.n, neighbors.shape[1]
     if n < k + 2:
         raise FitError(f"GA needs at least {k + 2} projects for k={k}, got {n}")
-    base = train.efforts[neighbors].mean(axis=1)
-    # mean of the (n, k, m) difference vectors of every project to its k analogies
-    D = diff_rows(train.cont[:, None], train.cat[:, None], train.cont[neighbors],
-                  train.cat[neighbors]).mean(axis=1)
-    return train.efforts - base, D
+    # overflow shows in the bound, which is then inf or NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        residuals = train.efforts - train.efforts[neighbors].mean(axis=1)
+        # mean of the (n, k, m) difference vectors of every project to its k analogies
+        D = diff_rows(train.cont[:, None], train.cat[:, None], train.cont[neighbors],
+                      train.cat[neighbors]).mean(axis=1)
+        bound = np.abs(residuals).sum() + ga_range * np.abs(D).sum()
+    if not bound < _FITNESS_LIMIT:
+        raise FitError("GA fitness overflows: differences or efforts too large for weights "
+                       f"within +-{ga_range}")
+    return residuals, D
 
 
 def ga_fitness(residuals, D, alphas):
@@ -297,6 +311,39 @@ def ga_fitness(residuals, D, alphas):
     return np.abs(errors, out=errors).mean(axis=-1)
 
 
+def ga_draws(rngs, fallback, ga_pop, n_children, n_uniforms):
+    """One generation's tournament contenders and uniforms for a stack of S
+    members, decoded from one block of raw words per member.
+
+    For each ``Generator(PCG64)`` in ``rngs`` these are the (2 * n_children,
+    3) integers that ``integers(0, ga_pop, (2 * n_children, 3))`` draws and
+    the ``n_uniforms`` floats that ``random`` then draws, and the generator
+    ends where those two calls leave it. ``fallback`` (S,) marks the members
+    that make the two calls themselves; a member whose block holds a
+    rejection rewinds it and joins them, in place. ``ga_pop`` is at most
+    2**32, the bound up to which numpy draws 32-bit integers. Returns
+    contenders (S, 2 * n_children, 3) and uniforms (S, n_uniforms).
+    """
+    width = 3 * n_children + n_uniforms
+    # little-endian words, so that their 32-bit view lists each word's low
+    # half before its high half on any host
+    words = np.zeros((len(rngs), width), dtype="<u8")
+    for s in np.flatnonzero(~fallback):
+        words[s] = rngs[s].bit_generator.random_raw(width)
+    scaled = np.multiply(words[:, :3 * n_children].view("<u4"), ga_pop, dtype=np.uint64)
+    # the cast to 32 bits keeps each product's low half
+    rejected = (scaled.astype(np.uint32) < (2**32 - ga_pop) % ga_pop).any(axis=1) & ~fallback
+    contenders = (scaled >> 32).astype(np.int64).reshape(len(rngs), 2 * n_children, 3)
+    uniforms = (words[:, 3 * n_children:] >> 11) * 2.0**-53
+    for s in np.flatnonzero(rejected):
+        rngs[s].bit_generator.advance(2**128 - width)
+    fallback |= rejected
+    for s in np.flatnonzero(fallback):
+        contenders[s] = rngs[s].integers(0, ga_pop, size=(2 * n_children, 3))
+        rngs[s].random(out=uniforms[s])
+    return contenders, uniforms
+
+
 def fit_ga_weights(trains, neighbors, ks, config, seeds):
     """Tournament GA with arithmetic crossover, Gaussian mutation, elitism 1,
     for a stack of F training sets times K members, all at once.
@@ -304,17 +351,18 @@ def fit_ga_weights(trains, neighbors, ks, config, seeds):
     ``trains`` are F training sets of the same size and features, and
     ``neighbors`` their in-training neighbour tables (``knn_within``).
     ``seeds`` holds F rows of K seeds, one member per seed: member (f, j)
-    searches the design ``ga_design(trains[f], neighbors[f][:, :ks[j]])``.
-    The members whose designs can be built train as one stack of S:
-    residuals (S, n), designs (S, n, m) and populations (S, ga_pop, m).
+    searches the design ``ga_design(trains[f], neighbors[f][:, :ks[j]],
+    ga_range)``. The members whose designs can be built train as one stack
+    of S: residuals (S, n), designs (S, n, m) and populations (S, ga_pop, m).
     Returns F rows of K outcomes: a ``GaWeights``, or the ``FitError`` of a
     member whose design cannot be built. No member depends on the others:
     each equals its lone fit.
 
-    Each member draws from its own ``default_rng(seed)``: first its initial
-    population, into which the zero vector is planted, so its weights never
-    score worse than no correction at all. Each generation breeds its
-    ``ga_pop - 1`` children at once from three calls, in this order:
+    Each member draws from its own ``Generator(PCG64(seed))``, which is what
+    ``default_rng(seed)`` builds: first its initial population, into which
+    the zero vector is planted, so its weights never score worse than no
+    correction at all. Each generation breeds its ``ga_pop - 1`` children at
+    once from the numbers of three draws, in this order:
 
     - ``integers``: the tournament contenders, 3 per parent, first parents
       then second parents, as one ``(2 * (ga_pop - 1), 3)`` array; the
@@ -327,13 +375,26 @@ def fit_ga_weights(trains, neighbors, ks, config, seeds):
     These are the numbers that one ``random`` call per mask and a
     ``normal(0, 0.1 * ga_range)`` call would draw. Children are clipped to
     ``[-ga_range, ga_range]`` and the elite is carried over unchanged.
+
+    ``ga_draws`` makes the first two from one ``random_raw`` block per
+    member, with the arithmetic numpy's ``Generator`` applies to PCG64's
+    words. The first ``3 * (ga_pop - 1)`` words give two contenders each:
+    Lemire's ``(u * ga_pop) >> 32`` of the word's low 32-bit half u, then of
+    its high half. Each remaining word w gives the uniform
+    ``(w >> 11) * 2**-53``. Lemire's rule rejects a half whose
+    ``(u * ga_pop) mod 2**32`` is below ``(2**32 - ga_pop) mod ga_pop``,
+    about once in 1e8 draws at ``ga_pop`` 50, and draws 32 more bits in its
+    place. A member whose block holds a rejection rewinds the block and
+    makes the ``integers`` and ``random`` calls for the rest of its fit: the
+    odd count of 32-bit draws leaves a half word in PCG64's buffer, which
+    its next ``integers`` call takes first.
     """
     outcomes = [[None] * len(ks) for _ in seeds]
     designs = []
     for f, (train, table, row) in enumerate(zip(trains, neighbors, seeds)):
         for j, (k, seed) in enumerate(zip(ks, row)):
             try:
-                designs.append(((f, j), *ga_design(train, table[:, :k]), seed))
+                designs.append(((f, j), *ga_design(train, table[:, :k], config.ga_range), seed))
             except FitError as exc:
                 outcomes[f][j] = exc
     if not designs:
@@ -343,27 +404,25 @@ def fit_ga_weights(trains, neighbors, ks, config, seeds):
     size, m = len(members), D.shape[-1]
     n_children = config.ga_pop - 1
     r = config.ga_range
-    rngs = [np.random.default_rng(seed) for seed in member_seeds]
+    rngs = [np.random.Generator(np.random.PCG64(seed)) for seed in member_seeds]
     pop = np.stack([rng.uniform(-r, r, size=(config.ga_pop, m)) for rng in rngs])
     pop[:, 0] = 0.0
     fitness = ga_fitness(residuals, D, pop)
     history = [fitness.min(axis=1)]
     sigma = 0.1 * r
-    contenders = np.empty((size, 2 * n_children, 3), dtype=np.int64)
     # selection indexes flat views: each member's first row in the (size *
     # ga_pop) fitness and population, each tournament's first contender
     offsets = np.arange(0, size * config.ga_pop, config.ga_pop)
-    firsts = np.arange(0, contenders.size, 3).reshape(size, 2 * n_children)
-    uniforms = np.empty((size, n_children * (2 + m)))
-    cross, blend = uniforms[:, :n_children], uniforms[:, n_children:2 * n_children]
-    mutate = uniforms[:, 2 * n_children:].reshape(size, n_children, m)
+    firsts = np.arange(0, size * 2 * n_children * 3, 3).reshape(size, 2 * n_children)
+    fallback = np.zeros(size, dtype=bool)
     noise = np.empty((size, n_children, m))
     for _ in range(config.ga_gens):
+        contenders, uniforms = ga_draws(rngs, fallback, config.ga_pop, n_children, n_children * (2 + m))
         for s, rng in enumerate(rngs):
-            contenders[s] = rng.integers(0, config.ga_pop, size=(2 * n_children, 3))
-            rng.random(out=uniforms[s])
             rng.standard_normal(out=noise[s])
         noise *= sigma
+        cross, blend = uniforms[:, :n_children], uniforms[:, n_children:2 * n_children]
+        mutate = uniforms[:, 2 * n_children:].reshape(size, n_children, m)
         entries = contenders + offsets[:, None, None]
         winners = entries.ravel().take(firsts + np.argmin(fitness.ravel().take(entries), axis=2))
         rows = pop.reshape(-1, m)

@@ -53,22 +53,19 @@ def profile_from_measures(measure_values, candidates=None):
 
 
 def majority_margins(profile):
-    """MM[x][y] = #voters ranking x above y minus #voters ranking y above x."""
+    """MM[x][y] = #voters ranking x above y minus #voters ranking y above x,
+    that is the sum over voters of sign(pos[y] - pos[x])."""
     if len(profile.candidates) < 2:
         raise ValueError("need at least 2 candidates")
     if not profile.voters:
         raise ValueError("need at least 1 voter")
     index = {c: i for i, c in enumerate(profile.candidates)}
     n = len(profile.candidates)
-    margins = np.zeros((n, n), dtype=int)
-    for _, order in profile.voters:
-        pos = {c: p for p, c in enumerate(order)}
-        for x in profile.candidates:
-            for y in profile.candidates:
-                if x != y and pos[x] < pos[y]:
-                    margins[index[x], index[y]] += 1
-                    margins[index[y], index[x]] -= 1
-    return margins
+    # pos[v, i]: where voter v places candidate i
+    pos = np.empty((len(profile.voters), n), dtype=int)
+    for v, (_, order) in enumerate(profile.voters):
+        pos[v, [index[c] for c in order]] = np.arange(n)
+    return np.sign(pos[:, None, :] - pos[:, :, None]).sum(axis=0)
 
 
 def voter_ranks(profile):

@@ -194,7 +194,7 @@ def loocv_grid(dataset, variants, config):
     width = max(dataset.m, len(networks) * config.nn_hidden)
     size = max(1, STACK_FLOATS // ((dataset.n - 1) * width))
     # at least one chunk per worker
-    size = min(size, math.ceil(dataset.n / max(config.jobs, 1)))
+    size = min(size, math.ceil(dataset.n / config.jobs))
 
     k_top = max(variant.k for variant in runnable)
     ranking = None

@@ -82,8 +82,8 @@ def ga_fitness_2d(residuals, D, alphas):
 
 
 def fit_ga_one(train, neighbors, config, seed):
-    """The GA weights of one design ``ga_design(train, neighbors)`` and seed."""
-    residuals, D = ga_design(train, neighbors)
+    """The GA weights of one design ``ga_design(train, neighbors, ga_range)`` and seed."""
+    residuals, D = ga_design(train, neighbors, config.ga_range)
     m = D.shape[1]
     r = config.ga_range
     rng = np.random.default_rng(seed)

@@ -279,7 +279,7 @@ def test_criterion_08_learner_checks():
         "planted", size_only_schema(), [(s,) for s in sizes], [10.0 + 2.0 * s for s in sizes]
     )
     ((result,),) = fit_ga_weights([planted], [knn_within(planted, 1)], [1], Config(), [[5]])
-    residuals, D = ga_design(planted, knn_within(planted, 1))
+    residuals, D = ga_design(planted, knn_within(planted, 1), Config().ga_range)
     zero = float(ga_fitness(residuals, D, np.zeros(1))[0])
     nonincreasing = all(b <= a for a, b in zip(result.history, result.history[1:]))
     assert nonincreasing and result.fitness <= zero and 1.5 <= result.alpha[0] <= 2.5

@@ -217,6 +217,8 @@ def test_set_without_equals_fails_fast(tmp_path, capsys):
     (["--set", "ga.mut=-0.5"], "ga.mut"),
     (["--set", "nn.lr=-0.01"], "nn.lr"),
     (["--set", "nn.lr=0"], "nn.lr"),
+    (["--runs", "50"], "runs"),
+    (["--set", "jobs=0"], "jobs"),
 ])
 def test_out_of_range_config_value_fails_fast(tmp_path, capsys, args, key):
     code = main(["pipeline", *TOY_ARGS, *args, "--out", str(tmp_path / "o")])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ebae.analogy import knn_within
 from ebae.config import Config
 from ebae.data import ColumnSpec
 from ebae.ensemble import (
@@ -14,6 +15,7 @@ from ebae.ensemble import (
     run_pipeline,
     select_best_cluster,
 )
+from ebae.learners import FitError, fit_ga_weights
 from ebae.metrics import BaselineStats, EvalSummary, baseline, build_table, summarize
 
 from .conftest import make_dataset, size_only_schema
@@ -174,15 +176,23 @@ def test_run_pipeline_records_small_k_failures(toy):
     assert len(report.summaries) + len(report.variant_errors) == 40
 
 
-def test_run_pipeline_non_finite_predictions_fall_back():
-    # finite inputs whose size ratios overflow: size extrapolation from the
-    # 0.5-sized project to the 1e308-sized one predicts inf without a fallback
+def overflow_dataset():
+    """Finite inputs whose size ratios and differences overflow."""
     schema = size_only_schema() + [ColumnSpec("x", "feature", "continuous", "none")]
     rows = [(1e308, 3.0), (0.5, 1.0), (10.0, 2.0), (20.0, 5.0),
             (30.0, 4.0), (40.0, 7.0), (50.0, 6.0), (60.0, 8.0)]
     efforts = [100.0, 5.0, 20.0, 40.0, 55.0, 80.0, 90.0, 120.0]
-    ds = make_dataset("overflow", schema, rows, efforts)
-    report = run_pipeline(ds, Config(runs=200, ga_pop=10, ga_gens=10, nn_epochs=50))
+    return make_dataset("overflow", schema, rows, efforts)
+
+
+OVERFLOW_CONFIG = Config(runs=200, ga_pop=10, ga_gens=10, nn_epochs=50)
+
+
+def test_run_pipeline_non_finite_predictions_fall_back():
+    # size extrapolation from the 0.5-sized project to the 1e308-sized one
+    # predicts inf without a fallback
+    ds = overflow_dataset()
+    report = run_pipeline(ds, OVERFLOW_CONFIG)
     assert len(report.summaries) == 40 and not report.variant_errors
     for s in report.summaries.values():
         assert np.all(np.isfinite([s.mae, s.mmre, s.lsd, s.mbre, s.mibre, s.sa, s.delta]))
@@ -194,6 +204,24 @@ def test_run_pipeline_non_finite_predictions_fall_back():
     assert all(np.isfinite(mean) for _, mean in report.best_k.values())
     assert report.two_way is not None
     assert not any("skipped" in note for note in report.notes)
+
+
+def test_ga_overflow_fails_to_fit_and_falls_back():
+    # every fold that trains on the 1e308-sized project has size differences
+    # near 1e308, which weights within ga_range could overflow: its members
+    # get a FitError, not a NaN fitness, and fall back to EBA
+    ds = overflow_dataset()
+    ks = [1, 2, 3, 4, 5]
+    for t in range(ds.n):
+        train = ds.without(t)
+        (row,) = fit_ga_weights([train], [knn_within(train, 5)], ks, OVERFLOW_CONFIG, [ks])
+        if t == 0:
+            assert all(np.isfinite(fit.fitness) and np.all(np.isfinite(fit.history)) for fit in row)
+        else:
+            assert all(isinstance(fit, FitError) and "GA fitness overflows" in str(fit) for fit in row)
+    report = run_pipeline(ds, OVERFLOW_CONFIG)
+    # fold 0's own prediction overflows, the other seven folds have no model
+    assert report.summaries["GA2"].fallback_count == ds.n
 
 
 def test_evaluate_grid_names_undefined_effect_size():

@@ -17,6 +17,7 @@ from ebae.learners import (
     fit_model_tree,
     fit_networks,
     ga_design,
+    ga_draws,
     ga_fitness,
     network_loss_and_grads,
     predict_model_tree,
@@ -437,7 +438,7 @@ def test_ga_beats_zero_vector():
     ds = planted_alpha_dataset()
     cfg = Config()
     result = fit_ga(ds, 1, cfg, seed=5)
-    residuals, D = ga_design(ds, knn_within(ds, 1))
+    residuals, D = ga_design(ds, knn_within(ds, 1), cfg.ga_range)
     zero_fitness = float(ga_fitness(residuals, D, np.zeros(D.shape[1]))[0])
     assert result.fitness <= zero_fitness
 
@@ -484,7 +485,7 @@ def test_ga_history_nonincreasing():
 def test_ga_needs_enough_projects():
     ds = make_dataset("tiny", size_only_schema(), [(1,), (2,), (3,)], [1, 2, 3])
     with pytest.raises(FitError):
-        ga_design(ds, knn_within(ds, 2))
+        ga_design(ds, knn_within(ds, 2), Config().ga_range)
 
 
 def mixed_dataset(seed, n=40):
@@ -505,7 +506,7 @@ def mixed_dataset(seed, n=40):
 
 
 def assert_design_matches_loop(train, k):
-    residuals, D = ga_design(train, knn_within(train, k))
+    residuals, D = ga_design(train, knn_within(train, k), Config().ga_range)
     loop_residuals, loop_D = ga_design_loop(train, k)
     assert np.array_equal(residuals, loop_residuals)
     assert np.array_equal(D, loop_D)
@@ -557,7 +558,7 @@ def test_ga_invariants_property(seed, with_categorical, pop, gens, cx, mut, ga_r
     ds = random_dataset(np.random.default_rng(seed), with_categorical=with_categorical)
     cfg = Config(ga_pop=pop, ga_gens=gens, ga_cx=cx, ga_mut=mut, ga_range=ga_range)
     result = fit_ga(ds, 1, cfg, seed)
-    residuals, D = ga_design(ds, knn_within(ds, 1))
+    residuals, D = ga_design(ds, knn_within(ds, 1), ga_range)
     history = result.history
     assert len(history) == gens + 1
     # the planted zero vector bounds the first generation
@@ -647,3 +648,89 @@ def test_fit_ga_weights_failed_member_fails_alone():
     for k, s, weights in zip(range(1, 5), seeds, got):
         assert_same_weights(weights, fit_ga(train, k, config, s))
         assert_same_weights(weights, fit_ga_one(train, knn_within(train, k), config, s))
+
+
+def ga_overflow_dataset(sizes):
+    return make_dataset("overflow", size_only_schema(), [(s,) for s in sizes], np.arange(1.0, len(sizes) + 1))
+
+
+def test_ga_design_raises_when_weights_in_range_overflow_fitness():
+    # the design is finite, but weights of 5 times its 1e307 size
+    # differences overflow; at a range of 1e-3 no candidate's fitness can
+    ds = ga_overflow_dataset([1e307 * (1 + i) for i in range(8)])
+    neighbors = knn_within(ds, 1)
+    with pytest.raises(FitError, match="GA fitness overflows"):
+        ga_design(ds, neighbors, 5.0)
+    residuals, D = ga_design(ds, neighbors, 1e-3)
+    assert np.all(np.isfinite(D)) and np.abs(D).max() >= 1e307
+
+
+def test_ga_design_raises_on_non_finite_design():
+    # each project's analogy is its pair, and the differences between -1e308
+    # and 1e308 overflow to inf
+    ds = ga_overflow_dataset([-1e308, 1e308, -1e308, 1e308, 0.0, 1.0])
+    with pytest.raises(FitError, match="GA fitness overflows"):
+        ga_design(ds, np.array([[1], [0], [3], [2], [5], [4]]), 5.0)
+
+
+def generator_draws(rngs, ga_pop, n_children, n_uniforms):
+    """The (contenders, uniforms) that ``ga_draws`` must equal: each
+    member's ``integers`` call, then its ``random`` call."""
+    contenders = [rng.integers(0, ga_pop, size=(2 * n_children, 3)) for rng in rngs]
+    uniforms = [rng.random(n_uniforms) for rng in rngs]
+    return np.stack(contenders), np.stack(uniforms)
+
+
+def stream_state(rng):
+    """Where a PCG64 generator's stream stands: the 128-bit state and the
+    buffered 32-bit half word, whose value matters only while it is held."""
+    state = rng.bit_generator.state
+    return state["state"], state["has_uint32"], state["uinteger"] if state["has_uint32"] else None
+
+
+def assert_draws_match(seeds, ga_pop, n_children, m, generations, advance=0):
+    """``ga_draws`` on a stack of ``Generator(PCG64(seed))`` members, each
+    advanced by ``advance`` words, equals their Generator calls for several
+    generations. Returns the final fallback mask."""
+    def members():
+        rngs = [np.random.Generator(np.random.PCG64(seed)) for seed in seeds]
+        for rng in rngs:
+            rng.bit_generator.advance(advance)
+        return rngs
+
+    got_rngs, want_rngs = members(), members()
+    fallback = np.zeros(len(seeds), dtype=bool)
+    for _ in range(generations):
+        contenders, uniforms = ga_draws(got_rngs, fallback, ga_pop, n_children, n_children * (2 + m))
+        want_contenders, want_uniforms = generator_draws(want_rngs, ga_pop, n_children, n_children * (2 + m))
+        assert contenders.dtype == want_contenders.dtype and np.array_equal(contenders, want_contenders)
+        assert np.array_equal(uniforms, want_uniforms)
+        assert [stream_state(rng) for rng in got_rngs] == [stream_state(rng) for rng in want_rngs]
+    return fallback
+
+
+@pytest.mark.parametrize("ga_pop", [2, 3, 50])
+def test_ga_draws_match_generator_calls(ga_pop):
+    # powers of two never reject; at 3 and 50 a rejection is about 1e-9 and 1e-8
+    fallback = assert_draws_match(range(200), ga_pop, ga_pop - 1, 3, generations=4)
+    assert not fallback.any()
+
+
+def test_ga_draws_match_generator_calls_with_rejections():
+    # at 3 * 2**30 Lemire's rule rejects a quarter of the draws: most members
+    # of the stack fall back in the first or the second generation, a few
+    # never do
+    fallback = assert_draws_match(range(300), 3 * 2**30, 1, 2, generations=2)
+    assert 0 < fallback.sum() < len(fallback)
+
+
+def test_ga_draws_rewind_a_block_with_a_rejected_half():
+    # raw word 158,905,137 of PCG64(0) has a high half that ga_pop 50 rejects
+    rng = np.random.Generator(np.random.PCG64(0))
+    rng.bit_generator.advance(158_905_137)
+    u32 = int(rng.bit_generator.random_raw()) >> 32
+    assert (u32 * 50) % 2**32 < (2**32 - 50) % 50
+    # the word lands in the contender part of a block, at its start, middle or end
+    for first in (0, 70, 3 * 49 - 1):
+        fallback = assert_draws_match([0], 50, 49, 7, generations=3, advance=158_905_137 - first)
+        assert fallback.all()

@@ -1,6 +1,8 @@
+from random import Random
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ebae.ranking import (
@@ -91,6 +93,22 @@ def test_profile_from_measures_orders_ascending():
     assert voters["LSD"] == ("x", "y", "z")   # tie y/z broken by id
 
 
+def majority_margins_loop(profile):
+    """Pair-by-pair count of every voter's preferences: the oracle of
+    ``majority_margins``."""
+    index = {c: i for i, c in enumerate(profile.candidates)}
+    n = len(profile.candidates)
+    margins = np.zeros((n, n), dtype=int)
+    for _, order in profile.voters:
+        pos = {c: p for p, c in enumerate(order)}
+        for x in profile.candidates:
+            for y in profile.candidates:
+                if x != y and pos[x] < pos[y]:
+                    margins[index[x], index[y]] += 1
+                    margins[index[y], index[x]] -= 1
+    return margins
+
+
 candidates_strategy = st.integers(min_value=2, max_value=7)
 
 
@@ -108,6 +126,23 @@ def test_margin_antisymmetry_and_zero_score_sum(n_candidates, n_voters, pyrandom
     assert np.all(mm == -mm.T)
     outcome = borda_rank(profile)
     assert sum(outcome.scores.values()) == 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=2, max_value=12), st.integers(min_value=1, max_value=6), st.randoms())
+@example(2, 1, Random(0))
+def test_majority_margins_match_loop_oracle(n_candidates, n_voters, pyrandom):
+    names = tuple(f"c{i}" for i in range(n_candidates))
+    candidates = list(names)
+    pyrandom.shuffle(candidates)
+    voters = []
+    for v in range(n_voters):
+        order = list(names)
+        pyrandom.shuffle(order)
+        voters.append((f"v{v}", tuple(order)))
+    profile = PreferenceProfile(candidates=tuple(candidates), voters=tuple(voters))
+    got = majority_margins(profile)
+    assert got.dtype == int and np.array_equal(got, majority_margins_loop(profile))
 
 
 @settings(max_examples=100, deadline=None)
