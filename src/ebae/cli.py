@@ -271,7 +271,8 @@ def _add_common(parser, with_out):
     parser.add_argument("--alpha", type=float, default=None, help="Scott-Knott significance level (default 0.05)")
     parser.add_argument("--k-max", dest="k_max", type=int, default=None, help="largest analogy count (default 5)")
     parser.add_argument("--set", action="append", metavar="KEY=VALUE",
-                        help="config override, e.g. --set ga.pop=30 (repeatable)")
+                        help="config override, e.g. --set ga.pop=30 (repeatable); LOOCV runs in one "
+                             "worker process per usable core, --set jobs=1 runs it in this process alone")
     if with_out:
         parser.add_argument("--out", default="./report", help="report directory (default ./report)")
 

@@ -2,7 +2,16 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import os
+from dataclasses import dataclass, field, replace
+
+
+def usable_cores():
+    """Cores this process may run on: its CPU affinity where the platform
+    reports one, else the machine's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -11,7 +20,9 @@ class Config:
     runs: int = 1000          # Monte-Carlo runs for the random-guessing baseline
     alpha: float = 0.05       # significance level for Scott-Knott clustering
     k_max: int = 5            # analogies grid is k = 1..k_max per method
-    jobs: int = 1             # LOOCV fold workers; results are identical for any value
+    # LOOCV worker processes, by default one per usable core; results are
+    # identical for any value, and jobs=1 runs in this process alone
+    jobs: int = field(default_factory=usable_cores)
     mt_min_leaf: int = 4
     mt_max_depth: int = 6
     nn_hidden: int = 4

@@ -168,15 +168,23 @@ def network_loss_and_grads(w1, b1, w2, b2, X, y):
     and y (..., n): leading axes are a stack of networks and broadcast, and
     each network's values are those of its own 2-D call.
     """
-    hidden = np.tanh(X @ np.swapaxes(w1, -1, -2) + b1[..., None, :])
+    # in place where an operand is a fresh temporary, in the same order of
+    # operations as the out-of-place expressions, so every value is the same
+    hidden = X @ np.swapaxes(w1, -1, -2)
+    hidden += b1[..., None, :]
+    np.tanh(hidden, out=hidden)
     pred = (hidden @ w2[..., None])[..., 0] + np.asarray(b2)[..., None]
     err = pred - y
     n = y.shape[-1]
     loss = np.mean(err**2, axis=-1)
-    d_pred = 2.0 * err / n
+    d_pred = 2.0 * err
+    d_pred /= n
     g_w2 = (np.swapaxes(hidden, -1, -2) @ d_pred[..., None])[..., 0]
     g_b2 = np.sum(d_pred, axis=-1)
-    d_hidden = d_pred[..., None] * w2[..., None, :] * (1.0 - hidden**2)
+    slope = hidden * hidden
+    np.subtract(1.0, slope, out=slope)
+    d_hidden = d_pred[..., None] * w2[..., None, :]
+    d_hidden *= slope
     g_w1 = np.swapaxes(d_hidden, -1, -2) @ X
     g_b1 = d_hidden.sum(axis=-2)
     return loss, (g_w1, g_b1, g_w2, g_b2)
@@ -185,7 +193,10 @@ def network_loss_and_grads(w1, b1, w2, b2, X, y):
 def _standardize(X, y):
     """z-standardised pairs of one training set, and the scales that undo it."""
     x_mean = X.mean(axis=0)
-    x_std = X.std(axis=0)
+    # a spread too large to square gives an infinite scale, which zeroes
+    # the column
+    with np.errstate(over="ignore"):
+        x_std = X.std(axis=0)
     x_std = np.where(x_std > 0, x_std, 1.0)
     y_mean = float(y.mean())
     y_std = float(y.std())

@@ -56,13 +56,18 @@ def box_cox_transform(values, lam):
     x = np.asarray(values, dtype=float)
     if np.any(x <= 0):
         raise ValueError("Box-Cox requires strictly positive values")
+    return _power_transform(x, lam)
+
+
+def _power_transform(x, lam):
+    """The Box-Cox map of a float array already known to be positive."""
     if lam == 0.0:
         return np.log(x)
     return (x**lam - 1.0) / lam
 
 
 def _log_likelihood(x, lam, log_sum):
-    y = box_cox_transform(x, lam)
+    y = _power_transform(x, lam)
     var = np.var(y)
     if var <= 0:
         return -np.inf
@@ -91,14 +96,16 @@ def box_cox(values):
     if np.all(shifted == shifted[0]):
         # Degenerate constant input: any lambda is as good; use the affine branch.
         spec = TransformSpec(box_cox_lambda=1.0, shift=shift)
-        return box_cox_transform(shifted, 1.0), spec
+        return _power_transform(shifted, 1.0), spec
     log_sum = float(np.sum(np.log(shifted)))
-    # NaN marks a lambda whose transform overflows; lambda = 0 (the log) never
-    # does, so the best likelihood is finite and so is the transform it picks
-    lls = [_log_likelihood(shifted, float(lam), log_sum) for lam in _LAMBDA_GRID]
+    # NaN or -inf marks a lambda whose transform or variance overflows;
+    # lambda = 0 (the log) never does, so the best likelihood is finite and
+    # so is the transform it picks
+    with np.errstate(over="ignore", invalid="ignore"):
+        lls = [_log_likelihood(shifted, float(lam), log_sum) for lam in _LAMBDA_GRID]
     best = float(_LAMBDA_GRID[int(np.nanargmax(lls))])
     spec = TransformSpec(box_cox_lambda=best, shift=shift)
-    return box_cox_transform(shifted, best), spec
+    return _power_transform(shifted, best), spec
 
 
 def apply_transform(values, spec):

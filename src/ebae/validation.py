@@ -4,9 +4,14 @@ Each fold trains on the other n-1 projects: normalization bounds, learner
 fits, and analogy retrieval see training rows only. The target enters as a
 ``Row`` of its feature values, so its effort is never consulted.
 
-``loocv_grid`` runs chunks of consecutive folds. When RTM, MT, GA or NN
-runs, it first ranks the whole dataset once, ``knn_within(dataset, k_top +
-1)``, where ``k_top`` is the largest k of the variants. Each fold then
+``loocv_grid`` runs chunks of consecutive folds, as many as keep a chunk's
+learner stacks within ``STACK_FLOATS``, rounded up to a multiple of
+``config.jobs``. With more than one job the chunks run in up to
+``config.jobs`` forked worker processes, which inherit the dataset and its
+ranking; where the platform cannot fork they run in the calling process.
+When RTM, MT, GA or NN runs, ``loocv_grid`` first ranks the whole dataset
+once, ``knn_within(dataset, k_top + 1)``, where ``k_top`` is the largest k
+of the variants. Each fold then
 builds what its variants share, the chunk trains its GA and NN members in
 stacks, and each fold predicts every k of a method in one pass of
 ``adjust.<method>`` over its ``k_top`` analogies. A fold builds:
@@ -36,14 +41,13 @@ each member equals its lone fit. The GA members of a chunk train in
 as many folds as ``STACK_FLOATS`` allows; the networks of a whole chunk,
 every fold times every NN variant, train in one ``fit_networks`` call. So
 results are identical for any set of variants, any chunking and any
-number of workers.
+number of jobs.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -60,7 +64,9 @@ from .metrics import baseline, build_table, log_floor, summarize
 # splits a chunk into GA stacks, whose largest array in a generation is
 # (folds, GA variants, ga_pop, n - 1): 5 folds on Albrecht with the default
 # ga_pop of 50, and one fold, the smallest stack, from n = 67 on. One stack
-# of all 24 Albrecht folds trained no faster than stacks of 5.
+# of all 24 Albrecht folds trained no faster than stacks of 5. The chunk
+# count is then rounded up to a multiple of ``config.jobs``, so the forked
+# workers get equal shares: 8 chunks of 12-13 folds at n = 100 and 2 jobs.
 STACK_FLOATS = 2**15
 
 
@@ -132,7 +138,9 @@ class _Fold:
                 predictions[method] = np.full(len(eba), np.nan)
             else:
                 predictor = getattr(adjust, method.lower())
-                predictions[method] = predictor(target, nbh, train, *(() if model is None else (model,)))
+                # a prediction that overflows falls back below
+                with np.errstate(over="ignore", invalid="ignore"):
+                    predictions[method] = predictor(target, nbh, train, *(() if model is None else (model,)))
         outcomes = []
         for variant in variants:
             prediction = predictions[variant.method][variant.k - 1]
@@ -171,6 +179,51 @@ def _fit_networks(folds, variants, config):
         fold.models["NN"] = {variant.k: net for variant, net in zip(variants, row)}
 
 
+def _chunk_starts(n, size, jobs):
+    """First fold of each chunk of consecutive folds: as many chunks as keep
+    each within ``size`` folds, rounded up to a multiple of ``jobs`` and at
+    most n, whose sizes differ by one at most."""
+    chunks = -(-n // size)
+    chunks = min(n, chunks + -chunks % jobs)
+    return [-(-i * n // chunks) for i in range(chunks)]
+
+
+# The chunk function of the ``loocv_grid`` call a forked worker serves. The
+# worker inherits it at the fork, so the dataset, its ranking and the config
+# are never pickled.
+_chunk = None
+
+
+def _start_worker(chunk):
+    global _chunk
+    _chunk = chunk
+
+
+def _run_chunk(bounds):
+    return _chunk(*bounds)
+
+
+def _map_chunks(chunk, bounds, jobs):
+    """``[chunk(start, stop) for start, stop in bounds]``, in up to ``jobs``
+    forked worker processes when there are several jobs and chunks and the
+    platform can fork. No worker outlives the call."""
+    if jobs > 1 and len(bounds) > 1:
+        import multiprocessing
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            pool = multiprocessing.get_context("fork").Pool(min(jobs, len(bounds)), _start_worker, (chunk,))
+            try:
+                results = pool.map(_run_chunk, bounds, chunksize=1)
+                pool.close()
+            except BaseException:
+                pool.terminate()
+                raise
+            finally:
+                pool.join()
+            return results
+    return [chunk(start, stop) for start, stop in bounds]
+
+
 def loocv_grid(dataset, variants, config):
     """Leave-one-out predictions of several variants over a dataset.
 
@@ -192,29 +245,23 @@ def loocv_grid(dataset, variants, config):
     genetic = [variant for variant in runnable if variant.method == "GA"]
     networks = [variant for variant in runnable if variant.method == "NN"]
     width = max(dataset.m, len(networks) * config.nn_hidden)
-    size = max(1, STACK_FLOATS // ((dataset.n - 1) * width))
-    # at least one chunk per worker
-    size = min(size, math.ceil(dataset.n / config.jobs))
+    starts = _chunk_starts(dataset.n, max(1, STACK_FLOATS // ((dataset.n - 1) * width)), config.jobs)
 
     k_top = max(variant.k for variant in runnable)
     ranking = None
     if not {variant.method for variant in runnable}.isdisjoint(("RTM", "MT", "GA", "NN")):
         ranking = analogy.knn_within(dataset, k_top + 1)
 
-    def chunk(start):
-        folds = [_Fold(dataset, t, runnable, config, ranking) for t in range(start, min(start + size, dataset.n))]
+    def chunk(start, stop):
+        folds = [_Fold(dataset, t, runnable, config, ranking) for t in range(start, stop)]
         if genetic:
             _fit_ga(folds, genetic, config)
         if networks:
             _fit_networks(folds, networks, config)
         return [fold.predict(runnable) for fold in folds]
 
-    starts = range(0, dataset.n, size)
-    if config.jobs > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            chunks = list(pool.map(chunk, starts))
-    else:
-        chunks = list(map(chunk, starts))
+    bounds = list(zip(starts, [*starts[1:], dataset.n]))
+    chunks = _map_chunks(chunk, bounds, config.jobs)
     outcomes = [row for rows in chunks for row in rows]
 
     floor = log_floor(dataset.efforts)

@@ -1,6 +1,10 @@
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from ebae.adjust import METHODS
 from ebae.analogy import knn_within
 from ebae.config import Config
 from ebae.data import ColumnSpec
@@ -204,6 +208,21 @@ def test_run_pipeline_non_finite_predictions_fall_back():
     assert all(np.isfinite(mean) for _, mean in report.best_k.values())
     assert report.two_way is not None
     assert not any("skipped" in note for note in report.notes)
+
+
+def test_overflow_fixture_runs_without_warnings():
+    # every overflow of this fixture falls back and is counted, or marks a
+    # Box-Cox lambda as unusable, so none is worth a warning; one job keeps
+    # the run in this process, where the filter applies
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        report = run_pipeline(overflow_dataset(), replace(OVERFLOW_CONFIG, jobs=1))
+    fallbacks = {method: [report.tables[f"{method}{k}"].fallback_count for k in range(1, 6)] for method in METHODS}
+    assert fallbacks == {"EBA": [0] * 5, "LSE": [1] * 5, "MLFE": [1] * 5, "RTM": [1] * 5, "AQUA": [0] * 5,
+                         "MT": [8] * 5, "GA": [7, 8, 8, 8, 8], "NN": [0] * 5}
+    assert {method: k for method, (k, _) in report.best_k.items()} == {method: 2 if method == "GA" else 1
+                                                                        for method in METHODS}
+    assert {mean for _, mean in report.best_k.values()} == {24.999999999984517}
 
 
 def test_ga_overflow_fails_to_fit_and_falls_back():

@@ -1,3 +1,5 @@
+import multiprocessing
+import os
 from collections import Counter
 from dataclasses import replace
 
@@ -20,8 +22,9 @@ from .conftest import make_dataset, random_rows, size_only_schema
 from .loocv_reference import loocv_variants
 
 CFG = Config(runs=200)
-# a small learner budget keeps the 40-variant oracle runs quick
-SMALL = Config(runs=200, ga_pop=6, ga_gens=3, nn_epochs=10)
+# a small learner budget keeps the 40-variant oracle runs quick; one job
+# keeps every fold in this process, where the call-counting tests see it
+SMALL = Config(runs=200, ga_pop=6, ga_gens=3, nn_epochs=10, jobs=1)
 GRID = enumerate_variants(5)
 
 
@@ -331,6 +334,61 @@ def test_loocv_grid_identical_for_any_chunking(albrecht, monkeypatch, floats):
 
 
 def test_loocv_grid_makes_a_chunk_per_worker(albrecht, monkeypatch):
+    plans = []
+    map_chunks = validation._map_chunks
+
+    def recorded(chunk, bounds, jobs):
+        plans.append((bounds, jobs))
+        return map_chunks(chunk, bounds, jobs)
+
+    monkeypatch.setattr(validation, "_map_chunks", recorded)
+    loocv_grid(albrecht, GRID, replace(SMALL, jobs=3))
+    # all 24 Albrecht folds fit in one chunk; three workers get 8 folds each
+    assert plans == [([(0, 8), (8, 16), (16, 24)], 3)]
+    # n = 100 at 16 folds per chunk: 7 chunks round up to 8, 4 per worker
+    assert validation._chunk_starts(100, 16, 2) == [0, 13, 25, 38, 50, 63, 75, 88]
+    # more workers than folds: one fold per chunk
+    assert validation._chunk_starts(5, 10, 8) == [0, 1, 2, 3, 4]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 600), st.integers(1, 100), st.integers(1, 12))
+def test_chunk_starts_property(n, size, jobs):
+    starts = validation._chunk_starts(n, size, jobs)
+    sizes = [stop - start for start, stop in zip(starts, [*starts[1:], n])]
+    assert starts[0] == 0 and min(sizes) >= 1
+    assert max(sizes) <= size and max(sizes) - min(sizes) <= 1
+    assert len(starts) == n or len(starts) % jobs == 0
+    # no more chunks than the size cap and the rounding need
+    assert len(starts) < -(-n // size) + jobs
+
+
+@pytest.mark.parametrize("jobs, floats, chunks", [(2, validation.STACK_FLOATS, 2), (3, validation.STACK_FLOATS, 3),
+                                                  (2, 22 * 20 * 5, 6)])
+def test_loocv_grid_worker_processes_give_the_serial_tables(albrecht, monkeypatch, tmp_path, jobs, floats, chunks):
+    # 23 folds split unevenly over 2 or 3 chunks, or over 6: chunks of at
+    # most 5 folds need 5, rounded up to a multiple of 2
+    dataset = albrecht.without(23)
+    serial = loocv_grid(dataset, GRID, SMALL)
+    monkeypatch.setattr(validation, "STACK_FLOATS", floats)
+    fit_networks = validation._fit_networks
+
+    def logged(folds, variants, config):
+        # once per chunk, in the process that runs it
+        with open(tmp_path / "pids", "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return fit_networks(folds, variants, config)
+
+    monkeypatch.setattr(validation, "_fit_networks", logged)
+    assert loocv_grid(dataset, GRID, replace(SMALL, jobs=jobs)) == serial
+    assert multiprocessing.active_children() == []
+    pids = (tmp_path / "pids").read_text(encoding="utf-8").split()
+    assert len(pids) == chunks
+    assert str(os.getpid()) not in pids and len(set(pids)) <= jobs
+
+
+def test_loocv_grid_runs_serially_without_fork(albrecht, monkeypatch):
+    serial = loocv_grid(albrecht, GRID, SMALL)
     stacks = []
     fit_networks = validation.fit_networks
 
@@ -338,9 +396,29 @@ def test_loocv_grid_makes_a_chunk_per_worker(albrecht, monkeypatch):
         stacks.append(len(seeds))
         return fit_networks(X, y, config, seeds)
 
+    def no_pool(*args):
+        raise AssertionError("no worker process may start")
+
     monkeypatch.setattr(validation, "fit_networks", stacked)
-    loocv_grid(albrecht, GRID, replace(SMALL, jobs=3))
-    assert sorted(stacks) == [8, 8, 8]
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+    assert loocv_grid(albrecht, GRID, replace(SMALL, jobs=2)) == serial
+    # both chunks ran in this process
+    assert stacks == [12, 12]
+
+
+def test_loocv_grid_raises_a_worker_error_and_stops_every_worker(albrecht, monkeypatch):
+    fit_networks = validation._fit_networks
+
+    def failing(folds, variants, config):
+        if folds[0].t == 0:
+            raise RuntimeError("network stack failed")
+        return fit_networks(folds, variants, config)
+
+    monkeypatch.setattr(validation, "_fit_networks", failing)
+    with pytest.raises(RuntimeError, match="network stack failed"):
+        loocv_grid(albrecht, GRID, replace(SMALL, jobs=2))
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("methods, built", [
