@@ -5,16 +5,22 @@ fits, and analogy retrieval see training rows only. The target enters as a
 ``Row`` of its feature values, so its effort is never consulted.
 
 ``loocv_grid`` runs chunks of consecutive folds, as many as keep a chunk's
-learner stacks within ``STACK_FLOATS``, rounded up to a multiple of
-``config.jobs``. With more than one job the chunks run in up to
-``config.jobs`` forked worker processes, which inherit the dataset and its
-ranking; where the platform cannot fork they run in the calling process.
+network stack within ``STACK_FLOATS``, rounded up to a multiple of
+``config.jobs``. With more than one job ``_map_chunks`` runs the chunks in
+up to ``config.jobs`` worker processes started with the ``fork`` method,
+which inherit the dataset and its ranking; where the platform cannot fork
+they run in the calling process. Python 3.12 and later raise a
+DeprecationWarning when a process with more than one thread forks, and
+importing numpy with OpenBLAS on a 2-core Linux host leaves two threads, so
+there each worker start is expected to warn. That has not been run with
+numpy on Python 3.12.
+
 When RTM, MT, GA or NN runs, ``loocv_grid`` first ranks the whole dataset
 once, ``knn_within(dataset, k_top + 1)``, where ``k_top`` is the largest k
-of the variants. Each fold then
-builds what its variants share, the chunk trains its GA and NN members in
-stacks, and each fold predicts every k of a method in one pass of
-``adjust.<method>`` over its ``k_top`` analogies. A fold builds:
+of the variants. Each fold then builds what its variants share, the chunk
+trains its GA and NN members in stacks, and each fold predicts every k of a
+method in one pass of ``adjust.<method>`` over its ``k_top`` analogies. A
+fold builds:
 
 - the training fold ``dataset.without(t)``;
 - one retrieval of the ``k_top`` nearest training projects; variant k
@@ -36,12 +42,11 @@ stacks, and each fold predicts every k of a method in one pass of
 
 GA and NN members are seeded from ``(config.seed, fold index, variant
 label)``, the seed a lone variant's run uses, and train in stacks in which
-each member equals its lone fit. The GA members of a chunk train in
-``fit_ga_weights`` stacks of consecutive folds times every GA variant,
-as many folds as ``STACK_FLOATS`` allows; the networks of a whole chunk,
-every fold times every NN variant, train in one ``fit_networks`` call. So
-results are identical for any set of variants, any chunking and any
-number of jobs.
+each member equals its lone fit. A chunk trains all its GA members, every
+fold times every GA variant, in one ``fit_ga_weights`` call, and all its
+networks in one ``fit_networks`` call, which lays each fold's NN variants
+side by side in one member-wide hidden layer. So results are identical for
+any set of variants, any chunking and any number of jobs.
 """
 
 from __future__ import annotations
@@ -57,16 +62,17 @@ from .learners import FitError, build_diff_pairs, fit_ga_weights, fit_model_tree
 from .metrics import baseline, build_table, log_floor, summarize
 
 # Floats in the largest array of one chunk's network stack, either
-# (folds, NN variants, n - 1, nn_hidden) or (folds, n - 1, m): a chunk holds
+# (folds, n - 1, NN variants * nn_hidden) or (folds, n - 1, m): a chunk holds
 # as many folds as keep it near this size (256 KB), which is 3 folds at
 # n = 499, 16 at n = 100 and all of Albrecht. Larger stacks trained no
-# faster per network and held more memory for the chunk. The same bound
-# splits a chunk into GA stacks, whose largest array in a generation is
-# (folds, GA variants, ga_pop, n - 1): 5 folds on Albrecht with the default
-# ga_pop of 50, and one fold, the smallest stack, from n = 67 on. One stack
-# of all 24 Albrecht folds trained no faster than stacks of 5. The chunk
-# count is then rounded up to a multiple of ``config.jobs``, so the forked
-# workers get equal shares: 8 chunks of 12-13 folds at n = 100 and 2 jobs.
+# faster per network and held more memory for the chunk. The chunk count is
+# then rounded up to a multiple of ``config.jobs``, so the forked workers get
+# equal shares: 8 chunks of 12-13 folds at n = 100 and 2 jobs. The GA members
+# of a chunk train as one stack whatever its size. Its largest array in a
+# generation, (folds, GA variants, ga_pop, n - 1), is 2.6 MB for 13 folds at
+# n = 100 with the default ga_pop of 50; at jobs=1 the 16-fold stacks raised
+# the peak RSS of a 100-project pipeline from 47 to 56 MB. One stack of 13
+# folds at n = 100 trained in 66-67 ms against 74-82 ms in stacks of a fold.
 STACK_FLOATS = 2**15
 
 
@@ -151,18 +157,12 @@ class _Fold:
 
 def _fit_ga(folds, variants, config):
     """Fit the GA members of every (fold, GA variant) of a chunk into each
-    fold's ``models``, in stacks of consecutive folds whose largest array in
-    a generation, (folds, GA variants, ga_pop, n - 1) floats, stays within
-    ``STACK_FLOATS`` (one fold when a single fold exceeds it)."""
-    size = max(1, STACK_FLOATS // (len(variants) * config.ga_pop * folds[0].train.n))
+    fold's ``models``, as one ``fit_ga_weights`` stack."""
     ks = [variant.k for variant in variants]
-    for start in range(0, len(folds), size):
-        group = folds[start:start + size]
-        seeds = [[derive_seed(config.seed, fold.t, variant.label) for variant in variants] for fold in group]
-        fits = fit_ga_weights([fold.train for fold in group], [fold.neighbors for fold in group], ks, config,
-                              seeds)
-        for fold, row in zip(group, fits):
-            fold.models["GA"] = {k: fit if isinstance(fit, FitError) else fit.alpha for k, fit in zip(ks, row)}
+    seeds = [[derive_seed(config.seed, fold.t, variant.label) for variant in variants] for fold in folds]
+    fits = fit_ga_weights([fold.train for fold in folds], [fold.neighbors for fold in folds], ks, config, seeds)
+    for fold, row in zip(folds, fits):
+        fold.models["GA"] = {k: fit if isinstance(fit, FitError) else fit.alpha for k, fit in zip(ks, row)}
 
 
 def _fit_networks(folds, variants, config):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ebae import learners
 from ebae.adjust import VariantId
 from ebae.analogy import knn_within
 from ebae.config import Config
@@ -356,6 +357,33 @@ def test_fit_networks_matches_oracle_property(seed, n, m, hidden, folds, members
     want_loss, want_grads = network_loss_and_grads_2d(w1, b1, w2, 0.3, X[0], y[0])
     assert loss == want_loss
     assert all(np.array_equal(g, w) for g, w in zip(grads, want_grads))
+
+
+# two folds of the benchmark workloads' chunks: Albrecht (n - 1 = 23, m = 7),
+# mixed_screen (79, 16) and china_screen (99, 16), each side of
+# WIDE_MIN_HIDDEN, and a size-only dataset (m = 1), which the wide kernel skips
+@pytest.mark.parametrize("n, m, hidden, wide", [(23, 7, 4, True), (79, 16, 4, True), (99, 16, 4, True),
+                                                (23, 7, 3, False), (99, 16, 3, False), (99, 16, 5, True),
+                                                (23, 1, 4, False)])
+def test_fit_networks_matches_oracle_at_pipeline_shapes(monkeypatch, n, m, hidden, wide):
+    calls = []
+    member_wide = learners._member_wide_loss_and_grads
+
+    def counted(*args):
+        calls.append(1)
+        return member_wide(*args)
+
+    monkeypatch.setattr(learners, "_member_wide_loss_and_grads", counted)
+    rng = np.random.default_rng(n * m + hidden)
+    X = rng.normal(size=(2, n, m)) * rng.uniform(0.1, 10.0, size=m)
+    y = rng.normal(size=(2, n))
+    config = Config(nn_hidden=hidden, nn_epochs=5, nn_lr=0.05)
+    seeds = rng.integers(0, 2**63, size=(2, 5)).tolist()
+    got = fit_networks(X, y, config, seeds)
+    for f in range(2):
+        for j in range(5):
+            assert_same_network(got[f][j], fit_network(X[f], y[f], config, seeds[f][j]))
+    assert len(calls) == (config.nn_epochs if wide else 0)
 
 
 def test_fit_networks_diverged_members_fail_alone():

@@ -288,10 +288,11 @@ def test_loocv_grid_builds_shared_work_once_per_fold(albrecht, monkeypatch):
     tables, _ = loocv_grid(albrecht, GRID, SMALL)
     n = albrecht.n
     assert len(tables) == 40
-    # Albrecht's 24 folds fit in one chunk: one stack of every (fold, NN k)
-    # network, and GA stacks of the five k of up to
-    # STACK_FLOATS // (5 * ga_pop * (n - 1)) = 47 folds, so one stack too
-    assert validation.STACK_FLOATS // (5 * SMALL.ga_pop * (n - 1)) == 47
+    # Albrecht's 24 folds fit in one chunk, of STACK_FLOATS // (23 pairs * 5
+    # NN k * 4 hidden) = 71 folds at most, and a chunk makes one
+    # fit_ga_weights call, of every (fold, GA k) member, and one
+    # fit_networks call, of every (fold, NN k) network
+    assert validation._chunk_starts(n, validation.STACK_FLOATS // ((n - 1) * 5 * SMALL.nn_hidden), 1) == [0]
     # one dataset-wide ranking, and a table of its own for each of the 4
     # folds whose held-out project alone sets a feature's min or max
     assert calls == {"fit_model_tree": n, "build_diff_pairs": n, "productivity_correlation": n,
@@ -302,18 +303,17 @@ def test_loocv_grid_builds_shared_work_once_per_fold(albrecht, monkeypatch):
 
 
 # folds per NN stack and per GA stack on Albrecht under each STACK_FLOATS:
-# an NN chunk holds floats // (23 pairs * 5 NN k * 4 hidden) folds, a GA stack
-# within it floats // (23 pairs * 5 GA k * 6 members)
+# a chunk holds floats // (23 pairs * 5 NN k * 4 hidden) folds, and its NN
+# and GA members each train as one stack
 CHUNKINGS = {
     1: ([1] * 24, [1] * 24),
-    23 * 20 * 5: ([5, 5, 5, 5, 4], [3, 2] * 4 + [3, 1]),
-    23 * 30 * 2: ([3] * 8, [2, 1] * 8),
+    23 * 20 * 5: ([5, 5, 5, 5, 4], [5, 5, 5, 5, 4]),
+    23 * 30 * 2: ([3] * 8, [3] * 8),
 }
 
 
 @pytest.mark.parametrize("floats", CHUNKINGS)
 def test_loocv_grid_identical_for_any_chunking(albrecht, monkeypatch, floats):
-    # the last two cases put a GA stack boundary inside every NN chunk
     whole = loocv_grid(albrecht, GRID, SMALL)
     stacks = {"NN": [], "GA": []}
     fit_networks, fit_ga_weights = validation.fit_networks, validation.fit_ga_weights
