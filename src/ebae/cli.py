@@ -262,19 +262,22 @@ def _build_config(args):
     return with_overrides(config, updates)
 
 
-def _add_common(parser, with_out):
+def _add_paths(parser):
     parser.add_argument("--data", required=True, help="dataset CSV path")
     parser.add_argument("--schema", required=True, help="schema sidecar path")
+
+
+def _add_run_options(parser):
+    """Run settings (defaults from ``Config``) and the report directory."""
     parser.add_argument("--seed", type=int, default=None,
-                        help="global seed (default 42; EBAE_SEED overrides the default)")
-    parser.add_argument("--runs", type=int, default=None, help="baseline Monte-Carlo runs (default 1000)")
-    parser.add_argument("--alpha", type=float, default=None, help="Scott-Knott significance level (default 0.05)")
-    parser.add_argument("--k-max", dest="k_max", type=int, default=None, help="largest analogy count (default 5)")
+                        help=f"global seed (default {Config.seed}; EBAE_SEED overrides the default)")
+    parser.add_argument("--runs", type=int, default=None, help=f"baseline Monte-Carlo runs (default {Config.runs})")
+    parser.add_argument("--alpha", type=float, default=None, help=f"Scott-Knott significance level (default {Config.alpha})")
+    parser.add_argument("--k-max", dest="k_max", type=int, default=None, help=f"largest analogy count (default {Config.k_max})")
     parser.add_argument("--set", action="append", metavar="KEY=VALUE",
                         help="config override, e.g. --set ga.pop=30 (repeatable); LOOCV runs in one "
                              "worker process per usable core, --set jobs=1 runs it in this process alone")
-    if with_out:
-        parser.add_argument("--out", default="./report", help="report directory (default ./report)")
+    parser.add_argument("--out", default="./report", help="report directory (default ./report)")
 
 
 def cmd_describe(args):
@@ -324,13 +327,15 @@ def main(argv=None):
     )
     sub = parser.add_subparsers(dest="command", required=True)
     p_desc = sub.add_parser("describe", help="print effort-column statistics")
-    _add_common(p_desc, with_out=False)
+    _add_paths(p_desc)
     p_desc.set_defaults(func=cmd_describe)
     p_eval = sub.add_parser("evaluate", help="LOOCV-evaluate every variant, write variants.csv")
-    _add_common(p_eval, with_out=True)
+    _add_paths(p_eval)
+    _add_run_options(p_eval)
     p_eval.set_defaults(func=cmd_evaluate)
     p_pipe = sub.add_parser("pipeline", help="run the full selection/ensembling pipeline")
-    _add_common(p_pipe, with_out=True)
+    _add_paths(p_pipe)
+    _add_run_options(p_pipe)
     p_pipe.set_defaults(func=cmd_pipeline)
 
     args = parser.parse_args(argv)

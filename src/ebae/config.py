@@ -55,7 +55,7 @@ class Config:
             raise ValueError(f"bad value for nn.lr: {self.nn_lr!r} (must be > 0)")
 
 
-# Flat override keys accepted by the CLI (--set key=value) and config files.
+# Flat override keys accepted by the CLI (--set key=value).
 _KEYS = {
     "seed": ("seed", int),
     "runs": ("runs", int),

@@ -238,7 +238,8 @@ def load_dataset(data_path, schema_path, name=None):
 
     Rows with any missing feature or effort value are dropped with a logged
     warning; all other irregularities (unknown columns, non-numeric
-    continuous values, non-positive efforts, duplicate ids) are errors.
+    continuous values, non-positive efforts, duplicate ids or header
+    columns) are errors.
     """
     data_path = Path(data_path)
     specs = load_schema(schema_path)
@@ -251,6 +252,9 @@ def load_dataset(data_path, schema_path, name=None):
         except StopIteration:
             raise DatasetError(f"{data_path}: empty file") from None
         header = [h.strip() for h in header]
+        repeated = sorted({h for h in header if header.count(h) > 1})
+        if repeated:
+            raise DatasetError(f"{data_path}: duplicate header columns: {repeated}")
         missing_in_schema = [h for h in header if h not in by_name]
         if missing_in_schema:
             raise DatasetError(f"{data_path}: columns not declared in schema: {missing_in_schema}")

@@ -1,15 +1,16 @@
-"""Borda-count rank aggregation over a majority-margins matrix.
+"""Borda-count rank aggregation over majority margins.
 
 Voters are experimental conditions (here: error measures), candidates are
 estimation methods. Each voter contributes a total order; the majority
 margin MM[x][y] counts how often x precedes y minus how often y precedes x,
-and a candidate's Borda score is its row sum. Equal scores are reported as
-indifference groups.
+and a candidate's Borda score is its row sum, computed in closed form from
+the voters' positions. Equal scores are reported as indifference groups.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -31,8 +32,7 @@ class PreferenceProfile:
 @dataclass(frozen=True)
 class RankingOutcome:
     candidates: tuple
-    margins: np.ndarray            # antisymmetric majority-margins matrix
-    scores: dict                   # candidate -> Borda score (row sum)
+    scores: dict                   # candidate -> Borda score (majority-margins row sum)
     groups: tuple                  # score-tied groups, best first; members sorted by id
     ranks: dict                    # candidate -> competition rank (ties share a rank)
     xi: dict                       # candidate -> mean absolute pairwise rank change
@@ -52,66 +52,48 @@ def profile_from_measures(measure_values, candidates=None):
     return PreferenceProfile(candidates=tuple(sorted(cands, key=str)), voters=tuple(voters))
 
 
-def majority_margins(profile):
-    """MM[x][y] = #voters ranking x above y minus #voters ranking y above x,
-    that is the sum over voters of sign(pos[y] - pos[x])."""
+def _positions(profile):
+    """pos[v, i]: the 0-based place voter v gives candidate i."""
     if len(profile.candidates) < 2:
         raise ValueError("need at least 2 candidates")
     if not profile.voters:
         raise ValueError("need at least 1 voter")
     index = {c: i for i, c in enumerate(profile.candidates)}
-    n = len(profile.candidates)
-    # pos[v, i]: where voter v places candidate i
-    pos = np.empty((len(profile.voters), n), dtype=int)
+    pos = np.empty((len(profile.voters), len(profile.candidates)), dtype=int)
     for v, (_, order) in enumerate(profile.voters):
-        pos[v, [index[c] for c in order]] = np.arange(n)
+        pos[v, [index[c] for c in order]] = np.arange(len(order))
+    return pos
+
+
+def majority_margins(profile):
+    """MM[x][y] = #voters ranking x above y minus #voters ranking y above x,
+    that is the sum over voters of sign(pos[y] - pos[x])."""
+    pos = _positions(profile)
     return np.sign(pos[:, None, :] - pos[:, :, None]).sum(axis=0)
 
 
-def voter_ranks(profile):
-    """candidate -> list of 1-based ranks, one per voter."""
-    ranks = {c: [] for c in profile.candidates}
-    for _, order in profile.voters:
-        for position, candidate in enumerate(order, start=1):
-            ranks[candidate].append(position)
-    return ranks
-
-
-def rank_stability_xi(ranks):
-    """Mean absolute pairwise difference among each candidate's ranks.
-
-    A candidate ranked identically by every voter gets 0; larger values mean
-    the candidate moves around across experimental conditions.
-    """
-    out = {}
-    for candidate, rs in ranks.items():
-        if len(rs) < 2:
-            raise ValueError("rank stability needs at least 2 voters")
-        diffs = [abs(a - b) for i, a in enumerate(rs) for b in rs[i + 1:]]
-        out[candidate] = float(np.mean(diffs))
-    return out
-
-
 def borda_rank(profile):
-    """Aggregate a profile: margins, scores, indifference groups, ranks, stability."""
-    margins = majority_margins(profile)
-    scores = {c: int(margins[i].sum()) for i, c in enumerate(profile.candidates)}
-    by_score = {}
-    for candidate, score in scores.items():
-        by_score.setdefault(score, []).append(candidate)
-    groups = tuple(
-        tuple(sorted(by_score[s], key=str)) for s in sorted(by_score, reverse=True)
-    )
-    ranks = {}
-    position = 1
-    for group in groups:
-        for candidate in group:
-            ranks[candidate] = position
-        position += len(group)
-    xi = rank_stability_xi(voter_ranks(profile)) if len(profile.voters) >= 2 else {}
+    """Aggregate a profile: scores, indifference groups, ranks, stability.
+
+    A voter placing c at 0-based position p puts it above C-1-p candidates
+    and below p, so c's margins row sums to V(C-1) - 2 * sum_v pos[v, c].
+    """
+    pos = _positions(profile)
+    n_voters, n = pos.shape
+    totals = n_voters * (n - 1) - 2 * pos.sum(axis=0)
+    scores = {c: int(s) for c, s in zip(profile.candidates, totals)}
+    best_first = sorted(profile.candidates, key=lambda c: (-scores[c], str(c)))
+    groups = tuple(tuple(group) for _, group in groupby(best_first, key=scores.get))
+    ranks = {c: 1 + int((totals > s).sum()) for c, s in scores.items()}
+    xi = {}
+    if n_voters >= 2:
+        # Mean absolute rank change over voter pairs a < b: the candidate's
+        # stability across experimental conditions (0 = ranked alike by all).
+        a, b = np.triu_indices(n_voters, k=1)
+        moves = np.abs(pos[a] - pos[b]).sum(axis=0)
+        xi = {c: int(m) / len(a) for c, m in zip(profile.candidates, moves)}
     return RankingOutcome(
         candidates=profile.candidates,
-        margins=margins,
         scores=scores,
         groups=groups,
         ranks=ranks,

@@ -53,6 +53,15 @@ def test_describe_empty_file(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("flag", [["--runs", "200"], ["--seed", "1"], ["--set", "ga.pop=10"],
+                                  ["--out", "rep"]])
+def test_describe_rejects_run_settings(flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["describe", *TOY_ARGS, *flag])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_evaluate_writes_variant_grid(tmp_path):
     out = tmp_path / "rep"
     assert main(["evaluate", *TOY_ARGS, *FAST, "--out", str(out)]) == 0

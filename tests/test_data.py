@@ -77,6 +77,16 @@ def test_header_schema_mismatch(tmp_path):
         load_dataset(data, schema)
 
 
+def test_duplicate_header_columns_rejected(tmp_path):
+    data, schema = write_pair(
+        tmp_path,
+        "id,a,a,effort\np,1,2,5\nq,2,3,9\nr,3,4,4\n",
+        "id=identifier,categorical,none\na=feature,continuous,primary_size\neffort=effort,continuous,none\n",
+    )
+    with pytest.raises(DatasetError, match=r"duplicate header columns: \['a'\]"):
+        load_dataset(data, schema)
+
+
 def test_schema_requires_one_effort(tmp_path):
     schema = tmp_path / "s"
     schema.write_text("size=feature,continuous,none\n")

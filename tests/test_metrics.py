@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ebae.metrics import (
@@ -178,6 +178,7 @@ positive = st.floats(min_value=0.01, max_value=1e5, allow_nan=False)
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(positive, positive), min_size=3, max_size=30))
+@example([(1.0, 1.0), (1.0, 1.0), (0.010000000000000002, 0.01)])   # MAE 5.8e-19, SA rounds to 1.0
 def test_metric_identities_property(pairs):
     actuals = [a for a, _ in pairs]
     predictions = [p for _, p in pairs]
@@ -190,7 +191,8 @@ def test_metric_identities_property(pairs):
     m = mae(t)
     if not b.degenerate:
         sa = standardized_accuracy(m, b)
-        assert (sa == 1.0) == (m == 0.0)
+        assert sa == 1.0 - m / b.mae_p0
+        assert m != 0.0 or sa == 1.0
         if b.sp0 > 0:
             assert (effect_size(m, b) == 0.0) == (m == b.mae_p0)
     assert (lsd(t) == 0.0) == bool(np.all(t.log_residuals == 0.0))

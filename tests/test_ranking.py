@@ -10,8 +10,6 @@ from ebae.ranking import (
     borda_rank,
     majority_margins,
     profile_from_measures,
-    rank_stability_xi,
-    voter_ranks,
 )
 
 # Worked five-candidate, four-voter example with a known outcome.
@@ -73,15 +71,66 @@ def test_malformed_voter_rejected():
         PreferenceProfile(candidates=("a", "b"), voters=(("v", ("a", "a")),))
 
 
+def voter_ranks(profile):
+    """candidate -> list of 1-based ranks, one per voter."""
+    ranks = {c: [] for c in profile.candidates}
+    for _, order in profile.voters:
+        for position, candidate in enumerate(order, start=1):
+            ranks[candidate].append(position)
+    return ranks
+
+
+def rank_stability_xi(ranks):
+    """Mean absolute pairwise difference among each candidate's ranks: the
+    oracle of ``borda_rank``'s ``xi``."""
+    out = {}
+    for candidate, rs in ranks.items():
+        if len(rs) < 2:
+            raise ValueError("rank stability needs at least 2 voters")
+        diffs = [abs(a - b) for i, a in enumerate(rs) for b in rs[i + 1:]]
+        out[candidate] = float(np.mean(diffs))
+    return out
+
+
+def groups_and_ranks_loop(scores):
+    """Score-tied groups (best first, members by id) and competition ranks
+    built group by group: the oracle of ``borda_rank``'s ``groups`` and ``ranks``."""
+    by_score = {}
+    for candidate, score in scores.items():
+        by_score.setdefault(score, []).append(candidate)
+    groups = tuple(
+        tuple(sorted(by_score[s], key=str)) for s in sorted(by_score, reverse=True)
+    )
+    ranks = {}
+    position = 1
+    for group in groups:
+        for candidate in group:
+            ranks[candidate] = position
+        position += len(group)
+    return groups, ranks
+
+
+def xi_of(orders):
+    """borda_rank's xi over candidates m, x, y for the given voter orders."""
+    voters = tuple((f"v{i}", order) for i, order in enumerate(orders))
+    return borda_rank(PreferenceProfile(candidates=("m", "x", "y"), voters=voters)).xi
+
+
 def test_xi_examples():
-    assert rank_stability_xi({"m": [3, 3, 3, 3]})["m"] == 0.0
-    assert rank_stability_xi({"m": [1, 3]})["m"] == 2.0
-    assert rank_stability_xi({"m": [1, 2, 3]})["m"] == pytest.approx(4.0 / 3.0)
+    assert xi_of([("x", "y", "m")] * 4)["m"] == 0.0                          # ranks 3, 3, 3, 3
+    assert xi_of([("m", "x", "y"), ("x", "y", "m")])["m"] == 2.0             # ranks 1, 3
+    assert xi_of([("m", "x", "y"), ("x", "m", "y"), ("x", "y", "m")])["m"] == pytest.approx(4.0 / 3.0)
 
 
 def test_xi_needs_two_voters():
-    with pytest.raises(ValueError):
-        rank_stability_xi({"m": [1]})
+    assert xi_of([("m", "x", "y")]) == {}
+
+
+def test_borda_rank_rejects_empty_profiles():
+    with pytest.raises(ValueError, match="at least 2 candidates"):
+        borda_rank(PreferenceProfile(candidates=("a",), voters=(("v", ("a",)),)))
+    with pytest.raises(ValueError, match="at least 1 voter"):
+        borda_rank(PreferenceProfile(candidates=("a", "b"), voters=()))
 
 
 def test_profile_from_measures_orders_ascending():
@@ -179,3 +228,29 @@ def test_voter_ranks_positions():
     ranks = voter_ranks(EXAMPLE)
     assert ranks["a"] == [2, 1, 3, 1]
     assert ranks["c"] == [4, 4, 5, 5]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=2, max_value=40), st.integers(min_value=1, max_value=6), st.randoms())
+@example(2, 1, Random(0))
+@example(40, 6, Random(1))
+def test_borda_rank_matches_margins_and_loop_oracles(n_candidates, n_voters, pyrandom):
+    names = [f"c{i}" for i in range(n_candidates)]
+    pyrandom.shuffle(names)
+    voters = []
+    for v in range(n_voters):
+        order = list(names)
+        pyrandom.shuffle(order)
+        voters.append((f"v{v}", tuple(order)))
+    profile = PreferenceProfile(candidates=tuple(names), voters=tuple(voters))
+    outcome = borda_rank(profile)
+    row_sums = majority_margins(profile).sum(axis=1)
+    assert outcome.scores == {c: int(s) for c, s in zip(profile.candidates, row_sums)}
+    assert all(type(s) is int for s in outcome.scores.values())
+    assert (outcome.groups, outcome.ranks) == groups_and_ranks_loop(outcome.scores)
+    assert all(type(r) is int for r in outcome.ranks.values())
+    if n_voters == 1:
+        assert outcome.xi == {}
+    else:
+        assert outcome.xi == rank_stability_xi(voter_ranks(profile))
+        assert all(type(x) is float for x in outcome.xi.values())
