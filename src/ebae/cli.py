@@ -180,7 +180,8 @@ def _summary_markdown(report, stats):
 
 
 def write_report(report, stats, out_dir):
-    """Write the report directory atomically (build in a temp dir, then rename)."""
+    """Write the report directory: build it in a temp dir, then rename it into
+    place. An old report there is deleted only once the new one has replaced it."""
     out_dir = Path(out_dir)
     out_dir.parent.mkdir(parents=True, exist_ok=True)
     staging = Path(tempfile.mkdtemp(prefix=out_dir.name + ".", dir=out_dir.parent))
@@ -235,9 +236,16 @@ def write_report(report, stats, out_dir):
 
         (staging / "summary.md").write_text(_summary_markdown(report, stats), encoding="utf-8")
 
+        aside = staging.with_name(staging.name + ".old")
         if out_dir.exists():
-            shutil.rmtree(out_dir)
-        os.rename(staging, out_dir)
+            os.rename(out_dir, aside)
+        try:
+            os.rename(staging, out_dir)
+        except OSError:
+            if aside.exists():
+                os.rename(aside, out_dir)
+            raise
+        shutil.rmtree(aside, ignore_errors=True)
     except Exception:
         shutil.rmtree(staging, ignore_errors=True)
         raise

@@ -162,51 +162,38 @@ class FeedForwardNet:
 
 
 def network_loss_and_grads(w1, b1, w2, b2, X, y):
-    """MSE loss and its analytic gradients for the 1-hidden-layer network.
+    """MSE loss and its analytic gradients for one 1-hidden-layer network:
+    w1 (h, m), b1 and w2 (h,), b2 a scalar, X (n, m) and y (n,). Returns the
+    loss and the gradients of w1, b1, w2 and b2, in their shapes.
 
-    Shapes are w1 (..., h, m), b1 and w2 (..., h), b2 (...), X (..., n, m)
-    and y (..., n): leading axes are a stack of networks and broadcast, and
-    each network's values are those of its own 2-D call.
+    This is ``_stack_loss_and_grads`` on a stack of one member, the kernel
+    that ``fit_networks`` trains with.
+    """
+    loss, (g_w1, g_b1, g_w2, g_b2) = _stack_loss_and_grads(
+        w1, b1[None], w2[None], np.reshape(b2, 1), X, y[None])
+    return loss[0], (g_w1, g_b1, g_w2[0], g_b2[0])
+
+
+def _stack_loss_and_grads(w1, b1, w2, b2, X, y):
+    """``network_loss_and_grads`` of a stack of networks, each set's K hidden
+    layers side by side: w1 (..., K·h, m), b1 and w2 (..., 1, K·h), b2
+    (..., K), X (..., n, m) and y (..., 1, n). Leading axes broadcast. Returns
+    the loss (..., K) and the gradients of w1 (..., K·h, m), b1 (..., K·h), w2
+    (..., K, h) and b2 (..., K).
+
+    The element-wise work runs on (..., n, K·h) arrays, and ``hidden`` is one
+    matmul per set. The output layer and its gradient, which are matrix-vector
+    products, go through the (..., K, n, h) view of the hidden layer.
     """
     # in place where an operand is a fresh temporary, in the same order of
     # operations as the out-of-place expressions, so every value is the same
-    hidden = X @ np.swapaxes(w1, -1, -2)
-    hidden += b1[..., None, :]
-    np.tanh(hidden, out=hidden)
-    pred = (hidden @ w2[..., None])[..., 0] + np.asarray(b2)[..., None]
-    err = pred - y
-    n = y.shape[-1]
-    loss = np.mean(err**2, axis=-1)
-    d_pred = 2.0 * err
-    d_pred /= n
-    g_w2 = (np.swapaxes(hidden, -1, -2) @ d_pred[..., None])[..., 0]
-    g_b2 = np.sum(d_pred, axis=-1)
-    slope = hidden * hidden
-    np.subtract(1.0, slope, out=slope)
-    d_hidden = d_pred[..., None] * w2[..., None, :]
-    d_hidden *= slope
-    g_w1 = np.swapaxes(d_hidden, -1, -2) @ X
-    g_b1 = d_hidden.sum(axis=-2)
-    return loss, (g_w1, g_b1, g_w2, g_b2)
-
-
-def _member_wide_loss_and_grads(w1, b1, w2, b2, X, y):
-    """``network_loss_and_grads`` of F sets times K members, with each set's
-    K hidden layers side by side: w1 (F, K·h, m), b1 and w2 (F, 1, K·h), b2
-    (F, K), X (F, n, m) and y (F, 1, n). Returns the loss (F, K) and the
-    gradients of w1 (F, K·h, m), b1 (F, K·h), w2 (F, K, h) and b2 (F, K).
-
-    The element-wise work runs on (F, n, K·h) arrays, and ``hidden`` is one
-    matmul per set. The output layer and its gradient, which are matrix-vector
-    products, go through the (F, K, n, h) view of the hidden layer.
-    """
-    F, K = b2.shape
-    n, h = X.shape[1], w1.shape[1] // K
+    *lead, K = b2.shape
+    n, h = X.shape[-2], w1.shape[-2] // K
     hidden = X @ np.swapaxes(w1, -1, -2)
     hidden += b1
     np.tanh(hidden, out=hidden)
-    members = hidden.reshape(F, n, K, h).transpose(0, 2, 1, 3)
-    pred = (members @ w2.reshape(F, K, h, 1))[..., 0] + b2[..., None]
+    members = np.swapaxes(hidden.reshape(*lead, n, K, h), -2, -3)
+    pred = (members @ w2.reshape(*lead, K, h, 1))[..., 0] + b2[..., None]
     err = pred - y
     loss = np.mean(err**2, axis=-1)
     d_pred = 2.0 * err
@@ -220,7 +207,7 @@ def _member_wide_loss_and_grads(w1, b1, w2, b2, X, y):
     d_hidden *= w2
     d_hidden *= slope
     g_w1 = np.swapaxes(d_hidden, -1, -2) @ X
-    g_b1 = d_hidden.sum(axis=1)
+    g_b1 = d_hidden.sum(axis=-2)
     return loss, (g_w1, g_b1, g_w2, g_b2)
 
 
@@ -240,17 +227,20 @@ def _standardize(X, y):
     return (X - x_mean) / x_std, (y - y_mean) / y_std, scales
 
 
-# The member-wide kernel equals ``network_loss_and_grads`` bit for bit only
-# from this many hidden units on, and with at least two features. Its
-# ``g_w2`` is an (h, n) @ (n,) product that reads each member's hidden layer
-# with a row stride of K·h, where the per-member kernel reads rows of h, and
-# numpy's OpenBLAS dgemv rounds such a product differently for the two
-# strides when h <= 3. At h = 1, ``hidden`` itself is a matrix-vector product
-# in one kernel and a matrix product in the other. With one feature, ``g_w1``
-# is a (K·h, n) @ (n, 1) dgemv, which splits K·h rows into blocks of 4 unlike
-# h rows when 4 does not divide h. Of 325 random shapes (F 1-3, K 2-5,
-# n 4-119, m 1-16, h 1-8), the kernels differed on all 121 with h <= 3, on
-# 5 of 8 with h >= 4 and m = 1, and on none of 196 with h >= 4 and m >= 2.
+# ``fit_networks`` lays each set's K hidden layers side by side, in rows of
+# K·h units, from this many hidden units on and with at least two features;
+# otherwise each member is a set of one, in rows of h. Only within this rule
+# does the side-by-side layout equal a lone fit bit for bit. Its ``g_w2`` is
+# an (h, n) @ (n,) product that reads each member's hidden layer with a row
+# stride of K·h, where a lone fit reads rows of h, and numpy's OpenBLAS dgemv
+# rounds such a product differently for the two strides when h <= 3. At
+# h = 1, ``hidden`` itself is a matrix product side by side and a
+# matrix-vector product alone. With one feature, ``g_w1`` is a
+# (K·h, n) @ (n, 1) dgemv, which splits K·h rows into blocks of 4 unlike h
+# rows when 4 does not divide h. Of 325 random shapes (F 1-3, K 2-5,
+# n 4-119, m 1-16, h 1-8), the side-by-side layout differed from lone fits
+# on all 121 with h <= 3, on 5 of 8 with h >= 4 and m = 1, and on none of
+# 196 with h >= 4 and m >= 2.
 WIDE_MIN_HIDDEN = 4
 
 
@@ -265,16 +255,12 @@ def fit_networks(X, y, config, seeds):
     non-finite. No member depends on the others: each equals the network
     its set and seed train alone.
 
-    The weights are kept member-wide, each set's K hidden layers side by
-    side: ``w1`` (F, K·h, m), ``b1`` and ``w2`` (F, 1, K·h). With at least
-    ``WIDE_MIN_HIDDEN`` hidden units and two features, each epoch runs
-    ``_member_wide_loss_and_grads`` on them, whose element-wise loops run
-    over K·h hidden units at a time instead of h. Otherwise, where that
-    kernel would round differently (see ``WIDE_MIN_HIDDEN``), each epoch runs
-    ``network_loss_and_grads`` on their (F, K, h, ...) views of the same
-    memory. At (F, K, n, m, h) = (12, 5, 23, 7, 4) and 500 epochs, on one
-    core of a 2-core Xeon, the wide epochs trained a stack in 70-98 ms
-    against 107-139 ms.
+    Each epoch is one ``_stack_loss_and_grads`` call, on one of two layouts
+    of the same weight memory (see ``WIDE_MIN_HIDDEN``). Side by side, each
+    set's K hidden layers form one: ``w1`` (F, K·h, m), ``b1`` and ``w2``
+    (F, 1, K·h), and the element-wise loops run over K·h hidden units at a
+    time. One by one, each member is a set of its own: ``w1`` (F, K, h, m),
+    ``b1`` and ``w2`` (F, K, 1, h), with ``X`` broadcast across the K axis.
     """
     if y.shape[-1] < 4:
         raise FitError(f"network needs at least 4 pairs, got {y.shape[-1]}")
@@ -296,18 +282,19 @@ def fit_networks(X, y, config, seeds):
             # small output init keeps the untrained net near zero output; the
             # hidden layer already breaks symmetry
             members[2][f, j] = 0.1 * rng.standard_normal(h) / np.sqrt(h)
-    wide = h >= WIDE_MIN_HIDDEN and m >= 2
+    if h >= WIDE_MIN_HIDDEN and m >= 2:
+        layout = (w1, b1, w2, b2, Xs, ys)
+    else:
+        layout = (members[0], b1.reshape(F, K, 1, h), w2.reshape(F, K, 1, h), b2[..., None],
+                  Xs[:, None], ys[:, None])
     diverged = np.zeros((F, K), dtype=bool)
     lr = config.nn_lr
     for _ in range(config.nn_epochs):
-        if wide:
-            loss, grads = _member_wide_loss_and_grads(w1, b1, w2, b2, Xs, ys)
-        else:
-            loss, grads = network_loss_and_grads(*members, Xs[:, None], ys)
+        loss, grads = _stack_loss_and_grads(*layout)
         for weights, grad in zip(members, grads):
             grad *= lr
             weights -= grad.reshape(weights.shape)
-        bad = ~np.isfinite(loss)
+        bad = ~np.isfinite(loss.reshape(F, K))
         if bad.any():
             # a diverged member goes on from zero weights, which keep its
             # values finite; it fails whatever follows

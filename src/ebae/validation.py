@@ -45,8 +45,9 @@ label)``, the seed a lone variant's run uses, and train in stacks in which
 each member equals its lone fit. A chunk trains all its GA members, every
 fold times every GA variant, in one ``fit_ga_weights`` call, and all its
 networks in one ``fit_networks`` call, which lays each fold's NN variants
-side by side in one member-wide hidden layer. So results are identical for
-any set of variants, any chunking and any number of jobs.
+side by side in one hidden layer where that keeps a lone fit's bits, and
+one by one elsewhere (``learners.WIDE_MIN_HIDDEN``). So results are
+identical for any set of variants, any chunking and any number of jobs.
 """
 
 from __future__ import annotations

@@ -2,11 +2,16 @@ import csv
 import hashlib
 import math
 import os
+import tempfile
 from dataclasses import astuple
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ebae import cli
 from ebae.adjust import enumerate_variants
 from ebae.cli import main, write_report
 from ebae.config import Config
@@ -118,14 +123,13 @@ DEGENERATE = {
 }
 
 
-@pytest.mark.parametrize("case", list(DEGENERATE))
-def test_degenerate_input_ends_in_report_or_notes(tmp_path, case):
-    config = Config(runs=200, ga_pop=10, ga_gens=5, nn_epochs=20)
-    dataset = make_dataset(case, *DEGENERATE[case])
+def assert_report_or_notes(dataset, config, out):
+    """Run the pipeline and write its report: every variant must be finite,
+    or named in ``variant_errors`` and in the notes."""
     report = run_pipeline(dataset, config)
-    write_report(report, describe(dataset), tmp_path / "report")
+    write_report(report, describe(dataset), out)
     for name in REPORT_FILES:
-        assert (tmp_path / "report" / name).exists(), name
+        assert (out / name).exists(), name
     labels = [variant.label for variant in enumerate_variants(config.k_max)]
     assert len(labels) == 40
     for label in labels:
@@ -135,6 +139,55 @@ def test_degenerate_input_ends_in_report_or_notes(tmp_path, case):
         else:
             numbers = astuple(report.summaries[label])[1:-1]     # the fields between label and baseline
             assert all(math.isfinite(v) for v in numbers), (label, numbers)
+
+
+@pytest.mark.parametrize("case", list(DEGENERATE))
+def test_degenerate_input_ends_in_report_or_notes(tmp_path, case):
+    config = Config(runs=200, ga_pop=10, ga_gens=5, nn_epochs=20)
+    assert_report_or_notes(make_dataset(case, *DEGENERATE[case]), config, tmp_path / "report")
+
+
+@st.composite
+def degenerate_datasets(draw):
+    """Datasets of 3-13 projects and 1-3 features drawn around the DEGENERATE
+    cases, with features in [0.5, 100] and efforts in [1, 500]."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.one_of(st.just(7), st.integers(3, 13)))      # 7 = k_max + 2
+    if draw(st.booleans()):
+        kinds = ["categorical"] * draw(st.integers(1, 3))
+        schema = [ColumnSpec(f"c{j}", "feature", "categorical", "none") for j in range(len(kinds))]
+    else:
+        kinds = [draw(st.sampled_from(["random", "constant", "zero"]))]
+        kinds += draw(st.lists(st.sampled_from(["random", "constant", "copy", "categorical"]), max_size=2))
+        schema = [SIZE] + [ColumnSpec(f"f{j}", "feature", "categorical" if kind == "categorical"
+                                      else "continuous", "none") for j, kind in enumerate(kinds[1:])]
+    columns = []
+    for kind in kinds:
+        if kind == "categorical":
+            columns.append(rng.choice(["a", "b", "c"][:draw(st.integers(1, 3))], size=n).tolist())
+        elif kind == "copy":
+            columns.append(columns[0])
+        else:
+            columns.append({"random": rng.uniform(0.5, 100.0, size=n).tolist(), "constant": [5.0] * n,
+                            "zero": [0.0] * n}[kind])
+    rows = list(zip(*columns))
+    for _ in range(draw(st.integers(0, 3))):                 # duplicate rows
+        rows[int(rng.integers(n))] = rows[int(rng.integers(n))]
+    if draw(st.booleans()):                                  # all-identical features
+        rows = [rows[0]] * n
+    efforts = {"random": rng.uniform(1.0, 500.0, size=n).tolist(), "constant": [100.0] * n,
+               "near_constant": [100.0 * (1 + 1e-9 * i) for i in range(n)]}
+    efforts = efforts[draw(st.sampled_from(list(efforts)))]
+    return make_dataset("drawn", schema, rows, efforts)
+
+
+@settings(max_examples=60, deadline=None)
+@given(degenerate_datasets())
+def test_degenerate_input_matrix_ends_in_report_or_notes(dataset):
+    # one job keeps every fold in this process, where a warning fails the test
+    config = Config(runs=100, ga_pop=4, ga_gens=2, nn_epochs=5, jobs=1)
+    with tempfile.TemporaryDirectory() as out:
+        assert_report_or_notes(dataset, config, Path(out) / "report")
 
 
 def test_pipeline_hash_identical_across_runs_and_parallelism(tmp_path):
@@ -148,8 +201,6 @@ def test_pipeline_hash_identical_across_runs_and_parallelism(tmp_path):
 
 def test_pipeline_alpha_flag_changes_clustering(tmp_path):
     # lower alpha can only coarsen the clustering
-    import numpy as np
-
     data = tmp_path / "groups.csv"
     schema = tmp_path / "groups.schema"
     rng = np.random.default_rng(2)
@@ -243,3 +294,24 @@ def test_pipeline_overwrites_existing_report(tmp_path):
     assert main(["pipeline", *TOY_ARGS, *FAST, "--out", str(out)]) == 0
     assert not (out / "stale.txt").exists()
     assert (out / "summary.md").exists()
+
+
+def test_failed_rename_keeps_old_report(tmp_path, monkeypatch, toy):
+    out = tmp_path / "report"
+    out.mkdir()
+    (out / "stale.txt").write_text("old")
+    report = run_pipeline(toy, Config(runs=100, ga_pop=4, ga_gens=2, nn_epochs=5, jobs=1))
+    rename, failed = os.rename, []
+
+    def fail_into_out_once(src, dst):
+        if Path(dst) == out and not failed:
+            failed.append(src)
+            raise OSError("rename failed")
+        rename(src, dst)
+
+    monkeypatch.setattr(cli.os, "rename", fail_into_out_once)
+    with pytest.raises(OSError, match="rename failed"):
+        write_report(report, describe(toy), out)
+    assert [path.name for path in tmp_path.iterdir()] == ["report"]      # no temp dir is left
+    assert [path.name for path in out.iterdir()] == ["stale.txt"]
+    assert (out / "stale.txt").read_text() == "old"

@@ -336,7 +336,7 @@ def test_fit_networks_matches_oracle_albrecht(albrecht_networks, stack):
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.integers(4, 15), st.integers(1, 4), st.integers(1, 5),
+@given(st.integers(0, 2**32 - 1), st.integers(4, 15), st.integers(1, 4), st.integers(0, 5),
        st.integers(1, 3), st.integers(1, 3))
 def test_fit_networks_matches_oracle_property(seed, n, m, hidden, folds, members):
     rng = np.random.default_rng(seed)
@@ -361,19 +361,20 @@ def test_fit_networks_matches_oracle_property(seed, n, m, hidden, folds, members
 
 # two folds of the benchmark workloads' chunks: Albrecht (n - 1 = 23, m = 7),
 # mixed_screen (79, 16) and china_screen (99, 16), each side of
-# WIDE_MIN_HIDDEN, and a size-only dataset (m = 1), which the wide kernel skips
+# WIDE_MIN_HIDDEN, a size-only dataset (m = 1) and no hidden units, which
+# train one by one
 @pytest.mark.parametrize("n, m, hidden, wide", [(23, 7, 4, True), (79, 16, 4, True), (99, 16, 4, True),
                                                 (23, 7, 3, False), (99, 16, 3, False), (99, 16, 5, True),
-                                                (23, 1, 4, False)])
+                                                (23, 1, 4, False), (23, 7, 0, False)])
 def test_fit_networks_matches_oracle_at_pipeline_shapes(monkeypatch, n, m, hidden, wide):
-    calls = []
-    member_wide = learners._member_wide_loss_and_grads
+    layouts = []
+    kernel = learners._stack_loss_and_grads
 
-    def counted(*args):
-        calls.append(1)
-        return member_wide(*args)
+    def counted(w1, b1, w2, b2, X, y):
+        layouts.append(b2.shape)
+        return kernel(w1, b1, w2, b2, X, y)
 
-    monkeypatch.setattr(learners, "_member_wide_loss_and_grads", counted)
+    monkeypatch.setattr(learners, "_stack_loss_and_grads", counted)
     rng = np.random.default_rng(n * m + hidden)
     X = rng.normal(size=(2, n, m)) * rng.uniform(0.1, 10.0, size=m)
     y = rng.normal(size=(2, n))
@@ -383,7 +384,9 @@ def test_fit_networks_matches_oracle_at_pipeline_shapes(monkeypatch, n, m, hidde
     for f in range(2):
         for j in range(5):
             assert_same_network(got[f][j], fit_network(X[f], y[f], config, seeds[f][j]))
-    assert len(calls) == (config.nn_epochs if wide else 0)
+    # one kernel call per epoch: side by side, b2 is (sets, members); one by
+    # one, every member is a set of one
+    assert layouts == [(2, 5) if wide else (2, 5, 1)] * config.nn_epochs
 
 
 def test_fit_networks_diverged_members_fail_alone():

@@ -14,7 +14,7 @@ from ebae.analogy import retrieve
 from ebae.config import Config
 from ebae.data import ColumnSpec, Dataset
 from ebae.ensemble import run_pipeline
-from ebae.learners import FitError
+from ebae.learners import WIDE_MIN_HIDDEN, FitError
 from ebae.validation import dataset_baseline, derive_seed, evaluate_variant, loocv, loocv_grid
 
 from . import adjust_reference
@@ -207,6 +207,15 @@ def test_loocv_grid_matches_reference_deep_trees(albrecht):
 
 def depth(node):
     return 1 + max(depth(node.left), depth(node.right)) if hasattr(node, "left") else 0
+
+
+@pytest.mark.parametrize("hidden", [3, 1])
+def test_loocv_grid_matches_reference_narrow_networks(albrecht, hidden):
+    # below WIDE_MIN_HIDDEN a chunk's networks train one by one
+    assert hidden < WIDE_MIN_HIDDEN
+    tables, _ = assert_grid_matches_reference(albrecht, replace(SMALL, nn_hidden=hidden),
+                                              [v for v in GRID if v.method == "NN"])
+    assert len(tables) == 5
 
 
 def test_loocv_grid_matches_reference_four_projects():
