@@ -129,16 +129,19 @@ def productivity_correlation(train, nearest):
     valid = sizes > 0
     if valid.sum() < 2:
         return 0.0
-    pr = np.where(valid, train.efforts / np.where(valid, sizes, 1.0), np.nan)
-    own = pr[valid]
-    neighbor = pr[nearest][valid]
-    pairs = ~np.isnan(neighbor)
-    if pairs.sum() < 2:
-        return 0.0
-    x, y = neighbor[pairs], own[pairs]
-    if np.std(x) == 0 or np.std(y) == 0:
-        return 0.0
-    r = np.corrcoef(x, y)[0, 1]
+    # productivities that overflow, or are too large to square, leave no
+    # finite coefficient, which the check below names
+    with np.errstate(over="ignore", invalid="ignore"):
+        pr = np.where(valid, train.efforts / np.where(valid, sizes, 1.0), np.nan)
+        own = pr[valid]
+        neighbor = pr[nearest][valid]
+        pairs = ~np.isnan(neighbor)
+        if pairs.sum() < 2:
+            return 0.0
+        x, y = neighbor[pairs], own[pairs]
+        if np.std(x) == 0 or np.std(y) == 0:
+            return 0.0
+        r = np.corrcoef(x, y)[0, 1]
     if not np.isfinite(r):
         raise Inapplicable("productivity correlation undefined: productivities overflow")
     return float(np.clip(r, 0.0, 1.0))

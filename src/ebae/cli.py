@@ -1,9 +1,10 @@
 """Command-line front end: dataset description, variant evaluation, pipeline runs.
 
 Exit codes: 0 success, 1 evaluation failure, 2 dataset/schema problems.
-All outputs are deterministic functions of (input files, flags, seed); the
-report directory is assembled in a temporary location and atomically moved
-into place.
+All outputs are deterministic functions of (input files, flags, seed). The
+report path (``--out``) must be absent or a directory: the report is built in
+a temporary directory beside it and renamed into place, and an existing file
+there is an error that leaves the file untouched.
 """
 
 from __future__ import annotations
@@ -181,8 +182,11 @@ def _summary_markdown(report, stats):
 
 def write_report(report, stats, out_dir):
     """Write the report directory: build it in a temp dir, then rename it into
-    place. An old report there is deleted only once the new one has replaced it."""
+    place. An old report there is deleted only once the new one has replaced it;
+    a path that exists and is not a directory raises NotADirectoryError first."""
     out_dir = Path(out_dir)
+    if out_dir.exists() and not out_dir.is_dir():
+        raise NotADirectoryError(f"report path {out_dir} exists and is not a directory")
     out_dir.parent.mkdir(parents=True, exist_ok=True)
     staging = Path(tempfile.mkdtemp(prefix=out_dir.name + ".", dir=out_dir.parent))
     try:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 
 def usable_cores():
@@ -35,10 +35,10 @@ class Config:
     ga_range: float = 5.0     # weights are searched in [-ga_range, ga_range]
 
     def __post_init__(self):
-        for key, low in _MINIMA.items():
-            value = getattr(self, _KEYS[key][0])
+        for name, low in _MINIMA.items():
+            value = getattr(self, name)
             if not value >= low:
-                raise ValueError(f"bad value for {key}: {value!r} (must be >= {low})")
+                raise ValueError(f"bad value for {_key(name)}: {value!r} (must be >= {low})")
         # Scott-Knott keeps a cut when the incomplete-gamma chi-square CDF
         # P(g/(2(pi-2)), lambda*/2), which lies in [0, 1], exceeds 1 - alpha:
         # at alpha <= 0 (or NaN) no cut is ever kept, at alpha >= 1 every cut with
@@ -47,37 +47,27 @@ class Config:
             raise ValueError(f"bad value for alpha: {self.alpha!r} (must be within (0, 1))")
         # crossover and mutation rates are probabilities; a step of nn.lr <= 0
         # does not descend the training loss
-        for key in ("ga.cx", "ga.mut"):
-            value = getattr(self, _KEYS[key][0])
+        for name in ("ga_cx", "ga_mut"):
+            value = getattr(self, name)
             if not 0 <= value <= 1:
-                raise ValueError(f"bad value for {key}: {value!r} (must be within [0, 1])")
+                raise ValueError(f"bad value for {_key(name)}: {value!r} (must be within [0, 1])")
         if not self.nn_lr > 0:
             raise ValueError(f"bad value for nn.lr: {self.nn_lr!r} (must be > 0)")
 
 
-# Flat override keys accepted by the CLI (--set key=value).
-_KEYS = {
-    "seed": ("seed", int),
-    "runs": ("runs", int),
-    "alpha": ("alpha", float),
-    "k_max": ("k_max", int),
-    "jobs": ("jobs", int),
-    "mt.min_leaf": ("mt_min_leaf", int),
-    "mt.max_depth": ("mt_max_depth", int),
-    "nn.hidden": ("nn_hidden", int),
-    "nn.epochs": ("nn_epochs", int),
-    "nn.lr": ("nn_lr", float),
-    "ga.pop": ("ga_pop", int),
-    "ga.gens": ("ga_gens", int),
-    "ga.cx": ("ga_cx", float),
-    "ga.mut": ("ga_mut", float),
-    "ga.range": ("ga_range", float),
-}
+def _key(name):
+    """The settings key of a Config field: a learner field's prefix ends in
+    a dot (``nn_hidden`` -> ``nn.hidden``)."""
+    return name.replace("_", ".", 1) if name[:3] in ("mt_", "nn_", "ga_") else name
 
-# Smallest value of each key with which a run can go: the baseline needs 100
+
+# Flat override keys accepted by the CLI (--set key=value) -> (field, cast).
+_KEYS = {_key(f.name): (f.name, {"int": int, "float": float}[f.type]) for f in fields(Config)}
+
+# Smallest value of each field with which a run can go: the baseline needs 100
 # Monte-Carlo runs, LOOCV one worker and the estimators the rest.
-_MINIMA = {"runs": 100, "k_max": 1, "jobs": 1, "mt.min_leaf": 1, "ga.pop": 1, "nn.hidden": 0,
-           "ga.range": 0, "nn.epochs": 0, "ga.gens": 0}
+_MINIMA = {"runs": 100, "k_max": 1, "jobs": 1, "mt_min_leaf": 1, "ga_pop": 1, "nn_hidden": 0,
+           "ga_range": 0, "nn_epochs": 0, "ga_gens": 0}
 
 
 def with_overrides(config: Config, pairs: dict[str, str]) -> Config:

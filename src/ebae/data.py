@@ -187,7 +187,7 @@ def load_schema(path):
     """Parse a schema sidecar into ColumnSpecs (file order)."""
     specs = []
     seen = set()
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -245,7 +245,7 @@ def load_dataset(data_path, schema_path, name=None):
     specs = load_schema(schema_path)
     by_name = {c.name: c for c in specs}
 
-    with data_path.open(encoding="utf-8", newline="") as fh:
+    with data_path.open(encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

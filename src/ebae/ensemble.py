@@ -120,15 +120,14 @@ def filter_actual_predictors(summaries, base):
 
 
 def pooled_transform(tables, labels):
-    """One Box-Cox transform fitted on the pooled absolute errors of ``labels``."""
-    pooled = np.concatenate([tables[label].aes for label in labels])
-    _, spec = box_cox(pooled)
-    return spec
+    """One Box-Cox transform fitted on the pooled absolute errors of ``labels``.
 
-
-def transformed_groups(tables, labels, spec):
-    """Each label's absolute errors under ``spec``."""
-    return {label: apply_transform(tables[label].aes, spec) for label in labels}
+    Returns (label -> transformed errors, the fitted TransformSpec). Every
+    table has one row per project, so the fit's own output splits into equal
+    groups, each equal to ``apply_transform`` of that label's errors.
+    """
+    values, spec = box_cox(np.concatenate([tables[label].aes for label in labels]))
+    return dict(zip(labels, np.split(values, len(labels)))), spec
 
 
 def select_best_cluster(tables, survivors, alpha):
@@ -136,8 +135,8 @@ def select_best_cluster(tables, survivors, alpha):
     (best-cluster labels, clustering result carrying its transform)."""
     if len(survivors) < 2:
         return list(survivors), None
-    spec = pooled_transform(tables, survivors)
-    result = scott_knott(transformed_groups(tables, survivors, spec), alpha)
+    groups, spec = pooled_transform(tables, survivors)
+    result = scott_knott(groups, alpha)
     return list(result.clusters[0].members), replace(result, transform=spec)
 
 
@@ -183,10 +182,8 @@ def _joint_stage(report, alpha):
         return
     tables = {**report.tables, **report.ensemble_tables}
     summaries = {**report.summaries, **report.ensemble_summaries}
-    spec = pooled_transform(tables, candidates)
-    report.sk_joint = replace(
-        scott_knott(transformed_groups(tables, candidates, spec), alpha), transform=spec
-    )
+    groups, spec = pooled_transform(tables, candidates)
+    report.sk_joint = replace(scott_knott(groups, alpha), transform=spec)
     outcome, _ = rank_candidates(summaries, candidates)
     report.borda_joint = outcome
     ensemble_labels = {e.label for e in report.ensembles}
@@ -206,22 +203,17 @@ def _per_method_stages(report, alpha):
         return
     if report.survivors == labels:
         spec = report.sk_singles.transform
+        groups = {label: apply_transform(report.tables[label].aes, spec) for label in labels}
     else:
-        spec = pooled_transform(report.tables, labels)
-    groups = transformed_groups(report.tables, labels, spec)
-    means = {label: float(np.mean(values)) for label, values in groups.items()}
-    for label in labels:
-        variant = variant_from_label(label)
+        groups, spec = pooled_transform(report.tables, labels)
+    variants = [variant_from_label(label) for label in labels]
+    for variant, label in zip(variants, labels):
         current = report.best_k.get(variant.method)
-        candidate = (variant.k, means[label])
+        candidate = (variant.k, float(np.mean(groups[label])))
         if current is None or candidate[1] < current[1]:
             report.best_k[variant.method] = candidate
-    cells = {
-        (variant_from_label(label).method, variant_from_label(label).k): groups[label]
-        for label in labels
-    }
-    methods_present = {m for m, _ in cells}
-    if len(methods_present) >= 2:
+    cells = {(variant.method, variant.k): groups[label] for variant, label in zip(variants, labels)}
+    if len({variant.method for variant in variants}) >= 2:
         try:
             report.two_way = replace(scott_knott_two_way(cells, alpha), transform=spec)
         except ValueError as exc:

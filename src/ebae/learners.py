@@ -215,12 +215,13 @@ def _standardize(X, y):
     """z-standardised pairs of one training set, and the scales that undo it."""
     x_mean = X.mean(axis=0)
     # a spread too large to square gives an infinite scale, which zeroes
-    # the column
+    # the column; an infinite target scale makes the network's predictions
+    # non-finite, and each falls back
     with np.errstate(over="ignore"):
         x_std = X.std(axis=0)
+        y_std = float(y.std())
     x_std = np.where(x_std > 0, x_std, 1.0)
     y_mean = float(y.mean())
-    y_std = float(y.std())
     if y_std == 0:
         y_mean, y_std = 0.0, 1.0
     scales = dict(x_mean=x_mean, x_std=x_std, y_mean=y_mean, y_std=y_std)

@@ -201,7 +201,9 @@ def baseline(efforts, runs, seed):
     errors = e[others]
     errors -= e
     run_maes = np.mean(np.abs(errors, out=errors), axis=1)
-    sp0 = float(np.std(run_maes, ddof=1))
+    # a spread too large to square is inf, which effect_size rejects by name
+    with np.errstate(over="ignore"):
+        sp0 = float(np.std(run_maes, ddof=1))
     sa5 = 1.0 - float(np.percentile(run_maes, 5.0)) / mae_p0
     return BaselineStats(mae_p0=mae_p0, sp0=sp0, sa5=sa5, runs=runs, seed=seed)
 

@@ -283,35 +283,22 @@ def scott_knott_two_way(cells, alpha=0.05):
     levels = sorted({g for _, g in cells}, key=str)
     if len(treatments) < 2:
         raise ValueError("need at least 2 treatments")
-    for t in treatments:
-        if not any((t, g) in cells for g in levels):
-            raise ValueError(f"missing treatment {t!r}")
     values = {key: np.asarray(obs, dtype=float) for key, obs in cells.items()}
     if any(v.size == 0 for v in values.values()):
         raise ValueError("empty cell")
 
     grand = np.concatenate(list(values.values()))
-    n_total = grand.size
     grand_mean = grand.mean()
     ss_total = float(np.sum((grand - grand_mean) ** 2))
-
-    def _ss_factor(keys_of):
-        ss = 0.0
-        for _, pooled in keys_of.items():
-            ss += pooled.size * (pooled.mean() - grand_mean) ** 2
-        return float(ss)
-
-    by_treatment = {
-        t: np.concatenate([values[(t, g)] for g in levels if (t, g) in values]) for t in treatments
-    }
-    by_level = {
-        g: np.concatenate([values[(t, g)] for t in treatments if (t, g) in values]) for g in levels
-    }
-    ss_treat = _ss_factor(by_treatment)
-    ss_level = _ss_factor(by_level)
-    nu = n_total - len(treatments) - len(levels) + 1
+    by_treatment = [np.concatenate([values[(t, g)] for g in levels if (t, g) in values])
+                    for t in treatments]
+    by_level = [np.concatenate([values[(t, g)] for t in treatments if (t, g) in values])
+                for g in levels]
+    ss_treat = float(sum(p.size * (p.mean() - grand_mean) ** 2 for p in by_treatment))
+    ss_level = float(sum(p.size * (p.mean() - grand_mean) ** 2 for p in by_level))
+    nu = grand.size - len(treatments) - len(levels) + 1
     if nu <= 0:
         raise ValueError("not enough observations for a two-way residual")
     mse = max(ss_total - ss_treat - ss_level, 0.0) / nu
-    means = np.array([by_treatment[t].mean() for t in treatments])
-    return _cluster_means(list(treatments), means, mse, nu, alpha)
+    means = np.array([p.mean() for p in by_treatment])
+    return _cluster_means(treatments, means, mse, nu, alpha)

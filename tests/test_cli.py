@@ -11,11 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ebae import cli
+from ebae import cli, config
 from ebae.adjust import enumerate_variants
 from ebae.cli import main, write_report
 from ebae.config import Config
-from ebae.data import ColumnSpec, describe
+from ebae.data import ColumnSpec, describe, write_dataset
 from ebae.ensemble import run_pipeline
 
 from .conftest import DATASETS, make_dataset
@@ -190,6 +190,31 @@ def test_degenerate_input_matrix_ends_in_report_or_notes(dataset):
         assert_report_or_notes(dataset, config, Path(out) / "report")
 
 
+@settings(max_examples=15, deadline=None)
+@given(degenerate_datasets())
+def test_degenerate_input_matrix_through_the_command(dataset):
+    # the same draws, written to disk and run by `ebae pipeline`; at one job
+    # a warning fails the run, so the command would not exit 0
+    with tempfile.TemporaryDirectory() as tmp:
+        data, schema, out = Path(tmp) / "drawn.csv", Path(tmp) / "drawn.schema", Path(tmp) / "report"
+        write_dataset(dataset, data, schema)
+        assert main(["pipeline", "--data", str(data), "--schema", str(schema), "--runs", "100",
+                     "--set", "ga.pop=4", "--set", "ga.gens=2", "--set", "nn.epochs=5",
+                     "--set", "jobs=1", "--out", str(out)]) == 0
+        for name in REPORT_FILES:
+            assert (out / name).exists(), name
+        notes = (out / "summary.md").read_text(encoding="utf-8").splitlines()
+        with (out / "variants.csv").open(encoding="utf-8", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+    assert sorted(row["variant"] for row in rows) == sorted(v.label for v in enumerate_variants(5))
+    for row in rows:
+        if row["kept"].startswith("error: "):
+            assert f"- {row['variant']} not evaluated: {row['kept'][len('error: '):]}" in notes
+        else:
+            numbers = [float(row[c]) for c in ("MAE", "MMRE", "Pred25", "LSD", "MBRE", "MIBRE", "SA", "Delta")]
+            assert all(math.isfinite(v) for v in numbers), row
+
+
 def test_pipeline_hash_identical_across_runs_and_parallelism(tmp_path):
     outs = [tmp_path / n for n in ("r1", "r2", "r3")]
     main(["pipeline", *TOY_ARGS, *FAST, "--seed", "5", "--out", str(outs[0])])
@@ -279,12 +304,32 @@ def test_set_without_equals_fails_fast(tmp_path, capsys):
     (["--set", "nn.lr=0"], "nn.lr"),
     (["--runs", "50"], "runs"),
     (["--set", "jobs=0"], "jobs"),
+    (["--set", "seed=abc", "--seed", "3"], "seed"),      # the flag does not mask a bad --set
 ])
 def test_out_of_range_config_value_fails_fast(tmp_path, capsys, args, key):
     code = main(["pipeline", *TOY_ARGS, *args, "--out", str(tmp_path / "o")])
     assert code == 1
     assert f"bad value for {key}:" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_set_keys_are_the_config_fields():
+    assert config._KEYS == {
+        "seed": ("seed", int), "runs": ("runs", int), "alpha": ("alpha", float), "k_max": ("k_max", int),
+        "jobs": ("jobs", int), "mt.min_leaf": ("mt_min_leaf", int), "mt.max_depth": ("mt_max_depth", int),
+        "nn.hidden": ("nn_hidden", int), "nn.epochs": ("nn_epochs", int), "nn.lr": ("nn_lr", float),
+        "ga.pop": ("ga_pop", int), "ga.gens": ("ga_gens", int), "ga.cx": ("ga_cx", float),
+        "ga.mut": ("ga_mut", float), "ga.range": ("ga_range", float),
+    }
+
+
+def test_pipeline_out_naming_a_file_fails_and_keeps_it(tmp_path, capsys):
+    out = tmp_path / "report.txt"
+    out.write_bytes(b"not a report\n")
+    assert main(["pipeline", *TOY_ARGS, *FAST, "--set", "jobs=1", "--out", str(out)]) == 1
+    assert f"error: report path {out} exists and is not a directory" in capsys.readouterr().err
+    assert out.read_bytes() == b"not a report\n"
+    assert [path.name for path in tmp_path.iterdir()] == ["report.txt"]
 
 
 def test_pipeline_overwrites_existing_report(tmp_path):

@@ -1,3 +1,5 @@
+import codecs
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -114,6 +116,21 @@ def test_roundtrip_identical(tmp_path, albrecht):
     assert projects_of(again) == projects_of(albrecht)
     assert np.array_equal(again.bounds[0], albrecht.bounds[0])
     assert np.array_equal(again.bounds[1], albrecht.bounds[1])
+
+
+@pytest.mark.parametrize("comments", [True, False])
+def test_byte_order_mark_is_ignored(tmp_path, albrecht, comments):
+    # Excel's "CSV UTF-8" starts a file with a UTF-8 byte-order mark; without
+    # the schema's comment lines it sits on the first column name
+    schema_lines = (DATASETS / "albrecht.schema").read_text(encoding="utf-8").splitlines(keepends=True)
+    schema_text = "".join(line for line in schema_lines if comments or not line.startswith("#"))
+    data, schema = tmp_path / "albrecht.csv", tmp_path / "albrecht.schema"
+    data.write_bytes(codecs.BOM_UTF8 + (DATASETS / "albrecht.csv").read_bytes())
+    schema.write_bytes(codecs.BOM_UTF8 + schema_text.encode("utf-8"))
+    again = load_dataset(data, schema)
+    assert again.columns == albrecht.columns and again.ids == albrecht.ids
+    for name in ("cont", "cat", "efforts"):
+        assert np.array_equal(getattr(again, name), getattr(albrecht, name))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -1,8 +1,11 @@
 import warnings
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ebae.adjust import METHODS
 from ebae.analogy import knn_within
@@ -21,6 +24,7 @@ from ebae.ensemble import (
 )
 from ebae.learners import FitError, fit_ga_weights
 from ebae.metrics import BaselineStats, EvalSummary, baseline, build_table, summarize
+from ebae.stats import apply_transform
 
 from .conftest import make_dataset, size_only_schema
 
@@ -84,7 +88,37 @@ def test_select_best_cluster_separates_clear_groups():
     best, result = select_best_cluster(tables, ["A", "B", "C", "D"], alpha=0.05)
     assert set(best) == {"A", "B"}
     assert len(result.clusters) >= 2
-    assert result.transform == pooled_transform(tables, ["A", "B", "C", "D"])
+    assert result.transform == pooled_transform(tables, ["A", "B", "C", "D"])[1]
+
+
+def error_tables(kind, labels, n, rng):
+    """Label -> n absolute errors: a spread, with exact zeros (the shift), all
+    equal (the lambda = 1 branch), or near 1e300 (most lambdas overflow)."""
+    aes = {
+        "spread": lambda: rng.gamma(2.0, 3.0, size=n),
+        "zeros": lambda: np.where(rng.random(n) < 0.3, 0.0, rng.gamma(2.0, 3.0, size=n)),
+        "equal": lambda: np.full(n, 2.5),
+        "huge": lambda: rng.uniform(0.1, 1.7, size=n) * 1e300,
+        "huge_zeros": lambda: np.where(rng.random(n) < 0.3, 0.0, rng.uniform(0.1, 1.7, size=n) * 1e300),
+    }[kind]
+    # a table as pooled_transform reads it: its absolute errors alone
+    return {label: SimpleNamespace(aes=aes()) for label in labels}
+
+
+@pytest.mark.parametrize("kind", ["spread", "zeros", "equal", "huge", "huge_zeros"])
+@settings(max_examples=20, deadline=None)
+@given(n_labels=st.integers(2, 8), n=st.integers(2, 30), seed=st.integers(0, 2**32 - 1))
+def test_pooled_transform_groups_equal_a_second_pass(kind, n_labels, n, seed):
+    labels = [f"V{i}" for i in range(n_labels)]
+    tables = error_tables(kind, labels, n, np.random.default_rng(seed))
+    groups, spec = pooled_transform(tables, labels)
+    assert list(groups) == labels
+    for label in labels:
+        assert np.array_equal(groups[label], apply_transform(tables[label].aes, spec)), label
+    if kind == "equal":
+        assert spec.box_cox_lambda == 1.0
+    if any(np.min(t.aes) == 0 for t in tables.values()):
+        assert spec.shift > 0
 
 
 def test_select_best_cluster_identical_lists_merge():
@@ -247,10 +281,10 @@ def test_evaluate_grid_names_undefined_effect_size():
     # efforts ~1e155..2e156: the baseline's run-to-run spread overflows to inf
     efforts = 10 * np.arange(1, 21) * 1e154
     ds = make_dataset("huge", size_only_schema(), [(float(s),) for s in range(1, 21)], efforts)
-    cfg = Config(k_max=1, runs=200, ga_pop=10, ga_gens=5, nn_epochs=20)
-    with np.errstate(over="ignore", invalid="ignore"):
-        base = baseline(efforts, 200, 1)
-        tables, summaries, errors = evaluate_grid(ds, cfg, base)
+    # one job keeps every fold in this process, where a warning fails the test
+    cfg = Config(k_max=1, runs=200, ga_pop=10, ga_gens=5, nn_epochs=20, jobs=1)
+    base = baseline(efforts, 200, 1)
+    tables, summaries, errors = evaluate_grid(ds, cfg, base)
     assert len(tables) == 8 and not summaries
     assert set(errors.values()) == {"effect size undefined: baseline deviation overflows"}
 
@@ -284,4 +318,4 @@ def test_per_method_stages_reuse_the_singles_transform_when_all_survive(albrecht
     # the singles' errors again and take their transform
     assert fits == [40 * albrecht.n, len(report.best_cluster + report.ensembles) * albrecht.n]
     assert report.two_way.transform == report.sk_singles.transform == pooled_transform(
-        report.tables, list(report.tables))
+        report.tables, list(report.tables))[1]
