@@ -1,4 +1,4 @@
-"""Command-line front end: dataset description, variant evaluation, pipeline runs.
+"""Command-line front end: dataset description and pipeline runs, which write the report.
 
 Exit codes: 0 success, 1 evaluation failure, 2 dataset/schema problems.
 All outputs are deterministic functions of (input files, flags, seed). The
@@ -19,14 +19,8 @@ from pathlib import Path
 
 from .config import Config, with_overrides
 from .data import DatasetError, describe, load_dataset
-from .ensemble import evaluate_grid, filter_actual_predictors, run_pipeline
+from .ensemble import run_pipeline
 from .stats import apply_transform
-from .validation import dataset_baseline
-
-VARIANT_COLUMNS = (
-    "variant", "MAE", "MMRE", "Pred25", "LSD", "MBRE", "MIBRE",
-    "SA", "Delta", "SA5", "fallback_count", "kept",
-)
 
 
 def _write_csv(path, header, rows):
@@ -42,18 +36,14 @@ def _fmt(value):
     return value
 
 
-def _variant_rows(summaries, verdicts, base, errors):
-    kept = {v.variant: v.kept for v in verdicts}
-    rows = []
-    for label, s in summaries.items():
-        rows.append([
-            label, _fmt(s.mae), _fmt(s.mmre), _fmt(s.pred25), _fmt(s.lsd),
-            _fmt(s.mbre), _fmt(s.mibre), _fmt(s.sa), _fmt(s.delta),
-            _fmt(base.sa5), s.fallback_count, kept.get(label, False),
-        ])
-    for label, message in errors.items():
-        rows.append([label, "", "", "", "", "", "", "", "", _fmt(base.sa5), "", f"error: {message}"])
-    return rows
+def _variant_rows(report):
+    sa5 = _fmt(report.baseline.sa5)
+    kept = {v.variant: v.kept for v in report.verdicts}
+    for label, s in report.summaries.items():
+        yield (label, _fmt(s.mae), _fmt(s.mmre), _fmt(s.pred25), _fmt(s.lsd), _fmt(s.mbre),
+               _fmt(s.mibre), _fmt(s.sa), _fmt(s.delta), sa5, s.fallback_count, kept.get(label, False))
+    for label, message in report.variant_errors.items():
+        yield label, "", "", "", "", "", "", "", "", sa5, "", f"error: {message}"
 
 
 def _cluster_rows(result):
@@ -192,8 +182,10 @@ def write_report(report, stats, out_dir):
     try:
         base = report.baseline
         _write_csv(
-            staging / "variants.csv", VARIANT_COLUMNS,
-            _variant_rows(report.summaries, report.verdicts, base, report.variant_errors),
+            staging / "variants.csv",
+            ("variant", "MAE", "MMRE", "Pred25", "LSD", "MBRE", "MIBRE",
+             "SA", "Delta", "SA5", "fallback_count", "kept"),
+            _variant_rows(report),
         )
         _write_csv(
             staging / "filter.csv",
@@ -279,19 +271,6 @@ def _add_paths(parser):
     parser.add_argument("--schema", required=True, help="schema sidecar path")
 
 
-def _add_run_options(parser):
-    """Run settings (defaults from ``Config``) and the report directory."""
-    parser.add_argument("--seed", type=int, default=None,
-                        help=f"global seed (default {Config.seed}; EBAE_SEED overrides the default)")
-    parser.add_argument("--runs", type=int, default=None, help=f"baseline Monte-Carlo runs (default {Config.runs})")
-    parser.add_argument("--alpha", type=float, default=None, help=f"Scott-Knott significance level (default {Config.alpha})")
-    parser.add_argument("--k-max", dest="k_max", type=int, default=None, help=f"largest analogy count (default {Config.k_max})")
-    parser.add_argument("--set", action="append", metavar="KEY=VALUE",
-                        help="config override, e.g. --set ga.pop=30 (repeatable); LOOCV runs in one "
-                             "worker process per usable core, --set jobs=1 runs it in this process alone")
-    parser.add_argument("--out", default="./report", help="report directory (default ./report)")
-
-
 def cmd_describe(args):
     dataset = load_dataset(args.data, args.schema)
     stats = describe(dataset)
@@ -305,20 +284,6 @@ def cmd_describe(args):
     print(f"effort skewness: {stats.skewness:.4f}")
     if dataset.dropped_rows:
         print(f"rows dropped for missing values: {dataset.dropped_rows}")
-    return 0
-
-
-def cmd_evaluate(args):
-    dataset = load_dataset(args.data, args.schema)
-    config = _build_config(args)
-    base = dataset_baseline(dataset, config)
-    _, summaries, errors = evaluate_grid(dataset, config, base)
-    _, verdicts = filter_actual_predictors(summaries, base)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / "variants.csv", VARIANT_COLUMNS,
-               _variant_rows(summaries, verdicts, base, errors))
-    print(f"wrote {out / 'variants.csv'} ({len(summaries)} variants evaluated)")
     return 0
 
 
@@ -341,13 +306,17 @@ def main(argv=None):
     p_desc = sub.add_parser("describe", help="print effort-column statistics")
     _add_paths(p_desc)
     p_desc.set_defaults(func=cmd_describe)
-    p_eval = sub.add_parser("evaluate", help="LOOCV-evaluate every variant, write variants.csv")
-    _add_paths(p_eval)
-    _add_run_options(p_eval)
-    p_eval.set_defaults(func=cmd_evaluate)
-    p_pipe = sub.add_parser("pipeline", help="run the full selection/ensembling pipeline")
+    p_pipe = sub.add_parser("pipeline", help="run the full selection/ensembling pipeline, write the report")
     _add_paths(p_pipe)
-    _add_run_options(p_pipe)
+    p_pipe.add_argument("--seed", type=int, default=None,
+                        help=f"global seed (default {Config.seed}; EBAE_SEED overrides the default)")
+    p_pipe.add_argument("--runs", type=int, default=None, help=f"baseline Monte-Carlo runs (default {Config.runs})")
+    p_pipe.add_argument("--alpha", type=float, default=None, help=f"Scott-Knott significance level (default {Config.alpha})")
+    p_pipe.add_argument("--k-max", dest="k_max", type=int, default=None, help=f"largest analogy count (default {Config.k_max})")
+    p_pipe.add_argument("--set", action="append", metavar="KEY=VALUE",
+                        help="config override, e.g. --set ga.pop=30 (repeatable); LOOCV runs in one "
+                             "worker process per usable core, --set jobs=1 runs it in this process alone")
+    p_pipe.add_argument("--out", default="./report", help="report directory (default ./report)")
     p_pipe.set_defaults(func=cmd_pipeline)
 
     args = parser.parse_args(argv)

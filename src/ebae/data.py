@@ -326,11 +326,16 @@ class EffortStats:
 
 
 def skewness(values):
-    """Adjusted Fisher-Pearson skewness; 0.0 for zero-variance input."""
+    """Adjusted Fisher-Pearson skewness; 0.0 for zero-variance input.
+
+    The statistic is scale-free, so it is computed on the values times one
+    power of two that brings max |x| into [0.5, 1); that scaling is exact and
+    keeps the cubes and squares from overflowing or underflowing."""
     x = np.asarray(values, dtype=float)
     n = x.size
     if n < 3:
         return 0.0
+    x = np.ldexp(x, -int(np.frexp(np.max(np.abs(x)))[1]))
     centered = x - x.mean()
     m2 = np.mean(centered**2)
     if m2 == 0:

@@ -7,7 +7,11 @@ value at ``alpha`` with g/(pi-2) degrees of freedom, where sigma2 is the
 maximum-likelihood variance estimate of the g current means pooled with the
 residual mean square: sigma2 = (sum((mean_i - mean)^2) + nu * mse) / (g + nu).
 The split search at each level is exhaustive over all contiguous binary
-partitions, so the recursion is exact, not heuristic.
+partitions, so the recursion is exact, not heuristic. The observations are
+first multiplied by one power of two that brings their largest magnitude into
+[0.5, 1), and the cluster means are multiplied back: both steps are exact, so
+B0 and sigma2 scale alike and lambda* keeps its bits, while their sums of
+squares can no longer overflow.
 
 The critical value is never computed. The chi-square CDF with g/(pi-2)
 degrees of freedom at lambda* is P(g/(2(pi-2)), lambda*/2), the regularised
@@ -191,6 +195,10 @@ def _gammp(a, x):
             total += term
             if abs(term) < abs(total) * _EPS:
                 return total * prefactor
+    if prefactor == 0.0:
+        # Q underflows; the fraction below would end on the same 1.0, but past
+        # x ~ 2.5e16 its b += 2 no longer moves b and it would never end
+        return 1.0
     # continued fraction for Q = 1 - P by the modified Lentz method
     b = x + 1.0 - a
     c = 1.0 / _FPMIN
@@ -234,7 +242,13 @@ def _split(names, means, mse, nu, alpha, out):
         out.append((names, means))
 
 
-def _cluster_means(names, means, mse, nu, alpha):
+def _exponent(arrays):
+    """e such that 2^-e brings the largest magnitude in ``arrays`` into [0.5, 1)."""
+    return int(np.frexp(max(np.max(np.abs(a)) for a in arrays))[1])
+
+
+def _cluster_means(names, means, mse, nu, alpha, e):
+    """Cluster the means scaled by 2^-e; the result's means are unscaled."""
     order = np.argsort(means, kind="stable")
     ordered_names = [names[i] for i in order]
     ordered_means = means[order]
@@ -242,7 +256,8 @@ def _cluster_means(names, means, mse, nu, alpha):
     _split(ordered_names, ordered_means, mse, nu, alpha, pieces)
     return ScottKnottResult(
         clusters=tuple(
-            Cluster(members=tuple(ns), means=tuple(float(m) for m in ms)) for ns, ms in pieces
+            Cluster(members=tuple(ns), means=tuple(float(m) for m in np.ldexp(ms, e)))
+            for ns, ms in pieces
         ),
         alpha=alpha,
     )
@@ -263,12 +278,14 @@ def scott_knott(groups, alpha=0.05):
     bad = [name for name, a in zip(names, arrays) if not np.all(np.isfinite(a))]
     if bad:
         raise ValueError(f"non-finite observations in group(s) {', '.join(map(str, bad))}")
+    e = _exponent(arrays)
+    arrays = [np.ldexp(a, -e) for a in arrays]
     means = np.array([a.mean() for a in arrays])
     total = sum(a.size for a in arrays)
     nu = total - len(arrays)
     sse = sum(float(np.sum((a - a.mean()) ** 2)) for a in arrays)
     mse = sse / nu
-    return _cluster_means(names, means, mse, nu, alpha)
+    return _cluster_means(names, means, mse, nu, alpha, e)
 
 
 def scott_knott_two_way(cells, alpha=0.05):
@@ -286,6 +303,8 @@ def scott_knott_two_way(cells, alpha=0.05):
     values = {key: np.asarray(obs, dtype=float) for key, obs in cells.items()}
     if any(v.size == 0 for v in values.values()):
         raise ValueError("empty cell")
+    e = _exponent(values.values())
+    values = {key: np.ldexp(v, -e) for key, v in values.items()}
 
     grand = np.concatenate(list(values.values()))
     grand_mean = grand.mean()
@@ -301,4 +320,4 @@ def scott_knott_two_way(cells, alpha=0.05):
         raise ValueError("not enough observations for a two-way residual")
     mse = max(ss_total - ss_treat - ss_level, 0.0) / nu
     means = np.array([p.mean() for p in by_treatment])
-    return _cluster_means(treatments, means, mse, nu, alpha)
+    return _cluster_means(treatments, means, mse, nu, alpha, e)

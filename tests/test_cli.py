@@ -67,9 +67,20 @@ def test_describe_rejects_run_settings(flag, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
-def test_evaluate_writes_variant_grid(tmp_path):
+def test_commands_are_describe_and_pipeline(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "{describe,pipeline}" in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        main(["evaluate", *TOY_ARGS])
+    assert exc.value.code == 2
+    assert "invalid choice: 'evaluate'" in capsys.readouterr().err
+
+
+def test_pipeline_writes_variant_grid(tmp_path):
     out = tmp_path / "rep"
-    assert main(["evaluate", *TOY_ARGS, *FAST, "--out", str(out)]) == 0
+    assert main(["pipeline", *TOY_ARGS, *FAST, "--out", str(out)]) == 0
     with (out / "variants.csv").open() as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 40
@@ -80,20 +91,6 @@ def test_evaluate_writes_variant_grid(tmp_path):
     ]
     evaluated = [r for r in rows if not r["kept"].startswith("error")]
     assert all(r["MAE"] for r in evaluated)
-
-
-def test_evaluate_deterministic_bytes(tmp_path):
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    main(["evaluate", *TOY_ARGS, *FAST, "--seed", "7", "--out", str(out1)])
-    main(["evaluate", *TOY_ARGS, *FAST, "--seed", "7", "--out", str(out2)])
-    assert (out1 / "variants.csv").read_bytes() == (out2 / "variants.csv").read_bytes()
-
-
-def test_evaluate_and_pipeline_write_same_variants(tmp_path):
-    evaluated, piped = tmp_path / "evaluate", tmp_path / "pipeline"
-    assert main(["evaluate", *TOY_ARGS, *FAST, "--seed", "7", "--out", str(evaluated)]) == 0
-    assert main(["pipeline", *TOY_ARGS, *FAST, "--seed", "7", "--out", str(piped)]) == 0
-    assert (evaluated / "variants.csv").read_bytes() == (piped / "variants.csv").read_bytes()
 
 
 def test_pipeline_artifacts_present(tmp_path):
@@ -150,7 +147,8 @@ def test_degenerate_input_ends_in_report_or_notes(tmp_path, case):
 @st.composite
 def degenerate_datasets(draw):
     """Datasets of 3-13 projects and 1-3 features drawn around the DEGENERATE
-    cases, with features in [0.5, 100] and efforts in [1, 500]."""
+    cases, with continuous features in [0.5, 100] and efforts in [1, 500],
+    each then scaled to an extreme magnitude or left as it is."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.one_of(st.just(7), st.integers(3, 13)))      # 7 = k_max + 2
     if draw(st.booleans()):
@@ -161,6 +159,7 @@ def degenerate_datasets(draw):
         kinds += draw(st.lists(st.sampled_from(["random", "constant", "copy", "categorical"]), max_size=2))
         schema = [SIZE] + [ColumnSpec(f"f{j}", "feature", "categorical" if kind == "categorical"
                                       else "continuous", "none") for j, kind in enumerate(kinds[1:])]
+    scale = draw(st.sampled_from([1.0, 1e300, 1e-300]))
     columns = []
     for kind in kinds:
         if kind == "categorical":
@@ -168,8 +167,8 @@ def degenerate_datasets(draw):
         elif kind == "copy":
             columns.append(columns[0])
         else:
-            columns.append({"random": rng.uniform(0.5, 100.0, size=n).tolist(), "constant": [5.0] * n,
-                            "zero": [0.0] * n}[kind])
+            columns.append({"random": (rng.uniform(0.5, 100.0, size=n) * scale).tolist(),
+                            "constant": [5.0 * scale] * n, "zero": [0.0] * n}[kind])
     rows = list(zip(*columns))
     for _ in range(draw(st.integers(0, 3))):                 # duplicate rows
         rows[int(rng.integers(n))] = rows[int(rng.integers(n))]
@@ -178,6 +177,8 @@ def degenerate_datasets(draw):
     efforts = {"random": rng.uniform(1.0, 500.0, size=n).tolist(), "constant": [100.0] * n,
                "near_constant": [100.0 * (1 + 1e-9 * i) for i in range(n)]}
     efforts = efforts[draw(st.sampled_from(list(efforts)))]
+    scale = draw(st.sampled_from([1.0, 1e150, 1e200, 1e250]))
+    efforts = [e * scale for e in efforts]
     return make_dataset("drawn", schema, rows, efforts)
 
 
@@ -251,8 +252,8 @@ def test_pipeline_alpha_flag_changes_clustering(tmp_path):
 
 def test_runs_flag_plumbs_to_baseline(tmp_path):
     out1, out2 = tmp_path / "x", tmp_path / "y"
-    main(["evaluate", *TOY_ARGS, *FAST[2:], "--runs", "200", "--out", str(out1)])
-    main(["evaluate", *TOY_ARGS, *FAST[2:], "--runs", "2000", "--out", str(out2)])
+    main(["pipeline", *TOY_ARGS, *FAST[2:], "--runs", "200", "--out", str(out1)])
+    main(["pipeline", *TOY_ARGS, *FAST[2:], "--runs", "2000", "--out", str(out2)])
 
     def sa5(path):
         with (path / "variants.csv").open() as fh:
@@ -264,22 +265,22 @@ def test_runs_flag_plumbs_to_baseline(tmp_path):
 def test_env_seed_used_as_default(tmp_path, monkeypatch):
     out1, out2, out3 = tmp_path / "e1", tmp_path / "e2", tmp_path / "e3"
     monkeypatch.setenv("EBAE_SEED", "9")
-    main(["evaluate", *TOY_ARGS, *FAST, "--out", str(out1)])
+    main(["pipeline", *TOY_ARGS, *FAST, "--out", str(out1)])
     monkeypatch.delenv("EBAE_SEED")
-    main(["evaluate", *TOY_ARGS, *FAST, "--seed", "9", "--out", str(out2)])
-    main(["evaluate", *TOY_ARGS, *FAST, "--seed", "10", "--out", str(out3)])
+    main(["pipeline", *TOY_ARGS, *FAST, "--seed", "9", "--out", str(out2)])
+    main(["pipeline", *TOY_ARGS, *FAST, "--seed", "10", "--out", str(out3)])
     assert (out1 / "variants.csv").read_bytes() == (out2 / "variants.csv").read_bytes()
     assert (out1 / "variants.csv").read_bytes() != (out3 / "variants.csv").read_bytes()
 
 
 def test_unknown_set_key_fails_fast(tmp_path, capsys):
-    code = main(["evaluate", *TOY_ARGS, "--set", "bogus=1", "--out", str(tmp_path / "o")])
+    code = main(["pipeline", *TOY_ARGS, "--set", "bogus=1", "--out", str(tmp_path / "o")])
     assert code == 1
     assert "unknown config key" in capsys.readouterr().err
 
 
 def test_set_without_equals_fails_fast(tmp_path, capsys):
-    code = main(["evaluate", *TOY_ARGS, "--set", "ga.pop", "--out", str(tmp_path / "o")])
+    code = main(["pipeline", *TOY_ARGS, "--set", "ga.pop", "--out", str(tmp_path / "o")])
     assert code == 1
     assert "bad --set argument 'ga.pop': expected KEY=VALUE" in capsys.readouterr().err
 

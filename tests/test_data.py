@@ -196,6 +196,11 @@ def test_skewness_constant_is_zero():
     assert skewness([5, 5, 5, 5]) == 0.0
 
 
+@pytest.mark.parametrize("factor", [1.0, 1e150, 1e250])
+def test_skewness_exact_at_extreme_scale(factor):
+    assert skewness(np.array([1.0, 2.0, 3.0, 10.0]) * factor) == 1.763632614803888
+
+
 def test_skewness_matches_scipy():
     from scipy.stats import skew
 

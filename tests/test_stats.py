@@ -143,6 +143,15 @@ def test_incomplete_gamma_limits():
         assert _gammp(_sk_shape(g), math.inf) == 1.0
 
 
+def test_incomplete_gamma_huge_x_returns_one():
+    # past x ~ 2.5e16 the continued fraction's b += 2 no longer moves b, so it
+    # must not be entered where its prefactor has underflowed
+    assert _gammp(3.5038767877682178, 1.368256611266831e19) == 1.0
+    for g in (2, 7, 40):
+        for x in (2.5e16, 1e19, 1e100, 1e300):
+            assert _gammp(_sk_shape(g), x) == 1.0, (g, x)
+
+
 @pytest.mark.parametrize("alpha", [0.01, 0.05, 0.10, 0.5])
 def test_split_decision_matches_chi2_quantile(alpha):
     chi2 = pytest.importorskip("scipy.stats").chi2
@@ -205,6 +214,42 @@ def test_shift_stability():
     a = scott_knott(groups)
     b = scott_knott(shifted)
     assert [c.members for c in a.clusters] == [c.members for c in b.clusters]
+
+
+def test_ulp_apart_constant_groups_cluster():
+    # sigma2 is ~1e-33 and B0 is rounding noise, so lambda*/2 reaches ~1e17
+    low, high = 0.30000000000000004, 0.3000000000000001
+    groups = {f"g{i}": [value] * 24 for i, value in enumerate([high] * 4 + [low] * 2)}
+    result = scott_knott(groups)
+    order = [name for cluster in result.clusters for name in cluster.members]
+    assert sorted(order) == sorted(groups)
+    assert [groups[name][0] for name in order] == sorted(groups[name][0] for name in order)
+
+
+@pytest.mark.parametrize("factor", [1e200, 1e-200, 2.0**660, 2.0**-660])
+def test_scott_knott_scale_free_at_extreme_magnitudes(factor):
+    groups = synthetic_groups([1.0, 2.0, 4.0], 0.1, 20, seed=29)
+    scaled = {name: values * factor for name, values in groups.items()}
+    plain, result = scott_knott(groups), scott_knott(scaled)
+    assert [c.members for c in plain.clusters] == [("A",), ("B",), ("C",)]
+    assert [c.members for c in result.clusters] == [c.members for c in plain.clusters]
+    for cluster in result.clusters:
+        assert cluster.means == tuple(float(np.mean(scaled[name])) for name in cluster.members)
+    if math.frexp(factor)[0] == 0.5:          # a power of two scales every mean exactly
+        assert [c.means for c in result.clusters] == [
+            tuple(m * factor for m in c.means) for c in plain.clusters]
+
+
+@pytest.mark.parametrize("factor", [2.0**660, 2.0**-660])
+def test_two_way_scale_free_at_extreme_magnitudes(factor):
+    rng = np.random.default_rng(31)
+    cells = {(t, k): rng.normal(mu, 0.1, size=10) for t, mu in (("A", 1.0), ("B", 2.0), ("C", 4.0))
+             for k in (1, 2)}
+    plain = scott_knott_two_way(cells)
+    result = scott_knott_two_way({key: values * factor for key, values in cells.items()})
+    assert len(plain.clusters) == 3
+    assert [c.members for c in result.clusters] == [c.members for c in plain.clusters]
+    assert [c.means for c in result.clusters] == [tuple(m * factor for m in c.means) for c in plain.clusters]
 
 
 def oracle_scott_knott(groups, alpha):
