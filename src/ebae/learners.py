@@ -67,69 +67,188 @@ def _fit_leaf(X, y):
     return TreeLeaf(intercept=float(solution[-1]), coef=solution[:-1])
 
 
-def _best_split(X, y, min_leaf):
-    """(feature, threshold) of the cut with the least summed SSE of its two
-    sides, or None when no cut beats the parent's SSE.
-
-    Every cut of every feature is scored at once in a (cuts, features) SSE
-    array. Two rules decide which cuts may win: no cut between equal values,
-    and no SSE that is not below the parent's, which NaN never is. Among the
-    rest, the first least SSE in feature-major order wins.
-    """
-    n = len(y)
-    parent_sse = float(np.sum((y - y.mean()) ** 2))
-    best_sse = parent_sse - 1e-12 * max(parent_sse, 1.0)
-    order = np.argsort(X, axis=0, kind="stable")
-    xs = np.take_along_axis(X, order, axis=0)
-    ys = y[order]
-    csum = np.cumsum(ys, axis=0)
-    csq = np.cumsum(ys * ys, axis=0)
-    cuts = np.arange(min_leaf, n - min_leaf + 1)
-    left_sum, left_sq = csum[cuts - 1], csq[cuts - 1]
-    # float_power squares with C pow, as a scalar's ** 2 does; an array's
-    # ** 2 multiplies instead, which differs in the last bit now and then
-    # and could move a near-tie between cuts
-    left_sse = left_sq - np.float_power(left_sum, 2) / cuts[:, None]
-    r_sum = csum[-1] - left_sum
-    right_sse = (csq[-1] - left_sq) - np.float_power(r_sum, 2) / (n - cuts)[:, None]
-    sse = left_sse + right_sse
-    allowed = (xs[cuts - 1] != xs[cuts]) & (sse < best_sse)
-    if not allowed.any():
-        return None
-    j, c = divmod(int(np.argmin(np.where(allowed, sse, np.inf).T)), len(cuts))
-    cut = cuts[c]
-    return j, float((xs[cut - 1, j] + xs[cut, j]) / 2.0)
-
-
-def _grow(X, y, min_leaf, depth, max_depth):
-    if depth >= max_depth or len(y) < 2 * min_leaf:
-        return _fit_leaf(X, y)
-    split = _best_split(X, y, min_leaf)
-    if split is None:
-        return _fit_leaf(X, y)
-    j, threshold = split
-    mask = X[:, j] <= threshold
-    return TreeNode(
-        feature=j,
-        threshold=threshold,
-        left=_grow(X[mask], y[mask], min_leaf, depth + 1, max_depth),
-        right=_grow(X[~mask], y[~mask], min_leaf, depth + 1, max_depth),
-    )
-
-
 # The split search squares sums of up to n effort differences and of their
 # deviations from the mean, all within 2 n max|y|. Above this limit a square
 # may overflow, and the search would compare inf and NaN instead of errors.
 _SQUARE_LIMIT = np.sqrt(np.finfo(float).max)
 
 
+def _split_search(X, y, counts, bars, min_leaf):
+    """Best cut of each of N nodes at once: ``X`` (N, m, L) holds each node's
+    feature columns and ``y`` (N, L) its targets, the first ``counts`` of L
+    entries real and the rest pads, NaN in ``X``. Returns the (N,) features
+    and thresholds of the winning cuts, feature -1 where no cut beats the
+    node's SSE bar in ``bars``.
+
+    Two rules decide which cuts may win: no cut between equal values, and
+    no SSE that is not below the bar, which NaN never is. Among the rest,
+    the first least SSE in feature-major order wins. SSEs are scored only
+    at the cuts between unequal values.
+    """
+    N, m, L = X.shape
+    # the stable sort puts NaN last, so each node's real rows sort as they
+    # would alone and its prefix sums up to its last row are its own
+    rows = np.argsort(X, axis=-1, kind="stable")
+    xs = X.ravel()[rows + np.arange(0, N * m * L, L).reshape(N, m, 1)]
+    ys = y.ravel()[rows + np.arange(0, N * L, L).reshape(N, 1, 1)]
+    csum = np.cumsum(ys, axis=-1).ravel()
+    csq = np.cumsum(ys * ys, axis=-1).ravel()
+    # cut c puts a node's c smallest values on the left; every cut that
+    # leaves min_leaf rows on each side, as its place in the (N, m, L - 1)
+    # array of cuts, in order
+    cuts = np.arange(1, L)
+    inside = (cuts >= min_leaf) & (cuts <= counts[:, None] - min_leaf)
+    flat = np.flatnonzero((xs[..., :-1] != xs[..., 1:]) & inside[:, None])
+    features, thresholds = np.full(N, -1), np.zeros(N)
+    if not len(flat):
+        return features, thresholds
+    # the node and feature of each cut, and the sorted row left of it
+    column = flat // (L - 1)
+    node = column // m
+    at = flat + column
+    cut, n = at % L + 1, counts[node]
+    end = column * L + n - 1
+    left_sum, left_sq = csum[at], csq[at]
+    # float_power squares with C pow, as a scalar's ** 2 does; an array's
+    # ** 2 multiplies instead, which differs in the last bit now and then
+    # and could move a near-tie between cuts
+    left_sse = left_sq - np.float_power(left_sum, 2) / cut
+    r_sum = csum[end] - left_sum
+    right_sse = (csq[end] - left_sq) - np.float_power(r_sum, 2) / (n - cut)
+    sse = left_sse + right_sse
+    sse[~(sse < bars[node])] = np.inf
+    # each node's cuts are one run, in feature-major order: its winner is the
+    # run's first cut at the run's least SSE, if that is finite
+    heads = np.flatnonzero(np.diff(node, prepend=-1))
+    run = np.repeat(np.arange(len(heads)), np.diff(heads, append=len(node)))
+    hits = np.flatnonzero(sse == np.minimum.reduceat(sse, heads)[run])
+    won = hits[np.diff(run[hits], prepend=-1) != 0]
+    won = won[sse[won] < np.inf]
+    features[node[won]] = column[won] % m
+    thresholds[node[won]] = (xs.ravel()[at[won]] + xs.ravel()[at[won] + 1]) / 2.0
+    return features, thresholds
+
+
+def _length_groups(rows, starts, counts, nodes):
+    """(nodes of one length L, their (nodes, L) row indices) for each row
+    count among ``nodes``, whose rows are ``rows[starts:starts + counts]``."""
+    for length in np.unique(counts[nodes]):
+        group = nodes[counts[nodes] == length]
+        yield group, rows[starts[group, None] + np.arange(length)]
+
+
+def fit_model_trees(pairs, config):
+    """Grow the model trees of a stack of F difference-pair sets, one depth
+    at a time for all F together.
+
+    ``pairs`` holds F (X, y) sets with the same features. Returns F outcomes:
+    a ``ModelTree``, or the ``FitError`` of a set with too few pairs or with
+    efforts too large to square. No tree depends on the others: each equals
+    the tree its set grows alone, node by node, which
+    ``tests/mt_reference.fit_model_tree_loop`` transcribes.
+
+    A node below ``mt_max_depth`` with at least ``2 * mt_min_leaf`` rows
+    searches for its cut; the others, and those whose cut does not beat
+    their SSE, become leaves. Each step keeps a lone node's bits:
+
+    - a node's rows stay in the order of its set, so its children and its
+      leaf see the rows that the recursion gives them;
+    - parent SSEs and constant-leaf means are row-wise reductions over the
+      nodes of one exact length, whose rows numpy sums pairwise as it does
+      one node's 1-D array;
+    - the nodes that search for a cut are grouped into power-of-two classes
+      of row counts, and each class makes one ``_split_search`` on
+      NaN-padded (nodes, m, L) arrays; per cut it makes the arithmetic of a
+      lone node, in the same order;
+    - least-squares leaves are fitted one by one.
+    """
+    min_leaf = config.mt_min_leaf
+    outcomes, members = [], []
+    for X, y in pairs:
+        if len(y) < 2 * min_leaf:
+            outcomes.append(FitError(f"model tree needs at least {2 * min_leaf} pairs, got {len(y)}"))
+            continue
+        with np.errstate(over="ignore"):
+            overflows = 2 * len(y) * np.max(np.abs(y)) > _SQUARE_LIMIT
+        if overflows:
+            outcomes.append(FitError("model tree split search overflows: effort differences too large to square"))
+            continue
+        outcomes.append(None)
+        members.append((X, y))
+    if not members:
+        return outcomes
+    m = members[0][0].shape[1]
+    # every member's rows, and a pad row: NaN features, a zero target; the
+    # searches read the features column by column, from ``by_column``
+    X = np.concatenate([X for X, _ in members] + [np.full((1, m), np.nan)])
+    y = np.concatenate([y for _, y in members] + [np.zeros(1)])
+    pad = len(y) - 1
+    by_column = X.T.ravel()
+    columns = np.arange(0, m * len(y), len(y))[:, None]
+    # the nodes of one depth: their ids, row counts and rows, node by node
+    ids = np.arange(len(members))
+    counts = np.array([len(y) for _, y in members])
+    rows = np.arange(pad)
+    splits, leaves = {}, {}
+    for depth in range(config.mt_max_depth + 1):
+        starts = np.cumsum(counts) - counts
+        features, thresholds = np.full(len(ids), -1), np.zeros(len(ids))
+        growing = np.flatnonzero(counts >= 2 * min_leaf) if depth < config.mt_max_depth else []
+        if len(growing):
+            bars = np.empty(len(ids))
+            for group, index in _length_groups(rows, starts, counts, growing):
+                ys = y[index]
+                parent_sse = np.sum((ys - ys.mean(axis=1)[:, None]) ** 2, axis=1)
+                bars[group] = parent_sse - 1e-12 * np.maximum(parent_sse, 1.0)
+            classes = np.frexp(counts[growing] - 1)[1]
+            for size in np.unique(classes):
+                group = growing[classes == size]
+                real = np.arange(counts[group].max()) < counts[group, None]
+                index = np.full(real.shape, pad)
+                index[real] = rows[(starts[group, None] + np.arange(real.shape[1]))[real]]
+                features[group], thresholds[group] = _split_search(
+                    by_column[index[:, None] + columns], y[index], counts[group], bars[group], min_leaf)
+        done = np.flatnonzero(features < 0)
+        short = done[counts[done] < m + 1]
+        for group, index in _length_groups(rows, starts, counts, short):
+            means = y[index].mean(axis=1).tolist()
+            leaves.update((node, TreeLeaf(intercept=mean, coef=None))
+                          for node, mean in zip(ids[group].tolist(), means))
+        for node in done[counts[done] >= m + 1]:
+            index = rows[starts[node]:starts[node] + counts[node]]
+            leaves[int(ids[node])] = _fit_leaf(X[index], y[index])
+        split = np.flatnonzero(features >= 0)
+        if not len(split):
+            break
+        # each split node's rows, left side first, each side in set order
+        owner = np.repeat(np.arange(len(ids)), counts)
+        kept = features[owner] >= 0
+        owner, rows = owner[kept], rows[kept]
+        side = 2 * owner + ~(by_column[features[owner] * len(y) + rows] <= thresholds[owner])
+        rows = rows[np.argsort(side, kind="stable")]
+        counts = np.bincount(side, minlength=2 * len(ids)).reshape(-1, 2)[split].ravel()
+        # ids count up level by level; a split node's right child follows its left
+        children = ids[-1] + 1 + np.arange(len(counts))
+        splits.update(zip(ids[split].tolist(), zip(features[split].tolist(), thresholds[split].tolist(),
+                                                   children[::2].tolist())))
+        ids = children
+
+    def build(node):
+        if node in leaves:
+            return leaves[node]
+        feature, threshold, left = splits[node]
+        return TreeNode(feature=feature, threshold=threshold, left=build(left), right=build(left + 1))
+
+    trees = iter(ModelTree(root=build(member), n_features=m) for member in range(len(members)))
+    return [outcome if isinstance(outcome, FitError) else next(trees) for outcome in outcomes]
+
+
 def fit_model_tree(X, y, config):
-    if len(y) < 2 * config.mt_min_leaf:
-        raise FitError(f"model tree needs at least {2 * config.mt_min_leaf} pairs, got {len(y)}")
-    if 2 * len(y) * np.max(np.abs(y)) > _SQUARE_LIMIT:
-        raise FitError("model tree split search overflows: effort differences too large to square")
-    root = _grow(X, y, config.mt_min_leaf, 0, config.mt_max_depth)
-    return ModelTree(root=root, n_features=X.shape[1])
+    """``fit_model_trees`` of one set: its tree, or its ``FitError`` raised."""
+    (tree,) = fit_model_trees([(X, y)], config)
+    if isinstance(tree, FitError):
+        raise tree
+    return tree
 
 
 def predict_model_tree(tree, x):

@@ -6,6 +6,7 @@ when lambda* = pi / (2*(pi-2)) * B0 / sigma2 exceeds the chi-square critical
 value at ``alpha`` with g/(pi-2) degrees of freedom, where sigma2 is the
 maximum-likelihood variance estimate of the g current means pooled with the
 residual mean square: sigma2 = (sum((mean_i - mean)^2) + nu * mse) / (g + nu).
+A cut whose B0 lies within the bound on its own rounding error is not kept.
 The split search at each level is exhaustive over all contiguous binary
 partitions, so the recursion is exact, not heuristic. The observations are
 first multiplied by one power of two that brings their largest magnitude into
@@ -33,6 +34,21 @@ _PI_FACTOR = math.pi / (2.0 * (math.pi - 2.0))
 _EPS = 1e-16       # relative stopping tolerance of the incomplete-gamma series and fraction
 _FPMIN = 1e-300    # keeps the continued fraction's denominators off zero
 _LAMBDA_GRID = np.arange(-200, 201) * 0.01
+
+# B0 of a cut of g means, whose largest magnitude is M, is computed within
+# 6 g^2 eps M^2 of its exact value (eps = 2^-52, first order in eps). B0 is
+# T1 + T2 - T3, where each term s^2 / k squares a sum s of k <= g means:
+# left, right = total - left and total, with T1 + T2 <= g M^2. A recursive or
+# pairwise sum of k means is off by at most (k - 1) k M eps / 2, so left and
+# total are off by at most g^2 M eps / 2 and right by g^2 M eps + g M eps / 2.
+# A term whose s is off by D is off by at most 2 M D, as |s| <= k M, plus
+# k M^2 eps for the rounding of the square and the quotient: 4 g^2 M^2 eps +
+# 3 g M^2 eps over the three terms. The sum and difference that combine them
+# add g M^2 eps, and 4 g M^2 eps <= 2 g^2 M^2 eps for g >= 2. A cut whose B0
+# is within 8 g^2 eps M^2, which leaves room for the terms of higher order,
+# may be rounding noise alone, as between groups whose means are equal or an
+# ulp apart, and is not counted.
+_B0_ROUNDING = 8.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -235,7 +251,8 @@ def _split(names, means, mse, nu, alpha, out):
     cut, b0 = _best_cut(means)
     sigma2 = (np.sum((means - means.mean()) ** 2) + nu * mse) / (g + nu)
     lam_star = _PI_FACTOR * b0 / sigma2 if sigma2 > 0 else np.inf
-    if sigma2 > 0 and _significant(lam_star, g, alpha):
+    noise = _B0_ROUNDING * g * g * np.max(np.abs(means)) ** 2
+    if b0 > noise and sigma2 > 0 and _significant(lam_star, g, alpha):
         _split(names[:cut], means[:cut], mse, nu, alpha, out)
         _split(names[cut:], means[cut:], mse, nu, alpha, out)
     else:

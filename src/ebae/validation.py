@@ -18,8 +18,8 @@ numpy on Python 3.12.
 When RTM, MT, GA or NN runs, ``loocv_grid`` first ranks the whole dataset
 once, ``knn_within(dataset, k_top + 1)``, where ``k_top`` is the largest k
 of the variants. Each fold then builds what its variants share, the chunk
-trains its GA and NN members in stacks, and each fold predicts every k of a
-method in one pass of ``adjust.<method>`` over its ``k_top`` analogies. A
+trains its MT, GA and NN members together, and each fold predicts every k of
+a method in one pass of ``adjust.<method>`` over its ``k_top`` analogies. A
 fold builds:
 
 - the training fold ``dataset.without(t)``;
@@ -40,14 +40,16 @@ fold builds:
   one member per k. A model that cannot be fitted is stored as its error,
   and the variants that need it fall back to EBA.
 
-GA and NN members are seeded from ``(config.seed, fold index, variant
-label)``, the seed a lone variant's run uses, and train in stacks in which
-each member equals its lone fit. A chunk trains all its GA members, every
-fold times every GA variant, in one ``fit_ga_weights`` call, and all its
-networks in one ``fit_networks`` call, which lays each fold's NN variants
-side by side in one hidden layer where that keeps a lone fit's bits, and
-one by one elsewhere (``learners.WIDE_MIN_HIDDEN``). So results are
-identical for any set of variants, any chunking and any number of jobs.
+A chunk trains each learner as one stack in which every member equals its
+lone fit. It grows the model trees of all its folds in one
+``fit_model_trees`` call, a depth at a time. GA and NN members are seeded
+from ``(config.seed, fold index, variant label)``, the seed a lone
+variant's run uses. The chunk trains all its GA members, every fold times
+every GA variant, in one ``fit_ga_weights`` call, and all its networks in
+one ``fit_networks`` call, which lays each fold's NN variants side by side
+in one hidden layer where that keeps a lone fit's bits, and one by one
+elsewhere (``learners.WIDE_MIN_HIDDEN``). So results are identical for any
+set of variants, any chunking and any number of jobs.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ import numpy as np
 
 from . import adjust, analogy
 from .analogy import retrieve
-from .learners import FitError, build_diff_pairs, fit_ga_weights, fit_model_tree, fit_networks
+from .learners import FitError, build_diff_pairs, fit_ga_weights, fit_model_trees, fit_networks
 from .metrics import baseline, build_table, log_floor, summarize
 
 # Floats in the largest array of one chunk's network stack, either
@@ -74,6 +76,10 @@ from .metrics import baseline, build_table, log_floor, summarize
 # n = 100 with the default ga_pop of 50; at jobs=1 the 16-fold stacks raised
 # the peak RSS of a 100-project pipeline from 47 to 56 MB. One stack of 13
 # folds at n = 100 trained in 66-67 ms against 74-82 ms in stacks of a fold.
+# A chunk's model trees grow as one stack too. Its largest arrays are the
+# root's (folds, m, n - 1) split search arrays, 190 KB each for 15 folds at
+# n = 100 and m = 16; that chunk's tree fit peaked at 4.4 MB by tracemalloc,
+# against 9.0 MB for its GA stack.
 STACK_FLOATS = 2**15
 
 
@@ -101,9 +107,10 @@ class _Fold:
     ``variants`` are the runnable variants of the grid; the fold builds only
     what their methods use. ``ranking`` is the dataset's
     ``knn_within(dataset, k_top + 1)`` when the fold needs a neighbour
-    table. GA and NN members are added by ``_fit_ga`` and ``_fit_networks``."""
+    table. The model tree is added by ``_fit_trees``, GA and NN members by
+    ``_fit_ga`` and ``_fit_networks``."""
 
-    def __init__(self, dataset, t, variants, config, ranking):
+    def __init__(self, dataset, t, variants, ranking):
         self.t = t
         self.train = train = dataset.without(t)
         self.target = dataset.row(t)
@@ -122,8 +129,6 @@ class _Fold:
             self.pairs = build_diff_pairs(train, neighbors[:, 0])
         if "RTM" in methods:
             self.models["RTM"] = _fitted(adjust.productivity_correlation, train, neighbors[:, 0])
-        if "MT" in methods:
-            self.models["MT"] = _fitted(fit_model_tree, *self.pairs, config)
         self.neighbors = neighbors
 
     def predict(self, variants):
@@ -154,6 +159,14 @@ class _Fold:
             fell_back = not math.isfinite(prediction)
             outcomes.append((float(eba[variant.k - 1] if fell_back else prediction), fell_back))
         return outcomes
+
+
+def _fit_trees(folds, config):
+    """Grow the model tree of every fold of a chunk into its ``models``, as
+    one ``fit_model_trees`` stack; a tree that cannot be fitted is its
+    error."""
+    for fold, tree in zip(folds, fit_model_trees([fold.pairs for fold in folds], config)):
+        fold.models["MT"] = tree
 
 
 def _fit_ga(folds, variants, config):
@@ -243,6 +256,7 @@ def loocv_grid(dataset, variants, config):
             runnable.append(variant)
     if not runnable:
         return {}, errors
+    trees = any(variant.method == "MT" for variant in runnable)
     genetic = [variant for variant in runnable if variant.method == "GA"]
     networks = [variant for variant in runnable if variant.method == "NN"]
     width = max(dataset.m, len(networks) * config.nn_hidden)
@@ -254,7 +268,9 @@ def loocv_grid(dataset, variants, config):
         ranking = analogy.knn_within(dataset, k_top + 1)
 
     def chunk(start, stop):
-        folds = [_Fold(dataset, t, runnable, config, ranking) for t in range(start, stop)]
+        folds = [_Fold(dataset, t, runnable, ranking) for t in range(start, stop)]
+        if trees:
+            _fit_trees(folds, config)
         if genetic:
             _fit_ga(folds, genetic, config)
         if networks:

@@ -1,10 +1,10 @@
-"""One cut at a time, kept as the test oracle of the array split search in
-``ebae.learners._best_split``.
+"""One node and one cut at a time, kept as the test oracle of the stacked,
+level-wise ``ebae.learners.fit_model_trees``.
 
 ``best_split_loop`` scores every cut of every feature in two Python loops
 and keeps the first SSE below the best so far; ``fit_model_tree_loop``
-grows a tree with it. The array search must choose the same split at every
-node, so both give equal trees.
+grows a tree with it by recursion, node by node. The stacked growth must
+choose the same split at every node, so both give equal trees.
 """
 
 import numpy as np

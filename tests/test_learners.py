@@ -9,13 +9,16 @@ from ebae.analogy import knn_within
 from ebae.config import Config
 from ebae.data import ColumnSpec
 from ebae.learners import (
+    _SQUARE_LIMIT,
     FitError,
-    _best_split,
+    TreeNode,
     _fit_leaf,
+    _split_search,
     build_diff_pairs,
     diff_rows,
     fit_ga_weights,
     fit_model_tree,
+    fit_model_trees,
     fit_networks,
     ga_design,
     ga_draws,
@@ -225,6 +228,12 @@ def test_model_tree_matches_loop_oracle_albrecht(albrecht_pairs, min_leaf):
         assert_same_tree(fit_model_tree(X, y, config), fit_model_tree_loop(X, y, config))
 
 
+def root_split(X, y, min_leaf):
+    """(feature, threshold) of the root of a depth-1 tree, or None for a leaf."""
+    root = fit_model_tree(X, y, Config(mt_min_leaf=min_leaf, mt_max_depth=1)).root
+    return (root.feature, root.threshold) if isinstance(root, TreeNode) else None
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(0, 15), st.integers(1, 5),
        st.booleans(), st.booleans())
@@ -243,7 +252,7 @@ def test_best_split_matches_loop_oracle_property(seed, min_leaf, extra, m, coars
     if m > 2:
         X[:, 1] = 2.5
     y = rng.integers(0, 4, size=n).astype(float) if integer_y else rng.normal(size=n) * 100.0
-    assert _best_split(X, y, min_leaf) == best_split_loop(X, y, min_leaf)
+    assert root_split(X, y, min_leaf) == best_split_loop(X, y, min_leaf)
     config = Config(mt_min_leaf=min_leaf)
     assert_same_tree(fit_model_tree(X, y, config), fit_model_tree_loop(X, y, config))
 
@@ -254,7 +263,7 @@ def test_best_split_rounds_as_the_loop_on_mirrored_columns():
     # alone, and squaring by multiplication instead of pow picks column 0
     X = np.array([[-2.0, 2.0], [-1.0, -1.0], [-1.0, -1.0], [2.0, -2.0]])
     y = np.array([77.47755922459794, -350.6169172860722, -125.59425255360593, 52.74648435986627])
-    assert _best_split(X, y, 1) == best_split_loop(X, y, 1) == (1, 0.5)
+    assert root_split(X, y, 1) == best_split_loop(X, y, 1) == (1, 0.5)
 
 
 def test_best_split_skips_inf_and_nan_sse():
@@ -263,9 +272,74 @@ def test_best_split_skips_inf_and_nan_sse():
     X = np.arange(8.0)[:, None]
     y = np.array([1.0, -1.0, 2.0, -2.0, 1.5, -1.5, 3.0, -3.0]) * 1e200
     with np.errstate(all="ignore"):
-        assert np.sum((y - y.mean()) ** 2) == np.inf
-        assert _best_split(X, y, 2) is None
+        parent_sse = np.sum((y - y.mean()) ** 2)
+        assert parent_sse == np.inf
+        bar = parent_sse - 1e-12 * max(parent_sse, 1.0)
+        features, _ = _split_search(X.T[None], y[None], np.array([8]), np.array([bar]), 2)
+        assert features.tolist() == [-1]
         assert best_split_loop(X, y, 2) is None
+
+
+def tree_pairs(rng, n, kinds, integer_y):
+    """Difference pairs (X, y) of n rows with one column per entry of
+    ``kinds``. Rounded and binary columns tie within themselves, a copied
+    column ties with column 0 whole, a mirrored one splits off column 0's
+    rows from the other end, and a constant one has no cut at all; integer
+    efforts tie the SSEs of different cuts."""
+    X = rng.normal(size=(n, len(kinds))) * rng.uniform(0.1, 100.0, size=len(kinds))
+    for j, kind in enumerate(kinds):
+        if kind == "rounded":
+            X[:, j] = np.round(X[:, j] / X[:, j].std())
+        elif kind == "binary":
+            X[:, j] = rng.integers(0, 2, size=n)
+        elif kind == "constant":
+            X[:, j] = 2.5
+        elif kind == "copied":
+            X[:, j] = X[:, 0]
+        elif kind == "mirrored":
+            X[:, j] = -X[:, 0]
+    y = rng.integers(0, 4, size=n).astype(float) if integer_y else rng.normal(size=n) * 100.0
+    return X, y
+
+
+KINDS = ["real", "rounded", "binary", "constant", "copied", "mirrored"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 20), st.integers(1, 16), st.integers(1, 6),
+       st.integers(0, 7), st.booleans())
+def test_fit_model_trees_match_loop_oracle_property(seed, F, m, min_leaf, max_depth, integer_y):
+    # every set of a stack has its own row count, from the least that can
+    # be fitted up to 120; each set's tree is the one it grows alone
+    rng = np.random.default_rng(seed)
+    kinds = rng.choice(KINDS, size=m)
+    pairs = [tree_pairs(rng, int(rng.integers(2 * min_leaf, 121)), kinds, integer_y) for _ in range(F)]
+    config = Config(mt_min_leaf=min_leaf, mt_max_depth=max_depth)
+    trees = fit_model_trees(pairs, config)
+    assert len(trees) == F
+    for (X, y), tree in zip(pairs, trees):
+        assert_same_tree(tree, fit_model_tree_loop(X, y, config))
+
+
+def test_fit_model_trees_failing_member_fails_alone():
+    # a set with too few pairs and one whose efforts are just too large to
+    # square fail on their own; the set just below the limit grows its tree
+    # without overflow, and pytest turns any RuntimeWarning into an error
+    rng = np.random.default_rng(12)
+    kinds = ["real", "binary", "rounded"]
+    config = Config(mt_min_leaf=3)
+    pairs = [tree_pairs(rng, n, kinds, False) for n in (40, 5, 60, 50, 50)]
+    for f, factor in ((3, 1.001), (4, 0.999)):
+        X, y = pairs[f]
+        pairs[f] = X, y * (factor * _SQUARE_LIMIT / (2 * len(y) * np.max(np.abs(y))))
+    trees = fit_model_trees(pairs, config)
+    assert isinstance(trees[1], FitError) and "at least 6 pairs, got 5" in str(trees[1])
+    assert isinstance(trees[3], FitError) and "overflows" in str(trees[3])
+    for f in (0, 2, 4):
+        assert_same_tree(trees[f], fit_model_tree_loop(*pairs[f], config))
+        assert_same_tree(trees[f], fit_model_tree(*pairs[f], config))
+    assert isinstance(trees[4].root, TreeNode)
+    assert all(isinstance(tree, FitError) for tree in fit_model_trees(pairs[1::2], config))
 
 
 # --- network ---

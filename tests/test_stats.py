@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ebae
 from ebae.stats import (
@@ -217,13 +219,29 @@ def test_shift_stability():
 
 
 def test_ulp_apart_constant_groups_cluster():
-    # sigma2 is ~1e-33 and B0 is rounding noise, so lambda*/2 reaches ~1e17
+    # sigma2 is ~1e-33 and B0 is rounding noise, so lambda*/2 reaches ~1e17;
+    # the noise is within B0's rounding bound, so no cut is counted
     low, high = 0.30000000000000004, 0.3000000000000001
     groups = {f"g{i}": [value] * 24 for i, value in enumerate([high] * 4 + [low] * 2)}
     result = scott_knott(groups)
-    order = [name for cluster in result.clusters for name in cluster.members]
-    assert sorted(order) == sorted(groups)
-    assert [groups[name][0] for name in order] == sorted(groups[name][0] for name in order)
+    assert len(result.clusters) == 1
+    assert sorted(result.clusters[0].members) == sorted(groups)
+    assert [groups[name][0] for name in result.clusters[0].members] == sorted(v[0] for v in groups.values())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 8), st.integers(-3, 3), st.booleans())
+def test_ulp_apart_constant_groups_never_split(seed, g, exponent, two_way):
+    # constant groups whose means lie within a few ulps of each other, at
+    # any scale, through both entry points
+    rng = np.random.default_rng(seed)
+    base = rng.uniform(0.1, 10.0) * 10.0**exponent
+    values = (base + np.spacing(base) * rng.integers(-2, 3, g)).tolist()
+    if two_way:
+        result = scott_knott_two_way({(f"t{i}", k): [v] * 12 for i, v in enumerate(values) for k in (1, 2)})
+    else:
+        result = scott_knott({f"g{i}": [v] * 24 for i, v in enumerate(values)})
+    assert len(result.clusters) == 1
 
 
 @pytest.mark.parametrize("factor", [1e200, 1e-200, 2.0**660, 2.0**-660])

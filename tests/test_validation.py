@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ebae import adjust, analogy, validation
+from ebae import adjust, analogy, learners, validation
 from ebae.adjust import VariantId, enumerate_variants
 from ebae.analogy import retrieve
 from ebae.config import Config
@@ -200,8 +200,7 @@ def test_loocv_grid_matches_reference_deep_trees(albrecht):
     config = replace(SMALL, mt_min_leaf=2)
     tables, _ = assert_grid_matches_reference(albrecht, config, [v for v in GRID if v.method == "MT"])
     train = albrecht.without(0)
-    tree = validation.fit_model_tree(*validation.build_diff_pairs(train, analogy.knn_within(train, 1)[:, 0]),
-                                     config)
+    tree = learners.fit_model_tree(*learners.build_diff_pairs(train, analogy.knn_within(train, 1)[:, 0]), config)
     assert depth(tree.root) >= 3
 
 
@@ -245,6 +244,44 @@ def test_loocv_grid_matches_reference_unfittable_trees(albrecht):
     assert [table.fallback_count for table in tables.values()] == [albrecht.n] * 5
 
 
+def categorical_dataset():
+    """30 projects of two continuous and three categorical features, whose
+    difference pairs are mostly 0/1 mismatch columns."""
+    rng = np.random.default_rng(23)
+    schema = size_only_schema() + [ColumnSpec("x", "feature", "continuous", "none")]
+    schema += [ColumnSpec(f"c{j}", "feature", "categorical", "none") for j in range(3)]
+    rows = [(float(rng.integers(1, 40)), float(rng.uniform(0, 9)), *map(str, rng.choice(["a", "b", "c"], 3)))
+            for _ in range(30)]
+    return make_dataset("categorical", schema, rows, rng.uniform(5.0, 500.0, size=30))
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("floats", [validation.STACK_FLOATS, 500])
+@pytest.mark.parametrize("name", ["albrecht", "categorical"])
+def test_loocv_grid_trees_match_reference_in_any_chunking(request, monkeypatch, tmp_path, name, floats, jobs):
+    # MT-only chunks hold floats // ((n - 1) * m) folds: all in one stack,
+    # rounded up to a chunk per job, or 3 folds at most per stack (500 //
+    # (23 * 7) on Albrecht, 500 // (29 * 5) on the categorical dataset)
+    dataset = request.getfixturevalue("albrecht") if name == "albrecht" else categorical_dataset()
+    monkeypatch.setattr(validation, "STACK_FLOATS", floats)
+    fit_model_trees = validation.fit_model_trees
+
+    def logged(pairs, config):
+        # once per chunk, in the process that runs it
+        with open(tmp_path / "stacks", "a", encoding="utf-8") as fh:
+            fh.write(f"{len(pairs)}\n")
+        return fit_model_trees(pairs, config)
+
+    monkeypatch.setattr(validation, "fit_model_trees", logged)
+    config = replace(SMALL, mt_min_leaf=2, jobs=jobs)
+    tables, _ = assert_grid_matches_reference(dataset, config, [v for v in GRID if v.method == "MT"])
+    assert len(tables) == 5 and tables["MT1"].fallback_count < dataset.n
+    stacks = list(map(int, (tmp_path / "stacks").read_text(encoding="utf-8").split()))
+    assert sum(stacks) == dataset.n
+    most = dataset.n if floats == validation.STACK_FLOATS else floats // ((dataset.n - 1) * dataset.m)
+    assert max(stacks) <= most and len(stacks) >= jobs
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.booleans(), st.integers(0, 2), st.integers(0, 3))
 def test_loocv_grid_matches_reference_property(seed, with_categorical, zero_sizes, duplicates):
@@ -275,7 +312,7 @@ def test_loocv_grid_builds_shared_work_once_per_fold(albrecht, monkeypatch):
 
         monkeypatch.setattr(owner, name, counted)
 
-    for owner, name in ((validation, "fit_model_tree"), (validation, "build_diff_pairs"),
+    for owner, name in ((validation, "fit_model_trees"), (validation, "build_diff_pairs"),
                         (adjust, "productivity_correlation"), (validation, "retrieve"),
                         (analogy, "knn_within"), (Dataset, "without")):
         count(owner, name)
@@ -299,12 +336,13 @@ def test_loocv_grid_builds_shared_work_once_per_fold(albrecht, monkeypatch):
     assert len(tables) == 40
     # Albrecht's 24 folds fit in one chunk, of STACK_FLOATS // (23 pairs * 5
     # NN k * 4 hidden) = 71 folds at most, and a chunk makes one
-    # fit_ga_weights call, of every (fold, GA k) member, and one
-    # fit_networks call, of every (fold, NN k) network
+    # fit_model_trees call, of every fold's tree, one fit_ga_weights call,
+    # of every (fold, GA k) member, and one fit_networks call, of every
+    # (fold, NN k) network
     assert validation._chunk_starts(n, validation.STACK_FLOATS // ((n - 1) * 5 * SMALL.nn_hidden), 1) == [0]
     # one dataset-wide ranking, and a table of its own for each of the 4
     # folds whose held-out project alone sets a feature's min or max
-    assert calls == {"fit_model_tree": n, "build_diff_pairs": n, "productivity_correlation": n,
+    assert calls == {"fit_model_trees": 1, "build_diff_pairs": n, "productivity_correlation": n,
                      "retrieve": n, "knn_within": 1 + 4, "without": n,
                      "fit_ga_weights": 1, "fit_networks": 1}
     for seeds in members.values():
@@ -447,7 +485,7 @@ def test_loocv_grid_builds_only_what_its_methods_use(albrecht, monkeypatch, meth
         monkeypatch.setattr(owner, name, counted)
 
     for owner, name in ((analogy, "knn_within"), (validation, "build_diff_pairs"),
-                        (validation, "fit_model_tree"), (adjust, "productivity_correlation"),
+                        (validation, "fit_model_trees"), (adjust, "productivity_correlation"),
                         (validation, "fit_ga_weights"), (validation, "fit_networks")):
         count(owner, name)
     tables, _ = loocv_grid(albrecht, [v for v in GRID if v.method in methods], SMALL)
@@ -458,7 +496,7 @@ def test_loocv_grid_builds_only_what_its_methods_use(albrecht, monkeypatch, meth
 def fold_neighbors(dataset, t, k):
     """The in-training neighbour table a GA-only grid's fold t builds."""
     ranking = analogy.knn_within(dataset, k + 1)
-    return validation._Fold(dataset, t, [VariantId("GA", k)], SMALL, ranking).neighbors
+    return validation._Fold(dataset, t, [VariantId("GA", k)], ranking).neighbors
 
 
 def test_fold_neighbors_equal_knn_within_on_every_albrecht_fold(albrecht):
@@ -501,7 +539,7 @@ def test_fold_neighbors_equal_knn_within_property(seed, kinds, all_tied, extreme
 
 def test_fold_falls_back_for_each_k_whose_model_is_an_error(albrecht):
     variants = [VariantId(method, k) for method in ("EBA", "MT", "GA") for k in range(1, 6)]
-    fold = validation._Fold(albrecht, 0, variants, SMALL, analogy.knn_within(albrecht, 6))
+    fold = validation._Fold(albrecht, 0, variants, analogy.knn_within(albrecht, 6))
     alphas = {k: np.full(albrecht.m, 0.5 * k) for k in (2, 4)}
     fold.models["MT"] = FitError("no tree")
     fold.models["GA"] = {1: FitError("lost"), 2: alphas[2], 3: FitError("lost"), 4: alphas[4], 5: FitError("lost")}
