@@ -84,23 +84,6 @@ class PipelineReport:
     notes: list = field(default_factory=list)
 
 
-def evaluate_grid(dataset, config, base):
-    """LOOCV every (method, k) variant and summarize it against ``base``.
-
-    Returns (tables, summaries, errors), each keyed by variant label in grid
-    order; a variant that cannot be evaluated gets its message in ``errors``.
-    """
-    variants = enumerate_variants(config.k_max)
-    tables, errors = loocv_grid(dataset, variants, config)
-    summaries = {}
-    for label, table in tables.items():
-        try:
-            summaries[label] = summarize(table, base)
-        except (ValueError, ArithmeticError) as exc:
-            errors[label] = str(exc)
-    return tables, summaries, {v.label: errors[v.label] for v in variants if v.label in errors}
-
-
 def filter_actual_predictors(summaries, base):
     """Keep variants with SA above the 5% random-guessing quantile and a
     better-than-medium effect size; every variant gets a recorded verdict."""
@@ -227,7 +210,14 @@ def run_pipeline(dataset, config):
         dataset_name=dataset.name, n=dataset.n, m=dataset.m, config=config, baseline=base
     )
 
-    report.tables, report.summaries, report.variant_errors = evaluate_grid(dataset, config, base)
+    variants = enumerate_variants(config.k_max)
+    report.tables, errors = loocv_grid(dataset, variants, config)
+    for label, table in report.tables.items():
+        try:
+            report.summaries[label] = summarize(table, base)
+        except (ValueError, ArithmeticError) as exc:
+            errors[label] = str(exc)
+    report.variant_errors = {v.label: errors[v.label] for v in variants if v.label in errors}
     report.notes += [f"{label} not evaluated: {message}"
                      for label, message in report.variant_errors.items()]
 
@@ -240,13 +230,9 @@ def run_pipeline(dataset, config):
         except ValueError as exc:
             report.notes.append(f"normality check skipped: {exc}")
 
-    if len(report.survivors) < 2:
-        report.best_cluster = list(report.survivors)
+    report.best_cluster, report.sk_singles = select_best_cluster(report.tables, report.survivors, config.alpha)
+    if report.sk_singles is None:
         report.notes.append("fewer than 2 surviving variants: no clustering, no ensembles")
-    else:
-        report.best_cluster, report.sk_singles = select_best_cluster(
-            report.tables, report.survivors, config.alpha
-        )
 
     if len(report.best_cluster) >= 2:
         report.borda_singles, report.best_ranking = rank_candidates(

@@ -125,7 +125,13 @@ def _split_search(X, y, counts, bars, min_leaf):
     won = hits[np.diff(run[hits], prepend=-1) != 0]
     won = won[sse[won] < np.inf]
     features[node[won]] = column[won] % m
-    thresholds[node[won]] = (xs.ravel()[at[won]] + xs.ravel()[at[won] + 1]) / 2.0
+    # the midpoint of adjacent doubles may round up to the right value, and
+    # that of two huge values overflows; either would send every row to one
+    # side, so the left value is the threshold then
+    a, b = xs.ravel()[at[won]], xs.ravel()[at[won] + 1]
+    with np.errstate(over="ignore"):
+        middle = (a + b) / 2.0
+    thresholds[node[won]] = np.where((a <= middle) & (middle < b), middle, a)
     return features, thresholds
 
 
@@ -372,8 +378,9 @@ def fit_networks(X, y, config, seeds):
     one network per seed trained on its row's set; each draws ``w1`` then
     ``w2`` from its own ``default_rng(seed)``. Returns F rows of K members:
     a ``FeedForwardNet``, or a ``FitError`` for a member whose loss was ever
-    non-finite. No member depends on the others: each equals the network
-    its set and seed train alone.
+    non-finite, and for every member when a set has fewer than 4 pairs. No
+    member depends on the others: each equals the network its set and seed
+    train alone.
 
     Each epoch is one ``_stack_loss_and_grads`` call, on one of two layouts
     of the same weight memory (see ``WIDE_MIN_HIDDEN``). Side by side, each
@@ -383,7 +390,7 @@ def fit_networks(X, y, config, seeds):
     ``b1`` and ``w2`` (F, K, 1, h), with ``X`` broadcast across the K axis.
     """
     if y.shape[-1] < 4:
-        raise FitError(f"network needs at least 4 pairs, got {y.shape[-1]}")
+        return [[FitError(f"network needs at least 4 pairs, got {y.shape[-1]}") for _ in row] for row in seeds]
     Xs, ys, scales = zip(*(_standardize(Xf, yf) for Xf, yf in zip(X, y)))
     Xs = np.stack(Xs)
     ys = np.stack(ys)[:, None]

@@ -138,23 +138,19 @@ def pred25(table):
 
 
 def lsd(table):
-    """Logarithmic standard deviation of the prediction residuals.
+    """Logarithmic standard deviation of the prediction residuals."""
+    return lsd_and_variance(table)[0]
 
-    sqrt(sum((lam_i + s^2/2)^2) / (n - 1)) with s^2 the sample variance of
-    the log residuals.
+
+def lsd_and_variance(table):
+    """(LSD, s^2) of the log residuals: LSD is
+    sqrt(sum((lam_i + s^2/2)^2) / (n - 1)) with s^2 their sample variance.
     """
     lams = table.log_residuals
     if lams.size < 2:
         raise ValueError("LSD needs at least 2 rows")
     s2 = float(np.var(lams, ddof=1))
-    return float(np.sqrt(np.sum((lams + s2 / 2.0) ** 2) / (lams.size - 1)))
-
-
-def log_residual_variance(table):
-    lams = table.log_residuals
-    if lams.size < 2:
-        raise ValueError("variance needs at least 2 rows")
-    return float(np.var(lams, ddof=1))
+    return float(np.sqrt(np.sum((lams + s2 / 2.0) ** 2) / (lams.size - 1))), s2
 
 
 def mbre_mibre(table):
@@ -231,14 +227,15 @@ def effect_size(mae_value, base):
 def summarize(table, base):
     """Full evaluation summary of one prediction table against a baseline."""
     mae_value = mae(table)
+    lsd_value, s2 = lsd_and_variance(table)
     mbre_value, mibre_value = mbre_mibre(table)
     return EvalSummary(
         variant=table.variant,
         mae=mae_value,
         mmre=mmre(table),
         pred25=pred25(table),
-        lsd=lsd(table),
-        s2=log_residual_variance(table),
+        lsd=lsd_value,
+        s2=s2,
         mbre=mbre_value,
         mibre=mibre_value,
         sa=standardized_accuracy(mae_value, base),

@@ -172,20 +172,15 @@ def ks_normality(values, alpha=0.05):
 
 
 def _best_cut(means):
-    """Cut position maximizing B0 over contiguous binary partitions of ordered means."""
+    """(cut, B0) of the contiguous binary partition of ordered means with the
+    largest B0; the first such cut on ties."""
     g = means.size
     total = means.sum()
-    best_b0 = -np.inf
-    best_cut = 1
-    left = 0.0
-    for cut in range(1, g):
-        left += means[cut - 1]
-        right = total - left
-        b0 = left * left / cut + right * right / (g - cut) - total * total / g
-        if b0 > best_b0:
-            best_b0 = b0
-            best_cut = cut
-    return best_cut, best_b0
+    cuts = np.arange(1, g)
+    left = np.cumsum(means[:-1])
+    b0 = left * left / cuts + (total - left) ** 2 / (g - cuts) - total * total / g
+    best = int(np.argmax(b0))
+    return best + 1, b0[best]
 
 
 def _gammp(a, x):

@@ -37,8 +37,7 @@ fold builds:
 - when MT or NN runs, one set of difference pairs;
 - the model table ``models``: the RTM correlation and the model tree,
   which do not depend on k, and a dict of GA weights and one of networks,
-  one member per k. A model that cannot be fitted is stored as its error,
-  and the variants that need it fall back to EBA.
+  one member per k. A model that cannot be fitted is stored as its error.
 
 A chunk trains each learner as one stack in which every member equals its
 lone fit. It grows the model trees of all its folds in one
@@ -50,12 +49,18 @@ one ``fit_networks`` call, which lays each fold's NN variants side by side
 in one hidden layer where that keeps a lone fit's bits, and one by one
 elsewhere (``learners.WIDE_MIN_HIDDEN``). So results are identical for any
 set of variants, any chunking and any number of jobs.
+
+A chunk returns one float array of shape (folds, methods, k_top): the
+predictions of every method it runs, in ``adjust.METHODS`` order with EBA
+first, NaN where a method cannot predict for k or its model for k could not
+be fitted. The fallback is decided in one place, ``loocv_grid``: a
+variant's prediction that is not finite is replaced by the EBA prediction
+for the same fold and k, and counted as a fallback.
 """
 
 from __future__ import annotations
 
 import hashlib
-import math
 
 import numpy as np
 
@@ -101,8 +106,7 @@ class _Fold:
     """One training fold, its target's nearest training projects, and
     ``models``: what the learning methods fitted on the fold, keyed by method.
     RTM and MT keep one model, GA and NN a dict of one member per k. A model
-    that cannot be fitted is kept as its error, and every variant that needs
-    it falls back.
+    that cannot be fitted is kept as its error, and its predictions are NaN.
 
     ``variants`` are the runnable variants of the grid; the fold builds only
     what their methods use. ``ranking`` is the dataset's
@@ -131,34 +135,24 @@ class _Fold:
             self.models["RTM"] = _fitted(adjust.productivity_correlation, train, neighbors[:, 0])
         self.neighbors = neighbors
 
-    def predict(self, variants):
-        """(prediction, fell_back) of every variant for this fold's target, in
-        the order of ``variants``; each method predicts all its k at once.
-
-        Where the method is inapplicable for k, its model could not be fitted
-        on this fold, or its prediction is not finite, the prediction falls
-        back to the plain analogy mean for the same k.
-        """
+    def predict(self, methods):
+        """(methods, k_top) predictions for this fold's target: row i is
+        ``adjust.<methods[i]>`` for every k at once, NaN for each k that the
+        method cannot predict or whose model could not be fitted."""
         target, nbh, train = self.target, self.analogies, self.train
-        eba = adjust.eba(target, nbh, train)
-        predictions = {"EBA": eba}
-        for method in {variant.method for variant in variants} - {"EBA"}:
+        rows = []
+        for method in methods:
             model = self.models.get(method)
             if isinstance(model, dict):
                 model = {k: member for k, member in model.items() if not isinstance(member, Exception)}
             if isinstance(model, Exception):
-                predictions[method] = np.full(len(eba), np.nan)
+                rows.append(np.full(len(nbh.indices), np.nan))
             else:
                 predictor = getattr(adjust, method.lower())
-                # a prediction that overflows falls back below
+                # a prediction that overflows falls back in ``loocv_grid``
                 with np.errstate(over="ignore", invalid="ignore"):
-                    predictions[method] = predictor(target, nbh, train, *(() if model is None else (model,)))
-        outcomes = []
-        for variant in variants:
-            prediction = predictions[variant.method][variant.k - 1]
-            fell_back = not math.isfinite(prediction)
-            outcomes.append((float(eba[variant.k - 1] if fell_back else prediction), fell_back))
-        return outcomes
+                    rows.append(predictor(target, nbh, train, *(() if model is None else (model,))))
+        return np.stack(rows)
 
 
 def _fit_trees(folds, config):
@@ -181,14 +175,10 @@ def _fit_ga(folds, variants, config):
 
 def _fit_networks(folds, variants, config):
     """Train the networks of every (fold, NN variant) of a chunk as one stack
-    into each fold's ``models``. Every fold has n - 1 pairs, so a stack too
-    small to fit gives every network the same error."""
+    into each fold's ``models``."""
     seeds = [[derive_seed(config.seed, fold.t, variant.label) for variant in variants] for fold in folds]
-    try:
-        X, y = zip(*(fold.pairs for fold in folds))
-        nets = fit_networks(np.stack(X), np.stack(y), config, seeds)
-    except FitError as exc:
-        nets = [[exc] * len(variants)] * len(folds)
+    X, y = zip(*(fold.pairs for fold in folds))
+    nets = fit_networks(np.stack(X), np.stack(y), config, seeds)
     for fold, row in zip(folds, nets):
         fold.models["NN"] = {variant.k: net for variant, net in zip(variants, row)}
 
@@ -225,16 +215,9 @@ def _map_chunks(chunk, bounds, jobs):
         import multiprocessing
 
         if "fork" in multiprocessing.get_all_start_methods():
-            pool = multiprocessing.get_context("fork").Pool(min(jobs, len(bounds)), _start_worker, (chunk,))
-            try:
-                results = pool.map(_run_chunk, bounds, chunksize=1)
-                pool.close()
-            except BaseException:
-                pool.terminate()
-                raise
-            finally:
-                pool.join()
-            return results
+            # leaving the block terminates and joins every worker
+            with multiprocessing.get_context("fork").Pool(min(jobs, len(bounds)), _start_worker, (chunk,)) as pool:
+                return pool.map(_run_chunk, bounds, chunksize=1)
     return [chunk(start, stop) for start, stop in bounds]
 
 
@@ -263,8 +246,10 @@ def loocv_grid(dataset, variants, config):
     starts = _chunk_starts(dataset.n, max(1, STACK_FLOATS // ((dataset.n - 1) * width)), config.jobs)
 
     k_top = max(variant.k for variant in runnable)
+    used = {variant.method for variant in runnable}
+    methods = [method for method in adjust.METHODS if method == "EBA" or method in used]
     ranking = None
-    if not {variant.method for variant in runnable}.isdisjoint(("RTM", "MT", "GA", "NN")):
+    if not used.isdisjoint(("RTM", "MT", "GA", "NN")):
         ranking = analogy.knn_within(dataset, k_top + 1)
 
     def chunk(start, stop):
@@ -275,19 +260,18 @@ def loocv_grid(dataset, variants, config):
             _fit_ga(folds, genetic, config)
         if networks:
             _fit_networks(folds, networks, config)
-        return [fold.predict(runnable) for fold in folds]
+        return np.stack([fold.predict(methods) for fold in folds])
 
     bounds = list(zip(starts, [*starts[1:], dataset.n]))
-    chunks = _map_chunks(chunk, bounds, config.jobs)
-    outcomes = [row for rows in chunks for row in rows]
-
+    predictions = np.concatenate(_map_chunks(chunk, bounds, config.jobs))
     floor = log_floor(dataset.efforts)
     tables = {}
-    for i, variant in enumerate(runnable):
-        predictions = [row[i][0] for row in outcomes]
-        fallbacks = sum(row[i][1] for row in outcomes)
-        tables[variant.label] = build_table(variant.label, dataset.ids, dataset.efforts, predictions, floor,
-                                            fallbacks)
+    for variant in runnable:
+        eba = predictions[:, 0, variant.k - 1]
+        column = predictions[:, methods.index(variant.method), variant.k - 1]
+        fell_back = ~np.isfinite(column)
+        tables[variant.label] = build_table(variant.label, dataset.ids, dataset.efforts,
+                                            np.where(fell_back, eba, column), floor, int(fell_back.sum()))
     return tables, errors
 
 

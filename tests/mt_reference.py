@@ -34,7 +34,10 @@ def best_split_loop(X, y, min_leaf):
             sse = left_sse + right_sse
             if sse < best_sse:
                 best_sse = sse
-                best = (j, float((xs[cut - 1] + xs[cut]) / 2.0))
+                with np.errstate(over="ignore"):
+                    middle = (xs[cut - 1] + xs[cut]) / 2.0
+                # a midpoint outside [left, right) would send every row to one side
+                best = (j, float(middle if xs[cut - 1] <= middle < xs[cut] else xs[cut - 1]))
     return best
 
 

@@ -15,7 +15,6 @@ from ebae.ensemble import (
     EnsembleSpec,
     build_ensembles,
     ensemble_table,
-    evaluate_grid,
     filter_actual_predictors,
     pooled_transform,
     rank_candidates,
@@ -277,16 +276,19 @@ def test_ga_overflow_fails_to_fit_and_falls_back():
     assert report.summaries["GA2"].fallback_count == ds.n
 
 
-def test_evaluate_grid_names_undefined_effect_size():
+def test_run_pipeline_names_undefined_effect_size():
     # efforts ~1e155..2e156: the baseline's run-to-run spread overflows to inf
     efforts = 10 * np.arange(1, 21) * 1e154
     ds = make_dataset("huge", size_only_schema(), [(float(s),) for s in range(1, 21)], efforts)
     # one job keeps every fold in this process, where a warning fails the test
     cfg = Config(k_max=1, runs=200, ga_pop=10, ga_gens=5, nn_epochs=20, jobs=1)
-    base = baseline(efforts, 200, 1)
-    tables, summaries, errors = evaluate_grid(ds, cfg, base)
-    assert len(tables) == 8 and not summaries
-    assert set(errors.values()) == {"effect size undefined: baseline deviation overflows"}
+    report = run_pipeline(ds, cfg)
+    message = "effect size undefined: baseline deviation overflows"
+    assert len(report.tables) == 8 and not report.summaries
+    assert report.variant_errors == {f"{method}1": message for method in METHODS}
+    assert report.notes[:9] == [f"{method}1 not evaluated: {message}" for method in METHODS] + [
+        "fewer than 2 surviving variants: no clustering, no ensembles"]
+    assert report.sk_singles is None and report.best_cluster == [] and report.ensembles == []
 
 
 def test_pipeline_deterministic():

@@ -280,6 +280,24 @@ def test_best_split_skips_inf_and_nan_sse():
         assert best_split_loop(X, y, 2) is None
 
 
+@pytest.mark.parametrize("a, b", [
+    (np.nextafter(1.0, 0.0), 1.0),                                       # the midpoint rounds up to b
+    (np.nextafter(np.finfo(float).max, 0.0), np.finfo(float).max),       # the sum overflows to inf
+    (-np.finfo(float).max, np.nextafter(-np.finfo(float).max, 0.0)),     # ... and to -inf
+])
+def test_model_tree_threshold_splits_adjacent_and_huge_values(a, b):
+    # 4 rows at each value, efforts 0 and 10: the cut between them must put
+    # the 4 rows at a on the left, whatever the midpoint rounds to
+    X = np.array([[a]] * 4 + [[b]] * 4)
+    y = np.array([0.0] * 4 + [10.0] * 4)
+    config = Config(mt_min_leaf=2)
+    tree = fit_model_tree(X, y, config)
+    assert isinstance(tree.root, TreeNode) and tree.root.threshold == a
+    assert (tree.root.left.intercept, tree.root.right.intercept) == (0.0, 10.0)
+    assert [predict_model_tree(tree, x) for x in X] == y.tolist()
+    assert_same_tree(tree, fit_model_tree_loop(X, y, config))
+
+
 def tree_pairs(rng, n, kinds, integer_y):
     """Difference pairs (X, y) of n rows with one column per entry of
     ``kinds``. Rounded and binary columns tie within themselves, a copied
@@ -369,8 +387,13 @@ def test_network_zero_targets_give_near_zero_output():
 
 
 def test_network_needs_four_pairs():
-    with pytest.raises(FitError):
-        fit_one(*pairs_from([[1.0]] * 3, [1.0] * 3), Config(), seed=0)
+    # a short stack fails member by member, as the tree and GA stacks do
+    X, y = pairs_from([[1.0]] * 3, [1.0] * 3)
+    got = fit_networks(np.stack([X, X]), np.stack([y, y]), Config(), [[0, 1, 2], [3, 4, 5]])
+    assert [len(row) for row in got] == [3, 3]
+    assert len({id(member) for row in got for member in row}) == 6
+    for member in (member for row in got for member in row):
+        assert isinstance(member, FitError) and str(member) == "network needs at least 4 pairs, got 3"
 
 
 NET_FIELDS = ("w1", "b1", "w2", "b2", "x_mean", "x_std", "y_mean", "y_std")

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import ebae
 from ebae.stats import (
     TransformSpec,
+    _best_cut,
     _gammp,
     _normal_cdf,
     _significant,
@@ -268,6 +269,44 @@ def test_two_way_scale_free_at_extreme_magnitudes(factor):
     assert len(plain.clusters) == 3
     assert [c.members for c in result.clusters] == [c.members for c in plain.clusters]
     assert [c.means for c in result.clusters] == [tuple(m * factor for m in c.means) for c in plain.clusters]
+
+
+def best_cut_loop(means):
+    """The cut loop ``stats._best_cut`` replaced: a running left sum, and the
+    first cut whose B0 beats every earlier one."""
+    g = means.size
+    total = means.sum()
+    best_b0 = -np.inf
+    best_cut = 1
+    left = 0.0
+    for cut in range(1, g):
+        left += means[cut - 1]
+        right = total - left
+        b0 = left * left / cut + right * right / (g - cut) - total * total / g
+        if b0 > best_b0:
+            best_b0 = b0
+            best_cut = cut
+    return best_cut, best_b0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 12), st.sampled_from(["spread", "ties", "ulps"]))
+def test_best_cut_matches_loop_oracle(seed, g, kind):
+    # sorted means scaled into [0.5, 1) as ``_split`` sees them; tied and
+    # ulp-apart means tie B0 between cuts, where the first cut must win
+    rng = np.random.default_rng(seed)
+    if kind == "spread":
+        means = rng.uniform(-1.0, 1.0, size=g)
+    elif kind == "ties":
+        means = rng.choice([0.5, 0.625, 0.75], size=g)
+    else:
+        base = rng.uniform(0.5, 0.9)
+        means = base + np.spacing(base) * rng.integers(-2, 3, size=g)
+    means = np.ldexp(np.sort(means), -int(np.frexp(np.max(np.abs(means)))[1]))
+    cut, b0 = _best_cut(means)
+    want_cut, want_b0 = best_cut_loop(means)
+    assert cut == want_cut and type(cut) is int
+    assert b0 == want_b0
 
 
 def oracle_scott_knott(groups, alpha):

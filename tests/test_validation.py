@@ -537,19 +537,69 @@ def test_fold_neighbors_equal_knn_within_property(seed, kinds, all_tied, extreme
             assert np.array_equal(fold_neighbors(ds, t, k), analogy.knn_within(ds.without(t), k)), (t, k)
 
 
-def test_fold_falls_back_for_each_k_whose_model_is_an_error(albrecht):
+def test_fold_falls_back_for_each_k_whose_model_is_an_error(albrecht, monkeypatch):
     variants = [VariantId(method, k) for method in ("EBA", "MT", "GA") for k in range(1, 6)]
     fold = validation._Fold(albrecht, 0, variants, analogy.knn_within(albrecht, 6))
     alphas = {k: np.full(albrecht.m, 0.5 * k) for k in (2, 4)}
     fold.models["MT"] = FitError("no tree")
     fold.models["GA"] = {1: FitError("lost"), 2: alphas[2], 3: FitError("lost"), 4: alphas[4], 5: FitError("lost")}
-    outcomes = dict(zip((variant.label for variant in variants), fold.predict(variants)))
+    eba, mt, ga = fold.predict(["EBA", "MT", "GA"])
     for k in range(1, 6):
         nbh = retrieve(fold.target, fold.train, k)
-        plain = adjust_reference.adjust_eba(fold.target, nbh, fold.train)
-        assert outcomes[f"EBA{k}"] == (plain, False)
-        assert outcomes[f"MT{k}"] == (plain, True)
+        assert eba[k - 1] == adjust_reference.adjust_eba(fold.target, nbh, fold.train)
+        assert np.isnan(mt[k - 1])
         if k in alphas:
-            assert outcomes[f"GA{k}"] == (adjust_reference.adjust_ga(fold.target, nbh, fold.train, alphas[k]), False)
+            assert ga[k - 1] == adjust_reference.adjust_ga(fold.target, nbh, fold.train, alphas[k])
         else:
-            assert outcomes[f"GA{k}"] == (plain, True)
+            assert np.isnan(ga[k - 1])
+
+    # the same errors on every fold: ``loocv_grid`` puts EBA in each NaN's
+    # place and counts it as a fallback
+    fit_ga_weights = validation.fit_ga_weights
+
+    def lost(trains, neighbors, ks, config, seeds):
+        rows = fit_ga_weights(trains, neighbors, ks, config, seeds)
+        return [[FitError("lost") if k % 2 else fit for k, fit in zip(ks, row)] for row in rows]
+
+    kept = loocv_grid(albrecht, variants, SMALL)[0]
+    monkeypatch.setattr(validation, "fit_model_trees", lambda pairs, config: [FitError("no tree")] * len(pairs))
+    monkeypatch.setattr(validation, "fit_ga_weights", lost)
+    tables, _ = loocv_grid(albrecht, variants, SMALL)
+    for k in range(1, 6):
+        plain = tables[f"EBA{k}"].predictions
+        assert tables[f"EBA{k}"].fallback_count == 0
+        assert np.array_equal(tables[f"MT{k}"].predictions, plain)
+        assert tables[f"MT{k}"].fallback_count == albrecht.n
+        if k % 2:
+            assert np.array_equal(tables[f"GA{k}"].predictions, plain)
+            assert tables[f"GA{k}"].fallback_count == albrecht.n
+        else:
+            assert tables[f"GA{k}"] == kept[f"GA{k}"]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_chunk_returns_one_float_array(albrecht, monkeypatch, jobs):
+    # every chunk's predictions come back as (folds, methods, k_top), the
+    # methods in adjust.METHODS order with EBA first
+    variants = [VariantId(method, k) for method in ("NN", "LSE") for k in (1, 3)]
+    returned = []
+    map_chunks = validation._map_chunks
+
+    def recorded(chunk, bounds, jobs):
+        chunks = map_chunks(chunk, bounds, jobs)
+        returned.extend(zip(bounds, chunks))
+        return chunks
+
+    monkeypatch.setattr(validation, "_map_chunks", recorded)
+    tables, _ = loocv_grid(albrecht, variants, replace(SMALL, jobs=jobs))
+    assert [bounds for bounds, _ in returned] == ([(0, 24)] if jobs == 1 else [(0, 12), (12, 24)])
+    for (start, stop), predictions in returned:
+        assert type(predictions) is np.ndarray and predictions.dtype == np.float64
+        assert predictions.shape == (stop - start, 3, 3)
+    predictions = np.concatenate([chunk for _, chunk in returned])
+    methods = ["EBA", "LSE", "NN"]
+    for variant in variants:
+        # no NN or LSE prediction falls back on Albrecht
+        column = predictions[:, methods.index(variant.method), variant.k - 1]
+        assert np.array_equal(tables[variant.label].predictions, column)
+        assert tables[variant.label].fallback_count == 0
