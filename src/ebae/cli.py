@@ -1,10 +1,13 @@
 """Command-line front end: dataset description and pipeline runs, which write the report.
 
 Exit codes: 0 success, 1 evaluation failure, 2 dataset/schema problems.
-All outputs are deterministic functions of (input files, flags, seed). The
-report path (``--out``) must be absent or a directory: the report is built in
-a temporary directory beside it and renamed into place, and an existing file
-there is an error that leaves the file untouched.
+All outputs are deterministic functions of (input files, flags, seed) for
+one numpy build on one CPU kernel set: another BLAS kernel or SIMD dispatch
+can move the last bits of GA and NN values and Box-Cox outputs, and with
+them the report bytes. The report path (``--out``) must be absent or a
+directory: the report is built in a temporary directory beside it and renamed
+into place, and an existing file there is an error that leaves the file
+untouched.
 """
 
 from __future__ import annotations

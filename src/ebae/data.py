@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import copy
 import csv
+import io
 import logging
 from dataclasses import dataclass
 from pathlib import Path
@@ -183,11 +184,22 @@ def normalize_minmax(values, bounds, clamp=False):
     return scaled
 
 
+def _read_text(path):
+    """A file's UTF-8 text, byte-order mark dropped and line ends kept, or a
+    ``DatasetError`` that names the file."""
+    try:
+        return Path(path).read_bytes().decode("utf-8-sig")
+    except OSError as exc:
+        raise DatasetError(f"{path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise DatasetError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 def load_schema(path):
     """Parse a schema sidecar into ColumnSpecs (file order)."""
     specs = []
     seen = set()
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), start=1):
+    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -245,46 +257,44 @@ def load_dataset(data_path, schema_path, name=None):
     specs = load_schema(schema_path)
     by_name = {c.name: c for c in specs}
 
-    with data_path.open(encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DatasetError(f"{data_path}: empty file") from None
-        header = [h.strip() for h in header]
-        repeated = sorted({h for h in header if header.count(h) > 1})
-        if repeated:
-            raise DatasetError(f"{data_path}: duplicate header columns: {repeated}")
-        missing_in_schema = [h for h in header if h not in by_name]
-        if missing_in_schema:
-            raise DatasetError(f"{data_path}: columns not declared in schema: {missing_in_schema}")
-        missing_in_header = [c.name for c in specs if c.name not in header]
-        if missing_in_header:
-            raise DatasetError(f"{data_path}: schema columns absent from header: {missing_in_header}")
+    reader = csv.reader(io.StringIO(_read_text(data_path), newline=""))
+    try:
+        header = [h.strip() for h in next(reader)]
+    except StopIteration:
+        raise DatasetError(f"{data_path}: empty file") from None
+    repeated = sorted({h for h in header if header.count(h) > 1})
+    if repeated:
+        raise DatasetError(f"{data_path}: duplicate header columns: {repeated}")
+    missing_in_schema = [h for h in header if h not in by_name]
+    if missing_in_schema:
+        raise DatasetError(f"{data_path}: columns not declared in schema: {missing_in_schema}")
+    missing_in_header = [c.name for c in specs if c.name not in header]
+    if missing_in_header:
+        raise DatasetError(f"{data_path}: schema columns absent from header: {missing_in_header}")
 
-        columns = [by_name[h] for h in header]
-        id_pos = next((i for i, c in enumerate(columns) if c.role == "identifier"), None)
-        effort_pos = next(i for i, c in enumerate(columns) if c.role == "effort")
-        feature_pos = [i for i, c in enumerate(columns) if c.role == "feature"]
+    columns = [by_name[h] for h in header]
+    id_pos = next((i for i, c in enumerate(columns) if c.role == "identifier"), None)
+    effort_pos = next(i for i, c in enumerate(columns) if c.role == "effort")
+    feature_pos = [i for i, c in enumerate(columns) if c.role == "feature"]
 
-        ids, rows, efforts = [], [], []
-        dropped = 0
-        for rownum, row in enumerate(reader, start=1):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != len(columns):
-                raise DatasetError(f"{data_path}: row {rownum} has {len(row)} cells, expected {len(columns)}")
-            pid = row[id_pos].strip() if id_pos is not None else str(rownum)
-            cells = [_parse_cell(row[i], columns[i], pid) for i in feature_pos + [effort_pos]]
-            if any(v is None for v in cells):
-                dropped += 1
-                continue
-            effort = cells[-1]
-            if effort <= 0:
-                raise DatasetError(f"{data_path}: row {rownum}: non-positive effort {effort!r}")
-            ids.append(pid)
-            rows.append(tuple(cells[:-1]))
-            efforts.append(effort)
+    ids, rows, efforts = [], [], []
+    dropped = 0
+    for rownum, row in enumerate(reader, start=1):
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        if len(row) != len(columns):
+            raise DatasetError(f"{data_path}: row {rownum} has {len(row)} cells, expected {len(columns)}")
+        pid = row[id_pos].strip() if id_pos is not None else str(rownum)
+        cells = [_parse_cell(row[i], columns[i], pid) for i in feature_pos + [effort_pos]]
+        if any(v is None for v in cells):
+            dropped += 1
+            continue
+        effort = cells[-1]
+        if effort <= 0:
+            raise DatasetError(f"{data_path}: row {rownum}: non-positive effort {effort!r}")
+        ids.append(pid)
+        rows.append(tuple(cells[:-1]))
+        efforts.append(effort)
 
     if dropped:
         log.warning("%s: dropped %d row(s) with missing values", data_path, dropped)

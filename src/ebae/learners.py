@@ -501,39 +501,6 @@ def ga_fitness(residuals, D, alphas):
     return np.abs(errors, out=errors).mean(axis=-1)
 
 
-def ga_draws(rngs, fallback, ga_pop, n_children, n_uniforms):
-    """One generation's tournament contenders and uniforms for a stack of S
-    members, decoded from one block of raw words per member.
-
-    For each ``Generator(PCG64)`` in ``rngs`` these are the (2 * n_children,
-    3) integers that ``integers(0, ga_pop, (2 * n_children, 3))`` draws and
-    the ``n_uniforms`` floats that ``random`` then draws, and the generator
-    ends where those two calls leave it. ``fallback`` (S,) marks the members
-    that make the two calls themselves; a member whose block holds a
-    rejection rewinds it and joins them, in place. ``ga_pop`` is at most
-    2**32, the bound up to which numpy draws 32-bit integers. Returns
-    contenders (S, 2 * n_children, 3) and uniforms (S, n_uniforms).
-    """
-    width = 3 * n_children + n_uniforms
-    # little-endian words, so that their 32-bit view lists each word's low
-    # half before its high half on any host
-    words = np.zeros((len(rngs), width), dtype="<u8")
-    for s in np.flatnonzero(~fallback):
-        words[s] = rngs[s].bit_generator.random_raw(width)
-    scaled = np.multiply(words[:, :3 * n_children].view("<u4"), ga_pop, dtype=np.uint64)
-    # the cast to 32 bits keeps each product's low half
-    rejected = (scaled.astype(np.uint32) < (2**32 - ga_pop) % ga_pop).any(axis=1) & ~fallback
-    contenders = (scaled >> 32).astype(np.int64).reshape(len(rngs), 2 * n_children, 3)
-    uniforms = (words[:, 3 * n_children:] >> 11) * 2.0**-53
-    for s in np.flatnonzero(rejected):
-        rngs[s].bit_generator.advance(2**128 - width)
-    fallback |= rejected
-    for s in np.flatnonzero(fallback):
-        contenders[s] = rngs[s].integers(0, ga_pop, size=(2 * n_children, 3))
-        rngs[s].random(out=uniforms[s])
-    return contenders, uniforms
-
-
 def fit_ga_weights(trains, neighbors, ks, config, seeds):
     """Tournament GA with arithmetic crossover, Gaussian mutation, elitism 1,
     for a stack of F training sets times K members, all at once.
@@ -548,36 +515,25 @@ def fit_ga_weights(trains, neighbors, ks, config, seeds):
     member whose design cannot be built. No member depends on the others:
     each equals its lone fit.
 
-    Each member draws from its own ``Generator(PCG64(seed))``, which is what
-    ``default_rng(seed)`` builds: first its initial population, into which
-    the zero vector is planted, so its weights never score worse than no
-    correction at all. Each generation breeds its ``ga_pop - 1`` children at
-    once from the numbers of three draws, in this order:
+    Each member draws from its own ``default_rng(seed)``: first its initial
+    population, into which the zero vector is planted, so its weights never
+    score worse than no correction at all. Each generation breeds its
+    ``c = ga_pop - 1`` children at once from two draws:
 
-    - ``integers``: the tournament contenders, 3 per parent, first parents
-      then second parents, as one ``(2 * (ga_pop - 1), 3)`` array; the
-      fittest contender wins and ties go to the first listed;
-    - ``random``: the crossover mask and the blend weights, one per child
-      each, then the mutation mask, one per child and weight;
+    - ``random``: ``c * (8 + m)`` uniforms u in [0, 1). The first ``6 * c``
+      are the tournament contenders ``floor(u * ga_pop)``, 3 per parent,
+      first parents then second parents; the fittest contender wins and ties
+      go to the first listed. Then come the crossover mask and the blend
+      weights, one per child each, and the mutation mask, one per child and
+      weight;
     - ``standard_normal``: the Gaussian noise, one per child and weight,
       scaled by ``0.1 * ga_range``.
 
-    These are the numbers that one ``random`` call per mask and a
-    ``normal(0, 0.1 * ga_range)`` call would draw. Children are clipped to
-    ``[-ga_range, ga_range]`` and the elite is carried over unchanged.
-
-    ``ga_draws`` makes the first two from one ``random_raw`` block per
-    member, with the arithmetic numpy's ``Generator`` applies to PCG64's
-    words. The first ``3 * (ga_pop - 1)`` words give two contenders each:
-    Lemire's ``(u * ga_pop) >> 32`` of the word's low 32-bit half u, then of
-    its high half. Each remaining word w gives the uniform
-    ``(w >> 11) * 2**-53``. Lemire's rule rejects a half whose
-    ``(u * ga_pop) mod 2**32`` is below ``(2**32 - ga_pop) mod ga_pop``,
-    about once in 1e8 draws at ``ga_pop`` 50, and draws 32 more bits in its
-    place. A member whose block holds a rejection rewinds the block and
-    makes the ``integers`` and ``random`` calls for the rest of its fit: the
-    odd count of 32-bit draws leaves a half word in PCG64's buffer, which
-    its next ``integers`` call takes first.
+    These are the numbers that one ``random`` call per part and a
+    ``normal(0, 0.1 * ga_range)`` call would draw. As u < 1, a contender is
+    at most ``ga_pop - 1``, and each index's chance is within a few 2**-53
+    of ``1 / ga_pop``. Children are clipped to ``[-ga_range, ga_range]`` and
+    the elite is carried over unchanged.
     """
     outcomes = [[None] * len(ks) for _ in seeds]
     designs = []
@@ -594,7 +550,7 @@ def fit_ga_weights(trains, neighbors, ks, config, seeds):
     size, m = len(members), D.shape[-1]
     n_children = config.ga_pop - 1
     r = config.ga_range
-    rngs = [np.random.Generator(np.random.PCG64(seed)) for seed in member_seeds]
+    rngs = [np.random.default_rng(seed) for seed in member_seeds]
     pop = np.stack([rng.uniform(-r, r, size=(config.ga_pop, m)) for rng in rngs])
     pop[:, 0] = 0.0
     fitness = ga_fitness(residuals, D, pop)
@@ -604,15 +560,16 @@ def fit_ga_weights(trains, neighbors, ks, config, seeds):
     # ga_pop) fitness and population, each tournament's first contender
     offsets = np.arange(0, size * config.ga_pop, config.ga_pop)
     firsts = np.arange(0, size * 2 * n_children * 3, 3).reshape(size, 2 * n_children)
-    fallback = np.zeros(size, dtype=bool)
+    draws = np.empty((size, n_children * (8 + m)))
     noise = np.empty((size, n_children, m))
     for _ in range(config.ga_gens):
-        contenders, uniforms = ga_draws(rngs, fallback, config.ga_pop, n_children, n_children * (2 + m))
         for s, rng in enumerate(rngs):
+            rng.random(out=draws[s])
             rng.standard_normal(out=noise[s])
         noise *= sigma
-        cross, blend = uniforms[:, :n_children], uniforms[:, n_children:2 * n_children]
-        mutate = uniforms[:, 2 * n_children:].reshape(size, n_children, m)
+        picks, cross, blend, mutate = np.split(draws, [6 * n_children, 7 * n_children, 8 * n_children], axis=1)
+        contenders = (picks * config.ga_pop).astype(np.intp).reshape(size, 2 * n_children, 3)
+        mutate = mutate.reshape(size, n_children, m)
         entries = contenders + offsets[:, None, None]
         winners = entries.ravel().take(firsts + np.argmin(fitness.ravel().take(entries), axis=2))
         rows = pop.reshape(-1, m)

@@ -95,7 +95,7 @@ def fit_ga_one(train, neighbors, config, seed):
     n_children = config.ga_pop - 1
     parents = np.arange(2 * n_children)
     for _ in range(config.ga_gens):
-        contenders = rng.integers(0, config.ga_pop, size=(2 * n_children, 3))
+        contenders = np.floor(rng.random((2 * n_children, 3)) * config.ga_pop).astype(int)
         winners = contenders[parents, np.argmin(fitness[contenders], axis=1)]
         p1, p2 = pop[winners].reshape(2, n_children, m)
         cross = rng.random(n_children) < config.ga_cx

@@ -58,6 +58,19 @@ def test_describe_empty_file(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("unreadable", ["directory", "not_utf8"])
+@pytest.mark.parametrize("role", ["--data", "--schema"])
+def test_describe_unreadable_input_names_the_file(tmp_path, capsys, role, unreadable):
+    path = tmp_path / unreadable
+    if unreadable == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"size\xff\xfe,effort\n")
+    args = {"--data": str(DATASETS / "toy.csv"), "--schema": str(DATASETS / "toy.schema"), role: str(path)}
+    assert main(["describe", *(item for pair in args.items() for item in pair)]) == 2
+    assert f"error: {path}: " in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag", [["--runs", "200"], ["--seed", "1"], ["--set", "ga.pop=10"],
                                   ["--out", "rep"]])
 def test_describe_rejects_run_settings(flag, capsys):

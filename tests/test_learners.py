@@ -21,7 +21,6 @@ from ebae.learners import (
     fit_model_trees,
     fit_networks,
     ga_design,
-    ga_draws,
     ga_fitness,
     network_loss_and_grads,
     predict_model_tree,
@@ -764,6 +763,18 @@ def test_fit_ga_weights_matches_oracle_property(seed, pop, gens, cx, mut, folds,
         assert isinstance(got_row[before], FitError)
 
 
+@pytest.mark.parametrize("pop", [257, 1000])
+@pytest.mark.parametrize("folds", [1, 2, 3])
+def test_fit_ga_weights_matches_oracle_at_large_populations(albrecht_ga, pop, folds):
+    # contenders floor(u * ga_pop) over populations far above the default
+    _, trains, neighbors, seeds, _ = albrecht_ga
+    config = Config(ga_pop=pop, ga_gens=2)
+    got = fit_ga_weights(trains[:folds], neighbors[:folds], [1, 3], config, [row[:2] for row in seeds[:folds]])
+    for train, table, row, got_row in zip(trains, neighbors, seeds, got):
+        for k, s, weights in zip([1, 3], row, got_row):
+            assert_same_weights(weights, fit_ga_one(train, table[:, :k], config, s))
+
+
 def test_fit_ga_weights_failed_member_fails_alone():
     # six training projects: k = 5 needs seven, every smaller k fits
     ds = make_dataset("seven", size_only_schema(), [(s,) for s in (1, 2, 4, 7, 11, 16, 22)],
@@ -799,66 +810,3 @@ def test_ga_design_raises_on_non_finite_design():
     ds = ga_overflow_dataset([-1e308, 1e308, -1e308, 1e308, 0.0, 1.0])
     with pytest.raises(FitError, match="GA fitness overflows"):
         ga_design(ds, np.array([[1], [0], [3], [2], [5], [4]]), 5.0)
-
-
-def generator_draws(rngs, ga_pop, n_children, n_uniforms):
-    """The (contenders, uniforms) that ``ga_draws`` must equal: each
-    member's ``integers`` call, then its ``random`` call."""
-    contenders = [rng.integers(0, ga_pop, size=(2 * n_children, 3)) for rng in rngs]
-    uniforms = [rng.random(n_uniforms) for rng in rngs]
-    return np.stack(contenders), np.stack(uniforms)
-
-
-def stream_state(rng):
-    """Where a PCG64 generator's stream stands: the 128-bit state and the
-    buffered 32-bit half word, whose value matters only while it is held."""
-    state = rng.bit_generator.state
-    return state["state"], state["has_uint32"], state["uinteger"] if state["has_uint32"] else None
-
-
-def assert_draws_match(seeds, ga_pop, n_children, m, generations, advance=0):
-    """``ga_draws`` on a stack of ``Generator(PCG64(seed))`` members, each
-    advanced by ``advance`` words, equals their Generator calls for several
-    generations. Returns the final fallback mask."""
-    def members():
-        rngs = [np.random.Generator(np.random.PCG64(seed)) for seed in seeds]
-        for rng in rngs:
-            rng.bit_generator.advance(advance)
-        return rngs
-
-    got_rngs, want_rngs = members(), members()
-    fallback = np.zeros(len(seeds), dtype=bool)
-    for _ in range(generations):
-        contenders, uniforms = ga_draws(got_rngs, fallback, ga_pop, n_children, n_children * (2 + m))
-        want_contenders, want_uniforms = generator_draws(want_rngs, ga_pop, n_children, n_children * (2 + m))
-        assert contenders.dtype == want_contenders.dtype and np.array_equal(contenders, want_contenders)
-        assert np.array_equal(uniforms, want_uniforms)
-        assert [stream_state(rng) for rng in got_rngs] == [stream_state(rng) for rng in want_rngs]
-    return fallback
-
-
-@pytest.mark.parametrize("ga_pop", [2, 3, 50])
-def test_ga_draws_match_generator_calls(ga_pop):
-    # powers of two never reject; at 3 and 50 a rejection is about 1e-9 and 1e-8
-    fallback = assert_draws_match(range(200), ga_pop, ga_pop - 1, 3, generations=4)
-    assert not fallback.any()
-
-
-def test_ga_draws_match_generator_calls_with_rejections():
-    # at 3 * 2**30 Lemire's rule rejects a quarter of the draws: most members
-    # of the stack fall back in the first or the second generation, a few
-    # never do
-    fallback = assert_draws_match(range(300), 3 * 2**30, 1, 2, generations=2)
-    assert 0 < fallback.sum() < len(fallback)
-
-
-def test_ga_draws_rewind_a_block_with_a_rejected_half():
-    # raw word 158,905,137 of PCG64(0) has a high half that ga_pop 50 rejects
-    rng = np.random.Generator(np.random.PCG64(0))
-    rng.bit_generator.advance(158_905_137)
-    u32 = int(rng.bit_generator.random_raw()) >> 32
-    assert (u32 * 50) % 2**32 < (2**32 - 50) % 50
-    # the word lands in the contender part of a block, at its start, middle or end
-    for first in (0, 70, 3 * 49 - 1):
-        fallback = assert_draws_match([0], 50, 49, 7, generations=3, advance=158_905_137 - first)
-        assert fallback.all()
