@@ -301,14 +301,14 @@ def network_loss_and_grads(w1, b1, w2, b2, X, y):
 
 def _stack_loss_and_grads(w1, b1, w2, b2, X, y):
     """``network_loss_and_grads`` of a stack of networks, each set's K hidden
-    layers side by side: w1 (..., K·h, m), b1 and w2 (..., 1, K·h), b2
-    (..., K), X (..., n, m) and y (..., 1, n). Leading axes broadcast. Returns
-    the loss (..., K) and the gradients of w1 (..., K·h, m), b1 (..., K·h), w2
-    (..., K, h) and b2 (..., K).
+    layers side by side: w1 (F, K·h, m), b1 and w2 (F, 1, K·h), b2 (F, K),
+    X (F, n, m) and y (F, 1, n), or each without its F axis for one set.
+    Returns the loss (F, K) and the gradients of w1 (F, K·h, m), b1 (F, K·h),
+    w2 (F, K, h) and b2 (F, K).
 
-    The element-wise work runs on (..., n, K·h) arrays, and ``hidden`` is one
+    The element-wise work runs on (F, n, K·h) arrays, and ``hidden`` is one
     matmul per set. The output layer and its gradient, which are matrix-vector
-    products, go through the (..., K, n, h) view of the hidden layer.
+    products, go through the (F, K, n, h) view of the hidden layer.
     """
     # in place where an operand is a fresh temporary, in the same order of
     # operations as the out-of-place expressions, so every value is the same
@@ -353,21 +353,18 @@ def _standardize(X, y):
     return (X - x_mean) / x_std, (y - y_mean) / y_std, scales
 
 
-# ``fit_networks`` lays each set's K hidden layers side by side, in rows of
-# K·h units, from this many hidden units on and with at least two features;
-# otherwise each member is a set of one, in rows of h. Only within this rule
-# does the side-by-side layout equal a lone fit bit for bit. Its ``g_w2`` is
-# an (h, n) @ (n,) product that reads each member's hidden layer with a row
-# stride of K·h, where a lone fit reads rows of h, and numpy's OpenBLAS dgemv
-# rounds such a product differently for the two strides when h <= 3. At
-# h = 1, ``hidden`` itself is a matrix product side by side and a
-# matrix-vector product alone. With one feature, ``g_w1`` is a
-# (K·h, n) @ (n, 1) dgemv, which splits K·h rows into blocks of 4 unlike h
-# rows when 4 does not divide h. Of 325 random shapes (F 1-3, K 2-5,
-# n 4-119, m 1-16, h 1-8), the side-by-side layout differed from lone fits
-# on all 121 with h <= 3, on 5 of 8 with h >= 4 and m = 1, and on none of
-# 196 with h >= 4 and m >= 2.
-WIDE_MIN_HIDDEN = 4
+# ``fit_networks`` pads each hidden layer with zero units to a multiple of
+# this many, so that OpenBLAS sums a member's rows alike side by side and
+# alone: under its SkylakeX, Haswell, Sandybridge and Katmai kernels, padded
+# stacks equal lone fits bit for bit, and unpadded ones did not at h = 5-7.
+# Not so under Nehalem, the kernel for x86 CPUs without AVX (Atom, Barcelona
+# and Bobcat map to it): there stacks of h = 1-4 differ in the last bits.
+HIDDEN_BLOCK = 4
+
+
+def padded_hidden(h):
+    """h rounded up to a whole number of ``HIDDEN_BLOCK`` units."""
+    return -(-h // HIDDEN_BLOCK) * HIDDEN_BLOCK
 
 
 def fit_networks(X, y, config, seeds):
@@ -382,12 +379,10 @@ def fit_networks(X, y, config, seeds):
     member depends on the others: each equals the network its set and seed
     train alone.
 
-    Each epoch is one ``_stack_loss_and_grads`` call, on one of two layouts
-    of the same weight memory (see ``WIDE_MIN_HIDDEN``). Side by side, each
-    set's K hidden layers form one: ``w1`` (F, K·h, m), ``b1`` and ``w2``
-    (F, 1, K·h), and the element-wise loops run over K·h hidden units at a
-    time. One by one, each member is a set of its own: ``w1`` (F, K, h, m),
-    ``b1`` and ``w2`` (F, K, 1, h), with ``X`` broadcast across the K axis.
+    Each epoch is one ``_stack_loss_and_grads`` call on each set's K hidden
+    layers side by side, zero-padded to p = ``padded_hidden(h)`` units each:
+    ``w1`` (F, K·p, m), ``b1`` and ``w2`` (F, 1, K·p). Every gradient of a
+    padding unit has a zero factor, so it stays zero; members return h units.
     """
     if y.shape[-1] < 4:
         return [[FitError(f"network needs at least 4 pairs, got {y.shape[-1]}") for _ in row] for row in seeds]
@@ -396,39 +391,35 @@ def fit_networks(X, y, config, seeds):
     ys = np.stack(ys)[:, None]
     F, K = len(seeds), len(seeds[0])
     m, h = X.shape[-1], config.nn_hidden
-    w1 = np.empty((F, K * h, m))
-    b1 = np.zeros((F, 1, K * h))
-    w2 = np.empty((F, 1, K * h))
+    p = padded_hidden(h)
+    w1 = np.zeros((F, K * p, m))
+    b1 = np.zeros((F, 1, K * p))
+    w2 = np.zeros((F, 1, K * p))
     b2 = np.zeros((F, K))
     # the same weights, indexed by member
-    members = (w1.reshape(F, K, h, m), b1.reshape(F, K, h), w2.reshape(F, K, h), b2)
+    members = (w1.reshape(F, K, p, m), b1.reshape(F, K, p), w2.reshape(F, K, p), b2)
     for f, row in enumerate(seeds):
         for j, seed in enumerate(row):
             rng = np.random.default_rng(seed)
-            members[0][f, j] = rng.standard_normal((h, m)) / np.sqrt(m)
+            members[0][f, j, :h] = rng.standard_normal((h, m)) / np.sqrt(m)
             # small output init keeps the untrained net near zero output; the
             # hidden layer already breaks symmetry
-            members[2][f, j] = 0.1 * rng.standard_normal(h) / np.sqrt(h)
-    if h >= WIDE_MIN_HIDDEN and m >= 2:
-        layout = (w1, b1, w2, b2, Xs, ys)
-    else:
-        layout = (members[0], b1.reshape(F, K, 1, h), w2.reshape(F, K, 1, h), b2[..., None],
-                  Xs[:, None], ys[:, None])
+            members[2][f, j, :h] = 0.1 * rng.standard_normal(h) / np.sqrt(h)
     diverged = np.zeros((F, K), dtype=bool)
     lr = config.nn_lr
     for _ in range(config.nn_epochs):
-        loss, grads = _stack_loss_and_grads(*layout)
+        loss, grads = _stack_loss_and_grads(w1, b1, w2, b2, Xs, ys)
         for weights, grad in zip(members, grads):
             grad *= lr
             weights -= grad.reshape(weights.shape)
-        bad = ~np.isfinite(loss.reshape(F, K))
+        bad = ~np.isfinite(loss)
         if bad.any():
             # a diverged member goes on from zero weights, which keep its
             # values finite; it fails whatever follows
             diverged |= bad
             for weights in members:
                 weights[bad] = 0.0
-    w1, b1, w2, b2 = members
+    w1, b1, w2 = (weights[:, :, :h] for weights in members[:3])
     return [
         [
             FitError("network training diverged (non-finite loss)") if diverged[f, j]

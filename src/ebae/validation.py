@@ -45,10 +45,9 @@ lone fit. It grows the model trees of all its folds in one
 from ``(config.seed, fold index, variant label)``, the seed a lone
 variant's run uses. The chunk trains all its GA members, every fold times
 every GA variant, in one ``fit_ga_weights`` call, and all its networks in
-one ``fit_networks`` call, which lays each fold's NN variants side by side
-in one hidden layer where that keeps a lone fit's bits, and one by one
-elsewhere (``learners.WIDE_MIN_HIDDEN``). So results are identical for any
-set of variants, any chunking and any number of jobs.
+one ``fit_networks`` call, each fold's NN variants side by side in one
+hidden layer. So results are identical for any set of variants, any
+chunking and any number of jobs.
 
 A chunk returns one float array of shape (folds, methods, k_top): the
 predictions of every method it runs, in ``adjust.METHODS`` order with EBA
@@ -66,13 +65,13 @@ import numpy as np
 
 from . import adjust, analogy
 from .analogy import retrieve
-from .learners import FitError, build_diff_pairs, fit_ga_weights, fit_model_trees, fit_networks
+from .learners import FitError, build_diff_pairs, fit_ga_weights, fit_model_trees, fit_networks, padded_hidden
 from .metrics import baseline, build_table, log_floor, summarize
 
 # Floats in the largest array of one chunk's network stack, either
-# (folds, n - 1, NN variants * nn_hidden) or (folds, n - 1, m): a chunk holds
-# as many folds as keep it near this size (256 KB), which is 3 folds at
-# n = 499, 16 at n = 100 and all of Albrecht. Larger stacks trained no
+# (folds, n - 1, NN variants * padded_hidden(nn_hidden)) or (folds, n - 1, m):
+# a chunk holds as many folds as keep it near this size (256 KB), which is 3
+# folds at n = 499, 16 at n = 100 and all of Albrecht. Larger stacks trained no
 # faster per network and held more memory for the chunk. The chunk count is
 # then rounded up to a multiple of ``config.jobs``, so the forked workers get
 # equal shares: 8 chunks of 12-13 folds at n = 100 and 2 jobs. The GA members
@@ -242,7 +241,7 @@ def loocv_grid(dataset, variants, config):
     trees = any(variant.method == "MT" for variant in runnable)
     genetic = [variant for variant in runnable if variant.method == "GA"]
     networks = [variant for variant in runnable if variant.method == "NN"]
-    width = max(dataset.m, len(networks) * config.nn_hidden)
+    width = max(dataset.m, len(networks) * padded_hidden(config.nn_hidden))
     starts = _chunk_starts(dataset.n, max(1, STACK_FLOATS // ((dataset.n - 1) * width)), config.jobs)
 
     k_top = max(variant.k for variant in runnable)

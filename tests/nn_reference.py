@@ -3,11 +3,13 @@
 
 ``fit_network`` is the per-member gradient-descent loop on 2-D arrays, with
 its own loss and gradients; every member of a stack must equal it exactly.
+Like the stack, it trains the hidden layer padded with zero units to
+``padded_hidden(h)`` and returns the first h.
 """
 
 import numpy as np
 
-from ebae.learners import FeedForwardNet, FitError
+from ebae.learners import FeedForwardNet, FitError, padded_hidden
 
 
 def network_loss_and_grads_2d(w1, b1, w2, b2, X, y):
@@ -42,9 +44,12 @@ def fit_network(X, y, config, seed):
     rng = np.random.default_rng(seed)
     m = X.shape[1]
     h = config.nn_hidden
-    w1 = rng.standard_normal((h, m)) / np.sqrt(m)
-    b1 = np.zeros(h)
-    w2 = 0.1 * rng.standard_normal(h) / np.sqrt(h)
+    p = padded_hidden(h)
+    w1 = np.zeros((p, m))
+    w1[:h] = rng.standard_normal((h, m)) / np.sqrt(m)
+    b1 = np.zeros(p)
+    w2 = np.zeros(p)
+    w2[:h] = 0.1 * rng.standard_normal(h) / np.sqrt(h)
     b2 = 0.0
     lr = config.nn_lr
     for _ in range(config.nn_epochs):
@@ -55,5 +60,5 @@ def fit_network(X, y, config, seed):
         b1 = b1 - lr * g_b1
         w2 = w2 - lr * g_w2
         b2 = b2 - lr * g_b2
-    return FeedForwardNet(w1=w1, b1=b1, w2=w2, b2=b2,
+    return FeedForwardNet(w1=w1[:h], b1=b1[:h], w2=w2[:h], b2=b2,
                           x_mean=x_mean, x_std=x_std, y_mean=y_mean, y_std=y_std)

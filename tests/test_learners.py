@@ -1,8 +1,17 @@
+import ctypes
+import json
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ebae
 from ebae import learners
 from ebae.adjust import VariantId
 from ebae.analogy import knn_within
@@ -455,34 +464,97 @@ def test_fit_networks_matches_oracle_property(seed, n, m, hidden, folds, members
     assert all(np.array_equal(g, w) for g, w in zip(grads, want_grads))
 
 
-# two folds of the benchmark workloads' chunks: Albrecht (n - 1 = 23, m = 7),
-# mixed_screen (79, 16) and china_screen (99, 16), each side of
-# WIDE_MIN_HIDDEN, a size-only dataset (m = 1) and no hidden units, which
-# train one by one
-@pytest.mark.parametrize("n, m, hidden, wide", [(23, 7, 4, True), (79, 16, 4, True), (99, 16, 4, True),
-                                                (23, 7, 3, False), (99, 16, 3, False), (99, 16, 5, True),
-                                                (23, 1, 4, False), (23, 7, 0, False)])
-def test_fit_networks_matches_oracle_at_pipeline_shapes(monkeypatch, n, m, hidden, wide):
-    layouts = []
-    kernel = learners._stack_loss_and_grads
-
-    def counted(w1, b1, w2, b2, X, y):
-        layouts.append(b2.shape)
-        return kernel(w1, b1, w2, b2, X, y)
-
-    monkeypatch.setattr(learners, "_stack_loss_and_grads", counted)
+def stack_and_lone_fits(n, m, hidden):
+    """Two sets of n random pairs of m features, and for each five networks
+    of ``hidden`` units trained for 5 epochs: their stack, then their lone
+    fits, each as 2 rows of 5."""
     rng = np.random.default_rng(n * m + hidden)
     X = rng.normal(size=(2, n, m)) * rng.uniform(0.1, 10.0, size=m)
     y = rng.normal(size=(2, n))
     config = Config(nn_hidden=hidden, nn_epochs=5, nn_lr=0.05)
     seeds = rng.integers(0, 2**63, size=(2, 5)).tolist()
-    got = fit_networks(X, y, config, seeds)
-    for f in range(2):
-        for j in range(5):
-            assert_same_network(got[f][j], fit_network(X[f], y[f], config, seeds[f][j]))
-    # one kernel call per epoch: side by side, b2 is (sets, members); one by
-    # one, every member is a set of one
-    assert layouts == [(2, 5) if wide else (2, 5, 1)] * config.nn_epochs
+    want = [[fit_network(X[f], y[f], config, seed) for seed in row] for f, row in enumerate(seeds)]
+    return fit_networks(X, y, config, seeds), want
+
+
+# two folds of the benchmark workloads' chunks: Albrecht (n - 1 = 23, m = 7),
+# mixed_screen (79, 16) and china_screen (99, 16), hidden layers that are
+# padded to blocks of 4, a size-only dataset (m = 1) and no hidden units
+@pytest.mark.parametrize("n, m, hidden", [(23, 7, 4), (79, 16, 4), (99, 16, 4), (23, 7, 3), (99, 16, 3),
+                                          (99, 16, 5), (23, 7, 1), (23, 1, 4), (23, 1, 3), (23, 7, 0)])
+def test_fit_networks_matches_oracle_at_pipeline_shapes(monkeypatch, n, m, hidden):
+    layouts = []
+    kernel = learners._stack_loss_and_grads
+
+    def counted(w1, b1, w2, b2, X, y):
+        layouts.append((w1.shape, b2.shape))
+        return kernel(w1, b1, w2, b2, X, y)
+
+    monkeypatch.setattr(learners, "_stack_loss_and_grads", counted)
+    got, want = stack_and_lone_fits(n, m, hidden)
+    for got_row, want_row in zip(got, want):
+        for net, lone in zip(got_row, want_row):
+            assert_same_network(net, lone)
+    # one kernel call per epoch, with each set's five members side by side
+    # in hidden layers of whole blocks of 4
+    padded = -(-hidden // 4) * 4
+    assert layouts == [((2, 5 * padded, m), (2, 5))] * 5
+
+
+def openblas_core():
+    """The core type whose kernels numpy's bundled OpenBLAS runs, or None
+    where that library or its ``scipy_openblas_get_corename64_`` is absent."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas64_*.so")):
+        corename = getattr(ctypes.CDLL(str(path)), "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.restype = ctypes.c_char_p
+            return corename().decode()
+    return None
+
+
+# shapes at which an unpadded stack differed from its lone fits under the
+# Haswell or the Katmai kernel
+KERNEL_SHAPES = [(99, 16, 5), (99, 16, 7), (23, 7, 3), (23, 7, 1), (23, 1, 4)]
+
+
+def kernel_mismatches():
+    """(n, m, hidden, set, member) of each member of a ``KERNEL_SHAPES``
+    stack that differs from its lone fit in any field."""
+    mismatches = []
+    for n, m, hidden in KERNEL_SHAPES:
+        got, want = stack_and_lone_fits(n, m, hidden)
+        for f, (got_row, want_row) in enumerate(zip(got, want)):
+            for j, (net, lone) in enumerate(zip(got_row, want_row)):
+                if not all(np.array_equal(getattr(net, field), getattr(lone, field)) for field in NET_FIELDS):
+                    mismatches.append([n, m, hidden, f, j])
+    return mismatches
+
+
+@pytest.mark.parametrize("core, names", [("Haswell", ["Haswell"]), ("Prescott", ["Prescott", "Katmai"])],
+                         ids=["Haswell", "Prescott"])
+def test_fit_networks_matches_oracle_under_other_blas_kernels(core, names):
+    # numpy's OpenBLAS picks its kernels for the CPU it runs on; a process
+    # given OPENBLAS_CORETYPE runs another CPU's kernels, and its stacks must
+    # still equal their lone fits
+    if platform.machine() not in ("x86_64", "AMD64") or openblas_core() is None:
+        pytest.skip("needs numpy's bundled x86-64 OpenBLAS")
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:
+        from numpy.core._multiarray_umath import __cpu_features__
+    if core == "Haswell" and not (__cpu_features__.get("AVX2") and __cpu_features__.get("FMA3")):
+        pytest.skip("the Haswell kernels need AVX2 and FMA3")
+    paths = [Path(ebae.__file__).resolve().parents[1], Path(__file__).resolve().parents[1]]
+    env = {**os.environ, "OPENBLAS_CORETYPE": core,
+           "PYTHONPATH": os.pathsep.join(filter(None, [*map(str, paths), os.environ.get("PYTHONPATH")]))}
+    code = ("import json\n"
+            "from tests.test_learners import kernel_mismatches, openblas_core\n"
+            "print(json.dumps([openblas_core(), kernel_mismatches()]))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    name, mismatches = json.loads(out.stdout)
+    assert name in names
+    assert mismatches == []
 
 
 def test_fit_networks_diverged_members_fail_alone():

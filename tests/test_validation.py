@@ -14,7 +14,7 @@ from ebae.analogy import retrieve
 from ebae.config import Config
 from ebae.data import ColumnSpec, Dataset
 from ebae.ensemble import run_pipeline
-from ebae.learners import WIDE_MIN_HIDDEN, FitError
+from ebae.learners import FitError
 from ebae.validation import dataset_baseline, derive_seed, evaluate_variant, loocv, loocv_grid
 
 from . import adjust_reference
@@ -210,8 +210,7 @@ def depth(node):
 
 @pytest.mark.parametrize("hidden", [3, 1])
 def test_loocv_grid_matches_reference_narrow_networks(albrecht, hidden):
-    # below WIDE_MIN_HIDDEN a chunk's networks train one by one
-    assert hidden < WIDE_MIN_HIDDEN
+    # a chunk pads each network's hidden layer to 4 units
     tables, _ = assert_grid_matches_reference(albrecht, replace(SMALL, nn_hidden=hidden),
                                               [v for v in GRID if v.method == "NN"])
     assert len(tables) == 5
