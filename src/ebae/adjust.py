@@ -195,25 +195,20 @@ def mt(target, nbh, train, tree):
     return _prefix_means(train.efforts[nbh.indices] + corrections, len(nbh.indices))
 
 
-def _corrected(target, nbh, train, models, correct):
-    """For each k of ``models``, the mean of the first k analogy efforts plus
-    ``correct(model, diffs)`` of their difference rows; NaN for any other k."""
+def ga(target, nbh, train, alphas):
+    """Analogy efforts corrected by a learned linear form of feature
+    differences; ``alphas`` maps k to the weights learned for k, and every
+    other k is NaN."""
     diffs = _target_diffs(target, nbh, train)
     efforts = train.efforts[nbh.indices]
     predictions = np.full(len(efforts), np.nan)
-    for k, model in models.items():
-        predictions[k - 1] = _mean(efforts[:k] + correct(model, diffs[:k]))
+    for k, alpha in alphas.items():
+        predictions[k - 1] = _mean(efforts[:k] + diffs[:k] @ np.asarray(alpha, dtype=float))
     return predictions
 
 
-def ga(target, nbh, train, alphas):
-    """Analogy efforts corrected by a learned linear form of feature
-    differences; ``alphas`` maps k to the weights learned for k."""
-    return _corrected(target, nbh, train, alphas, lambda alpha, diffs: diffs @ np.asarray(alpha, dtype=float))
-
-
-def nn(target, nbh, train, nets):
+def nn(target, nbh, train, net):
     """Analogy efforts corrected by a trained network over feature
-    differences; ``nets`` maps k to the network trained for k."""
-    return _corrected(target, nbh, train, nets,
-                      lambda net, diffs: np.array([predict_network(net, d) for d in diffs]))
+    differences."""
+    corrections = np.array([predict_network(net, d) for d in _target_diffs(target, nbh, train)])
+    return _prefix_means(train.efforts[nbh.indices] + corrections, len(nbh.indices))

@@ -288,48 +288,29 @@ class FeedForwardNet:
 
 def network_loss_and_grads(w1, b1, w2, b2, X, y):
     """MSE loss and its analytic gradients for one 1-hidden-layer network:
-    w1 (h, m), b1 and w2 (h,), b2 a scalar, X (n, m) and y (n,). Returns the
-    loss and the gradients of w1, b1, w2 and b2, in their shapes.
-
-    This is ``_stack_loss_and_grads`` on a stack of one member, the kernel
-    that ``fit_networks`` trains with.
-    """
-    loss, (g_w1, g_b1, g_w2, g_b2) = _stack_loss_and_grads(
-        w1, b1[None], w2[None], np.reshape(b2, 1), X, y[None])
-    return loss[0], (g_w1, g_b1, g_w2[0], g_b2[0])
-
-
-def _stack_loss_and_grads(w1, b1, w2, b2, X, y):
-    """``network_loss_and_grads`` of a stack of networks, each set's K hidden
-    layers side by side: w1 (F, K·h, m), b1 and w2 (F, 1, K·h), b2 (F, K),
-    X (F, n, m) and y (F, 1, n), or each without its F axis for one set.
-    Returns the loss (F, K) and the gradients of w1 (F, K·h, m), b1 (F, K·h),
-    w2 (F, K, h) and b2 (F, K).
-
-    The element-wise work runs on (F, n, K·h) arrays, and ``hidden`` is one
-    matmul per set. The output layer and its gradient, which are matrix-vector
-    products, go through the (F, K, n, h) view of the hidden layer.
+    w1 (h, m), b1 and w2 (h,), b2 a scalar, X (n, m) and y (n,); or for a
+    stack of F networks, each trained on its own set, with a leading F axis
+    on every argument. Returns the loss and the gradients of w1, b1, w2 and
+    b2, in their shapes.
     """
     # in place where an operand is a fresh temporary, in the same order of
     # operations as the out-of-place expressions, so every value is the same
-    *lead, K = b2.shape
-    n, h = X.shape[-2], w1.shape[-2] // K
+    n = X.shape[-2]
     hidden = X @ np.swapaxes(w1, -1, -2)
-    hidden += b1
+    hidden += b1[..., None, :]
     np.tanh(hidden, out=hidden)
-    members = np.swapaxes(hidden.reshape(*lead, n, K, h), -2, -3)
-    pred = (members @ w2.reshape(*lead, K, h, 1))[..., 0] + b2[..., None]
-    err = pred - y
+    pred = (hidden @ w2[..., None])[..., 0]
+    pred += np.expand_dims(b2, -1)
+    err = np.subtract(pred, y, out=pred)
     loss = np.mean(err**2, axis=-1)
-    d_pred = 2.0 * err
+    d_pred = np.multiply(2.0, err, out=err)
     d_pred /= n
-    g_w2 = (np.swapaxes(members, -1, -2) @ d_pred[..., None])[..., 0]
+    g_w2 = (np.swapaxes(hidden, -1, -2) @ d_pred[..., None])[..., 0]
     g_b2 = np.sum(d_pred, axis=-1)
     # the hidden layer is spent: its memory takes tanh's slope
     slope = np.multiply(hidden, hidden, out=hidden)
     np.subtract(1.0, slope, out=slope)
-    d_hidden = np.repeat(np.swapaxes(d_pred, -1, -2), h, axis=-1)
-    d_hidden *= w2
+    d_hidden = d_pred[..., None] * w2[..., None, :]
     d_hidden *= slope
     g_w1 = np.swapaxes(d_hidden, -1, -2) @ X
     g_b1 = d_hidden.sum(axis=-2)
@@ -354,11 +335,10 @@ def _standardize(X, y):
 
 
 # ``fit_networks`` pads each hidden layer with zero units to a multiple of
-# this many, so that OpenBLAS sums a member's rows alike side by side and
-# alone: under its SkylakeX, Haswell, Sandybridge and Katmai kernels, padded
-# stacks equal lone fits bit for bit, and unpadded ones did not at h = 5-7.
-# Not so under Nehalem, the kernel for x86 CPUs without AVX (Atom, Barcelona
-# and Bobcat map to it): there stacks of h = 1-4 differ in the last bits.
+# this many, so that OpenBLAS sums a network's rows alike in a stack and
+# alone: under its SkylakeX, Haswell, Sandybridge, Katmai and Nehalem
+# kernels, padded stacks equal lone fits bit for bit. Katmai needs the
+# padding; unpadded stacks differed from lone fits there now and then.
 HIDDEN_BLOCK = 4
 
 
@@ -371,61 +351,49 @@ def fit_networks(X, y, config, seeds):
     """Train a stack of networks by full-batch gradient descent, all at once.
 
     ``X`` is (F, n, m) and ``y`` (F, n): F training sets of n difference
-    pairs, each standardised on its own. ``seeds`` holds F rows of K seeds,
-    one network per seed trained on its row's set; each draws ``w1`` then
-    ``w2`` from its own ``default_rng(seed)``. Returns F rows of K members:
-    a ``FeedForwardNet``, or a ``FitError`` for a member whose loss was ever
-    non-finite, and for every member when a set has fewer than 4 pairs. No
-    member depends on the others: each equals the network its set and seed
-    train alone.
+    pairs, each standardised on its own. ``seeds`` holds F seeds, one
+    network per set; each draws ``w1`` then ``w2`` from its own
+    ``default_rng(seed)``. Returns F outcomes: a ``FeedForwardNet``, or a
+    ``FitError`` for a network whose loss was ever non-finite, and for every
+    network when the sets have fewer than 4 pairs. No network depends on the
+    others: each equals the network its set and seed train alone.
 
-    Each epoch is one ``_stack_loss_and_grads`` call on each set's K hidden
-    layers side by side, zero-padded to p = ``padded_hidden(h)`` units each:
-    ``w1`` (F, K·p, m), ``b1`` and ``w2`` (F, 1, K·p). Every gradient of a
-    padding unit has a zero factor, so it stays zero; members return h units.
+    Each epoch is one ``network_loss_and_grads`` call on the stack, each
+    hidden layer zero-padded to p = ``padded_hidden(h)`` units: ``w1``
+    (F, p, m), ``b1`` and ``w2`` (F, p), ``b2`` (F,). Every gradient of a
+    padding unit has a zero factor, so it stays zero; networks return h
+    units.
     """
     if y.shape[-1] < 4:
-        return [[FitError(f"network needs at least 4 pairs, got {y.shape[-1]}") for _ in row] for row in seeds]
+        return [FitError(f"network needs at least 4 pairs, got {y.shape[-1]}") for _ in seeds]
     Xs, ys, scales = zip(*(_standardize(Xf, yf) for Xf, yf in zip(X, y)))
-    Xs = np.stack(Xs)
-    ys = np.stack(ys)[:, None]
-    F, K = len(seeds), len(seeds[0])
-    m, h = X.shape[-1], config.nn_hidden
+    Xs, ys = np.stack(Xs), np.stack(ys)
+    F, m, h = len(seeds), X.shape[-1], config.nn_hidden
     p = padded_hidden(h)
-    w1 = np.zeros((F, K * p, m))
-    b1 = np.zeros((F, 1, K * p))
-    w2 = np.zeros((F, 1, K * p))
-    b2 = np.zeros((F, K))
-    # the same weights, indexed by member
-    members = (w1.reshape(F, K, p, m), b1.reshape(F, K, p), w2.reshape(F, K, p), b2)
-    for f, row in enumerate(seeds):
-        for j, seed in enumerate(row):
-            rng = np.random.default_rng(seed)
-            members[0][f, j, :h] = rng.standard_normal((h, m)) / np.sqrt(m)
-            # small output init keeps the untrained net near zero output; the
-            # hidden layer already breaks symmetry
-            members[2][f, j, :h] = 0.1 * rng.standard_normal(h) / np.sqrt(h)
-    diverged = np.zeros((F, K), dtype=bool)
+    w1, b1, w2, b2 = weights = np.zeros((F, p, m)), np.zeros((F, p)), np.zeros((F, p)), np.zeros(F)
+    for f, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        w1[f, :h] = rng.standard_normal((h, m)) / np.sqrt(m)
+        # small output init keeps the untrained net near zero output; the
+        # hidden layer already breaks symmetry
+        w2[f, :h] = 0.1 * rng.standard_normal(h) / np.sqrt(h)
+    diverged = np.zeros(F, dtype=bool)
     lr = config.nn_lr
     for _ in range(config.nn_epochs):
-        loss, grads = _stack_loss_and_grads(w1, b1, w2, b2, Xs, ys)
-        for weights, grad in zip(members, grads):
+        loss, grads = network_loss_and_grads(*weights, Xs, ys)
+        for weight, grad in zip(weights, grads):
             grad *= lr
-            weights -= grad.reshape(weights.shape)
+            weight -= grad
         bad = ~np.isfinite(loss)
         if bad.any():
-            # a diverged member goes on from zero weights, which keep its
+            # a diverged network goes on from zero weights, which keep its
             # values finite; it fails whatever follows
             diverged |= bad
-            for weights in members:
-                weights[bad] = 0.0
-    w1, b1, w2 = (weights[:, :, :h] for weights in members[:3])
+            for weight in weights:
+                weight[bad] = 0.0
     return [
-        [
-            FitError("network training diverged (non-finite loss)") if diverged[f, j]
-            else FeedForwardNet(w1=w1[f, j], b1=b1[f, j], w2=w2[f, j], b2=float(b2[f, j]), **scales[f])
-            for j in range(K)
-        ]
+        FitError("network training diverged (non-finite loss)") if diverged[f]
+        else FeedForwardNet(w1=w1[f, :h], b1=b1[f, :h], w2=w2[f, :h], b2=float(b2[f]), **scales[f])
         for f in range(F)
     ]
 
@@ -516,9 +484,10 @@ def fit_ga_weights(trains, neighbors, ks, config, seeds):
       first parents then second parents; the fittest contender wins and ties
       go to the first listed. Then come the crossover mask and the blend
       weights, one per child each, and the mutation mask, one per child and
-      weight;
-    - ``standard_normal``: the Gaussian noise, one per child and weight,
-      scaled by ``0.1 * ga_range``.
+      weight: a weight mutates where its u < ``ga_mut``;
+    - ``standard_normal``: the Gaussian noise, one per weight that mutates,
+      in (child, weight) order, scaled by ``0.1 * ga_range``. At ``ga_mut``
+      0 it draws none, and at 1 one per child and weight.
 
     These are the numbers that one ``random`` call per part and a
     ``normal(0, 0.1 * ga_range)`` call would draw. As u < 1, a contender is
@@ -552,15 +521,16 @@ def fit_ga_weights(trains, neighbors, ks, config, seeds):
     offsets = np.arange(0, size * config.ga_pop, config.ga_pop)
     firsts = np.arange(0, size * 2 * n_children * 3, 3).reshape(size, 2 * n_children)
     draws = np.empty((size, n_children * (8 + m)))
-    noise = np.empty((size, n_children, m))
     for _ in range(config.ga_gens):
         for s, rng in enumerate(rngs):
             rng.random(out=draws[s])
-            rng.standard_normal(out=noise[s])
-        noise *= sigma
         picks, cross, blend, mutate = np.split(draws, [6 * n_children, 7 * n_children, 8 * n_children], axis=1)
+        mutated = mutate < config.ga_mut
+        # each member's noise in (child, weight) order, the order in which
+        # the mask below picks its mutated weights
+        noise = np.concatenate([rng.standard_normal(count) for rng, count in zip(rngs, mutated.sum(axis=1).tolist())])
+        noise *= sigma
         contenders = (picks * config.ga_pop).astype(np.intp).reshape(size, 2 * n_children, 3)
-        mutate = mutate.reshape(size, n_children, m)
         entries = contenders + offsets[:, None, None]
         winners = entries.ravel().take(firsts + np.argmin(fitness.ravel().take(entries), axis=2))
         rows = pop.reshape(-1, m)
@@ -568,7 +538,7 @@ def fit_ga_weights(trains, neighbors, ks, config, seeds):
         p1, p2 = parents[:, :n_children], parents[:, n_children:]
         u = blend[..., None]
         children = np.where(cross[..., None] < config.ga_cx, u * p1 + (1.0 - u) * p2, p1)
-        children = np.where(mutate < config.ga_mut, children + noise, children)
+        children[mutated.reshape(size, n_children, m)] += noise
         pop = np.empty_like(pop)
         pop[:, 0] = rows[offsets + np.argmin(fitness, axis=1)]
         np.clip(children, -r, r, out=pop[:, 1:])

@@ -5,7 +5,7 @@ fits, and analogy retrieval see training rows only. The target enters as a
 ``Row`` of its feature values, so its effort is never consulted.
 
 ``loocv_grid`` runs chunks of consecutive folds, as many as keep a chunk's
-network stack within ``STACK_FLOATS``, rounded up to a multiple of
+largest per-fold array within ``STACK_FLOATS``, rounded up to a multiple of
 ``config.jobs``. With more than one job ``_map_chunks`` runs the chunks in
 up to ``config.jobs`` worker processes started with the ``fork`` method,
 which inherit the dataset and its ranking; where the platform cannot fork
@@ -34,20 +34,22 @@ fold builds:
   design's neighbours for k. A fold that keeps the dataset's min-max
   bounds takes it from the dataset ranking with ``knn_without``; a fold
   whose held-out project alone sets some feature's min or max computes it;
-- when MT or NN runs, one set of difference pairs;
-- the model table ``models``: the RTM correlation and the model tree,
-  which do not depend on k, and a dict of GA weights and one of networks,
-  one member per k. A model that cannot be fitted is stored as its error.
+- when MT or NN runs, one set of difference pairs, which pair each
+  training project with its nearest, whatever k;
+- the model table ``models``: the RTM correlation, the model tree and the
+  network, which learn from k-free inputs and serve every k, and a dict of
+  GA weights, one member per k, as each k's GA design averages over its own
+  k neighbours. A model that cannot be fitted is stored as its error.
 
 A chunk trains each learner as one stack in which every member equals its
 lone fit. It grows the model trees of all its folds in one
-``fit_model_trees`` call, a depth at a time. GA and NN members are seeded
-from ``(config.seed, fold index, variant label)``, the seed a lone
-variant's run uses. The chunk trains all its GA members, every fold times
-every GA variant, in one ``fit_ga_weights`` call, and all its networks in
-one ``fit_networks`` call, each fold's NN variants side by side in one
-hidden layer. So results are identical for any set of variants, any
-chunking and any number of jobs.
+``fit_model_trees`` call, a depth at a time. It trains all its GA members,
+every fold times every GA variant, in one ``fit_ga_weights`` call, each
+seeded from ``(config.seed, fold index, variant label)``, the seed a lone
+variant's run uses; and all its networks, one per fold seeded from
+``(config.seed, fold index, "NN")``, in one ``fit_networks`` call. So
+results are identical for any set of variants, any chunking and any number
+of jobs.
 
 A chunk returns one float array of shape (folds, methods, k_top): the
 predictions of every method it runs, in ``adjust.METHODS`` order with EBA
@@ -68,19 +70,21 @@ from .analogy import retrieve
 from .learners import FitError, build_diff_pairs, fit_ga_weights, fit_model_trees, fit_networks, padded_hidden
 from .metrics import baseline, build_table, log_floor, summarize
 
-# Floats in the largest array of one chunk's network stack, either
-# (folds, n - 1, NN variants * padded_hidden(nn_hidden)) or (folds, n - 1, m):
-# a chunk holds as many folds as keep it near this size (256 KB), which is 3
-# folds at n = 499, 16 at n = 100 and all of Albrecht. Larger stacks trained no
-# faster per network and held more memory for the chunk. The chunk count is
-# then rounded up to a multiple of ``config.jobs``, so the forked workers get
-# equal shares: 8 chunks of 12-13 folds at n = 100 and 2 jobs. The GA members
-# of a chunk train as one stack whatever its size. Its largest array in a
-# generation, (folds, GA variants, ga_pop, n - 1), is 2.6 MB for 13 folds at
-# n = 100 with the default ga_pop of 50; at jobs=1 the 16-fold stacks raised
-# the peak RSS of a 100-project pipeline from 47 to 56 MB. One stack of 13
-# folds at n = 100 trained in 66-67 ms against 74-82 ms in stacks of a fold.
-# A chunk's model trees grow as one stack too. Its largest arrays are the
+# Floats in the largest per-fold array of one chunk's network stack, its
+# (folds, n - 1, padded_hidden(nn_hidden)) hidden layer or its (folds, n - 1,
+# m) difference pairs: a chunk holds as many folds as keep it near this size
+# (256 KB), which is 4 folds at n = 499 and m = 16, 20 at n = 100 and all of
+# Albrecht. Larger stacks of five networks per fold trained no faster per
+# network and held more memory for the chunk. The chunk count is then rounded
+# up to a multiple of ``config.jobs``, so the forked workers get equal shares:
+# 6 chunks of 16-17 folds at n = 100 and 2 jobs. The GA members of a chunk
+# train as one stack whatever its size. Its largest array in a generation,
+# (folds, GA variants, ga_pop, n - 1), is 3.4 MB for 17 folds at n = 100 with
+# the default ga_pop of 50. At jobs=1 the whole run holds each chunk's GA
+# stack in the calling process: a 100-project pipeline peaked at 53.4 MB RSS
+# in chunks of 16 folds and at 57.9 MB in chunks of 20. One stack of 13 folds
+# at n = 100 trained in 66-67 ms against 74-82 ms in stacks of a fold. A
+# chunk's model trees grow as one stack too. Their largest arrays are the
 # root's (folds, m, n - 1) split search arrays, 190 KB each for 15 folds at
 # n = 100 and m = 16; that chunk's tree fit peaked at 4.4 MB by tracemalloc,
 # against 9.0 MB for its GA stack.
@@ -104,14 +108,15 @@ def _fitted(fit, *args):
 class _Fold:
     """One training fold, its target's nearest training projects, and
     ``models``: what the learning methods fitted on the fold, keyed by method.
-    RTM and MT keep one model, GA and NN a dict of one member per k. A model
-    that cannot be fitted is kept as its error, and its predictions are NaN.
+    RTM, MT and NN keep one model for every k, GA a dict of one member per
+    k. A model that cannot be fitted is kept as its error, and its
+    predictions are NaN.
 
     ``variants`` are the runnable variants of the grid; the fold builds only
     what their methods use. ``ranking`` is the dataset's
     ``knn_within(dataset, k_top + 1)`` when the fold needs a neighbour
-    table. The model tree is added by ``_fit_trees``, GA and NN members by
-    ``_fit_ga`` and ``_fit_networks``."""
+    table. The model tree is added by ``_fit_trees``, the GA members by
+    ``_fit_ga`` and the network by ``_fit_networks``."""
 
     def __init__(self, dataset, t, variants, ranking):
         self.t = t
@@ -172,14 +177,13 @@ def _fit_ga(folds, variants, config):
         fold.models["GA"] = {k: fit if isinstance(fit, FitError) else fit.alpha for k, fit in zip(ks, row)}
 
 
-def _fit_networks(folds, variants, config):
-    """Train the networks of every (fold, NN variant) of a chunk as one stack
-    into each fold's ``models``."""
-    seeds = [[derive_seed(config.seed, fold.t, variant.label) for variant in variants] for fold in folds]
+def _fit_networks(folds, config):
+    """Train the network of every fold of a chunk into its ``models``, as one
+    ``fit_networks`` stack; a network that cannot be fitted is its error."""
     X, y = zip(*(fold.pairs for fold in folds))
-    nets = fit_networks(np.stack(X), np.stack(y), config, seeds)
-    for fold, row in zip(folds, nets):
-        fold.models["NN"] = {variant.k: net for variant, net in zip(variants, row)}
+    seeds = [derive_seed(config.seed, fold.t, "NN") for fold in folds]
+    for fold, net in zip(folds, fit_networks(np.stack(X), np.stack(y), config, seeds)):
+        fold.models["NN"] = net
 
 
 def _chunk_starts(n, size, jobs):
@@ -240,8 +244,8 @@ def loocv_grid(dataset, variants, config):
         return {}, errors
     trees = any(variant.method == "MT" for variant in runnable)
     genetic = [variant for variant in runnable if variant.method == "GA"]
-    networks = [variant for variant in runnable if variant.method == "NN"]
-    width = max(dataset.m, len(networks) * padded_hidden(config.nn_hidden))
+    networks = any(variant.method == "NN" for variant in runnable)
+    width = max(dataset.m, padded_hidden(config.nn_hidden) if networks else 0)
     starts = _chunk_starts(dataset.n, max(1, STACK_FLOATS // ((dataset.n - 1) * width)), config.jobs)
 
     k_top = max(variant.k for variant in runnable)
@@ -258,7 +262,7 @@ def loocv_grid(dataset, variants, config):
         if genetic:
             _fit_ga(folds, genetic, config)
         if networks:
-            _fit_networks(folds, networks, config)
+            _fit_networks(folds, config)
         return np.stack([fold.predict(methods) for fold in folds])
 
     bounds = list(zip(starts, [*starts[1:], dataset.n]))

@@ -102,7 +102,8 @@ def fit_ga_one(train, neighbors, config, seed):
         u = rng.random(n_children)[:, None]
         children = np.where(cross[:, None], u * p1 + (1.0 - u) * p2, p1)
         mutate = rng.random((n_children, m)) < config.ga_mut
-        children = np.where(mutate, children + rng.normal(0.0, sigma, size=(n_children, m)), children)
+        # one normal per mutated weight, in (child, weight) order
+        children[mutate] += rng.normal(0.0, sigma, size=int(mutate.sum()))
         pop = np.vstack([pop[np.argmin(fitness)], np.clip(children, -r, r)])
         fitness = ga_fitness_2d(residuals, D, pop)
         history.append(float(fitness.min()))

@@ -6,7 +6,9 @@ rebuilds everything a prediction needs from scratch: the k nearest training
 projects, the in-training neighbour table, the difference pairs, the model
 tree and the RTM correlation. Its learners are the loop oracles: the
 one-member GA, the one-network gradient descent and the tree grown by the
-loop split search. Its adjusters are the single-k ones of
+loop split search. Like the tree, the network learns from pairs that do not
+depend on k, so every NN variant of a fold trains the same network, seeded
+from the fold and "NN". Its adjusters are the single-k ones of
 ``adjust_reference``. The fold-major engine builds the shared work once per
 fold for all variants, derives most neighbour tables from one dataset-wide
 ranking, fits its learners in stacks, predicts every k of a method in one
@@ -72,7 +74,7 @@ def loocv_variant(dataset, variant, config):
         raise ValueError(f"dataset too small for k={k}: need at least {k + 2} projects, have {dataset.n}")
     outcomes = [
         predict_variant(variant, dataset.row(t), dataset.without(t), config,
-                        derive_seed(config.seed, t, variant.label))
+                        derive_seed(config.seed, t, variant.method if variant.method == "NN" else variant.label))
         for t in range(dataset.n)
     ]
     return build_table(variant.label, dataset.ids, dataset.efforts,

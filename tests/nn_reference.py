@@ -1,8 +1,8 @@
 """One network at a time, kept as the test oracle of the stacked
 ``ebae.learners.fit_networks``.
 
-``fit_network`` is the per-member gradient-descent loop on 2-D arrays, with
-its own loss and gradients; every member of a stack must equal it exactly.
+``fit_network`` is the one-network gradient-descent loop on 2-D arrays, with
+its own loss and gradients; every network of a stack must equal it exactly.
 Like the stack, it trains the hidden layer padded with zero units to
 ``padded_hidden(h)`` and returns the first h.
 """

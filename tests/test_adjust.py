@@ -249,7 +249,7 @@ def test_nn_zero_network_equals_eba(toy):
     )
     target = row_of(toy, (9,))
     nbh = neighborhood(toy, [3, 1])
-    assert nn(target, nbh, toy, {2: net})[-1] == eba(target, nbh, toy)[-1]
+    assert np.array_equal(nn(target, nbh, toy, net), eba(target, nbh, toy))
 
 
 def test_nn_outer_average_k3(toy):
@@ -262,7 +262,7 @@ def test_nn_outer_average_k3(toy):
     target = row_of(toy, (9,))
     nbh = neighborhood(toy, [0, 1, 2])
     expected = np.mean(toy.efforts[[0, 1, 2]] + 1.0)     # constant correction 0.5*2
-    assert nn(target, nbh, toy, {3: net})[-1] == pytest.approx(expected)
+    assert nn(target, nbh, toy, net)[-1] == pytest.approx(expected)
 
 
 # --- reduction identity property suite ---
@@ -323,7 +323,7 @@ def oracle(adjuster, target, nbh, train, models=None):
     return np.array(predictions)
 
 
-def assert_prefix_matches_oracle(target, nbh, train, correlation, tree, alphas, nets):
+def assert_prefix_matches_oracle(target, nbh, train, correlation, tree, alphas, net):
     every_k = range(1, len(nbh.indices) + 1)
     cases = [
         (eba(target, nbh, train), ref.adjust_eba, None),
@@ -333,7 +333,7 @@ def assert_prefix_matches_oracle(target, nbh, train, correlation, tree, alphas, 
         (aqua(target, nbh, train), ref.adjust_aqua, None),
         (mt(target, nbh, train, tree), ref.adjust_mt, dict.fromkeys(every_k, tree)),
         (ga(target, nbh, train, alphas), ref.adjust_ga, alphas),
-        (nn(target, nbh, train, nets), ref.adjust_nn, nets),
+        (nn(target, nbh, train, net), ref.adjust_nn, dict.fromkeys(every_k, net)),
     ]
     for predictions, adjuster, models in cases:
         assert np.array_equal(predictions, oracle(adjuster, target, nbh, train, models), equal_nan=True), \
@@ -383,11 +383,9 @@ def test_prefix_predictions_match_single_k_adjusters(seed, k_top, zero_sizes, du
     train, target = ds.without(t), ds.row(t)
     nbh = retrieve(target, train, k_top)
     width = train.cont.shape[1] + train.cat.shape[1]
-    models = {k: (rng.normal(size=width), random_network(rng, width)) for k in range(1, k_top + 1)
-              if rng.random() < 0.7}
-    assert_prefix_matches_oracle(target, nbh, train, float(rng.uniform()), random_tree(rng, width),
-                                 {k: alpha for k, (alpha, _) in models.items()},
-                                 {k: net for k, (_, net) in models.items()})
+    alphas = {k: rng.normal(size=width) for k in range(1, k_top + 1) if rng.random() < 0.7}
+    assert_prefix_matches_oracle(target, nbh, train, float(rng.uniform()), random_tree(rng, width), alphas,
+                                 random_network(rng, width))
 
 
 def test_zero_size_at_third_analogy_falls_back_from_k3():

@@ -255,7 +255,7 @@ def test_overflow_fixture_runs_without_warnings():
                          "MT": [8] * 5, "GA": [7, 8, 8, 8, 8], "NN": [0] * 5}
     assert {method: k for method, (k, _) in report.best_k.items()} == {method: 2 if method == "GA" else 1
                                                                         for method in METHODS}
-    assert {mean for _, mean in report.best_k.values()} == {24.99999999998446}
+    assert {mean for _, mean in report.best_k.values()} == {24.99999999998452}
 
 
 def test_ga_overflow_fails_to_fit_and_falls_back():

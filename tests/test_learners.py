@@ -372,8 +372,8 @@ def test_fit_model_trees_failing_member_fails_alone():
 
 
 def fit_one(X, y, config, seed):
-    """The network of one training set and seed: a stack of one member."""
-    return fit_networks(X[None], y[None], config, [[seed]])[0][0]
+    """The network of one training set and seed: a stack of one."""
+    return fit_networks(X[None], y[None], config, [seed])[0]
 
 
 def test_network_deterministic():
@@ -395,13 +395,12 @@ def test_network_zero_targets_give_near_zero_output():
 
 
 def test_network_needs_four_pairs():
-    # a short stack fails member by member, as the tree and GA stacks do
+    # a short stack fails network by network, as the tree and GA stacks do
     X, y = pairs_from([[1.0]] * 3, [1.0] * 3)
-    got = fit_networks(np.stack([X, X]), np.stack([y, y]), Config(), [[0, 1, 2], [3, 4, 5]])
-    assert [len(row) for row in got] == [3, 3]
-    assert len({id(member) for row in got for member in row}) == 6
-    for member in (member for row in got for member in row):
-        assert isinstance(member, FitError) and str(member) == "network needs at least 4 pairs, got 3"
+    got = fit_networks(np.stack([X, X, X]), np.stack([y, y, y]), Config(), [0, 1, 2])
+    assert len(got) == 3 and len({id(net) for net in got}) == 3
+    for net in got:
+        assert isinstance(net, FitError) and str(net) == "network needs at least 4 pairs, got 3"
 
 
 NET_FIELDS = ("w1", "b1", "w2", "b2", "x_mean", "x_std", "y_mean", "y_std")
@@ -414,48 +413,45 @@ def assert_same_network(got, want):
 
 @pytest.fixture(scope="module")
 def albrecht_networks(albrecht):
-    """Difference pairs, seeds and oracle networks of every Albrecht fold and NN variant."""
+    """Difference pairs, seeds and oracle networks of the pipeline's network
+    of every Albrecht fold at global seeds 42 to 46: 120 fits, fold-major."""
     config = Config()
     folds = [albrecht.without(t) for t in range(albrecht.n)]
     pairs = [build_diff_pairs(train, knn_within(train, 1)[:, 0]) for train in folds]
-    X = np.stack([p[0] for p in pairs])
-    y = np.stack([p[1] for p in pairs])
-    seeds = [[derive_seed(config.seed, t, f"NN{k}") for k in range(1, 6)] for t in range(albrecht.n)]
-    want = [[fit_network(X[t], y[t], config, s) for s in row] for t, row in enumerate(seeds)]
+    X = np.repeat(np.stack([p[0] for p in pairs]), 5, axis=0)
+    y = np.repeat(np.stack([p[1] for p in pairs]), 5, axis=0)
+    seeds = [derive_seed(seed, t, "NN") for t in range(albrecht.n) for seed in range(42, 47)]
+    want = [fit_network(Xf, yf, config, s) for Xf, yf, s in zip(X, y, seeds)]
     return config, X, y, seeds, want
 
 
 @pytest.mark.parametrize("stack", [1, 5, 120])
 def test_fit_networks_matches_oracle_albrecht(albrecht_networks, stack):
-    # stacks of one member, of the five k of one fold, and of all 120 fits
+    # stacks of one network, of the five of one fold, and of all 120 fits
     config, X, y, seeds, want = albrecht_networks
-    folds = max(1, stack // 5)
-    members = min(stack, 5)
-    for start in range(0, len(seeds), folds):
-        for first in range(0, 5, members):
-            rows = [row[first:first + members] for row in seeds[start:start + folds]]
-            got = fit_networks(X[start:start + folds], y[start:start + folds], config, rows)
-            for t, row in enumerate(got, start):
-                for j, net in enumerate(row, first):
-                    assert_same_network(net, want[t][j])
+    for start in range(0, len(seeds), stack):
+        got = fit_networks(X[start:start + stack], y[start:start + stack], config, seeds[start:start + stack])
+        assert len(got) == min(stack, len(seeds) - start)
+        for net, lone in zip(got, want[start:]):
+            assert_same_network(net, lone)
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(4, 15), st.integers(1, 4), st.integers(0, 5),
-       st.integers(1, 3), st.integers(1, 3))
-def test_fit_networks_matches_oracle_property(seed, n, m, hidden, folds, members):
+       st.integers(1, 6))
+def test_fit_networks_matches_oracle_property(seed, n, m, hidden, folds):
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(folds, n, m)) * rng.uniform(0.1, 10.0, size=m)
     y = rng.normal(size=(folds, n))
     if seed % 4 == 0:
         y[0] = 3.0                    # constant efforts: the y_std = 0 branch
     config = Config(nn_hidden=hidden, nn_epochs=20, nn_lr=0.05)
-    seeds = rng.integers(0, 2**63, size=(folds, members)).tolist()
+    seeds = rng.integers(0, 2**63, size=folds).tolist()
     got = fit_networks(X, y, config, seeds)
+    assert len(got) == folds
     for f in range(folds):
-        for j in range(members):
-            assert_same_network(got[f][j], fit_network(X[f], y[f], config, seeds[f][j]))
-    # a 2-D call of the broadcasting loss gives the one-network values
+        assert_same_network(got[f], fit_network(X[f], y[f], config, seeds[f]))
+    # a one-network call of the stack's loss gives the one-network values
     w1 = rng.normal(size=(hidden, m))
     b1, w2 = rng.normal(size=hidden), rng.normal(size=hidden)
     loss, grads = network_loss_and_grads(w1, b1, w2, 0.3, X[0], y[0])
@@ -465,15 +461,15 @@ def test_fit_networks_matches_oracle_property(seed, n, m, hidden, folds, members
 
 
 def stack_and_lone_fits(n, m, hidden):
-    """Two sets of n random pairs of m features, and for each five networks
-    of ``hidden`` units trained for 5 epochs: their stack, then their lone
-    fits, each as 2 rows of 5."""
+    """Ten sets of n random pairs of m features, and a network of ``hidden``
+    units for each, trained for 5 epochs: their stack, then their lone
+    fits."""
     rng = np.random.default_rng(n * m + hidden)
-    X = rng.normal(size=(2, n, m)) * rng.uniform(0.1, 10.0, size=m)
-    y = rng.normal(size=(2, n))
+    X = rng.normal(size=(10, n, m)) * rng.uniform(0.1, 10.0, size=m)
+    y = rng.normal(size=(10, n))
     config = Config(nn_hidden=hidden, nn_epochs=5, nn_lr=0.05)
-    seeds = rng.integers(0, 2**63, size=(2, 5)).tolist()
-    want = [[fit_network(X[f], y[f], config, seed) for seed in row] for f, row in enumerate(seeds)]
+    seeds = rng.integers(0, 2**63, size=10).tolist()
+    want = [fit_network(Xf, yf, config, seed) for Xf, yf, seed in zip(X, y, seeds)]
     return fit_networks(X, y, config, seeds), want
 
 
@@ -484,21 +480,20 @@ def stack_and_lone_fits(n, m, hidden):
                                           (99, 16, 5), (23, 7, 1), (23, 1, 4), (23, 1, 3), (23, 7, 0)])
 def test_fit_networks_matches_oracle_at_pipeline_shapes(monkeypatch, n, m, hidden):
     layouts = []
-    kernel = learners._stack_loss_and_grads
+    kernel = learners.network_loss_and_grads
 
     def counted(w1, b1, w2, b2, X, y):
-        layouts.append((w1.shape, b2.shape))
+        layouts.append((w1.shape, b1.shape, w2.shape, b2.shape))
         return kernel(w1, b1, w2, b2, X, y)
 
-    monkeypatch.setattr(learners, "_stack_loss_and_grads", counted)
+    monkeypatch.setattr(learners, "network_loss_and_grads", counted)
     got, want = stack_and_lone_fits(n, m, hidden)
-    for got_row, want_row in zip(got, want):
-        for net, lone in zip(got_row, want_row):
-            assert_same_network(net, lone)
-    # one kernel call per epoch, with each set's five members side by side
-    # in hidden layers of whole blocks of 4
+    for net, lone in zip(got, want, strict=True):
+        assert_same_network(net, lone)
+    # one kernel call per epoch, on the ten networks' hidden layers padded
+    # to whole blocks of 4
     padded = -(-hidden // 4) * 4
-    assert layouts == [((2, 5 * padded, m), (2, 5))] * 5
+    assert layouts == [((10, padded, m), (10, padded), (10, padded), (10,))] * 5
 
 
 def openblas_core():
@@ -513,26 +508,27 @@ def openblas_core():
     return None
 
 
-# shapes at which an unpadded stack differed from its lone fits under the
-# Haswell or the Katmai kernel
-KERNEL_SHAPES = [(99, 16, 5), (99, 16, 7), (23, 7, 3), (23, 7, 1), (23, 1, 4)]
+# shapes at which stacks of five networks per set, side by side, differed
+# from their lone fits: unpadded under the Haswell or the Katmai kernel, and
+# padded under Nehalem at 1-4 hidden units, the default 4 included
+KERNEL_SHAPES = [(99, 16, 5), (99, 16, 7), (23, 7, 3), (23, 7, 1), (23, 1, 4), (23, 7, 4)]
 
 
 def kernel_mismatches():
-    """(n, m, hidden, set, member) of each member of a ``KERNEL_SHAPES``
-    stack that differs from its lone fit in any field."""
+    """(n, m, hidden, set) of each network of a ``KERNEL_SHAPES`` stack that
+    differs from its lone fit in any field."""
     mismatches = []
     for n, m, hidden in KERNEL_SHAPES:
         got, want = stack_and_lone_fits(n, m, hidden)
-        for f, (got_row, want_row) in enumerate(zip(got, want)):
-            for j, (net, lone) in enumerate(zip(got_row, want_row)):
-                if not all(np.array_equal(getattr(net, field), getattr(lone, field)) for field in NET_FIELDS):
-                    mismatches.append([n, m, hidden, f, j])
+        for f, (net, lone) in enumerate(zip(got, want)):
+            if not all(np.array_equal(getattr(net, field), getattr(lone, field)) for field in NET_FIELDS):
+                mismatches.append([n, m, hidden, f])
     return mismatches
 
 
-@pytest.mark.parametrize("core, names", [("Haswell", ["Haswell"]), ("Prescott", ["Prescott", "Katmai"])],
-                         ids=["Haswell", "Prescott"])
+@pytest.mark.parametrize("core, names", [("Haswell", ["Haswell"]), ("Prescott", ["Prescott", "Katmai"]),
+                                         ("Nehalem", ["Nehalem"])],
+                         ids=["Haswell", "Prescott", "Nehalem"])
 def test_fit_networks_matches_oracle_under_other_blas_kernels(core, names):
     # numpy's OpenBLAS picks its kernels for the CPU it runs on; a process
     # given OPENBLAS_CORETYPE runs another CPU's kernels, and its stacks must
@@ -558,24 +554,24 @@ def test_fit_networks_matches_oracle_under_other_blas_kernels(core, names):
 
 
 def test_fit_networks_diverged_members_fail_alone():
+    # two sets, each trained with eight seeds
     rng = np.random.default_rng(4)
-    X = rng.normal(size=(2, 12, 3))
-    y = rng.normal(size=(2, 12))
+    X = np.repeat(rng.normal(size=(2, 12, 3)), 8, axis=0)
+    y = np.repeat(rng.normal(size=(2, 12)), 8, axis=0)
     config = Config(nn_lr=1.5, nn_epochs=200)
-    seeds = [list(range(8)), list(range(8, 16))]
+    seeds = list(range(16))
     with np.errstate(all="ignore"):
         got = fit_networks(X, y, config, seeds)
         outcomes = []
-        for f in range(2):
-            for j, seed in enumerate(seeds[f]):
-                try:
-                    want = fit_network(X[f], y[f], config, seed)
-                except FitError:
-                    assert isinstance(got[f][j], FitError)
-                    outcomes.append("diverged")
-                else:
-                    assert_same_network(got[f][j], want)
-                    outcomes.append("trained")
+        for f, seed in enumerate(seeds):
+            try:
+                want = fit_network(X[f], y[f], config, seed)
+            except FitError:
+                assert isinstance(got[f], FitError)
+                outcomes.append("diverged")
+            else:
+                assert_same_network(got[f], want)
+                outcomes.append("trained")
     # the learning rate is large enough that the stack mixes both outcomes
     assert set(outcomes) == {"diverged", "trained"}
 
@@ -845,6 +841,39 @@ def test_fit_ga_weights_matches_oracle_at_large_populations(albrecht_ga, pop, fo
     for train, table, row, got_row in zip(trains, neighbors, seeds, got):
         for k, s, weights in zip([1, 3], row, got_row):
             assert_same_weights(weights, fit_ga_one(train, table[:, :k], config, s))
+
+
+@pytest.mark.parametrize("mut", [0.0, 1.0])
+def test_fit_ga_weights_draws_a_normal_per_mutated_weight(albrecht_ga, monkeypatch, mut):
+    # at ga_mut = 0 no weight mutates and no normal is drawn; at 1 every u < 1
+    # mutates its weight, and each generation draws one per child and weight
+    _, trains, neighbors, seeds, _ = albrecht_ga
+    config = Config(ga_pop=9, ga_gens=4, ga_mut=mut)
+    ks = [1, 3]
+    want = [[fit_ga_one(train, table[:, :k], config, s) for k, s in zip(ks, row)]
+            for train, table, row in zip(trains[:2], neighbors[:2], seeds)]
+    drawn = []
+    default_rng = np.random.default_rng
+
+    class Recorded:
+        """A generator that records the size of each ``standard_normal`` draw."""
+
+        def __init__(self, seed):
+            self.rng = default_rng(seed)
+
+        def __getattr__(self, name):
+            return getattr(self.rng, name)
+
+        def standard_normal(self, size):
+            drawn.append(size)
+            return self.rng.standard_normal(size)
+
+    monkeypatch.setattr(np.random, "default_rng", Recorded)
+    got = fit_ga_weights(trains[:2], neighbors[:2], ks, config, [row[:2] for row in seeds[:2]])
+    for got_row, want_row in zip(got, want):
+        for weights, lone in zip(got_row, want_row):
+            assert_same_weights(weights, lone)
+    assert drawn == [int(mut) * (config.ga_pop - 1) * trains[0].m] * (2 * len(ks) * config.ga_gens)
 
 
 def test_fit_ga_weights_failed_member_fails_alone():

@@ -14,12 +14,13 @@ from ebae.analogy import retrieve
 from ebae.config import Config
 from ebae.data import ColumnSpec, Dataset
 from ebae.ensemble import run_pipeline
-from ebae.learners import FitError
+from ebae.learners import FitError, predict_network
 from ebae.validation import dataset_baseline, derive_seed, evaluate_variant, loocv, loocv_grid
 
 from . import adjust_reference
 from .conftest import make_dataset, random_rows, size_only_schema
 from .loocv_reference import loocv_variants
+from .nn_reference import fit_network
 
 CFG = Config(runs=200)
 # a small learner budget keeps the 40-variant oracle runs quick; one job
@@ -320,7 +321,7 @@ def test_loocv_grid_builds_shared_work_once_per_fold(albrecht, monkeypatch):
 
     def stacked_networks(X, y, config, seeds):
         calls["fit_networks"] += 1
-        members["NN"].extend(s for row in seeds for s in row)
+        members["NN"].extend(seeds)
         return fit_networks(X, y, config, seeds)
 
     def stacked_weights(trains, neighbors, ks, config, seeds):
@@ -333,28 +334,27 @@ def test_loocv_grid_builds_shared_work_once_per_fold(albrecht, monkeypatch):
     tables, _ = loocv_grid(albrecht, GRID, SMALL)
     n = albrecht.n
     assert len(tables) == 40
-    # Albrecht's 24 folds fit in one chunk, of STACK_FLOATS // (23 pairs * 5
-    # NN k * 4 hidden) = 71 folds at most, and a chunk makes one
-    # fit_model_trees call, of every fold's tree, one fit_ga_weights call,
-    # of every (fold, GA k) member, and one fit_networks call, of every
-    # (fold, NN k) network
-    assert validation._chunk_starts(n, validation.STACK_FLOATS // ((n - 1) * 5 * SMALL.nn_hidden), 1) == [0]
+    # Albrecht's 24 folds fit in one chunk, of STACK_FLOATS // (23 pairs * 7
+    # features) = 203 folds at most, and a chunk makes one fit_model_trees
+    # call, of every fold's tree, one fit_ga_weights call, of every (fold,
+    # GA k) member, and one fit_networks call, of every fold's network
+    assert validation._chunk_starts(n, validation.STACK_FLOATS // ((n - 1) * albrecht.m), 1) == [0]
     # one dataset-wide ranking, and a table of its own for each of the 4
     # folds whose held-out project alone sets a feature's min or max
     assert calls == {"fit_model_trees": 1, "build_diff_pairs": n, "productivity_correlation": n,
                      "retrieve": n, "knn_within": 1 + 4, "without": n,
                      "fit_ga_weights": 1, "fit_networks": 1}
-    for seeds in members.values():
-        assert len(set(seeds)) == len(seeds) == 5 * n
+    assert len(set(members["GA"])) == len(members["GA"]) == 5 * n
+    assert members["NN"] == [derive_seed(SMALL.seed, t, "NN") for t in range(n)]
 
 
 # folds per NN stack and per GA stack on Albrecht under each STACK_FLOATS:
-# a chunk holds floats // (23 pairs * 5 NN k * 4 hidden) folds, and its NN
-# and GA members each train as one stack
+# a chunk holds floats // (23 pairs * 7 features) folds, 14 at 2300 and 8
+# at 1380, and its NN and GA members each train as one stack
 CHUNKINGS = {
     1: ([1] * 24, [1] * 24),
-    23 * 20 * 5: ([5, 5, 5, 5, 4], [5, 5, 5, 5, 4]),
-    23 * 30 * 2: ([3] * 8, [3] * 8),
+    2300: ([12, 12], [12, 12]),
+    1380: ([8] * 3, [8] * 3),
 }
 
 
@@ -410,20 +410,21 @@ def test_chunk_starts_property(n, size, jobs):
 
 
 @pytest.mark.parametrize("jobs, floats, chunks", [(2, validation.STACK_FLOATS, 2), (3, validation.STACK_FLOATS, 3),
-                                                  (2, 22 * 20 * 5, 6)])
+                                                  (2, 22 * 7 * 5, 6)])
 def test_loocv_grid_worker_processes_give_the_serial_tables(albrecht, monkeypatch, tmp_path, jobs, floats, chunks):
     # 23 folds split unevenly over 2 or 3 chunks, or over 6: chunks of at
-    # most 5 folds need 5, rounded up to a multiple of 2
+    # most 5 folds of 22 pairs of 7 features need 5, rounded up to a
+    # multiple of 2
     dataset = albrecht.without(23)
     serial = loocv_grid(dataset, GRID, SMALL)
     monkeypatch.setattr(validation, "STACK_FLOATS", floats)
     fit_networks = validation._fit_networks
 
-    def logged(folds, variants, config):
+    def logged(folds, config):
         # once per chunk, in the process that runs it
         with open(tmp_path / "pids", "a", encoding="utf-8") as fh:
             fh.write(f"{os.getpid()}\n")
-        return fit_networks(folds, variants, config)
+        return fit_networks(folds, config)
 
     monkeypatch.setattr(validation, "_fit_networks", logged)
     assert loocv_grid(dataset, GRID, replace(SMALL, jobs=jobs)) == serial
@@ -456,10 +457,10 @@ def test_loocv_grid_runs_serially_without_fork(albrecht, monkeypatch):
 def test_loocv_grid_raises_a_worker_error_and_stops_every_worker(albrecht, monkeypatch):
     fit_networks = validation._fit_networks
 
-    def failing(folds, variants, config):
+    def failing(folds, config):
         if folds[0].t == 0:
             raise RuntimeError("network stack failed")
-        return fit_networks(folds, variants, config)
+        return fit_networks(folds, config)
 
     monkeypatch.setattr(validation, "_fit_networks", failing)
     with pytest.raises(RuntimeError, match="network stack failed"):
@@ -574,6 +575,36 @@ def test_fold_falls_back_for_each_k_whose_model_is_an_error(albrecht, monkeypatc
             assert tables[f"GA{k}"].fallback_count == albrecht.n
         else:
             assert tables[f"GA{k}"] == kept[f"GA{k}"]
+
+
+def test_fold_predicts_every_nn_k_from_one_network(albrecht, monkeypatch):
+    # a fold trains one network, seeded from the fold and "NN", on its
+    # difference pairs; NN1-NN5 are the prefix means of the analogy efforts
+    # plus that network's corrections
+    variants = [VariantId("NN", k) for k in range(1, 6)]
+    t = 5
+    tables, _ = loocv_grid(albrecht, variants, SMALL)
+    fold = validation._Fold(albrecht, t, variants, analogy.knn_within(albrecht, 6))
+    validation._fit_networks([fold], SMALL)
+    net, train, target = fold.models["NN"], fold.train, fold.target
+    want = fit_network(*fold.pairs, SMALL, derive_seed(SMALL.seed, t, "NN"))
+    assert all(np.array_equal(got, lone) for got, lone in zip(vars(net).values(), vars(want).values()))
+    prefix_means, returned = adjust._prefix_means, []
+
+    def recorded(terms, k_top):
+        returned.append((terms, k_top, prefix_means(terms, k_top)))
+        return returned[-1][2]
+
+    monkeypatch.setattr(adjust, "_prefix_means", recorded)
+    (row,) = fold.predict(["NN"])
+    ((terms, k_top, means),) = returned
+    nearest = fold.analogies.indices
+    diffs = learners.diff_rows(target.cont, target.cat, train.cont[nearest], train.cat[nearest])
+    assert k_top == 5 and np.array_equal(terms, train.efforts[nearest] + [predict_network(net, d) for d in diffs])
+    assert np.array_equal(row, means)
+    for k in range(1, 6):
+        assert row[k - 1] == adjust_reference.adjust_nn(target, retrieve(target, train, k), train, net)
+        assert tables[f"NN{k}"].predictions[t] == row[k - 1]
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
