@@ -7,9 +7,9 @@ from .config import Config
 from .data import Dataset, describe, load_dataset, write_dataset
 from .ensemble import EnsembleSpec, run_pipeline
 from .metrics import BaselineStats, EvalSummary, PredictionTable, baseline, summarize
-from .ranking import PreferenceProfile, borda_rank, majority_margins
+from .ranking import PreferenceProfile, borda_rank
 from .stats import box_cox, ks_normality, scott_knott, scott_knott_two_way
-from .validation import evaluate_variant, loocv
+from .validation import loocv
 
 __version__ = "0.1.0"
 
@@ -28,11 +28,9 @@ __all__ = [
     "box_cox",
     "describe",
     "enumerate_variants",
-    "evaluate_variant",
     "ks_normality",
     "load_dataset",
     "loocv",
-    "majority_margins",
     "run_pipeline",
     "scott_knott",
     "scott_knott_two_way",

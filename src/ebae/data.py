@@ -245,7 +245,7 @@ def _parse_cell(raw, column, row_id):
     return value
 
 
-def load_dataset(data_path, schema_path, name=None):
+def load_dataset(data_path, schema_path):
     """Load a CSV + schema pair into a validated Dataset.
 
     Rows with any missing feature or effort value are dropped with a logged
@@ -299,7 +299,7 @@ def load_dataset(data_path, schema_path, name=None):
     if dropped:
         log.warning("%s: dropped %d row(s) with missing values", data_path, dropped)
     retained = [c for c in columns if c.role != "ignored"]
-    return Dataset(name or data_path.stem, retained, ids, rows, efforts, dropped_rows=dropped)
+    return Dataset(data_path.stem, retained, ids, rows, efforts, dropped_rows=dropped)
 
 
 def write_dataset(dataset, data_path, schema_path):

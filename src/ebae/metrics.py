@@ -137,11 +137,6 @@ def pred25(table):
     return float(100.0 * np.mean(table.mres <= 0.25))
 
 
-def lsd(table):
-    """Logarithmic standard deviation of the prediction residuals."""
-    return lsd_and_variance(table)[0]
-
-
 def lsd_and_variance(table):
     """(LSD, s^2) of the log residuals: LSD is
     sqrt(sum((lam_i + s^2/2)^2) / (n - 1)) with s^2 their sample variance.

@@ -65,13 +65,6 @@ def _positions(profile):
     return pos
 
 
-def majority_margins(profile):
-    """MM[x][y] = #voters ranking x above y minus #voters ranking y above x,
-    that is the sum over voters of sign(pos[y] - pos[x])."""
-    pos = _positions(profile)
-    return np.sign(pos[:, None, :] - pos[:, :, None]).sum(axis=0)
-
-
 def borda_rank(profile):
     """Aggregate a profile: scores, indifference groups, ranks, stability.
 

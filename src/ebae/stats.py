@@ -72,13 +72,6 @@ class ScottKnottResult:
     transform: TransformSpec | None = None
 
 
-def box_cox_transform(values, lam):
-    x = np.asarray(values, dtype=float)
-    if np.any(x <= 0):
-        raise ValueError("Box-Cox requires strictly positive values")
-    return _power_transform(x, lam)
-
-
 def _power_transform(x, lam):
     """The Box-Cox map of a float array already known to be positive."""
     if lam == 0.0:
@@ -129,7 +122,11 @@ def box_cox(values):
 
 
 def apply_transform(values, spec):
-    return box_cox_transform(np.asarray(values, dtype=float) + spec.shift, spec.box_cox_lambda)
+    """``spec``'s shift, then its Box-Cox map; shifted values must be positive."""
+    x = np.asarray(values, dtype=float) + spec.shift
+    if np.any(x <= 0):
+        raise ValueError("Box-Cox requires strictly positive values")
+    return _power_transform(x, spec.box_cox_lambda)
 
 
 # Critical points for the normality KS statistic with estimated mean/std,

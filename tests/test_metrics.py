@@ -11,7 +11,7 @@ from ebae.metrics import (
     effect_size,
     exact_random_mae,
     log_floor,
-    lsd,
+    lsd_and_variance,
     mae,
     mbre_mibre,
     mmre,
@@ -71,20 +71,20 @@ def test_perfect_table():
 
 
 def test_lsd_zero_for_perfect():
-    assert lsd(table_from([5, 6, 7], [5, 6, 7])) == 0.0
+    assert lsd_and_variance(table_from([5, 6, 7], [5, 6, 7]))[0] == 0.0
 
 
 def test_lsd_hand_example():
     # log residuals 0.1 and -0.1 -> s2 = 0.02, LSD = sqrt(0.11^2 + (-0.09)^2)
     t = table_from([math.e**0.1, math.e**-0.1], [1.0, 1.0])
-    assert lsd(t) == pytest.approx(math.sqrt(0.0121 + 0.0081), rel=1e-9)
+    assert lsd_and_variance(t)[0] == pytest.approx(math.sqrt(0.0121 + 0.0081), rel=1e-9)
 
 
 def test_lsd_constant_residuals():
     c = 0.4
     n = 6
     t = table_from([math.exp(c)] * n, [1.0] * n)
-    assert lsd(t) == pytest.approx(abs(c) * math.sqrt(n / (n - 1)), rel=1e-9)
+    assert lsd_and_variance(t)[0] == pytest.approx(abs(c) * math.sqrt(n / (n - 1)), rel=1e-9)
 
 
 def test_mbre_mibre_example():
@@ -194,7 +194,7 @@ def test_metric_identities_property(pairs):
         assert m != 0.0 or sa == 1.0
         if b.sp0 > 0:
             assert (effect_size(m, b) == 0.0) == (m == b.mae_p0)
-    assert (lsd(t) == 0.0) == bool(np.all(t.log_residuals == 0.0))
+    assert (lsd_and_variance(t)[0] == 0.0) == bool(np.all(t.log_residuals == 0.0))
 
 
 @settings(max_examples=200, deadline=None)
@@ -271,7 +271,7 @@ def test_permutation_invariance(pairs, pyrandom):
     assert mae(t1) == pytest.approx(mae(t2), rel=1e-12)
     assert mmre(t1) == pytest.approx(mmre(t2), rel=1e-12)
     assert pred25(t1) == pred25(t2)
-    assert lsd(t1) == pytest.approx(lsd(t2), rel=1e-9)
+    assert lsd_and_variance(t1)[0] == pytest.approx(lsd_and_variance(t2)[0], rel=1e-9)
 
 
 def test_mibre_mre_mbre_ordering_when_underestimating():

@@ -15,11 +15,13 @@ from ebae.config import Config
 from ebae.data import ColumnSpec, Dataset
 from ebae.ensemble import run_pipeline
 from ebae.learners import FitError, predict_network
-from ebae.validation import dataset_baseline, derive_seed, evaluate_variant, loocv, loocv_grid
+from ebae.metrics import summarize
+from ebae.validation import dataset_baseline, derive_seed, loocv, loocv_grid
 
 from . import adjust_reference
 from .conftest import make_dataset, random_rows, size_only_schema
 from .loocv_reference import loocv_variants
+from .mt_reference import fit_model_tree
 from .nn_reference import fit_network
 
 CFG = Config(runs=200)
@@ -107,7 +109,7 @@ def test_learner_fit_failure_falls_back_to_eba(toy):
 
 
 def test_evaluate_variant_summary(toy):
-    summary = evaluate_variant(toy, VariantId("EBA", 1), CFG)
+    summary = summarize(loocv(toy, VariantId("EBA", 1), CFG), dataset_baseline(toy, CFG))
     assert summary.variant == "EBA1"
     assert summary.baseline.mae_p0 == pytest.approx(12.8)
     assert -5 < summary.sa <= 1
@@ -131,7 +133,6 @@ def test_mlfe_ratio_blowup_synthetic():
     # MLFE ends up worse than random guessing and the filter drops it.
     from ebae.data import ColumnSpec
     from ebae.ensemble import filter_actual_predictors
-    from ebae.metrics import summarize
 
     rng = np.random.default_rng(17)
     schema = [
@@ -201,7 +202,7 @@ def test_loocv_grid_matches_reference_deep_trees(albrecht):
     config = replace(SMALL, mt_min_leaf=2)
     tables, _ = assert_grid_matches_reference(albrecht, config, [v for v in GRID if v.method == "MT"])
     train = albrecht.without(0)
-    tree = learners.fit_model_tree(*learners.build_diff_pairs(train, analogy.knn_within(train, 1)[:, 0]), config)
+    tree = fit_model_tree(*learners.build_diff_pairs(train, analogy.knn_within(train, 1)[:, 0]), config)
     assert depth(tree.root) >= 3
 
 
