@@ -278,35 +278,40 @@ class FeedForwardNet:
     y_std: float
 
 
-def network_loss_and_grads(w1, b1, w2, b2, X, y):
+def network_loss_and_grads(w1, b1, w2, b2, X, y, out=None):
     """MSE loss and its analytic gradients for one 1-hidden-layer network:
     w1 (h, m), b1 and w2 (h,), b2 a scalar, X (n, m) and y (n,); or for a
     stack of F networks, each trained on its own set, with a leading F axis
     on every argument. Returns the loss and the gradients of w1, b1, w2 and
-    b2, in their shapes.
+    b2, in their shapes: in ``out``, four arrays of those shapes, if given.
     """
+    b2 = np.asarray(b2)
+    if out is None:
+        out = tuple(np.empty(weight.shape) for weight in (w1, b1, w2, b2))
+    g_w1, g_b1, g_w2, g_b2 = out
     # in place where an operand is a fresh temporary, in the same order of
     # operations as the out-of-place expressions, so every value is the same
     n = X.shape[-2]
-    hidden = X @ np.swapaxes(w1, -1, -2)
+    hidden = X @ w1.swapaxes(-1, -2)
     hidden += b1[..., None, :]
     np.tanh(hidden, out=hidden)
     pred = (hidden @ w2[..., None])[..., 0]
-    pred += np.expand_dims(b2, -1)
+    pred += b2[..., None]
     err = np.subtract(pred, y, out=pred)
-    loss = np.mean(err**2, axis=-1)
+    # the sum and division of np.mean, without its checks
+    loss = np.add.reduce(err**2, axis=-1) / n
     d_pred = np.multiply(2.0, err, out=err)
     d_pred /= n
-    g_w2 = (np.swapaxes(hidden, -1, -2) @ d_pred[..., None])[..., 0]
-    g_b2 = np.sum(d_pred, axis=-1)
+    np.matmul(hidden.swapaxes(-1, -2), d_pred[..., None], out=g_w2[..., None])
+    np.add.reduce(d_pred, axis=-1, out=g_b2)
     # the hidden layer is spent: its memory takes tanh's slope
     slope = np.multiply(hidden, hidden, out=hidden)
     np.subtract(1.0, slope, out=slope)
     d_hidden = d_pred[..., None] * w2[..., None, :]
     d_hidden *= slope
-    g_w1 = np.swapaxes(d_hidden, -1, -2) @ X
-    g_b1 = d_hidden.sum(axis=-2)
-    return loss, (g_w1, g_b1, g_w2, g_b2)
+    np.matmul(d_hidden.swapaxes(-1, -2), X, out=g_w1)
+    np.add.reduce(d_hidden, axis=-2, out=g_b1)
+    return loss, out
 
 
 def _standardize(X, y):
@@ -364,7 +369,17 @@ def fit_networks(X, y, config, seeds):
     Xs, ys = np.stack(Xs), np.stack(ys)
     F, m, h = len(seeds), X.shape[-1], config.nn_hidden
     p = padded_hidden(h)
-    w1, b1, w2, b2 = weights = np.zeros((F, p, m)), np.zeros((F, p)), np.zeros((F, p)), np.zeros(F)
+    # the weights, and their gradients, are views of one flat array each,
+    # so that one update steps them all
+    shapes = [(F, p, m), (F, p), (F, p), (F,)]
+    ends = np.cumsum([np.prod(shape) for shape in shapes])
+    params, grads = np.zeros(ends[-1]), np.empty(ends[-1])
+
+    def views(flat):
+        return [part.reshape(shape) for part, shape in zip(np.split(flat, ends[:-1]), shapes)]
+
+    w1, b1, w2, b2 = weights = views(params)
+    gradients = views(grads)
     for f, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
         w1[f, :h] = rng.standard_normal((h, m)) / np.sqrt(m)
@@ -374,14 +389,13 @@ def fit_networks(X, y, config, seeds):
     diverged = np.zeros(F, dtype=bool)
     lr = config.nn_lr
     for _ in range(config.nn_epochs):
-        loss, grads = network_loss_and_grads(*weights, Xs, ys)
-        for weight, grad in zip(weights, grads):
-            grad *= lr
-            weight -= grad
-        bad = ~np.isfinite(loss)
-        if bad.any():
+        loss, _ = network_loss_and_grads(*weights, Xs, ys, out=gradients)
+        grads *= lr
+        params -= grads
+        if not np.isfinite(loss).all():
             # a diverged network goes on from zero weights, which keep its
             # values finite; it fails whatever follows
+            bad = ~np.isfinite(loss)
             diverged |= bad
             for weight in weights:
                 weight[bad] = 0.0
@@ -441,17 +455,19 @@ def ga_design(train, neighbors, ga_range):
     return residuals, D
 
 
-def ga_fitness(residuals, D, alphas):
+def ga_fitness(residuals, D, alphas, out=None):
     """Mean absolute error of the corrected predictions for candidate rows.
 
     Shapes are residuals (..., n), D (..., n, m) and alphas (..., pop, m):
     leading axes are a stack of designs and broadcast. Each candidate's
     errors are averaged along their own contiguous row, so the zero vector
-    scores exactly mean(|residuals|) in any population.
+    scores exactly mean(|residuals|) in any population. ``out``, if given,
+    is the C-contiguous (..., pop, n) array that takes the errors.
     """
-    errors = np.atleast_2d(alphas) @ np.swapaxes(D, -1, -2)
+    errors = np.matmul(np.atleast_2d(alphas), D.swapaxes(-1, -2), out=out)
     np.subtract(residuals[..., None, :], errors, out=errors)
-    return np.abs(errors, out=errors).mean(axis=-1)
+    # the sum and division of np.mean, without its checks
+    return np.add.reduce(np.abs(errors, out=errors), axis=-1) / errors.shape[-1]
 
 
 def fit_ga_weights(trains, neighbors, ks, config, seeds):
@@ -500,43 +516,73 @@ def fit_ga_weights(trains, neighbors, ks, config, seeds):
     if not designs:
         return outcomes
     members, residuals, D, member_seeds = zip(*designs)
+    # np.stack copies, so the members' own designs can be freed
     residuals, D = np.stack(residuals), np.stack(D)
-    size, m = len(members), D.shape[-1]
-    n_children = config.ga_pop - 1
-    r = config.ga_range
-    rngs = [np.random.default_rng(seed) for seed in member_seeds]
-    pop = np.stack([rng.uniform(-r, r, size=(config.ga_pop, m)) for rng in rngs])
-    pop[:, 0] = 0.0
-    fitness = ga_fitness(residuals, D, pop)
-    history = [fitness.min(axis=1)]
+    del designs
+    size, n, m = D.shape
+    n_pop, r = config.ga_pop, config.ga_range
+    n_children = n_pop - 1
     sigma = 0.1 * r
-    # selection indexes flat views: each member's first row in the (size *
-    # ga_pop) fitness and population, each tournament's first contender
-    offsets = np.arange(0, size * config.ga_pop, config.ga_pop)
-    firsts = np.arange(0, size * 2 * n_children * 3, 3).reshape(size, 2 * n_children)
+    rngs = [np.random.default_rng(seed) for seed in member_seeds]
+    pop = np.stack([rng.uniform(-r, r, size=(n_pop, m)) for rng in rngs])
+    pop[:, 0] = 0.0
+    # Every array that a generation fills is allocated here, once. Each
+    # generation breeds into ``spare``, and then the two populations swap.
+    spare = np.empty_like(pop)
+    errors = np.empty((size, n_pop, n))
     draws = np.empty((size, n_children * (8 + m)))
+    picks, cross, blend, mutate = np.split(draws, [6 * n_children, 7 * n_children, 8 * n_children], axis=1)
+    # the 3 contenders of each first parent, then of each second parent, as
+    # rows of the flat (size * ga_pop) population, and their fitness
+    contenders = np.empty((size, 2, n_children, 3), dtype=np.intp)
+    scores = np.empty(contenders.shape)
+    lead = np.empty(contenders.shape[:-1])
+    second, third = np.empty(lead.shape, dtype=bool), np.empty(lead.shape, dtype=bool)
+    winners = np.empty(lead.shape, dtype=np.intp)
+    parents = np.empty((*lead.shape, m))
+    p1, p2 = parents[:, 0], parents[:, 1]
+    # each child's blend weight u, then 1 - u, on every weight of the child
+    u, children, cloned = np.empty_like(p1), np.empty_like(p1), np.empty((size, n_children, 1), dtype=bool)
+    mutated = np.empty(mutate.shape, dtype=bool)
+    offsets = np.arange(0, size * n_pop, n_pop)
+    fitness = ga_fitness(residuals, D, pop, out=errors)
+    history = [fitness.min(axis=1)]
     for _ in range(config.ga_gens):
         for s, rng in enumerate(rngs):
             rng.random(out=draws[s])
-        picks, cross, blend, mutate = np.split(draws, [6 * n_children, 7 * n_children, 8 * n_children], axis=1)
-        mutated = mutate < config.ga_mut
-        # each member's noise in (child, weight) order, the order in which
-        # the mask below picks its mutated weights
+        np.multiply(picks.reshape(contenders.shape), n_pop, out=contenders, casting="unsafe")
+        contenders += offsets[:, None, None, None]
+        # every index is in range; "clip" lets take write straight into
+        # ``out``, which the default mode would buffer
+        np.take(fitness, contenders, out=scores, mode="clip")
+        # the fittest contender wins, ties to the first listed; fitness is
+        # finite, as ga_design bounds it, so two comparisons decide
+        np.less(scores[..., 1], scores[..., 0], out=second)
+        np.minimum(scores[..., 0], scores[..., 1], out=lead)
+        np.less(scores[..., 2], lead, out=third)
+        np.copyto(winners, contenders[..., 0])
+        np.copyto(winners, contenders[..., 1], where=second)
+        np.copyto(winners, contenders[..., 2], where=third)
+        rows = pop.reshape(-1, m)
+        np.take(rows, winners, axis=0, out=parents, mode="clip")
+        # a child that crosses is u * p1 + (1 - u) * p2, and one that does
+        # not is a copy of p1
+        np.copyto(u, blend[..., None])
+        np.multiply(u, p1, out=children)
+        np.subtract(1.0, u, out=u)
+        children += np.multiply(u, p2, out=p2)
+        np.greater_equal(cross[..., None], config.ga_cx, out=cloned)
+        np.copyto(children, p1, where=cloned)
+        np.less(mutate, config.ga_mut, out=mutated)
+        # each member's noise in (child, weight) order, the order of the flat
+        # indices of its mutated weights
         noise = np.concatenate([rng.standard_normal(count) for rng, count in zip(rngs, mutated.sum(axis=1).tolist())])
         noise *= sigma
-        contenders = (picks * config.ga_pop).astype(np.intp).reshape(size, 2 * n_children, 3)
-        entries = contenders + offsets[:, None, None]
-        winners = entries.ravel().take(firsts + np.argmin(fitness.ravel().take(entries), axis=2))
-        rows = pop.reshape(-1, m)
-        parents = rows.take(winners, axis=0)
-        p1, p2 = parents[:, :n_children], parents[:, n_children:]
-        u = blend[..., None]
-        children = np.where(cross[..., None] < config.ga_cx, u * p1 + (1.0 - u) * p2, p1)
-        children[mutated.reshape(size, n_children, m)] += noise
-        pop = np.empty_like(pop)
-        pop[:, 0] = rows[offsets + np.argmin(fitness, axis=1)]
-        np.clip(children, -r, r, out=pop[:, 1:])
-        fitness = ga_fitness(residuals, D, pop)
+        children.reshape(-1)[np.flatnonzero(mutated)] += noise
+        spare[:, 0] = rows[offsets + np.argmin(fitness, axis=1)]
+        np.clip(children, -r, r, out=spare[:, 1:])
+        pop, spare = spare, pop
+        fitness = ga_fitness(residuals, D, pop, out=errors)
         history.append(fitness.min(axis=1))
     history = np.stack(history, axis=1).tolist()
     for s, ((f, j), best) in enumerate(zip(members, np.argmin(fitness, axis=1))):

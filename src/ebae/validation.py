@@ -77,16 +77,17 @@ from .metrics import baseline, build_table, log_floor
 # Albrecht. The chunk count is then rounded up to a multiple of
 # ``config.jobs``, so the forked workers get equal shares: 6 chunks of 16-17
 # folds at n = 100 and 2 jobs. The GA members of a chunk train as one stack
-# whatever its size. Its largest array in a generation,
-# (folds, GA variants, ga_pop, n - 1), is 3.4 MB for 17 folds at n = 100 with
-# the default ga_pop of 50. At jobs=1 the whole run holds each chunk's GA
-# stack in the calling process: a 100-project pipeline peaked at 53.4 MB RSS
-# in chunks of 16 folds and at 57.9 MB in chunks of 20. One stack of 13 folds
-# at n = 100 trained in 66-67 ms against 74-82 ms in stacks of a fold. A
-# chunk's model trees grow as one stack too. Their largest arrays are the
-# root's (folds, m, n - 1) split search arrays, 190 KB each for 15 folds at
-# n = 100 and m = 16; that chunk's tree fit peaked at 4.4 MB by tracemalloc,
-# against 9.0 MB for its GA stack.
+# whatever its size. Its largest array, the (folds, GA variants, ga_pop,
+# n - 1) errors that every generation refills, is 3.4 MB for 17 folds at
+# n = 100 with the default ga_pop of 50. At jobs=1 the whole run holds each
+# chunk's GA stack in the calling process: a 100-project pipeline peaked at
+# 53.4 MB RSS in chunks of 16 folds and at 57.9 MB in chunks of 20. One
+# stack of 13 folds at n = 100 trained in 66-67 ms against 74-82 ms in
+# stacks of a fold. A chunk's model trees grow as one stack too. Their
+# largest arrays are the root's (folds, m, n - 1) split search arrays, 190 KB
+# each for 15 folds at n = 100 and m = 16; that chunk's tree fit peaked at
+# 4.4 MB by tracemalloc. On a 16-fold china_screen chunk the GA stack peaked
+# at 8.9 MB and the network stack at 0.7 MB.
 STACK_FLOATS = 2**15
 
 

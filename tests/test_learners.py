@@ -459,6 +459,30 @@ def test_fit_networks_matches_oracle_property(seed, n, m, hidden, folds):
     assert all(np.array_equal(g, w) for g, w in zip(grads, want_grads))
 
 
+@pytest.mark.parametrize("stack", [None, 3])
+def test_network_loss_and_grads_fills_out(stack):
+    # one network with a scalar b2, and a stack of three: the gradients
+    # written into ``out`` equal those the kernel allocates itself
+    rng = np.random.default_rng(11)
+    lead = () if stack is None else (stack,)
+    n, m, h = 23, 7, 4
+    X, y = rng.normal(size=(*lead, n, m)), rng.normal(size=(*lead, n))
+    w1, b1, w2 = rng.normal(size=(*lead, h, m)), rng.normal(size=(*lead, h)), rng.normal(size=(*lead, h))
+    b2 = 0.3 if stack is None else rng.normal(size=stack)
+    loss, grads = network_loss_and_grads(w1, b1, w2, b2, X, y)
+    shapes = [np.shape(weight) for weight in (w1, b1, w2, b2)]
+    out = tuple(np.full(shape, np.nan) for shape in shapes)
+    got_loss, got = network_loss_and_grads(w1, b1, w2, b2, X, y, out=out)
+    assert got is out
+    assert np.array_equal(got_loss, loss) and np.shape(got_loss) == lead
+    for grad, filled, shape in zip(grads, got, shapes):
+        assert np.shape(grad) == shape and np.array_equal(filled, grad)
+    if stack is None:
+        want_loss, want = network_loss_and_grads_2d(w1, b1, w2, b2, X, y)
+        assert got_loss == want_loss
+        assert all(np.array_equal(filled, grad) for filled, grad in zip(got, want))
+
+
 def stack_and_lone_fits(n, m, hidden):
     """Ten sets of n random pairs of m features, and a network of ``hidden``
     units for each, trained for 5 epochs: their stack, then their lone
@@ -481,9 +505,9 @@ def test_fit_networks_matches_oracle_at_pipeline_shapes(monkeypatch, n, m, hidde
     layouts = []
     kernel = learners.network_loss_and_grads
 
-    def counted(w1, b1, w2, b2, X, y):
+    def counted(w1, b1, w2, b2, X, y, out=None):
         layouts.append((w1.shape, b1.shape, w2.shape, b2.shape))
-        return kernel(w1, b1, w2, b2, X, y)
+        return kernel(w1, b1, w2, b2, X, y, out=out)
 
     monkeypatch.setattr(learners, "network_loss_and_grads", counted)
     got, want = stack_and_lone_fits(n, m, hidden)
@@ -887,6 +911,29 @@ def test_fit_ga_weights_failed_member_fails_alone():
     for k, s, weights in zip(range(1, 5), seeds, got):
         assert_same_weights(weights, fit_ga(train, k, config, s))
         assert_same_weights(weights, fit_ga_one(train, knn_within(train, k), config, s))
+
+
+@pytest.mark.parametrize("folds", [1, 4])
+@pytest.mark.parametrize("sizes", [[3.0] * 9, [1.0, 2.0, 4.0, 7.0, 11.0, 16.0, 22.0, 29.0, 37.0]])
+def test_fit_ga_weights_breaks_tournament_ties_to_the_first_contender(sizes, folds):
+    # The second feature is the same in every project, so its weight never
+    # changes a fitness: candidates that differ only there tie. With equal
+    # sizes too every difference is zero and every candidate ties, so the
+    # planted zero vector stays the elite; with distinct sizes the elite's
+    # second weight shows which contender each tie picked.
+    ds = make_dataset("ties", [*size_only_schema(), ColumnSpec("x", "feature", "continuous", "none")],
+                      [(size, 1.0) for size in sizes], [10.0 + 3 * i for i in range(9)])
+    trains = [ds.without(t) for t in range(folds)]
+    tables = [knn_within(train, 3) for train in trains]
+    ks = [1, 3]
+    seeds = [[100 * t + k for k in ks] for t in range(folds)]
+    config = Config(ga_pop=12, ga_gens=30, ga_mut=0.5)
+    got = fit_ga_weights(trains, tables, ks, config, seeds)
+    for train, table, row, got_row in zip(trains, tables, seeds, got):
+        for k, s, weights in zip(ks, row, got_row):
+            want = fit_ga_one(train, table[:, :k], config, s)
+            assert_same_weights(weights, want)
+            assert (len(set(want.history)) == 1) == (len(set(sizes)) == 1)
 
 
 def ga_overflow_dataset(sizes):
