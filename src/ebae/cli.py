@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import shutil
 import sys
@@ -39,8 +40,13 @@ def _fmt(value):
     return value
 
 
+def _sa5_field(base):
+    """SA5 for a CSV field: empty where constant efforts leave it undefined."""
+    return "" if math.isnan(base.sa5) else _fmt(base.sa5)
+
+
 def _variant_rows(report):
-    sa5 = _fmt(report.baseline.sa5)
+    sa5 = _sa5_field(report.baseline)
     kept = {v.variant: v.kept for v in report.verdicts}
     for label, s in report.summaries.items():
         yield (label, _fmt(s.mae), _fmt(s.mmre), _fmt(s.pred25), _fmt(s.lsd), _fmt(s.mbre),
@@ -95,9 +101,10 @@ def _summary_markdown(report, stats):
           f"{stats.mean:.2f}", f"{stats.median:.2f}", f"{stats.skewness:.2f}")],
     ))
     out.append("## Random-guessing baseline")
+    sa5 = "undefined" if math.isnan(base.sa5) else _pct(base.sa5) + "%"
     out.append(_md_table(
         ("MAE_p0", "SP0", "SA at 5% quantile"),
-        [(f"{base.mae_p0:.4f}", f"{base.sp0:.4f}", _pct(base.sa5) + "%")],
+        [(f"{base.mae_p0:.4f}", f"{base.sp0:.4f}", sa5)],
     ))
     if report.ks_statistic is not None:
         verdict = "rejected" if report.ks_reject else "not rejected"
@@ -193,7 +200,7 @@ def write_report(report, stats, out_dir):
         _write_csv(
             staging / "filter.csv",
             ("variant", "SA", "Delta", "SA5", "kept", "reason"),
-            [(v.variant, _fmt(v.sa), _fmt(v.delta), _fmt(base.sa5), v.kept, v.reason)
+            [(v.variant, _fmt(v.sa), _fmt(v.delta), _sa5_field(base), v.kept, v.reason)
              for v in report.verdicts],
         )
         _write_csv(staging / "scott_knott.csv",

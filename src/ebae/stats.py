@@ -1,4 +1,15 @@
-"""Normality tooling and Scott-Knott multiple-comparison clustering.
+"""Box-Cox transform, normality tooling and Scott-Knott multiple-comparison
+clustering.
+
+Box-Cox fits lambda by maximum likelihood over a grid of 401 values from -2
+to 2. A screen first approximates every grid point's likelihood from the
+power sums sum(v) and sum(v^2) of v = x^lambda, stepping v along the grid
+by one multiply with x^0.01 per point, and bounds its error: the rounding
+of those multiplies, the cancellation of the one-pass variance, and the
+error of the exact likelihood's own power and two-pass variance. The exact
+likelihood is then computed only at the grid points the bound cannot rule
+out, which always include every point that ties the best, so lambda is
+the full grid's.
 
 Scott-Knott sorts group means and recursively splits the ordering at the
 contiguous cut maximizing the between-group sum of squares B0. A cut is kept
@@ -33,7 +44,11 @@ import numpy as np
 _PI_FACTOR = math.pi / (2.0 * (math.pi - 2.0))
 _EPS = 1e-16       # relative stopping tolerance of the incomplete-gamma series and fraction
 _FPMIN = 1e-300    # keeps the continued fraction's denominators off zero
-_LAMBDA_GRID = np.arange(-200, 201) * 0.01
+_LAMBDA_STEP = 0.01
+_LAMBDA_GRID = np.arange(-200, 201) * _LAMBDA_STEP
+_ULP = np.finfo(float).eps     # 2^-52; a correctly rounded operation is within _ULP / 2
+_LIBM_ERROR = 4.0 * _ULP       # relative error taken for np.power and np.log
+_SCREEN_LIMIT = 1e60           # the screen runs on x within [1 / limit, limit]
 
 # B0 of a cut of g means, whose largest magnitude is M, is computed within
 # 6 g^2 eps M^2 of its exact value (eps = 2^-52, first order in eps). B0 is
@@ -87,6 +102,83 @@ def _log_likelihood(x, lam, log_sum):
     return -0.5 * x.size * np.log(var) + (lam - 1.0) * log_sum
 
 
+# The screen's bound E. Write u = _ULP / 2, p = _LIBM_ERROR, w = x^lam for
+# the grid's float lam, M2 = mean(w^2), V = var(w), K = M2 / V and
+# C = (M2 + 1) / V; every bound is first order in u. Both paths add the same
+# rounded t = (lam - 1) * log_sum, so they differ only in their variances
+# and in their last roundings. On [1 / _SCREEN_LIMIT, _SCREEN_LIMIT] every
+# v, v^2, sum and mean stays a normal number, where these relative bounds
+# hold; outside it no lambda is bounded.
+# Recurrence: v reaches lam = j * 0.01 from 1 by j factors x^0.01, each
+# within p, and j - 1 rounded products; lam is j * 0.01 rounded, within
+# u |lam|, and |ln x| <= ln _SCREEN_LIMIT. So v is within
+# a = j (p + u) + u |lam| ln _SCREEN_LIMIT of w.
+# One-pass variance: a sum of n positive terms in any order (numpy's
+# pairwise sum, any BLAS kernel's dot) is within (n - 1) u of its terms'
+# sum, a dot product within n u. So m1 = sum(v) / n is within a + n u,
+# m2 = v @ v / n within 2a + (n + 1) u and m1^2 within 2a + (2n + 1) u.
+# As m1^2 <= m2, the rounded m2 - m1^2 is within (4a + (3n + 3) u) M2 of V,
+# and dividing by lam^2 adds 2u: q = var / lam^2 is within
+# e_A = (4a + (3n + 5) u) K of V / lam^2. The cancellation costs the factor
+# K = sum(v^2) / (n var).
+# Exact path: the rounded pow, subtraction and quotient put y within
+# (p + 3u)(w + 1) / |lam| of (w - 1) / lam. A standard deviation moves by
+# at most the rms of the change, so std(y) is within
+# d = (p + 3u) sqrt(2C) of sqrt(V) / |lam|. np.var's first pass gives a mean
+# within n u rms(y), whose square adds at most 2 ((n + 1) u)^2 C; its
+# second pass (difference, square, sum, quotient) is within (n + 3) u. So
+# np.var is within e_X = 2d + d^2 + (n + 3) u + 2 ((n + 1) u)^2 C of V / lam^2.
+# Likelihoods: lambda counts as bounded where e_A and e_X, computed with the
+# screen's own K and C, are at most 1/8. The exact K and C are then at most
+# 8/7 of those, each variance within 1/7 of V / lam^2, and each log within
+# 4/3 of its e: n / 2 times the two logs differ by at most n (e_A + e_X).
+# Each log is within p of its value, the product with -n / 2 and the sum
+# with t within u, and |ln| of the exact variance is below |ln q| + 1: that
+# adds n (p + 2u)(|ln q| + 1) + 2u |t|. E doubles the sum, which leaves room
+# for the terms of higher order.
+def _screen(x, log_sum):
+    """(A, E) over ``_LAMBDA_GRID``: A approximates ``_log_likelihood`` from
+    the power sums of x, and |A - _log_likelihood| <= E wherever E is finite.
+
+    A is NaN and E inf where the screen cannot bound A: at lambda = 0, where
+    v = 1 has no variance, wherever its sums cancel too far, and everywhere
+    when x leaves [1 / _SCREEN_LIMIT, _SCREEN_LIMIT].
+    """
+    size = _LAMBDA_GRID.size
+    approx = np.full(size, np.nan)
+    bound = np.full(size, np.inf)
+    if not (1.0 / _SCREEN_LIMIT <= np.min(x) and np.max(x) <= _SCREEN_LIMIT):
+        return approx, bound
+    n = x.size
+    mid = size // 2
+    s1 = np.full(size, float(n))
+    s2 = np.full(size, float(n))
+    for step, indices in ((_LAMBDA_STEP, range(mid + 1, size)), (-_LAMBDA_STEP, range(mid - 1, -1, -1))):
+        ratio = x**step
+        v = ratio.copy()
+        for i in indices:
+            s1[i] = v.sum()
+            s2[i] = v @ v
+            v *= ratio
+    lam = _LAMBDA_GRID
+    u = _ULP / 2.0
+    m2 = s2 / n
+    var = m2 - (s1 / n) ** 2
+    a = np.abs(np.arange(size) - mid) * (_LIBM_ERROR + u) + u * np.abs(lam) * math.log(_SCREEN_LIMIT)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e_a = (4.0 * a + (3 * n + 5) * u) * (m2 / var)
+        c = (m2 + 1.0) / var
+        d = (_LIBM_ERROR + 3.0 * u) * np.sqrt(2.0 * c)
+        e_x = 2.0 * d + d * d + (n + 3) * u + 2.0 * ((n + 1) * u) ** 2 * c
+        bounded = (var > 0) & (e_a <= 0.125) & (e_x <= 0.125)
+        log_q = np.log(var[bounded] / (lam[bounded] * lam[bounded]))
+    tail = (lam[bounded] - 1.0) * log_sum
+    approx[bounded] = -0.5 * n * log_q + tail
+    bound[bounded] = 2.0 * (n * (e_a[bounded] + e_x[bounded])
+                            + n * (_LIBM_ERROR + 2.0 * u) * (np.abs(log_q) + 1.0) + 2.0 * u * np.abs(tail))
+    return approx, bound
+
+
 def box_cox(values):
     """Fit lambda by maximum log-likelihood over a grid of -2 to 2 in steps
     of 0.01, and transform.
@@ -94,6 +186,13 @@ def box_cox(values):
     Non-positive inputs are shifted up by 1e-3 of the maximum value first
     (exact predictions produce zero absolute errors). Returns the transformed
     array and the fitted TransformSpec.
+
+    ``_screen`` first approximates every grid point's likelihood, A, within
+    a bound E. ``_log_likelihood`` then confirms the contenders alone: the
+    lambdas the screen cannot bound, lambda = 0 among them, and those with
+    A + E >= max(A - E) over the bounded ones. Every other lambda's
+    likelihood is below that maximum, and so below a contender's, so the
+    first best likelihood of the contenders is the first best of the grid.
     """
     x = np.asarray(values, dtype=float)
     if x.size == 0:
@@ -111,12 +210,16 @@ def box_cox(values):
         spec = TransformSpec(box_cox_lambda=1.0, shift=shift)
         return _power_transform(shifted, 1.0), spec
     log_sum = float(np.sum(np.log(shifted)))
+    approx, bound = _screen(shifted, log_sum)
+    bounded = np.isfinite(bound)
+    floor = np.max(approx[bounded] - bound[bounded], initial=-np.inf)
+    contenders = np.flatnonzero(~bounded | (approx + bound >= floor))
     # NaN or -inf marks a lambda whose transform or variance overflows;
     # lambda = 0 (the log) never does, so the best likelihood is finite and
     # so is the transform it picks
     with np.errstate(over="ignore", invalid="ignore"):
-        lls = [_log_likelihood(shifted, float(lam), log_sum) for lam in _LAMBDA_GRID]
-    best = float(_LAMBDA_GRID[int(np.nanargmax(lls))])
+        lls = [_log_likelihood(shifted, float(_LAMBDA_GRID[i]), log_sum) for i in contenders]
+    best = float(_LAMBDA_GRID[contenders[int(np.nanargmax(lls))]])
     spec = TransformSpec(box_cox_lambda=best, shift=shift)
     return _power_transform(shifted, best), spec
 

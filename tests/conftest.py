@@ -1,8 +1,15 @@
+import ctypes
+import json
+import os
+import platform
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ebae
 from ebae.data import ColumnSpec, Dataset, Row
 
 DATASETS = Path(__file__).resolve().parent.parent / "datasets"
@@ -65,6 +72,44 @@ def linear_dataset():
     return make_dataset(
         "linear", size_only_schema(), [(s,) for s in sizes], [10.0 * s for s in sizes]
     )
+
+
+def openblas_core():
+    """The core type whose kernels numpy's bundled OpenBLAS runs, or None
+    where that library or its ``scipy_openblas_get_corename64_`` is absent."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas64_*.so")):
+        corename = getattr(ctypes.CDLL(str(path)), "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.restype = ctypes.c_char_p
+            return corename().decode()
+    return None
+
+
+def under_blas_core(core, names, module, function):
+    """``module.function()``, through JSON, as a new interpreter computes it
+    with ``OPENBLAS_CORETYPE=core``: numpy's OpenBLAS then runs another CPU's
+    kernels, and must name one of ``names`` as its core. Skips where numpy
+    has no bundled x86-64 OpenBLAS, or where this CPU cannot run the core."""
+    if platform.machine() not in ("x86_64", "AMD64") or openblas_core() is None:
+        pytest.skip("needs numpy's bundled x86-64 OpenBLAS")
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:
+        from numpy.core._multiarray_umath import __cpu_features__
+    if core == "Haswell" and not (__cpu_features__.get("AVX2") and __cpu_features__.get("FMA3")):
+        pytest.skip("the Haswell kernels need AVX2 and FMA3")
+    paths = [Path(ebae.__file__).resolve().parents[1], Path(__file__).resolve().parents[1]]
+    env = {**os.environ, "OPENBLAS_CORETYPE": core,
+           "PYTHONPATH": os.pathsep.join(filter(None, [*map(str, paths), os.environ.get("PYTHONPATH")]))}
+    code = ("import json\n"
+            "from tests.conftest import openblas_core\n"
+            f"from {module} import {function}\n"
+            f"print(json.dumps([openblas_core(), {function}()]))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    name, result = json.loads(out.stdout)
+    assert name in names
+    return result
 
 
 def random_dataset(rng, n=None, n_features=None, with_categorical=False):

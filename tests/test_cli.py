@@ -2,6 +2,7 @@ import csv
 import hashlib
 import math
 import os
+import re
 import tempfile
 from dataclasses import astuple
 from pathlib import Path
@@ -227,6 +228,24 @@ def test_degenerate_input_matrix_through_the_command(dataset):
         else:
             numbers = [float(row[c]) for c in ("MAE", "MMRE", "Pred25", "LSD", "MBRE", "MIBRE", "SA", "Delta")]
             assert all(math.isfinite(v) for v in numbers), row
+
+
+def test_constant_efforts_report_has_no_nan(tmp_path):
+    # SA5 is undefined when every effort is the same: the CSVs leave it
+    # empty and summary.md says so, beside the notes that name the cause
+    dataset = make_dataset("flat", [SIZE, X], ROWS[:8], [100.0] * 8)
+    data, schema, out = tmp_path / "flat.csv", tmp_path / "flat.schema", tmp_path / "report"
+    write_dataset(dataset, data, schema)
+    assert main(["pipeline", "--data", str(data), "--schema", str(schema), *FAST, "--set", "jobs=1",
+                 "--out", str(out)]) == 0
+    for name in REPORT_FILES:
+        assert not re.search(r"\bnan\b", (out / name).read_text(encoding="utf-8"), re.IGNORECASE), name
+    for name in ("variants.csv", "filter.csv"):
+        with (out / name).open(encoding="utf-8", newline="") as fh:
+            assert all(row["SA5"] == "" for row in csv.DictReader(fh)), name
+    summary = (out / "summary.md").read_text(encoding="utf-8")
+    assert "| 0.0000 | 0.0000 | undefined |" in summary
+    assert "- EBA1 not evaluated: standardized accuracy undefined: constant efforts (MAE_p0 = 0)" in summary
 
 
 def test_pipeline_hash_identical_across_runs_and_parallelism(tmp_path):

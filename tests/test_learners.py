@@ -1,17 +1,8 @@
-import ctypes
-import json
-import os
-import platform
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import ebae
 from ebae import learners
 from ebae.adjust import VariantId
 from ebae.analogy import knn_within
@@ -36,7 +27,7 @@ from ebae.learners import (
 )
 from ebae.validation import derive_seed, loocv
 
-from .conftest import make_dataset, random_dataset, size_only_schema
+from .conftest import make_dataset, random_dataset, size_only_schema, under_blas_core
 from .ga_reference import diff_vector, fit_ga_one, fit_ga_weights_loop, ga_design_loop
 from .mt_reference import assert_same_tree, best_split_loop, fit_model_tree, fit_model_tree_loop
 from .nn_reference import fit_network, network_loss_and_grads_2d
@@ -519,18 +510,6 @@ def test_fit_networks_matches_oracle_at_pipeline_shapes(monkeypatch, n, m, hidde
     assert layouts == [((10, padded, m), (10, padded), (10, padded), (10,))] * 5
 
 
-def openblas_core():
-    """The core type whose kernels numpy's bundled OpenBLAS runs, or None
-    where that library or its ``scipy_openblas_get_corename64_`` is absent."""
-    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    for path in sorted(libs.glob("libscipy_openblas64_*.so")):
-        corename = getattr(ctypes.CDLL(str(path)), "scipy_openblas_get_corename64_", None)
-        if corename is not None:
-            corename.restype = ctypes.c_char_p
-            return corename().decode()
-    return None
-
-
 # shapes at which stacks of five networks per set, side by side, differed
 # from their lone fits: unpadded under the Haswell or the Katmai kernel, and
 # padded under Nehalem at 1-4 hidden units, the default 4 included
@@ -556,24 +535,7 @@ def test_fit_networks_matches_oracle_under_other_blas_kernels(core, names):
     # numpy's OpenBLAS picks its kernels for the CPU it runs on; a process
     # given OPENBLAS_CORETYPE runs another CPU's kernels, and its stacks must
     # still equal their lone fits
-    if platform.machine() not in ("x86_64", "AMD64") or openblas_core() is None:
-        pytest.skip("needs numpy's bundled x86-64 OpenBLAS")
-    try:
-        from numpy._core._multiarray_umath import __cpu_features__
-    except ImportError:
-        from numpy.core._multiarray_umath import __cpu_features__
-    if core == "Haswell" and not (__cpu_features__.get("AVX2") and __cpu_features__.get("FMA3")):
-        pytest.skip("the Haswell kernels need AVX2 and FMA3")
-    paths = [Path(ebae.__file__).resolve().parents[1], Path(__file__).resolve().parents[1]]
-    env = {**os.environ, "OPENBLAS_CORETYPE": core,
-           "PYTHONPATH": os.pathsep.join(filter(None, [*map(str, paths), os.environ.get("PYTHONPATH")]))}
-    code = ("import json\n"
-            "from tests.test_learners import kernel_mismatches, openblas_core\n"
-            "print(json.dumps([openblas_core(), kernel_mismatches()]))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    name, mismatches = json.loads(out.stdout)
-    assert name in names
-    assert mismatches == []
+    assert under_blas_core(core, names, "tests.test_learners", "kernel_mismatches") == []
 
 
 def test_fit_networks_diverged_members_fail_alone():

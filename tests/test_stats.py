@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import os
@@ -11,11 +12,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ebae
+from ebae import stats
+from ebae.adjust import enumerate_variants
+from ebae.config import Config
 from ebae.stats import (
+    _LAMBDA_GRID,
     TransformSpec,
     _best_cut,
     _gammp,
+    _log_likelihood,
     _normal_cdf,
+    _power_transform,
+    _screen,
     _significant,
     apply_transform,
     box_cox,
@@ -23,6 +31,9 @@ from ebae.stats import (
     scott_knott,
     scott_knott_two_way,
 )
+from ebae.validation import loocv_grid
+
+from .conftest import under_blas_core
 
 
 def test_box_cox_log_branch():
@@ -71,6 +82,121 @@ def test_box_cox_picks_finite_likelihood_on_huge_values():
     assert spec.box_cox_lambda == pytest.approx(max(finite, key=lambda p: p[0])[1], abs=1e-9)
     assert np.all(np.isfinite(transformed))
     assert np.all(np.isfinite(apply_transform(x, spec)))
+
+
+def shifted(values):
+    """(values shifted as ``box_cox`` shifts them, the shift)."""
+    x = np.asarray(values, dtype=float)
+    shift = 0.0
+    if np.min(x) <= 0:
+        shift = 1e-3 * float(np.max(x)) if np.max(x) > 0 else 1e-3
+    return x + shift, shift
+
+
+def box_cox_full_grid(values):
+    """The search ``box_cox`` screens: ``_log_likelihood`` at every grid
+    point, and the first best; the same shift and constant-input branch."""
+    x, shift = shifted(values)
+    if np.all(x == x[0]):
+        return _power_transform(x, 1.0), TransformSpec(1.0, shift)
+    log_sum = float(np.sum(np.log(x)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        lls = [_log_likelihood(x, float(lam), log_sum) for lam in _LAMBDA_GRID]
+    best = float(_LAMBDA_GRID[int(np.nanargmax(lls))])
+    return _power_transform(x, best), TransformSpec(best, shift)
+
+
+@st.composite
+def box_cox_inputs(draw):
+    """Positive samples of 2-8,000 values from four skewed families at scales
+    1e-3 to 1e6, some with zeros (shifted), two distinct values, or four
+    values 1 to 1e12 ulps apart, where the screen's sums cancel."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.one_of(st.integers(2, 60), st.integers(2, 8000)))
+    family = draw(st.sampled_from(["lognormal", "gamma", "pareto", "halfnormal"]))
+    x = {"lognormal": lambda: rng.lognormal(0.0, 1.5, n), "gamma": lambda: rng.gamma(0.8, 1.0, n),
+         "pareto": lambda: rng.pareto(1.2, n) + 1e-3, "halfnormal": lambda: np.abs(rng.normal(size=n))}[family]()
+    x = x * 10.0 ** draw(st.floats(-3.0, 6.0))
+    shape = draw(st.sampled_from(["plain", "zeros", "two_values", "near_constant"]))
+    if shape == "zeros":
+        x[rng.random(n) < draw(st.floats(0.0, 0.5))] = 0.0
+        x[0] = 0.0
+    elif shape == "two_values":
+        x = np.where(np.arange(n) % 2 == 0, x[0], x[-1])
+    elif shape == "near_constant":
+        x = x[0] + np.spacing(x[0]) * rng.integers(0, 4, n) * 10.0 ** draw(st.floats(0.0, 12.0))
+    return x
+
+
+@settings(max_examples=150, deadline=None)
+@given(box_cox_inputs())
+def test_box_cox_matches_full_grid_oracle(x):
+    transformed, spec = box_cox(x)
+    want_transformed, want = box_cox_full_grid(x)
+    assert spec == want
+    assert np.array_equal(transformed, want_transformed)
+
+
+@settings(max_examples=100, deadline=None)
+@given(box_cox_inputs())
+def test_box_cox_screen_bounds_the_likelihood(x):
+    x, _ = shifted(x)
+    log_sum = float(np.sum(np.log(x)))
+    approx, bound = _screen(x, log_sum)
+    assert not np.isfinite(bound[_LAMBDA_GRID == 0.0]).any()
+    for i in np.flatnonzero(np.isfinite(bound)):
+        assert abs(approx[i] - _log_likelihood(x, float(_LAMBDA_GRID[i]), log_sum)) <= bound[i], i
+
+
+def count_likelihoods(monkeypatch, values):
+    """(the TransformSpec ``box_cox`` fits to ``values``, its number of
+    ``_log_likelihood`` calls)."""
+    calls = []
+    exact = stats._log_likelihood
+
+    def counted(x, lam, log_sum):
+        calls.append(lam)
+        return exact(x, lam, log_sum)
+
+    monkeypatch.setattr(stats, "_log_likelihood", counted)
+    _, spec = box_cox(values)
+    return spec, len(calls)
+
+
+def test_box_cox_confirms_few_lambdas_on_albrecht_errors(monkeypatch, albrecht):
+    tables, errors = loocv_grid(albrecht, enumerate_variants(5), Config(jobs=1))
+    assert not errors and len(tables) == 40
+    pooled = np.concatenate([table.aes for table in tables.values()])
+    assert pooled.size == 960
+    spec, calls = count_likelihoods(monkeypatch, pooled)
+    assert spec == box_cox_full_grid(pooled)[1]
+    assert calls <= 5
+
+
+def test_box_cox_confirms_every_lambda_outside_the_screens_range(monkeypatch):
+    rng = np.random.default_rng(8)
+    x = np.concatenate([rng.gamma(2.0, 3.0, size=60), [1e150, 1e300, 1.59e308]])
+    spec, calls = count_likelihoods(monkeypatch, x)
+    assert spec == box_cox_full_grid(x)[1]
+    assert calls == _LAMBDA_GRID.size
+
+
+def box_cox_fingerprint():
+    """lambda, shift and the sha256 of the transformed values of a fixed
+    sample of 3,000 values with zeros."""
+    rng = np.random.default_rng(2017)
+    x = rng.lognormal(3.0, 1.2, size=3000)
+    x[::50] = 0.0
+    transformed, spec = box_cox(x)
+    return [spec.box_cox_lambda, spec.shift, hashlib.sha256(transformed.tobytes()).hexdigest()]
+
+
+@pytest.mark.parametrize("core, names", [("Haswell", ["Haswell"]), ("Prescott", ["Prescott", "Katmai"])],
+                         ids=["Haswell", "Prescott"])
+def test_box_cox_lambda_same_under_other_blas_kernels(core, names):
+    # the screen's v @ v runs in OpenBLAS, whose kernels sum in their own
+    # order; its bound holds for any order, so lambda may not move
+    assert under_blas_core(core, names, "tests.test_stats", "box_cox_fingerprint") == box_cox_fingerprint()
 
 
 def test_box_cox_shifts_zeros():
