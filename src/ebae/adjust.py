@@ -49,13 +49,6 @@ def enumerate_variants(k_max=5):
     return tuple(VariantId(m, k) for m in METHODS for k in range(1, k_max + 1))
 
 
-def variant_from_label(label):
-    for method in sorted(METHODS, key=len, reverse=True):
-        if label.startswith(method) and label[len(method):].isdigit():
-            return VariantId(method, int(label[len(method):]))
-    raise ValueError(f"not a variant label: {label!r}")
-
-
 def _mean(values):
     """``np.mean`` of a 1-D float array, bit for bit: the same sum divided by
     the count, without its dispatch."""

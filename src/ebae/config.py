@@ -66,8 +66,8 @@ _KEYS = {_key(f.name): (f.name, {"int": int, "float": float}[f.type]) for f in f
 
 # Smallest value of each field with which a run can go: the baseline needs 100
 # Monte-Carlo runs, LOOCV one worker and the estimators the rest.
-_MINIMA = {"runs": 100, "k_max": 1, "jobs": 1, "mt_min_leaf": 1, "ga_pop": 1, "nn_hidden": 0,
-           "ga_range": 0, "nn_epochs": 0, "ga_gens": 0}
+_MINIMA = {"runs": 100, "k_max": 1, "jobs": 1, "mt_min_leaf": 1, "mt_max_depth": 0, "ga_pop": 1,
+           "nn_hidden": 0, "ga_range": 0, "nn_epochs": 0, "ga_gens": 0}
 
 
 def with_overrides(config: Config, pairs: dict[str, str]) -> Config:

@@ -16,10 +16,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .adjust import enumerate_variants, variant_from_label
-from .metrics import build_table, log_floor, summarize
+from .adjust import enumerate_variants
+from .metrics import build_table, summarize
 from .ranking import borda_rank, profile_from_measures
-from .stats import apply_transform, box_cox, ks_normality, scott_knott, scott_knott_two_way
+from .stats import box_cox, ks_normality, scott_knott, scott_knott_two_way
 from .validation import dataset_baseline, loocv_grid
 
 # ranking voter -> EvalSummary attribute; the order is the profile's voter order
@@ -148,13 +148,14 @@ def build_ensembles(ranked):
     return [EnsembleSpec(z=z, members=tuple(ranked[:z])) for z in range(2, len(ranked) + 1)]
 
 
-def ensemble_table(spec, tables, floor):
+def ensemble_table(spec, tables):
     """Fold-level ensemble predictions: the exact per-row mean of the member
-    tables computed once per variant (no refitting)."""
+    tables computed once per variant (no refitting), with the members' ids,
+    actuals and log floor."""
     member_tables = [tables[label] for label in spec.members]
+    first = member_tables[0]
     predictions = np.mean([t.predictions for t in member_tables], axis=0)
-    return build_table(spec.label, member_tables[0].project_ids, member_tables[0].actuals,
-                       predictions, floor)
+    return build_table(spec.label, first.project_ids, first.actuals, predictions, first.floor)
 
 
 def _joint_stage(report, alpha):
@@ -176,26 +177,20 @@ def _joint_stage(report, alpha):
     report.mean_rank_singles = float(np.mean(ranks_s)) if ranks_s else None
 
 
-def _per_method_stages(report, alpha):
-    """Best-k per method and the two-way (method type x k) clustering, both on
-    a transform fitted over every evaluated variant's absolute errors. When
-    every evaluated variant survived, the singles' clustering fitted that
-    transform on the same pooled errors already."""
-    labels = list(report.tables)
-    if len(labels) < 2:
+def _per_method_stages(report, variants, alpha):
+    """Best-k per method and the two-way (method type x k) clustering of the
+    evaluated ``variants``, those with a table, both on one transform fitted
+    over their pooled absolute errors."""
+    variants = [variant for variant in variants if variant.label in report.tables]
+    if len(variants) < 2:
         return
-    if report.survivors == labels:
-        spec = report.sk_singles.transform
-        groups = {label: apply_transform(report.tables[label].aes, spec) for label in labels}
-    else:
-        groups, spec = pooled_transform(report.tables, labels)
-    variants = [variant_from_label(label) for label in labels]
-    for variant, label in zip(variants, labels):
+    groups, spec = pooled_transform(report.tables, [variant.label for variant in variants])
+    for variant in variants:
         current = report.best_k.get(variant.method)
-        candidate = (variant.k, float(np.mean(groups[label])))
+        candidate = (variant.k, float(np.mean(groups[variant.label])))
         if current is None or candidate[1] < current[1]:
             report.best_k[variant.method] = candidate
-    cells = {(variant.method, variant.k): groups[label] for variant, label in zip(variants, labels)}
+    cells = {(variant.method, variant.k): groups[variant.label] for variant in variants}
     if len({variant.method for variant in variants}) >= 2:
         try:
             report.two_way = replace(scott_knott_two_way(cells, alpha), transform=spec)
@@ -243,12 +238,11 @@ def run_pipeline(dataset, config):
         report.best_ranking = list(report.best_cluster)
         report.notes.append("best cluster has fewer than 2 members: no ensembles")
 
-    floor = log_floor(dataset.efforts)
     for spec in report.ensembles:
-        table = ensemble_table(spec, report.tables, floor)
+        table = ensemble_table(spec, report.tables)
         report.ensemble_tables[spec.label] = table
         report.ensemble_summaries[spec.label] = summarize(table, base)
 
     _joint_stage(report, config.alpha)
-    _per_method_stages(report, config.alpha)
+    _per_method_stages(report, variants, config.alpha)
     return report

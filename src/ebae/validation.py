@@ -17,10 +17,10 @@ numpy on Python 3.12.
 
 When RTM, MT, GA or NN runs, ``loocv_grid`` first ranks the whole dataset
 once, ``knn_within(dataset, k_top + 1)``, where ``k_top`` is the largest k
-of the variants. Each fold then builds what its variants share, the chunk
-trains its MT, GA and NN members together, and each fold predicts every k of
-a method in one pass of ``adjust.<method>`` over its ``k_top`` analogies. A
-fold builds:
+of the variants. Each fold, given ``k_top`` and the grid's method set, builds
+what those methods share, the chunk trains its MT, GA and NN members
+together, and each fold predicts every k of a method in one pass of
+``adjust.<method>`` over its ``k_top`` analogies. A fold builds:
 
 - the training fold ``dataset.without(t)``;
 - one retrieval of the ``k_top`` nearest training projects; variant k
@@ -39,7 +39,8 @@ fold builds:
 - the model table ``models``: the RTM correlation, the model tree and the
   network, which learn from k-free inputs and serve every k, and a dict of
   GA weights, one member per k, as each k's GA design averages over its own
-  k neighbours. A model that cannot be fitted is stored as its error.
+  k neighbours. A model that cannot be fitted is stored as its error, a GA
+  member by its absence.
 
 A chunk trains each learner as one stack in which every member equals its
 lone fit. It grows the model trees of all its folds in one
@@ -100,21 +101,21 @@ def derive_seed(seed, *parts):
 class _Fold:
     """One training fold, its target's nearest training projects, and
     ``models``: what the learning methods fitted on the fold, keyed by method.
-    RTM, MT and NN keep one model for every k, GA a dict of one member per
-    k. A model that cannot be fitted is kept as its error, and its
-    predictions are NaN.
+    RTM, MT and NN keep one model for every k, GA a dict of the weights of
+    each k whose member was fitted. A model that cannot be fitted is kept as
+    its error; its predictions, and those of a k without weights, are NaN.
 
-    ``variants`` are the runnable variants of the grid; the fold builds only
-    what their methods use. ``ranking`` is the dataset's
+    ``k_top`` is the grid's largest k and ``methods`` its set of methods;
+    the fold retrieves ``k_top`` analogies and builds only what those
+    methods use. ``ranking`` is the dataset's
     ``knn_within(dataset, k_top + 1)`` when the fold needs a neighbour
     table. The model tree is added by ``_fit_trees``, the GA members by
     ``_fit_ga`` and the network by ``_fit_networks``."""
 
-    def __init__(self, dataset, t, variants, ranking):
+    def __init__(self, dataset, t, k_top, methods, ranking):
         self.t = t
         self.train = train = dataset.without(t)
         self.target = dataset.row(t)
-        k_top = max(variant.k for variant in variants)
         self.analogies = retrieve(self.target, train, k_top)
         self.models = {}
         if ranking is None:
@@ -123,8 +124,7 @@ class _Fold:
             neighbors = analogy.knn_without(ranking, t, k_top)
         else:
             neighbors = analogy.knn_within(train, k_top)
-        methods = {variant.method for variant in variants}
-        if methods & {"MT", "NN"}:
+        if "MT" in methods or "NN" in methods:
             # cannot fail: a fold of a runnable grid has n - 1 >= k + 1 >= 2 rows
             self.pairs = build_diff_pairs(train, neighbors[:, 0])
         if "RTM" in methods:
@@ -142,8 +142,6 @@ class _Fold:
         rows = []
         for method in methods:
             model = self.models.get(method)
-            if isinstance(model, dict):
-                model = {k: member for k, member in model.items() if not isinstance(member, Exception)}
             if isinstance(model, Exception):
                 rows.append(np.full(len(nbh.indices), np.nan))
             else:
@@ -164,12 +162,13 @@ def _fit_trees(folds, config):
 
 def _fit_ga(folds, variants, config):
     """Fit the GA members of every (fold, GA variant) of a chunk into each
-    fold's ``models``, as one ``fit_ga_weights`` stack."""
+    fold's ``models``, as one ``fit_ga_weights`` stack; a member that cannot
+    be fitted is left out."""
     ks = [variant.k for variant in variants]
     seeds = [[derive_seed(config.seed, fold.t, variant.label) for variant in variants] for fold in folds]
     fits = fit_ga_weights([fold.train for fold in folds], [fold.neighbors for fold in folds], ks, config, seeds)
     for fold, row in zip(folds, fits):
-        fold.models["GA"] = {k: fit if isinstance(fit, FitError) else fit.alpha for k, fit in zip(ks, row)}
+        fold.models["GA"] = {k: fit.alpha for k, fit in zip(ks, row) if not isinstance(fit, FitError)}
 
 
 def _fit_networks(folds, config):
@@ -237,26 +236,23 @@ def loocv_grid(dataset, variants, config):
             runnable.append(variant)
     if not runnable:
         return {}, errors
-    trees = any(variant.method == "MT" for variant in runnable)
-    genetic = [variant for variant in runnable if variant.method == "GA"]
-    networks = any(variant.method == "NN" for variant in runnable)
-    width = max(dataset.m, padded_hidden(config.nn_hidden) if networks else 0)
-    starts = _chunk_starts(dataset.n, max(1, STACK_FLOATS // ((dataset.n - 1) * width)), config.jobs)
-
     k_top = max(variant.k for variant in runnable)
     used = {variant.method for variant in runnable}
     methods = [method for method in adjust.METHODS if method == "EBA" or method in used]
+    genetic = [variant for variant in runnable if variant.method == "GA"]
+    width = max(dataset.m, padded_hidden(config.nn_hidden) if "NN" in used else 0)
+    starts = _chunk_starts(dataset.n, max(1, STACK_FLOATS // ((dataset.n - 1) * width)), config.jobs)
     ranking = None
     if not used.isdisjoint(("RTM", "MT", "GA", "NN")):
         ranking = analogy.knn_within(dataset, k_top + 1)
 
     def chunk(start, stop):
-        folds = [_Fold(dataset, t, runnable, ranking) for t in range(start, stop)]
-        if trees:
+        folds = [_Fold(dataset, t, k_top, used, ranking) for t in range(start, stop)]
+        if "MT" in used:
             _fit_trees(folds, config)
         if genetic:
             _fit_ga(folds, genetic, config)
-        if networks:
+        if "NN" in used:
             _fit_networks(folds, config)
         return np.stack([fold.predict(methods) for fold in folds])
 

@@ -17,7 +17,6 @@ from ebae.adjust import (
     nn,
     productivity_correlation,
     rtm,
-    variant_from_label,
 )
 from ebae.analogy import Neighborhood, knn_within, retrieve
 from ebae.data import ColumnSpec
@@ -42,11 +41,6 @@ def test_enumerate_variants_grid():
     assert variants[0] == VariantId("EBA", 1)
     rtm = [v for v in variants if v.method == "RTM"]
     assert [v.k for v in rtm] == [1, 2, 3, 4, 5]
-
-
-def test_variant_labels_roundtrip():
-    for v in enumerate_variants():
-        assert variant_from_label(v.label) == v
 
 
 # --- EBA ---

@@ -338,6 +338,7 @@ def test_set_without_equals_fails_fast(tmp_path, capsys):
     (["--runs", "50"], "runs"),
     (["--set", "jobs=0"], "jobs"),
     (["--set", "seed=abc", "--seed", "3"], "seed"),      # the flag does not mask a bad --set
+    (["--set", "mt.max_depth=-1"], "mt.max_depth"),
 ])
 def test_out_of_range_config_value_fails_fast(tmp_path, capsys, args, key):
     code = main(["pipeline", *TOY_ARGS, *args, "--out", str(tmp_path / "o")])

@@ -152,9 +152,10 @@ def test_ensemble_spec_validation():
 
 
 def test_ensemble_table_exact_mean_and_ae_bound():
-    tables = make_tables({"A": (1.0, 15), "B": (4.0, 15), "C": (8.0, 15)})
+    tables = make_tables({"A": (1.0, 15), "B": (4.0, 15), "C": (8.0, 15)}, floor=0.25)
     spec = EnsembleSpec(z=3, members=("A", "B", "C"))
-    combined = ensemble_table(spec, tables, floor=1e-6)
+    combined = ensemble_table(spec, tables)
+    assert {table.floor for table in tables.values()} == {combined.floor}
     member_predictions = np.array([tables[m].predictions for m in spec.members])
     assert np.array_equal(combined.predictions, member_predictions.mean(axis=0))
     member_aes = np.array([tables[m].aes for m in spec.members])
@@ -303,7 +304,17 @@ def test_pipeline_deterministic():
     assert [e.members for e in a.ensembles] == [e.members for e in b.ensembles]
 
 
-def test_per_method_stages_reuse_the_singles_transform_when_all_survive(albrecht, monkeypatch):
+def partly_informative():
+    """Effort that grows with size, times noise, and a feature of noise: the
+    model trees' variants fail the gate, the other 35 pass it."""
+    schema = size_only_schema() + [ColumnSpec("x", "feature", "continuous", "none")]
+    xs = [5.1, 9.5, 1.4, 9.5, 3.1, 4.2, 8.3, 4.1, 5.5, 0.3, 7.5, 5.4]
+    efforts = [6.4, 18.1, 22.5, 57.3, 51.2, 50.3, 43.8, 68.6, 90.4, 84.8, 239.1, 219.5]
+    return make_dataset("partly_informative", schema, [(float(s), x) for s, x in enumerate(xs, 1)], efforts)
+
+
+@pytest.mark.parametrize("all_survive", [True, False], ids=["all_survive", "some_dropped"])
+def test_per_method_stages_fit_one_transform_over_every_evaluated_variant(albrecht, monkeypatch, all_survive):
     import ebae.ensemble
 
     fits = []
@@ -314,10 +325,20 @@ def test_per_method_stages_reuse_the_singles_transform_when_all_survive(albrecht
         return box_cox(values)
 
     monkeypatch.setattr(ebae.ensemble, "box_cox", counted)
-    report = run_pipeline(albrecht, Config(runs=200, ga_pop=6, ga_gens=3, nn_epochs=10))
-    assert report.survivors == list(report.tables) and len(report.tables) == 40
-    # the singles' and the joint clustering fit; the per-method stages pool
-    # the singles' errors again and take their transform
-    assert fits == [40 * albrecht.n, len(report.best_cluster + report.ensembles) * albrecht.n]
-    assert report.two_way.transform == report.sk_singles.transform == pooled_transform(
-        report.tables, list(report.tables))[1]
+    ds = albrecht if all_survive else partly_informative()
+    report = run_pipeline(ds, Config(runs=200, ga_pop=6, ga_gens=3, nn_epochs=10))
+    assert len(report.tables) == 40
+    assert (report.survivors == list(report.tables)) == all_survive
+    if not all_survive:
+        assert [label for label in report.tables if label not in report.survivors] == [f"MT{k}" for k in range(1, 6)]
+    # the singles' clustering, the joint clustering, then the per-method
+    # stages over every evaluated variant
+    joint = len(report.best_cluster + report.ensembles)
+    assert fits == [len(report.survivors) * ds.n, joint * ds.n, 40 * ds.n]
+    groups, spec = pooled_transform(report.tables, list(report.tables))
+    assert report.two_way.transform == spec
+    if all_survive:
+        assert report.sk_singles.transform == spec
+    for method in METHODS:
+        means = [(k, float(np.mean(groups[f"{method}{k}"]))) for k in range(1, 6)]
+        assert report.best_k[method] == min(means, key=lambda entry: entry[1])

@@ -497,7 +497,7 @@ def test_loocv_grid_builds_only_what_its_methods_use(albrecht, monkeypatch, meth
 def fold_neighbors(dataset, t, k):
     """The in-training neighbour table a GA-only grid's fold t builds."""
     ranking = analogy.knn_within(dataset, k + 1)
-    return validation._Fold(dataset, t, [VariantId("GA", k)], ranking).neighbors
+    return validation._Fold(dataset, t, k, {"GA"}, ranking).neighbors
 
 
 def test_fold_neighbors_equal_knn_within_on_every_albrecht_fold(albrecht):
@@ -540,10 +540,10 @@ def test_fold_neighbors_equal_knn_within_property(seed, kinds, all_tied, extreme
 
 def test_fold_falls_back_for_each_k_whose_model_is_an_error(albrecht, monkeypatch):
     variants = [VariantId(method, k) for method in ("EBA", "MT", "GA") for k in range(1, 6)]
-    fold = validation._Fold(albrecht, 0, variants, analogy.knn_within(albrecht, 6))
+    fold = validation._Fold(albrecht, 0, 5, {"EBA", "MT", "GA"}, analogy.knn_within(albrecht, 6))
     alphas = {k: np.full(albrecht.m, 0.5 * k) for k in (2, 4)}
     fold.models["MT"] = FitError("no tree")
-    fold.models["GA"] = {1: FitError("lost"), 2: alphas[2], 3: FitError("lost"), 4: alphas[4], 5: FitError("lost")}
+    fold.models["GA"] = alphas
     eba, mt, ga = fold.predict(["EBA", "MT", "GA"])
     for k in range(1, 6):
         nbh = retrieve(fold.target, fold.train, k)
@@ -585,7 +585,7 @@ def test_fold_predicts_every_nn_k_from_one_network(albrecht, monkeypatch):
     variants = [VariantId("NN", k) for k in range(1, 6)]
     t = 5
     tables, _ = loocv_grid(albrecht, variants, SMALL)
-    fold = validation._Fold(albrecht, t, variants, analogy.knn_within(albrecht, 6))
+    fold = validation._Fold(albrecht, t, 5, {"NN"}, analogy.knn_within(albrecht, 6))
     validation._fit_networks([fold], SMALL)
     net, train, target = fold.models["NN"], fold.train, fold.target
     want = fit_network(*fold.pairs, SMALL, derive_seed(SMALL.seed, t, "NN"))
