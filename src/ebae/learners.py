@@ -1,9 +1,11 @@
 """Trainable components behind the model-tree, network, and GA adjusters.
 
-All three learn from difference pairs: for every training project, the
-feature-difference vector to its nearest in-training analogy (continuous:
-target minus analogy, categorical: 0/1 mismatch) and the matching effort
-difference. Every fit is a deterministic function of its inputs and seed.
+All three learn from the difference vectors of training projects to their
+in-training analogies (continuous: project minus analogy, categorical: 0/1
+mismatch): the model tree and the network from each project's vector to its
+nearest analogy and their effort difference, a GA member for k from the
+mean of its vectors to its k nearest. Every learner takes arrays, and every
+fit is a deterministic function of its inputs and seed.
 """
 
 from __future__ import annotations
@@ -21,16 +23,6 @@ def diff_rows(cont_a, cat_a, cont_b, cat_b):
     """a-minus-b difference vectors on the last axis: continuous differences,
     then 0/1 category-code mismatches. The a and b parts broadcast together."""
     return np.concatenate([cont_a - cont_b, (cat_a != cat_b).astype(float)], axis=-1)
-
-
-def build_diff_pairs(train, nearest):
-    """Difference rows X and effort differences y of every training project
-    against its nearest other training project ``nearest[i]`` (column 0 of
-    ``knn_within(train, k)``)."""
-    if train.n < 2:
-        raise FitError("need at least 2 projects to build difference pairs")
-    X = diff_rows(train.cont, train.cat, train.cont[nearest], train.cat[nearest])
-    return X, train.efforts - train.efforts[nearest]
 
 
 # ---------------------------------------------------------------------------
@@ -428,26 +420,25 @@ class GaWeights:
 _FITNESS_LIMIT = np.finfo(float).max / 2
 
 
-def ga_design(train, neighbors, ga_range):
+def ga_design(efforts, neighbor_efforts, diffs, ga_range):
     """Precompute the in-training leave-one-out design for the GA objective.
 
-    ``neighbors`` is the (n, k) table of every training project's k nearest
-    other training projects, nearest first (``knn_within(train, k)``). With
-    mean aggregation the corrected prediction for project t is
+    ``efforts`` (n,) are the training efforts; ``neighbor_efforts`` (n, k)
+    and ``diffs`` (n, k, m) the efforts of each project's k nearest other
+    training projects, nearest first, and its difference vectors to them.
+    With mean aggregation the corrected prediction for project t is
     base(t) + mean_diff(t) . alpha, so the objective reduces to an L1 fit:
     returns (residuals e - base, mean difference matrix D). Raises
     ``FitError`` when the design is not finite or when weights within
     ``[-ga_range, ga_range]`` could overflow a candidate's fitness.
     """
-    n, k = train.n, neighbors.shape[1]
+    n, k = neighbor_efforts.shape
     if n < k + 2:
         raise FitError(f"GA needs at least {k + 2} projects for k={k}, got {n}")
     # overflow shows in the bound, which is then inf or NaN
     with np.errstate(over="ignore", invalid="ignore"):
-        residuals = train.efforts - train.efforts[neighbors].mean(axis=1)
-        # mean of the (n, k, m) difference vectors of every project to its k analogies
-        D = diff_rows(train.cont[:, None], train.cat[:, None], train.cont[neighbors],
-                      train.cat[neighbors]).mean(axis=1)
+        residuals = efforts - neighbor_efforts.mean(axis=1)
+        D = diffs.mean(axis=1)
         bound = np.abs(residuals).sum() + ga_range * np.abs(D).sum()
     if not bound < _FITNESS_LIMIT:
         raise FitError("GA fitness overflows: differences or efforts too large for weights "
@@ -470,19 +461,14 @@ def ga_fitness(residuals, D, alphas, out=None):
     return np.add.reduce(np.abs(errors, out=errors), axis=-1) / errors.shape[-1]
 
 
-def fit_ga_weights(trains, neighbors, ks, config, seeds):
+def fit_ga_weights(residuals, D, config, seeds):
     """Tournament GA with arithmetic crossover, Gaussian mutation, elitism 1,
-    for a stack of F training sets times K members, all at once.
+    for a stack of S members, all at once.
 
-    ``trains`` are F training sets of the same size and features, and
-    ``neighbors`` their in-training neighbour tables (``knn_within``).
-    ``seeds`` holds F rows of K seeds, one member per seed: member (f, j)
-    searches the design ``ga_design(trains[f], neighbors[f][:, :ks[j]],
-    ga_range)``. The members whose designs can be built train as one stack
-    of S: residuals (S, n), designs (S, n, m) and populations (S, ga_pop, m).
-    Returns F rows of K outcomes: a ``GaWeights``, or the ``FitError`` of a
-    member whose design cannot be built. No member depends on the others:
-    each equals its lone fit.
+    ``residuals`` (S, n) and ``D`` (S, n, m) are S designs of ``ga_design``,
+    one member per design and seed in ``seeds``. The members train as one
+    stack, with populations (S, ga_pop, m). Returns S ``GaWeights``. No
+    member depends on the others: each equals its lone fit.
 
     Each member draws from its own ``default_rng(seed)``: first its initial
     population, into which the zero vector is planted, so its weights never
@@ -505,25 +491,11 @@ def fit_ga_weights(trains, neighbors, ks, config, seeds):
     of ``1 / ga_pop``. Children are clipped to ``[-ga_range, ga_range]`` and
     the elite is carried over unchanged.
     """
-    outcomes = [[None] * len(ks) for _ in seeds]
-    designs = []
-    for f, (train, table, row) in enumerate(zip(trains, neighbors, seeds)):
-        for j, (k, seed) in enumerate(zip(ks, row)):
-            try:
-                designs.append(((f, j), *ga_design(train, table[:, :k], config.ga_range), seed))
-            except FitError as exc:
-                outcomes[f][j] = exc
-    if not designs:
-        return outcomes
-    members, residuals, D, member_seeds = zip(*designs)
-    # np.stack copies, so the members' own designs can be freed
-    residuals, D = np.stack(residuals), np.stack(D)
-    del designs
     size, n, m = D.shape
     n_pop, r = config.ga_pop, config.ga_range
     n_children = n_pop - 1
     sigma = 0.1 * r
-    rngs = [np.random.default_rng(seed) for seed in member_seeds]
+    rngs = [np.random.default_rng(seed) for seed in seeds]
     pop = np.stack([rng.uniform(-r, r, size=(n_pop, m)) for rng in rngs])
     pop[:, 0] = 0.0
     # Every array that a generation fills is allocated here, once. Each
@@ -585,7 +557,5 @@ def fit_ga_weights(trains, neighbors, ks, config, seeds):
         fitness = ga_fitness(residuals, D, pop, out=errors)
         history.append(fitness.min(axis=1))
     history = np.stack(history, axis=1).tolist()
-    for s, ((f, j), best) in enumerate(zip(members, np.argmin(fitness, axis=1))):
-        outcomes[f][j] = GaWeights(alpha=pop[s, best].copy(), fitness=float(fitness[s, best]),
-                                   history=tuple(history[s]))
-    return outcomes
+    return [GaWeights(alpha=pop[s, best].copy(), fitness=float(fitness[s, best]), history=tuple(history[s]))
+            for s, best in enumerate(np.argmin(fitness, axis=1))]

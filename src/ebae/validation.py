@@ -29,13 +29,14 @@ together, and each fold predicts every k of a method in one pass of
   the ``k_top`` nearest;
 - when RTM, MT, GA or NN runs, one in-training neighbour table equal to
   ``knn_within(train, k_top)``, exact for every smaller k by the same
-  prefix property: column 0 holds each project's nearest other project
-  (difference pairs, RTM correlation) and the first k columns the GA
-  design's neighbours for k. A fold that keeps the dataset's min-max
-  bounds takes it from the dataset ranking with ``knn_without``; a fold
-  whose held-out project alone sets some feature's min or max computes it;
-- when MT or NN runs, one set of difference pairs, which pair each
-  training project with its nearest, whatever k;
+  prefix property; column 0 serves the RTM correlation. A fold that keeps
+  the dataset's min-max bounds takes it from the dataset ranking with
+  ``knn_without``; a fold whose held-out project alone sets some feature's
+  min or max computes it;
+- when MT, GA or NN runs, one difference table over the neighbour table's
+  first ``k_top`` columns, or its first without GA: the efforts of each
+  training project's analogies and its ``diff_rows`` vectors to them. MT
+  and NN train on column 0, whatever k, the GA member for k on the first k;
 - the model table ``models``: the RTM correlation, the model tree and the
   network, which learn from k-free inputs and serve every k, and a dict of
   GA weights, one member per k, as each k's GA design averages over its own
@@ -45,12 +46,12 @@ together, and each fold predicts every k of a method in one pass of
 A chunk trains each learner as one stack in which every member equals its
 lone fit. It grows the model trees of all its folds in one
 ``fit_model_trees`` call, a depth at a time. It trains all its GA members,
-every fold times every GA variant, in one ``fit_ga_weights`` call, each
-seeded from ``(config.seed, fold index, variant label)``, the seed a lone
-variant's run uses; and all its networks, one per fold seeded from
-``(config.seed, fold index, "NN")``, in one ``fit_networks`` call. So
-results are identical for any set of variants, any chunking and any number
-of jobs.
+every fold times every GA variant whose design can be built, in one
+``fit_ga_weights`` call, each seeded from ``(config.seed, fold index,
+variant label)``, the seed a lone variant's run uses; and all its networks,
+one per fold seeded from ``(config.seed, fold index, "NN")``, in one
+``fit_networks`` call. So results are identical for any set of variants,
+any chunking and any number of jobs.
 
 A chunk returns one float array of shape (folds, methods, k_top): the
 predictions of every method it runs, in ``adjust.METHODS`` order with EBA
@@ -68,7 +69,7 @@ import numpy as np
 
 from . import adjust, analogy
 from .analogy import retrieve
-from .learners import FitError, build_diff_pairs, fit_ga_weights, fit_model_trees, fit_networks, padded_hidden
+from .learners import FitError, diff_rows, fit_ga_weights, fit_model_trees, fit_networks, ga_design, padded_hidden
 from .metrics import baseline, build_table, log_floor
 
 # Floats in the largest per-fold array of one chunk's network stack, its
@@ -110,7 +111,8 @@ class _Fold:
     methods use. ``ranking`` is the dataset's
     ``knn_within(dataset, k_top + 1)`` when the fold needs a neighbour
     table. The model tree is added by ``_fit_trees``, the GA members by
-    ``_fit_ga`` and the network by ``_fit_networks``."""
+    ``_fit_ga``, which lets go of the fold's difference ``table``, and the
+    network by ``_fit_networks``."""
 
     def __init__(self, dataset, t, k_top, methods, ranking):
         self.t = t
@@ -124,15 +126,23 @@ class _Fold:
             neighbors = analogy.knn_without(ranking, t, k_top)
         else:
             neighbors = analogy.knn_within(train, k_top)
-        if "MT" in methods or "NN" in methods:
-            # cannot fail: a fold of a runnable grid has n - 1 >= k + 1 >= 2 rows
-            self.pairs = build_diff_pairs(train, neighbors[:, 0])
         if "RTM" in methods:
             try:
                 self.models["RTM"] = adjust.productivity_correlation(train, neighbors[:, 0])
             except adjust.Inapplicable as exc:
                 self.models["RTM"] = exc
-        self.neighbors = neighbors
+        if methods.isdisjoint(("MT", "GA", "NN")):
+            return
+        # a difference too large for a float is inf, which ga_design rejects
+        table = neighbors[:, :k_top if "GA" in methods else 1]
+        efforts = train.efforts[table]
+        with np.errstate(over="ignore"):
+            diffs = diff_rows(train.cont[:, None], train.cat[:, None], train.cont[table], train.cat[table])
+        if "GA" in methods:
+            self.table = efforts, diffs
+        if "MT" in methods or "NN" in methods:
+            # copied, so that the pairs do not keep the table alive
+            self.pairs = diffs[:, 0].copy(), train.efforts - efforts[:, 0]
 
     def predict(self, methods):
         """(methods, k_top) predictions for this fold's target: row i is
@@ -162,13 +172,28 @@ def _fit_trees(folds, config):
 
 def _fit_ga(folds, variants, config):
     """Fit the GA members of every (fold, GA variant) of a chunk into each
-    fold's ``models``, as one ``fit_ga_weights`` stack; a member that cannot
-    be fitted is left out."""
-    ks = [variant.k for variant in variants]
-    seeds = [[derive_seed(config.seed, fold.t, variant.label) for variant in variants] for fold in folds]
-    fits = fit_ga_weights([fold.train for fold in folds], [fold.neighbors for fold in folds], ks, config, seeds)
-    for fold, row in zip(folds, fits):
-        fold.models["GA"] = {k: fit.alpha for k, fit in zip(ks, row) if not isinstance(fit, FitError)}
+    fold's ``models``, as one ``fit_ga_weights`` stack. A member's design is
+    the first k columns of its fold's ``table``, which is let go once read;
+    a member whose design cannot be built is left out."""
+    members, designs = [], []
+    for fold in folds:
+        fold.models["GA"] = {}
+        for variant in variants:
+            try:
+                designs.append(ga_design(fold.train.efforts, *(part[:, :variant.k] for part in fold.table),
+                                         config.ga_range))
+            except FitError:
+                continue
+            members.append((fold, variant))
+        del fold.table
+    if not designs:
+        return
+    # np.stack copies, so the members' own designs can be freed
+    residuals, D = map(np.stack, zip(*designs))
+    del designs
+    seeds = [derive_seed(config.seed, fold.t, variant.label) for fold, variant in members]
+    for (fold, variant), fit in zip(members, fit_ga_weights(residuals, D, config, seeds)):
+        fold.models["GA"][variant.k] = fit.alpha
 
 
 def _fit_networks(folds, config):

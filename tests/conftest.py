@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import ebae
+from ebae import analogy, validation
 from ebae.data import ColumnSpec, Dataset, Row
 
 DATASETS = Path(__file__).resolve().parent.parent / "datasets"
@@ -44,6 +45,12 @@ def projects_of(dataset):
             features[i] = dataset.levels[c][dataset.cat[r, c]]
         rows.append(tuple(features))
     return list(dataset.ids), rows, dataset.efforts.tolist()
+
+
+def fold_pairs(dataset, t):
+    """The difference pairs (X, y) on which LOOCV fold t of ``dataset``
+    trains its model tree and network."""
+    return validation._Fold(dataset, t, 1, {"MT"}, analogy.knn_within(dataset, 2)).pairs
 
 
 def size_only_schema():

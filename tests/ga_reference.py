@@ -3,8 +3,9 @@ as test oracles.
 
 ``diff_vector`` builds one difference vector at a time, the layout that
 ``ebae.learners.diff_rows`` produces for whole arrays. ``ga_design_loop`` is
-the row-by-row construction of the GA design that the array version in
-``ebae.learners.ga_design`` must reproduce exactly. ``fit_ga_one`` runs the
+the row-by-row construction of the GA design that ``ebae.learners.ga_design``
+must reproduce exactly from a prefix of a LOOCV fold's difference table;
+``table_design`` gathers that table as the fold does. ``fit_ga_one`` runs the
 generation loop of one member on 2-D arrays, with its own fitness; every
 member of a ``ebae.learners.fit_ga_weights`` stack must equal it exactly.
 ``fit_ga_weights_loop`` breeds one child at a time with the same operators
@@ -15,7 +16,7 @@ numbers.
 import numpy as np
 
 from ebae.analogy import knn_within
-from ebae.learners import FitError, GaWeights, ga_design, ga_fitness
+from ebae.learners import FitError, GaWeights, diff_rows, ga_design, ga_fitness
 
 
 def diff_vector(cont_a, cat_a, cont_b, cat_b):
@@ -25,7 +26,10 @@ def diff_vector(cont_a, cat_a, cont_b, cat_b):
     return np.concatenate([cont, cat])
 
 
-def ga_design_loop(train, k):
+def ga_design_loop(train, k, ga_range):
+    """(residuals, D) of every project of ``train`` against its k nearest
+    others, one row at a time, and the ``FitError`` of a design too small or
+    whose fitness weights within ``ga_range`` could overflow."""
     n = train.n
     if n < k + 2:
         raise FitError(f"GA needs at least {k + 2} projects for k={k}, got {n}")
@@ -39,11 +43,26 @@ def ga_design_loop(train, k):
             for j in neighbors[i]
         ]
         D[i] = np.mean(diffs, axis=0)
-    return train.efforts - base, D
+    residuals = train.efforts - base
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = np.abs(residuals).sum() + ga_range * np.abs(D).sum()
+    if not bound < np.finfo(float).max / 2:
+        raise FitError("GA fitness overflows: differences or efforts too large for weights "
+                       f"within +-{ga_range}")
+    return residuals, D
+
+
+def table_design(train, neighbors, ga_range):
+    """``ga_design`` of every project of ``train`` against its analogies in
+    the neighbour table ``neighbors``, gathered as a LOOCV fold gathers its
+    difference table."""
+    with np.errstate(over="ignore"):
+        diffs = diff_rows(train.cont[:, None], train.cat[:, None], train.cont[neighbors], train.cat[neighbors])
+    return ga_design(train.efforts, train.efforts[neighbors], diffs, ga_range)
 
 
 def fit_ga_weights_loop(train, k, config, seed):
-    residuals, D = ga_design_loop(train, k)
+    residuals, D = ga_design_loop(train, k, config.ga_range)
     m = D.shape[1]
     r = config.ga_range
     rng = np.random.default_rng(seed)
@@ -81,9 +100,8 @@ def ga_fitness_2d(residuals, D, alphas):
     return np.abs(residuals - np.atleast_2d(alphas) @ D.T).mean(axis=1)
 
 
-def fit_ga_one(train, neighbors, config, seed):
-    """The GA weights of one design ``ga_design(train, neighbors, ga_range)`` and seed."""
-    residuals, D = ga_design(train, neighbors, config.ga_range)
+def fit_ga_one(residuals, D, config, seed):
+    """The GA weights of one design (residuals, D) and seed."""
     m = D.shape[1]
     r = config.ga_range
     rng = np.random.default_rng(seed)

@@ -3,34 +3,46 @@
 
 ``loocv_variant`` runs one variant over every fold and ``predict_variant``
 rebuilds everything a prediction needs from scratch: the k nearest training
-projects, the in-training neighbour table, the difference pairs, the model
-tree and the RTM correlation. Its learners are the loop oracles: the
-one-member GA, the one-network gradient descent and the tree grown by the
-loop split search. Like the tree, the network learns from pairs that do not
-depend on k, so every NN variant of a fold trains the same network, seeded
-from the fold and "NN". Its adjusters are the single-k ones of
-``adjust_reference``. The fold-major engine builds the shared work once per
-fold for all variants, derives most neighbour tables from one dataset-wide
-ranking, fits its learners in stacks, predicts every k of a method in one
-pass, and must give exactly the same tables.
+projects, the in-training neighbour table, the difference pairs and GA
+design, built one row at a time, the model tree and the RTM correlation.
+Its learners are the loop oracles: the one-member GA, the one-network
+gradient descent and the tree grown by the loop split search. Like the
+tree, the network learns from pairs that do not depend on k, so every NN
+variant of a fold trains the same network, seeded from the fold and "NN".
+Its adjusters are the single-k ones of ``adjust_reference``. The
+fold-major engine builds the shared work once per fold for all variants,
+derives most neighbour tables from one dataset-wide ranking, fits its
+learners in stacks, predicts every k of a method in one pass, and must give
+exactly the same tables.
 """
 
 import math
 
+import numpy as np
+
 from ebae import adjust
 from ebae.analogy import knn_within, retrieve
-from ebae.learners import FitError, build_diff_pairs
+from ebae.learners import FitError
 from ebae.metrics import build_table, log_floor
 from ebae.validation import derive_seed
 
 from . import adjust_reference as ref
-from .ga_reference import fit_ga_one
+from .ga_reference import diff_vector, fit_ga_one, ga_design_loop
 from .mt_reference import fit_model_tree_loop
 from .nn_reference import fit_network
 
 
 def nearest(train):
     return knn_within(train, 1)[:, 0]
+
+
+def diff_pairs_loop(train):
+    """(X, y): every training project's difference vector to its nearest
+    other training project, and their effort difference, one row at a time."""
+    pairs = [(diff_vector(train.cont[i], train.cat[i], train.cont[j], train.cat[j]),
+              train.efforts[i] - train.efforts[j]) for i, j in enumerate(nearest(train))]
+    X, y = zip(*pairs)
+    return np.array(X), np.array(y)
 
 
 def predict_variant(variant, target, train, config, seed):
@@ -50,13 +62,13 @@ def predict_variant(variant, target, train, config, seed):
         elif method == "AQUA":
             prediction = ref.adjust_aqua(target, nbh, train)
         elif method == "MT":
-            tree = fit_model_tree_loop(*build_diff_pairs(train, nearest(train)), config)
+            tree = fit_model_tree_loop(*diff_pairs_loop(train), config)
             prediction = ref.adjust_mt(target, nbh, train, tree)
         elif method == "GA":
-            weights = fit_ga_one(train, knn_within(train, variant.k), config, seed)
+            weights = fit_ga_one(*ga_design_loop(train, variant.k, config.ga_range), config, seed)
             prediction = ref.adjust_ga(target, nbh, train, weights.alpha)
         elif method == "NN":
-            net = fit_network(*build_diff_pairs(train, nearest(train)), config, seed)
+            net = fit_network(*diff_pairs_loop(train), config, seed)
             prediction = ref.adjust_nn(target, nbh, train, net)
         else:
             raise ValueError(f"unknown method {method!r}")

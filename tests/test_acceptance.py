@@ -23,7 +23,6 @@ from ebae.ensemble import filter_actual_predictors, run_pipeline
 from ebae.learners import (
     fit_ga_weights,
     fit_model_trees,
-    ga_design,
     ga_fitness,
     network_loss_and_grads,
     predict_model_tree,
@@ -35,6 +34,7 @@ from ebae.stats import scott_knott
 from ebae.validation import dataset_baseline, loocv
 
 from .conftest import DATASETS, make_dataset, size_only_schema
+from .ga_reference import table_design
 from .test_cli import directory_digest
 from .test_ranking import majority_margins_loop
 from .test_stats import oracle_scott_knott, synthetic_groups
@@ -279,8 +279,8 @@ def test_criterion_08_learner_checks():
     planted = make_dataset(
         "planted", size_only_schema(), [(s,) for s in sizes], [10.0 + 2.0 * s for s in sizes]
     )
-    ((result,),) = fit_ga_weights([planted], [knn_within(planted, 1)], [1], Config(), [[5]])
-    residuals, D = ga_design(planted, knn_within(planted, 1), Config().ga_range)
+    residuals, D = table_design(planted, knn_within(planted, 1), Config().ga_range)
+    (result,) = fit_ga_weights(residuals[None], D[None], Config(), [5])
     zero = float(ga_fitness(residuals, D, np.zeros(1))[0])
     nonincreasing = all(b <= a for a, b in zip(result.history, result.history[1:]))
     assert nonincreasing and result.fitness <= zero and 1.5 <= result.alpha[0] <= 2.5

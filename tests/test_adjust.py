@@ -213,13 +213,13 @@ def test_mt_zero_correction_tree(toy):
 
 def test_mt_recovers_linear_fixture(linear_dataset):
     from ebae.config import Config
-    from ebae.learners import build_diff_pairs
 
+    from .conftest import fold_pairs
     from .mt_reference import fit_model_tree
 
     # leave the largest project out, predict it from the rest
     train = linear_dataset.without(19)
-    tree = fit_model_tree(*build_diff_pairs(train, knn_within(train, 1)[:, 0]), Config())
+    tree = fit_model_tree(*fold_pairs(linear_dataset, 19), Config())
     target = linear_dataset.row(19)
     nbh = retrieve(target, train, 1)
     prediction = mt(target, nbh, train, tree)[-1]

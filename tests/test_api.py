@@ -16,8 +16,10 @@ import ebae
 from .conftest import DATASETS
 from .test_cli import REPORT_FILES
 
-# wrappers that only tests called, deleted in favour of the calls they combined
+# wrappers that only tests called, deleted in favour of the calls they combined,
+# and the pair builder whose pairs each LOOCV fold now cuts from its difference table
 DELETED = [
+    ("ebae.learners", "build_diff_pairs"),
     ("ebae", "evaluate_variant"),
     ("ebae", "majority_margins"),
     ("ebae.validation", "evaluate_variant"),

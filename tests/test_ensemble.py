@@ -26,6 +26,7 @@ from ebae.metrics import BaselineStats, EvalSummary, baseline, build_table, summ
 from ebae.stats import apply_transform
 
 from .conftest import make_dataset, size_only_schema
+from .ga_reference import table_design
 
 BASE = BaselineStats(mae_p0=10.0, sp0=2.0, sa5=0.084, runs=1000, seed=0)
 
@@ -267,11 +268,15 @@ def test_ga_overflow_fails_to_fit_and_falls_back():
     ks = [1, 2, 3, 4, 5]
     for t in range(ds.n):
         train = ds.without(t)
-        (row,) = fit_ga_weights([train], [knn_within(train, 5)], ks, OVERFLOW_CONFIG, [ks])
+        table = knn_within(train, 5)
         if t == 0:
+            residuals, D = zip(*(table_design(train, table[:, :k], OVERFLOW_CONFIG.ga_range) for k in ks))
+            row = fit_ga_weights(np.stack(residuals), np.stack(D), OVERFLOW_CONFIG, ks)
             assert all(np.isfinite(fit.fitness) and np.all(np.isfinite(fit.history)) for fit in row)
         else:
-            assert all(isinstance(fit, FitError) and "GA fitness overflows" in str(fit) for fit in row)
+            for k in ks:
+                with pytest.raises(FitError, match="GA fitness overflows"):
+                    table_design(train, table[:, :k], OVERFLOW_CONFIG.ga_range)
     report = run_pipeline(ds, OVERFLOW_CONFIG)
     # fold 0's own prediction overflows, the other seven folds have no model
     assert report.summaries["GA2"].fallback_count == ds.n

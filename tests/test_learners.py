@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ebae import learners
+from ebae import learners, validation
 from ebae.adjust import VariantId
 from ebae.analogy import knn_within
 from ebae.config import Config
@@ -14,12 +14,10 @@ from ebae.learners import (
     TreeNode,
     _fit_leaf,
     _split_search,
-    build_diff_pairs,
     diff_rows,
     fit_ga_weights,
     fit_model_trees,
     fit_networks,
-    ga_design,
     ga_fitness,
     network_loss_and_grads,
     predict_model_tree,
@@ -27,8 +25,8 @@ from ebae.learners import (
 )
 from ebae.validation import derive_seed, loocv
 
-from .conftest import make_dataset, random_dataset, size_only_schema, under_blas_core
-from .ga_reference import diff_vector, fit_ga_one, fit_ga_weights_loop, ga_design_loop
+from .conftest import fold_pairs, make_dataset, random_dataset, size_only_schema, under_blas_core
+from .ga_reference import diff_vector, fit_ga_one, fit_ga_weights_loop, ga_design_loop, table_design
 from .mt_reference import assert_same_tree, best_split_loop, fit_model_tree, fit_model_tree_loop
 from .nn_reference import fit_network, network_loss_and_grads_2d
 
@@ -69,8 +67,9 @@ def test_diff_rows_matches_per_row_oracle(seed, with_categorical, k):
 
 
 def test_build_diff_pairs_two_projects():
-    ds = make_dataset("two", size_only_schema(), [(2,), (4,), (6,)], [4, 8, 12])
-    X, y = build_diff_pairs(ds, knn_within(ds, 1)[:, 0])
+    # the fold that holds out the fourth project trains on the other three
+    ds = make_dataset("two", size_only_schema(), [(2,), (4,), (6,), (40,)], [4, 8, 12, 90])
+    X, y = fold_pairs(ds, 3)
     assert len(X) == len(y) == 3
     # each project pairs with its nearest other project
     assert X[0, 0] == -2.0 and y[0] == -4.0
@@ -78,20 +77,23 @@ def test_build_diff_pairs_two_projects():
 
 
 def test_build_diff_pairs_identical_projects_zero_diff():
-    ds = make_dataset("same", size_only_schema(), [(3,), (3,), (9,)], [5, 5, 20])
-    X, y = build_diff_pairs(ds, knn_within(ds, 1)[:, 0])
+    ds = make_dataset("same", size_only_schema(), [(3,), (3,), (9,), (40,)], [5, 5, 20, 90])
+    X, y = fold_pairs(ds, 3)
     assert X[0, 0] == 0.0 and y[0] == 0.0
 
 
 def test_build_diff_pairs_matches_bruteforce(toy):
-    X, _ = build_diff_pairs(toy, knn_within(toy, 1)[:, 0])
-    norm = toy.normalized()
-    for i, row in enumerate(X):
-        distances = [
-            (abs(norm[i, 0] - norm[j, 0]), j) for j in range(toy.n) if j != i
-        ]
-        _, nearest = min(distances)
-        assert row[0] == toy.cont[i, 0] - toy.cont[nearest, 0]
+    # every fold, including those whose held-out project sets a bound
+    for t in range(toy.n):
+        train = toy.without(t)
+        X, _ = fold_pairs(toy, t)
+        norm = train.normalized()
+        for i, row in enumerate(X):
+            distances = [
+                (abs(norm[i, 0] - norm[j, 0]), j) for j in range(train.n) if j != i
+            ]
+            _, nearest = min(distances)
+            assert row[0] == train.cont[i, 0] - train.cont[nearest, 0]
 
 
 # --- model tree ---
@@ -147,9 +149,8 @@ def test_model_tree_overflow_fit_failure():
     # efforts ~1e155..2e156: squared effort differences overflow the split search
     efforts = 10 * np.arange(1, 21) * 1e154
     ds = make_dataset("huge", size_only_schema(), [(float(s),) for s in range(1, 21)], efforts)
-    train = ds.without(0)
     with pytest.raises(FitError, match="overflows"):
-        fit_model_tree(*build_diff_pairs(train, knn_within(train, 1)[:, 0]), Config())
+        fit_model_tree(*fold_pairs(ds, 0), Config())
     assert loocv(ds, VariantId("MT", 1), Config(runs=200)).fallback_count == ds.n
 
 
@@ -215,8 +216,7 @@ def test_tall_leaf_still_fits_by_lstsq(monkeypatch):
 @pytest.fixture(scope="module")
 def albrecht_pairs(albrecht):
     """Difference pairs of every Albrecht training fold."""
-    folds = [albrecht.without(t) for t in range(albrecht.n)]
-    return [build_diff_pairs(train, knn_within(train, 1)[:, 0]) for train in folds]
+    return [fold_pairs(albrecht, t) for t in range(albrecht.n)]
 
 
 @pytest.mark.parametrize("min_leaf", [1, 2, 4])
@@ -406,8 +406,7 @@ def albrecht_networks(albrecht):
     """Difference pairs, seeds and oracle networks of the pipeline's network
     of every Albrecht fold at global seeds 42 to 46: 120 fits, fold-major."""
     config = Config()
-    folds = [albrecht.without(t) for t in range(albrecht.n)]
-    pairs = [build_diff_pairs(train, knn_within(train, 1)[:, 0]) for train in folds]
+    pairs = [fold_pairs(albrecht, t) for t in range(albrecht.n)]
     X = np.repeat(np.stack([p[0] for p in pairs]), 5, axis=0)
     y = np.repeat(np.stack([p[1] for p in pairs]), 5, axis=0)
     seeds = [derive_seed(seed, t, "NN") for t in range(albrecht.n) for seed in range(42, 47)]
@@ -598,11 +597,16 @@ def test_gradient_check_against_finite_differences(hidden):
 # --- GA ---
 
 
+def stacked(designs):
+    """The (residuals, D) stack of a list of designs."""
+    residuals, D = zip(*designs)
+    return np.stack(residuals), np.stack(D)
+
+
 def fit_ga(train, k, config, seed):
     """The GA weights of one design and seed: a stack of one member."""
-    ((weights,),) = fit_ga_weights([train], [knn_within(train, k)], [k], config, [[seed]])
-    if isinstance(weights, FitError):
-        raise weights
+    (weights,) = fit_ga_weights(*stacked([table_design(train, knn_within(train, k), config.ga_range)]),
+                                config, [seed])
     return weights
 
 
@@ -618,7 +622,7 @@ def test_ga_beats_zero_vector():
     ds = planted_alpha_dataset()
     cfg = Config()
     result = fit_ga(ds, 1, cfg, seed=5)
-    residuals, D = ga_design(ds, knn_within(ds, 1), cfg.ga_range)
+    residuals, D = table_design(ds, knn_within(ds, 1), cfg.ga_range)
     zero_fitness = float(ga_fitness(residuals, D, np.zeros(D.shape[1]))[0])
     assert result.fitness <= zero_fitness
 
@@ -664,8 +668,8 @@ def test_ga_history_nonincreasing():
 
 def test_ga_needs_enough_projects():
     ds = make_dataset("tiny", size_only_schema(), [(1,), (2,), (3,)], [1, 2, 3])
-    with pytest.raises(FitError):
-        ga_design(ds, knn_within(ds, 2), Config().ga_range)
+    with pytest.raises(FitError, match="at least 4 projects for k=2, got 3"):
+        table_design(ds, knn_within(ds, 2), Config().ga_range)
 
 
 def mixed_dataset(seed, n=40):
@@ -686,8 +690,8 @@ def mixed_dataset(seed, n=40):
 
 
 def assert_design_matches_loop(train, k):
-    residuals, D = ga_design(train, knn_within(train, k), Config().ga_range)
-    loop_residuals, loop_D = ga_design_loop(train, k)
+    residuals, D = table_design(train, knn_within(train, k), Config().ga_range)
+    loop_residuals, loop_D = ga_design_loop(train, k, Config().ga_range)
     assert np.array_equal(residuals, loop_residuals)
     assert np.array_equal(D, loop_D)
 
@@ -738,7 +742,7 @@ def test_ga_invariants_property(seed, with_categorical, pop, gens, cx, mut, ga_r
     ds = random_dataset(np.random.default_rng(seed), with_categorical=with_categorical)
     cfg = Config(ga_pop=pop, ga_gens=gens, ga_cx=cx, ga_mut=mut, ga_range=ga_range)
     result = fit_ga(ds, 1, cfg, seed)
-    residuals, D = ga_design(ds, knn_within(ds, 1), ga_range)
+    residuals, D = table_design(ds, knn_within(ds, 1), ga_range)
     history = result.history
     assert len(history) == gens + 1
     # the planted zero vector bounds the first generation
@@ -759,41 +763,44 @@ def assert_same_weights(got, want):
     assert np.array_equal(got.history, want.history) and got.history == want.history
 
 
+def flat(rows):
+    return [item for row in rows for item in row]
+
+
 @pytest.fixture(scope="module")
 def albrecht_ga(albrecht):
-    """Training folds, neighbour tables, seeds and oracle weights of every
-    Albrecht fold and GA variant."""
+    """Designs, seeds and oracle weights of every Albrecht fold and GA
+    variant: row t holds fold t's members for k = 1..5."""
     config = Config()
     folds = [albrecht.without(t) for t in range(albrecht.n)]
-    neighbors = [knn_within(train, 5) for train in folds]
+    tables = [knn_within(train, 5) for train in folds]
+    designs = [[table_design(train, table[:, :k], config.ga_range) for k in range(1, 6)]
+               for train, table in zip(folds, tables)]
     seeds = [[derive_seed(config.seed, t, f"GA{k}") for k in range(1, 6)] for t in range(albrecht.n)]
-    want = [[fit_ga_one(train, table[:, :k], config, s) for k, s in zip(range(1, 6), row)]
-            for train, table, row in zip(folds, neighbors, seeds)]
-    return config, folds, neighbors, seeds, want
+    want = [[fit_ga_one(*design, config, s) for design, s in zip(row, seed_row)]
+            for row, seed_row in zip(designs, seeds)]
+    return config, designs, seeds, want
 
 
 @pytest.mark.parametrize("stack", [1, 2, 5, 24])
 def test_fit_ga_weights_matches_oracle_albrecht(albrecht_ga, stack):
     # stacks of the five k of 1, 2, 5 and all 24 consecutive folds; a stack
     # of 5 leaves 4 folds over
-    config, folds, neighbors, seeds, want = albrecht_ga
-    for first in range(0, len(folds), stack):
-        last = first + stack
-        got = fit_ga_weights(folds[first:last], neighbors[first:last], [1, 2, 3, 4, 5], config,
-                             seeds[first:last])
-        assert len(got) == len(folds[first:last])
-        for row, want_row in zip(got, want[first:last]):
-            assert len(row) == 5
-            for weights, want_weights in zip(row, want_row):
-                assert_same_weights(weights, want_weights)
+    config, designs, seeds, want = albrecht_ga
+    for first in range(0, len(designs), stack):
+        rows = slice(first, first + stack)
+        got = fit_ga_weights(*stacked(flat(designs[rows])), config, flat(seeds[rows]))
+        assert len(got) == 5 * len(designs[rows])
+        for weights, want_weights in zip(got, flat(want[rows])):
+            assert_same_weights(weights, want_weights)
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(0, 6), st.floats(0.0, 1.0),
        st.floats(0.0, 1.0), st.integers(1, 4), st.integers(0, 4), st.integers(0, 2))
 def test_fit_ga_weights_matches_oracle_property(seed, pop, gens, cx, mut, folds, before, after):
-    # several training folds of one random dataset, and a member between the
-    # others whose k leaves too few training projects (n < k + 2)
+    # several training folds of one random dataset, each with several k; a
+    # k that leaves too few training projects (n < k + 2) builds no design
     rng = np.random.default_rng(seed)
     dataset = random_dataset(rng, with_categorical=True)
     trains = [dataset.without(int(t)) for t in rng.choice(dataset.n, size=folds, replace=False)]
@@ -801,42 +808,48 @@ def test_fit_ga_weights_matches_oracle_property(seed, pop, gens, cx, mut, folds,
     ks = [*rng.integers(1, n, size=before).tolist(), n - 1, *rng.integers(1, n, size=after).tolist()]
     seeds = rng.integers(0, 2**63, size=(folds, len(ks))).tolist()
     config = Config(ga_pop=pop, ga_gens=gens, ga_cx=cx, ga_mut=mut)
-    tables = [knn_within(train, max(ks)) for train in trains]
-    got = fit_ga_weights(trains, tables, ks, config, seeds)
-    assert len(got) == folds
-    for train, table, row, got_row in zip(trains, tables, seeds, got):
-        assert len(got_row) == len(ks)
-        for k, s, weights in zip(ks, row, got_row):
-            try:
-                want = fit_ga_one(train, table[:, :k], config, s)
-            except FitError as exc:
-                assert isinstance(weights, FitError) and str(weights) == str(exc)
+    designs, member_seeds = [], []
+    for train, row in zip(trains, seeds):
+        table = knn_within(train, max(ks))
+        for k, s in zip(ks, row):
+            if k < n - 1:
+                designs.append(table_design(train, table[:, :k], config.ga_range))
+                member_seeds.append(s)
             else:
-                assert_same_weights(weights, want)
-        assert isinstance(got_row[before], FitError)
+                with pytest.raises(FitError, match=f"k={k}, got {n}"):
+                    table_design(train, table[:, :k], config.ga_range)
+    got = fit_ga_weights(*stacked(designs), config, member_seeds) if designs else []
+    assert len(got) == len(designs) == folds * sum(k < n - 1 for k in ks)
+    for design, s, weights in zip(designs, member_seeds, got):
+        assert_same_weights(weights, fit_ga_one(*design, config, s))
+
+
+def albrecht_members(albrecht_ga, folds, ks):
+    """The designs of the first ``folds`` Albrecht folds for each k of
+    ``ks``, and as many seeds from the front of each fold's row."""
+    _, designs, seeds, _ = albrecht_ga
+    return ([row[k - 1] for row in designs[:folds] for k in ks],
+            [s for row in seeds[:folds] for s in row[:len(ks)]])
 
 
 @pytest.mark.parametrize("pop", [257, 1000])
 @pytest.mark.parametrize("folds", [1, 2, 3])
 def test_fit_ga_weights_matches_oracle_at_large_populations(albrecht_ga, pop, folds):
     # contenders floor(u * ga_pop) over populations far above the default
-    _, trains, neighbors, seeds, _ = albrecht_ga
+    designs, seeds = albrecht_members(albrecht_ga, folds, [1, 3])
     config = Config(ga_pop=pop, ga_gens=2)
-    got = fit_ga_weights(trains[:folds], neighbors[:folds], [1, 3], config, [row[:2] for row in seeds[:folds]])
-    for train, table, row, got_row in zip(trains, neighbors, seeds, got):
-        for k, s, weights in zip([1, 3], row, got_row):
-            assert_same_weights(weights, fit_ga_one(train, table[:, :k], config, s))
+    got = fit_ga_weights(*stacked(designs), config, seeds)
+    for design, s, weights in zip(designs, seeds, got, strict=True):
+        assert_same_weights(weights, fit_ga_one(*design, config, s))
 
 
 @pytest.mark.parametrize("mut", [0.0, 1.0])
 def test_fit_ga_weights_draws_a_normal_per_mutated_weight(albrecht_ga, monkeypatch, mut):
     # at ga_mut = 0 no weight mutates and no normal is drawn; at 1 every u < 1
     # mutates its weight, and each generation draws one per child and weight
-    _, trains, neighbors, seeds, _ = albrecht_ga
+    designs, seeds = albrecht_members(albrecht_ga, 2, [1, 3])
     config = Config(ga_pop=9, ga_gens=4, ga_mut=mut)
-    ks = [1, 3]
-    want = [[fit_ga_one(train, table[:, :k], config, s) for k, s in zip(ks, row)]
-            for train, table, row in zip(trains[:2], neighbors[:2], seeds)]
+    want = [fit_ga_one(*design, config, s) for design, s in zip(designs, seeds)]
     drawn = []
     default_rng = np.random.default_rng
 
@@ -854,25 +867,39 @@ def test_fit_ga_weights_draws_a_normal_per_mutated_weight(albrecht_ga, monkeypat
             return self.rng.standard_normal(size)
 
     monkeypatch.setattr(np.random, "default_rng", Recorded)
-    got = fit_ga_weights(trains[:2], neighbors[:2], ks, config, [row[:2] for row in seeds[:2]])
-    for got_row, want_row in zip(got, want):
-        for weights, lone in zip(got_row, want_row):
-            assert_same_weights(weights, lone)
-    assert drawn == [int(mut) * (config.ga_pop - 1) * trains[0].m] * (2 * len(ks) * config.ga_gens)
+    got = fit_ga_weights(*stacked(designs), config, seeds)
+    for weights, lone in zip(got, want, strict=True):
+        assert_same_weights(weights, lone)
+    m = designs[0][1].shape[1]
+    assert drawn == [int(mut) * (config.ga_pop - 1) * m] * (len(designs) * config.ga_gens)
 
 
-def test_fit_ga_weights_failed_member_fails_alone():
-    # six training projects: k = 5 needs seven, every smaller k fits
+def test_fit_ga_weights_failed_member_fails_alone(monkeypatch):
+    # six training projects: k = 5 needs seven, and the design of k = 2 is
+    # made to fail; the fold keeps the weights of every other k, each its
+    # lone fit, and lets go of its difference table
     ds = make_dataset("seven", size_only_schema(), [(s,) for s in (1, 2, 4, 7, 11, 16, 22)],
                       [3, 5, 9, 14, 22, 30, 41])
-    train = ds.without(0)
     config = Config(ga_gens=20)
-    seeds = [11, 12, 13, 14, 15]
-    (got,) = fit_ga_weights([train], [knn_within(train, 5)], [1, 2, 3, 4, 5], config, [seeds])
-    assert isinstance(got[4], FitError) and "k=5" in str(got[4])
-    for k, s, weights in zip(range(1, 5), seeds, got):
-        assert_same_weights(weights, fit_ga(train, k, config, s))
-        assert_same_weights(weights, fit_ga_one(train, knn_within(train, k), config, s))
+    build = validation.ga_design
+
+    def lost(efforts, neighbor_efforts, diffs, ga_range):
+        if neighbor_efforts.shape[1] == 2:
+            raise FitError("lost")
+        return build(efforts, neighbor_efforts, diffs, ga_range)
+
+    monkeypatch.setattr(validation, "ga_design", lost)
+    fold = validation._Fold(ds, 0, 5, {"GA"}, knn_within(ds, 6))
+    validation._fit_ga([fold], [VariantId("GA", k) for k in range(1, 6)], config)
+    assert not hasattr(fold, "table")
+    got, train = fold.models["GA"], fold.train
+    assert list(got) == [1, 3, 4]
+    with pytest.raises(FitError, match="k=5"):
+        ga_design_loop(train, 5, config.ga_range)
+    for k, alpha in got.items():
+        seed = derive_seed(config.seed, 0, f"GA{k}")
+        assert np.array_equal(alpha, fit_ga_one(*ga_design_loop(train, k, config.ga_range), config, seed).alpha)
+        assert np.array_equal(alpha, fit_ga(train, k, config, seed).alpha)
 
 
 @pytest.mark.parametrize("folds", [1, 4])
@@ -885,17 +912,15 @@ def test_fit_ga_weights_breaks_tournament_ties_to_the_first_contender(sizes, fol
     # second weight shows which contender each tie picked.
     ds = make_dataset("ties", [*size_only_schema(), ColumnSpec("x", "feature", "continuous", "none")],
                       [(size, 1.0) for size in sizes], [10.0 + 3 * i for i in range(9)])
-    trains = [ds.without(t) for t in range(folds)]
-    tables = [knn_within(train, 3) for train in trains]
-    ks = [1, 3]
-    seeds = [[100 * t + k for k in ks] for t in range(folds)]
     config = Config(ga_pop=12, ga_gens=30, ga_mut=0.5)
-    got = fit_ga_weights(trains, tables, ks, config, seeds)
-    for train, table, row, got_row in zip(trains, tables, seeds, got):
-        for k, s, weights in zip(ks, row, got_row):
-            want = fit_ga_one(train, table[:, :k], config, s)
-            assert_same_weights(weights, want)
-            assert (len(set(want.history)) == 1) == (len(set(sizes)) == 1)
+    trains = [ds.without(t) for t in range(folds)]
+    designs = [table_design(train, knn_within(train, 3)[:, :k], config.ga_range) for train in trains for k in (1, 3)]
+    seeds = [100 * t + k for t in range(folds) for k in (1, 3)]
+    got = fit_ga_weights(*stacked(designs), config, seeds)
+    for design, s, weights in zip(designs, seeds, got, strict=True):
+        want = fit_ga_one(*design, config, s)
+        assert_same_weights(weights, want)
+        assert (len(set(want.history)) == 1) == (len(set(sizes)) == 1)
 
 
 def ga_overflow_dataset(sizes):
@@ -908,8 +933,8 @@ def test_ga_design_raises_when_weights_in_range_overflow_fitness():
     ds = ga_overflow_dataset([1e307 * (1 + i) for i in range(8)])
     neighbors = knn_within(ds, 1)
     with pytest.raises(FitError, match="GA fitness overflows"):
-        ga_design(ds, neighbors, 5.0)
-    residuals, D = ga_design(ds, neighbors, 1e-3)
+        table_design(ds, neighbors, 5.0)
+    residuals, D = table_design(ds, neighbors, 1e-3)
     assert np.all(np.isfinite(D)) and np.abs(D).max() >= 1e307
 
 
@@ -918,4 +943,4 @@ def test_ga_design_raises_on_non_finite_design():
     # and 1e308 overflow to inf
     ds = ga_overflow_dataset([-1e308, 1e308, -1e308, 1e308, 0.0, 1.0])
     with pytest.raises(FitError, match="GA fitness overflows"):
-        ga_design(ds, np.array([[1], [0], [3], [2], [5], [4]]), 5.0)
+        table_design(ds, np.array([[1], [0], [3], [2], [5], [4]]), 5.0)

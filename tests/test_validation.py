@@ -19,8 +19,9 @@ from ebae.metrics import summarize
 from ebae.validation import dataset_baseline, derive_seed, loocv, loocv_grid
 
 from . import adjust_reference
-from .conftest import make_dataset, random_rows, size_only_schema
-from .loocv_reference import loocv_variants
+from .conftest import fold_pairs, make_dataset, random_rows, size_only_schema
+from .ga_reference import ga_design_loop
+from .loocv_reference import diff_pairs_loop, loocv_variants
 from .mt_reference import fit_model_tree
 from .nn_reference import fit_network
 
@@ -201,8 +202,7 @@ def test_loocv_grid_matches_reference_deep_trees(albrecht):
     # two pairs per leaf let every fold's tree split over several levels
     config = replace(SMALL, mt_min_leaf=2)
     tables, _ = assert_grid_matches_reference(albrecht, config, [v for v in GRID if v.method == "MT"])
-    train = albrecht.without(0)
-    tree = fit_model_tree(*learners.build_diff_pairs(train, analogy.knn_within(train, 1)[:, 0]), config)
+    tree = fit_model_tree(*fold_pairs(albrecht, 0), config)
     assert depth(tree.root) >= 3
 
 
@@ -313,7 +313,7 @@ def test_loocv_grid_builds_shared_work_once_per_fold(albrecht, monkeypatch):
 
         monkeypatch.setattr(owner, name, counted)
 
-    for owner, name in ((validation, "fit_model_trees"), (validation, "build_diff_pairs"),
+    for owner, name in ((validation, "fit_model_trees"), (validation, "diff_rows"), (validation, "ga_design"),
                         (adjust, "productivity_correlation"), (validation, "retrieve"),
                         (analogy, "knn_within"), (Dataset, "without")):
         count(owner, name)
@@ -325,10 +325,10 @@ def test_loocv_grid_builds_shared_work_once_per_fold(albrecht, monkeypatch):
         members["NN"].extend(seeds)
         return fit_networks(X, y, config, seeds)
 
-    def stacked_weights(trains, neighbors, ks, config, seeds):
+    def stacked_weights(residuals, D, config, seeds):
         calls["fit_ga_weights"] += 1
-        members["GA"].extend(s for row in seeds for s in row)
-        return fit_ga_weights(trains, neighbors, ks, config, seeds)
+        members["GA"].extend(seeds)
+        return fit_ga_weights(residuals, D, config, seeds)
 
     monkeypatch.setattr(validation, "fit_networks", stacked_networks)
     monkeypatch.setattr(validation, "fit_ga_weights", stacked_weights)
@@ -341,8 +341,9 @@ def test_loocv_grid_builds_shared_work_once_per_fold(albrecht, monkeypatch):
     # GA k) member, and one fit_networks call, of every fold's network
     assert validation._chunk_starts(n, validation.STACK_FLOATS // ((n - 1) * albrecht.m), 1) == [0]
     # one dataset-wide ranking, and a table of its own for each of the 4
-    # folds whose held-out project alone sets a feature's min or max
-    assert calls == {"fit_model_trees": 1, "build_diff_pairs": n, "productivity_correlation": n,
+    # folds whose held-out project alone sets a feature's min or max; one
+    # difference table per fold, from which every GA design is cut
+    assert calls == {"fit_model_trees": 1, "diff_rows": n, "ga_design": 5 * n, "productivity_correlation": n,
                      "retrieve": n, "knn_within": 1 + 4, "without": n,
                      "fit_ga_weights": 1, "fit_networks": 1}
     assert len(set(members["GA"])) == len(members["GA"]) == 5 * n
@@ -369,15 +370,17 @@ def test_loocv_grid_identical_for_any_chunking(albrecht, monkeypatch, floats):
         stacks["NN"].append(len(seeds))
         return fit_networks(X, y, config, seeds)
 
-    def stacked_weights(trains, neighbors, ks, config, seeds):
+    def stacked_weights(residuals, D, config, seeds):
         stacks["GA"].append(len(seeds))
-        return fit_ga_weights(trains, neighbors, ks, config, seeds)
+        return fit_ga_weights(residuals, D, config, seeds)
 
     monkeypatch.setattr(validation, "STACK_FLOATS", floats)
     monkeypatch.setattr(validation, "fit_networks", stacked_networks)
     monkeypatch.setattr(validation, "fit_ga_weights", stacked_weights)
     assert loocv_grid(albrecht, GRID, SMALL) == whole
-    assert (stacks["NN"], stacks["GA"]) == CHUNKINGS[floats]
+    # five GA members, GA1-GA5, per fold
+    nn, ga = CHUNKINGS[floats]
+    assert (stacks["NN"], stacks["GA"]) == (nn, [5 * folds for folds in ga])
 
 
 def test_loocv_grid_makes_a_chunk_per_worker(albrecht, monkeypatch):
@@ -485,7 +488,7 @@ def test_loocv_grid_builds_only_what_its_methods_use(albrecht, monkeypatch, meth
 
         monkeypatch.setattr(owner, name, counted)
 
-    for owner, name in ((analogy, "knn_within"), (validation, "build_diff_pairs"),
+    for owner, name in ((analogy, "knn_within"), (validation, "diff_rows"),
                         (validation, "fit_model_trees"), (adjust, "productivity_correlation"),
                         (validation, "fit_ga_weights"), (validation, "fit_networks")):
         count(owner, name)
@@ -495,9 +498,20 @@ def test_loocv_grid_builds_only_what_its_methods_use(albrecht, monkeypatch, meth
 
 
 def fold_neighbors(dataset, t, k):
-    """The in-training neighbour table a GA-only grid's fold t builds."""
+    """The in-training neighbour table a GA-only grid's fold t builds: what
+    its call of ``knn_without`` or ``knn_within`` returns."""
     ranking = analogy.knn_within(dataset, k + 1)
-    return validation._Fold(dataset, t, k, {"GA"}, ranking).neighbors
+    tables = []
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("knn_without", "knn_within"):
+            def recorded(*args, original=getattr(analogy, name)):
+                tables.append(original(*args))
+                return tables[-1]
+
+            patch.setattr(analogy, name, recorded)
+        validation._Fold(dataset, t, k, {"GA"}, ranking)
+    (table,) = tables
+    return table
 
 
 def test_fold_neighbors_equal_knn_within_on_every_albrecht_fold(albrecht):
@@ -512,13 +526,11 @@ def test_fold_neighbors_equal_knn_within_on_every_albrecht_fold(albrecht):
     assert computed == {False: 20, True: 4}
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.sampled_from(["cont", "cat", "mixed"]), st.booleans(), st.booleans())
-def test_fold_neighbors_equal_knn_within_property(seed, kinds, all_tied, extreme):
-    # few distinct values and duplicate rows make ties common; all-tied rows
-    # put every distance at 0; an extreme row is a column's unique minimum or
-    # maximum, so its fold's bounds change
-    rng = np.random.default_rng(seed)
+def tied_dataset(rng, kinds, all_tied, extreme):
+    """A small dataset of continuous, categorical or mixed features where
+    ties are common: few distinct values and duplicate rows. All-tied rows
+    put every distance at 0; an extreme row is a column's unique minimum or
+    maximum, so its fold's bounds change."""
     n = int(rng.integers(4, 12))
     schema = []
     if kinds != "cat":
@@ -532,10 +544,47 @@ def test_fold_neighbors_equal_knn_within_property(seed, kinds, all_tied, extreme
         rows = [list(rows[0]) for _ in range(n)]
     if extreme and kinds != "cat":
         rows[int(rng.integers(n))][0] = float(rng.choice([-5.0, 9.0]))
-    ds = make_dataset("ties", schema, [tuple(row) for row in rows], rng.uniform(1.0, 50.0, size=n))
-    for t in range(n):
-        for k in (1, n - 2):
+    return make_dataset("ties", schema, [tuple(row) for row in rows], rng.uniform(1.0, 50.0, size=n))
+
+
+TIED = (st.integers(0, 2**32 - 1), st.sampled_from(["cont", "cat", "mixed"]), st.booleans(), st.booleans())
+
+
+@settings(max_examples=60, deadline=None)
+@given(*TIED)
+def test_fold_neighbors_equal_knn_within_property(seed, kinds, all_tied, extreme):
+    ds = tied_dataset(np.random.default_rng(seed), kinds, all_tied, extreme)
+    for t in range(ds.n):
+        for k in (1, ds.n - 2):
             assert np.array_equal(fold_neighbors(ds, t, k), analogy.knn_within(ds.without(t), k)), (t, k)
+
+
+def design_or_error(build, *args):
+    try:
+        return build(*args)
+    except FitError as exc:
+        return str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(*TIED)
+def test_fold_difference_table_serves_every_k_property(seed, kinds, all_tied, extreme):
+    # a fold's one k_top difference table: its first k columns give the GA
+    # design of every k, or the error of a k that leaves too few training
+    # projects, and its column 0 the difference pairs, each as the per-row
+    # oracle builds it
+    ds = tied_dataset(np.random.default_rng(seed), kinds, all_tied, extreme)
+    k_top, ga_range = ds.n - 2, SMALL.ga_range
+    ranking = analogy.knn_within(ds, k_top + 1)
+    for t in range(ds.n):
+        fold = validation._Fold(ds, t, k_top, {"MT", "GA"}, ranking)
+        train, (efforts, diffs) = fold.train, fold.table
+        for k in range(1, k_top + 1):
+            got = design_or_error(validation.ga_design, train.efforts, efforts[:, :k], diffs[:, :k], ga_range)
+            want = design_or_error(ga_design_loop, train, k, ga_range)
+            assert type(got) is type(want), (t, k)
+            assert got == want if isinstance(want, str) else all(map(np.array_equal, got, want)), (t, k)
+        assert all(map(np.array_equal, fold.pairs, diff_pairs_loop(train))), t
 
 
 def test_fold_falls_back_for_each_k_whose_model_is_an_error(albrecht, monkeypatch):
@@ -556,15 +605,16 @@ def test_fold_falls_back_for_each_k_whose_model_is_an_error(albrecht, monkeypatc
 
     # the same errors on every fold: ``loocv_grid`` puts EBA in each NaN's
     # place and counts it as a fallback
-    fit_ga_weights = validation.fit_ga_weights
+    build = validation.ga_design
 
-    def lost(trains, neighbors, ks, config, seeds):
-        rows = fit_ga_weights(trains, neighbors, ks, config, seeds)
-        return [[FitError("lost") if k % 2 else fit for k, fit in zip(ks, row)] for row in rows]
+    def lost(efforts, neighbor_efforts, diffs, ga_range):
+        if neighbor_efforts.shape[1] % 2:
+            raise FitError("lost")
+        return build(efforts, neighbor_efforts, diffs, ga_range)
 
     kept = loocv_grid(albrecht, variants, SMALL)[0]
     monkeypatch.setattr(validation, "fit_model_trees", lambda pairs, config: [FitError("no tree")] * len(pairs))
-    monkeypatch.setattr(validation, "fit_ga_weights", lost)
+    monkeypatch.setattr(validation, "ga_design", lost)
     tables, _ = loocv_grid(albrecht, variants, SMALL)
     for k in range(1, 6):
         plain = tables[f"EBA{k}"].predictions
