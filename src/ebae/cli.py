@@ -1,13 +1,16 @@
 """Command-line front end: dataset description and pipeline runs, which write the report.
 
-Exit codes: 0 success, 1 evaluation failure, 2 dataset/schema problems.
-All outputs are deterministic functions of (input files, flags, seed) for
-one numpy build on one CPU kernel set: another BLAS kernel or SIMD dispatch
+Every run setting is a ``Config`` field, set by ``--set KEY=VALUE`` under the
+keys of ``config._KEYS`` (``seed``, ``runs``, ``alpha``, ``k_max``, ``jobs``,
+``ga.pop``, ...); a key may be given once. Exit codes: 0 success, 1 a bad
+setting, a refused report path or an evaluation failure, 2 dataset/schema
+problems. All outputs are deterministic functions of (input files, settings)
+for one numpy build on one CPU kernel set: another BLAS kernel or SIMD dispatch
 can move the last bits of GA and NN values and Box-Cox outputs, and with
-them the report bytes. The report path (``--out``) must be absent or a
-directory: the report is built in a temporary directory beside it and renamed
-into place, and an existing file there is an error that leaves the file
-untouched.
+them the report bytes. The report path (``--out``) must be absent, an empty
+directory or an earlier report: the report is built in a temporary directory
+beside it and renamed into place, and any other file or directory there is an
+error that leaves it untouched.
 """
 
 from __future__ import annotations
@@ -180,16 +183,46 @@ def _summary_markdown(report, stats):
     return "\n".join(out)
 
 
+# Every path that ``write_report`` writes, relative to the report directory.
+REPORT_PATHS = frozenset((
+    "variants.csv", "filter.csv", "scott_knott.csv", "borda.csv", "ensembles.csv", "joint_ranking.csv",
+    "summary.md", "plotdata", "plotdata/transformed_ae_singles.csv", "plotdata/transformed_ae_joint.csv",
+    "plotdata/two_way_types.csv",
+))
+
+
+def _foreign_entry(out_dir):
+    """The first entry of the directory ``out_dir`` that ``write_report``
+    does not write, or writes as another kind (only ``plotdata`` is a
+    directory); None if there is none."""
+    plotdata = out_dir / "plotdata"
+    entries = [*out_dir.iterdir(), *(plotdata.iterdir() if plotdata.is_dir() else ())]
+    for path in sorted(entries):
+        if path.relative_to(out_dir).as_posix() not in REPORT_PATHS or path.is_dir() != (path == plotdata):
+            return path
+    return None
+
+
 def write_report(report, stats, out_dir):
     """Write the report directory: build it in a temp dir, then rename it into
-    place. An old report there is deleted only once the new one has replaced it;
-    a path that exists and is not a directory raises NotADirectoryError first."""
+    place. An old report there is deleted only once the new one has replaced it.
+    A path that exists and is not a directory raises NotADirectoryError, and a
+    directory that holds anything but report paths FileExistsError, before
+    anything is written."""
     out_dir = Path(out_dir)
     if out_dir.exists() and not out_dir.is_dir():
         raise NotADirectoryError(f"report path {out_dir} exists and is not a directory")
+    foreign = _foreign_entry(out_dir) if out_dir.exists() else None
+    if foreign is not None:
+        raise FileExistsError(f"report path {out_dir} holds {foreign}, which is not part of a report; "
+                              "the directory is left untouched")
     out_dir.parent.mkdir(parents=True, exist_ok=True)
-    staging = Path(tempfile.mkdtemp(prefix=out_dir.name + ".", dir=out_dir.parent))
+    holder = Path(tempfile.mkdtemp(prefix=out_dir.name + ".", dir=out_dir.parent))
     try:
+        # made by mkdir, so the report gets the mode a plain mkdir gives,
+        # where mkdtemp's own directory is private
+        staging = holder / out_dir.name
+        staging.mkdir()
         base = report.baseline
         _write_csv(
             staging / "variants.csv",
@@ -242,7 +275,7 @@ def write_report(report, stats, out_dir):
 
         (staging / "summary.md").write_text(_summary_markdown(report, stats), encoding="utf-8")
 
-        aside = staging.with_name(staging.name + ".old")
+        aside = holder.with_name(holder.name + ".old")
         if out_dir.exists():
             os.rename(out_dir, aside)
         try:
@@ -252,28 +285,21 @@ def write_report(report, stats, out_dir):
                 os.rename(aside, out_dir)
             raise
         shutil.rmtree(aside, ignore_errors=True)
-    except Exception:
-        shutil.rmtree(staging, ignore_errors=True)
-        raise
+    finally:
+        shutil.rmtree(holder, ignore_errors=True)
 
 
-def _build_config(args):
+def _build_config(pairs):
+    """The Config of the ``--set KEY=VALUE`` pairs, each key at most once."""
     overrides = {}
-    for pair in args.set or []:
+    for pair in pairs:
         key, sep, value = pair.partition("=")
         if not sep:
             raise ValueError(f"bad --set argument {pair!r}: expected KEY=VALUE")
+        if key in overrides:
+            raise ValueError(f"config key {key!r} set twice")
         overrides[key] = value
-    config = with_overrides(Config(), overrides)
-    env_seed = os.environ.get("EBAE_SEED")
-    updates = {}
-    if env_seed is not None and args.seed is None and "seed" not in overrides:
-        updates["seed"] = env_seed
-    for flag in ("seed", "runs", "alpha", "k_max"):
-        value = getattr(args, flag)
-        if value is not None:
-            updates[flag] = str(value)
-    return with_overrides(config, updates)
+    return with_overrides(Config(), overrides)
 
 
 def _add_paths(parser):
@@ -299,7 +325,7 @@ def cmd_describe(args):
 
 def cmd_pipeline(args):
     dataset = load_dataset(args.data, args.schema)
-    config = _build_config(args)
+    config = _build_config(args.set or [])
     report = run_pipeline(dataset, config)
     write_report(report, describe(dataset), args.out)
     print(f"wrote report to {args.out}")
@@ -318,15 +344,12 @@ def main(argv=None):
     p_desc.set_defaults(func=cmd_describe)
     p_pipe = sub.add_parser("pipeline", help="run the full selection/ensembling pipeline, write the report")
     _add_paths(p_pipe)
-    p_pipe.add_argument("--seed", type=int, default=None,
-                        help=f"global seed (default {Config.seed}; EBAE_SEED overrides the default)")
-    p_pipe.add_argument("--runs", type=int, default=None, help=f"baseline Monte-Carlo runs (default {Config.runs})")
-    p_pipe.add_argument("--alpha", type=float, default=None, help=f"Scott-Knott significance level (default {Config.alpha})")
-    p_pipe.add_argument("--k-max", dest="k_max", type=int, default=None, help=f"largest analogy count (default {Config.k_max})")
     p_pipe.add_argument("--set", action="append", metavar="KEY=VALUE",
-                        help="config override, e.g. --set ga.pop=30 (repeatable); LOOCV runs in one "
-                             "worker process per usable core, --set jobs=1 runs it in this process alone")
-    p_pipe.add_argument("--out", default="./report", help="report directory (default ./report)")
+                        help="run setting, e.g. --set seed=7 or --set ga.pop=30 (repeatable, each key "
+                             "once); LOOCV runs in one worker process per usable core, --set jobs=1 runs "
+                             "it in this process alone")
+    p_pipe.add_argument("--out", default="./report",
+                        help="report directory: absent, empty or an earlier report (default ./report)")
     p_pipe.set_defaults(func=cmd_pipeline)
 
     args = parser.parse_args(argv)

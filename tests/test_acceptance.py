@@ -294,7 +294,7 @@ def test_criterion_08_learner_checks():
 def test_criterion_09_pipeline_determinism(tmp_path):
     args = [
         "pipeline", "--data", str(DATASETS / "toy.csv"), "--schema", str(DATASETS / "toy.schema"),
-        "--runs", "300", "--seed", "13",
+        "--set", "runs=300", "--set", "seed=13",
         "--set", "ga.pop=10", "--set", "ga.gens=5", "--set", "nn.epochs=20",
     ]
     outs = [tmp_path / name for name in ("first", "second", "parallel")]

@@ -56,7 +56,7 @@ def test_pipeline_runs_without_scipy(tmp_path):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     result = subprocess.run(
         [sys.executable, "-c", code, "pipeline", "--data", str(DATASETS / "toy.csv"),
-         "--schema", str(DATASETS / "toy.schema"), "--runs", "100", "--set", "ga.pop=4", "--set", "ga.gens=2",
+         "--schema", str(DATASETS / "toy.schema"), "--set", "runs=100", "--set", "ga.pop=4", "--set", "ga.gens=2",
          "--set", "nn.epochs=5", "--set", "jobs=1", "--out", str(out)],
         env=env, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr

@@ -3,6 +3,7 @@ import hashlib
 import math
 import os
 import re
+import stat
 import tempfile
 from dataclasses import astuple
 from pathlib import Path
@@ -22,7 +23,7 @@ from ebae.ensemble import run_pipeline
 from .conftest import DATASETS, make_dataset
 
 TOY_ARGS = ["--data", str(DATASETS / "toy.csv"), "--schema", str(DATASETS / "toy.schema")]
-FAST = ["--runs", "200", "--set", "ga.pop=10", "--set", "ga.gens=5", "--set", "nn.epochs=20"]
+FAST = ["--set", "runs=200", "--set", "ga.pop=10", "--set", "ga.gens=5", "--set", "nn.epochs=20"]
 REPORT_FILES = (
     "variants.csv", "filter.csv", "scott_knott.csv", "borda.csv", "ensembles.csv", "joint_ranking.csv",
     "summary.md", "plotdata/transformed_ae_singles.csv", "plotdata/transformed_ae_joint.csv",
@@ -112,6 +113,8 @@ def test_pipeline_artifacts_present(tmp_path):
     assert main(["pipeline", *TOY_ARGS, *FAST, "--out", str(out)]) == 0
     for name in REPORT_FILES:
         assert (out / name).exists(), name
+    # what the writer may replace is what it writes
+    assert {p.relative_to(out).as_posix() for p in out.rglob("*")} == cli.REPORT_PATHS
 
 
 SIZE = ColumnSpec("size", "feature", "continuous", "primary_size")
@@ -213,7 +216,7 @@ def test_degenerate_input_matrix_through_the_command(dataset):
     with tempfile.TemporaryDirectory() as tmp:
         data, schema, out = Path(tmp) / "drawn.csv", Path(tmp) / "drawn.schema", Path(tmp) / "report"
         write_dataset(dataset, data, schema)
-        assert main(["pipeline", "--data", str(data), "--schema", str(schema), "--runs", "100",
+        assert main(["pipeline", "--data", str(data), "--schema", str(schema), "--set", "runs=100",
                      "--set", "ga.pop=4", "--set", "ga.gens=2", "--set", "nn.epochs=5",
                      "--set", "jobs=1", "--out", str(out)]) == 0
         for name in REPORT_FILES:
@@ -250,9 +253,9 @@ def test_constant_efforts_report_has_no_nan(tmp_path):
 
 def test_pipeline_hash_identical_across_runs_and_parallelism(tmp_path):
     outs = [tmp_path / n for n in ("r1", "r2", "r3")]
-    main(["pipeline", *TOY_ARGS, *FAST, "--seed", "5", "--out", str(outs[0])])
-    main(["pipeline", *TOY_ARGS, *FAST, "--seed", "5", "--out", str(outs[1])])
-    main(["pipeline", *TOY_ARGS, *FAST, "--seed", "5", "--set", "jobs=3", "--out", str(outs[2])])
+    main(["pipeline", *TOY_ARGS, *FAST, "--set", "seed=5", "--out", str(outs[0])])
+    main(["pipeline", *TOY_ARGS, *FAST, "--set", "seed=5", "--out", str(outs[1])])
+    main(["pipeline", *TOY_ARGS, *FAST, "--set", "seed=5", "--set", "jobs=3", "--out", str(outs[2])])
     digests = {directory_digest(o) for o in outs}
     assert len(digests) == 1
 
@@ -272,7 +275,7 @@ def test_pipeline_alpha_flag_changes_clustering(tmp_path):
     args = ["--data", str(data), "--schema", str(schema), *FAST]
     out1, out2 = tmp_path / "a05", tmp_path / "a01"
     assert main(["pipeline", *args, "--out", str(out1)]) == 0
-    assert main(["pipeline", *args, "--alpha", "0.01", "--out", str(out2)]) == 0
+    assert main(["pipeline", *args, "--set", "alpha=0.01", "--out", str(out2)]) == 0
 
     def clusters(path):
         with (path / "scott_knott.csv").open() as fh:
@@ -284,8 +287,8 @@ def test_pipeline_alpha_flag_changes_clustering(tmp_path):
 
 def test_runs_flag_plumbs_to_baseline(tmp_path):
     out1, out2 = tmp_path / "x", tmp_path / "y"
-    main(["pipeline", *TOY_ARGS, *FAST[2:], "--runs", "200", "--out", str(out1)])
-    main(["pipeline", *TOY_ARGS, *FAST[2:], "--runs", "2000", "--out", str(out2)])
+    main(["pipeline", *TOY_ARGS, *FAST[2:], "--set", "runs=200", "--out", str(out1)])
+    main(["pipeline", *TOY_ARGS, *FAST[2:], "--set", "runs=2000", "--out", str(out2)])
 
     def sa5(path):
         with (path / "variants.csv").open() as fh:
@@ -294,15 +297,21 @@ def test_runs_flag_plumbs_to_baseline(tmp_path):
     assert sa5(out1) != sa5(out2)
 
 
-def test_env_seed_used_as_default(tmp_path, monkeypatch):
-    out1, out2, out3 = tmp_path / "e1", tmp_path / "e2", tmp_path / "e3"
-    monkeypatch.setenv("EBAE_SEED", "9")
-    main(["pipeline", *TOY_ARGS, *FAST, "--out", str(out1)])
-    monkeypatch.delenv("EBAE_SEED")
-    main(["pipeline", *TOY_ARGS, *FAST, "--seed", "9", "--out", str(out2)])
-    main(["pipeline", *TOY_ARGS, *FAST, "--seed", "10", "--out", str(out3)])
-    assert (out1 / "variants.csv").read_bytes() == (out2 / "variants.csv").read_bytes()
-    assert (out1 / "variants.csv").read_bytes() != (out3 / "variants.csv").read_bytes()
+@pytest.mark.parametrize("flag", [["--seed", "1"], ["--runs", "200"], ["--alpha", "0.01"], ["--k-max", "4"]])
+def test_removed_setting_flags_are_unrecognized(tmp_path, capsys, flag):
+    # every run setting is a --set key; the flags that shadowed four of them are gone
+    with pytest.raises(SystemExit) as exc:
+        main(["pipeline", *TOY_ARGS, *flag, "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_repeated_set_key_fails_fast(tmp_path, capsys):
+    code = main(["pipeline", *TOY_ARGS, "--set", "seed=4", "--set", "seed=5", "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert "error: config key 'seed' set twice" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_unknown_set_key_fails_fast(tmp_path, capsys):
@@ -323,9 +332,9 @@ def test_set_without_equals_fails_fast(tmp_path, capsys):
     (["--set", "nn.hidden=-1"], "nn.hidden"),
     (["--set", "ga.range=-1"], "ga.range"),
     (["--set", "k_max=0"], "k_max"),
-    (["--k-max", "0"], "k_max"),
-    (["--alpha", "1.5"], "alpha"),
-    (["--alpha", "0"], "alpha"),
+    (["--set", "k_max=1.5"], "k_max"),
+    (["--set", "alpha=1.5"], "alpha"),
+    (["--set", "alpha=0"], "alpha"),
     (["--set", "alpha=1"], "alpha"),
     (["--set", "alpha=nan"], "alpha"),
     (["--set", "nn.epochs=-1"], "nn.epochs"),
@@ -335,9 +344,9 @@ def test_set_without_equals_fails_fast(tmp_path, capsys):
     (["--set", "ga.mut=-0.5"], "ga.mut"),
     (["--set", "nn.lr=-0.01"], "nn.lr"),
     (["--set", "nn.lr=0"], "nn.lr"),
-    (["--runs", "50"], "runs"),
+    (["--set", "runs=50"], "runs"),
     (["--set", "jobs=0"], "jobs"),
-    (["--set", "seed=abc", "--seed", "3"], "seed"),      # the flag does not mask a bad --set
+    (["--set", "seed=abc"], "seed"),
     (["--set", "mt.max_depth=-1"], "mt.max_depth"),
 ])
 def test_out_of_range_config_value_fails_fast(tmp_path, capsys, args, key):
@@ -369,16 +378,53 @@ def test_pipeline_out_naming_a_file_fails_and_keeps_it(tmp_path, capsys):
 def test_pipeline_overwrites_existing_report(tmp_path):
     out = tmp_path / "report"
     out.mkdir()
-    (out / "stale.txt").write_text("old")
+    (out / "summary.md").write_text("old")
     assert main(["pipeline", *TOY_ARGS, *FAST, "--out", str(out)]) == 0
-    assert not (out / "stale.txt").exists()
-    assert (out / "summary.md").exists()
+    assert (out / "summary.md").read_text().startswith("# Pipeline report: toy")
+    assert [name for name in REPORT_FILES if not (out / name).is_file()] == []
+
+
+@pytest.mark.parametrize("foreign", ["thesis.txt", "sub/", "plotdata/extra.csv", "summary.md/", "plotdata"])
+def test_pipeline_refuses_out_holding_other_files(tmp_path, capsys, foreign):
+    # a directory that holds anything a report does not is left as it is,
+    # whatever report files it also holds
+    out = tmp_path / "precious"
+    out.mkdir()
+    (out / "variants.csv").write_text("old")
+    if foreign != "plotdata":
+        (out / "plotdata").mkdir()
+    if foreign.endswith("/"):
+        (out / foreign).mkdir()
+        (out / foreign / "notes.txt").write_text("keep")
+    else:
+        (out / foreign).write_text("keep")
+
+    def contents():
+        return sorted((p.relative_to(tmp_path).as_posix(), p.is_dir() or p.read_bytes()) for p in tmp_path.rglob("*"))
+
+    before = contents()
+    assert main(["pipeline", *TOY_ARGS, *FAST, "--set", "jobs=1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: report path {out} holds {out / foreign.rstrip('/')}, which is not part of a report" in err
+    assert contents() == before
+
+
+def test_report_directory_has_a_plain_mkdirs_mode(tmp_path):
+    # the report replaces an empty directory of another mode
+    out = tmp_path / "report"
+    out.mkdir(mode=0o700)
+    umask = os.umask(0o022)
+    try:
+        assert main(["pipeline", *TOY_ARGS, *FAST, "--set", "jobs=1", "--out", str(out)]) == 0
+    finally:
+        os.umask(umask)
+    assert stat.S_IMODE(out.stat().st_mode) == stat.S_IMODE((out / "plotdata").stat().st_mode) == 0o755
 
 
 def test_failed_rename_keeps_old_report(tmp_path, monkeypatch, toy):
     out = tmp_path / "report"
     out.mkdir()
-    (out / "stale.txt").write_text("old")
+    (out / "summary.md").write_text("old")
     report = run_pipeline(toy, Config(runs=100, ga_pop=4, ga_gens=2, nn_epochs=5, jobs=1))
     rename, failed = os.rename, []
 
@@ -392,5 +438,5 @@ def test_failed_rename_keeps_old_report(tmp_path, monkeypatch, toy):
     with pytest.raises(OSError, match="rename failed"):
         write_report(report, describe(toy), out)
     assert [path.name for path in tmp_path.iterdir()] == ["report"]      # no temp dir is left
-    assert [path.name for path in out.iterdir()] == ["stale.txt"]
-    assert (out / "stale.txt").read_text() == "old"
+    assert [path.name for path in out.iterdir()] == ["summary.md"]
+    assert (out / "summary.md").read_text() == "old"
