@@ -8,9 +8,10 @@ problems. All outputs are deterministic functions of (input files, settings)
 for one numpy build on one CPU kernel set: another BLAS kernel or SIMD dispatch
 can move the last bits of GA and NN values and Box-Cox outputs, and with
 them the report bytes. The report path (``--out``) must be absent, an empty
-directory or an earlier report: the report is built in a temporary directory
-beside it and renamed into place, and any other file or directory there is an
-error that leaves it untouched.
+directory or an earlier report, and is checked before the pipeline runs: the
+report is built in a temporary directory beside it and renamed into place, and
+any other file or directory there is an error that leaves it untouched. A
+symlinked ``--out`` is followed, so the report replaces the link's target.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import os
 import shutil
 import sys
 import tempfile
+from itertools import chain
 from pathlib import Path
 
 from .config import Config, with_overrides
@@ -37,23 +39,16 @@ def _write_csv(path, header, rows):
         writer.writerows(rows)
 
 
-def _fmt(value):
-    if isinstance(value, float):
-        return repr(value)
-    return value
-
-
 def _sa5_field(base):
     """SA5 for a CSV field: empty where constant efforts leave it undefined."""
-    return "" if math.isnan(base.sa5) else _fmt(base.sa5)
+    return "" if math.isnan(base.sa5) else base.sa5
 
 
 def _variant_rows(report):
     sa5 = _sa5_field(report.baseline)
-    kept = {v.variant: v.kept for v in report.verdicts}
     for label, s in report.summaries.items():
-        yield (label, _fmt(s.mae), _fmt(s.mmre), _fmt(s.pred25), _fmt(s.lsd), _fmt(s.mbre),
-               _fmt(s.mibre), _fmt(s.sa), _fmt(s.delta), sa5, s.fallback_count, kept.get(label, False))
+        yield (label, s.mae, s.mmre, s.pred25, s.lsd, s.mbre, s.mibre, s.sa, s.delta, sa5,
+               s.fallback_count, label in report.survivors)
     for label, message in report.variant_errors.items():
         yield label, "", "", "", "", "", "", "", "", sa5, "", f"error: {message}"
 
@@ -71,11 +66,6 @@ def _ranking_rows(outcome, order):
     """(rank, candidate, score, rank change) of a Borda outcome in ``order``."""
     for c in order:
         yield outcome.ranks[c], c, outcome.scores[c], outcome.xi.get(c, float("nan"))
-
-
-def _rank_order(outcome):
-    """Candidates by rank, ties by label."""
-    return sorted(outcome.candidates, key=lambda c: (outcome.ranks[c], str(c)))
 
 
 def _pct(x):
@@ -155,7 +145,7 @@ def _summary_markdown(report, stats):
         out.append("## Joint ranking: best singles and ensembles")
         joint = report.borda_joint
         rows = [(rank, c, score, f"{xi:.2f}")
-                for rank, c, score, xi in _ranking_rows(joint, _rank_order(joint))]
+                for rank, c, score, xi in _ranking_rows(joint, chain.from_iterable(joint.groups))]
         out.append(_md_table(("rank", "method", "score", "rank change"), rows))
 
     if report.mean_rank_ensembles is not None or report.mean_rank_singles is not None:
@@ -203,19 +193,28 @@ def _foreign_entry(out_dir):
     return None
 
 
-def write_report(report, stats, out_dir):
-    """Write the report directory: build it in a temp dir, then rename it into
-    place. An old report there is deleted only once the new one has replaced it.
-    A path that exists and is not a directory raises NotADirectoryError, and a
-    directory that holds anything but report paths FileExistsError, before
-    anything is written."""
+def _report_dir(out_dir):
+    """The directory a report at ``out_dir`` replaces: ``out_dir`` itself, or
+    the target of a symlink there. A path that exists and is not a directory
+    raises NotADirectoryError, and a directory that holds anything but report
+    paths FileExistsError."""
     out_dir = Path(out_dir)
+    if out_dir.is_symlink():
+        out_dir = out_dir.resolve()
     if out_dir.exists() and not out_dir.is_dir():
         raise NotADirectoryError(f"report path {out_dir} exists and is not a directory")
     foreign = _foreign_entry(out_dir) if out_dir.exists() else None
     if foreign is not None:
         raise FileExistsError(f"report path {out_dir} holds {foreign}, which is not part of a report; "
                               "the directory is left untouched")
+    return out_dir
+
+
+def write_report(report, stats, out_dir):
+    """Write the report directory: build it in a temp dir, then rename it into
+    place. An old report there is deleted only once the new one has replaced it.
+    ``out_dir`` is checked by ``_report_dir`` before anything is written."""
+    out_dir = _report_dir(out_dir)
     out_dir.parent.mkdir(parents=True, exist_ok=True)
     holder = Path(tempfile.mkdtemp(prefix=out_dir.name + ".", dir=out_dir.parent))
     try:
@@ -233,30 +232,27 @@ def write_report(report, stats, out_dir):
         _write_csv(
             staging / "filter.csv",
             ("variant", "SA", "Delta", "SA5", "kept", "reason"),
-            [(v.variant, _fmt(v.sa), _fmt(v.delta), _sa5_field(base), v.kept, v.reason)
+            [(v.variant, v.sa, v.delta, _sa5_field(base), v.kept, v.reason)
              for v in report.verdicts],
         )
         _write_csv(staging / "scott_knott.csv",
                    ("cluster", "variant", "mean_transformed_ae", "mae"),
-                   [(ci, name, _fmt(mean), _fmt(report.summaries[name].mae))
+                   [(ci, name, mean, report.summaries[name].mae)
                     for ci, name, mean in _cluster_rows(report.sk_singles)])
-        borda_rows = []
+        borda_rows = ()
         if report.borda_singles is not None:
-            borda_rows = [(rank, c, score, _fmt(xi)) for rank, c, score, xi
-                          in _ranking_rows(report.borda_singles, report.best_ranking)]
+            borda_rows = _ranking_rows(report.borda_singles, report.best_ranking)
         _write_csv(staging / "borda.csv", ("rank", "variant", "score", "xi"), borda_rows)
         _write_csv(
             staging / "ensembles.csv",
             ("ensemble", "members", "MAE", "MMRE", "Pred25", "LSD", "MBRE", "MIBRE", "SA", "Delta"),
-            [(e.label, "|".join(e.members), _fmt(s.mae), _fmt(s.mmre), _fmt(s.pred25),
-              _fmt(s.lsd), _fmt(s.mbre), _fmt(s.mibre), _fmt(s.sa), _fmt(s.delta))
+            [(e.label, "|".join(e.members), s.mae, s.mmre, s.pred25, s.lsd, s.mbre, s.mibre, s.sa, s.delta)
              for e in report.ensembles
              for s in [report.ensemble_summaries[e.label]]],
         )
-        joint, joint_rows = report.borda_joint, []
+        joint, joint_rows = report.borda_joint, ()
         if joint is not None:
-            joint_rows = [(rank, c, score, _fmt(xi))
-                          for rank, c, score, xi in _ranking_rows(joint, _rank_order(joint))]
+            joint_rows = _ranking_rows(joint, chain.from_iterable(joint.groups))
         _write_csv(staging / "joint_ranking.csv", ("rank", "method", "score", "xi"), joint_rows)
 
         plotdata = staging / "plotdata"
@@ -266,12 +262,12 @@ def write_report(report, stats, out_dir):
             ("transformed_ae_joint.csv", report.sk_joint,
              {**report.tables, **report.ensemble_tables}),
         ):
-            rows = [(ci, member, _fmt(float(v)))
+            rows = [(ci, member, v)
                     for ci, member, _ in _cluster_rows(result)
-                    for v in apply_transform(tables[member].aes, result.transform)]
+                    for v in apply_transform(tables[member].aes, result.transform).tolist()]
             _write_csv(plotdata / name, ("cluster", "method", "transformed_ae"), rows)
         _write_csv(plotdata / "two_way_types.csv", ("cluster", "type", "mean_transformed_ae"),
-                   [(ci, name, _fmt(mean)) for ci, name, mean in _cluster_rows(report.two_way)])
+                   _cluster_rows(report.two_way))
 
         (staging / "summary.md").write_text(_summary_markdown(report, stats), encoding="utf-8")
 
@@ -326,6 +322,7 @@ def cmd_describe(args):
 def cmd_pipeline(args):
     dataset = load_dataset(args.data, args.schema)
     config = _build_config(args.set or [])
+    _report_dir(args.out)
     report = run_pipeline(dataset, config)
     write_report(report, describe(dataset), args.out)
     print(f"wrote report to {args.out}")

@@ -307,7 +307,7 @@ def write_dataset(dataset, data_path, schema_path):
     with Path(schema_path).open("w", encoding="utf-8") as fh:
         for col in dataset.columns:
             fh.write(f"{col.name}={col.role},{col.kind},{col.size_flag}\n")
-    # one list of cells per column; repr of Python floats (numpy 2 prints np.float64 as "np.float64(x)")
+    # one list of cells per column; csv writes a Python float as its shortest round-trip repr
     cont = iter(dataset.cont.T.tolist())
     cat = iter([levels[c] for c in codes] for levels, codes in zip(dataset.levels, dataset.cat.T.tolist()))
     cells = []
@@ -315,9 +315,9 @@ def write_dataset(dataset, data_path, schema_path):
         if col.role == "identifier":
             cells.append(dataset.ids)
         elif col.role == "effort":
-            cells.append(map(repr, dataset.efforts.tolist()))
+            cells.append(dataset.efforts.tolist())
         else:
-            cells.append(next(cat) if col.kind == "categorical" else map(repr, next(cont)))
+            cells.append(next(cat) if col.kind == "categorical" else next(cont))
     with Path(data_path).open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([c.name for c in dataset.columns])

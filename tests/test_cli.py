@@ -19,16 +19,13 @@ from ebae.cli import main, write_report
 from ebae.config import Config
 from ebae.data import ColumnSpec, describe, write_dataset
 from ebae.ensemble import run_pipeline
+from ebae.stats import apply_transform
 
 from .conftest import DATASETS, make_dataset
 
 TOY_ARGS = ["--data", str(DATASETS / "toy.csv"), "--schema", str(DATASETS / "toy.schema")]
 FAST = ["--set", "runs=200", "--set", "ga.pop=10", "--set", "ga.gens=5", "--set", "nn.epochs=20"]
-REPORT_FILES = (
-    "variants.csv", "filter.csv", "scott_knott.csv", "borda.csv", "ensembles.csv", "joint_ranking.csv",
-    "summary.md", "plotdata/transformed_ae_singles.csv", "plotdata/transformed_ae_joint.csv",
-    "plotdata/two_way_types.csv",
-)
+REPORT_FILES = tuple(sorted(path for path in cli.REPORT_PATHS if path != "plotdata"))
 
 
 def directory_digest(root):
@@ -251,6 +248,64 @@ def test_constant_efforts_report_has_no_nan(tmp_path):
     assert "- EBA1 not evaluated: standardized accuracy undefined: constant efforts (MAE_p0 = 0)" in summary
 
 
+def read_csv(path):
+    with path.open(encoding="utf-8", newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def assert_same_floats(cells, values):
+    """Each CSV cell parses back to exactly its report value (NaN as "nan")."""
+    assert len(cells) == len(values) > 0
+    for cell, value in zip(cells, values):
+        assert float(cell) == value or (math.isnan(value) and cell == "nan"), (cell, value)
+
+
+METRIC_COLUMNS = {"MAE": "mae", "MMRE": "mmre", "Pred25": "pred25", "LSD": "lsd", "MBRE": "mbre",
+                  "MIBRE": "mibre", "SA": "sa", "Delta": "delta"}
+
+
+def test_report_floats_read_back_exactly(tmp_path, albrecht):
+    # csv writes each float as its shortest round-trip repr, so float(cell)
+    # is the report's own value (test_constant_efforts_report_has_no_nan
+    # checks the empty SA5 of a NaN)
+    report = run_pipeline(albrecht, Config(runs=200, ga_pop=10, ga_gens=5, nn_epochs=20, jobs=1))
+    out = tmp_path / "report"
+    write_report(report, describe(albrecht), out)
+    variants = read_csv(out / "variants.csv")
+    for column, field in METRIC_COLUMNS.items():
+        assert_same_floats([row[column] for row in variants],
+                           [getattr(report.summaries[row["variant"]], field) for row in variants])
+    verdicts = read_csv(out / "filter.csv")
+    for rows in (variants, verdicts):
+        assert_same_floats([row["SA5"] for row in rows], [report.baseline.sa5] * len(rows))
+    assert_same_floats([row["SA"] for row in verdicts], [v.sa for v in report.verdicts])
+    assert_same_floats([row["Delta"] for row in verdicts], [v.delta for v in report.verdicts])
+
+    sk = read_csv(out / "scott_knott.csv")
+    assert_same_floats([row["mean_transformed_ae"] for row in sk],
+                       [mean for cluster in report.sk_singles.clusters for mean in cluster.means])
+    assert_same_floats([row["mae"] for row in sk], [report.summaries[row["variant"]].mae for row in sk])
+    ensembles = read_csv(out / "ensembles.csv")
+    for column, field in METRIC_COLUMNS.items():
+        assert_same_floats([row[column] for row in ensembles],
+                           [getattr(report.ensemble_summaries[row["ensemble"]], field) for row in ensembles])
+    for name, outcome, column in (("borda.csv", report.borda_singles, "variant"),
+                                  ("joint_ranking.csv", report.borda_joint, "method")):
+        rows = read_csv(out / name)
+        assert_same_floats([row["xi"] for row in rows],
+                           [outcome.xi.get(row[column], float("nan")) for row in rows])
+
+    tables = {**report.tables, **report.ensemble_tables}
+    for name, result in (("transformed_ae_singles.csv", report.sk_singles),
+                         ("transformed_ae_joint.csv", report.sk_joint)):
+        rows = read_csv(out / "plotdata" / name)
+        values = [apply_transform(tables[member].aes, result.transform)
+                  for cluster in result.clusters for member in cluster.members]
+        assert_same_floats([row["transformed_ae"] for row in rows], np.concatenate(values).tolist())
+    assert_same_floats([row["mean_transformed_ae"] for row in read_csv(out / "plotdata" / "two_way_types.csv")],
+                       [mean for cluster in report.two_way.clusters for mean in cluster.means])
+
+
 def test_pipeline_hash_identical_across_runs_and_parallelism(tmp_path):
     outs = [tmp_path / n for n in ("r1", "r2", "r3")]
     main(["pipeline", *TOY_ARGS, *FAST, "--set", "seed=5", "--out", str(outs[0])])
@@ -366,7 +421,15 @@ def test_set_keys_are_the_config_fields():
     }
 
 
-def test_pipeline_out_naming_a_file_fails_and_keeps_it(tmp_path, capsys):
+def pipeline_must_not_run(monkeypatch):
+    def run_pipeline(*args, **kwargs):
+        pytest.fail("the pipeline ran before --out was checked")
+
+    monkeypatch.setattr(cli, "run_pipeline", run_pipeline)
+
+
+def test_pipeline_out_naming_a_file_fails_and_keeps_it(tmp_path, capsys, monkeypatch):
+    pipeline_must_not_run(monkeypatch)
     out = tmp_path / "report.txt"
     out.write_bytes(b"not a report\n")
     assert main(["pipeline", *TOY_ARGS, *FAST, "--set", "jobs=1", "--out", str(out)]) == 1
@@ -385,9 +448,10 @@ def test_pipeline_overwrites_existing_report(tmp_path):
 
 
 @pytest.mark.parametrize("foreign", ["thesis.txt", "sub/", "plotdata/extra.csv", "summary.md/", "plotdata"])
-def test_pipeline_refuses_out_holding_other_files(tmp_path, capsys, foreign):
+def test_pipeline_refuses_out_holding_other_files(tmp_path, capsys, monkeypatch, foreign):
     # a directory that holds anything a report does not is left as it is,
     # whatever report files it also holds
+    pipeline_must_not_run(monkeypatch)
     out = tmp_path / "precious"
     out.mkdir()
     (out / "variants.csv").write_text("old")
@@ -407,6 +471,35 @@ def test_pipeline_refuses_out_holding_other_files(tmp_path, capsys, foreign):
     err = capsys.readouterr().err
     assert f"error: report path {out} holds {out / foreign.rstrip('/')}, which is not part of a report" in err
     assert contents() == before
+
+
+def test_write_report_checks_out_itself(tmp_path, toy):
+    report = run_pipeline(toy, Config(runs=100, ga_pop=4, ga_gens=2, nn_epochs=5, jobs=1))
+    (tmp_path / "report.txt").write_text("keep")
+    (tmp_path / "precious").mkdir()
+    (tmp_path / "precious" / "thesis.txt").write_text("keep")
+    with pytest.raises(NotADirectoryError, match="exists and is not a directory"):
+        write_report(report, describe(toy), tmp_path / "report.txt")
+    with pytest.raises(FileExistsError, match="which is not part of a report"):
+        write_report(report, describe(toy), tmp_path / "precious")
+    assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == [
+        "precious", "precious/thesis.txt", "report.txt"]
+
+
+def test_pipeline_follows_a_symlinked_out(tmp_path):
+    # the report replaces the link's target; the link stays a link and
+    # nothing is left renamed aside
+    real, links = tmp_path / "real", tmp_path / "symt"
+    real.mkdir()
+    (real / "summary.md").write_text("old")
+    links.mkdir()
+    (links / "out").symlink_to(real)
+    assert main(["pipeline", *TOY_ARGS, *FAST, "--set", "jobs=1", "--out", str(links / "out")]) == 0
+    assert [path.name for path in links.iterdir()] == ["out"]
+    assert (links / "out").is_symlink() and (links / "out").resolve() == real
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["real", "symt"]
+    assert {p.relative_to(real).as_posix() for p in real.rglob("*")} == cli.REPORT_PATHS
+    assert (real / "summary.md").read_text().startswith("# Pipeline report: toy")
 
 
 def test_report_directory_has_a_plain_mkdirs_mode(tmp_path):
