@@ -12,6 +12,10 @@ directory or an earlier report, and is checked before the pipeline runs: the
 report is built in a temporary directory beside it and renamed into place, and
 any other file or directory there is an error that leaves it untouched. A
 symlinked ``--out`` is followed, so the report replaces the link's target.
+
+The pipeline's modules are imported by ``cmd_pipeline`` and ``write_report``,
+not at module level, so ``ebae describe`` imports ``ebae.config`` and
+``ebae.data`` alone.
 """
 
 from __future__ import annotations
@@ -28,8 +32,6 @@ from pathlib import Path
 
 from .config import Config, with_overrides
 from .data import DatasetError, describe, load_dataset
-from .ensemble import run_pipeline
-from .stats import apply_transform
 
 
 def _write_csv(path, header, rows):
@@ -214,6 +216,8 @@ def write_report(report, stats, out_dir):
     """Write the report directory: build it in a temp dir, then rename it into
     place. An old report there is deleted only once the new one has replaced it.
     ``out_dir`` is checked by ``_report_dir`` before anything is written."""
+    from .stats import apply_transform
+
     out_dir = _report_dir(out_dir)
     out_dir.parent.mkdir(parents=True, exist_ok=True)
     holder = Path(tempfile.mkdtemp(prefix=out_dir.name + ".", dir=out_dir.parent))
@@ -320,6 +324,8 @@ def cmd_describe(args):
 
 
 def cmd_pipeline(args):
+    from .ensemble import run_pipeline
+
     dataset = load_dataset(args.data, args.schema)
     config = _build_config(args.set or [])
     _report_dir(args.out)

@@ -7,13 +7,16 @@ fits, and analogy retrieval see training rows only. The target enters as a
 ``loocv_grid`` runs chunks of consecutive folds, as many as keep a chunk's
 largest per-fold array within ``STACK_FLOATS``, rounded up to a multiple of
 ``config.jobs``. With more than one job ``_map_chunks`` runs the chunks in
-up to ``config.jobs`` worker processes started with the ``fork`` method,
-which inherit the dataset and its ranking; where the platform cannot fork
-they run in the calling process. Python 3.12 and later raise a
-DeprecationWarning when a process with more than one thread forks, and
-importing numpy with OpenBLAS on a 2-core Linux host leaves two threads, so
-there each worker start is expected to warn. That has not been run with
-numpy on Python 3.12.
+a ``concurrent.futures.ProcessPoolExecutor`` of up to ``config.jobs``
+worker processes started with the ``fork`` method, which inherit the
+dataset and its ranking. A chunk that raises fails the call, and the
+chunks not yet started are dropped; a worker that dies fails it with
+``BrokenProcessPool`` instead of leaving it waiting for the lost chunk.
+Where the platform cannot fork the chunks run in the calling process.
+Python 3.12 and later raise a DeprecationWarning when a process with more
+than one thread forks, and importing numpy with OpenBLAS on a 2-core Linux
+host leaves two threads, so there each worker start is expected to warn.
+That has not been run with numpy on Python 3.12.
 
 When RTM, MT, GA or NN runs, ``loocv_grid`` first ranks the whole dataset
 once, ``knn_within(dataset, k_top + 1)``, where ``k_top`` is the largest k
@@ -232,14 +235,21 @@ def _run_chunk(bounds):
 def _map_chunks(chunk, bounds, jobs):
     """``[chunk(start, stop) for start, stop in bounds]``, in up to ``jobs``
     forked worker processes when there are several jobs and chunks and the
-    platform can fork. No worker outlives the call."""
+    platform can fork. No worker outlives the call. A chunk's exception is
+    raised here once the chunks already running have ended, and the chunks
+    not yet started never run; a worker that dies, say killed by a signal,
+    raises ``BrokenProcessPool`` here at once."""
     if jobs > 1 and len(bounds) > 1:
         import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
 
         if "fork" in multiprocessing.get_all_start_methods():
-            # leaving the block terminates and joins every worker
-            with multiprocessing.get_context("fork").Pool(min(jobs, len(bounds)), _start_worker, (chunk,)) as pool:
-                return pool.map(_run_chunk, bounds, chunksize=1)
+            # a chunk that raises leaves ``map``'s iterator, which cancels
+            # every chunk not yet handed to a worker; leaving the block
+            # joins every worker
+            with ProcessPoolExecutor(min(jobs, len(bounds)), mp_context=multiprocessing.get_context("fork"),
+                                     initializer=_start_worker, initargs=(chunk,)) as pool:
+                return list(pool.map(_run_chunk, bounds))
     return [chunk(start, stop) for start, stop in bounds]
 
 

@@ -53,6 +53,13 @@ def fold_pairs(dataset, t):
     return validation._Fold(dataset, t, 1, {"MT"}, analogy.knn_within(dataset, 2)).pairs
 
 
+def src_env():
+    """``os.environ`` with the source tree of the ``ebae`` under test first on
+    PYTHONPATH, for a new interpreter to import."""
+    src = str(Path(ebae.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def size_only_schema():
     return [ColumnSpec("size", "feature", "continuous", "primary_size")]
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ebae import cli, config
+from ebae import cli, config, ensemble
 from ebae.adjust import enumerate_variants
 from ebae.cli import main, write_report
 from ebae.config import Config
@@ -425,7 +425,7 @@ def pipeline_must_not_run(monkeypatch):
     def run_pipeline(*args, **kwargs):
         pytest.fail("the pipeline ran before --out was checked")
 
-    monkeypatch.setattr(cli, "run_pipeline", run_pipeline)
+    monkeypatch.setattr(ensemble, "run_pipeline", run_pipeline)
 
 
 def test_pipeline_out_naming_a_file_fails_and_keeps_it(tmp_path, capsys, monkeypatch):

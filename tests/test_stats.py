@@ -1,17 +1,14 @@
 import hashlib
 import itertools
 import math
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import ebae
 from ebae import stats
 from ebae.adjust import enumerate_variants
 from ebae.config import Config
@@ -33,7 +30,7 @@ from ebae.stats import (
 )
 from ebae.validation import loocv_grid
 
-from .conftest import under_blas_core
+from .conftest import src_env, under_blas_core
 
 
 def test_box_cox_log_branch():
@@ -291,10 +288,8 @@ def test_split_decision_matches_chi2_quantile(alpha):
 
 @pytest.mark.parametrize("module", ["ebae", "ebae.cli"])
 def test_import_loads_no_scipy(module):
-    src = str(Path(ebae.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = f"import sys, {module}; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    out = subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
 
 

@@ -1,5 +1,9 @@
 import multiprocessing
 import os
+import signal
+import subprocess
+import sys
+import time
 from collections import Counter
 from dataclasses import replace
 
@@ -19,7 +23,7 @@ from ebae.metrics import summarize
 from ebae.validation import dataset_baseline, derive_seed, loocv, loocv_grid
 
 from . import adjust_reference
-from .conftest import fold_pairs, make_dataset, random_rows, size_only_schema
+from .conftest import DATASETS, fold_pairs, make_dataset, random_rows, size_only_schema, src_env
 from .ga_reference import ga_design_loop
 from .loocv_reference import diff_pairs_loop, loocv_variants
 from .mt_reference import fit_model_tree
@@ -470,6 +474,60 @@ def test_loocv_grid_raises_a_worker_error_and_stops_every_worker(albrecht, monke
     with pytest.raises(RuntimeError, match="network stack failed"):
         loocv_grid(albrecht, GRID, replace(SMALL, jobs=2))
     assert multiprocessing.active_children() == []
+
+
+def test_loocv_grid_starts_no_chunk_after_a_worker_error(albrecht, monkeypatch, tmp_path):
+    # one fold per chunk, so 24 chunks for 2 workers; the first fails at
+    # once and every other takes 0.1 s, so the error is back long before
+    # the later chunks would start
+    monkeypatch.setattr(validation, "STACK_FLOATS", 1)
+    fit_networks = validation._fit_networks
+
+    def failing(folds, config):
+        with open(tmp_path / "started", "a", encoding="utf-8") as fh:
+            fh.write(f"{folds[0].t}\n")
+        if folds[0].t == 0:
+            raise RuntimeError("network stack failed")
+        time.sleep(0.1)
+        return fit_networks(folds, config)
+
+    monkeypatch.setattr(validation, "_fit_networks", failing)
+    with pytest.raises(RuntimeError, match="network stack failed"):
+        loocv_grid(albrecht, GRID, replace(SMALL, jobs=2))
+    assert multiprocessing.active_children() == []
+    started = sorted(int(t) for t in (tmp_path / "started").read_text(encoding="utf-8").split())
+    # only the chunks already running or handed to a worker at the error
+    assert started[0] == 0 and started[-1] < 12, started
+
+
+def test_a_killed_worker_fails_the_run_at_once(tmp_path):
+    # the worker of the first chunk kills itself, as the OOM killer would;
+    # the run must report it, not wait for that chunk forever
+    code = ("import os, signal, sys\n"
+            "from ebae import cli, validation\n"
+            "fit_networks = validation._fit_networks\n"
+            "def dying(folds, config):\n"
+            "    if folds[0].t == 0:\n"
+            "        os.kill(os.getpid(), signal.SIGKILL)\n"
+            "    return fit_networks(folds, config)\n"
+            "validation._fit_networks = dying\n"
+            "raise SystemExit(cli.main(sys.argv[1:]))\n")
+    out = tmp_path / "report"
+    # a session of its own, so that a hang can be ended with every worker
+    child = subprocess.Popen(
+        [sys.executable, "-c", code, "pipeline", "--data", str(DATASETS / "albrecht.csv"),
+         "--schema", str(DATASETS / "albrecht.schema"), "--set", "runs=200", "--set", "ga.pop=6",
+         "--set", "ga.gens=3", "--set", "nn.epochs=10", "--set", "jobs=2", "--out", str(out)],
+        env=src_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, start_new_session=True)
+    try:
+        _, stderr = child.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        os.killpg(child.pid, signal.SIGKILL)
+        child.communicate()
+        pytest.fail("the run still waited for the killed worker's chunk after 60 s")
+    assert child.returncode == 1
+    assert stderr.startswith("error: A process in the process pool was terminated abruptly"), stderr
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("methods, built", [
