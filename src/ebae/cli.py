@@ -12,9 +12,11 @@ directory or an earlier report, and is checked before the pipeline runs: the
 report is built in a temporary directory beside it and renamed into place, and
 any other file or directory there is an error that leaves it untouched. A
 symlinked ``--out`` is followed, so the report replaces the link's target.
+``REPORT_PATHS`` lists every path a report holds, and ``REPORT_CSVS`` each
+CSV's header row.
 
-The pipeline's modules are imported by ``cmd_pipeline`` and ``write_report``,
-not at module level, so ``ebae describe`` imports ``ebae.config`` and
+The pipeline's modules are imported by ``cmd_pipeline`` and the report
+writer, not at module level, so ``ebae describe`` imports ``ebae.config`` and
 ``ebae.data`` alone.
 """
 
@@ -41,6 +43,23 @@ def _write_csv(path, header, rows):
         writer.writerows(rows)
 
 
+# Every CSV of a report, by its path relative to the report directory, with its header row.
+REPORT_CSVS = {
+    "variants.csv": ("variant", "MAE", "MMRE", "Pred25", "LSD", "MBRE", "MIBRE", "SA", "Delta", "SA5",
+                     "fallback_count", "kept"),
+    "filter.csv": ("variant", "SA", "Delta", "SA5", "kept", "reason"),
+    "scott_knott.csv": ("cluster", "variant", "mean_transformed_ae", "mae"),
+    "borda.csv": ("rank", "variant", "score", "xi"),
+    "ensembles.csv": ("ensemble", "members", "MAE", "MMRE", "Pred25", "LSD", "MBRE", "MIBRE", "SA", "Delta"),
+    "joint_ranking.csv": ("rank", "method", "score", "xi"),
+    "plotdata/transformed_ae_singles.csv": ("cluster", "method", "transformed_ae"),
+    "plotdata/transformed_ae_joint.csv": ("cluster", "method", "transformed_ae"),
+    "plotdata/two_way_types.csv": ("cluster", "type", "mean_transformed_ae"),
+}
+# Every path that ``write_report`` writes, relative to the report directory.
+REPORT_PATHS = frozenset({*REPORT_CSVS, "summary.md", "plotdata"})
+
+
 def _sa5_field(base):
     """SA5 for a CSV field: empty where constant efforts leave it undefined."""
     return "" if math.isnan(base.sa5) else base.sa5
@@ -64,10 +83,41 @@ def _cluster_rows(result):
             yield ci, member, mean
 
 
-def _ranking_rows(outcome, order):
-    """(rank, candidate, score, rank change) of a Borda outcome in ``order``."""
-    for c in order:
+def _ranking_rows(outcome, order=None):
+    """(rank, candidate, score, rank change) of a Borda outcome, in ``order``
+    or else best score group first; none without an outcome."""
+    if outcome is None:
+        return
+    for c in chain.from_iterable(outcome.groups) if order is None else order:
         yield outcome.ranks[c], c, outcome.scores[c], outcome.xi.get(c, float("nan"))
+
+
+def _transformed_ae_rows(result, tables):
+    """(cluster number, member, transformed AE) of every absolute error of a
+    Scott-Knott result's members, whose tables are in ``tables``."""
+    from .stats import apply_transform
+
+    for ci, member, _ in _cluster_rows(result):
+        for v in apply_transform(tables[member].aes, result.transform).tolist():
+            yield ci, member, v
+
+
+def _csv_rows(report):
+    """The rows of each ``REPORT_CSVS`` file, in that table's order. Each is a
+    generator, so no file's rows exist before the file is written."""
+    sa5 = _sa5_field(report.baseline)
+    return (
+        _variant_rows(report),
+        ((v.variant, v.sa, v.delta, sa5, v.kept, v.reason) for v in report.verdicts),
+        ((ci, name, mean, report.summaries[name].mae) for ci, name, mean in _cluster_rows(report.sk_singles)),
+        _ranking_rows(report.borda_singles, report.best_ranking),
+        ((e.label, "|".join(e.members), s.mae, s.mmre, s.pred25, s.lsd, s.mbre, s.mibre, s.sa, s.delta)
+         for e in report.ensembles for s in [report.ensemble_summaries[e.label]]),
+        _ranking_rows(report.borda_joint),
+        _transformed_ae_rows(report.sk_singles, report.tables),
+        _transformed_ae_rows(report.sk_joint, {**report.tables, **report.ensemble_tables}),
+        _cluster_rows(report.two_way),
+    )
 
 
 def _pct(x):
@@ -83,24 +133,23 @@ def _md_table(header, rows):
 def _summary_markdown(report, stats):
     cfg = report.config
     base = report.baseline
-    out = [f"# Pipeline report: {report.dataset_name}", ""]
-    out.append(
-        f"Projects: {report.n}, features: {report.m}, seed: {cfg.seed}, "
-        f"baseline runs: {cfg.runs}, alpha: {cfg.alpha}."
-    )
-    out.append("")
-    out.append("## Dataset")
-    out.append(_md_table(
-        ("n", "m", "min", "max", "mean", "median", "skew"),
-        [(stats.n, stats.m, f"{stats.minimum:g}", f"{stats.maximum:g}",
-          f"{stats.mean:.2f}", f"{stats.median:.2f}", f"{stats.skewness:.2f}")],
-    ))
-    out.append("## Random-guessing baseline")
+    out = [f"# Pipeline report: {report.dataset_name}", "",
+           f"Projects: {report.n}, features: {report.m}, seed: {cfg.seed}, "
+           f"baseline runs: {cfg.runs}, alpha: {cfg.alpha}.", ""]
+
+    def section(title, header, rows, *intro):
+        out.extend((f"## {title}", *intro, _md_table(header, rows)))
+
+    def ranking(title, outcome, order=None):
+        section(title, ("rank", "method", "score", "rank change"),
+                [(rank, c, score, f"{xi:.2f}") for rank, c, score, xi in _ranking_rows(outcome, order)])
+
+    section("Dataset", ("n", "m", "min", "max", "mean", "median", "skew"),
+            [(stats.n, stats.m, f"{stats.minimum:g}", f"{stats.maximum:g}",
+              f"{stats.mean:.2f}", f"{stats.median:.2f}", f"{stats.skewness:.2f}")])
     sa5 = "undefined" if math.isnan(base.sa5) else _pct(base.sa5) + "%"
-    out.append(_md_table(
-        ("MAE_p0", "SP0", "SA at 5% quantile"),
-        [(f"{base.mae_p0:.4f}", f"{base.sp0:.4f}", sa5)],
-    ))
+    section("Random-guessing baseline", ("MAE_p0", "SP0", "SA at 5% quantile"),
+            [(f"{base.mae_p0:.4f}", f"{base.sp0:.4f}", sa5)])
     if report.ks_statistic is not None:
         verdict = "rejected" if report.ks_reject else "not rejected"
         out.append(
@@ -109,78 +158,42 @@ def _summary_markdown(report, stats):
         )
         out.append("")
 
-    out.append("## Variant accuracy (SA% / effect size)")
-    rows = [
-        (label, _pct(s.sa), f"{s.delta:.2f}", f"{s.mae:.2f}", "yes" if label in report.survivors else "no")
-        for label, s in report.summaries.items()
-    ]
-    out.append(_md_table(("variant", "SA", "effect size", "MAE", "kept"), rows))
-
+    section("Variant accuracy (SA% / effect size)", ("variant", "SA", "effect size", "MAE", "kept"),
+            [(label, _pct(s.sa), f"{s.delta:.2f}", f"{s.mae:.2f}", "yes" if label in report.survivors else "no")
+             for label, s in report.summaries.items()])
     if report.sk_singles is not None:
-        out.append("## Error clusters of surviving variants (best first)")
         t = report.sk_singles.transform
-        out.append(
-            f"Box-Cox lambda {t.box_cox_lambda:.2f}, shift {t.shift:g}; "
-            f"alpha {report.sk_singles.alpha}."
-        )
-        rows = [(ci, name, f"{mean:.4f}", f"{report.summaries[name].mae:.2f}")
-                for ci, name, mean in _cluster_rows(report.sk_singles)]
-        out.append(_md_table(("cluster", "variant", "mean transformed AE", "MAE"), rows))
-
+        section("Error clusters of surviving variants (best first)",
+                ("cluster", "variant", "mean transformed AE", "MAE"),
+                [(ci, name, f"{mean:.4f}", f"{report.summaries[name].mae:.2f}")
+                 for ci, name, mean in _cluster_rows(report.sk_singles)],
+                f"Box-Cox lambda {t.box_cox_lambda:.2f}, shift {t.shift:g}; alpha {report.sk_singles.alpha}.")
     if report.borda_singles is not None:
-        out.append("## Borda ranking of the best cluster")
-        rows = [(rank, c, score, f"{xi:.2f}")
-                for rank, c, score, xi in _ranking_rows(report.borda_singles, report.best_ranking)]
-        out.append(_md_table(("rank", "method", "score", "rank change"), rows))
-
+        ranking("Borda ranking of the best cluster", report.borda_singles, report.best_ranking)
     if report.ensembles:
-        out.append("## Ensembles (mean aggregation over ranking prefixes)")
-        rows = [
-            (e.label, " ".join(e.members), _pct(report.ensemble_summaries[e.label].sa),
-             f"{report.ensemble_summaries[e.label].delta:.2f}",
-             f"{report.ensemble_summaries[e.label].mae:.2f}")
-            for e in report.ensembles
-        ]
-        out.append(_md_table(("ensemble", "members", "SA", "effect size", "MAE"), rows))
-
+        section("Ensembles (mean aggregation over ranking prefixes)",
+                ("ensemble", "members", "SA", "effect size", "MAE"),
+                [(e.label, " ".join(e.members), _pct(s.sa), f"{s.delta:.2f}", f"{s.mae:.2f}")
+                 for e in report.ensembles for s in [report.ensemble_summaries[e.label]]])
     if report.borda_joint is not None:
-        out.append("## Joint ranking: best singles and ensembles")
-        joint = report.borda_joint
-        rows = [(rank, c, score, f"{xi:.2f}")
-                for rank, c, score, xi in _ranking_rows(joint, chain.from_iterable(joint.groups))]
-        out.append(_md_table(("rank", "method", "score", "rank change"), rows))
-
+        ranking("Joint ranking: best singles and ensembles", report.borda_joint)
     if report.mean_rank_ensembles is not None or report.mean_rank_singles is not None:
-        out.append("## Mean joint rank")
         fmt = lambda v: "-" if v is None else f"{v:.2f}"
-        out.append(_md_table(
-            ("ensemble methods", "single methods"),
-            [(fmt(report.mean_rank_ensembles), fmt(report.mean_rank_singles))],
-        ))
-
+        section("Mean joint rank", ("ensemble methods", "single methods"),
+                [(fmt(report.mean_rank_ensembles), fmt(report.mean_rank_singles))])
     if report.best_k:
-        out.append("## Best k per adjustment method (by mean transformed AE)")
-        rows = [(m, report.best_k[m][0]) for m in sorted(report.best_k)]
-        out.append(_md_table(("method", "best k"), rows))
-
+        section("Best k per adjustment method (by mean transformed AE)", ("method", "best k"),
+                [(m, report.best_k[m][0]) for m in sorted(report.best_k)])
     if report.two_way is not None:
-        out.append("## Adjustment-type clusters (two-way decomposition over k)")
-        rows = [(ci, name, f"{mean:.4f}") for ci, name, mean in _cluster_rows(report.two_way)]
-        out.append(_md_table(("cluster", "type", "mean transformed AE"), rows))
+        section("Adjustment-type clusters (two-way decomposition over k)",
+                ("cluster", "type", "mean transformed AE"),
+                [(ci, name, f"{mean:.4f}") for ci, name, mean in _cluster_rows(report.two_way)])
 
     if report.notes:
         out.append("## Notes")
         out.extend(f"- {note}" for note in report.notes)
         out.append("")
     return "\n".join(out)
-
-
-# Every path that ``write_report`` writes, relative to the report directory.
-REPORT_PATHS = frozenset((
-    "variants.csv", "filter.csv", "scott_knott.csv", "borda.csv", "ensembles.csv", "joint_ranking.csv",
-    "summary.md", "plotdata", "plotdata/transformed_ae_singles.csv", "plotdata/transformed_ae_joint.csv",
-    "plotdata/two_way_types.csv",
-))
 
 
 def _foreign_entry(out_dir):
@@ -216,8 +229,6 @@ def write_report(report, stats, out_dir):
     """Write the report directory: build it in a temp dir, then rename it into
     place. An old report there is deleted only once the new one has replaced it.
     ``out_dir`` is checked by ``_report_dir`` before anything is written."""
-    from .stats import apply_transform
-
     out_dir = _report_dir(out_dir)
     out_dir.parent.mkdir(parents=True, exist_ok=True)
     holder = Path(tempfile.mkdtemp(prefix=out_dir.name + ".", dir=out_dir.parent))
@@ -226,53 +237,9 @@ def write_report(report, stats, out_dir):
         # where mkdtemp's own directory is private
         staging = holder / out_dir.name
         staging.mkdir()
-        base = report.baseline
-        _write_csv(
-            staging / "variants.csv",
-            ("variant", "MAE", "MMRE", "Pred25", "LSD", "MBRE", "MIBRE",
-             "SA", "Delta", "SA5", "fallback_count", "kept"),
-            _variant_rows(report),
-        )
-        _write_csv(
-            staging / "filter.csv",
-            ("variant", "SA", "Delta", "SA5", "kept", "reason"),
-            [(v.variant, v.sa, v.delta, _sa5_field(base), v.kept, v.reason)
-             for v in report.verdicts],
-        )
-        _write_csv(staging / "scott_knott.csv",
-                   ("cluster", "variant", "mean_transformed_ae", "mae"),
-                   [(ci, name, mean, report.summaries[name].mae)
-                    for ci, name, mean in _cluster_rows(report.sk_singles)])
-        borda_rows = ()
-        if report.borda_singles is not None:
-            borda_rows = _ranking_rows(report.borda_singles, report.best_ranking)
-        _write_csv(staging / "borda.csv", ("rank", "variant", "score", "xi"), borda_rows)
-        _write_csv(
-            staging / "ensembles.csv",
-            ("ensemble", "members", "MAE", "MMRE", "Pred25", "LSD", "MBRE", "MIBRE", "SA", "Delta"),
-            [(e.label, "|".join(e.members), s.mae, s.mmre, s.pred25, s.lsd, s.mbre, s.mibre, s.sa, s.delta)
-             for e in report.ensembles
-             for s in [report.ensemble_summaries[e.label]]],
-        )
-        joint, joint_rows = report.borda_joint, ()
-        if joint is not None:
-            joint_rows = _ranking_rows(joint, chain.from_iterable(joint.groups))
-        _write_csv(staging / "joint_ranking.csv", ("rank", "method", "score", "xi"), joint_rows)
-
-        plotdata = staging / "plotdata"
-        plotdata.mkdir()
-        for name, result, tables in (
-            ("transformed_ae_singles.csv", report.sk_singles, report.tables),
-            ("transformed_ae_joint.csv", report.sk_joint,
-             {**report.tables, **report.ensemble_tables}),
-        ):
-            rows = [(ci, member, v)
-                    for ci, member, _ in _cluster_rows(result)
-                    for v in apply_transform(tables[member].aes, result.transform).tolist()]
-            _write_csv(plotdata / name, ("cluster", "method", "transformed_ae"), rows)
-        _write_csv(plotdata / "two_way_types.csv", ("cluster", "type", "mean_transformed_ae"),
-                   _cluster_rows(report.two_way))
-
+        (staging / "plotdata").mkdir()
+        for (path, header), rows in zip(REPORT_CSVS.items(), _csv_rows(report), strict=True):
+            _write_csv(staging / path, header, rows)
         (staging / "summary.md").write_text(_summary_markdown(report, stats), encoding="utf-8")
 
         aside = holder.with_name(holder.name + ".old")

@@ -8,7 +8,8 @@ schema sidecar that declares every header column on its own line::
 with role in {feature, effort, identifier, ignored}, kind in
 {continuous, categorical}, and size_flag in {none, primary_size,
 size_related}. Rows with a missing feature or effort value are dropped (and
-counted); malformed values are errors. Raw feature values are kept untouched;
+counted); malformed values are errors, and so is a continuous feature whose
+max - min is not a finite float. Raw feature values are kept untouched;
 normalization produces a separate view used only for analogy retrieval.
 
 A Dataset holds its projects column by column: an ``ids`` tuple and
@@ -126,6 +127,11 @@ class Dataset:
                         for row in rows], dtype=np.int64)
         self.levels = tuple(tuple(code) for code in codes)
         self._set_rows(ids, cont, cat, np.array(efforts))
+        with np.errstate(over="ignore"):
+            overflows = ~np.isfinite(self.bounds[1] - self.bounds[0])
+        if overflows.any():
+            name = cont_schema[int(np.argmax(overflows))].name
+            raise DatasetError(f"column {name!r}: max - min of its values overflows a float")
 
     def _set_rows(self, ids, cont, cat, efforts):
         """Install the row ids and arrays, read-only, with their bounds."""

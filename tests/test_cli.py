@@ -112,6 +112,25 @@ def test_pipeline_artifacts_present(tmp_path):
         assert (out / name).exists(), name
     # what the writer may replace is what it writes
     assert {p.relative_to(out).as_posix() for p in out.rglob("*")} == cli.REPORT_PATHS
+    for path, header in cli.REPORT_CSVS.items():
+        with (out / path).open(encoding="utf-8", newline="") as fh:
+            assert next(csv.reader(fh)) == list(header), path
+
+
+def test_report_paths_are_the_csvs_summary_and_plotdata():
+    assert cli.REPORT_PATHS == {*cli.REPORT_CSVS, "summary.md", "plotdata"}
+
+
+def test_pipeline_rejects_a_feature_range_that_overflows(tmp_path, capsys):
+    # -1e308 and 1e308 are finite, but max - min of the size column is not
+    data, schema, out = tmp_path / "wide.csv", tmp_path / "wide.schema", tmp_path / "report"
+    data.write_text("id,size,effort\na,-1e308,10\nb,1e308,20\nc,5,30\nd,7,40\n")
+    schema.write_text("id=identifier,categorical,none\nsize=feature,continuous,primary_size\n"
+                      "effort=effort,continuous,none\n")
+    assert main(["pipeline", "--data", str(data), "--schema", str(schema), *FAST, "--set", "jobs=1",
+                 "--out", str(out)]) == 2
+    assert "error: column 'size': max - min of its values overflows a float" in capsys.readouterr().err
+    assert not out.exists()
 
 
 SIZE = ColumnSpec("size", "feature", "continuous", "primary_size")

@@ -255,6 +255,19 @@ def test_dataset_inputs_must_have_one_length(ids, rows, efforts):
         make_dataset("bad", [ColumnSpec("s", "feature", "continuous", "none")], rows, efforts, ids)
 
 
+def test_dataset_rejects_a_feature_range_that_overflows():
+    # both values are finite, but the range between them is not: it would
+    # normalize the max to inf / inf
+    schema = [ColumnSpec("x", "feature", "continuous", "none"),
+              ColumnSpec("size", "feature", "continuous", "primary_size")]
+    with pytest.raises(DatasetError, match="column 'size': max - min of its values overflows"):
+        Dataset("wide", [*schema, ColumnSpec("effort", "effort")], ["a", "b", "c"],
+                [(1.0, -1e308), (2.0, 1e308), (3.0, 0.0)], [1, 2, 3])
+    # a range just below the largest float is kept, and normalizes into [0, 1]
+    ds = make_dataset("edge", schema, [(1.0, -1e308), (2.0, 7e307), (3.0, 0.0)], [1, 2, 3])
+    assert ds.normalized()[:, 1].tolist() == [0.0, 1.0, 1e308 / 1.7e308]
+
+
 def assert_fold_equals_rebuilt(ds, t):
     fold = ds.without(t)
     kept = (col[:t] + col[t + 1:] for col in projects_of(ds))

@@ -20,6 +20,7 @@ from ebae.learners import (
     fit_ga_weights,
     fit_model_trees,
     fit_networks,
+    ga_design,
     ga_fitness,
     network_loss_and_grads,
     predict_model_tree,
@@ -68,7 +69,7 @@ def test_diff_rows_matches_per_row_oracle(seed, with_categorical, k):
     assert np.array_equal(got, want)
 
 
-def test_build_diff_pairs_two_projects():
+def test_fold_pairs_two_projects():
     # the fold that holds out the fourth project trains on the other three
     ds = make_dataset("two", size_only_schema(), [(2,), (4,), (6,), (40,)], [4, 8, 12, 90])
     X, y = fold_pairs(ds, 3)
@@ -78,13 +79,13 @@ def test_build_diff_pairs_two_projects():
     assert X[2, 0] == 2.0 and y[2] == 4.0
 
 
-def test_build_diff_pairs_identical_projects_zero_diff():
+def test_fold_pairs_identical_projects_zero_diff():
     ds = make_dataset("same", size_only_schema(), [(3,), (3,), (9,), (40,)], [5, 5, 20, 90])
     X, y = fold_pairs(ds, 3)
     assert X[0, 0] == 0.0 and y[0] == 0.0
 
 
-def test_build_diff_pairs_matches_bruteforce(toy):
+def test_fold_pairs_matches_bruteforce(toy):
     # every fold, including those whose held-out project sets a bound
     for t in range(toy.n):
         train = toy.without(t)
@@ -992,8 +993,8 @@ def test_ga_design_raises_when_weights_in_range_overflow_fitness():
 
 
 def test_ga_design_raises_on_non_finite_design():
-    # each project's analogy is its pair, and the differences between -1e308
-    # and 1e308 overflow to inf
-    ds = ga_overflow_dataset([-1e308, 1e308, -1e308, 1e308, 0.0, 1.0])
+    # each project's analogy is its pair, and two pairs' differences are +-inf
+    efforts = np.arange(1.0, 7.0)
+    diffs = np.array([-np.inf, np.inf, -np.inf, np.inf, -1.0, 1.0]).reshape(6, 1, 1)
     with pytest.raises(FitError, match="GA fitness overflows"):
-        table_design(ds, np.array([[1], [0], [3], [2], [5], [4]]), 5.0)
+        ga_design(efforts, efforts[[[1], [0], [3], [2], [5], [4]]], diffs, 5.0)
