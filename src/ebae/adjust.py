@@ -112,8 +112,7 @@ def productivity_correlation(train, nearest):
     into [0, 1] so (1 - c) stays a shrinkage factor. Projects without a
     positive size are left out; a degenerate correlation (fewer than 2
     usable pairs, or zero variance) yields 0, i.e. full regression toward
-    the local mean. Productivities too large to square give no coefficient
-    and raise Inapplicable.
+    the local mean.
     """
     c = train.size_col
     if c is None:
@@ -122,21 +121,16 @@ def productivity_correlation(train, nearest):
     valid = sizes > 0
     if valid.sum() < 2:
         return 0.0
-    # productivities that overflow, or are too large to square, leave no
-    # finite coefficient, which the check below names
-    with np.errstate(over="ignore", invalid="ignore"):
-        pr = np.where(valid, train.efforts / np.where(valid, sizes, 1.0), np.nan)
-        own = pr[valid]
-        neighbor = pr[nearest][valid]
-        pairs = ~np.isnan(neighbor)
-        if pairs.sum() < 2:
-            return 0.0
-        x, y = neighbor[pairs], own[pairs]
-        if np.std(x) == 0 or np.std(y) == 0:
-            return 0.0
-        r = np.corrcoef(x, y)[0, 1]
-    if not np.isfinite(r):
-        raise Inapplicable("productivity correlation undefined: productivities overflow")
+    pr = np.where(valid, train.efforts / np.where(valid, sizes, 1.0), np.nan)
+    own = pr[valid]
+    neighbor = pr[nearest][valid]
+    pairs = ~np.isnan(neighbor)
+    if pairs.sum() < 2:
+        return 0.0
+    x, y = neighbor[pairs], own[pairs]
+    if np.std(x) == 0 or np.std(y) == 0:
+        return 0.0
+    r = np.corrcoef(x, y)[0, 1]
     return float(np.clip(r, 0.0, 1.0))
 
 

@@ -8,9 +8,13 @@ schema sidecar that declares every header column on its own line::
 with role in {feature, effort, identifier, ignored}, kind in
 {continuous, categorical}, and size_flag in {none, primary_size,
 size_related}. Rows with a missing feature or effort value are dropped (and
-counted); malformed values are errors, and so is a continuous feature whose
-max - min is not a finite float. Raw feature values are kept untouched;
-normalization produces a separate view used only for analogy retrieval.
+counted); malformed values are errors, and so is a value outside ``MAGNITUDES``:
+a continuous feature value must be 0 or of a magnitude in [1e-50, 1e50], and
+an effort must lie in [1e-50, 1e50]. With B = 1e50 a productivity is at most
+B**2 and a size-extrapolated prediction at most B**3, so every product, ratio
+and square the study forms is finite and the kernels need no overflow guards.
+Raw feature values are kept untouched; normalization produces a separate view
+used only for analogy retrieval.
 
 A Dataset holds its projects column by column: an ``ids`` tuple and
 read-only arrays, each categorical column coded once as integers into its
@@ -39,6 +43,14 @@ SIZE_FLAGS = ("none", "primary_size", "size_related")
 
 # Cell contents (lower-cased, stripped) treated as a missing value.
 MISSING = {"", "?", "na", "nan", "null"}
+
+# The magnitudes an effort and a nonzero continuous feature value may have. With
+# B = 1e50 every quantity the study derives from raw values is a finite float:
+# - a productivity (effort / size) is at most B**2, its square 1e200 (RTM correlation);
+# - a size-extrapolated prediction (LSE, MLFE, RTM) at most B**3, its square 1e300 (error variances);
+# - a normalized query divides at most 2B by a span of at least ulp(1/B) ~ 1.4e-66: about 1.5e116;
+# - a balanced relative error is at most 1e150 / (1e-6 * 1e-50) ~ 1e206.
+MAGNITUDES = (1e-50, 1e50)
 
 
 class DatasetError(ValueError):
@@ -113,25 +125,25 @@ class Dataset:
         for pid, row, effort in zip(ids, rows, efforts):
             if len(row) != m:
                 raise DatasetError(f"project {pid!r}: expected {m} features, got {len(row)}")
-            if not (np.isfinite(effort) and effort > 0):
+            if not effort > 0:
                 raise DatasetError(f"project {pid!r}: non-positive effort {effort!r}")
             if pid in seen:
                 raise DatasetError(f"duplicate project id {pid!r}")
             seen.add(pid)
 
         cont = np.array([[row[i] for i in self.cont_index] for row in rows], dtype=float)
-        if not np.all(np.isfinite(cont)):
-            raise DatasetError("non-finite continuous feature value")
+        values = np.column_stack([cont, efforts])
+        bad = np.argwhere((values != 0) & (np.clip(np.abs(values), *MAGNITUDES) != np.abs(values)))
+        if len(bad):
+            r, j = bad[0]
+            name = (cont_schema + [c for c in self.columns if c.role == "effort"])[j].name
+            raise DatasetError(f"project {ids[r]!r}: column {name!r}: value {float(values[r, j])!r} "
+                               "has a magnitude outside [1e-50, 1e50]")
         codes = [{} for _ in self.cat_index]      # value -> code, per column
         cat = np.array([[code.setdefault(row[i], len(code)) for i, code in zip(self.cat_index, codes)]
                         for row in rows], dtype=np.int64)
         self.levels = tuple(tuple(code) for code in codes)
         self._set_rows(ids, cont, cat, np.array(efforts))
-        with np.errstate(over="ignore"):
-            overflows = ~np.isfinite(self.bounds[1] - self.bounds[0])
-        if overflows.any():
-            name = cont_schema[int(np.argmax(overflows))].name
-            raise DatasetError(f"column {name!r}: max - min of its values overflows a float")
 
     def _set_rows(self, ids, cont, cat, efforts):
         """Install the row ids and arrays, read-only, with their bounds."""
@@ -246,8 +258,6 @@ def _parse_cell(raw, column, row_id):
         raise DatasetError(
             f"row {row_id}: non-numeric value {raw!r} in continuous column {column.name!r}"
         ) from None
-    if not np.isfinite(value):
-        raise DatasetError(f"row {row_id}: non-finite value in column {column.name!r}")
     return value
 
 
@@ -346,7 +356,8 @@ def skewness(values):
 
     The statistic is scale-free, so it is computed on the values times one
     power of two that brings max |x| into [0.5, 1); that scaling is exact and
-    keeps the cubes and squares from overflowing or underflowing."""
+    keeps the cubes and squares from overflowing or underflowing; within
+    ``MAGNITUDES`` it still keeps the last bits."""
     x = np.asarray(values, dtype=float)
     n = x.size
     if n < 3:

@@ -59,12 +59,6 @@ def _fit_leaf(X, y):
     return TreeLeaf(intercept=float(solution[-1]), coef=solution[:-1])
 
 
-# The split search squares sums of up to n effort differences and of their
-# deviations from the mean, all within 2 n max|y|. Above this limit a square
-# may overflow, and the search would compare inf and NaN instead of errors.
-_SQUARE_LIMIT = np.sqrt(np.finfo(float).max)
-
-
 def _split_search(X, y, counts, bars, min_leaf):
     """Best cut of each of N nodes at once: ``X`` (N, m, L) holds each node's
     feature columns and ``y`` (N, L) its targets, the first ``counts`` of L
@@ -117,12 +111,10 @@ def _split_search(X, y, counts, bars, min_leaf):
     won = hits[np.diff(run[hits], prepend=-1) != 0]
     won = won[sse[won] < np.inf]
     features[node[won]] = column[won] % m
-    # the midpoint of adjacent doubles may round up to the right value, and
-    # that of two huge values overflows; either would send every row to one
-    # side, so the left value is the threshold then
+    # the midpoint of adjacent doubles may round up to the right value, which
+    # would send every row to one side, so the left value is the threshold then
     a, b = xs.ravel()[at[won]], xs.ravel()[at[won] + 1]
-    with np.errstate(over="ignore"):
-        middle = (a + b) / 2.0
+    middle = (a + b) / 2.0
     thresholds[node[won]] = np.where((a <= middle) & (middle < b), middle, a)
     return features, thresholds
 
@@ -140,10 +132,9 @@ def fit_model_trees(pairs, config):
     at a time for all F together.
 
     ``pairs`` holds F (X, y) sets with the same features. Returns F outcomes:
-    a ``ModelTree``, or the ``FitError`` of a set with too few pairs or with
-    efforts too large to square. No tree depends on the others: each equals
-    the tree its set grows alone, node by node, which
-    ``tests/mt_reference.fit_model_tree_loop`` transcribes.
+    a ``ModelTree``, or the ``FitError`` of a set with too few pairs. No tree
+    depends on the others: each equals the tree its set grows alone, node by
+    node, which ``tests/mt_reference.fit_model_tree_loop`` transcribes.
 
     A node below ``mt_max_depth`` with at least ``2 * mt_min_leaf`` rows
     searches for its cut; the others, and those whose cut does not beat
@@ -165,11 +156,6 @@ def fit_model_trees(pairs, config):
     for X, y in pairs:
         if len(y) < 2 * min_leaf:
             outcomes.append(FitError(f"model tree needs at least {2 * min_leaf} pairs, got {len(y)}"))
-            continue
-        with np.errstate(over="ignore"):
-            overflows = 2 * len(y) * np.max(np.abs(y)) > _SQUARE_LIMIT
-        if overflows:
-            outcomes.append(FitError("model tree split search overflows: effort differences too large to square"))
             continue
         outcomes.append(None)
         members.append((X, y))
@@ -308,15 +294,9 @@ def network_loss_and_grads(w1, b1, w2, b2, X, y, out=None):
 
 def _standardize(X, y):
     """z-standardised pairs of one training set, and the scales that undo it."""
-    x_mean = X.mean(axis=0)
-    # a spread too large to square gives an infinite scale, which zeroes
-    # the column; an infinite target scale makes the network's predictions
-    # non-finite, and each falls back
-    with np.errstate(over="ignore"):
-        x_std = X.std(axis=0)
-        y_std = float(y.std())
+    x_mean, x_std = X.mean(axis=0), X.std(axis=0)
     x_std = np.where(x_std > 0, x_std, 1.0)
-    y_mean = float(y.mean())
+    y_mean, y_std = float(y.mean()), float(y.std())
     if y_std == 0:
         y_mean, y_std = 0.0, 1.0
     scales = dict(x_mean=x_mean, x_std=x_std, y_mean=y_mean, y_std=y_std)
@@ -435,7 +415,7 @@ def ga_design(efforts, neighbor_efforts, diffs, ga_range):
     n, k = neighbor_efforts.shape
     if n < k + 2:
         raise FitError(f"GA needs at least {k + 2} projects for k={k}, got {n}")
-    # overflow shows in the bound, which is then inf or NaN
+    # the load-time bound keeps the design finite, not ga.range: overflow makes the bound inf or NaN
     with np.errstate(over="ignore", invalid="ignore"):
         residuals = efforts - neighbor_efforts.mean(axis=1)
         D = diffs.mean(axis=1)

@@ -192,7 +192,7 @@ def baseline(efforts, runs, seed):
     errors = e[others]
     errors -= e
     run_maes = np.mean(np.abs(errors, out=errors), axis=1)
-    # a spread too large to square is inf, which effect_size rejects by name
+    # baseline is public and takes any efforts: a spread too large to square is inf, which effect_size names
     with np.errstate(over="ignore"):
         sp0 = float(np.std(run_maes, ddof=1))
     sa5 = 1.0 - float(np.percentile(run_maes, 5.0)) / mae_p0
@@ -214,7 +214,7 @@ def effect_size(mae_value, base):
     """
     if base.sp0 <= 0:
         raise ValueError("effect size undefined: zero baseline deviation")
-    if not np.isfinite(base.sp0):
+    if not np.isfinite(base.sp0):          # a public baseline of any efforts may overflow
         raise ValueError("effect size undefined: baseline deviation overflows")
     return (base.mae_p0 - mae_value) / base.sp0
 

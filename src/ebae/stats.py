@@ -142,7 +142,7 @@ def _screen(x, log_sum):
 
     A is NaN and E inf where the screen cannot bound A: at lambda = 0, where
     v = 1 has no variance, wherever its sums cancel too far, and everywhere
-    when x leaves [1 / _SCREEN_LIMIT, _SCREEN_LIMIT].
+    when x, which public box_cox takes from any caller, leaves [1 / _SCREEN_LIMIT, _SCREEN_LIMIT].
     """
     size = _LAMBDA_GRID.size
     approx = np.full(size, np.nan)
@@ -214,9 +214,9 @@ def box_cox(values):
     bounded = np.isfinite(bound)
     floor = np.max(approx[bounded] - bound[bounded], initial=-np.inf)
     contenders = np.flatnonzero(~bounded | (approx + bound >= floor))
-    # NaN or -inf marks a lambda whose transform or variance overflows;
-    # lambda = 0 (the log) never does, so the best likelihood is finite and
-    # so is the transform it picks
+    # box_cox is public and takes any array: NaN or -inf marks a lambda whose
+    # transform or variance overflows; lambda = 0 (the log) never does, so
+    # the best likelihood is finite and so is the transform it picks
     with np.errstate(over="ignore", invalid="ignore"):
         lls = [_log_likelihood(shifted, float(_LAMBDA_GRID[i]), log_sum) for i in contenders]
     best = float(_LAMBDA_GRID[contenders[int(np.nanargmax(lls))]])
@@ -261,6 +261,7 @@ def ks_normality(values, alpha=0.05):
     n = x.size
     if n < 5:
         raise ValueError("normality test needs at least 5 observations")
+    x = np.ldexp(x, -_exponent([x]))     # scale-free, so scaled exactly: no square overflows or underflows
     std = x.std(ddof=1)
     if std == 0:
         raise ValueError("normality test undefined for zero-variance input")
@@ -390,7 +391,7 @@ def scott_knott(groups, alpha=0.05):
     bad = [name for name, a in zip(names, arrays) if not np.all(np.isfinite(a))]
     if bad:
         raise ValueError(f"non-finite observations in group(s) {', '.join(map(str, bad))}")
-    e = _exponent(arrays)
+    e = _exponent(arrays)       # public, so any array: the exact scaling keeps the squares finite
     arrays = [np.ldexp(a, -e) for a in arrays]
     means = np.array([a.mean() for a in arrays])
     total = sum(a.size for a in arrays)

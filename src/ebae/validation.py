@@ -136,11 +136,9 @@ class _Fold:
                 self.models["RTM"] = exc
         if methods.isdisjoint(("MT", "GA", "NN")):
             return
-        # a difference too large for a float is inf, which ga_design rejects
         table = neighbors[:, :k_top if "GA" in methods else 1]
         efforts = train.efforts[table]
-        with np.errstate(over="ignore"):
-            diffs = diff_rows(train.cont[:, None], train.cat[:, None], train.cont[table], train.cat[table])
+        diffs = diff_rows(train.cont[:, None], train.cat[:, None], train.cont[table], train.cat[table])
         if "GA" in methods:
             self.table = efforts, diffs
         if "MT" in methods or "NN" in methods:
@@ -159,7 +157,7 @@ class _Fold:
                 rows.append(np.full(len(nbh.indices), np.nan))
             else:
                 predictor = getattr(adjust, method.lower())
-                # a prediction that overflows falls back in ``loocv_grid``
+                # learned models escape the load-time bound: an overflow falls back in ``loocv_grid``
                 with np.errstate(over="ignore", invalid="ignore"):
                     rows.append(predictor(target, nbh, train, *(() if model is None else (model,))))
         return np.stack(rows)

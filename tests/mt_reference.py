@@ -11,7 +11,7 @@ interface: it returns the tree or raises its ``FitError``.
 
 import numpy as np
 
-from ebae.learners import _SQUARE_LIMIT, FitError, ModelTree, TreeLeaf, TreeNode, _fit_leaf, fit_model_trees
+from ebae.learners import FitError, ModelTree, TreeLeaf, TreeNode, _fit_leaf, fit_model_trees
 
 
 def fit_model_tree(X, y, config):
@@ -44,8 +44,7 @@ def best_split_loop(X, y, min_leaf):
             sse = left_sse + right_sse
             if sse < best_sse:
                 best_sse = sse
-                with np.errstate(over="ignore"):
-                    middle = (xs[cut - 1] + xs[cut]) / 2.0
+                middle = (xs[cut - 1] + xs[cut]) / 2.0
                 # a midpoint outside [left, right) would send every row to one side
                 best = (j, float(middle if xs[cut - 1] <= middle < xs[cut] else xs[cut - 1]))
     return best
@@ -71,8 +70,6 @@ def fit_model_tree_loop(X, y, config):
     """``fit_model_tree`` grown with the loop split search."""
     if len(y) < 2 * config.mt_min_leaf:
         raise FitError(f"model tree needs at least {2 * config.mt_min_leaf} pairs, got {len(y)}")
-    if 2 * len(y) * np.max(np.abs(y)) > _SQUARE_LIMIT:
-        raise FitError("model tree split search overflows: effort differences too large to square")
     return ModelTree(root=_grow_loop(X, y, config.mt_min_leaf, 0, config.mt_max_depth), n_features=X.shape[1])
 
 

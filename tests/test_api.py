@@ -19,7 +19,8 @@ from .conftest import DATASETS, src_env
 from .test_cli import REPORT_FILES
 
 # wrappers that only tests called, deleted in favour of the calls they combined,
-# and the pair builder whose pairs each LOOCV fold now cuts from its difference table
+# the pair builder whose pairs each LOOCV fold now cuts from its difference table,
+# and the split search's square limit, which the load-time bound on values makes moot
 DELETED = [
     ("ebae.learners", "build_diff_pairs"),
     ("ebae", "evaluate_variant"),
@@ -30,6 +31,7 @@ DELETED = [
     ("ebae.stats", "box_cox_transform"),
     ("ebae.ranking", "majority_margins"),
     ("ebae.metrics", "lsd"),
+    ("ebae.learners", "_SQUARE_LIMIT"),
 ]
 
 

@@ -1,5 +1,7 @@
+import contextlib
 import csv
 import hashlib
+import io
 import math
 import os
 import re
@@ -10,14 +12,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ebae import cli, config, ensemble
 from ebae.adjust import enumerate_variants
 from ebae.cli import main, write_report
 from ebae.config import Config
-from ebae.data import ColumnSpec, describe, write_dataset
+from ebae.data import ColumnSpec, DatasetError, describe, write_dataset
 from ebae.ensemble import run_pipeline
 from ebae.stats import apply_transform
 
@@ -122,14 +124,15 @@ def test_report_paths_are_the_csvs_summary_and_plotdata():
 
 
 def test_pipeline_rejects_a_feature_range_that_overflows(tmp_path, capsys):
-    # -1e308 and 1e308 are finite, but max - min of the size column is not
+    # -1e308 is finite, but a feature value must be 0 or of a magnitude in [1e-50, 1e50]
     data, schema, out = tmp_path / "wide.csv", tmp_path / "wide.schema", tmp_path / "report"
     data.write_text("id,size,effort\na,-1e308,10\nb,1e308,20\nc,5,30\nd,7,40\n")
     schema.write_text("id=identifier,categorical,none\nsize=feature,continuous,primary_size\n"
                       "effort=effort,continuous,none\n")
     assert main(["pipeline", "--data", str(data), "--schema", str(schema), *FAST, "--set", "jobs=1",
                  "--out", str(out)]) == 2
-    assert "error: column 'size': max - min of its values overflows a float" in capsys.readouterr().err
+    assert ("error: project 'a': column 'size': value -1e+308 has a magnitude outside [1e-50, 1e50]"
+            in capsys.readouterr().err)
     assert not out.exists()
 
 
@@ -179,9 +182,10 @@ def test_degenerate_input_ends_in_report_or_notes(tmp_path, case):
 
 @st.composite
 def degenerate_datasets(draw):
-    """Datasets of 3-13 projects and 1-3 features drawn around the DEGENERATE
-    cases, with continuous features in [0.5, 100] and efforts in [1, 500],
-    each then scaled to an extreme magnitude or left as it is."""
+    """The (schema, rows, efforts) of 3-13 projects and 1-3 features drawn
+    around the DEGENERATE cases, with continuous features in [0.5, 100] and
+    efforts in [1, 500], each then scaled to a magnitude within the load-time
+    bound of [1e-50, 1e50], beyond it, or left as it is."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.one_of(st.just(7), st.integers(3, 13)))      # 7 = k_max + 2
     if draw(st.booleans()):
@@ -192,7 +196,7 @@ def degenerate_datasets(draw):
         kinds += draw(st.lists(st.sampled_from(["random", "constant", "copy", "categorical"]), max_size=2))
         schema = [SIZE] + [ColumnSpec(f"f{j}", "feature", "categorical" if kind == "categorical"
                                       else "continuous", "none") for j, kind in enumerate(kinds[1:])]
-    scale = draw(st.sampled_from([1.0, 1e300, 1e-300]))
+    scale = draw(st.sampled_from([1.0, 1e48, 1e-48, 1e300, 1e-300, 2.2e-319]))
     columns = []
     for kind in kinds:
         if kind == "categorical":
@@ -210,31 +214,75 @@ def degenerate_datasets(draw):
     efforts = {"random": rng.uniform(1.0, 500.0, size=n).tolist(), "constant": [100.0] * n,
                "near_constant": [100.0 * (1 + 1e-9 * i) for i in range(n)]}
     efforts = efforts[draw(st.sampled_from(list(efforts)))]
-    scale = draw(st.sampled_from([1.0, 1e150, 1e200, 1e250]))
-    efforts = [e * scale for e in efforts]
-    return make_dataset("drawn", schema, rows, efforts)
+    scale = draw(st.sampled_from([1.0, 1e47, 1e-49, 1e150, 1e-310]))
+    return schema, rows, [e * scale for e in efforts]
 
 
-@settings(max_examples=60, deadline=None)
+# draws beyond the bound that the fixed budgets do not reach: a subnormal
+# feature, a 1e300 feature and subnormal efforts
+BEYOND_BOUND = (
+    ([SIZE], [(2.2e-319,), (4.4e-319,), (0.0,)], [1.0, 2.0, 3.0]),
+    ([SIZE], [(1.0,), (1e300,), (3.0,)], [1.0, 2.0, 3.0]),
+    ([SIZE], [(1.0,), (2.0,), (3.0,)], [1e-310, 2e-310, 3e-310]),
+)
+
+
+def first_value_beyond_bound(schema, rows, efforts):
+    """(project index, column name) of the first value that is not 0 and
+    whose magnitude lies outside [1e-50, 1e50], row by row and each row's
+    continuous features before its effort; None when there is none."""
+    for r, (row, effort) in enumerate(zip(rows, efforts)):
+        cells = [(col.name, value) for col, value in zip(schema, row) if col.kind == "continuous"]
+        for name, value in cells + [("effort", effort)]:
+            if value != 0 and not 1e-50 <= abs(value) <= 1e50:
+                return r, name
+    return None
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(degenerate_datasets())
-def test_degenerate_input_matrix_ends_in_report_or_notes(dataset):
+@example(BEYOND_BOUND[0])
+@example(BEYOND_BOUND[1])
+@example(BEYOND_BOUND[2])
+def test_degenerate_input_matrix_ends_in_report_or_notes(drawn):
+    beyond = first_value_beyond_bound(*drawn)
+    if beyond is not None:
+        with pytest.raises(DatasetError, match=f"^project 'p{beyond[0] + 1}': column '{beyond[1]}': "):
+            make_dataset("drawn", *drawn)
+        return
     # one job keeps every fold in this process, where a warning fails the test
     config = Config(runs=100, ga_pop=4, ga_gens=2, nn_epochs=5, jobs=1)
     with tempfile.TemporaryDirectory() as out:
-        assert_report_or_notes(dataset, config, Path(out) / "report")
+        assert_report_or_notes(make_dataset("drawn", *drawn), config, Path(out) / "report")
 
 
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=15, deadline=None, derandomize=True)
 @given(degenerate_datasets())
-def test_degenerate_input_matrix_through_the_command(dataset):
-    # the same draws, written to disk and run by `ebae pipeline`; at one job
-    # a warning fails the run, so the command would not exit 0
+@example(BEYOND_BOUND[0])
+@example(BEYOND_BOUND[1])
+@example(BEYOND_BOUND[2])
+def test_degenerate_input_matrix_through_the_command(drawn):
+    # the same draws, written to disk and run by `ebae pipeline`: a value
+    # beyond the bound exits 2 and names its project (the CSV's row number)
+    # and column; at one job a warning fails the run, so it would not exit 0
+    schema, rows, efforts = drawn
+    columns = [*schema, ColumnSpec("effort", "effort")]
     with tempfile.TemporaryDirectory() as tmp:
-        data, schema, out = Path(tmp) / "drawn.csv", Path(tmp) / "drawn.schema", Path(tmp) / "report"
-        write_dataset(dataset, data, schema)
-        assert main(["pipeline", "--data", str(data), "--schema", str(schema), "--set", "runs=100",
-                     "--set", "ga.pop=4", "--set", "ga.gens=2", "--set", "nn.epochs=5",
-                     "--set", "jobs=1", "--out", str(out)]) == 0
+        data, sidecar, out = Path(tmp) / "drawn.csv", Path(tmp) / "drawn.schema", Path(tmp) / "report"
+        sidecar.write_text("".join(f"{c.name}={c.role},{c.kind},{c.size_flag}\n" for c in columns))
+        with data.open("w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh).writerows([[c.name for c in columns], *([*row, e] for row, e in zip(rows, efforts))])
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            status = main(["pipeline", "--data", str(data), "--schema", str(sidecar), "--set", "runs=100",
+                           "--set", "ga.pop=4", "--set", "ga.gens=2", "--set", "nn.epochs=5",
+                           "--set", "jobs=1", "--out", str(out)])
+        beyond = first_value_beyond_bound(*drawn)
+        if beyond is not None:
+            assert status == 2 and not out.exists()
+            assert err.getvalue().startswith(f"error: project '{beyond[0] + 1}': column '{beyond[1]}': ")
+            return
+        assert status == 0
         for name in REPORT_FILES:
             assert (out / name).exists(), name
         notes = (out / "summary.md").read_text(encoding="utf-8").splitlines()

@@ -1,4 +1,5 @@
 import codecs
+import re
 
 import numpy as np
 import pytest
@@ -256,16 +257,23 @@ def test_dataset_inputs_must_have_one_length(ids, rows, efforts):
 
 
 def test_dataset_rejects_a_feature_range_that_overflows():
-    # both values are finite, but the range between them is not: it would
-    # normalize the max to inf / inf
+    # -1e308 and 1e308 are finite, but a feature value must be 0 or of a
+    # magnitude in [1e-50, 1e50], and an effort must lie in that range
     schema = [ColumnSpec("x", "feature", "continuous", "none"),
               ColumnSpec("size", "feature", "continuous", "primary_size")]
-    with pytest.raises(DatasetError, match="column 'size': max - min of its values overflows"):
+    message = "project 'a': column 'size': value -1e+308 has a magnitude outside [1e-50, 1e50]"
+    with pytest.raises(DatasetError, match=re.escape(message)):
         Dataset("wide", [*schema, ColumnSpec("effort", "effort")], ["a", "b", "c"],
                 [(1.0, -1e308), (2.0, 1e308), (3.0, 0.0)], [1, 2, 3])
-    # a range just below the largest float is kept, and normalizes into [0, 1]
-    ds = make_dataset("edge", schema, [(1.0, -1e308), (2.0, 7e307), (3.0, 0.0)], [1, 2, 3])
-    assert ds.normalized()[:, 1].tolist() == [0.0, 1.0, 1e308 / 1.7e308]
+    # both ends and 0 are kept, and the widest range normalizes into [0, 1]
+    ds = make_dataset("edge", schema, [(0.0, -1e50), (1e-50, 1e50), (-1e-50, 0.0)], [1e-50, 1e50, 1.0])
+    assert ds.normalized()[:, 1].tolist() == [0.0, 1.0, 0.5]
+    # one step beyond either end is rejected, in a feature and in the effort
+    for column, value in [("size", v) for v in (1e-50, -1e-50, 1e50, -1e50)] + [("effort", 1e-50), ("effort", 1e50)]:
+        beyond = np.nextafter(value, 0.0 if abs(value) < 1 else np.copysign(np.inf, value))
+        row, effort = ((1.0, beyond), 2.0) if column == "size" else ((1.0, 3.0), beyond)
+        with pytest.raises(DatasetError, match=re.escape(f"project 'p2': column '{column}': value {float(beyond)!r} ")):
+            make_dataset("beyond", schema, [(1.0, 2.0), row, (3.0, 4.0)], [1.0, effort, 3.0])
 
 
 def assert_fold_equals_rebuilt(ds, t):

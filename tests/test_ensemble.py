@@ -1,3 +1,4 @@
+import re
 import warnings
 from dataclasses import replace
 from types import SimpleNamespace
@@ -8,9 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ebae.adjust import METHODS
-from ebae.analogy import knn_within
 from ebae.config import Config
-from ebae.data import ColumnSpec
+from ebae.data import ColumnSpec, DatasetError
 from ebae.ensemble import (
     EnsembleSpec,
     build_ensembles,
@@ -21,12 +21,10 @@ from ebae.ensemble import (
     run_pipeline,
     select_best_cluster,
 )
-from ebae.learners import FitError, fit_ga_weights
 from ebae.metrics import BaselineStats, EvalSummary, baseline, build_table, summarize
 from ebae.stats import apply_transform
 
 from .conftest import make_dataset, size_only_schema
-from .ga_reference import table_design
 
 BASE = BaselineStats(mae_p0=10.0, sp0=2.0, sa5=0.084, runs=1000, seed=0)
 
@@ -215,86 +213,63 @@ def test_run_pipeline_records_small_k_failures(toy):
     assert len(report.summaries) + len(report.variant_errors) == 40
 
 
-def overflow_dataset():
-    """Finite inputs whose size ratios and differences overflow."""
+def overflow_dataset(big=1e308, small=0.5):
+    """Sizes ``big`` and ``small`` beside ordinary ones: at 1e308 the size
+    ratios and differences would overflow, and the load-time bound rejects it."""
     schema = size_only_schema() + [ColumnSpec("x", "feature", "continuous", "none")]
-    rows = [(1e308, 3.0), (0.5, 1.0), (10.0, 2.0), (20.0, 5.0),
+    rows = [(big, 3.0), (small, 1.0), (10.0, 2.0), (20.0, 5.0),
             (30.0, 4.0), (40.0, 7.0), (50.0, 6.0), (60.0, 8.0)]
     efforts = [100.0, 5.0, 20.0, 40.0, 55.0, 80.0, 90.0, 120.0]
     return make_dataset("overflow", schema, rows, efforts)
 
 
 OVERFLOW_CONFIG = Config(runs=200, ga_pop=10, ga_gens=10, nn_epochs=50)
+OVERFLOW_REJECTED = re.escape("project 'p1': column 'size': value 1e+308 has a magnitude outside [1e-50, 1e50]")
 
 
 def test_run_pipeline_non_finite_predictions_fall_back():
-    # size extrapolation from the 0.5-sized project to the 1e308-sized one
-    # predicts inf without a fallback
-    ds = overflow_dataset()
-    report = run_pipeline(ds, OVERFLOW_CONFIG)
-    assert len(report.summaries) == 40 and not report.variant_errors
-    for s in report.summaries.values():
-        assert np.all(np.isfinite([s.mae, s.mmre, s.lsd, s.mbre, s.mibre, s.sa, s.delta]))
-    assert report.summaries["LSE1"].fallback_count == 1
-    assert report.tables["LSE1"].predictions[0] == report.tables["EBA1"].predictions[0]
-    # GA1's finite but huge errors (~1.6e308) still get a finite pooled
-    # transform, so best-k and the two-way clustering run
-    assert len(report.best_k) == 8
-    assert all(np.isfinite(mean) for _, mean in report.best_k.values())
-    assert report.two_way is not None
-    assert not any("skipped" in note for note in report.notes)
+    # size extrapolation from the 0.5-sized project to a 1e308-sized one
+    # would predict inf; the load-time bound rejects that size
+    with pytest.raises(DatasetError, match=OVERFLOW_REJECTED):
+        overflow_dataset()
 
 
 def test_overflow_fixture_runs_without_warnings():
-    # every overflow of this fixture falls back and is counted, or marks a
-    # Box-Cox lambda as unusable, so none is worth a warning; one job keeps
-    # the run in this process, where the filter applies
+    # the rejection warns of nothing
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        report = run_pipeline(overflow_dataset(), replace(OVERFLOW_CONFIG, jobs=1))
-    fallbacks = {method: [report.tables[f"{method}{k}"].fallback_count for k in range(1, 6)] for method in METHODS}
-    assert fallbacks == {"EBA": [0] * 5, "LSE": [1] * 5, "MLFE": [1] * 5, "RTM": [1] * 5, "AQUA": [0] * 5,
-                         "MT": [8] * 5, "GA": [7, 8, 8, 8, 8], "NN": [0] * 5}
-    assert {method: k for method, (k, _) in report.best_k.items()} == {method: 2 if method == "GA" else 1
-                                                                        for method in METHODS}
-    assert {mean for _, mean in report.best_k.values()} == {24.99999999998452}
+        with pytest.raises(DatasetError, match=OVERFLOW_REJECTED):
+            overflow_dataset()
 
 
 def test_ga_overflow_fails_to_fit_and_falls_back():
-    # every fold that trains on the 1e308-sized project has size differences
-    # near 1e308, which weights within ga_range could overflow: its members
-    # get a FitError, not a NaN fitness, and fall back to EBA
-    ds = overflow_dataset()
-    ks = [1, 2, 3, 4, 5]
-    for t in range(ds.n):
-        train = ds.without(t)
-        table = knn_within(train, 5)
-        if t == 0:
-            residuals, D = zip(*(table_design(train, table[:, :k], OVERFLOW_CONFIG.ga_range) for k in ks))
-            row = fit_ga_weights(np.stack(residuals), np.stack(D), OVERFLOW_CONFIG, ks)
-            assert all(np.isfinite(fit.fitness) and np.all(np.isfinite(fit.history)) for fit in row)
-        else:
-            for k in ks:
-                with pytest.raises(FitError, match="GA fitness overflows"):
-                    table_design(train, table[:, :k], OVERFLOW_CONFIG.ga_range)
-    report = run_pipeline(ds, OVERFLOW_CONFIG)
-    # fold 0's own prediction overflows, the other seven folds have no model
-    assert report.summaries["GA2"].fallback_count == ds.n
+    # size differences near 1e308, which weights within ga_range could
+    # overflow, never reach the GA: the load-time bound rejects them
+    with pytest.raises(DatasetError, match=OVERFLOW_REJECTED):
+        overflow_dataset()
+
+
+def test_in_range_extreme_fixture_runs_without_warnings():
+    # a 1e50 size beside a 1e-50 one, the ends of the bound: every size
+    # ratio, difference and error is finite, so every variant is evaluated
+    # and nothing falls back but MT, whose 7 pairs are too few for a tree;
+    # one job keeps the run in this process, where the filter applies
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        report = run_pipeline(overflow_dataset(1e50, 1e-50), replace(OVERFLOW_CONFIG, jobs=1))
+    assert len(report.summaries) == 40 and not report.variant_errors
+    for s in report.summaries.values():
+        assert np.all(np.isfinite([s.mae, s.mmre, s.lsd, s.mbre, s.mibre, s.sa, s.delta]))
+    assert {label for label, table in report.tables.items() if table.fallback_count} == {f"MT{k}" for k in range(1, 6)}
+    assert report.tables["LSE1"].predictions[0] > 1e50
 
 
 def test_run_pipeline_names_undefined_effect_size():
-    # efforts ~1e155..2e156: the baseline's run-to-run spread overflows to inf
+    # efforts ~1e155..2e156, whose baseline spread would overflow to inf,
+    # are rejected at load; test_metrics covers baseline's own guard
     efforts = 10 * np.arange(1, 21) * 1e154
-    ds = make_dataset("huge", size_only_schema(), [(float(s),) for s in range(1, 21)], efforts)
-    # one job keeps every fold in this process, where a warning fails the test
-    cfg = Config(k_max=1, runs=200, ga_pop=10, ga_gens=5, nn_epochs=20, jobs=1)
-    report = run_pipeline(ds, cfg)
-    message = "effect size undefined: baseline deviation overflows"
-    assert len(report.tables) == 8 and not report.summaries
-    assert report.variant_errors == {f"{method}1": message for method in METHODS}
-    assert report.notes[:9] == [f"{method}1 not evaluated: {message}" for method in METHODS] + [
-        "fewer than 2 surviving variants: no clustering, no ensembles"]
-    assert report.sk_singles is None and report.best_cluster == [] and report.ensembles == []
+    with pytest.raises(DatasetError, match=re.escape("project 'p1': column 'effort': value 1e+155 ")):
+        make_dataset("huge", size_only_schema(), [(float(s),) for s in range(1, 21)], efforts)
 
 
 def test_pipeline_deterministic():

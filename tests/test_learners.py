@@ -11,7 +11,6 @@ from ebae.analogy import knn_within
 from ebae.config import Config
 from ebae.data import ColumnSpec
 from ebae.learners import (
-    _SQUARE_LIMIT,
     FitError,
     TreeNode,
     _fit_leaf,
@@ -26,7 +25,7 @@ from ebae.learners import (
     predict_model_tree,
     predict_network,
 )
-from ebae.validation import derive_seed, loocv
+from ebae.validation import derive_seed
 
 from .conftest import fold_pairs, make_dataset, random_dataset, size_only_schema, under_blas_core
 from .ga_reference import diff_vector, fit_ga_one, fit_ga_weights_loop, ga_design_loop, table_design
@@ -146,15 +145,6 @@ def test_training_error_bounded_by_variance():
     tree = fit_model_tree(X, y, Config())
     predictions = np.array([predict_model_tree(tree, x) for x in X])
     assert np.mean((y - predictions) ** 2) <= np.var(y) + 1e-12
-
-
-def test_model_tree_overflow_fit_failure():
-    # efforts ~1e155..2e156: squared effort differences overflow the split search
-    efforts = 10 * np.arange(1, 21) * 1e154
-    ds = make_dataset("huge", size_only_schema(), [(float(s),) for s in range(1, 21)], efforts)
-    with pytest.raises(FitError, match="overflows"):
-        fit_model_tree(*fold_pairs(ds, 0), Config())
-    assert loocv(ds, VariantId("MT", 1), Config(runs=200)).fallback_count == ds.n
 
 
 def lstsq_leaf(X, y):
@@ -291,8 +281,6 @@ def test_best_split_skips_inf_and_nan_sse():
 
 @pytest.mark.parametrize("a, b", [
     (np.nextafter(1.0, 0.0), 1.0),                                       # the midpoint rounds up to b
-    (np.nextafter(np.finfo(float).max, 0.0), np.finfo(float).max),       # the sum overflows to inf
-    (-np.finfo(float).max, np.nextafter(-np.finfo(float).max, 0.0)),     # ... and to -inf
 ])
 def test_model_tree_threshold_splits_adjacent_and_huge_values(a, b):
     # 4 rows at each value, efforts 0 and 10: the cut between them must put
@@ -349,24 +337,19 @@ def test_fit_model_trees_match_loop_oracle_property(seed, F, m, min_leaf, max_de
 
 
 def test_fit_model_trees_failing_member_fails_alone():
-    # a set with too few pairs and one whose efforts are just too large to
-    # square fail on their own; the set just below the limit grows its tree
-    # without overflow, and pytest turns any RuntimeWarning into an error
+    # a set with too few pairs fails on its own; every other set of the
+    # stack grows the tree it grows alone
     rng = np.random.default_rng(12)
     kinds = ["real", "binary", "rounded"]
     config = Config(mt_min_leaf=3)
-    pairs = [tree_pairs(rng, n, kinds, False) for n in (40, 5, 60, 50, 50)]
-    for f, factor in ((3, 1.001), (4, 0.999)):
-        X, y = pairs[f]
-        pairs[f] = X, y * (factor * _SQUARE_LIMIT / (2 * len(y) * np.max(np.abs(y))))
+    pairs = [tree_pairs(rng, n, kinds, False) for n in (40, 5, 60, 50)]
     trees = fit_model_trees(pairs, config)
     assert isinstance(trees[1], FitError) and "at least 6 pairs, got 5" in str(trees[1])
-    assert isinstance(trees[3], FitError) and "overflows" in str(trees[3])
-    for f in (0, 2, 4):
+    for f in (0, 2, 3):
         assert_same_tree(trees[f], fit_model_tree_loop(*pairs[f], config))
         assert_same_tree(trees[f], fit_model_tree(*pairs[f], config))
-    assert isinstance(trees[4].root, TreeNode)
-    assert all(isinstance(tree, FitError) for tree in fit_model_trees(pairs[1::2], config))
+    assert isinstance(trees[3].root, TreeNode)
+    assert all(isinstance(tree, FitError) for tree in fit_model_trees([pairs[1]] * 2, config))
 
 
 # --- network ---
@@ -977,18 +960,16 @@ def test_fit_ga_weights_breaks_tournament_ties_to_the_first_contender(sizes, fol
         assert (len(set(want.history)) == 1) == (len(set(sizes)) == 1)
 
 
-def ga_overflow_dataset(sizes):
-    return make_dataset("overflow", size_only_schema(), [(s,) for s in sizes], np.arange(1.0, len(sizes) + 1))
-
-
 def test_ga_design_raises_when_weights_in_range_overflow_fitness():
-    # the design is finite, but weights of 5 times its 1e307 size
-    # differences overflow; at a range of 1e-3 no candidate's fitness can
-    ds = ga_overflow_dataset([1e307 * (1 + i) for i in range(8)])
-    neighbors = knn_within(ds, 1)
+    # each project's analogy is its pair, 1e307 away: the design is finite,
+    # but weights of 5 times its differences overflow; at a range of 1e-3
+    # no candidate's fitness can
+    efforts = np.arange(1.0, 9.0)
+    neighbor_efforts = efforts[[[1], [0], [3], [2], [5], [4], [7], [6]]]
+    diffs = np.array([-1e307, 1e307] * 4).reshape(8, 1, 1)
     with pytest.raises(FitError, match="GA fitness overflows"):
-        table_design(ds, neighbors, 5.0)
-    residuals, D = table_design(ds, neighbors, 1e-3)
+        ga_design(efforts, neighbor_efforts, diffs, 5.0)
+    residuals, D = ga_design(efforts, neighbor_efforts, diffs, 1e-3)
     assert np.all(np.isfinite(D)) and np.abs(D).max() >= 1e307
 
 

@@ -228,6 +228,16 @@ def test_ks_rejects_exponential_sample():
     assert reject
 
 
+def test_ks_normality_is_exact_at_any_scale():
+    # times 2**530 (~3.5e159) the squares of the deviations overflowed, and
+    # times 2**-565 (~1.5e-170) they underflowed to a zero variance; a power
+    # of two scales the sample exactly, so the result keeps every bit
+    x = np.array([1, 2, 3.5, 4, 7, 9])
+    want = ks_normality(x)
+    assert ks_normality(x * 2.0**530) == want
+    assert ks_normality(x * 2.0**-565) == want
+
+
 def test_ks_statistic_matches_scipy():
     from scipy.stats import kstest
 
