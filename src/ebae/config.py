@@ -23,16 +23,9 @@ class Config:
     # LOOCV worker processes, by default one per usable core; results are
     # identical for any value, and jobs=1 runs in this process alone
     jobs: int = field(default_factory=usable_cores)
-    mt_min_leaf: int = 4
-    mt_max_depth: int = 6
-    nn_hidden: int = 4
     nn_epochs: int = 500
-    nn_lr: float = 0.01
     ga_pop: int = 50
     ga_gens: int = 100
-    ga_cx: float = 0.8
-    ga_mut: float = 0.1
-    ga_range: float = 5.0     # weights are searched in [-ga_range, ga_range]
 
     def __post_init__(self):
         for name, low in _MINIMA.items():
@@ -45,20 +38,12 @@ class Config:
         # lambda* > 0 is
         if not 0 < self.alpha < 1:
             raise ValueError(f"bad value for alpha: {self.alpha!r} (must be within (0, 1))")
-        # crossover and mutation rates are probabilities; a step of nn.lr <= 0
-        # does not descend the training loss
-        for name in ("ga_cx", "ga_mut"):
-            value = getattr(self, name)
-            if not 0 <= value <= 1:
-                raise ValueError(f"bad value for {_key(name)}: {value!r} (must be within [0, 1])")
-        if not self.nn_lr > 0:
-            raise ValueError(f"bad value for nn.lr: {self.nn_lr!r} (must be > 0)")
 
 
 def _key(name):
     """The settings key of a Config field: a learner field's prefix ends in
-    a dot (``nn_hidden`` -> ``nn.hidden``)."""
-    return name.replace("_", ".", 1) if name[:3] in ("mt_", "nn_", "ga_") else name
+    a dot (``nn_epochs`` -> ``nn.epochs``)."""
+    return name.replace("_", ".", 1) if name[:3] in ("nn_", "ga_") else name
 
 
 # Flat override keys accepted by the CLI (--set key=value) -> (field, cast).
@@ -66,8 +51,7 @@ _KEYS = {_key(f.name): (f.name, {"int": int, "float": float}[f.type]) for f in f
 
 # Smallest value of each field with which a run can go: the baseline needs 100
 # Monte-Carlo runs, LOOCV one worker and the estimators the rest.
-_MINIMA = {"runs": 100, "k_max": 1, "jobs": 1, "mt_min_leaf": 1, "mt_max_depth": 0, "ga_pop": 1,
-           "nn_hidden": 0, "ga_range": 0, "nn_epochs": 0, "ga_gens": 0}
+_MINIMA = {"runs": 100, "k_max": 1, "jobs": 1, "ga_pop": 1, "nn_epochs": 0, "ga_gens": 0}
 
 
 def with_overrides(config: Config, pairs: dict[str, str]) -> Config:

@@ -28,6 +28,10 @@ def diff_rows(cont_a, cat_a, cont_b, cat_b):
 # ---------------------------------------------------------------------------
 # Model tree: greedy variance-reduction splits, least-squares leaves.
 
+MT_MIN_LEAF = 4     # fewest pairs on either side of a split
+MT_MAX_DEPTH = 6    # nodes at this depth are leaves
+
+
 @dataclass(frozen=True)
 class TreeLeaf:
     intercept: float
@@ -127,7 +131,7 @@ def _length_groups(rows, starts, counts, nodes):
         yield group, rows[starts[group, None] + np.arange(length)]
 
 
-def fit_model_trees(pairs, config):
+def fit_model_trees(pairs):
     """Grow the model trees of a stack of F difference-pair sets, one depth
     at a time for all F together.
 
@@ -136,7 +140,7 @@ def fit_model_trees(pairs, config):
     depends on the others: each equals the tree its set grows alone, node by
     node, which ``tests/mt_reference.fit_model_tree_loop`` transcribes.
 
-    A node below ``mt_max_depth`` with at least ``2 * mt_min_leaf`` rows
+    A node below ``MT_MAX_DEPTH`` with at least ``2 * MT_MIN_LEAF`` rows
     searches for its cut; the others, and those whose cut does not beat
     their SSE, become leaves. Each step keeps a lone node's bits:
 
@@ -151,7 +155,7 @@ def fit_model_trees(pairs, config):
       lone node, in the same order;
     - least-squares leaves are fitted one by one.
     """
-    min_leaf = config.mt_min_leaf
+    min_leaf = MT_MIN_LEAF
     outcomes, members = [], []
     for X, y in pairs:
         if len(y) < 2 * min_leaf:
@@ -174,10 +178,10 @@ def fit_model_trees(pairs, config):
     counts = np.array([len(y) for _, y in members])
     rows = np.arange(pad)
     splits, leaves = {}, {}
-    for depth in range(config.mt_max_depth + 1):
+    for depth in range(MT_MAX_DEPTH + 1):
         starts = np.cumsum(counts) - counts
         features, thresholds = np.full(len(ids), -1), np.zeros(len(ids))
-        growing = np.flatnonzero(counts >= 2 * min_leaf) if depth < config.mt_max_depth else []
+        growing = np.flatnonzero(counts >= 2 * min_leaf) if depth < MT_MAX_DEPTH else []
         if len(growing):
             bars = np.empty(len(ids))
             for group, index in _length_groups(rows, starts, counts, growing):
@@ -244,6 +248,10 @@ def predict_model_tree(tree, x):
 # Feed-forward network: one tanh hidden layer, linear output, full-batch GD
 # on mean squared error over z-standardized pairs.
 
+NN_HIDDEN = 4       # hidden units
+NN_LR = 0.01        # gradient-descent step
+
+
 @dataclass(frozen=True)
 class FeedForwardNet:
     w1: np.ndarray
@@ -303,21 +311,6 @@ def _standardize(X, y):
     return (X - x_mean) / x_std, (y - y_mean) / y_std, scales
 
 
-# ``fit_networks`` pads each hidden layer with zero units to a multiple of
-# this many, so that OpenBLAS sums a network's rows alike in a stack and
-# alone. The padding guards one case, one-unit layers under the Katmai
-# kernel: over 120 random stacks (767 networks, 1-9 hidden units), unpadded
-# stacks matched their lone fits bit for bit under SkylakeX, Haswell,
-# Sandybridge and Nehalem, and under Katmai all but 3 of the 58 one-unit
-# networks. Padded, all 767 matched under all five.
-HIDDEN_BLOCK = 4
-
-
-def padded_hidden(h):
-    """h rounded up to a whole number of ``HIDDEN_BLOCK`` units."""
-    return -(-h // HIDDEN_BLOCK) * HIDDEN_BLOCK
-
-
 def fit_networks(X, y, config, seeds):
     """Train a stack of networks by full-batch gradient descent, all at once.
 
@@ -329,21 +322,18 @@ def fit_networks(X, y, config, seeds):
     network when the sets have fewer than 4 pairs. No network depends on the
     others: each equals the network its set and seed train alone.
 
-    Each epoch is one ``network_loss_and_grads`` call on the stack, each
-    hidden layer zero-padded to p = ``padded_hidden(h)`` units: ``w1``
-    (F, p, m), ``b1`` and ``w2`` (F, p), ``b2`` (F,). Every gradient of a
-    padding unit has a zero factor, so it stays zero; networks return h
-    units.
+    Each epoch is one ``network_loss_and_grads`` call on the stack, with
+    h = ``NN_HIDDEN``: ``w1`` (F, h, m), ``b1`` and ``w2`` (F, h), ``b2``
+    (F,).
     """
     if y.shape[-1] < 4:
         return [FitError(f"network needs at least 4 pairs, got {y.shape[-1]}") for _ in seeds]
     Xs, ys, scales = zip(*(_standardize(Xf, yf) for Xf, yf in zip(X, y)))
     Xs, ys = np.stack(Xs), np.stack(ys)
-    F, m, h = len(seeds), X.shape[-1], config.nn_hidden
-    p = padded_hidden(h)
+    F, m, h = len(seeds), X.shape[-1], NN_HIDDEN
     # the weights, and their gradients, are views of one flat array each,
     # so that one update steps them all
-    shapes = [(F, p, m), (F, p), (F, p), (F,)]
+    shapes = [(F, h, m), (F, h), (F, h), (F,)]
     ends = np.cumsum([np.prod(shape) for shape in shapes])
     params, grads = np.zeros(ends[-1]), np.empty(ends[-1])
 
@@ -354,16 +344,16 @@ def fit_networks(X, y, config, seeds):
     gradients = views(grads)
     for f, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
-        w1[f, :h] = rng.standard_normal((h, m)) / np.sqrt(m)
+        w1[f] = rng.standard_normal((h, m)) / np.sqrt(m)
         # small output init keeps the untrained net near zero output; the
         # hidden layer already breaks symmetry
-        w2[f, :h] = 0.1 * rng.standard_normal(h) / np.sqrt(h)
+        w2[f] = 0.1 * rng.standard_normal(h) / np.sqrt(h)
     diverged = np.zeros(F, dtype=bool)
-    lr = config.nn_lr
     for _ in range(config.nn_epochs):
         loss, _ = network_loss_and_grads(*weights, Xs, ys, out=gradients)
-        grads *= lr
+        grads *= NN_LR
         params -= grads
+        # a loss is learned, so no load-time bound keeps it finite
         if not np.isfinite(loss).all():
             # a diverged network goes on from zero weights, which keep its
             # values finite; it fails whatever follows
@@ -373,7 +363,7 @@ def fit_networks(X, y, config, seeds):
                 weight[bad] = 0.0
     return [
         FitError("network training diverged (non-finite loss)") if diverged[f]
-        else FeedForwardNet(w1=w1[f, :h], b1=b1[f, :h], w2=w2[f, :h], b2=float(b2[f]), **scales[f])
+        else FeedForwardNet(w1=w1[f], b1=b1[f], w2=w2[f], b2=float(b2[f]), **scales[f])
         for f in range(F)
     ]
 
@@ -387,6 +377,11 @@ def predict_network(net, x):
 # ---------------------------------------------------------------------------
 # GA weight optimizer for the linear difference-correction adjuster.
 
+GA_CX = 0.8         # crossover rate
+GA_MUT = 0.1        # mutation rate per weight
+GA_RANGE = 5.0      # weights are searched in [-GA_RANGE, GA_RANGE]
+
+
 @dataclass(frozen=True)
 class GaWeights:
     alpha: np.ndarray
@@ -394,13 +389,7 @@ class GaWeights:
     history: tuple        # best fitness per generation; nonincreasing
 
 
-# A candidate's fitness sums n absolute errors |e_t - D_t . alpha|, each at
-# most |e_t| + ga_range * sum_j |D_tj| for weights within ga_range. Half the
-# largest float leaves room for the rounding of the sums that compute it.
-_FITNESS_LIMIT = np.finfo(float).max / 2
-
-
-def ga_design(efforts, neighbor_efforts, diffs, ga_range):
+def ga_design(efforts, neighbor_efforts, diffs):
     """Precompute the in-training leave-one-out design for the GA objective.
 
     ``efforts`` (n,) are the training efforts; ``neighbor_efforts`` (n, k)
@@ -409,21 +398,13 @@ def ga_design(efforts, neighbor_efforts, diffs, ga_range):
     With mean aggregation the corrected prediction for project t is
     base(t) + mean_diff(t) . alpha, so the objective reduces to an L1 fit:
     returns (residuals e - base, mean difference matrix D). Raises
-    ``FitError`` when the design is not finite or when weights within
-    ``[-ga_range, ga_range]`` could overflow a candidate's fitness.
+    ``FitError`` when there are fewer than k + 2 projects.
     """
     n, k = neighbor_efforts.shape
     if n < k + 2:
         raise FitError(f"GA needs at least {k + 2} projects for k={k}, got {n}")
-    # the load-time bound keeps the design finite, not ga.range: overflow makes the bound inf or NaN
-    with np.errstate(over="ignore", invalid="ignore"):
-        residuals = efforts - neighbor_efforts.mean(axis=1)
-        D = diffs.mean(axis=1)
-        bound = np.abs(residuals).sum() + ga_range * np.abs(D).sum()
-    if not bound < _FITNESS_LIMIT:
-        raise FitError("GA fitness overflows: differences or efforts too large for weights "
-                       f"within +-{ga_range}")
-    return residuals, D
+    # within the load-time bound a fitness is below 1e50 + GA_RANGE * m * 2e50 = 1e50 + 1e51 * m: finite
+    return efforts - neighbor_efforts.mean(axis=1), diffs.mean(axis=1)
 
 
 def ga_fitness(residuals, D, alphas, out=None):
@@ -460,19 +441,18 @@ def fit_ga_weights(residuals, D, config, seeds):
       first parents then second parents; the fittest contender wins and ties
       go to the first listed. Then come the crossover mask and the blend
       weights, one per child each, and the mutation mask, one per child and
-      weight: a weight mutates where its u < ``ga_mut``;
+      weight: a weight mutates where its u < ``GA_MUT``;
     - ``standard_normal``: the Gaussian noise, one per weight that mutates,
-      in (child, weight) order, scaled by ``0.1 * ga_range``. At ``ga_mut``
-      0 it draws none, and at 1 one per child and weight.
+      in (child, weight) order, scaled by ``0.1 * GA_RANGE``.
 
     These are the numbers that one ``random`` call per part and a
-    ``normal(0, 0.1 * ga_range)`` call would draw. As u < 1, a contender is
+    ``normal(0, 0.1 * GA_RANGE)`` call would draw. As u < 1, a contender is
     at most ``ga_pop - 1``, and each index's chance is within a few 2**-53
-    of ``1 / ga_pop``. Children are clipped to ``[-ga_range, ga_range]`` and
+    of ``1 / ga_pop``. Children are clipped to ``[-GA_RANGE, GA_RANGE]`` and
     the elite is carried over unchanged.
     """
     size, n, m = D.shape
-    n_pop, r = config.ga_pop, config.ga_range
+    n_pop, r = config.ga_pop, GA_RANGE
     n_children = n_pop - 1
     sigma = 0.1 * r
     rngs = [np.random.default_rng(seed) for seed in seeds]
@@ -508,7 +488,7 @@ def fit_ga_weights(residuals, D, config, seeds):
         # ``out``, which the default mode would buffer
         np.take(fitness, contenders, out=scores, mode="clip")
         # the fittest contender wins, ties to the first listed; fitness is
-        # finite, as ga_design bounds it, so two comparisons decide
+        # finite, by the bound in ga_design, so two comparisons decide
         np.less(scores[..., 1], scores[..., 0], out=second)
         np.minimum(scores[..., 0], scores[..., 1], out=lead)
         np.less(scores[..., 2], lead, out=third)
@@ -523,9 +503,9 @@ def fit_ga_weights(residuals, D, config, seeds):
         np.multiply(u, p1, out=children)
         np.subtract(1.0, u, out=u)
         children += np.multiply(u, p2, out=p2)
-        np.greater_equal(cross[..., None], config.ga_cx, out=cloned)
+        np.greater_equal(cross[..., None], GA_CX, out=cloned)
         np.copyto(children, p1, where=cloned)
-        np.less(mutate, config.ga_mut, out=mutated)
+        np.less(mutate, GA_MUT, out=mutated)
         # each member's noise in (child, weight) order, the order of the flat
         # indices of its mutated weights
         noise = np.concatenate([rng.standard_normal(count) for rng, count in zip(rngs, mutated.sum(axis=1).tolist())])

@@ -72,13 +72,13 @@ import numpy as np
 
 from . import adjust, analogy
 from .analogy import retrieve
-from .learners import FitError, diff_rows, fit_ga_weights, fit_model_trees, fit_networks, ga_design, padded_hidden
+from .learners import NN_HIDDEN, FitError, diff_rows, fit_ga_weights, fit_model_trees, fit_networks, ga_design
 from .metrics import baseline, build_table, log_floor
 
 # Floats in the largest per-fold array of one chunk's network stack, its
-# (folds, n - 1, padded_hidden(nn_hidden)) hidden layer or its (folds, n - 1,
-# m) difference pairs: a chunk holds as many folds as keep it near this size
-# (256 KB), which is 4 folds at n = 499 and m = 16, 20 at n = 100 and all of
+# (folds, n - 1, NN_HIDDEN) hidden layer or its (folds, n - 1, m) difference
+# pairs: a chunk holds as many folds as keep it near this size (256 KB),
+# which is 4 folds at n = 499 and m = 16, 20 at n = 100 and all of
 # Albrecht. The chunk count is then rounded up to a multiple of
 # ``config.jobs``, so the forked workers get equal shares: 6 chunks of 16-17
 # folds at n = 100 and 2 jobs. The GA members of a chunk train as one stack
@@ -157,17 +157,18 @@ class _Fold:
                 rows.append(np.full(len(nbh.indices), np.nan))
             else:
                 predictor = getattr(adjust, method.lower())
-                # learned models escape the load-time bound: an overflow falls back in ``loocv_grid``
+                # MT leaf coefficients are learned, so the load-time bound does not bound
+                # them: an overflow falls back in ``loocv_grid``
                 with np.errstate(over="ignore", invalid="ignore"):
                     rows.append(predictor(target, nbh, train, *(() if model is None else (model,))))
         return np.stack(rows)
 
 
-def _fit_trees(folds, config):
+def _fit_trees(folds):
     """Grow the model tree of every fold of a chunk into its ``models``, as
     one ``fit_model_trees`` stack; a tree that cannot be fitted is its
     error."""
-    for fold, tree in zip(folds, fit_model_trees([fold.pairs for fold in folds], config)):
+    for fold, tree in zip(folds, fit_model_trees([fold.pairs for fold in folds])):
         fold.models["MT"] = tree
 
 
@@ -181,8 +182,7 @@ def _fit_ga(folds, variants, config):
         fold.models["GA"] = {}
         for variant in variants:
             try:
-                designs.append(ga_design(fold.train.efforts, *(part[:, :variant.k] for part in fold.table),
-                                         config.ga_range))
+                designs.append(ga_design(fold.train.efforts, *(part[:, :variant.k] for part in fold.table)))
             except FitError:
                 continue
             members.append((fold, variant))
@@ -273,7 +273,7 @@ def loocv_grid(dataset, variants, config):
     used = {variant.method for variant in runnable}
     methods = [method for method in adjust.METHODS if method == "EBA" or method in used]
     genetic = [variant for variant in runnable if variant.method == "GA"]
-    width = max(dataset.m, padded_hidden(config.nn_hidden) if "NN" in used else 0)
+    width = max(dataset.m, NN_HIDDEN if "NN" in used else 0)
     starts = _chunk_starts(dataset.n, max(1, STACK_FLOATS // ((dataset.n - 1) * width)), config.jobs)
     ranking = None
     if not used.isdisjoint(("RTM", "MT", "GA", "NN")):
@@ -282,7 +282,7 @@ def loocv_grid(dataset, variants, config):
     def chunk(start, stop):
         folds = [_Fold(dataset, t, k_top, used, ranking) for t in range(start, stop)]
         if "MT" in used:
-            _fit_trees(folds, config)
+            _fit_trees(folds)
         if genetic:
             _fit_ga(folds, genetic, config)
         if "NN" in used:

@@ -15,6 +15,7 @@ numbers.
 
 import numpy as np
 
+from ebae import learners
 from ebae.analogy import knn_within
 from ebae.learners import FitError, GaWeights, diff_rows, ga_design, ga_fitness
 
@@ -26,10 +27,9 @@ def diff_vector(cont_a, cat_a, cont_b, cat_b):
     return np.concatenate([cont, cat])
 
 
-def ga_design_loop(train, k, ga_range):
+def ga_design_loop(train, k):
     """(residuals, D) of every project of ``train`` against its k nearest
-    others, one row at a time, and the ``FitError`` of a design too small or
-    whose fitness weights within ``ga_range`` could overflow."""
+    others, one row at a time, and the ``FitError`` of a design too small."""
     n = train.n
     if n < k + 2:
         raise FitError(f"GA needs at least {k + 2} projects for k={k}, got {n}")
@@ -43,28 +43,21 @@ def ga_design_loop(train, k, ga_range):
             for j in neighbors[i]
         ]
         D[i] = np.mean(diffs, axis=0)
-    residuals = train.efforts - base
-    with np.errstate(over="ignore", invalid="ignore"):
-        bound = np.abs(residuals).sum() + ga_range * np.abs(D).sum()
-    if not bound < np.finfo(float).max / 2:
-        raise FitError("GA fitness overflows: differences or efforts too large for weights "
-                       f"within +-{ga_range}")
-    return residuals, D
+    return train.efforts - base, D
 
 
-def table_design(train, neighbors, ga_range):
+def table_design(train, neighbors):
     """``ga_design`` of every project of ``train`` against its analogies in
     the neighbour table ``neighbors``, gathered as a LOOCV fold gathers its
     difference table."""
-    with np.errstate(over="ignore"):
-        diffs = diff_rows(train.cont[:, None], train.cat[:, None], train.cont[neighbors], train.cat[neighbors])
-    return ga_design(train.efforts, train.efforts[neighbors], diffs, ga_range)
+    diffs = diff_rows(train.cont[:, None], train.cat[:, None], train.cont[neighbors], train.cat[neighbors])
+    return ga_design(train.efforts, train.efforts[neighbors], diffs)
 
 
 def fit_ga_weights_loop(train, k, config, seed):
-    residuals, D = ga_design_loop(train, k, config.ga_range)
+    residuals, D = ga_design_loop(train, k)
     m = D.shape[1]
-    r = config.ga_range
+    r = learners.GA_RANGE
     rng = np.random.default_rng(seed)
     pop = rng.uniform(-r, r, size=(config.ga_pop, m))
     pop[0] = 0.0
@@ -80,12 +73,12 @@ def fit_ga_weights_loop(train, k, config, seed):
             p1 = pop[contenders[np.argmin(fitness[contenders])]]
             contenders = rng.integers(0, config.ga_pop, size=3)
             p2 = pop[contenders[np.argmin(fitness[contenders])]]
-            if rng.random() < config.ga_cx:
+            if rng.random() < learners.GA_CX:
                 u = rng.random()
                 child = u * p1 + (1.0 - u) * p2
             else:
                 child = p1.copy()
-            mutate = rng.random(m) < config.ga_mut
+            mutate = rng.random(m) < learners.GA_MUT
             child = np.where(mutate, child + rng.normal(0.0, sigma, size=m), child)
             children[c] = np.clip(child, -r, r)
         pop = children
@@ -103,7 +96,7 @@ def ga_fitness_2d(residuals, D, alphas):
 def fit_ga_one(residuals, D, config, seed):
     """The GA weights of one design (residuals, D) and seed."""
     m = D.shape[1]
-    r = config.ga_range
+    r = learners.GA_RANGE
     rng = np.random.default_rng(seed)
     pop = rng.uniform(-r, r, size=(config.ga_pop, m))
     pop[0] = 0.0
@@ -116,10 +109,10 @@ def fit_ga_one(residuals, D, config, seed):
         contenders = np.floor(rng.random((2 * n_children, 3)) * config.ga_pop).astype(int)
         winners = contenders[parents, np.argmin(fitness[contenders], axis=1)]
         p1, p2 = pop[winners].reshape(2, n_children, m)
-        cross = rng.random(n_children) < config.ga_cx
+        cross = rng.random(n_children) < learners.GA_CX
         u = rng.random(n_children)[:, None]
         children = np.where(cross[:, None], u * p1 + (1.0 - u) * p2, p1)
-        mutate = rng.random((n_children, m)) < config.ga_mut
+        mutate = rng.random((n_children, m)) < learners.GA_MUT
         # one normal per mutated weight, in (child, weight) order
         children[mutate] += rng.normal(0.0, sigma, size=int(mutate.sum()))
         pop = np.vstack([pop[np.argmin(fitness)], np.clip(children, -r, r)])

@@ -62,10 +62,10 @@ def predict_variant(variant, target, train, config, seed):
         elif method == "AQUA":
             prediction = ref.adjust_aqua(target, nbh, train)
         elif method == "MT":
-            tree = fit_model_tree_loop(*diff_pairs_loop(train), config)
+            tree = fit_model_tree_loop(*diff_pairs_loop(train))
             prediction = ref.adjust_mt(target, nbh, train, tree)
         elif method == "GA":
-            weights = fit_ga_one(*ga_design_loop(train, variant.k, config.ga_range), config, seed)
+            weights = fit_ga_one(*ga_design_loop(train, variant.k), config, seed)
             prediction = ref.adjust_ga(target, nbh, train, weights.alpha)
         elif method == "NN":
             net = fit_network(*diff_pairs_loop(train), config, seed)

@@ -11,12 +11,13 @@ interface: it returns the tree or raises its ``FitError``.
 
 import numpy as np
 
+from ebae import learners
 from ebae.learners import FitError, ModelTree, TreeLeaf, TreeNode, _fit_leaf, fit_model_trees
 
 
-def fit_model_tree(X, y, config):
+def fit_model_tree(X, y):
     """``fit_model_trees`` of one set: its tree, or its ``FitError`` raised."""
-    (tree,) = fit_model_trees([(X, y)], config)
+    (tree,) = fit_model_trees([(X, y)])
     if isinstance(tree, FitError):
         raise tree
     return tree
@@ -66,11 +67,12 @@ def _grow_loop(X, y, min_leaf, depth, max_depth):
     )
 
 
-def fit_model_tree_loop(X, y, config):
+def fit_model_tree_loop(X, y):
     """``fit_model_tree`` grown with the loop split search."""
-    if len(y) < 2 * config.mt_min_leaf:
-        raise FitError(f"model tree needs at least {2 * config.mt_min_leaf} pairs, got {len(y)}")
-    return ModelTree(root=_grow_loop(X, y, config.mt_min_leaf, 0, config.mt_max_depth), n_features=X.shape[1])
+    min_leaf = learners.MT_MIN_LEAF
+    if len(y) < 2 * min_leaf:
+        raise FitError(f"model tree needs at least {2 * min_leaf} pairs, got {len(y)}")
+    return ModelTree(root=_grow_loop(X, y, min_leaf, 0, learners.MT_MAX_DEPTH), n_features=X.shape[1])
 
 
 def assert_same_tree(got, want):

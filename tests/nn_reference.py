@@ -3,13 +3,12 @@
 
 ``fit_network`` is the one-network gradient-descent loop on 2-D arrays, with
 its own loss and gradients; every network of a stack must equal it exactly.
-Like the stack, it trains the hidden layer padded with zero units to
-``padded_hidden(h)`` and returns the first h.
 """
 
 import numpy as np
 
-from ebae.learners import FeedForwardNet, FitError, padded_hidden
+from ebae import learners
+from ebae.learners import FeedForwardNet, FitError
 
 
 def network_loss_and_grads_2d(w1, b1, w2, b2, X, y):
@@ -43,15 +42,12 @@ def fit_network(X, y, config, seed):
 
     rng = np.random.default_rng(seed)
     m = X.shape[1]
-    h = config.nn_hidden
-    p = padded_hidden(h)
-    w1 = np.zeros((p, m))
-    w1[:h] = rng.standard_normal((h, m)) / np.sqrt(m)
-    b1 = np.zeros(p)
-    w2 = np.zeros(p)
-    w2[:h] = 0.1 * rng.standard_normal(h) / np.sqrt(h)
+    h = learners.NN_HIDDEN
+    w1 = rng.standard_normal((h, m)) / np.sqrt(m)
+    b1 = np.zeros(h)
+    w2 = 0.1 * rng.standard_normal(h) / np.sqrt(h)
     b2 = 0.0
-    lr = config.nn_lr
+    lr = learners.NN_LR
     for _ in range(config.nn_epochs):
         loss, (g_w1, g_b1, g_w2, g_b2) = network_loss_and_grads_2d(w1, b1, w2, b2, Xs, ys)
         if not np.isfinite(loss):
@@ -60,5 +56,5 @@ def fit_network(X, y, config, seed):
         b1 = b1 - lr * g_b1
         w2 = w2 - lr * g_w2
         b2 = b2 - lr * g_b2
-    return FeedForwardNet(w1=w1[:h], b1=b1[:h], w2=w2[:h], b2=b2,
+    return FeedForwardNet(w1=w1, b1=b1, w2=w2, b2=b2,
                           x_mean=x_mean, x_std=x_std, y_mean=y_mean, y_std=y_std)

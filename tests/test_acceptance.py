@@ -271,7 +271,7 @@ def test_criterion_08_learner_checks():
     # model tree recovers an exact linear difference function
     xs = [[float(i)] for i in range(20)]
     X = np.array(xs)
-    (tree,) = fit_model_trees([(X, 3.0 * X[:, 0])], Config())
+    (tree,) = fit_model_trees([(X, 3.0 * X[:, 0])])
     tree_err = max(abs(predict_model_tree(tree, x) - 3.0 * x[0]) for x in xs)
     assert tree_err <= 1e-6
     # GA: nonincreasing fitness, beats the zero-weight baseline on the planted slope
@@ -279,7 +279,7 @@ def test_criterion_08_learner_checks():
     planted = make_dataset(
         "planted", size_only_schema(), [(s,) for s in sizes], [10.0 + 2.0 * s for s in sizes]
     )
-    residuals, D = table_design(planted, knn_within(planted, 1), Config().ga_range)
+    residuals, D = table_design(planted, knn_within(planted, 1))
     (result,) = fit_ga_weights(residuals[None], D[None], Config(), [5])
     zero = float(ga_fitness(residuals, D, np.zeros(1))[0])
     nonincreasing = all(b <= a for a, b in zip(result.history, result.history[1:]))

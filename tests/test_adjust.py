@@ -203,14 +203,12 @@ def test_mt_zero_correction_tree(toy):
 
 
 def test_mt_recovers_linear_fixture(linear_dataset):
-    from ebae.config import Config
-
     from .conftest import fold_pairs
     from .mt_reference import fit_model_tree
 
     # leave the largest project out, predict it from the rest
     train = linear_dataset.without(19)
-    tree = fit_model_tree(*fold_pairs(linear_dataset, 19), Config())
+    tree = fit_model_tree(*fold_pairs(linear_dataset, 19))
     target = linear_dataset.row(19)
     nbh = retrieve(target, train, 1)
     prediction = mt(target, nbh, train, tree)[-1]

@@ -32,6 +32,9 @@ DELETED = [
     ("ebae.ranking", "majority_margins"),
     ("ebae.metrics", "lsd"),
     ("ebae.learners", "_SQUARE_LIMIT"),
+    ("ebae.learners", "HIDDEN_BLOCK"),
+    ("ebae.learners", "padded_hidden"),
+    ("ebae.learners", "_FITNESS_LIMIT"),
 ]
 
 

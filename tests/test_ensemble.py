@@ -21,7 +21,7 @@ from ebae.ensemble import (
     run_pipeline,
     select_best_cluster,
 )
-from ebae.metrics import BaselineStats, EvalSummary, baseline, build_table, summarize
+from ebae.metrics import BaselineStats, EvalSummary, build_table
 from ebae.stats import apply_transform
 
 from .conftest import make_dataset, size_only_schema
@@ -243,7 +243,7 @@ def test_overflow_fixture_runs_without_warnings():
 
 
 def test_ga_overflow_fails_to_fit_and_falls_back():
-    # size differences near 1e308, which weights within ga_range could
+    # size differences near 1e308, which weights within GA_RANGE could
     # overflow, never reach the GA: the load-time bound rejects them
     with pytest.raises(DatasetError, match=OVERFLOW_REJECTED):
         overflow_dataset()

@@ -19,7 +19,6 @@ from ebae.learners import (
     fit_ga_weights,
     fit_model_trees,
     fit_networks,
-    ga_design,
     ga_fitness,
     network_loss_and_grads,
     predict_model_tree,
@@ -103,7 +102,7 @@ def test_fold_pairs_matches_bruteforce(toy):
 
 def test_constant_pairs_single_leaf():
     pairs = pairs_from([[x] for x in range(10)], [7.0] * 10)
-    tree = fit_model_tree(*pairs, Config())
+    tree = fit_model_tree(*pairs)
     assert predict_model_tree(tree, [123.0]) == pytest.approx(7.0)
     assert predict_model_tree(tree, [-5.0]) == pytest.approx(7.0)
 
@@ -111,7 +110,7 @@ def test_constant_pairs_single_leaf():
 def test_linear_recovery_at_training_points():
     xs = [[float(i)] for i in range(20)]
     pairs = pairs_from(xs, [3.0 * x[0] for x in xs])
-    tree = fit_model_tree(*pairs, Config())
+    tree = fit_model_tree(*pairs)
     for x in xs:
         assert predict_model_tree(tree, x) == pytest.approx(3.0 * x[0], abs=1e-6)
     assert predict_model_tree(tree, [2.0]) == pytest.approx(6.0, abs=1e-6)
@@ -119,7 +118,7 @@ def test_linear_recovery_at_training_points():
 
 def test_too_few_pairs_fit_failure():
     with pytest.raises(FitError):
-        fit_model_tree(*pairs_from([[1.0], [2.0]], [1.0, 2.0]), Config())
+        fit_model_tree(*pairs_from([[1.0], [2.0]], [1.0, 2.0]))
 
 
 def test_boundary_routes_left():
@@ -142,7 +141,7 @@ def test_training_error_bounded_by_variance():
     rng = np.random.default_rng(8)
     X = rng.normal(size=(40, 3))
     y = rng.normal(size=40)
-    tree = fit_model_tree(X, y, Config())
+    tree = fit_model_tree(X, y)
     predictions = np.array([predict_model_tree(tree, x) for x in X])
     assert np.mean((y - predictions) ** 2) <= np.var(y) + 1e-12
 
@@ -213,35 +212,36 @@ def albrecht_pairs(albrecht):
 
 
 @pytest.mark.parametrize("min_leaf", [1, 2, 4])
-def test_model_tree_matches_loop_oracle_albrecht(albrecht_pairs, min_leaf):
-    config = Config(mt_min_leaf=min_leaf)
+def test_model_tree_matches_loop_oracle_albrecht(albrecht_pairs, monkeypatch, min_leaf):
+    # leaves of fewer pairs than the pipeline's 4 grow Albrecht's 23 pairs deeper
+    monkeypatch.setattr(learners, "MT_MIN_LEAF", min_leaf)
     for X, y in albrecht_pairs:
-        assert_same_tree(fit_model_tree(X, y, config), fit_model_tree_loop(X, y, config))
+        assert_same_tree(fit_model_tree(X, y), fit_model_tree_loop(X, y))
 
 
 def test_model_tree_fits_no_worse_than_one_leaf(albrecht_pairs):
     # each fold's tree at the default Config: its training SSE is at most
     # that of the constant leaf it grows from (worst ratio on Albrecht 0.69)
-    for tree, (X, y) in zip(fit_model_trees(albrecht_pairs, Config()), albrecht_pairs):
+    for tree, (X, y) in zip(fit_model_trees(albrecht_pairs), albrecht_pairs):
         sse = np.sum((y - [predict_model_tree(tree, x) for x in X]) ** 2)
         assert sse <= np.sum((y - y.mean()) ** 2)
 
 
-def root_split(X, y, min_leaf):
-    """(feature, threshold) of the root of a depth-1 tree, or None for a leaf."""
-    root = fit_model_tree(X, y, Config(mt_min_leaf=min_leaf, mt_max_depth=1)).root
+def root_split(X, y):
+    """(feature, threshold) of the root of a tree, or None for a leaf."""
+    root = fit_model_tree(X, y).root
     return (root.feature, root.threshold) if isinstance(root, TreeNode) else None
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(0, 15), st.integers(1, 5),
-       st.booleans(), st.booleans())
-def test_best_split_matches_loop_oracle_property(seed, min_leaf, extra, m, coarse, integer_y):
+@given(st.integers(0, 2**32 - 1), st.integers(0, 15), st.integers(1, 5), st.booleans(), st.booleans())
+def test_best_split_matches_loop_oracle_property(seed, extra, m, coarse, integer_y):
     # extra = 0 leaves the single cut of n = 2 * min_leaf; rounded features
     # tie within columns, a copied column ties whole features, a reversed one
     # splits off the same rows from the other end, a constant column has no
     # cut at all, and integer efforts tie the SSEs of different cuts
     rng = np.random.default_rng(seed)
+    min_leaf = learners.MT_MIN_LEAF
     n = 2 * min_leaf + extra
     X = rng.normal(size=(n, m)) * rng.uniform(0.1, 100.0, size=m)
     if coarse:
@@ -251,18 +251,18 @@ def test_best_split_matches_loop_oracle_property(seed, min_leaf, extra, m, coars
     if m > 2:
         X[:, 1] = 2.5
     y = rng.integers(0, 4, size=n).astype(float) if integer_y else rng.normal(size=n) * 100.0
-    assert root_split(X, y, min_leaf) == best_split_loop(X, y, min_leaf)
-    config = Config(mt_min_leaf=min_leaf)
-    assert_same_tree(fit_model_tree(X, y, config), fit_model_tree_loop(X, y, config))
+    assert root_split(X, y) == best_split_loop(X, y, min_leaf)
+    assert_same_tree(fit_model_tree(X, y), fit_model_tree_loop(X, y))
 
 
-def test_best_split_rounds_as_the_loop_on_mirrored_columns():
+def test_best_split_rounds_as_the_loop_on_mirrored_columns(monkeypatch):
     # column 1 is column 0 reversed, so the first cut of column 0 and the last
     # cut of column 1 split off the same row; their SSEs differ by rounding
     # alone, and squaring by multiplication instead of pow picks column 0
+    monkeypatch.setattr(learners, "MT_MIN_LEAF", 1)
     X = np.array([[-2.0, 2.0], [-1.0, -1.0], [-1.0, -1.0], [2.0, -2.0]])
     y = np.array([77.47755922459794, -350.6169172860722, -125.59425255360593, 52.74648435986627])
-    assert root_split(X, y, 1) == best_split_loop(X, y, 1) == (1, 0.5)
+    assert root_split(X, y) == best_split_loop(X, y, 1) == (1, 0.5)
 
 
 def test_best_split_skips_inf_and_nan_sse():
@@ -287,12 +287,11 @@ def test_model_tree_threshold_splits_adjacent_and_huge_values(a, b):
     # the 4 rows at a on the left, whatever the midpoint rounds to
     X = np.array([[a]] * 4 + [[b]] * 4)
     y = np.array([0.0] * 4 + [10.0] * 4)
-    config = Config(mt_min_leaf=2)
-    tree = fit_model_tree(X, y, config)
+    tree = fit_model_tree(X, y)
     assert isinstance(tree.root, TreeNode) and tree.root.threshold == a
     assert (tree.root.left.intercept, tree.root.right.intercept) == (0.0, 10.0)
     assert [predict_model_tree(tree, x) for x in X] == y.tolist()
-    assert_same_tree(tree, fit_model_tree_loop(X, y, config))
+    assert_same_tree(tree, fit_model_tree_loop(X, y))
 
 
 def tree_pairs(rng, n, kinds, integer_y):
@@ -321,19 +320,17 @@ KINDS = ["real", "rounded", "binary", "constant", "copied", "mirrored"]
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.integers(1, 20), st.integers(1, 16), st.integers(1, 6),
-       st.integers(0, 7), st.booleans())
-def test_fit_model_trees_match_loop_oracle_property(seed, F, m, min_leaf, max_depth, integer_y):
+@given(st.integers(0, 2**32 - 1), st.integers(1, 20), st.integers(1, 16), st.booleans())
+def test_fit_model_trees_match_loop_oracle_property(seed, F, m, integer_y):
     # every set of a stack has its own row count, from the least that can
     # be fitted up to 120; each set's tree is the one it grows alone
     rng = np.random.default_rng(seed)
     kinds = rng.choice(KINDS, size=m)
-    pairs = [tree_pairs(rng, int(rng.integers(2 * min_leaf, 121)), kinds, integer_y) for _ in range(F)]
-    config = Config(mt_min_leaf=min_leaf, mt_max_depth=max_depth)
-    trees = fit_model_trees(pairs, config)
+    pairs = [tree_pairs(rng, int(rng.integers(2 * learners.MT_MIN_LEAF, 121)), kinds, integer_y) for _ in range(F)]
+    trees = fit_model_trees(pairs)
     assert len(trees) == F
     for (X, y), tree in zip(pairs, trees):
-        assert_same_tree(tree, fit_model_tree_loop(X, y, config))
+        assert_same_tree(tree, fit_model_tree_loop(X, y))
 
 
 def test_fit_model_trees_failing_member_fails_alone():
@@ -341,15 +338,14 @@ def test_fit_model_trees_failing_member_fails_alone():
     # stack grows the tree it grows alone
     rng = np.random.default_rng(12)
     kinds = ["real", "binary", "rounded"]
-    config = Config(mt_min_leaf=3)
     pairs = [tree_pairs(rng, n, kinds, False) for n in (40, 5, 60, 50)]
-    trees = fit_model_trees(pairs, config)
-    assert isinstance(trees[1], FitError) and "at least 6 pairs, got 5" in str(trees[1])
+    trees = fit_model_trees(pairs)
+    assert isinstance(trees[1], FitError) and "at least 8 pairs, got 5" in str(trees[1])
     for f in (0, 2, 3):
-        assert_same_tree(trees[f], fit_model_tree_loop(*pairs[f], config))
-        assert_same_tree(trees[f], fit_model_tree(*pairs[f], config))
+        assert_same_tree(trees[f], fit_model_tree_loop(*pairs[f]))
+        assert_same_tree(trees[f], fit_model_tree(*pairs[f]))
     assert isinstance(trees[3].root, TreeNode)
-    assert all(isinstance(tree, FitError) for tree in fit_model_trees([pairs[1]] * 2, config))
+    assert all(isinstance(tree, FitError) for tree in fit_model_trees([pairs[1]] * 2))
 
 
 # --- network ---
@@ -440,21 +436,21 @@ def test_network_training_lowers_its_loss(albrecht_pairs):
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.integers(4, 15), st.integers(1, 4), st.integers(0, 5),
-       st.integers(1, 6))
-def test_fit_networks_matches_oracle_property(seed, n, m, hidden, folds):
+@given(st.integers(0, 2**32 - 1), st.integers(4, 15), st.integers(1, 4), st.integers(1, 6))
+def test_fit_networks_matches_oracle_property(seed, n, m, folds):
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(folds, n, m)) * rng.uniform(0.1, 10.0, size=m)
     y = rng.normal(size=(folds, n))
     if seed % 4 == 0:
         y[0] = 3.0                    # constant efforts: the y_std = 0 branch
-    config = Config(nn_hidden=hidden, nn_epochs=20, nn_lr=0.05)
+    config = Config(nn_epochs=20)
     seeds = rng.integers(0, 2**63, size=folds).tolist()
     got = fit_networks(X, y, config, seeds)
     assert len(got) == folds
     for f in range(folds):
         assert_same_network(got[f], fit_network(X[f], y[f], config, seeds[f]))
     # a one-network call of the stack's loss gives the one-network values
+    hidden = learners.NN_HIDDEN
     w1 = rng.normal(size=(hidden, m))
     b1, w2 = rng.normal(size=hidden), rng.normal(size=hidden)
     loss, grads = network_loss_and_grads(w1, b1, w2, 0.3, X[0], y[0])
@@ -487,25 +483,26 @@ def test_network_loss_and_grads_fills_out(stack):
         assert all(np.array_equal(filled, grad) for filled, grad in zip(got, want))
 
 
-def stack_and_lone_fits(n, m, hidden):
-    """Ten sets of n random pairs of m features, and a network of ``hidden``
-    units for each, trained for 5 epochs: their stack, then their lone
-    fits."""
-    rng = np.random.default_rng(n * m + hidden)
+def stack_and_lone_fits(n, m):
+    """Ten sets of n random pairs of m features, and a network for each,
+    trained for 5 epochs: their stack, then their lone fits."""
+    rng = np.random.default_rng(n * m)
     X = rng.normal(size=(10, n, m)) * rng.uniform(0.1, 10.0, size=m)
     y = rng.normal(size=(10, n))
-    config = Config(nn_hidden=hidden, nn_epochs=5, nn_lr=0.05)
+    config = Config(nn_epochs=5)
     seeds = rng.integers(0, 2**63, size=10).tolist()
     want = [fit_network(Xf, yf, config, seed) for Xf, yf, seed in zip(X, y, seeds)]
     return fit_networks(X, y, config, seeds), want
 
 
-# two folds of the benchmark workloads' chunks: Albrecht (n - 1 = 23, m = 7),
-# mixed_screen (79, 16) and china_screen (99, 16), hidden layers that are
-# padded to blocks of 4, a size-only dataset (m = 1) and no hidden units
-@pytest.mark.parametrize("n, m, hidden", [(23, 7, 4), (79, 16, 4), (99, 16, 4), (23, 7, 3), (99, 16, 3),
-                                          (99, 16, 5), (23, 7, 1), (23, 1, 4), (23, 1, 3), (23, 7, 0)])
-def test_fit_networks_matches_oracle_at_pipeline_shapes(monkeypatch, n, m, hidden):
+# the folds of the benchmark workloads' chunks: Albrecht (n - 1 = 23, m = 7),
+# mixed_screen (79, 16) and china_screen (99, 16), and a size-only dataset
+# (m = 1); each id ends in the networks' hidden units
+PIPELINE_SHAPES = [(23, 7), (79, 16), (99, 16), (23, 1)]
+
+
+@pytest.mark.parametrize("n, m", PIPELINE_SHAPES, ids=[f"{n}-{m}-{learners.NN_HIDDEN}" for n, m in PIPELINE_SHAPES])
+def test_fit_networks_matches_oracle_at_pipeline_shapes(monkeypatch, n, m):
     layouts = []
     kernel = learners.network_loss_and_grads
 
@@ -514,30 +511,22 @@ def test_fit_networks_matches_oracle_at_pipeline_shapes(monkeypatch, n, m, hidde
         return kernel(w1, b1, w2, b2, X, y, out=out)
 
     monkeypatch.setattr(learners, "network_loss_and_grads", counted)
-    got, want = stack_and_lone_fits(n, m, hidden)
+    got, want = stack_and_lone_fits(n, m)
     for net, lone in zip(got, want, strict=True):
         assert_same_network(net, lone)
-    # one kernel call per epoch, on the ten networks' hidden layers padded
-    # to whole blocks of 4
-    padded = -(-hidden // 4) * 4
-    assert layouts == [((10, padded, m), (10, padded), (10, padded), (10,))] * 5
-
-
-# shapes at which stacks of five networks per set, side by side, differed
-# from their lone fits: unpadded under the Haswell or the Katmai kernel, and
-# padded under Nehalem at 1-4 hidden units, the default 4 included
-KERNEL_SHAPES = [(99, 16, 5), (99, 16, 7), (23, 7, 3), (23, 7, 1), (23, 1, 4), (23, 7, 4)]
+    # one kernel call per epoch, on the ten networks' hidden layers
+    assert layouts == [((10, 4, m), (10, 4), (10, 4), (10,))] * 5
 
 
 def kernel_mismatches():
-    """(n, m, hidden, set) of each network of a ``KERNEL_SHAPES`` stack that
+    """(n, m, set) of each network of a ``PIPELINE_SHAPES`` stack that
     differs from its lone fit in any field."""
     mismatches = []
-    for n, m, hidden in KERNEL_SHAPES:
-        got, want = stack_and_lone_fits(n, m, hidden)
+    for n, m in PIPELINE_SHAPES:
+        got, want = stack_and_lone_fits(n, m)
         for f, (net, lone) in enumerate(zip(got, want)):
             if not all(np.array_equal(getattr(net, field), getattr(lone, field)) for field in NET_FIELDS):
-                mismatches.append([n, m, hidden, f])
+                mismatches.append([n, m, f])
     return mismatches
 
 
@@ -551,12 +540,13 @@ def test_fit_networks_matches_oracle_under_other_blas_kernels(core, names):
     assert under_blas_core(core, names, "tests.test_learners", "kernel_mismatches") == []
 
 
-def test_fit_networks_diverged_members_fail_alone():
+def test_fit_networks_diverged_members_fail_alone(monkeypatch):
     # two sets, each trained with eight seeds
     rng = np.random.default_rng(4)
     X = np.repeat(rng.normal(size=(2, 12, 3)), 8, axis=0)
     y = np.repeat(rng.normal(size=(2, 12)), 8, axis=0)
-    config = Config(nn_lr=1.5, nn_epochs=200)
+    monkeypatch.setattr(learners, "NN_LR", 1.5)
+    config = Config(nn_epochs=200)
     seeds = list(range(16))
     with np.errstate(all="ignore"):
         got = fit_networks(X, y, config, seeds)
@@ -619,8 +609,7 @@ def stacked(designs):
 
 def fit_ga(train, k, config, seed):
     """The GA weights of one design and seed: a stack of one member."""
-    (weights,) = fit_ga_weights(*stacked([table_design(train, knn_within(train, k), config.ga_range)]),
-                                config, [seed])
+    (weights,) = fit_ga_weights(*stacked([table_design(train, knn_within(train, k))]), config, [seed])
     return weights
 
 
@@ -636,7 +625,7 @@ def test_ga_beats_zero_vector():
     ds = planted_alpha_dataset()
     cfg = Config()
     result = fit_ga(ds, 1, cfg, seed=5)
-    residuals, D = table_design(ds, knn_within(ds, 1), cfg.ga_range)
+    residuals, D = table_design(ds, knn_within(ds, 1))
     zero_fitness = float(ga_fitness(residuals, D, np.zeros(D.shape[1]))[0])
     assert result.fitness <= zero_fitness
 
@@ -683,7 +672,7 @@ def test_ga_history_nonincreasing():
 def test_ga_needs_enough_projects():
     ds = make_dataset("tiny", size_only_schema(), [(1,), (2,), (3,)], [1, 2, 3])
     with pytest.raises(FitError, match="at least 4 projects for k=2, got 3"):
-        table_design(ds, knn_within(ds, 2), Config().ga_range)
+        table_design(ds, knn_within(ds, 2))
 
 
 def mixed_dataset(seed, n=40):
@@ -704,8 +693,8 @@ def mixed_dataset(seed, n=40):
 
 
 def assert_design_matches_loop(train, k):
-    residuals, D = table_design(train, knn_within(train, k), Config().ga_range)
-    loop_residuals, loop_D = ga_design_loop(train, k, Config().ga_range)
+    residuals, D = table_design(train, knn_within(train, k))
+    loop_residuals, loop_D = ga_design_loop(train, k)
     assert np.array_equal(residuals, loop_residuals)
     assert np.array_equal(D, loop_D)
 
@@ -748,15 +737,12 @@ def test_ga_fitness_no_worse_than_loop_oracle(albrecht):
     with_categorical=st.booleans(),
     pop=st.integers(2, 12),
     gens=st.integers(0, 15),
-    cx=st.floats(0.0, 1.0),
-    mut=st.floats(0.0, 1.0),
-    ga_range=st.floats(0.1, 5.0),
 )
-def test_ga_invariants_property(seed, with_categorical, pop, gens, cx, mut, ga_range):
+def test_ga_invariants_property(seed, with_categorical, pop, gens):
     ds = random_dataset(np.random.default_rng(seed), with_categorical=with_categorical)
-    cfg = Config(ga_pop=pop, ga_gens=gens, ga_cx=cx, ga_mut=mut, ga_range=ga_range)
+    cfg = Config(ga_pop=pop, ga_gens=gens)
     result = fit_ga(ds, 1, cfg, seed)
-    residuals, D = table_design(ds, knn_within(ds, 1), ga_range)
+    residuals, D = table_design(ds, knn_within(ds, 1))
     history = result.history
     assert len(history) == gens + 1
     # the planted zero vector bounds the first generation
@@ -765,7 +751,7 @@ def test_ga_invariants_property(seed, with_categorical, pop, gens, cx, mut, ga_r
     assert all(later <= earlier for earlier, later in zip(history, history[1:]))
     assert result.fitness == history[-1]
     assert result.fitness == pytest.approx(float(ga_fitness(residuals, D, result.alpha)[0]), rel=1e-12)
-    assert np.all(np.abs(result.alpha) <= ga_range)
+    assert np.all(np.abs(result.alpha) <= learners.GA_RANGE)
     again = fit_ga(ds, 1, cfg, seed)
     assert np.array_equal(again.alpha, result.alpha)
     assert again.history == history
@@ -788,7 +774,7 @@ def albrecht_ga(albrecht):
     config = Config()
     folds = [albrecht.without(t) for t in range(albrecht.n)]
     tables = [knn_within(train, 5) for train in folds]
-    designs = [[table_design(train, table[:, :k], config.ga_range) for k in range(1, 6)]
+    designs = [[table_design(train, table[:, :k]) for k in range(1, 6)]
                for train, table in zip(folds, tables)]
     seeds = [[derive_seed(config.seed, t, f"GA{k}") for k in range(1, 6)] for t in range(albrecht.n)]
     want = [[fit_ga_one(*design, config, s) for design, s in zip(row, seed_row)]
@@ -809,11 +795,12 @@ def test_fit_ga_weights_matches_oracle_albrecht(albrecht_ga, stack):
             assert_same_weights(weights, want_weights)
 
 
-def l1_minimum(residuals, D, ga_range):
-    """min over |alpha_j| <= ga_range of mean |residuals - D alpha|, the GA's
+def l1_minimum(residuals, D):
+    """min over |alpha_j| <= GA_RANGE of mean |residuals - D alpha|, the GA's
     own objective, as a linear program: n slacks s >= |residuals - D alpha|."""
     linprog = pytest.importorskip("scipy.optimize").linprog
     n, m = D.shape
+    ga_range = learners.GA_RANGE
     result = linprog(np.r_[np.zeros(m), np.full(n, 1.0 / n)],
                      A_ub=np.block([[-D, -np.eye(n)], [D, -np.eye(n)]]), b_ub=np.r_[-residuals, residuals],
                      bounds=[(-ga_range, ga_range)] * m + [(0, None)] * n, method="highs")
@@ -828,14 +815,14 @@ def test_ga_fitness_is_no_better_than_the_exact_minimum(albrecht_ga):
     # by 8.1% (median; p90 21.6%, max 29.6%, min 0.36%), see DEVIATIONS.md
     config, designs, seeds, _ = albrecht_ga
     for weights, design in zip(fit_ga_weights(*stacked(flat(designs)), config, flat(seeds)), flat(designs)):
-        lowest = l1_minimum(*design, config.ga_range)
+        lowest = l1_minimum(*design)
         assert weights.fitness >= lowest - 1e-6 * max(1.0, lowest)
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(0, 6), st.floats(0.0, 1.0),
-       st.floats(0.0, 1.0), st.integers(1, 4), st.integers(0, 4), st.integers(0, 2))
-def test_fit_ga_weights_matches_oracle_property(seed, pop, gens, cx, mut, folds, before, after):
+@given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(0, 6), st.integers(1, 4), st.integers(0, 4),
+       st.integers(0, 2))
+def test_fit_ga_weights_matches_oracle_property(seed, pop, gens, folds, before, after):
     # several training folds of one random dataset, each with several k; a
     # k that leaves too few training projects (n < k + 2) builds no design
     rng = np.random.default_rng(seed)
@@ -844,17 +831,17 @@ def test_fit_ga_weights_matches_oracle_property(seed, pop, gens, cx, mut, folds,
     n = dataset.n - 1
     ks = [*rng.integers(1, n, size=before).tolist(), n - 1, *rng.integers(1, n, size=after).tolist()]
     seeds = rng.integers(0, 2**63, size=(folds, len(ks))).tolist()
-    config = Config(ga_pop=pop, ga_gens=gens, ga_cx=cx, ga_mut=mut)
+    config = Config(ga_pop=pop, ga_gens=gens)
     designs, member_seeds = [], []
     for train, row in zip(trains, seeds):
         table = knn_within(train, max(ks))
         for k, s in zip(ks, row):
             if k < n - 1:
-                designs.append(table_design(train, table[:, :k], config.ga_range))
+                designs.append(table_design(train, table[:, :k]))
                 member_seeds.append(s)
             else:
                 with pytest.raises(FitError, match=f"k={k}, got {n}"):
-                    table_design(train, table[:, :k], config.ga_range)
+                    table_design(train, table[:, :k])
     got = fit_ga_weights(*stacked(designs), config, member_seeds) if designs else []
     assert len(got) == len(designs) == folds * sum(k < n - 1 for k in ks)
     for design, s, weights in zip(designs, member_seeds, got):
@@ -880,37 +867,6 @@ def test_fit_ga_weights_matches_oracle_at_large_populations(albrecht_ga, pop, fo
         assert_same_weights(weights, fit_ga_one(*design, config, s))
 
 
-@pytest.mark.parametrize("mut", [0.0, 1.0])
-def test_fit_ga_weights_draws_a_normal_per_mutated_weight(albrecht_ga, monkeypatch, mut):
-    # at ga_mut = 0 no weight mutates and no normal is drawn; at 1 every u < 1
-    # mutates its weight, and each generation draws one per child and weight
-    designs, seeds = albrecht_members(albrecht_ga, 2, [1, 3])
-    config = Config(ga_pop=9, ga_gens=4, ga_mut=mut)
-    want = [fit_ga_one(*design, config, s) for design, s in zip(designs, seeds)]
-    drawn = []
-    default_rng = np.random.default_rng
-
-    class Recorded:
-        """A generator that records the size of each ``standard_normal`` draw."""
-
-        def __init__(self, seed):
-            self.rng = default_rng(seed)
-
-        def __getattr__(self, name):
-            return getattr(self.rng, name)
-
-        def standard_normal(self, size):
-            drawn.append(size)
-            return self.rng.standard_normal(size)
-
-    monkeypatch.setattr(np.random, "default_rng", Recorded)
-    got = fit_ga_weights(*stacked(designs), config, seeds)
-    for weights, lone in zip(got, want, strict=True):
-        assert_same_weights(weights, lone)
-    m = designs[0][1].shape[1]
-    assert drawn == [int(mut) * (config.ga_pop - 1) * m] * (len(designs) * config.ga_gens)
-
-
 def test_fit_ga_weights_failed_member_fails_alone(monkeypatch):
     # six training projects: k = 5 needs seven, and the design of k = 2 is
     # made to fail; the fold keeps the weights of every other k, each its
@@ -920,10 +876,10 @@ def test_fit_ga_weights_failed_member_fails_alone(monkeypatch):
     config = Config(ga_gens=20)
     build = validation.ga_design
 
-    def lost(efforts, neighbor_efforts, diffs, ga_range):
+    def lost(efforts, neighbor_efforts, diffs):
         if neighbor_efforts.shape[1] == 2:
             raise FitError("lost")
-        return build(efforts, neighbor_efforts, diffs, ga_range)
+        return build(efforts, neighbor_efforts, diffs)
 
     monkeypatch.setattr(validation, "ga_design", lost)
     fold = validation._Fold(ds, 0, 5, {"GA"}, knn_within(ds, 6))
@@ -932,10 +888,10 @@ def test_fit_ga_weights_failed_member_fails_alone(monkeypatch):
     got, train = fold.models["GA"], fold.train
     assert list(got) == [1, 3, 4]
     with pytest.raises(FitError, match="k=5"):
-        ga_design_loop(train, 5, config.ga_range)
+        ga_design_loop(train, 5)
     for k, alpha in got.items():
         seed = derive_seed(config.seed, 0, f"GA{k}")
-        assert np.array_equal(alpha, fit_ga_one(*ga_design_loop(train, k, config.ga_range), config, seed).alpha)
+        assert np.array_equal(alpha, fit_ga_one(*ga_design_loop(train, k), config, seed).alpha)
         assert np.array_equal(alpha, fit_ga(train, k, config, seed).alpha)
 
 
@@ -949,33 +905,12 @@ def test_fit_ga_weights_breaks_tournament_ties_to_the_first_contender(sizes, fol
     # second weight shows which contender each tie picked.
     ds = make_dataset("ties", [*size_only_schema(), ColumnSpec("x", "feature", "continuous", "none")],
                       [(size, 1.0) for size in sizes], [10.0 + 3 * i for i in range(9)])
-    config = Config(ga_pop=12, ga_gens=30, ga_mut=0.5)
+    config = Config(ga_pop=12, ga_gens=30)
     trains = [ds.without(t) for t in range(folds)]
-    designs = [table_design(train, knn_within(train, 3)[:, :k], config.ga_range) for train in trains for k in (1, 3)]
+    designs = [table_design(train, knn_within(train, 3)[:, :k]) for train in trains for k in (1, 3)]
     seeds = [100 * t + k for t in range(folds) for k in (1, 3)]
     got = fit_ga_weights(*stacked(designs), config, seeds)
     for design, s, weights in zip(designs, seeds, got, strict=True):
         want = fit_ga_one(*design, config, s)
         assert_same_weights(weights, want)
         assert (len(set(want.history)) == 1) == (len(set(sizes)) == 1)
-
-
-def test_ga_design_raises_when_weights_in_range_overflow_fitness():
-    # each project's analogy is its pair, 1e307 away: the design is finite,
-    # but weights of 5 times its differences overflow; at a range of 1e-3
-    # no candidate's fitness can
-    efforts = np.arange(1.0, 9.0)
-    neighbor_efforts = efforts[[[1], [0], [3], [2], [5], [4], [7], [6]]]
-    diffs = np.array([-1e307, 1e307] * 4).reshape(8, 1, 1)
-    with pytest.raises(FitError, match="GA fitness overflows"):
-        ga_design(efforts, neighbor_efforts, diffs, 5.0)
-    residuals, D = ga_design(efforts, neighbor_efforts, diffs, 1e-3)
-    assert np.all(np.isfinite(D)) and np.abs(D).max() >= 1e307
-
-
-def test_ga_design_raises_on_non_finite_design():
-    # each project's analogy is its pair, and two pairs' differences are +-inf
-    efforts = np.arange(1.0, 7.0)
-    diffs = np.array([-np.inf, np.inf, -np.inf, np.inf, -1.0, 1.0]).reshape(6, 1, 1)
-    with pytest.raises(FitError, match="GA fitness overflows"):
-        ga_design(efforts, efforts[[[1], [0], [3], [2], [5], [4]]], diffs, 5.0)

@@ -1,5 +1,4 @@
 import hashlib
-import itertools
 import math
 import subprocess
 import sys

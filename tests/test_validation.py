@@ -204,23 +204,14 @@ def test_loocv_grid_matches_reference_overflow():
 
 
 def test_loocv_grid_matches_reference_deep_trees(albrecht):
-    # two pairs per leaf let every fold's tree split over several levels
-    config = replace(SMALL, mt_min_leaf=2)
-    tables, _ = assert_grid_matches_reference(albrecht, config, [v for v in GRID if v.method == "MT"])
-    tree = fit_model_tree(*fold_pairs(albrecht, 0), config)
+    # each fold's 23 pairs split over several levels
+    tables, _ = assert_grid_matches_reference(albrecht, SMALL, [v for v in GRID if v.method == "MT"])
+    tree = fit_model_tree(*fold_pairs(albrecht, 0))
     assert depth(tree.root) >= 3
 
 
 def depth(node):
     return 1 + max(depth(node.left), depth(node.right)) if hasattr(node, "left") else 0
-
-
-@pytest.mark.parametrize("hidden", [3, 1])
-def test_loocv_grid_matches_reference_narrow_networks(albrecht, hidden):
-    # a chunk pads each network's hidden layer to 4 units
-    tables, _ = assert_grid_matches_reference(albrecht, replace(SMALL, nn_hidden=hidden),
-                                              [v for v in GRID if v.method == "NN"])
-    assert len(tables) == 5
 
 
 def test_loocv_grid_matches_reference_four_projects():
@@ -243,11 +234,12 @@ def test_loocv_grid_matches_reference_no_size_feature():
             assert tables[v.label].fallback_count == ds.n, v.label
 
 
-def test_loocv_grid_matches_reference_unfittable_trees(albrecht):
-    # 12 pairs per leaf need 24 pairs, one more than a fold's 23
-    config = replace(SMALL, mt_min_leaf=12)
-    tables, _ = assert_grid_matches_reference(albrecht, config, [v for v in GRID if v.method == "MT"])
-    assert [table.fallback_count for table in tables.values()] == [albrecht.n] * 5
+def test_loocv_grid_matches_reference_unfittable_trees():
+    # a tree needs 8 pairs, one more than a fold of 8 projects has
+    ds = make_dataset("eight", size_only_schema(), [(s,) for s in (2, 3, 5, 8, 13, 21, 34, 55)],
+                      [6, 8, 15, 20, 41, 60, 99, 170])
+    tables, _ = assert_grid_matches_reference(ds, SMALL, [v for v in GRID if v.method == "MT"])
+    assert [table.fallback_count for table in tables.values()] == [ds.n] * 5
 
 
 def categorical_dataset():
@@ -272,14 +264,14 @@ def test_loocv_grid_trees_match_reference_in_any_chunking(request, monkeypatch, 
     monkeypatch.setattr(validation, "STACK_FLOATS", floats)
     fit_model_trees = validation.fit_model_trees
 
-    def logged(pairs, config):
+    def logged(pairs):
         # once per chunk, in the process that runs it
         with open(tmp_path / "stacks", "a", encoding="utf-8") as fh:
             fh.write(f"{len(pairs)}\n")
-        return fit_model_trees(pairs, config)
+        return fit_model_trees(pairs)
 
     monkeypatch.setattr(validation, "fit_model_trees", logged)
-    config = replace(SMALL, mt_min_leaf=2, jobs=jobs)
+    config = replace(SMALL, jobs=jobs)
     tables, _ = assert_grid_matches_reference(dataset, config, [v for v in GRID if v.method == "MT"])
     assert len(tables) == 5 and tables["MT1"].fallback_count < dataset.n
     stacks = list(map(int, (tmp_path / "stacks").read_text(encoding="utf-8").split()))
@@ -303,7 +295,7 @@ def test_loocv_grid_matches_reference_property(seed, with_categorical, zero_size
         rows.append(list(rows[source]))
         efforts.append(efforts[source] if rng.random() < 0.5 else float(rng.uniform(1.0, 500.0)))
     fixture = make_dataset("fixture", schema, rows, efforts)
-    assert_grid_matches_reference(fixture, Config(runs=200, ga_pop=4, ga_gens=2, nn_epochs=5, mt_min_leaf=2))
+    assert_grid_matches_reference(fixture, Config(runs=200, ga_pop=4, ga_gens=2, nn_epochs=5))
 
 
 def test_loocv_grid_builds_shared_work_once_per_fold(albrecht, monkeypatch):
@@ -633,14 +625,14 @@ def test_fold_difference_table_serves_every_k_property(seed, kinds, all_tied, ex
     # projects, and its column 0 the difference pairs, each as the per-row
     # oracle builds it
     ds = tied_dataset(np.random.default_rng(seed), kinds, all_tied, extreme)
-    k_top, ga_range = ds.n - 2, SMALL.ga_range
+    k_top = ds.n - 2
     ranking = analogy.knn_within(ds, k_top + 1)
     for t in range(ds.n):
         fold = validation._Fold(ds, t, k_top, {"MT", "GA"}, ranking)
         train, (efforts, diffs) = fold.train, fold.table
         for k in range(1, k_top + 1):
-            got = design_or_error(validation.ga_design, train.efforts, efforts[:, :k], diffs[:, :k], ga_range)
-            want = design_or_error(ga_design_loop, train, k, ga_range)
+            got = design_or_error(validation.ga_design, train.efforts, efforts[:, :k], diffs[:, :k])
+            want = design_or_error(ga_design_loop, train, k)
             assert type(got) is type(want), (t, k)
             assert got == want if isinstance(want, str) else all(map(np.array_equal, got, want)), (t, k)
         assert all(map(np.array_equal, fold.pairs, diff_pairs_loop(train))), t
@@ -666,13 +658,13 @@ def test_fold_falls_back_for_each_k_whose_model_is_an_error(albrecht, monkeypatc
     # place and counts it as a fallback
     build = validation.ga_design
 
-    def lost(efforts, neighbor_efforts, diffs, ga_range):
+    def lost(efforts, neighbor_efforts, diffs):
         if neighbor_efforts.shape[1] % 2:
             raise FitError("lost")
-        return build(efforts, neighbor_efforts, diffs, ga_range)
+        return build(efforts, neighbor_efforts, diffs)
 
     kept = loocv_grid(albrecht, variants, SMALL)[0]
-    monkeypatch.setattr(validation, "fit_model_trees", lambda pairs, config: [FitError("no tree")] * len(pairs))
+    monkeypatch.setattr(validation, "fit_model_trees", lambda pairs: [FitError("no tree")] * len(pairs))
     monkeypatch.setattr(validation, "ga_design", lost)
     tables, _ = loocv_grid(albrecht, variants, SMALL)
     for k in range(1, 6):
