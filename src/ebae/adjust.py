@@ -44,7 +44,7 @@ class VariantId:
         return f"{self.method}{self.k}"
 
 
-def enumerate_variants(k_max=5):
+def enumerate_variants(k_max):
     """All (method, k) variants: method order as in METHODS, k ascending."""
     return tuple(VariantId(m, k) for m in METHODS for k in range(1, k_max + 1))
 

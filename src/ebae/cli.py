@@ -1,8 +1,8 @@
 """Command-line front end: dataset description and pipeline runs, which write the report.
 
 Every run setting is a ``Config`` field, set by ``--set KEY=VALUE`` under the
-keys of ``config._KEYS`` (``seed``, ``runs``, ``alpha``, ``k_max``, ``jobs``,
-``ga.pop``, ...); a key may be given once. Exit codes: 0 success, 1 a bad
+keys of ``config._KEYS`` (``seed``, ``runs``, ``k_max``, ``jobs``, ``nn.epochs``,
+``ga.pop``, ``ga.gens``); a key may be given once. Exit codes: 0 success, 1 a bad
 setting, a refused report path or an evaluation failure, 2 dataset/schema
 problems. All outputs are deterministic functions of (input files, settings)
 for one numpy build on one CPU kernel set: another BLAS kernel or SIMD dispatch
@@ -131,11 +131,13 @@ def _md_table(header, rows):
 
 
 def _summary_markdown(report, stats):
+    from .stats import ALPHA
+
     cfg = report.config
     base = report.baseline
     out = [f"# Pipeline report: {report.dataset_name}", "",
            f"Projects: {report.n}, features: {report.m}, seed: {cfg.seed}, "
-           f"baseline runs: {cfg.runs}, alpha: {cfg.alpha}.", ""]
+           f"baseline runs: {cfg.runs}, alpha: {ALPHA}.", ""]
 
     def section(title, header, rows, *intro):
         out.extend((f"## {title}", *intro, _md_table(header, rows)))
@@ -154,7 +156,7 @@ def _summary_markdown(report, stats):
         verdict = "rejected" if report.ks_reject else "not rejected"
         out.append(
             f"Normality of pooled survivor absolute errors: KS statistic "
-            f"{report.ks_statistic:.4f}, normality {verdict} at alpha {cfg.alpha}."
+            f"{report.ks_statistic:.4f}, normality {verdict} at alpha {ALPHA}."
         )
         out.append("")
 
@@ -167,7 +169,7 @@ def _summary_markdown(report, stats):
                 ("cluster", "variant", "mean transformed AE", "MAE"),
                 [(ci, name, f"{mean:.4f}", f"{report.summaries[name].mae:.2f}")
                  for ci, name, mean in _cluster_rows(report.sk_singles)],
-                f"Box-Cox lambda {t.box_cox_lambda:.2f}, shift {t.shift:g}; alpha {report.sk_singles.alpha}.")
+                f"Box-Cox lambda {t.box_cox_lambda:.2f}, shift {t.shift:g}; alpha {ALPHA}.")
     if report.borda_singles is not None:
         ranking("Borda ranking of the best cluster", report.borda_singles, report.best_ranking)
     if report.ensembles:

@@ -18,7 +18,6 @@ def usable_cores():
 class Config:
     seed: int = 42
     runs: int = 1000          # Monte-Carlo runs for the random-guessing baseline
-    alpha: float = 0.05       # significance level for Scott-Knott clustering
     k_max: int = 5            # analogies grid is k = 1..k_max per method
     # LOOCV worker processes, by default one per usable core; results are
     # identical for any value, and jobs=1 runs in this process alone
@@ -32,12 +31,6 @@ class Config:
             value = getattr(self, name)
             if not value >= low:
                 raise ValueError(f"bad value for {_key(name)}: {value!r} (must be >= {low})")
-        # Scott-Knott keeps a cut when the incomplete-gamma chi-square CDF
-        # P(g/(2(pi-2)), lambda*/2), which lies in [0, 1], exceeds 1 - alpha:
-        # at alpha <= 0 (or NaN) no cut is ever kept, at alpha >= 1 every cut with
-        # lambda* > 0 is
-        if not 0 < self.alpha < 1:
-            raise ValueError(f"bad value for alpha: {self.alpha!r} (must be within (0, 1))")
 
 
 def _key(name):
@@ -46,8 +39,8 @@ def _key(name):
     return name.replace("_", ".", 1) if name[:3] in ("nn_", "ga_") else name
 
 
-# Flat override keys accepted by the CLI (--set key=value) -> (field, cast).
-_KEYS = {_key(f.name): (f.name, {"int": int, "float": float}[f.type]) for f in fields(Config)}
+# Flat override keys accepted by the CLI (--set key=value) -> field; every field is an int.
+_KEYS = {_key(f.name): f.name for f in fields(Config)}
 
 # Smallest value of each field with which a run can go: the baseline needs 100
 # Monte-Carlo runs, LOOCV one worker and the estimators the rest.
@@ -60,9 +53,8 @@ def with_overrides(config: Config, pairs: dict[str, str]) -> Config:
     for key, raw in pairs.items():
         if key not in _KEYS:
             raise ValueError(f"unknown config key {key!r} (known: {', '.join(sorted(_KEYS))})")
-        field, cast = _KEYS[key]
         try:
-            updates[field] = cast(raw)
+            updates[_KEYS[key]] = int(raw)
         except ValueError as exc:
             raise ValueError(f"bad value for {key}: {raw!r}") from exc
     return replace(config, **updates)

@@ -113,13 +113,13 @@ def pooled_transform(tables, labels):
     return dict(zip(labels, np.split(values, len(labels)))), spec
 
 
-def select_best_cluster(tables, survivors, alpha):
+def select_best_cluster(tables, survivors):
     """Scott-Knott the survivors on transformed absolute errors and return
     (best-cluster labels, clustering result carrying its transform)."""
     if len(survivors) < 2:
         return list(survivors), None
     groups, spec = pooled_transform(tables, survivors)
-    result = scott_knott(groups, alpha)
+    result = scott_knott(groups)
     return list(result.clusters[0].members), replace(result, transform=spec)
 
 
@@ -158,7 +158,7 @@ def ensemble_table(spec, tables):
     return build_table(spec.label, first.project_ids, first.actuals, predictions, first.floor)
 
 
-def _joint_stage(report, alpha):
+def _joint_stage(report):
     """Joint Scott-Knott + Borda over best singles and ensembles."""
     candidates = list(report.best_cluster) + [e.label for e in report.ensembles]
     if len(candidates) < 2:
@@ -167,7 +167,7 @@ def _joint_stage(report, alpha):
     tables = {**report.tables, **report.ensemble_tables}
     summaries = {**report.summaries, **report.ensemble_summaries}
     groups, spec = pooled_transform(tables, candidates)
-    report.sk_joint = replace(scott_knott(groups, alpha), transform=spec)
+    report.sk_joint = replace(scott_knott(groups), transform=spec)
     outcome, _ = rank_candidates(summaries, candidates)
     report.borda_joint = outcome
     ensemble_labels = {e.label for e in report.ensembles}
@@ -177,7 +177,7 @@ def _joint_stage(report, alpha):
     report.mean_rank_singles = float(np.mean(ranks_s)) if ranks_s else None
 
 
-def _per_method_stages(report, variants, alpha):
+def _per_method_stages(report, variants):
     """Best-k per method and the two-way (method type x k) clustering of the
     evaluated ``variants``, those with a table, both on one transform fitted
     over their pooled absolute errors."""
@@ -193,7 +193,7 @@ def _per_method_stages(report, variants, alpha):
     cells = {(variant.method, variant.k): groups[variant.label] for variant in variants}
     if len({variant.method for variant in variants}) >= 2:
         try:
-            report.two_way = replace(scott_knott_two_way(cells, alpha), transform=spec)
+            report.two_way = replace(scott_knott_two_way(cells), transform=spec)
         except ValueError as exc:
             report.notes.append(f"two-way clustering skipped: {exc}")
 
@@ -221,11 +221,11 @@ def run_pipeline(dataset, config):
     if report.survivors:
         pooled = np.concatenate([report.tables[s].aes for s in report.survivors])
         try:
-            report.ks_statistic, report.ks_reject = ks_normality(pooled, config.alpha)
+            report.ks_statistic, report.ks_reject = ks_normality(pooled)
         except ValueError as exc:
             report.notes.append(f"normality check skipped: {exc}")
 
-    report.best_cluster, report.sk_singles = select_best_cluster(report.tables, report.survivors, config.alpha)
+    report.best_cluster, report.sk_singles = select_best_cluster(report.tables, report.survivors)
     if report.sk_singles is None:
         report.notes.append("fewer than 2 surviving variants: no clustering, no ensembles")
 
@@ -243,6 +243,6 @@ def run_pipeline(dataset, config):
         report.ensemble_tables[spec.label] = table
         report.ensemble_summaries[spec.label] = summarize(table, base)
 
-    _joint_stage(report, config.alpha)
-    _per_method_stages(report, variants, config.alpha)
+    _joint_stage(report)
+    _per_method_stages(report, variants)
     return report

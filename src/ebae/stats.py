@@ -14,7 +14,7 @@ the full grid's.
 Scott-Knott sorts group means and recursively splits the ordering at the
 contiguous cut maximizing the between-group sum of squares B0. A cut is kept
 when lambda* = pi / (2*(pi-2)) * B0 / sigma2 exceeds the chi-square critical
-value at ``alpha`` with g/(pi-2) degrees of freedom, where sigma2 is the
+value at level ``ALPHA`` with g/(pi-2) degrees of freedom, where sigma2 is the
 maximum-likelihood variance estimate of the g current means pooled with the
 residual mean square: sigma2 = (sum((mean_i - mean)^2) + nu * mse) / (g + nu).
 A cut whose B0 lies within the bound on its own rounding error is not kept.
@@ -28,7 +28,7 @@ squares can no longer overflow.
 The critical value is never computed. The chi-square CDF with g/(pi-2)
 degrees of freedom at lambda* is P(g/(2(pi-2)), lambda*/2), the regularised
 lower incomplete gamma function, so a cut is kept when
-P(g/(2(pi-2)), lambda*/2) > 1 - alpha. P(a, x) is evaluated by its series
+P(g/(2(pi-2)), lambda*/2) > 1 - ALPHA. P(a, x) is evaluated by its series
 for x < a + 1 and by its Lentz continued fraction otherwise (Press et al.,
 Numerical Recipes, 3rd ed., section 6.2, ``gammp``), so the module needs
 numpy alone.
@@ -41,6 +41,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# Significance level of Scott-Knott and of the normality check; a level
+# missing from _LILLIEFORS_CRITICAL fails the normality check with KeyError.
+ALPHA = 0.05
 _PI_FACTOR = math.pi / (2.0 * (math.pi - 2.0))
 _EPS = 1e-16       # relative stopping tolerance of the incomplete-gamma series and fraction
 _FPMIN = 1e-300    # keeps the continued fraction's denominators off zero
@@ -83,7 +86,6 @@ class Cluster:
 @dataclass(frozen=True)
 class ScottKnottResult:
     clusters: tuple      # best cluster first; contiguous in mean order
-    alpha: float
     transform: TransformSpec | None = None
 
 
@@ -232,9 +234,9 @@ def apply_transform(values, spec):
     return _power_transform(x, spec.box_cox_lambda)
 
 
-# Critical points for the normality KS statistic with estimated mean/std,
+# Critical points, by level, for the normality KS statistic with estimated mean/std,
 # after the Stephens small-sample modification D * (sqrt(n) - 0.01 + 0.85/sqrt(n)).
-_LILLIEFORS_TABLE = ((0.01, 1.035), (0.025, 0.955), (0.05, 0.895), (0.10, 0.819), (0.15, 0.775))
+_LILLIEFORS_CRITICAL = {0.01: 1.035, 0.025: 0.955, 0.05: 0.895, 0.10: 0.819, 0.15: 0.775}
 
 
 def _normal_cdf(z):
@@ -242,16 +244,8 @@ def _normal_cdf(z):
     return np.array([0.5 * math.erfc(-v / math.sqrt(2.0)) for v in np.asarray(z).tolist()])
 
 
-def _lilliefors_critical(alpha):
-    levels = [a for a, _ in _LILLIEFORS_TABLE]
-    crits = [c for _, c in _LILLIEFORS_TABLE]
-    if not levels[0] <= alpha <= levels[-1]:
-        raise ValueError(f"alpha must be within [{levels[0]}, {levels[-1]}]")
-    return float(np.interp(alpha, levels, crits))
-
-
-def ks_normality(values, alpha=0.05):
-    """One-sample KS test of normality with estimated parameters.
+def ks_normality(values):
+    """One-sample KS test of normality with estimated parameters, at level ``ALPHA``.
 
     Returns (statistic, reject). The critical value uses the Lilliefors
     correction, since mean and standard deviation are estimated from the
@@ -269,7 +263,7 @@ def ks_normality(values, alpha=0.05):
     i = np.arange(1, n + 1)
     statistic = float(max(np.max(i / n - cdf), np.max(cdf - (i - 1) / n)))
     modified = statistic * (math.sqrt(n) - 0.01 + 0.85 / math.sqrt(n))
-    return statistic, bool(modified > _lilliefors_critical(alpha))
+    return statistic, bool(modified > _LILLIEFORS_CRITICAL[ALPHA])
 
 
 def _best_cut(means):
@@ -334,12 +328,12 @@ def _gammp(a, x):
         i += 1
 
 
-def _significant(lam_star, g, alpha):
-    """lam_star > chi2.ppf(1 - alpha, g/(pi-2)), asked through the chi-square CDF."""
-    return _gammp(g / (2.0 * (math.pi - 2.0)), lam_star / 2.0) > 1.0 - alpha
+def _significant(lam_star, g):
+    """lam_star > chi2.ppf(1 - ALPHA, g/(pi-2)), asked through the chi-square CDF."""
+    return _gammp(g / (2.0 * (math.pi - 2.0)), lam_star / 2.0) > 1.0 - ALPHA
 
 
-def _split(names, means, mse, nu, alpha, out):
+def _split(names, means, mse, nu, out):
     g = means.size
     if g == 1:
         out.append((names, means))
@@ -348,9 +342,9 @@ def _split(names, means, mse, nu, alpha, out):
     sigma2 = (np.sum((means - means.mean()) ** 2) + nu * mse) / (g + nu)
     lam_star = _PI_FACTOR * b0 / sigma2 if sigma2 > 0 else np.inf
     noise = _B0_ROUNDING * g * g * np.max(np.abs(means)) ** 2
-    if b0 > noise and sigma2 > 0 and _significant(lam_star, g, alpha):
-        _split(names[:cut], means[:cut], mse, nu, alpha, out)
-        _split(names[cut:], means[cut:], mse, nu, alpha, out)
+    if b0 > noise and sigma2 > 0 and _significant(lam_star, g):
+        _split(names[:cut], means[:cut], mse, nu, out)
+        _split(names[cut:], means[cut:], mse, nu, out)
     else:
         out.append((names, means))
 
@@ -360,23 +354,22 @@ def _exponent(arrays):
     return int(np.frexp(max(np.max(np.abs(a)) for a in arrays))[1])
 
 
-def _cluster_means(names, means, mse, nu, alpha, e):
+def _cluster_means(names, means, mse, nu, e):
     """Cluster the means scaled by 2^-e; the result's means are unscaled."""
     order = np.argsort(means, kind="stable")
     ordered_names = [names[i] for i in order]
     ordered_means = means[order]
     pieces = []
-    _split(ordered_names, ordered_means, mse, nu, alpha, pieces)
+    _split(ordered_names, ordered_means, mse, nu, pieces)
     return ScottKnottResult(
         clusters=tuple(
             Cluster(members=tuple(ns), means=tuple(float(m) for m in np.ldexp(ms, e)))
             for ns, ms in pieces
         ),
-        alpha=alpha,
     )
 
 
-def scott_knott(groups, alpha=0.05):
+def scott_knott(groups):
     """Cluster named observation groups into homogeneous, non-overlapping bands.
 
     ``groups`` maps a name to its (transformed) error observations. The
@@ -398,10 +391,10 @@ def scott_knott(groups, alpha=0.05):
     nu = total - len(arrays)
     sse = sum(float(np.sum((a - a.mean()) ** 2)) for a in arrays)
     mse = sse / nu
-    return _cluster_means(names, means, mse, nu, alpha, e)
+    return _cluster_means(names, means, mse, nu, e)
 
 
-def scott_knott_two_way(cells, alpha=0.05):
+def scott_knott_two_way(cells):
     """Scott-Knott over treatment means with a two-way ANOVA error term.
 
     ``cells`` maps (treatment, group) -> observations, e.g. (adjustment
@@ -433,4 +426,4 @@ def scott_knott_two_way(cells, alpha=0.05):
         raise ValueError("not enough observations for a two-way residual")
     mse = max(ss_total - ss_treat - ss_level, 0.0) / nu
     means = np.array([p.mean() for p in by_treatment])
-    return _cluster_means(treatments, means, mse, nu, alpha, e)
+    return _cluster_means(treatments, means, mse, nu, e)

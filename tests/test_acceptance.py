@@ -30,7 +30,7 @@ from ebae.learners import (
 from ebae.metrics import baseline, build_table, exact_random_mae, log_floor, mae, mbre_mibre, \
     effect_size, lsd_and_variance, pred25, standardized_accuracy, summarize
 from ebae.ranking import PreferenceProfile, borda_rank
-from ebae.stats import scott_knott
+from ebae.stats import ALPHA, scott_knott
 from ebae.validation import dataset_baseline, loocv
 
 from .conftest import DATASETS, make_dataset, size_only_schema
@@ -230,11 +230,11 @@ def test_criterion_07_scott_knott_oracle():
         n_groups = int(rng.integers(2, 9))
         means = rng.uniform(0, 12, size=n_groups)
         groups = synthetic_groups(means, float(rng.uniform(0.2, 3.0)), 15, seed=case)
-        ours = [c.members for c in scott_knott(groups, alpha=0.05).clusters]
-        assert ours == oracle_scott_knott(groups, 0.05)
+        ours = [c.members for c in scott_knott(groups).clusters]
+        assert ours == oracle_scott_knott(groups, ALPHA)
         agreements += 1
     fixture = synthetic_groups([1.0, 1.1, 5.0, 5.1], 0.1, 30, seed=7)
-    result = scott_knott(fixture, alpha=0.05)
+    result = scott_knott(fixture)
     two = len(result.clusters) == 2 and set(result.clusters[0].members) == {"A", "B"}
     elapsed = time.perf_counter() - start
     ok = agreements == cases and two and elapsed < 5.0

@@ -19,6 +19,7 @@ from ebae.adjust import (
     rtm,
 )
 from ebae.analogy import Neighborhood, knn_within, retrieve
+from ebae.config import Config
 from ebae.data import ColumnSpec
 from ebae.learners import FeedForwardNet, ModelTree, TreeLeaf, TreeNode
 
@@ -35,7 +36,7 @@ def neighborhood(train, indices, distances=None):
 
 
 def test_enumerate_variants_grid():
-    variants = enumerate_variants()
+    variants = enumerate_variants(Config().k_max)
     assert len(variants) == 40
     assert len(set(variants)) == 40
     assert variants[0] == VariantId("EBA", 1)

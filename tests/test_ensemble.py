@@ -83,7 +83,7 @@ def make_tables(spec_map, floor=1e-6):
 
 def test_select_best_cluster_separates_clear_groups():
     tables = make_tables({"A": (1.0, 30), "B": (1.05, 30), "C": (9.0, 30), "D": (9.1, 30)})
-    best, result = select_best_cluster(tables, ["A", "B", "C", "D"], alpha=0.05)
+    best, result = select_best_cluster(tables, ["A", "B", "C", "D"])
     assert set(best) == {"A", "B"}
     assert len(result.clusters) >= 2
     assert result.transform == pooled_transform(tables, ["A", "B", "C", "D"])[1]
@@ -123,14 +123,14 @@ def test_select_best_cluster_identical_lists_merge():
     table = make_tables({"A": (2.0, 25)})["A"]
     clone = build_table("B", table.project_ids, table.actuals,
                         table.predictions, table.floor)
-    best, result = select_best_cluster({"A": table, "B": clone}, ["A", "B"], alpha=0.05)
+    best, result = select_best_cluster({"A": table, "B": clone}, ["A", "B"])
     assert set(best) == {"A", "B"}
     assert len(result.clusters) == 1
 
 
 def test_select_best_cluster_single_survivor():
     tables = make_tables({"A": (1.0, 20)})
-    best, result = select_best_cluster(tables, ["A"], alpha=0.05)
+    best, result = select_best_cluster(tables, ["A"])
     assert best == ["A"] and result is None
 
 

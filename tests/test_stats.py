@@ -216,14 +216,14 @@ def test_box_cox_rejects_non_finite(bad):
 
 def test_ks_accepts_normal_sample():
     rng = np.random.default_rng(42)
-    stat, reject = ks_normality(rng.standard_normal(500), alpha=0.05)
+    stat, reject = ks_normality(rng.standard_normal(500))
     assert not reject
     assert 0 <= stat < 0.05
 
 
 def test_ks_rejects_exponential_sample():
     rng = np.random.default_rng(42)
-    _, reject = ks_normality(rng.exponential(size=500), alpha=0.05)
+    _, reject = ks_normality(rng.exponential(size=500))
     assert reject
 
 
@@ -287,12 +287,27 @@ def test_incomplete_gamma_huge_x_returns_one():
 
 
 @pytest.mark.parametrize("alpha", [0.01, 0.05, 0.10, 0.5])
-def test_split_decision_matches_chi2_quantile(alpha):
+def test_split_decision_matches_chi2_quantile(monkeypatch, alpha):
     chi2 = pytest.importorskip("scipy.stats").chi2
+    monkeypatch.setattr(stats, "ALPHA", alpha)
     for g in range(2, 200):
         crit = chi2.ppf(1.0 - alpha, g / (math.pi - 2.0))
         for lam in (0.0, crit * (1.0 - 1e-9), crit * (1.0 + 1e-9), math.inf):
-            assert _significant(lam, g, alpha) == (lam > crit), (g, lam)
+            assert _significant(lam, g) == (lam > crit), (g, lam)
+
+
+def test_one_level_for_normality_and_scott_knott(monkeypatch):
+    # the modified KS statistic of this sample, 0.963, lies between the
+    # critical values at 0.05 (0.895) and at 0.01 (1.035)
+    sample = np.random.default_rng(3).exponential(size=40)
+    assert ks_normality(sample)[1]
+    monkeypatch.setattr(stats, "ALPHA", 0.01)
+    assert not ks_normality(sample)[1]
+    chi2 = pytest.importorskip("scipy.stats").chi2
+    for g in range(2, 50):
+        crit = chi2.ppf(0.99, g / (math.pi - 2.0))
+        for lam in (crit * (1.0 - 1e-9), crit * (1.0 + 1e-9)):
+            assert _significant(lam, g) == (lam > crit), (g, lam)
 
 
 @pytest.mark.parametrize("module", ["ebae", "ebae.cli"])
@@ -316,16 +331,17 @@ def synthetic_groups(means, sigma, n, seed):
     }
 
 
-def test_null_case_single_cluster():
+def test_null_case_single_cluster(monkeypatch):
+    monkeypatch.setattr(stats, "ALPHA", 0.01)
     groups = synthetic_groups([5.0] * 6, 1.0, 40, seed=21)
-    result = scott_knott(groups, alpha=0.01)
+    result = scott_knott(groups)
     assert len(result.clusters) == 1
     assert set(result.clusters[0].members) == set(groups)
 
 
 def test_two_separated_pairs_give_two_clusters():
     groups = synthetic_groups([1.0, 1.1, 5.0, 5.1], 0.1, 30, seed=7)
-    result = scott_knott(groups, alpha=0.05)
+    result = scott_knott(groups)
     assert len(result.clusters) == 2
     assert set(result.clusters[0].members) == {"A", "B"}
     assert set(result.clusters[1].members) == {"C", "D"}
@@ -480,14 +496,15 @@ def test_matches_exhaustive_oracle(seed):
     n_groups = int(rng.integers(2, 9))
     means = rng.uniform(0, 10, size=n_groups)
     groups = synthetic_groups(means, float(rng.uniform(0.2, 2.0)), 20, seed=seed + 100)
-    result = scott_knott(groups, alpha=0.05)
+    result = scott_knott(groups)
     assert [c.members for c in result.clusters] == oracle_scott_knott(groups, 0.05)
 
 
-def test_lower_alpha_never_refines():
+def test_lower_alpha_never_refines(monkeypatch):
     groups = synthetic_groups([1.0, 1.6, 2.2, 6.0, 6.5], 0.8, 30, seed=17)
-    fine = scott_knott(groups, alpha=0.05)
-    coarse = scott_knott(groups, alpha=0.01)
+    fine = scott_knott(groups)
+    monkeypatch.setattr(stats, "ALPHA", 0.01)
+    coarse = scott_knott(groups)
     assert len(coarse.clusters) <= len(fine.clusters)
     # each strict-alpha cluster is a union of consecutive lax-alpha clusters
     fine_boundaries = set()
@@ -520,7 +537,7 @@ def test_two_way_null_case():
         for t in ("EBA", "LSE", "RTM", "AQUA", "MT", "GA", "NN", "MLFE")
         for k in range(1, 6)
     }
-    result = scott_knott_two_way(cells, alpha=0.05)
+    result = scott_knott_two_way(cells)
     assert len(result.clusters) == 1
 
 
@@ -531,7 +548,7 @@ def test_two_way_isolates_shifted_treatment():
     cells = {
         key: values + (10.0 if key[0] == "NN" else 0.0) for key, values in cells.items()
     }
-    result = scott_knott_two_way(cells, alpha=0.05)
+    result = scott_knott_two_way(cells)
     assert result.clusters[-1].members == ("NN",)
     assert all("NN" not in c.members for c in result.clusters[:-1])
 
@@ -540,7 +557,7 @@ def test_two_way_means_are_grand_means():
     rng = np.random.default_rng(23)
     types = ("A", "B", "C")
     cells = {(t, k): rng.normal(i + 1.0, 0.5, size=15) for i, t in enumerate(types) for k in (1, 2)}
-    result = scott_knott_two_way(cells, alpha=0.05)
+    result = scott_knott_two_way(cells)
     for cluster in result.clusters:
         for name, mean in zip(cluster.members, cluster.means):
             pooled = np.concatenate([cells[(name, 1)], cells[(name, 2)]])
