@@ -24,10 +24,6 @@ from .learners import diff_rows, predict_model_tree, predict_network
 METHODS = ("EBA", "LSE", "MLFE", "RTM", "AQUA", "MT", "GA", "NN")
 
 
-class Inapplicable(Exception):
-    """A fold-level quantity cannot be computed; the method falls back to EBA."""
-
-
 @dataclass(frozen=True, order=True)
 class VariantId:
     method: str
@@ -110,13 +106,13 @@ def productivity_correlation(train, nearest):
     ``nearest[i]`` is project i's nearest other training project (column 0
     of ``knn_within(train, k)``). Fitted once per training fold; clamped
     into [0, 1] so (1 - c) stays a shrinkage factor. Projects without a
-    positive size are left out; a degenerate correlation (fewer than 2
-    usable pairs, or zero variance) yields 0, i.e. full regression toward
-    the local mean.
+    positive size are left out; a degenerate correlation (no primary size
+    feature, fewer than 2 usable pairs, or zero variance) yields 0, i.e.
+    full regression toward the local mean.
     """
     c = train.size_col
     if c is None:
-        raise Inapplicable("no primary size feature in schema")
+        return 0.0
     sizes = train.cont[:, c]
     valid = sizes > 0
     if valid.sum() < 2:
@@ -135,19 +131,16 @@ def productivity_correlation(train, nearest):
 
 
 def mean_productivity(train):
-    """Mean effort-per-size over the training projects with a positive size.
+    """Mean effort-per-size over the training projects with a positive size,
+    of which there must be one: ``rtm`` asks only once an analogy has a
+    positive primary size.
 
     Shrinking analogy productivities toward the mean of the analogies
     themselves would cancel out of the outer average exactly, so the
     regression target must be this broader historical mean.
     """
-    c = train.size_col
-    if c is None:
-        raise Inapplicable("no primary size feature in schema")
-    sizes = train.cont[:, c]
+    sizes = train.cont[:, train.size_col]
     valid = sizes > 0
-    if not np.any(valid):
-        raise Inapplicable("no training project has a positive size")
     return float(np.mean(train.efforts[valid] / sizes[valid]))
 
 

@@ -305,12 +305,9 @@ def load_dataset(data_path, schema_path):
         if any(v is None for v in cells):
             dropped += 1
             continue
-        effort = cells[-1]
-        if effort <= 0:
-            raise DatasetError(f"{data_path}: row {rownum}: non-positive effort {effort!r}")
         ids.append(pid)
         rows.append(tuple(cells[:-1]))
-        efforts.append(effort)
+        efforts.append(cells[-1])
 
     if dropped:
         log.warning("%s: dropped %d row(s) with missing values", data_path, dropped)

@@ -96,7 +96,6 @@ class EvalSummary:
     sa: float
     delta: float
     fallback_count: int
-    baseline: BaselineStats
 
 
 def log_floor(efforts):
@@ -236,5 +235,4 @@ def summarize(table, base):
         sa=standardized_accuracy(mae_value, base),
         delta=effect_size(mae_value, base),
         fallback_count=table.fallback_count,
-        baseline=base,
     )

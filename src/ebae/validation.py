@@ -18,28 +18,28 @@ than one thread forks, and importing numpy with OpenBLAS on a 2-core Linux
 host leaves two threads, so there each worker start is expected to warn.
 That has not been run with numpy on Python 3.12.
 
-When RTM, MT, GA or NN runs, ``loocv_grid`` first ranks the whole dataset
-once, ``knn_within(dataset, k_top + 1)``, where ``k_top`` is the largest k
-of the variants. Each fold, given ``k_top`` and the grid's method set, builds
-what those methods share, the chunk trains its MT, GA and NN members
-together, and each fold predicts every k of a method in one pass of
-``adjust.<method>`` over its ``k_top`` analogies. A fold builds:
+``loocv_grid`` first ranks the whole dataset once, ``knn_within(dataset,
+k_top + 1)``, where ``k_top`` is the largest k of the variants. Each fold,
+given ``k_top``, builds what every method shares, whatever the grid's
+methods: they choose only which learners the chunk trains, its MT, GA and
+NN members together, and which rows each fold predicts, every k of a method
+in one pass of ``adjust.<method>`` over its ``k_top`` analogies. A fold
+builds:
 
 - the training fold ``dataset.without(t)``;
 - one retrieval of the ``k_top`` nearest training projects; variant k
   takes the first k. That is exactly ``retrieve(target, train, k)``,
   because ties break on row index, so the k nearest are always a prefix of
   the ``k_top`` nearest;
-- when RTM, MT, GA or NN runs, one in-training neighbour table equal to
-  ``knn_within(train, k_top)``, exact for every smaller k by the same
-  prefix property; column 0 serves the RTM correlation. A fold that keeps
-  the dataset's min-max bounds takes it from the dataset ranking with
-  ``knn_without``; a fold whose held-out project alone sets some feature's
-  min or max computes it;
-- when MT, GA or NN runs, one difference table over the neighbour table's
-  first ``k_top`` columns, or its first without GA: the efforts of each
-  training project's analogies and its ``diff_rows`` vectors to them. MT
-  and NN train on column 0, whatever k, the GA member for k on the first k;
+- one in-training neighbour table equal to ``knn_within(train, k_top)``,
+  exact for every smaller k by the same prefix property; column 0 serves
+  the RTM correlation. A fold that keeps the dataset's min-max bounds takes
+  it from the dataset ranking with ``knn_without``; a fold whose held-out
+  project alone sets some feature's min or max computes it;
+- one difference table over the neighbour table: the efforts of each
+  training project's ``k_top`` analogies and its ``diff_rows`` vectors to
+  them. MT and NN train on column 0, whatever k, the GA member for k on the
+  first k;
 - the model table ``models``: the RTM correlation, the model tree and the
   network, which learn from k-free inputs and serve every k, and a dict of
   GA weights, one member per k, as each k's GA design averages over its own
@@ -109,41 +109,29 @@ class _Fold:
     each k whose member was fitted. A model that cannot be fitted is kept as
     its error; its predictions, and those of a k without weights, are NaN.
 
-    ``k_top`` is the grid's largest k and ``methods`` its set of methods;
-    the fold retrieves ``k_top`` analogies and builds only what those
-    methods use. ``ranking`` is the dataset's
-    ``knn_within(dataset, k_top + 1)`` when the fold needs a neighbour
-    table. The model tree is added by ``_fit_trees``, the GA members by
-    ``_fit_ga``, which lets go of the fold's difference ``table``, and the
-    network by ``_fit_networks``."""
+    ``k_top`` is the grid's largest k, and ``ranking`` the dataset's
+    ``knn_within(dataset, k_top + 1)``. The fold retrieves ``k_top``
+    analogies, and builds its RTM correlation, its difference ``table`` and
+    its column-0 ``pairs`` whatever methods the grid runs. The model tree is
+    added by ``_fit_trees``, the GA members by ``_fit_ga``, which lets go of
+    the fold's difference ``table``, and the network by
+    ``_fit_networks``."""
 
-    def __init__(self, dataset, t, k_top, methods, ranking):
+    def __init__(self, dataset, t, k_top, ranking):
         self.t = t
         self.train = train = dataset.without(t)
         self.target = dataset.row(t)
         self.analogies = retrieve(self.target, train, k_top)
-        self.models = {}
-        if ranking is None:
-            return
         if all(map(np.array_equal, train.bounds, dataset.bounds)):
             neighbors = analogy.knn_without(ranking, t, k_top)
         else:
             neighbors = analogy.knn_within(train, k_top)
-        if "RTM" in methods:
-            try:
-                self.models["RTM"] = adjust.productivity_correlation(train, neighbors[:, 0])
-            except adjust.Inapplicable as exc:
-                self.models["RTM"] = exc
-        if methods.isdisjoint(("MT", "GA", "NN")):
-            return
-        table = neighbors[:, :k_top if "GA" in methods else 1]
-        efforts = train.efforts[table]
-        diffs = diff_rows(train.cont[:, None], train.cat[:, None], train.cont[table], train.cat[table])
-        if "GA" in methods:
-            self.table = efforts, diffs
-        if "MT" in methods or "NN" in methods:
-            # copied, so that the pairs do not keep the table alive
-            self.pairs = diffs[:, 0].copy(), train.efforts - efforts[:, 0]
+        self.models = {"RTM": adjust.productivity_correlation(train, neighbors[:, 0])}
+        efforts = train.efforts[neighbors]
+        diffs = diff_rows(train.cont[:, None], train.cat[:, None], train.cont[neighbors], train.cat[neighbors])
+        self.table = efforts, diffs
+        # copied, so that the pairs do not keep the table alive
+        self.pairs = diffs[:, 0].copy(), train.efforts - efforts[:, 0]
 
     def predict(self, methods):
         """(methods, k_top) predictions for this fold's target: row i is
@@ -175,8 +163,9 @@ def _fit_trees(folds):
 def _fit_ga(folds, variants, config):
     """Fit the GA members of every (fold, GA variant) of a chunk into each
     fold's ``models``, as one ``fit_ga_weights`` stack. A member's design is
-    the first k columns of its fold's ``table``, which is let go once read;
-    a member whose design cannot be built is left out."""
+    the first k columns of its fold's ``table``, which every fold lets go
+    here, with GA variants or without; a member whose design cannot be
+    built is left out."""
     members, designs = [], []
     for fold in folds:
         fold.models["GA"] = {}
@@ -273,18 +262,15 @@ def loocv_grid(dataset, variants, config):
     used = {variant.method for variant in runnable}
     methods = [method for method in adjust.METHODS if method == "EBA" or method in used]
     genetic = [variant for variant in runnable if variant.method == "GA"]
-    width = max(dataset.m, NN_HIDDEN if "NN" in used else 0)
+    width = max(dataset.m, NN_HIDDEN)
     starts = _chunk_starts(dataset.n, max(1, STACK_FLOATS // ((dataset.n - 1) * width)), config.jobs)
-    ranking = None
-    if not used.isdisjoint(("RTM", "MT", "GA", "NN")):
-        ranking = analogy.knn_within(dataset, k_top + 1)
+    ranking = analogy.knn_within(dataset, k_top + 1)
 
     def chunk(start, stop):
-        folds = [_Fold(dataset, t, k_top, used, ranking) for t in range(start, stop)]
+        folds = [_Fold(dataset, t, k_top, ranking) for t in range(start, stop)]
         if "MT" in used:
             _fit_trees(folds)
-        if genetic:
-            _fit_ga(folds, genetic, config)
+        _fit_ga(folds, genetic, config)
         if "NN" in used:
             _fit_networks(folds, config)
         return np.stack([fold.predict(methods) for fold in folds])

@@ -11,9 +11,13 @@ the adjuster raises.
 
 import numpy as np
 
-from ebae.adjust import Inapplicable, mean_productivity
+from ebae.adjust import mean_productivity
 from ebae.analogy import similarity_from_distance
 from ebae.learners import diff_rows, predict_model_tree, predict_network
+
+
+class Inapplicable(Exception):
+    """The method cannot predict for these analogies."""
 
 
 def _weighted_mean(values, weights):

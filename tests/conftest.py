@@ -50,7 +50,7 @@ def projects_of(dataset):
 def fold_pairs(dataset, t):
     """The difference pairs (X, y) on which LOOCV fold t of ``dataset``
     trains its model tree and network."""
-    return validation._Fold(dataset, t, 1, {"MT"}, analogy.knn_within(dataset, 2)).pairs
+    return validation._Fold(dataset, t, 1, analogy.knn_within(dataset, 2)).pairs
 
 
 def src_env():

@@ -73,9 +73,9 @@ def predict_variant(variant, target, train, config, seed):
         else:
             raise ValueError(f"unknown method {method!r}")
         if not math.isfinite(prediction):
-            raise adjust.Inapplicable(f"non-finite {method} prediction")
+            raise ref.Inapplicable(f"non-finite {method} prediction")
         return prediction, False
-    except (adjust.Inapplicable, FitError):
+    except (ref.Inapplicable, FitError):
         return ref.adjust_eba(target, nbh, train), True
 
 

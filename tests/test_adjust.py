@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ebae.adjust import (
-    Inapplicable,
     VariantId,
     aqua,
     eba,
@@ -24,6 +23,7 @@ from ebae.data import ColumnSpec
 from ebae.learners import FeedForwardNet, ModelTree, TreeLeaf, TreeNode
 
 from . import adjust_reference as ref
+from .adjust_reference import Inapplicable
 from .conftest import make_dataset, random_dataset, row_of, size_only_schema
 
 
@@ -145,6 +145,17 @@ def test_rtm_zero_size_inapplicable(toy):
 def test_productivity_correlation_in_unit_interval(albrecht):
     c = productivity_correlation(albrecht, knn_within(albrecht, 1)[:, 0])
     assert 0.0 <= c <= 1.0
+
+
+def test_rtm_without_primary_size_predicts_nothing():
+    # a size flag other than primary leaves RTM nothing to scale by
+    schema = [ColumnSpec("size", "feature", "continuous", "size_related")]
+    ds = make_dataset("unsized", schema, [(2,), (4,), (6,), (9,)], [4, 8, 12, 25])
+    assert ds.size_col is None
+    correlation = productivity_correlation(ds, knn_within(ds, 1)[:, 0])
+    assert correlation == 0.0
+    predictions = rtm(row_of(ds, (5,)), neighborhood(ds, [1, 2, 0]), ds, correlation)
+    assert len(predictions) == 3 and np.all(np.isnan(predictions))
 
 
 # --- AQUA ---

@@ -35,6 +35,7 @@ DELETED = [
     ("ebae.learners", "HIDDEN_BLOCK"),
     ("ebae.learners", "padded_hidden"),
     ("ebae.learners", "_FITNESS_LIMIT"),
+    ("ebae.adjust", "Inapplicable"),
 ]
 
 

@@ -32,7 +32,7 @@ BASE = BaselineStats(mae_p0=10.0, sp0=2.0, sa5=0.084, runs=1000, seed=0)
 def summary(label, sa, delta, mae=1.0, lsd=1.0, mbre=1.0, mibre=0.5):
     return EvalSummary(
         variant=label, mae=mae, mmre=0.1, pred25=50.0, lsd=lsd, s2=0.1,
-        mbre=mbre, mibre=mibre, sa=sa, delta=delta, fallback_count=0, baseline=BASE,
+        mbre=mbre, mibre=mibre, sa=sa, delta=delta, fallback_count=0,
     )
 
 

@@ -882,7 +882,7 @@ def test_fit_ga_weights_failed_member_fails_alone(monkeypatch):
         return build(efforts, neighbor_efforts, diffs)
 
     monkeypatch.setattr(validation, "ga_design", lost)
-    fold = validation._Fold(ds, 0, 5, {"GA"}, knn_within(ds, 6))
+    fold = validation._Fold(ds, 0, 5, knn_within(ds, 6))
     validation._fit_ga([fold], [VariantId("GA", k) for k in range(1, 6)], config)
     assert not hasattr(fold, "table")
     got, train = fold.models["GA"], fold.train

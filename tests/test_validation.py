@@ -114,9 +114,10 @@ def test_learner_fit_failure_falls_back_to_eba(toy):
 
 
 def test_evaluate_variant_summary(toy):
-    summary = summarize(loocv(toy, VariantId("EBA", 1), CFG), dataset_baseline(toy, CFG))
+    base = dataset_baseline(toy, CFG)
+    summary = summarize(loocv(toy, VariantId("EBA", 1), CFG), base)
     assert summary.variant == "EBA1"
-    assert summary.baseline.mae_p0 == pytest.approx(12.8)
+    assert base.mae_p0 == pytest.approx(12.8)
     assert -5 < summary.sa <= 1
 
 
@@ -222,8 +223,9 @@ def test_loocv_grid_matches_reference_four_projects():
 
 
 def test_loocv_grid_matches_reference_no_size_feature():
-    # no size flag at all: every fold's RTM correlation is Inapplicable and
-    # LSE and MLFE cannot extrapolate, so all three fall back on every fold
+    # no size flag at all: every fold's RTM correlation is 0, but no target
+    # has a size to scale by, and LSE and MLFE cannot extrapolate, so all
+    # three fall back on every fold
     schema, rows, efforts = random_rows(np.random.default_rng(7), n=10, n_features=3, with_categorical=True)
     schema[0] = ColumnSpec("size", "feature", "continuous", "none")
     ds = make_dataset("unsized", schema, rows, efforts)
@@ -523,11 +525,8 @@ def test_a_killed_worker_fails_the_run_at_once(tmp_path):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("methods, built", [
-    (("EBA", "LSE", "MLFE", "AQUA"), {}),
-    (("RTM",), {"knn_within": 1 + 4, "productivity_correlation": 24}),
-])
-def test_loocv_grid_builds_only_what_its_methods_use(albrecht, monkeypatch, methods, built):
+@pytest.mark.parametrize("methods", [("EBA", "LSE", "MLFE", "AQUA"), ("RTM",)])
+def test_loocv_grid_trains_only_its_methods_learners(albrecht, monkeypatch, methods):
     calls = Counter()
 
     def count(owner, name):
@@ -545,12 +544,16 @@ def test_loocv_grid_builds_only_what_its_methods_use(albrecht, monkeypatch, meth
         count(owner, name)
     tables, _ = loocv_grid(albrecht, [v for v in GRID if v.method in methods], SMALL)
     assert len(tables) == 5 * len(methods)
-    assert calls == built
+    # no learner trains, but every fold builds its shared inputs: one
+    # dataset-wide ranking and a table of its own for each of the 4 folds
+    # whose held-out project alone sets a feature's min or max
+    assert calls == {"knn_within": 1 + 4, "productivity_correlation": 24, "diff_rows": 24}
 
 
 def fold_neighbors(dataset, t, k):
-    """The in-training neighbour table a GA-only grid's fold t builds: what
-    its call of ``knn_without`` or ``knn_within`` returns."""
+    """The in-training neighbour table fold t of a grid whose largest k is
+    ``k`` builds: what its call of ``knn_without`` or ``knn_within``
+    returns."""
     ranking = analogy.knn_within(dataset, k + 1)
     tables = []
     with pytest.MonkeyPatch.context() as patch:
@@ -560,7 +563,7 @@ def fold_neighbors(dataset, t, k):
                 return tables[-1]
 
             patch.setattr(analogy, name, recorded)
-        validation._Fold(dataset, t, k, {"GA"}, ranking)
+        validation._Fold(dataset, t, k, ranking)
     (table,) = tables
     return table
 
@@ -628,7 +631,7 @@ def test_fold_difference_table_serves_every_k_property(seed, kinds, all_tied, ex
     k_top = ds.n - 2
     ranking = analogy.knn_within(ds, k_top + 1)
     for t in range(ds.n):
-        fold = validation._Fold(ds, t, k_top, {"MT", "GA"}, ranking)
+        fold = validation._Fold(ds, t, k_top, ranking)
         train, (efforts, diffs) = fold.train, fold.table
         for k in range(1, k_top + 1):
             got = design_or_error(validation.ga_design, train.efforts, efforts[:, :k], diffs[:, :k])
@@ -640,7 +643,7 @@ def test_fold_difference_table_serves_every_k_property(seed, kinds, all_tied, ex
 
 def test_fold_falls_back_for_each_k_whose_model_is_an_error(albrecht, monkeypatch):
     variants = [VariantId(method, k) for method in ("EBA", "MT", "GA") for k in range(1, 6)]
-    fold = validation._Fold(albrecht, 0, 5, {"EBA", "MT", "GA"}, analogy.knn_within(albrecht, 6))
+    fold = validation._Fold(albrecht, 0, 5, analogy.knn_within(albrecht, 6))
     alphas = {k: np.full(albrecht.m, 0.5 * k) for k in (2, 4)}
     fold.models["MT"] = FitError("no tree")
     fold.models["GA"] = alphas
@@ -686,7 +689,7 @@ def test_fold_predicts_every_nn_k_from_one_network(albrecht, monkeypatch):
     variants = [VariantId("NN", k) for k in range(1, 6)]
     t = 5
     tables, _ = loocv_grid(albrecht, variants, SMALL)
-    fold = validation._Fold(albrecht, t, 5, {"NN"}, analogy.knn_within(albrecht, 6))
+    fold = validation._Fold(albrecht, t, 5, analogy.knn_within(albrecht, 6))
     validation._fit_networks([fold], SMALL)
     net, train, target = fold.models["NN"], fold.train, fold.target
     want = fit_network(*fold.pairs, SMALL, derive_seed(SMALL.seed, t, "NN"))
