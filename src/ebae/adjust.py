@@ -4,9 +4,9 @@ Each method maps (target Row, its ``k_top`` nearest training projects,
 training fold) to one predicted effort for every k = 1..k_top: it computes
 its per-analogy terms once, and prediction k is the reduction over the
 first k terms that an adjuster given only the k nearest would make. The
-analogies come nearest first, as ``analogy.retrieve`` returns them.
-Adjustment always consumes raw feature values; only retrieval works on the
-normalized view. Where a method cannot predict for some k (a non-positive
+analogies come nearest first, as ``analogy.fold_analogies`` returns them.
+Adjustment always consumes raw feature values; only the analogy ranking
+works on scaled ones. Where a method cannot predict for some k (a non-positive
 size or an all-zero extrapolation row among the first k analogies, no model
 for k), that prediction is NaN, and the validation harness falls back to the
 plain analogy mean for the same k, counting the fallback.

@@ -13,13 +13,13 @@ a continuous feature value must be 0 or of a magnitude in [1e-50, 1e50], and
 an effort must lie in [1e-50, 1e50]. With B = 1e50 a productivity is at most
 B**2 and a size-extrapolated prediction at most B**3, so every product, ratio
 and square the study forms is finite and the kernels need no overflow guards.
-Raw feature values are kept untouched; normalization produces a separate view
-used only for analogy retrieval.
+Raw feature values are kept untouched; only the analogy ranking scales
+them, by a training fold's min-max bounds.
 
 A Dataset holds its projects column by column: an ``ids`` tuple and
 read-only arrays, each categorical column coded once as integers into its
-``levels``. ``row(i)`` hands one project's values to retrieval and
-adjustment as a ``Row(cont, cat)``; ``without(i)``, the training fold of a
+``levels``. ``row(i)`` hands one project's values to adjustment as a
+``Row(cont, cat)``; ``without(i)``, the training fold of a
 leave-one-out step, slices the columns and shares the levels.
 """
 
@@ -151,7 +151,6 @@ class Dataset:
         self.bounds = (cont.min(axis=0), cont.max(axis=0))
         for arr in (cont, cat, efforts, *self.bounds):
             arr.flags.writeable = False
-        self._norm = None
 
     @property
     def n(self):
@@ -160,14 +159,6 @@ class Dataset:
     @property
     def m(self):
         return len(self.feature_schema)
-
-    def normalized(self):
-        """Continuous features scaled to [0, 1] with this dataset's bounds (cached)."""
-        if self._norm is None:
-            norm = normalize_minmax(self.cont, self.bounds)
-            norm.flags.writeable = False
-            self._norm = norm
-        return self._norm
 
     def row(self, index):
         """Row ``index`` as a (cont, cat) pair of read-only views."""
@@ -184,22 +175,19 @@ class Dataset:
         return fold
 
 
-def normalize_minmax(values, bounds, clamp=False):
+def normalize_minmax(values, bounds):
     """Scale columns of ``values`` to [0, 1] given (mins, maxs) bounds.
 
     Constant columns (min == max) map to 0 everywhere: they carry no
-    distance information and this avoids a zero division. With ``clamp``
-    set, out-of-bounds values (a query outside the training range) are
-    clipped into [0, 1].
+    distance information and this avoids a zero division. Out-of-bounds
+    values (a held-out project outside the training range) are clipped into
+    [0, 1]; a value inside its bounds never moves, as rounding is monotone.
     """
     mins, maxs = bounds
     span = maxs - mins
     safe = np.where(span > 0, span, 1.0)
     scaled = (np.asarray(values, dtype=float) - mins) / safe
-    scaled = np.where(span > 0, scaled, 0.0)
-    if clamp:
-        scaled = np.clip(scaled, 0.0, 1.0)
-    return scaled
+    return np.clip(np.where(span > 0, scaled, 0.0), 0.0, 1.0)
 
 
 def _read_text(path):

@@ -210,7 +210,7 @@ def run_pipeline(dataset, config):
     for label, table in report.tables.items():
         try:
             report.summaries[label] = summarize(table, base)
-        except (ValueError, ArithmeticError) as exc:
+        except ValueError as exc:
             errors[label] = str(exc)
     report.variant_errors = {v.label: errors[v.label] for v in variants if v.label in errors}
     report.notes += [f"{label} not evaluated: {message}"

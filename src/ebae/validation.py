@@ -1,8 +1,9 @@
 """Leave-one-out cross validation of estimator variants, fold first.
 
-Each fold trains on the other n-1 projects: normalization bounds, learner
-fits, and analogy retrieval see training rows only. The target enters as a
-``Row`` of its feature values, so its effort is never consulted.
+Each fold trains on the other n-1 projects: its normalization bounds and
+learner fits see training rows only, and every project's analogies are
+training projects. The target enters as a ``Row`` of its feature values,
+so its effort is never consulted.
 
 ``loocv_grid`` runs chunks of consecutive folds, as many as keep a chunk's
 largest per-fold array within ``STACK_FLOATS``, rounded up to a multiple of
@@ -27,15 +28,14 @@ in one pass of ``adjust.<method>`` over its ``k_top`` analogies. A fold
 builds:
 
 - the training fold ``dataset.without(t)``;
-- one retrieval of the ``k_top`` nearest training projects; variant k
-  takes the first k. That is exactly ``retrieve(target, train, k)``,
-  because ties break on row index, so the k nearest are always a prefix of
-  the ``k_top`` nearest;
-- one in-training neighbour table equal to ``knn_within(train, k_top)``,
-  exact for every smaller k by the same prefix property; column 0 serves
-  the RTM correlation. A fold that keeps the dataset's min-max bounds takes
-  it from the dataset ranking with ``knn_without``; a fold whose held-out
-  project alone sets some feature's min or max computes it;
+- one ranking of the whole dataset under the fold's min-max bounds: the
+  dataset ranking, or where the held-out project alone sets some feature's
+  min or max, ``knn_within(dataset, k_top + 1, train.bounds)``. Its row t
+  gives the held-out project's ``k_top`` analogies, ``fold_analogies``, and
+  its other rows the in-training neighbour table ``knn_without``, equal to
+  ``knn_within(train, k_top)``, whose column 0 serves the RTM correlation.
+  Both order by distance, ties to the smaller index, so the k nearest are a
+  prefix of the ``k_top`` nearest and variant k takes the first k;
 - one difference table over the neighbour table: the efforts of each
   training project's ``k_top`` analogies and its ``diff_rows`` vectors to
   them. MT and NN train on column 0, whatever k, the GA member for k on the
@@ -71,7 +71,6 @@ import hashlib
 import numpy as np
 
 from . import adjust, analogy
-from .analogy import retrieve
 from .learners import NN_HIDDEN, FitError, diff_rows, fit_ga_weights, fit_model_trees, fit_networks, ga_design
 from .metrics import baseline, build_table, log_floor
 
@@ -110,22 +109,22 @@ class _Fold:
     its error; its predictions, and those of a k without weights, are NaN.
 
     ``k_top`` is the grid's largest k, and ``ranking`` the dataset's
-    ``knn_within(dataset, k_top + 1)``. The fold retrieves ``k_top``
-    analogies, and builds its RTM correlation, its difference ``table`` and
-    its column-0 ``pairs`` whatever methods the grid runs. The model tree is
-    added by ``_fit_trees``, the GA members by ``_fit_ga``, which lets go of
-    the fold's difference ``table``, and the network by
-    ``_fit_networks``."""
+    ``knn_within(dataset, k_top + 1)``, which a fold whose bounds differ
+    replaces by its own. From the one ranking the fold takes its ``k_top``
+    analogies and its in-training table, and builds its RTM correlation,
+    its difference ``table`` and its column-0 ``pairs`` whatever methods
+    the grid runs. The model tree is added by ``_fit_trees``, the GA
+    members by ``_fit_ga``, which lets go of the fold's difference
+    ``table``, and the network by ``_fit_networks``."""
 
     def __init__(self, dataset, t, k_top, ranking):
         self.t = t
         self.train = train = dataset.without(t)
         self.target = dataset.row(t)
-        self.analogies = retrieve(self.target, train, k_top)
-        if all(map(np.array_equal, train.bounds, dataset.bounds)):
-            neighbors = analogy.knn_without(ranking, t, k_top)
-        else:
-            neighbors = analogy.knn_within(train, k_top)
+        if not all(map(np.array_equal, train.bounds, dataset.bounds)):
+            ranking = analogy.knn_within(dataset, k_top + 1, train.bounds)
+        self.analogies = analogy.fold_analogies(dataset, ranking, t, k_top, train.bounds)
+        neighbors = analogy.knn_without(ranking, t, k_top)
         self.models = {"RTM": adjust.productivity_correlation(train, neighbors[:, 0])}
         efforts = train.efforts[neighbors]
         diffs = diff_rows(train.cont[:, None], train.cat[:, None], train.cont[neighbors], train.cat[neighbors])

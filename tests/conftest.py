@@ -11,7 +11,8 @@ import pytest
 
 import ebae
 from ebae import analogy, validation
-from ebae.data import ColumnSpec, Dataset, Row
+from ebae.analogy import Neighborhood
+from ebae.data import ColumnSpec, Dataset, Row, normalize_minmax
 
 DATASETS = Path(__file__).resolve().parent.parent / "datasets"
 
@@ -51,6 +52,23 @@ def fold_pairs(dataset, t):
     """The difference pairs (X, y) on which LOOCV fold t of ``dataset``
     trains its model tree and network."""
     return validation._Fold(dataset, t, 1, analogy.knn_within(dataset, 2)).pairs
+
+
+def pool_distances(target, pool):
+    """Reference distances from the ``target`` Row to every row of ``pool``,
+    both scaled by the pool's bounds; the target's values are clipped into
+    [0, 1], so a query outside the training range stays in the unit cube."""
+    diff = normalize_minmax(target.cont, pool.bounds) - normalize_minmax(pool.cont, pool.bounds)
+    diff *= diff
+    return np.sqrt(diff.sum(axis=-1) + (target.cat != pool.cat).sum(axis=-1))
+
+
+def retrieve(target, pool, k):
+    """Reference retrieval: the k nearest ``pool`` rows to the ``target``
+    Row, ordered by distance, then by row index."""
+    d = pool_distances(target, pool)
+    order = np.lexsort((np.arange(pool.n), d))[:k]
+    return Neighborhood(order, d[order])
 
 
 def src_env():

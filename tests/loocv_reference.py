@@ -21,12 +21,13 @@ import math
 import numpy as np
 
 from ebae import adjust
-from ebae.analogy import knn_within, retrieve
+from ebae.analogy import knn_within
 from ebae.learners import FitError
 from ebae.metrics import build_table, log_floor
 from ebae.validation import derive_seed
 
 from . import adjust_reference as ref
+from .conftest import retrieve
 from .ga_reference import diff_vector, fit_ga_one, ga_design_loop
 from .mt_reference import fit_model_tree_loop
 from .nn_reference import fit_network

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from ebae.adjust import VariantId, aqua, eba, ga, lse, mlfe, rtm
-from ebae.analogy import Neighborhood, knn_within, retrieve
+from ebae.analogy import Neighborhood, knn_within
 from ebae.cli import main
 from ebae.config import Config
 from ebae.data import describe
@@ -33,7 +33,7 @@ from ebae.ranking import PreferenceProfile, borda_rank
 from ebae.stats import ALPHA, scott_knott
 from ebae.validation import dataset_baseline, loocv
 
-from .conftest import DATASETS, make_dataset, size_only_schema
+from .conftest import DATASETS, make_dataset, retrieve, size_only_schema
 from .ga_reference import table_design
 from .test_cli import directory_digest
 from .test_ranking import majority_margins_loop

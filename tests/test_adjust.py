@@ -17,14 +17,14 @@ from ebae.adjust import (
     productivity_correlation,
     rtm,
 )
-from ebae.analogy import Neighborhood, knn_within, retrieve
+from ebae.analogy import Neighborhood, knn_within
 from ebae.config import Config
 from ebae.data import ColumnSpec
 from ebae.learners import FeedForwardNet, ModelTree, TreeLeaf, TreeNode
 
 from . import adjust_reference as ref
 from .adjust_reference import Inapplicable
-from .conftest import make_dataset, random_dataset, row_of, size_only_schema
+from .conftest import make_dataset, random_dataset, retrieve, row_of, size_only_schema
 
 
 def neighborhood(train, indices, distances=None):

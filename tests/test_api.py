@@ -20,7 +20,8 @@ from .test_cli import REPORT_FILES
 
 # wrappers that only tests called, deleted in favour of the calls they combined,
 # the pair builder whose pairs each LOOCV fold now cuts from its difference table,
-# and the split search's square limit, which the load-time bound on values makes moot
+# the split search's square limit, which the load-time bound on values makes moot,
+# and the held-out project's own search, which the fold's one ranking replaces
 DELETED = [
     ("ebae.learners", "build_diff_pairs"),
     ("ebae", "evaluate_variant"),
@@ -36,6 +37,8 @@ DELETED = [
     ("ebae.learners", "padded_hidden"),
     ("ebae.learners", "_FITNESS_LIMIT"),
     ("ebae.adjust", "Inapplicable"),
+    ("ebae.analogy", "retrieve"),
+    ("ebae.analogy", "pool_distances"),
 ]
 
 

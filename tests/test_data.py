@@ -165,12 +165,30 @@ def test_normalize_constant_feature_maps_to_zero():
 
 def test_normalize_clamps_out_of_range():
     bounds = (np.array([2.0]), np.array([8.0]))
-    assert normalize_minmax(np.array([10.0]), bounds, clamp=True)[0] == 1.0
-    assert normalize_minmax(np.array([0.0]), bounds, clamp=True)[0] == 0.0
+    assert normalize_minmax(np.array([10.0]), bounds)[0] == 1.0
+    assert normalize_minmax(np.array([0.0]), bounds)[0] == 0.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([0.0, 3.0, 49.0]))
+def test_normalize_by_own_bounds_never_clips(seed, spread):
+    # clipping moves no value inside its bounds, as rounding is monotone: a
+    # dataset scaled by its own bounds equals the unclipped formula bit for
+    # bit, at magnitudes 10**-spread..10**spread; spread 0 gives ties and
+    # constant columns
+    rng = np.random.default_rng(seed)
+    n, m = int(rng.integers(3, 12)), int(rng.integers(1, 4))
+    values = rng.choice([-1.0, 1.0], (n, m)) * 10.0 ** rng.uniform(-spread, spread, (n, m))
+    schema = [ColumnSpec(f"c{j}", "feature", "continuous", "none") for j in range(m)]
+    ds = make_dataset("wide", schema, [tuple(row) for row in values], np.ones(n))
+    mins, maxs = ds.bounds
+    span = maxs - mins
+    unclipped = np.where(span > 0, (ds.cont - mins) / np.where(span > 0, span, 1.0), 0.0)
+    assert normalize_minmax(ds.cont, ds.bounds).tobytes() == unclipped.tobytes()
 
 
 def test_albrecht_normalized_in_unit_interval(albrecht):
-    norm = albrecht.normalized()
+    norm = normalize_minmax(albrecht.cont, albrecht.bounds)
     assert norm.min() >= 0.0 and norm.max() <= 1.0
     # normalization never touches the raw values
     assert albrecht.cont[:, albrecht.size_col].max() == 1902
@@ -267,7 +285,7 @@ def test_dataset_rejects_a_feature_range_that_overflows():
                 [(1.0, -1e308), (2.0, 1e308), (3.0, 0.0)], [1, 2, 3])
     # both ends and 0 are kept, and the widest range normalizes into [0, 1]
     ds = make_dataset("edge", schema, [(0.0, -1e50), (1e-50, 1e50), (-1e-50, 0.0)], [1e-50, 1e50, 1.0])
-    assert ds.normalized()[:, 1].tolist() == [0.0, 1.0, 0.5]
+    assert normalize_minmax(ds.cont, ds.bounds)[:, 1].tolist() == [0.0, 1.0, 0.5]
     # one step beyond either end is rejected, in a feature and in the effort
     for column, value in [("size", v) for v in (1e-50, -1e-50, 1e50, -1e50)] + [("effort", 1e-50), ("effort", 1e50)]:
         beyond = np.nextafter(value, 0.0 if abs(value) < 1 else np.copysign(np.inf, value))
@@ -291,7 +309,7 @@ def assert_fold_equals_rebuilt(ds, t):
         assert not got.flags.writeable
     for got, want in zip(fold.bounds, rebuilt.bounds):
         assert np.array_equal(got, want) and not got.flags.writeable
-    assert np.array_equal(fold.normalized(), rebuilt.normalized())
+    assert np.array_equal(normalize_minmax(fold.cont, fold.bounds), normalize_minmax(rebuilt.cont, rebuilt.bounds))
     assert (fold.size_col, fold.size_cols) == (rebuilt.size_col, rebuilt.size_cols)
     assert (fold.feature_schema, fold.cont_index, fold.cat_index) == (
         rebuilt.feature_schema, rebuilt.cont_index, rebuilt.cat_index)

@@ -9,7 +9,7 @@ from ebae import learners, validation
 from ebae.adjust import VariantId
 from ebae.analogy import knn_within
 from ebae.config import Config
-from ebae.data import ColumnSpec
+from ebae.data import ColumnSpec, normalize_minmax
 from ebae.learners import (
     FitError,
     TreeNode,
@@ -88,7 +88,7 @@ def test_fold_pairs_matches_bruteforce(toy):
     for t in range(toy.n):
         train = toy.without(t)
         X, _ = fold_pairs(toy, t)
-        norm = train.normalized()
+        norm = normalize_minmax(train.cont, train.bounds)
         for i, row in enumerate(X):
             distances = [
                 (abs(norm[i, 0] - norm[j, 0]), j) for j in range(train.n) if j != i

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from ebae import adjust, analogy, learners, validation
 from ebae.adjust import VariantId, enumerate_variants
-from ebae.analogy import retrieve
 from ebae.config import Config
 from ebae.data import ColumnSpec, Dataset
 from ebae.ensemble import run_pipeline
@@ -23,7 +22,7 @@ from ebae.metrics import summarize
 from ebae.validation import dataset_baseline, derive_seed, loocv, loocv_grid
 
 from . import adjust_reference
-from .conftest import DATASETS, fold_pairs, make_dataset, random_rows, size_only_schema, src_env
+from .conftest import DATASETS, fold_pairs, make_dataset, random_rows, retrieve, size_only_schema, src_env
 from .ga_reference import ga_design_loop
 from .loocv_reference import diff_pairs_loop, loocv_variants
 from .mt_reference import fit_model_tree
@@ -313,7 +312,7 @@ def test_loocv_grid_builds_shared_work_once_per_fold(albrecht, monkeypatch):
         monkeypatch.setattr(owner, name, counted)
 
     for owner, name in ((validation, "fit_model_trees"), (validation, "diff_rows"), (validation, "ga_design"),
-                        (adjust, "productivity_correlation"), (validation, "retrieve"),
+                        (adjust, "productivity_correlation"), (analogy, "fold_analogies"),
                         (analogy, "knn_within"), (Dataset, "without")):
         count(owner, name)
     members = {"NN": [], "GA": []}
@@ -339,11 +338,11 @@ def test_loocv_grid_builds_shared_work_once_per_fold(albrecht, monkeypatch):
     # call, of every fold's tree, one fit_ga_weights call, of every (fold,
     # GA k) member, and one fit_networks call, of every fold's network
     assert validation._chunk_starts(n, validation.STACK_FLOATS // ((n - 1) * albrecht.m), 1) == [0]
-    # one dataset-wide ranking, and a table of its own for each of the 4
+    # one dataset-wide ranking, and a ranking of its own for each of the 4
     # folds whose held-out project alone sets a feature's min or max; one
     # difference table per fold, from which every GA design is cut
     assert calls == {"fit_model_trees": 1, "diff_rows": n, "ga_design": 5 * n, "productivity_correlation": n,
-                     "retrieve": n, "knn_within": 1 + 4, "without": n,
+                     "fold_analogies": n, "knn_within": 1 + 4, "without": n,
                      "fit_ga_weights": 1, "fit_networks": 1}
     assert len(set(members["GA"])) == len(members["GA"]) == 5 * n
     assert members["NN"] == [derive_seed(SMALL.seed, t, "NN") for t in range(n)]
@@ -545,24 +544,22 @@ def test_loocv_grid_trains_only_its_methods_learners(albrecht, monkeypatch, meth
     tables, _ = loocv_grid(albrecht, [v for v in GRID if v.method in methods], SMALL)
     assert len(tables) == 5 * len(methods)
     # no learner trains, but every fold builds its shared inputs: one
-    # dataset-wide ranking and a table of its own for each of the 4 folds
+    # dataset-wide ranking and a ranking of its own for each of the 4 folds
     # whose held-out project alone sets a feature's min or max
     assert calls == {"knn_within": 1 + 4, "productivity_correlation": 24, "diff_rows": 24}
 
 
 def fold_neighbors(dataset, t, k):
     """The in-training neighbour table fold t of a grid whose largest k is
-    ``k`` builds: what its call of ``knn_without`` or ``knn_within``
-    returns."""
+    ``k`` builds: what its call of ``knn_without`` returns."""
     ranking = analogy.knn_within(dataset, k + 1)
     tables = []
     with pytest.MonkeyPatch.context() as patch:
-        for name in ("knn_without", "knn_within"):
-            def recorded(*args, original=getattr(analogy, name)):
-                tables.append(original(*args))
-                return tables[-1]
+        def recorded(*args, original=analogy.knn_without):
+            tables.append(original(*args))
+            return tables[-1]
 
-            patch.setattr(analogy, name, recorded)
+        patch.setattr(analogy, "knn_without", recorded)
         validation._Fold(dataset, t, k, ranking)
     (table,) = tables
     return table
