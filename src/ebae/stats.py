@@ -52,6 +52,12 @@ _LAMBDA_GRID = np.arange(-200, 201) * _LAMBDA_STEP
 _ULP = np.finfo(float).eps     # 2^-52; a correctly rounded operation is within _ULP / 2
 _LIBM_ERROR = 4.0 * _ULP       # relative error taken for np.power and np.log
 _SCREEN_LIMIT = 1e60           # the screen runs on x within [1 / limit, limit]
+# Grid rows the screen makes per numpy call, in two (rows, n) arrays: 0.9 MB
+# at 6,900 values. On 960, 3,500 and 6,900 lognormal values the screen's sums
+# took 0.30, 0.58 and 0.97 ms in blocks of 8 rows, against 0.75, 0.96 and
+# 1.47 ms a row at a time, and 8 was as fast as 5, 10, 20 or 25 rows at
+# the larger sizes (2-core AMD EPYC, OpenBLAS, numpy 2.4).
+_SCREEN_ROWS = 8
 
 # B0 of a cut of g means, whose largest magnitude is M, is computed within
 # 6 g^2 eps M^2 of its exact value (eps = 2^-52, first order in eps). B0 is
@@ -111,13 +117,18 @@ def _log_likelihood(x, lam, log_sum):
 # and in their last roundings. On [1 / _SCREEN_LIMIT, _SCREEN_LIMIT] every
 # v, v^2, sum and mean stays a normal number, where these relative bounds
 # hold; outside it no lambda is bounded.
-# Recurrence: v reaches lam = j * 0.01 from 1 by j factors x^0.01, each
-# within p, and j - 1 rounded products; lam is j * 0.01 rounded, within
-# u |lam|, and |ln x| <= ln _SCREEN_LIMIT. So v is within
+# Products: v reaches lam = j * 0.01 from 1 by j factors x^0.01, each
+# within p, and j - 1 rounded products: the block's power x^(0.01 i), itself
+# i factors and i - 1 products, times the previous block's last row (none
+# in the first block), which has j - i factors and j - i - 1 products. A
+# product of factors each within its relative bound is within the sum of
+# the bounds, first order, in any order of multiplication. lam is j * 0.01
+# rounded, within u |lam|, and |ln x| <= ln _SCREEN_LIMIT. So v is within
 # a = j (p + u) + u |lam| ln _SCREEN_LIMIT of w.
 # One-pass variance: a sum of n positive terms in any order (numpy's
-# pairwise sum, any BLAS kernel's dot) is within (n - 1) u of its terms'
-# sum, a dot product within n u. So m1 = sum(v) / n is within a + n u,
+# pairwise sum, any BLAS kernel's dot, here v times a vector of ones) is
+# within (n - 1) u of its terms' sum, a dot product within n u. So
+# m1 = sum(v) / n is within a + n u,
 # m2 = v @ v / n within 2a + (n + 1) u and m1^2 within 2a + (2n + 1) u.
 # As m1^2 <= m2, the rounded m2 - m1^2 is within (4a + (3n + 3) u) M2 of V,
 # and dividing by lam^2 adds 2u: q = var / lam^2 is within
@@ -155,13 +166,25 @@ def _screen(x, log_sum):
     mid = size // 2
     s1 = np.full(size, float(n))
     s2 = np.full(size, float(n))
-    for step, indices in ((_LAMBDA_STEP, range(mid + 1, size)), (-_LAMBDA_STEP, range(mid - 1, -1, -1))):
-        ratio = x**step
-        v = ratio.copy()
-        for i in indices:
-            s1[i] = v.sum()
-            s2[i] = v @ v
-            v *= ratio
+    ones = np.ones(n)
+    powers, v = np.empty((_SCREEN_ROWS, n)), np.empty((_SCREEN_ROWS, n))
+    for sign in (1, -1):
+        # powers[i] = x^(0.01 (i + 1)), each a product of two powers made before it
+        np.power(x, sign * _LAMBDA_STEP, out=powers[0])
+        done = 1
+        while done < _SCREEN_ROWS:
+            more = min(done, _SCREEN_ROWS - done)
+            np.multiply(powers[:more], powers[done - 1], out=powers[done:done + more])
+            done += more
+        np.copyto(v, powers)
+        # v holds the rows mid + sign * j of j = first .. first + rows - 1
+        for first in range(1, mid + 1, _SCREEN_ROWS):
+            rows = min(_SCREEN_ROWS, mid + 1 - first)
+            block = v[:rows]
+            at = mid + sign * np.arange(first, first + rows)
+            s1[at] = block @ ones
+            s2[at] = np.matmul(block[:, None, :], block[:, :, None]).ravel()
+            np.multiply(powers, v[-1].copy(), out=v)
     lam = _LAMBDA_GRID
     u = _ULP / 2.0
     m2 = s2 / n

@@ -5,10 +5,11 @@ learner fits see training rows only, and every project's analogies are
 training projects. The target enters as a ``Row`` of its feature values,
 so its effort is never consulted.
 
-``loocv_grid`` runs chunks of consecutive folds, as many as keep a chunk's
-largest per-fold array within ``STACK_FLOATS``, rounded up to a multiple of
-``config.jobs``. With more than one job ``_map_chunks`` runs the chunks in
-a ``concurrent.futures.ProcessPoolExecutor`` of up to ``config.jobs``
+``loocv_grid`` runs chunks of consecutive folds, as few as keep a chunk
+within ``CHUNK_FLOATS``, rounded up to a multiple of ``config.jobs``: at
+100 projects of 16 features, one chunk for each of 2 jobs. With more than
+one job ``_map_chunks`` runs the chunks in a
+``concurrent.futures.ProcessPoolExecutor`` of up to ``config.jobs``
 worker processes started with the ``fork`` method, which inherit the
 dataset and its ranking. A chunk that raises fails the call, and the
 chunks not yet started are dropped; a worker that dies fails it with
@@ -46,15 +47,17 @@ builds:
   k neighbours. A model that cannot be fitted is stored as its error, a GA
   member by its absence.
 
-A chunk trains each learner as one stack in which every member equals its
-lone fit. It grows the model trees of all its folds in one
-``fit_model_trees`` call, a depth at a time. It trains all its GA members,
-every fold times every GA variant whose design can be built, in one
-``fit_ga_weights`` call, each seeded from ``(config.seed, fold index,
-variant label)``, the seed a lone variant's run uses; and all its networks,
-one per fold seeded from ``(config.seed, fold index, "NN")``, in one
-``fit_networks`` call. So results are identical for any set of variants,
-any chunking and any number of jobs.
+A chunk trains each learner in stacks in which every member equals its
+lone fit, each learner at its own width. It grows the model trees of all
+its folds in one ``fit_model_trees`` call, a depth at a time. It trains its
+GA members, every fold times every GA variant whose design can be built,
+in equal ``fit_ga_weights`` stacks of consecutive members within
+``GA_FLOATS``, so a fold's members may train in two stacks, each seeded
+from ``(config.seed, fold index, variant label)``, the seed a lone
+variant's run uses; and its networks, one per fold seeded from
+``(config.seed, fold index, "NN")``, in equal ``fit_networks`` stacks of
+consecutive folds within ``NN_FLOATS``. So results are identical for any
+set of variants, any chunking, any stack widths and any number of jobs.
 
 A chunk returns one float array of shape (folds, methods, k_top): the
 predictions of every method it runs, in ``adjust.METHODS`` order with EBA
@@ -74,25 +77,39 @@ from . import adjust, analogy
 from .learners import NN_HIDDEN, FitError, diff_rows, fit_ga_weights, fit_model_trees, fit_networks, ga_design
 from .metrics import baseline, build_table, log_floor
 
-# Floats in the largest per-fold array of one chunk's network stack, its
-# (folds, n - 1, NN_HIDDEN) hidden layer or its (folds, n - 1, m) difference
-# pairs: a chunk holds as many folds as keep it near this size (256 KB),
-# which is 4 folds at n = 499 and m = 16, 20 at n = 100 and all of
-# Albrecht. The chunk count is then rounded up to a multiple of
-# ``config.jobs``, so the forked workers get equal shares: 6 chunks of 16-17
-# folds at n = 100 and 2 jobs. The GA members of a chunk train as one stack
-# whatever its size. Its largest array, the (folds, GA variants, ga_pop,
-# n - 1) errors that every generation refills, is 3.4 MB for 17 folds at
-# n = 100 with the default ga_pop of 50. At jobs=1 the whole run holds each
-# chunk's GA stack in the calling process: a 100-project pipeline peaked at
-# 53.4 MB RSS in chunks of 16 folds and at 57.9 MB in chunks of 20. One
-# stack of 13 folds at n = 100 trained in 66-67 ms against 74-82 ms in
-# stacks of a fold. A chunk's model trees grow as one stack too. Their
-# largest arrays are the root's (folds, m, n - 1) split search arrays, 190 KB
-# each for 15 folds at n = 100 and m = 16; that chunk's tree fit peaked at
-# 4.4 MB by tracemalloc. On a 16-fold china_screen chunk the GA stack peaked
-# at 8.9 MB and the network stack at 0.7 MB.
-STACK_FLOATS = 2**15
+# Each budget counts float64 values. CPU ms are per ``loocv_grid`` of the
+# 40 variants at the benchmark's learner budget (ga.gens=10, nn.epochs=50),
+# chunked for 2 jobs and run in one process, medians of 7 in each of 2-3
+# sweeps (2-core AMD EPYC, 1 MB L2 cache per core, numpy 2.4.6).
+#
+# Folds per chunk: CHUNK_FLOATS over a fold's (n - 1) * max(m, NN_HIDDEN),
+# which bounds the chunk's model-tree stack: its root split search holds
+# (folds, m, n - 1) arrays. That is 82 folds at n = 100 and m = 16, 103 at
+# n = 80, 16 at n = 499 and all of Albrecht, so at n <= 100 2 jobs get one
+# chunk each. On china_screen MT took 45.4-48.9 ms in 2 chunks of 50
+# against 54.1-55.9 ms in 6 chunks of 16-17 (at 2**15). The cost is
+# memory: a chunk keeps each fold's training set and difference table,
+# 96 KB at n = 100, until its GA designs are built. At jobs=1, where the
+# chunks run in the calling process, a china_screen pipeline peaked at
+# 57.0 MB RSS against 52.1 MB in chunks of 20, a mixed_screen one at
+# 53.2 MB against 50.4 MB in chunks of 20; on the 499 x 16 fixture at
+# jobs=2 the largest worker peaked at 77.0 MB against 70.4-70.9 MB.
+CHUNK_FLOATS = 2**17
+# Members per GA stack: GA_FLOATS over ga_pop * (n - 1), which bounds the
+# stack's (members, ga_pop, n - 1) errors that every generation refills, to
+# 2 MB. That is 52 members at n = 100 and the default ga_pop of 50, 10 at
+# n = 499 and 227 on Albrecht. GA took 79.6-82.6 ms on china_screen in 5
+# stacks of 50 per chunk, against 84.6-90.3 ms in one stack per chunk of
+# 16-17 folds (80-85 members), and 60.4-60.7 ms on mixed_screen against
+# 67.4-70.5 ms. The optimum is flat: 82.6-83.8 ms in stacks of 25, 82.2-91.2
+# ms in stacks of 83-84 and 90.0 ms in stacks of 12-13.
+GA_FLOATS = 2**18
+# Folds per network stack: NN_FLOATS over (n - 1) * max(m, NN_HIDDEN), which
+# bounds the stack's (folds, n - 1, NN_HIDDEN) hidden layer and its (folds,
+# n - 1, m) difference pairs to 256 KB: 20 folds at n = 100 and m = 16, 4
+# at n = 499. NN took 25.6-26.5 ms on china_screen at this width and
+# 25.2-25.5 ms at 2**16.
+NN_FLOATS = 2**15
 
 
 def derive_seed(seed, *parts):
@@ -161,10 +178,11 @@ def _fit_trees(folds):
 
 def _fit_ga(folds, variants, config):
     """Fit the GA members of every (fold, GA variant) of a chunk into each
-    fold's ``models``, as one ``fit_ga_weights`` stack. A member's design is
-    the first k columns of its fold's ``table``, which every fold lets go
-    here, with GA variants or without; a member whose design cannot be
-    built is left out."""
+    fold's ``models``, in equal ``fit_ga_weights`` stacks of consecutive
+    members, as few as keep each stack's (members, ga_pop, n - 1) errors
+    within ``GA_FLOATS``. A member's design is the first k columns of its
+    fold's ``table``, which every fold lets go here, with GA variants or
+    without; a member whose design cannot be built is left out."""
     members, designs = [], []
     for fold in folds:
         fold.models["GA"] = {}
@@ -175,32 +193,42 @@ def _fit_ga(folds, variants, config):
                 continue
             members.append((fold, variant))
         del fold.table
-    if not designs:
-        return
-    # np.stack copies, so the members' own designs can be freed
-    residuals, D = map(np.stack, zip(*designs))
-    del designs
-    seeds = [derive_seed(config.seed, fold.t, variant.label) for fold, variant in members]
-    for (fold, variant), fit in zip(members, fit_ga_weights(residuals, D, config, seeds)):
-        fold.models["GA"][variant.k] = fit.alpha
+    size = max(1, GA_FLOATS // (config.ga_pop * folds[0].train.n))
+    for start, stop in _spans(len(members), size):
+        residuals, D = map(np.stack, zip(*designs[start:stop]))
+        seeds = [derive_seed(config.seed, fold.t, variant.label) for fold, variant in members[start:stop]]
+        for (fold, variant), fit in zip(members[start:stop], fit_ga_weights(residuals, D, config, seeds)):
+            fold.models["GA"][variant.k] = fit.alpha
 
 
 def _fit_networks(folds, config):
-    """Train the network of every fold of a chunk into its ``models``, as one
-    ``fit_networks`` stack; a network that cannot be fitted is its error."""
-    X, y = zip(*(fold.pairs for fold in folds))
-    seeds = [derive_seed(config.seed, fold.t, "NN") for fold in folds]
-    for fold, net in zip(folds, fit_networks(np.stack(X), np.stack(y), config, seeds)):
-        fold.models["NN"] = net
+    """Train the network of every fold of a chunk into its ``models``, in
+    equal ``fit_networks`` stacks of consecutive folds, as few as keep each
+    stack's largest per-fold array within ``NN_FLOATS``; a network that
+    cannot be fitted is its error."""
+    size = max(1, NN_FLOATS // _fold_floats(*folds[0].pairs[0].shape))
+    for start, stop in _spans(len(folds), size):
+        stack = folds[start:stop]
+        X, y = zip(*(fold.pairs for fold in stack))
+        seeds = [derive_seed(config.seed, fold.t, "NN") for fold in stack]
+        for fold, net in zip(stack, fit_networks(np.stack(X), np.stack(y), config, seeds)):
+            fold.models["NN"] = net
 
 
-def _chunk_starts(n, size, jobs):
-    """First fold of each chunk of consecutive folds: as many chunks as keep
-    each within ``size`` folds, rounded up to a multiple of ``jobs`` and at
-    most n, whose sizes differ by one at most."""
-    chunks = -(-n // size)
-    chunks = min(n, chunks + -chunks % jobs)
-    return [-(-i * n // chunks) for i in range(chunks)]
+def _fold_floats(pairs, m):
+    """Floats in the largest network array of a fold of ``pairs`` training
+    pairs of m features: its hidden layer or its difference pairs."""
+    return pairs * max(m, NN_HIDDEN)
+
+
+def _spans(n, size, jobs=1):
+    """(start, stop) of each run of n consecutive members: as many runs as
+    keep each within ``size`` members, rounded up to a multiple of ``jobs``
+    and at most n, whose sizes differ by one at most."""
+    runs = -(-n // size)
+    runs = min(n, runs + -runs % jobs)
+    starts = [-(-i * n // runs) for i in range(runs)]
+    return list(zip(starts, [*starts[1:], n]))
 
 
 # The chunk function of the ``loocv_grid`` call a forked worker serves. The
@@ -261,8 +289,7 @@ def loocv_grid(dataset, variants, config):
     used = {variant.method for variant in runnable}
     methods = [method for method in adjust.METHODS if method == "EBA" or method in used]
     genetic = [variant for variant in runnable if variant.method == "GA"]
-    width = max(dataset.m, NN_HIDDEN)
-    starts = _chunk_starts(dataset.n, max(1, STACK_FLOATS // ((dataset.n - 1) * width)), config.jobs)
+    size = max(1, CHUNK_FLOATS // _fold_floats(dataset.n - 1, dataset.m))
     ranking = analogy.knn_within(dataset, k_top + 1)
 
     def chunk(start, stop):
@@ -274,8 +301,7 @@ def loocv_grid(dataset, variants, config):
             _fit_networks(folds, config)
         return np.stack([fold.predict(methods) for fold in folds])
 
-    bounds = list(zip(starts, [*starts[1:], dataset.n]))
-    predictions = np.concatenate(_map_chunks(chunk, bounds, config.jobs))
+    predictions = np.concatenate(_map_chunks(chunk, _spans(dataset.n, size, config.jobs), config.jobs))
     floor = log_floor(dataset.efforts)
     tables = {}
     for variant in runnable:

@@ -21,7 +21,9 @@ from .test_cli import REPORT_FILES
 # wrappers that only tests called, deleted in favour of the calls they combined,
 # the pair builder whose pairs each LOOCV fold now cuts from its difference table,
 # the split search's square limit, which the load-time bound on values makes moot,
-# and the held-out project's own search, which the fold's one ranking replaces
+# the held-out project's own search, which the fold's one ranking replaces,
+# and the one stack width of every learner with its chunk planner, which a
+# budget per learner and `validation._spans` replace
 DELETED = [
     ("ebae.learners", "build_diff_pairs"),
     ("ebae", "evaluate_variant"),
@@ -39,6 +41,8 @@ DELETED = [
     ("ebae.adjust", "Inapplicable"),
     ("ebae.analogy", "retrieve"),
     ("ebae.analogy", "pool_distances"),
+    ("ebae.validation", "STACK_FLOATS"),
+    ("ebae.validation", "_chunk_starts"),
 ]
 
 

@@ -255,14 +255,15 @@ def categorical_dataset():
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-@pytest.mark.parametrize("floats", [validation.STACK_FLOATS, 500])
+@pytest.mark.parametrize("floats", [2**15, 500])
 @pytest.mark.parametrize("name", ["albrecht", "categorical"])
 def test_loocv_grid_trees_match_reference_in_any_chunking(request, monkeypatch, tmp_path, name, floats, jobs):
-    # MT-only chunks hold floats // ((n - 1) * m) folds: all in one stack,
-    # rounded up to a chunk per job, or 3 folds at most per stack (500 //
-    # (23 * 7) on Albrecht, 500 // (29 * 5) on the categorical dataset)
+    # MT-only chunks hold CHUNK_FLOATS // ((n - 1) * m) folds, and a chunk
+    # grows its trees as one stack: all in one, rounded up to a chunk per
+    # job, or 3 folds at most per stack (500 // (23 * 7) on Albrecht, 500 //
+    # (29 * 5) on the categorical dataset)
     dataset = request.getfixturevalue("albrecht") if name == "albrecht" else categorical_dataset()
-    monkeypatch.setattr(validation, "STACK_FLOATS", floats)
+    monkeypatch.setattr(validation, "CHUNK_FLOATS", floats)
     fit_model_trees = validation.fit_model_trees
 
     def logged(pairs):
@@ -277,7 +278,7 @@ def test_loocv_grid_trees_match_reference_in_any_chunking(request, monkeypatch, 
     assert len(tables) == 5 and tables["MT1"].fallback_count < dataset.n
     stacks = list(map(int, (tmp_path / "stacks").read_text(encoding="utf-8").split()))
     assert sum(stacks) == dataset.n
-    most = dataset.n if floats == validation.STACK_FLOATS else floats // ((dataset.n - 1) * dataset.m)
+    most = dataset.n if floats == 2**15 else floats // ((dataset.n - 1) * dataset.m)
     assert max(stacks) <= most and len(stacks) >= jobs
 
 
@@ -333,11 +334,14 @@ def test_loocv_grid_builds_shared_work_once_per_fold(albrecht, monkeypatch):
     tables, _ = loocv_grid(albrecht, GRID, SMALL)
     n = albrecht.n
     assert len(tables) == 40
-    # Albrecht's 24 folds fit in one chunk, of STACK_FLOATS // (23 pairs * 7
-    # features) = 203 folds at most, and a chunk makes one fit_model_trees
-    # call, of every fold's tree, one fit_ga_weights call, of every (fold,
-    # GA k) member, and one fit_networks call, of every fold's network
-    assert validation._chunk_starts(n, validation.STACK_FLOATS // ((n - 1) * albrecht.m), 1) == [0]
+    # Albrecht's 24 folds fit in one chunk, of CHUNK_FLOATS // (23 pairs * 7
+    # features) = 814 folds at most, which makes one fit_model_trees call,
+    # of every fold's tree, one fit_ga_weights call, of its 120 (fold, GA k)
+    # members, within GA_FLOATS // (6 ga_pop * 23 pairs) = 1899, and one
+    # fit_networks call, of its 24 networks, within NN_FLOATS // (23 * 7) = 203
+    assert validation._spans(n, validation.CHUNK_FLOATS // ((n - 1) * albrecht.m)) == [(0, n)]
+    assert validation.GA_FLOATS // (SMALL.ga_pop * (n - 1)) >= 5 * n
+    assert validation.NN_FLOATS // ((n - 1) * albrecht.m) >= n
     # one dataset-wide ranking, and a ranking of its own for each of the 4
     # folds whose held-out project alone sets a feature's min or max; one
     # difference table per fold, from which every GA design is cut
@@ -348,18 +352,30 @@ def test_loocv_grid_builds_shared_work_once_per_fold(albrecht, monkeypatch):
     assert members["NN"] == [derive_seed(SMALL.seed, t, "NN") for t in range(n)]
 
 
-# folds per NN stack and per GA stack on Albrecht under each STACK_FLOATS:
-# a chunk holds floats // (23 pairs * 7 features) folds, 14 at 2300 and 8
-# at 1380, and its NN and GA members each train as one stack
+# Albrecht under patched budgets, in floats: a chunk holds CHUNK_FLOATS //
+# (23 pairs * 7 features) folds, a network stack NN_FLOATS // (23 * 7) of a
+# chunk's folds, and a GA stack GA_FLOATS // (6 ga_pop * 23 pairs) of its
+# (fold, GA k) members, five per fold; each budget left out keeps its
+# value. Each case lists the size of every network stack, in folds, and of
+# every GA stack, in members.
 CHUNKINGS = {
-    1: ([1] * 24, [1] * 24),
-    2300: ([12, 12], [12, 12]),
-    1380: ([8] * 3, [8] * 3),
+    # one fold per chunk
+    "1": ({"CHUNK_FLOATS": 1}, [1] * 24, [5] * 24),
+    # chunks of at most 14 folds (2300 // 161), or of at most 8 (1380 // 161)
+    "2300": ({"CHUNK_FLOATS": 2300}, [12, 12], [60, 60]),
+    "1380": ({"CHUNK_FLOATS": 1380}, [8] * 3, [40] * 3),
+    # one chunk; GA stacks of 3 members split each fold's five over two
+    "ga3": ({"GA_FLOATS": 3 * 6 * 23}, [24], [3] * 40),
+    # one chunk; network stacks of at most 5 folds, GA stacks of at most 7
+    "ga7-nn5": ({"GA_FLOATS": 7 * 6 * 23, "NN_FLOATS": 5 * 23 * 7}, [5, 5, 5, 5, 4], [7, 7, 6] * 6),
+    # two chunks of 12 folds, each in network stacks of 4 and GA stacks of 6-7
+    "2300-ga7-nn5": ({"CHUNK_FLOATS": 2300, "GA_FLOATS": 7 * 6 * 23, "NN_FLOATS": 5 * 23 * 7},
+                     [4] * 6, [7, 7, 6, 7, 7, 6, 7, 7, 6] * 2),
 }
 
 
-@pytest.mark.parametrize("floats", CHUNKINGS)
-def test_loocv_grid_identical_for_any_chunking(albrecht, monkeypatch, floats):
+@pytest.mark.parametrize("case", CHUNKINGS)
+def test_loocv_grid_identical_for_any_chunking(albrecht, monkeypatch, case):
     whole = loocv_grid(albrecht, GRID, SMALL)
     stacks = {"NN": [], "GA": []}
     fit_networks, fit_ga_weights = validation.fit_networks, validation.fit_ga_weights
@@ -372,13 +388,50 @@ def test_loocv_grid_identical_for_any_chunking(albrecht, monkeypatch, floats):
         stacks["GA"].append(len(seeds))
         return fit_ga_weights(residuals, D, config, seeds)
 
-    monkeypatch.setattr(validation, "STACK_FLOATS", floats)
+    budgets, nn, ga = CHUNKINGS[case]
+    for name, floats in budgets.items():
+        monkeypatch.setattr(validation, name, floats)
     monkeypatch.setattr(validation, "fit_networks", stacked_networks)
     monkeypatch.setattr(validation, "fit_ga_weights", stacked_weights)
     assert loocv_grid(albrecht, GRID, SMALL) == whole
-    # five GA members, GA1-GA5, per fold
-    nn, ga = CHUNKINGS[floats]
-    assert (stacks["NN"], stacks["GA"]) == (nn, [5 * folds for folds in ga])
+    assert (stacks["NN"], stacks["GA"]) == (nn, ga)
+
+
+def test_loocv_grid_keeps_each_stack_within_its_budget(monkeypatch):
+    # 100 projects of 16 continuous features at the default ga_pop of 50,
+    # one job: two chunks of 50 folds (CHUNK_FLOATS // (99 pairs * 16) =
+    # 82), each one fit_model_trees call, its 250 GA members in stacks of
+    # at most GA_FLOATS // (50 * 99) = 52 and its networks in stacks of at
+    # most NN_FLOATS // (99 * 16) = 20
+    schema, rows, efforts = random_rows(np.random.default_rng(41), n=100, n_features=16)
+    dataset = make_dataset("wide", schema, rows, efforts)
+    config = Config(runs=200, ga_gens=1, nn_epochs=2, jobs=1)
+    calls = {"MT": [], "GA": [], "NN": []}
+    fit_model_trees, fit_networks, fit_ga_weights = (validation.fit_model_trees, validation.fit_networks,
+                                                     validation.fit_ga_weights)
+
+    def trees(pairs):
+        calls["MT"].append(len(pairs))
+        return fit_model_trees(pairs)
+
+    def networks(X, y, config, seeds):
+        folds, pairs, m = X.shape
+        assert folds * pairs * max(m, learners.NN_HIDDEN) <= validation.NN_FLOATS
+        calls["NN"].append(folds)
+        return fit_networks(X, y, config, seeds)
+
+    def weights(residuals, D, config, seeds):
+        members, pairs = residuals.shape
+        assert members * config.ga_pop * pairs <= validation.GA_FLOATS
+        calls["GA"].append(members)
+        return fit_ga_weights(residuals, D, config, seeds)
+
+    monkeypatch.setattr(validation, "fit_model_trees", trees)
+    monkeypatch.setattr(validation, "fit_networks", networks)
+    monkeypatch.setattr(validation, "fit_ga_weights", weights)
+    tables, _ = loocv_grid(dataset, [v for v in GRID if v.method in ("MT", "GA", "NN")], config)
+    assert len(tables) == 15
+    assert calls == {"MT": [50, 50], "GA": [50] * 10, "NN": [17, 17, 16] * 2}
 
 
 def test_loocv_grid_makes_a_chunk_per_worker(albrecht, monkeypatch):
@@ -394,24 +447,25 @@ def test_loocv_grid_makes_a_chunk_per_worker(albrecht, monkeypatch):
     # all 24 Albrecht folds fit in one chunk; three workers get 8 folds each
     assert plans == [([(0, 8), (8, 16), (16, 24)], 3)]
     # n = 100 at 16 folds per chunk: 7 chunks round up to 8, 4 per worker
-    assert validation._chunk_starts(100, 16, 2) == [0, 13, 25, 38, 50, 63, 75, 88]
+    assert [start for start, _ in validation._spans(100, 16, 2)] == [0, 13, 25, 38, 50, 63, 75, 88]
     # more workers than folds: one fold per chunk
-    assert validation._chunk_starts(5, 10, 8) == [0, 1, 2, 3, 4]
+    assert validation._spans(5, 10, 8) == [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 600), st.integers(1, 100), st.integers(1, 12))
 def test_chunk_starts_property(n, size, jobs):
-    starts = validation._chunk_starts(n, size, jobs)
-    sizes = [stop - start for start, stop in zip(starts, [*starts[1:], n])]
-    assert starts[0] == 0 and min(sizes) >= 1
+    spans = validation._spans(n, size, jobs)
+    sizes = [stop - start for start, stop in spans]
+    assert spans[0][0] == 0 and spans[-1][1] == n and min(sizes) >= 1
+    assert all(stop == start for (_, stop), (start, _) in zip(spans, spans[1:]))
     assert max(sizes) <= size and max(sizes) - min(sizes) <= 1
-    assert len(starts) == n or len(starts) % jobs == 0
+    assert len(spans) == n or len(spans) % jobs == 0
     # no more chunks than the size cap and the rounding need
-    assert len(starts) < -(-n // size) + jobs
+    assert len(spans) < -(-n // size) + jobs
 
 
-@pytest.mark.parametrize("jobs, floats, chunks", [(2, validation.STACK_FLOATS, 2), (3, validation.STACK_FLOATS, 3),
+@pytest.mark.parametrize("jobs, floats, chunks", [(2, 2**15, 2), (3, 2**15, 3),
                                                   (2, 22 * 7 * 5, 6)])
 def test_loocv_grid_worker_processes_give_the_serial_tables(albrecht, monkeypatch, tmp_path, jobs, floats, chunks):
     # 23 folds split unevenly over 2 or 3 chunks, or over 6: chunks of at
@@ -419,7 +473,7 @@ def test_loocv_grid_worker_processes_give_the_serial_tables(albrecht, monkeypatc
     # multiple of 2
     dataset = albrecht.without(23)
     serial = loocv_grid(dataset, GRID, SMALL)
-    monkeypatch.setattr(validation, "STACK_FLOATS", floats)
+    monkeypatch.setattr(validation, "CHUNK_FLOATS", floats)
     fit_networks = validation._fit_networks
 
     def logged(folds, config):
@@ -474,7 +528,7 @@ def test_loocv_grid_starts_no_chunk_after_a_worker_error(albrecht, monkeypatch, 
     # one fold per chunk, so 24 chunks for 2 workers; the first fails at
     # once and every other takes 0.1 s, so the error is back long before
     # the later chunks would start
-    monkeypatch.setattr(validation, "STACK_FLOATS", 1)
+    monkeypatch.setattr(validation, "CHUNK_FLOATS", 1)
     fit_networks = validation._fit_networks
 
     def failing(folds, config):
