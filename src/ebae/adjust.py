@@ -24,7 +24,7 @@ from .learners import diff_rows, predict_model_tree, predict_network
 METHODS = ("EBA", "LSE", "MLFE", "RTM", "AQUA", "MT", "GA", "NN")
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class VariantId:
     method: str
     k: int

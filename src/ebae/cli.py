@@ -32,15 +32,22 @@ import tempfile
 from itertools import chain
 from pathlib import Path
 
+import numpy as np
+
 from .config import Config, with_overrides
 from .data import DatasetError, describe, load_dataset
 
 
 def _write_csv(path, header, rows):
+    """Write a CSV file: the header row, then ``rows``, an iterable of rows or
+    the CSV text of the rows."""
     with Path(path).open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows(rows)
+        if isinstance(rows, str):
+            fh.write(rows)
+        else:
+            writer.writerows(rows)
 
 
 # Every CSV of a report, by its path relative to the report directory, with its header row.
@@ -92,32 +99,41 @@ def _ranking_rows(outcome, order=None):
         yield outcome.ranks[c], c, outcome.scores[c], outcome.xi.get(c, float("nan"))
 
 
-def _transformed_ae_rows(result, tables):
-    """(cluster number, member, transformed AE) of every absolute error of a
-    Scott-Knott result's members, whose tables are in ``tables``."""
+def _transformed_ae_text(result, tables):
+    """The plotdata rows of a Scott-Knott result, as CSV text: (cluster
+    number, member, transformed AE) for every absolute error of its members,
+    whose tables are in ``tables``.
+
+    The members' errors are transformed as one (members, n) matrix. An int,
+    a member label and a float hold no character CSV quotes, so each row is
+    written as the text ``csv.writer`` writes for it: the float's repr, and
+    the ``\\r\\n`` line end.
+    """
     from .stats import apply_transform
 
-    for ci, member, _ in _cluster_rows(result):
-        for v in apply_transform(tables[member].aes, result.transform).tolist():
-            yield ci, member, v
+    rows = list(_cluster_rows(result))
+    if not rows:
+        return ""
+    values = apply_transform(np.stack([tables[member].aes for _, member, _ in rows]), result.transform)
+    return "".join([f"{ci},{member},{v!r}\r\n"
+                    for (ci, member, _), row in zip(rows, values.tolist()) for v in row])
 
 
 def _csv_rows(report):
-    """The rows of each ``REPORT_CSVS`` file, in that table's order. Each is a
-    generator, so no file's rows exist before the file is written."""
+    """The rows of each ``REPORT_CSVS`` file, in that table's order, each a
+    generator of rows or the plotdata's text. Each is made only when the
+    file before it has been written."""
     sa5 = _sa5_field(report.baseline)
-    return (
-        _variant_rows(report),
-        ((v.variant, v.sa, v.delta, sa5, v.kept, v.reason) for v in report.verdicts),
-        ((ci, name, mean, report.summaries[name].mae) for ci, name, mean in _cluster_rows(report.sk_singles)),
-        _ranking_rows(report.borda_singles, report.best_ranking),
-        ((e.label, "|".join(e.members), s.mae, s.mmre, s.pred25, s.lsd, s.mbre, s.mibre, s.sa, s.delta)
-         for e in report.ensembles for s in [report.ensemble_summaries[e.label]]),
-        _ranking_rows(report.borda_joint),
-        _transformed_ae_rows(report.sk_singles, report.tables),
-        _transformed_ae_rows(report.sk_joint, {**report.tables, **report.ensemble_tables}),
-        _cluster_rows(report.two_way),
-    )
+    yield _variant_rows(report)
+    yield ((v.variant, v.sa, v.delta, sa5, v.kept, v.reason) for v in report.verdicts)
+    yield ((ci, name, mean, report.summaries[name].mae) for ci, name, mean in _cluster_rows(report.sk_singles))
+    yield _ranking_rows(report.borda_singles, report.best_ranking)
+    yield ((e.label, "|".join(e.members), s.mae, s.mmre, s.pred25, s.lsd, s.mbre, s.mibre, s.sa, s.delta)
+           for e in report.ensembles for s in [report.ensemble_summaries[e.label]])
+    yield _ranking_rows(report.borda_joint)
+    yield _transformed_ae_text(report.sk_singles, report.tables)
+    yield _transformed_ae_text(report.sk_joint, {**report.tables, **report.ensemble_tables})
+    yield _cluster_rows(report.two_way)
 
 
 def _pct(x):

@@ -8,6 +8,14 @@ cluster over MAE, LSD, MBRE and MIBRE; build Top2..TopM mean-aggregation
 ensembles from the ranking prefixes; then re-evaluate and jointly re-rank
 ensembles and best singles. Any stage failure is recorded and later stages
 degrade rather than abort.
+
+The stages after LOOCV work on stacks of tables. The evaluated variants are
+summarized in one pass over their stacked (variants, n) predictions, and the
+ensembles in one pass over the prefix means of the Borda-ranked prediction
+matrix (``metrics.summarize_stack``, ``prefix_tables``). Each distinct pool
+of absolute errors is Box-Cox fitted once: the singles', the joint one, and
+the evaluated variants' for the per-method stages, which is the singles'
+own pool, and reuses its fit, when every evaluated variant survives.
 """
 
 from __future__ import annotations
@@ -17,9 +25,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .adjust import enumerate_variants
-from .metrics import build_table, summarize
+from .metrics import build_table, summarize_stack
 from .ranking import borda_rank, profile_from_measures
-from .stats import box_cox, ks_normality, scott_knott, scott_knott_two_way
+from .stats import apply_transform, box_cox, ks_normality, scott_knott, scott_knott_two_way
 from .validation import dataset_baseline, loocv_grid
 
 # ranking voter -> EvalSummary attribute; the order is the profile's voter order
@@ -27,7 +35,7 @@ MEASURE_VOTERS = {"MAE": "mae", "LSD": "lsd", "MBRE": "mbre", "MIBRE": "mibre"}
 EFFECT_SIZE_GATE = 0.5
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EnsembleSpec:
     """TopZ: the first Z variants of the best-cluster Borda ranking."""
 
@@ -45,7 +53,7 @@ class EnsembleSpec:
         return f"Top{self.z}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Verdict:
     variant: str
     sa: float
@@ -102,14 +110,16 @@ def filter_actual_predictors(summaries, base):
     return survivors, verdicts
 
 
-def pooled_transform(tables, labels):
-    """One Box-Cox transform fitted on the pooled absolute errors of ``labels``.
+def pooled_transform(tables, labels, spec=None):
+    """One Box-Cox transform of the pooled absolute errors of ``labels``:
+    fitted on them, or ``spec``, the fit of this same pool, applied again.
 
-    Returns (label -> transformed errors, the fitted TransformSpec). Every
-    table has one row per project, so the fit's own output splits into equal
-    groups, each equal to ``apply_transform`` of that label's errors.
+    Returns (label -> transformed errors, the TransformSpec). Every table has
+    one row per project, so the transformed pool splits into equal groups,
+    each equal to ``apply_transform`` of that label's errors.
     """
-    values, spec = box_cox(np.concatenate([tables[label].aes for label in labels]))
+    pooled = np.concatenate([tables[label].aes for label in labels])
+    values, spec = box_cox(pooled) if spec is None else (apply_transform(pooled, spec), spec)
     return dict(zip(labels, np.split(values, len(labels)))), spec
 
 
@@ -148,14 +158,21 @@ def build_ensembles(ranked):
     return [EnsembleSpec(z=z, members=tuple(ranked[:z])) for z in range(2, len(ranked) + 1)]
 
 
-def ensemble_table(spec, tables):
-    """Fold-level ensemble predictions: the exact per-row mean of the member
-    tables computed once per variant (no refitting), with the members' ids,
-    actuals and log floor."""
-    member_tables = [tables[label] for label in spec.members]
-    first = member_tables[0]
-    predictions = np.mean([t.predictions for t in member_tables], axis=0)
-    return build_table(spec.label, first.project_ids, first.actuals, predictions, first.floor)
+def prefix_tables(ranked, tables):
+    """Fold-level tables of the Top2..TopM ensembles of a flat Borda-ranked
+    variant list, label -> table, with the members' ids, actuals and log
+    floor (no refitting).
+
+    TopZ predicts the mean of its first Z members' predictions: row Z - 1
+    of one cumulative sum down the (M, n) matrix of the ranked predictions,
+    divided by Z. The sum adds the rows in the order ``np.mean(axis=0)`` of
+    those Z rows adds them, so each table equals that mean exactly.
+    """
+    first = tables[ranked[0]]
+    sums = np.cumsum(np.stack([tables[label].predictions for label in ranked]), axis=0)
+    return {spec.label: build_table(spec.label, first.project_ids, first.actuals, sums[spec.z - 1] / spec.z,
+                                    first.floor)
+            for spec in build_ensembles(ranked)}
 
 
 def _joint_stage(report):
@@ -180,11 +197,14 @@ def _joint_stage(report):
 def _per_method_stages(report, variants):
     """Best-k per method and the two-way (method type x k) clustering of the
     evaluated ``variants``, those with a table, both on one transform fitted
-    over their pooled absolute errors."""
+    over their pooled absolute errors. When every one of them survived, that
+    pool is the singles' clustering's, and its fit is reused."""
     variants = [variant for variant in variants if variant.label in report.tables]
     if len(variants) < 2:
         return
-    groups, spec = pooled_transform(report.tables, [variant.label for variant in variants])
+    labels = [variant.label for variant in variants]
+    singles = report.sk_singles.transform if labels == report.survivors else None
+    groups, spec = pooled_transform(report.tables, labels, singles)
     for variant in variants:
         current = report.best_k.get(variant.method)
         candidate = (variant.k, float(np.mean(groups[variant.label])))
@@ -207,11 +227,11 @@ def run_pipeline(dataset, config):
 
     variants = enumerate_variants(config.k_max)
     report.tables, errors = loocv_grid(dataset, variants, config)
-    for label, table in report.tables.items():
+    if report.tables:
         try:
-            report.summaries[label] = summarize(table, base)
+            report.summaries = dict(zip(report.tables, summarize_stack(report.tables.values(), base)))
         except ValueError as exc:
-            errors[label] = str(exc)
+            errors.update(dict.fromkeys(report.tables, str(exc)))
     report.variant_errors = {v.label: errors[v.label] for v in variants if v.label in errors}
     report.notes += [f"{label} not evaluated: {message}"
                      for label, message in report.variant_errors.items()]
@@ -234,14 +254,12 @@ def run_pipeline(dataset, config):
             report.summaries, report.best_cluster
         )
         report.ensembles = build_ensembles(report.best_ranking)
+        report.ensemble_tables = prefix_tables(report.best_ranking, report.tables)
+        report.ensemble_summaries = dict(zip(report.ensemble_tables,
+                                             summarize_stack(report.ensemble_tables.values(), base)))
     else:
         report.best_ranking = list(report.best_cluster)
         report.notes.append("best cluster has fewer than 2 members: no ensembles")
-
-    for spec in report.ensembles:
-        table = ensemble_table(spec, report.tables)
-        report.ensemble_tables[spec.label] = table
-        report.ensemble_summaries[spec.label] = summarize(table, base)
 
     _joint_stage(report)
     _per_method_stages(report, variants)

@@ -5,6 +5,12 @@ the balanced relative errors, which divide by predictions) clamp predictions
 to a small positive floor so a degenerate estimate cannot produce infinities.
 MMRE and Pred(0.25) are reported for benchmarking only and never drive
 selection or ranking.
+
+``summarize_stack`` summarizes tables that share one actuals column as the
+rows of one prediction matrix, each measure one reduction along the rows;
+``summarize`` of one table is its one-row case. The per-table measures
+(``mae``, ``lsd_and_variance`` and the others) define each measure on one
+table.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ import numpy as np
 CONSTANT_EFFORT_RTOL = 1e-6
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class PredictionTable:
     """Per-project outcomes of one leave-one-out run of a variant or ensemble.
 
@@ -63,7 +69,7 @@ class PredictionTable:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BaselineStats:
     """Random-guessing reference for one dataset.
 
@@ -83,7 +89,7 @@ class BaselineStats:
         return self.mae_p0 == 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EvalSummary:
     variant: str
     mae: float
@@ -218,21 +224,49 @@ def effect_size(mae_value, base):
     return (base.mae_p0 - mae_value) / base.sp0
 
 
-def summarize(table, base):
-    """Full evaluation summary of one prediction table against a baseline."""
-    mae_value = mae(table)
-    lsd_value, s2 = lsd_and_variance(table)
-    mbre_value, mibre_value = mbre_mibre(table)
-    return EvalSummary(
-        variant=table.variant,
-        mae=mae_value,
-        mmre=mmre(table),
-        pred25=pred25(table),
-        lsd=lsd_value,
-        s2=s2,
-        mbre=mbre_value,
-        mibre=mibre_value,
-        sa=standardized_accuracy(mae_value, base),
-        delta=effect_size(mae_value, base),
-        fallback_count=table.fallback_count,
+def summarize_stack(tables, base):
+    """Evaluation summaries of ``tables``, which share one actuals column and
+    log floor, against a baseline, in their order.
+
+    Their predictions are stacked as the rows of one C-contiguous (tables, n)
+    matrix, and each measure is one reduction along its rows. numpy reduces
+    each contiguous row as it reduces that row alone, so every summary equals
+    the one-row stack of its own table (``summarize``) bit for bit. Raises
+    ValueError, for every table alike, where LSD, SA or the effect size is
+    undefined.
+    """
+    tables = list(tables)
+    first = tables[0]
+    actuals, floor = first.actuals, first.floor
+    if any(t.floor != floor or not np.array_equal(t.actuals, actuals) for t in tables):
+        raise ValueError("stacked tables must share their actuals and log floor")
+    if actuals.size < 2:
+        raise ValueError("LSD needs at least 2 rows")
+    predictions = np.stack([t.predictions for t in tables])
+    aes = np.abs(actuals - predictions)
+    maes = np.mean(aes, axis=1)
+    mres = aes / actuals
+    floored = np.maximum(predictions, floor)
+    lams = np.log(actuals) - np.log(floored)
+    s2 = np.var(lams, axis=1, ddof=1)
+    lsd = np.sqrt(np.sum((lams + (s2 / 2.0)[:, None]) ** 2, axis=1) / (actuals.size - 1))
+    balanced = np.abs(actuals - floored)
+    columns = (
+        maes,
+        np.mean(mres, axis=1),
+        100.0 * np.mean(mres <= 0.25, axis=1),
+        lsd,
+        s2,
+        np.mean(balanced / np.minimum(actuals, floored), axis=1),
+        np.mean(balanced / np.maximum(actuals, floored), axis=1),
+        standardized_accuracy(maes, base),
+        effect_size(maes, base),
     )
+    return [EvalSummary(t.variant, *values, t.fallback_count)
+            for t, values in zip(tables, zip(*(column.tolist() for column in columns)))]
+
+
+def summarize(table, base):
+    """Full evaluation summary of one prediction table against a baseline:
+    the one-row case of ``summarize_stack``."""
+    return summarize_stack([table], base)[0]

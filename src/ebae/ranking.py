@@ -15,7 +15,7 @@ from itertools import groupby
 import numpy as np
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PreferenceProfile:
     candidates: tuple
     voters: tuple          # (voter name, ordered candidate tuple) pairs, best first
@@ -29,7 +29,7 @@ class PreferenceProfile:
                 raise ValueError(f"voter {name!r} does not rank every candidate exactly once")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RankingOutcome:
     candidates: tuple
     scores: dict                   # candidate -> Borda score (majority-margins row sum)

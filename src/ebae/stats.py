@@ -75,7 +75,7 @@ _SCREEN_ROWS = 8
 _B0_ROUNDING = 8.0 * np.finfo(float).eps
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TransformSpec:
     """A fitted Box-Cox transform: shift applied first, then the power map."""
 
@@ -83,13 +83,13 @@ class TransformSpec:
     shift: float = 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Cluster:
     members: tuple       # group names, best (smallest mean) first within cluster
     means: tuple         # matching mean transformed values
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScottKnottResult:
     clusters: tuple      # best cluster first; contiguous in mean order
     transform: TransformSpec | None = None
@@ -374,7 +374,7 @@ def _split(names, means, mse, nu, out):
 
 def _exponent(arrays):
     """e such that 2^-e brings the largest magnitude in ``arrays`` into [0.5, 1)."""
-    return int(np.frexp(max(np.max(np.abs(a)) for a in arrays))[1])
+    return int(np.frexp(np.max(np.abs(np.concatenate([a.ravel() for a in arrays]))))[1])
 
 
 def _cluster_means(names, means, mse, nu, e):
@@ -412,7 +412,7 @@ def scott_knott(groups):
     means = np.array([a.mean() for a in arrays])
     total = sum(a.size for a in arrays)
     nu = total - len(arrays)
-    sse = sum(float(np.sum((a - a.mean()) ** 2)) for a in arrays)
+    sse = sum(float(np.sum((a - mean) ** 2)) for a, mean in zip(arrays, means))
     mse = sse / nu
     return _cluster_means(names, means, mse, nu, e)
 

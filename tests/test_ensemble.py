@@ -14,9 +14,9 @@ from ebae.data import ColumnSpec, DatasetError
 from ebae.ensemble import (
     EnsembleSpec,
     build_ensembles,
-    ensemble_table,
     filter_actual_predictors,
     pooled_transform,
+    prefix_tables,
     rank_candidates,
     run_pipeline,
     select_best_cluster,
@@ -152,13 +152,17 @@ def test_ensemble_spec_validation():
 
 def test_ensemble_table_exact_mean_and_ae_bound():
     tables = make_tables({"A": (1.0, 15), "B": (4.0, 15), "C": (8.0, 15)}, floor=0.25)
-    spec = EnsembleSpec(z=3, members=("A", "B", "C"))
-    combined = ensemble_table(spec, tables)
-    assert {table.floor for table in tables.values()} == {combined.floor}
-    member_predictions = np.array([tables[m].predictions for m in spec.members])
-    assert np.array_equal(combined.predictions, member_predictions.mean(axis=0))
-    member_aes = np.array([tables[m].aes for m in spec.members])
-    assert np.all(combined.aes <= member_aes.max(axis=0) + 1e-12)
+    ranked = ["C", "A", "B"]
+    prefixes = prefix_tables(ranked, tables)
+    assert list(prefixes) == ["Top2", "Top3"]
+    for spec in build_ensembles(ranked):
+        combined = prefixes[spec.label]
+        assert combined.variant == spec.label
+        assert {table.floor for table in tables.values()} == {combined.floor}
+        member_predictions = np.array([tables[m].predictions for m in spec.members])
+        assert np.array_equal(combined.predictions, member_predictions.mean(axis=0))
+        member_aes = np.array([tables[m].aes for m in spec.members])
+        assert np.all(combined.aes <= member_aes.max(axis=0) + 1e-12)
 
 
 def test_rank_candidates_tie_break_by_mae_then_label():
@@ -312,9 +316,10 @@ def test_per_method_stages_fit_one_transform_over_every_evaluated_variant(albrec
     if not all_survive:
         assert [label for label in report.tables if label not in report.survivors] == [f"MT{k}" for k in range(1, 6)]
     # the singles' clustering, the joint clustering, then the per-method
-    # stages over every evaluated variant
+    # stages over every evaluated variant, which reuse the singles' fit
+    # when that pool is theirs: one fit per distinct pool
     joint = len(report.best_cluster + report.ensembles)
-    assert fits == [len(report.survivors) * ds.n, joint * ds.n, 40 * ds.n]
+    assert fits == [len(report.survivors) * ds.n, joint * ds.n] + ([] if all_survive else [40 * ds.n])
     groups, spec = pooled_transform(report.tables, list(report.tables))
     assert report.two_way.transform == spec
     if all_survive:
